@@ -7,6 +7,7 @@ thread count, so the echoed configuration embedded in each file deliberately
 excludes paths and thread counts.
 """
 
+import argparse
 import filecmp
 import json
 import re
@@ -84,6 +85,109 @@ def test_config_file_merging(tmp_path, capsys):
     rc = main(["psi-scan", "--config", str(cfg), "--tmax", "1.5", "--output", str(out)])
     assert rc == 1
     assert "unknown parameters" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ golden surface
+
+GOLDEN_OPTIONS = {
+    "sample": ["--alpha", "--body", "--config", "--format", "--n", "--output", "--samples",
+               "--seed", "--threads"],
+    "project": ["--basis-out", "--config", "--format", "--input", "--l", "--output", "--seed",
+                "--threads"],
+    "ratio": ["--alpha", "--body", "--config", "--csv", "--directions", "--grid-points", "--l",
+              "--max-radius", "--n", "--output", "--samples", "--seed", "--threads"],
+    "thinshell": ["--body", "--config", "--epsilon", "--n", "--output", "--samples", "--seed",
+                  "--threads"],
+    "psi-scan": ["--config", "--l", "--n", "--output", "--points", "--tmax"],
+    "mtilde": ["--alpha", "--body", "--config", "--csv", "--directions", "--l", "--n", "--output",
+               "--samples-per-subspace", "--seed", "--subspaces", "--t-max", "--t-points",
+               "--threads"],
+    "deconv": ["--R", "--alpha", "--beta", "--c0", "--config", "--epsilon", "--n", "--output"],
+    "deconv-verify": ["--R", "--alpha", "--beta", "--body", "--c0", "--config", "--epsilon",
+                      "--grid-points", "--json", "--n", "--output"],
+    "suite": ["--config", "--only", "--output", "--profile"],
+}
+
+
+def test_golden_option_strings():
+    from projclt.cli import build_parser
+
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(opt for action in sub._actions for opt in action.option_strings
+                     if opt not in ("-h", "--help"))
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == GOLDEN_OPTIONS
+
+
+# (argv at a tiny size, artifact holding the echo, exact echoed key list)
+GOLDEN_ECHO = {
+    "sample": (
+        ["--body", "cube", "--n", "3", "--samples", "10", "--seed", "1"], "out.bin",
+        ["subcommand", "body", "n", "samples", "seed", "alpha", "format"],
+    ),
+    "project": (
+        ["--l", "1", "--seed", "2"], "out.bin",
+        ["subcommand", "input", "l", "seed", "format"],
+    ),
+    "ratio": (
+        ["--body", "gaussian", "--n", "3", "--l", "1", "--samples", "10000", "--seed", "3",
+         "--grid-points", "5"], "out.json",
+        ["subcommand", "body", "n", "l", "samples", "seed", "alpha", "max_radius", "grid_points",
+         "directions"],
+    ),
+    "thinshell": (
+        ["--body", "ball", "--n", "3", "--samples", "10", "--seed", "4"], "out.csv",
+        ["subcommand", "body", "n", "samples", "seed", "epsilon"],
+    ),
+    "psi-scan": (
+        ["--n", "10", "--l", "1", "--tmax", "1.0", "--points", "3"], "out.csv",
+        ["subcommand", "n", "l", "tmax", "points"],
+    ),
+    "mtilde": (
+        ["--body", "gaussian", "--n", "4", "--l", "1", "--t-points", "2", "--subspaces", "1",
+         "--samples-per-subspace", "10000", "--directions", "2", "--seed", "5"], "out.json",
+        ["subcommand", "body", "n", "l", "alpha", "t_max", "t_points", "subspaces",
+         "samples_per_subspace", "directions", "seed"],
+    ),
+    "deconv": (
+        ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
+        "out.json",
+        ["subcommand", "n", "alpha", "beta", "epsilon", "R", "c0"],
+    ),
+    "deconv-verify": (
+        ["--body", "gaussian", "--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon",
+         "0.001", "--R", "10", "--grid-points", "11"], "out.csv",
+        ["subcommand", "body", "n", "alpha", "beta", "epsilon", "R", "c0", "grid_points"],
+    ),
+    "suite": (
+        ["--only", "2"], "out.json",
+        ["subcommand", "profile", "only"],
+    ),
+}
+
+
+def _echoed_config(path):
+    if path.suffix == ".bin":
+        return json.loads(path.with_name(path.name + ".json").read_text())["config"]
+    if path.suffix == ".csv":
+        return _read_csv(path)[0]["config"]
+    return json.loads(path.read_text())["config"]
+
+
+@pytest.mark.parametrize("subcommand", sorted(GOLDEN_ECHO))
+def test_golden_echoed_config_keys(subcommand, tmp_path, capsys):
+    argv, artifact, keys = GOLDEN_ECHO[subcommand]
+    if subcommand == "project":
+        src = tmp_path / "src.bin"
+        assert main(["sample", "--body", "cube", "--n", "3", "--samples", "10", "--seed", "1",
+                     "--output", str(src)]) == 0
+        argv = argv + ["--input", str(src)]
+    out = tmp_path / artifact
+    assert main([subcommand, *argv, "--output", str(out)]) == 0
+    assert list(_echoed_config(out)) == keys
 
 
 # ------------------------------------------------------------------ sample

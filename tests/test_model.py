@@ -379,3 +379,163 @@ def test_ratio_report_round_trip_preserves_meta():
     back = loads(dumps(rep))
     assert back.meta == {"n": 100, "l": 1}
     assert back.sup_abs_deviation == rep.sup_abs_deviation
+
+
+# ----------------------------------------------------------- golden JSON text
+
+
+def _golden_values():
+    from projclt.cli import ExperimentConfig
+    from projclt.deconvolution import DeconvParams, SandwichReport
+    from projclt.density import KdeConfig
+    from projclt.samplers import SampleBatch
+    from projclt.spherical import KernelParams
+
+    params = DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.005, hypothesis_radius=10.0)
+    admissible = DeconvCertificate(
+        admissible=True,
+        violated_conditions=(),
+        lower_radius=4.0,
+        upper_radius=1.0,
+        lower_factor=1.0 - 6 * 0.005,
+        upper_factor=1.0 + 8 * 0.005,
+        params=params,
+    )
+    cube3 = {"type": "body_spec", "kind": "cube", "dimension": 3}
+    return {
+        "body_spec": BodySpec(kind="laplace", dimension=3),
+        "gaussian_spec": GaussianSpec(dimension=2, variance=0.5),
+        "convolution_schedule": ConvolutionSchedule(alpha=10.0),
+        "subspace_basis": SubspaceBasis(rows=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
+        "radial_density_binned": RadialDensity.binned([0.0, 1.0, 2.0], [0.25, 0.75]),
+        "radial_density_chi": RadialDensity.closed_form_chi(5),
+        "density_estimate": DensityEstimate(
+            points=[[0.0], [0.5]], values=[0.4, 0.35], stderr=[0.01, 0.02],
+            sample_count=10000, bandwidth=0.1,
+        ),
+        "ratio_report": RatioReport.from_ratios([0.0, 1.0], [1.0, 1.25], meta={"l": 1, "body": cube3}),
+        "deconv_certificate": _certificate(),
+        "deconv_certificate_params": admissible,
+        "kde_config_points": KdeConfig(points=[-1.0, 0.0, 1.0]),
+        "kde_config_radii": KdeConfig(
+            bandwidth_rule="fixed", bandwidth=0.2, radii=[0.0, 0.5], direction_count=4
+        ),
+        "sample_batch": SampleBatch(
+            data=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+            seed={"entropy": 7, "spawn_key": [1]},
+            source={"draw": "body", "spec": cube3},
+        ),
+        "deconv_params": params,
+        "sandwich_report": SandwichReport(
+            body="uniform", status="hypothesis_not_met", certificate=admissible, hypothesis_sup=0.25
+        ),
+        "kernel_params": KernelParams(n=5, l=2, r=1.5),
+        "experiment_config": ExperimentConfig(
+            subcommand="psi-scan",
+            params={"n": 100, "l": 1, "tmax": 1.5, "points": 5},
+            seed=None,
+            output="scan.csv",
+            format="csv",
+        ),
+    }
+
+
+_PARAMS_JSON = (
+    '{"type": "deconv_params", "n": 8, "alpha": 1e-28, "beta": 0.5, "epsilon": 0.005, '
+    '"hypothesis_radius": 10.0, "c0": 0.01}'
+)
+_ADMISSIBLE_JSON = (
+    '{"type": "deconv_certificate", "admissible": true, "violated_conditions": [], '
+    '"lower_radius": 4.0, "upper_radius": 1.0, "lower_factor": 0.97, "upper_factor": 1.04, '
+    '"params": ' + _PARAMS_JSON + "}"
+)
+_CUBE3_JSON = '{"type": "body_spec", "kind": "cube", "dimension": 3}'
+
+GOLDEN_JSON = {
+    "body_spec": '{"type": "body_spec", "kind": "product_laplace", "dimension": 3}',
+    "gaussian_spec": '{"type": "gaussian_spec", "dimension": 2, "variance": 0.5}',
+    "convolution_schedule": (
+        '{"type": "convolution_schedule", "alpha": 10.0, "lambda": 0.014285714285714285}'
+    ),
+    "subspace_basis": (
+        '{"type": "subspace_basis", "ambient_dim": 3, "subspace_dim": 2, '
+        '"rows": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]}'
+    ),
+    "radial_density_binned": (
+        '{"type": "radial_density", "form": "binned", "grid": [0.0, 1.0, 2.0], "mass": [0.25, 0.75]}'
+    ),
+    "radial_density_chi": '{"type": "radial_density", "form": "chi", "chi_dim": 5}',
+    "density_estimate": (
+        '{"type": "density_estimate", "points": [[0.0], [0.5]], "values": [0.4, 0.35], '
+        '"stderr": [0.01, 0.02], "sample_count": 10000, "bandwidth": 0.1}'
+    ),
+    "ratio_report": (
+        '{"type": "ratio_report", "radius_grid": [0.0, 1.0], "per_point_ratios": [1.0, 1.25], '
+        '"sup_abs_deviation": 0.25, "meta": {"l": 1, "body": ' + _CUBE3_JSON + "}}"
+    ),
+    "deconv_certificate": (
+        '{"type": "deconv_certificate", "admissible": false, '
+        '"violated_conditions": ["epsilon too big"], "lower_radius": 2.0, "upper_radius": -1.0, '
+        '"lower_factor": 0.97, "upper_factor": 1.04, "params": null}'
+    ),
+    "deconv_certificate_params": _ADMISSIBLE_JSON,
+    "kde_config_points": (
+        '{"type": "kde_config", "bandwidth_rule": "scott", "bandwidth": null, '
+        '"points": [[-1.0], [0.0], [1.0]], "radii": null, "direction_count": 16, '
+        '"chunk_size": 16384}'
+    ),
+    "kde_config_radii": (
+        '{"type": "kde_config", "bandwidth_rule": "fixed", "bandwidth": 0.2, "points": null, '
+        '"radii": [0.0, 0.5], "direction_count": 4, "chunk_size": 16384}'
+    ),
+    "sample_batch": (
+        '{"type": "sample_batch", "dimension": 2, "count": 3, '
+        '"seed": {"entropy": 7, "spawn_key": [1]}, '
+        '"source": {"draw": "body", "spec": ' + _CUBE3_JSON + "}, "
+        '"data": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]}'
+    ),
+    "deconv_params": _PARAMS_JSON,
+    "sandwich_report": (
+        '{"type": "sandwich_report", "body": "uniform", "status": "hypothesis_not_met", '
+        '"certificate": ' + _ADMISSIBLE_JSON + ', "hypothesis_sup": 0.25, '
+        '"lower_margin_min": null, "upper_margin_min": null}'
+    ),
+    "kernel_params": '{"type": "kernel_params", "n": 5, "l": 2, "r": 1.5}',
+    "experiment_config": (
+        '{"type": "experiment_config", "subcommand": "psi-scan", '
+        '"params": {"n": 100, "l": 1, "tmax": 1.5, "points": 5}, "seed": null, '
+        '"output": "scan.csv", "format": "csv"}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_golden_json_text(name):
+    value = _golden_values()[name]
+    text = GOLDEN_JSON[name]
+    assert dumps(value) == text
+    assert value.to_jsonable() == json.loads(text)
+    back = type(value).from_jsonable(json.loads(text))
+    assert dumps(back) == text
+
+
+def test_golden_json_covers_every_registered_type():
+    from projclt.model import _REGISTRY
+
+    _golden_values()  # imports every module that registers a type
+    tags = {json.loads(text)["type"] for text in GOLDEN_JSON.values()}
+    assert tags == set(_REGISTRY)
+
+
+def test_golden_json_decodes_nested_values_only_where_declared():
+    from projclt.deconvolution import DeconvParams
+
+    report = loads(GOLDEN_JSON["ratio_report"])
+    assert type(report.meta["body"]) is dict
+    batch = loads(GOLDEN_JSON["sample_batch"])
+    assert type(batch.source["spec"]) is dict
+    cert = loads(GOLDEN_JSON["deconv_certificate_params"])
+    assert isinstance(cert.params, DeconvParams)
+    sandwich = loads(GOLDEN_JSON["sandwich_report"])
+    assert isinstance(sandwich.certificate, DeconvCertificate)
+    assert isinstance(sandwich.certificate.params, DeconvParams)
