@@ -3,10 +3,16 @@
 Every subcommand resolves its parameters from (defaults < config file < CLI
 flags), validates them, and embeds the resolved configuration into each output
 artifact — a "config" object in JSON reports and a leading '#' line in CSV —
-so any artifact can be re-run bit-identically from its own header.  Paths and
-thread counts are deliberately left out of the echo: they locate or schedule
-the run without affecting a single output number, and their absence is what
-makes reruns byte-identical across directories and --threads settings.
+so any artifact can be re-run bit-identically from its own header.  Output
+paths and thread counts are deliberately left out of the echo: they locate or
+schedule the run without affecting a single output number, and their absence
+is what makes reruns byte-identical across output directories and --threads
+settings.  The one input path, ``project --input``, is echoed, so a project
+artifact reruns byte-identically only from the same input path.
+
+Each subcommand declares its parameters once, in the table passed to
+``_subcommand``; that table yields both the argparse flags and the resolve
+order, which is also the key order of the echoed configuration.
 
 Exit codes: 0 success, 1 validation error, 2 acceptance-threshold failure in
 `suite` (and argparse usage errors).
@@ -18,6 +24,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +55,6 @@ SCHEMA_VERSION = 1
 
 _REQUIRED = object()
 _STOCHASTIC = frozenset({"sample", "project", "ratio", "thinshell", "mtilde"})
-_NOT_ECHOED = ("config", "output", "csv", "json_out", "basis_out", "threads")
 
 
 @register("experiment_config")
@@ -70,53 +76,75 @@ class ExperimentConfig:
         if not isinstance(self.params, dict):
             raise InvalidSpec("params must be a dict")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "output": self.output,
-            "format": self.format,
-        }
 
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            subcommand=d["subcommand"],
-            params=d["params"],
-            seed=d["seed"],
-            output=d["output"],
-            format=d["format"],
-        )
+class Param(NamedTuple):
+    """One subcommand parameter: its resolve default and its command-line flag.
+
+    ``echo`` is False for sinks and schedulers (output paths, ``threads``),
+    which never change an output number.  The flag is ``--`` plus the name
+    with dashes unless ``flag`` says otherwise.
+    """
+
+    name: str
+    default: object = _REQUIRED
+    type: type | None = None
+    echo: bool = True
+    flag: str | None = None
+    help: str | None = None
+    choices: tuple | None = None
+    action: str | None = None
 
 
-def _resolve(args, table: dict):
-    """Merge defaults < config file < explicit flags; returns (params, echo)."""
-    cfg = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as f:
+_SUBCOMMANDS: dict[str, tuple] = {}
+
+
+def _subcommand(name: str, help: str, params: list[Param]):
+    """Register a handler ``(resolved, echo) -> exit code`` with its parameter table."""
+
+    def deco(func):
+        _SUBCOMMANDS[name] = (func, help, params)
+        return func
+
+    return deco
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as f:
             cfg = json.load(f)
-        unknown = sorted(set(cfg) - set(table))
-        if unknown:
-            raise InvalidSpec(f"config file sets unknown parameters: {', '.join(unknown)}")
+    except OSError as exc:
+        raise InvalidSpec(f"cannot read config file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise InvalidSpec(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _resolve(args, params: list[Param]):
+    """Merge defaults < config file < explicit flags; returns (resolved, echo)."""
+    cfg = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - {p.name for p in params})
+    if unknown:
+        raise InvalidSpec(f"config file sets unknown parameters: {', '.join(unknown)}")
     resolved = {}
-    for key, default in table.items():
-        value = getattr(args, key, None)
+    for p in params:
+        value = getattr(args, p.name)
         if value is None:
-            value = cfg.get(key)
+            value = cfg.get(p.name)
         if value is None:
-            if default is _REQUIRED:
-                raise InvalidSpec(f"missing required parameter '{key}'")
-            value = default
-        resolved[key] = value
+            if p.default is _REQUIRED:
+                raise InvalidSpec(f"missing required parameter '{p.name}'")
+            value = p.default
+        resolved[p.name] = value
     echo = {"subcommand": args.subcommand}
-    echo.update({k: v for k, v in resolved.items() if k not in _NOT_ECHOED})
+    echo.update({p.name: resolved[p.name] for p in params if p.echo})
     return resolved, echo
 
 
-def _dump_json(payload: dict, path: str | None) -> None:
+def _dump_json(path: str | None, echo: dict, **body) -> None:
+    """Write the schema version, the echoed config and ``body`` as JSON (stdout if no path)."""
+    payload = {"schema_version": SCHEMA_VERSION, "config": echo, **body}
     text = json.dumps(payload, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -137,6 +165,11 @@ def _write_csv(path: str, echo: dict, columns, rows) -> None:
             f.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
+def _save(batch, resolved: dict, echo: dict) -> None:
+    save = save_batch_csv if resolved["format"] == "csv" else save_batch
+    save(batch, resolved["output"], config=echo)
+
+
 def _experiment(echo: dict, resolved: dict, fmt: str) -> ExperimentConfig:
     params = {k: v for k, v in echo.items() if k not in ("subcommand", "seed")}
     return validate(
@@ -150,20 +183,32 @@ def _experiment(echo: dict, resolved: dict, fmt: str) -> ExperimentConfig:
     )
 
 
-def _cmd_sample(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {
-            "body": _REQUIRED,
-            "n": _REQUIRED,
-            "samples": _REQUIRED,
-            "seed": _REQUIRED,
-            "alpha": None,
-            "format": "bin",
-            "threads": 1,
-            "output": _REQUIRED,
-        },
-    )
+_BODY = Param("body")
+_N = Param("n", type=int)
+_L = Param("l", type=int)
+_SAMPLES = Param("samples", type=int)
+_SEED = Param("seed", type=int)
+_FORMAT = Param("format", "bin", choices=("bin", "csv"))
+_DIRECTIONS = Param("directions", 16, int)
+_THREADS = Param("threads", 1, int, echo=False)
+_OUTPUT = Param("output", echo=False)
+_OPTIONAL_OUTPUT = Param("output", None, echo=False)
+_DECONV_PARAMS = [
+    _N,
+    Param("alpha", type=float),
+    Param("beta", type=float),
+    Param("epsilon", type=float),
+    Param("R", type=float),
+    Param("c0", 1e-2, float),
+]
+
+
+@_subcommand("sample", "draw a batch from a catalog body", [
+    _BODY, _N, _SAMPLES, _SEED,
+    Param("alpha", None, float, help="smooth and rescale with this schedule"),
+    _FORMAT, _THREADS, _OUTPUT,
+])
+def _cmd_sample(resolved, echo) -> int:
     _experiment(echo, resolved, resolved["format"])
     spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
     root = np.random.SeedSequence(int(resolved["seed"]))
@@ -172,61 +217,37 @@ def _cmd_sample(args) -> int:
     if resolved["alpha"] is not None:
         schedule = ConvolutionSchedule(float(resolved["alpha"]))
         batch = convolve_and_rescale(batch, schedule, noise_seed, threads=int(resolved["threads"]))
-    echo_full = dict(echo)
-    if resolved["format"] == "csv":
-        save_batch_csv(batch, resolved["output"], config=echo_full)
-    else:
-        save_batch(batch, resolved["output"], config=echo_full)
+    _save(batch, resolved, echo)
     return 0
 
 
-def _cmd_project(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {
-            "input": _REQUIRED,
-            "l": _REQUIRED,
-            "seed": _REQUIRED,
-            "format": "bin",
-            "basis_out": None,
-            "threads": 1,
-            "output": _REQUIRED,
-        },
-    )
+@_subcommand("project", "project a saved batch onto a Haar subspace", [
+    Param("input"), _L, _SEED, _FORMAT,
+    Param("basis_out", None, echo=False, help="write the basis as JSON here"),
+    Param("threads", 1, int, echo=False,
+          help="accepted and ignored: projection is one matrix product"),
+    _OUTPUT,
+])
+def _cmd_project(resolved, echo) -> int:
     _experiment(echo, resolved, resolved["format"])
     batch = load_batch(resolved["input"])
     basis = random_subspace(batch.dimension, int(resolved["l"]), int(resolved["seed"]))
     projected = project(batch, basis)
-    if resolved["format"] == "csv":
-        save_batch_csv(projected, resolved["output"], config=echo)
-    else:
-        save_batch(projected, resolved["output"], config=echo)
+    _save(projected, resolved, echo)
     if resolved["basis_out"]:
-        _dump_json(
-            {"schema_version": SCHEMA_VERSION, "config": echo, "basis": to_jsonable(basis)},
-            resolved["basis_out"],
-        )
+        _dump_json(resolved["basis_out"], echo, basis=to_jsonable(basis))
     return 0
 
 
-def _cmd_ratio(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {
-            "body": _REQUIRED,
-            "n": _REQUIRED,
-            "l": _REQUIRED,
-            "samples": _REQUIRED,
-            "seed": _REQUIRED,
-            "alpha": None,
-            "max_radius": 2.0,
-            "grid_points": 81,
-            "directions": 16,
-            "threads": 1,
-            "output": _REQUIRED,
-            "csv": None,
-        },
-    )
+@_subcommand("ratio", "projected-density to gaussian ratio report", [
+    _BODY, _N, _L, _SAMPLES, _SEED,
+    Param("alpha", None, float),
+    Param("max_radius", 2.0, float),
+    Param("grid_points", 81, int),
+    _DIRECTIONS, _THREADS, _OUTPUT,
+    Param("csv", None, echo=False, help="also write (point, ratio, stderr) rows here"),
+])
+def _cmd_ratio(resolved, echo) -> int:
     _experiment(echo, resolved, "json")
     n, l = int(resolved["n"]), int(resolved["l"])
     threads = int(resolved["threads"])
@@ -251,10 +272,7 @@ def _cmd_ratio(args) -> int:
         )
     est = estimate_density(projected, cfg)
     report = ratio_to_gaussian(est, 1.0, radius)
-    _dump_json(
-        {"schema_version": SCHEMA_VERSION, "config": echo, "report": to_jsonable(report)},
-        resolved["output"],
-    )
+    _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
         ref = gaussian_density(l, 1.0, report.radius_grid)
         rows = zip(
@@ -266,19 +284,12 @@ def _cmd_ratio(args) -> int:
     return 0
 
 
-def _cmd_thinshell(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {
-            "body": _REQUIRED,
-            "n": _REQUIRED,
-            "samples": _REQUIRED,
-            "seed": _REQUIRED,
-            "epsilon": None,
-            "threads": 1,
-            "output": _REQUIRED,
-        },
-    )
+@_subcommand("thinshell", "off-shell mass fractions", [
+    _BODY, _N, _SAMPLES, _SEED,
+    Param("epsilon", None, float, action="append", help="repeatable; default n^(-1/15)"),
+    _THREADS, _OUTPUT,
+])
+def _cmd_thinshell(resolved, echo) -> int:
     n = int(resolved["n"])
     epsilons = resolved["epsilon"]
     if epsilons is None:
@@ -297,17 +308,10 @@ def _cmd_thinshell(args) -> int:
     return 0
 
 
-def _cmd_psi_scan(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {
-            "n": _REQUIRED,
-            "l": _REQUIRED,
-            "tmax": _REQUIRED,
-            "points": 200,
-            "output": _REQUIRED,
-        },
-    )
+@_subcommand("psi-scan", "sphere-marginal vs gaussian scan", [
+    _N, _L, Param("tmax", type=float), Param("points", 200, int), _OUTPUT,
+])
+def _cmd_psi_scan(resolved, echo) -> int:
     _experiment(echo, resolved, "csv")
     n, l = int(resolved["n"]), int(resolved["l"])
     report = psi_gaussian_ratio_scan(n, l, float(resolved["tmax"]), int(resolved["points"]))
@@ -322,25 +326,17 @@ def _cmd_psi_scan(args) -> int:
     return 0
 
 
-def _cmd_mtilde(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {
-            "body": _REQUIRED,
-            "n": _REQUIRED,
-            "l": _REQUIRED,
-            "alpha": 10.0,
-            "t_max": 2.0,
-            "t_points": 9,
-            "subspaces": 32,
-            "samples_per_subspace": 125_000,
-            "directions": 16,
-            "seed": _REQUIRED,
-            "threads": 1,
-            "output": _REQUIRED,
-            "csv": None,
-        },
-    )
+@_subcommand("mtilde", "rotation-averaged smoothed radial profile", [
+    _BODY, _N, _L,
+    Param("alpha", 10.0, float),
+    Param("t_max", 2.0, float),
+    Param("t_points", 9, int),
+    Param("subspaces", 32, int),
+    Param("samples_per_subspace", 125_000, int),
+    _DIRECTIONS, _SEED, _THREADS, _OUTPUT,
+    Param("csv", None, echo=False),
+])
+def _cmd_mtilde(resolved, echo) -> int:
     _experiment(echo, resolved, "json")
     spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
     report = m_tilde_profile(
@@ -354,10 +350,7 @@ def _cmd_mtilde(args) -> int:
         direction_count=int(resolved["directions"]),
         threads=int(resolved["threads"]),
     )
-    _dump_json(
-        {"schema_version": SCHEMA_VERSION, "config": echo, "report": to_jsonable(report)},
-        resolved["output"],
-    )
+    _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
         rows = zip(report.radius_grid.tolist(), report.per_point_ratios.tolist())
         _write_csv(resolved["csv"], echo, ("t", "profile"), rows)
@@ -375,62 +368,39 @@ def _deconv_params(resolved) -> DeconvParams:
     )
 
 
-def _cmd_deconv(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {
-            "n": _REQUIRED,
-            "alpha": _REQUIRED,
-            "beta": _REQUIRED,
-            "epsilon": _REQUIRED,
-            "R": _REQUIRED,
-            "c0": 1e-2,
-            "output": None,
-        },
-    )
+@_subcommand("deconv", "compute the sandwich admissibility certificate", [
+    *_DECONV_PARAMS, _OPTIONAL_OUTPUT,
+])
+def _cmd_deconv(resolved, echo) -> int:
     _experiment(echo, resolved, "json")
     cert = check_conditions(_deconv_params(resolved))
-    _dump_json(
-        {"schema_version": SCHEMA_VERSION, "config": echo, "certificate": to_jsonable(cert)},
-        resolved["output"],
-    )
+    _dump_json(resolved["output"], echo, certificate=to_jsonable(cert))
     return 0
 
 
-def _cmd_deconv_verify(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {
-            "body": _REQUIRED,
-            "n": _REQUIRED,
-            "alpha": _REQUIRED,
-            "beta": _REQUIRED,
-            "epsilon": _REQUIRED,
-            "R": _REQUIRED,
-            "c0": 1e-2,
-            "grid_points": 2001,
-            "output": _REQUIRED,
-            "json_out": None,
-        },
-    )
+@_subcommand("deconv-verify", "run the 1-d sandwich and emit margins", [
+    _BODY, *_DECONV_PARAMS,
+    Param("grid_points", 2001, int),
+    _OUTPUT,
+    Param("json_out", None, echo=False, flag="--json", help="also write the report as JSON here"),
+])
+def _cmd_deconv_verify(resolved, echo) -> int:
     _experiment(echo, resolved, "csv")
     report, rows = sandwich_margins(
         resolved["body"], _deconv_params(resolved), grid_points=int(resolved["grid_points"])
     )
     _write_csv(resolved["output"], echo, ("region", "x", "density", "bound", "margin"), rows)
     if resolved["json_out"]:
-        _dump_json(
-            {"schema_version": SCHEMA_VERSION, "config": echo, "report": to_jsonable(report)},
-            resolved["json_out"],
-        )
+        _dump_json(resolved["json_out"], echo, report=to_jsonable(report))
     return 0
 
 
-def _cmd_suite(args) -> int:
-    resolved, echo = _resolve(
-        args,
-        {"profile": "desk", "only": None, "output": None},
-    )
+@_subcommand("suite", "run the acceptance criteria and print a table", [
+    Param("profile", "desk", choices=("desk", "quick")),
+    Param("only", None, help="comma-separated criterion indices"),
+    _OPTIONAL_OUTPUT,
+])
+def _cmd_suite(resolved, echo) -> int:
     only = resolved["only"]
     if isinstance(only, str):
         only = [int(tok) for tok in only.split(",") if tok.strip()]
@@ -444,34 +414,11 @@ def _cmd_suite(args) -> int:
         + (f"; failed: {failed}" if failed else "")
     )
     if resolved["output"]:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": echo,
-            "results": [
-                {
-                    "index": r.index,
-                    "title": r.title,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "seconds": r.seconds,
-                }
-                for r in results
-            ],
-        }
-        _dump_json(payload, resolved["output"])
+        fields = ("index", "title", "passed", "detail", "seconds")
+        _dump_json(
+            resolved["output"], echo, results=[{k: getattr(r, k) for k in fields} for r in results]
+        )
     return 0 if not failed else 2
-
-
-def _add_common(sub, *, seed=False, threads=False, output=True, fmt=None):
-    sub.add_argument("--config", help="JSON file of parameter defaults (flags win)")
-    if seed:
-        sub.add_argument("--seed", type=int)
-    if threads:
-        sub.add_argument("--threads", type=int)
-    if output:
-        sub.add_argument("--output")
-    if fmt:
-        sub.add_argument("--format", choices=fmt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,101 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments on gaussian behavior of projected isotropic samples.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    s = subs.add_parser("sample", help="draw a batch from a catalog body")
-    s.add_argument("--body")
-    s.add_argument("--n", type=int)
-    s.add_argument("--samples", type=int)
-    s.add_argument("--alpha", type=float, help="smooth and rescale with this schedule")
-    _add_common(s, seed=True, threads=True, fmt=("bin", "csv"))
-    s.set_defaults(func=_cmd_sample)
-
-    s = subs.add_parser("project", help="project a saved batch onto a Haar subspace")
-    s.add_argument("--input")
-    s.add_argument("--l", type=int)
-    s.add_argument("--basis-out", dest="basis_out", help="write the basis as JSON here")
-    _add_common(s, seed=True, threads=True, fmt=("bin", "csv"))
-    s.set_defaults(func=_cmd_project)
-
-    s = subs.add_parser("ratio", help="projected-density to gaussian ratio report")
-    s.add_argument("--body")
-    s.add_argument("--n", type=int)
-    s.add_argument("--l", type=int)
-    s.add_argument("--samples", type=int)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--max-radius", dest="max_radius", type=float)
-    s.add_argument("--grid-points", dest="grid_points", type=int)
-    s.add_argument("--directions", type=int)
-    s.add_argument("--csv", help="also write (point, ratio, stderr) rows here")
-    _add_common(s, seed=True, threads=True)
-    s.set_defaults(func=_cmd_ratio)
-
-    s = subs.add_parser("thinshell", help="off-shell mass fractions")
-    s.add_argument("--body")
-    s.add_argument("--n", type=int)
-    s.add_argument("--samples", type=int)
-    s.add_argument("--epsilon", type=float, action="append", help="repeatable; default n^(-1/15)")
-    _add_common(s, seed=True, threads=True)
-    s.set_defaults(func=_cmd_thinshell)
-
-    s = subs.add_parser("psi-scan", help="sphere-marginal vs gaussian scan")
-    s.add_argument("--n", type=int)
-    s.add_argument("--l", type=int)
-    s.add_argument("--tmax", type=float)
-    s.add_argument("--points", type=int)
-    _add_common(s)
-    s.set_defaults(func=_cmd_psi_scan)
-
-    s = subs.add_parser("mtilde", help="rotation-averaged smoothed radial profile")
-    s.add_argument("--body")
-    s.add_argument("--n", type=int)
-    s.add_argument("--l", type=int)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--t-max", dest="t_max", type=float)
-    s.add_argument("--t-points", dest="t_points", type=int)
-    s.add_argument("--subspaces", type=int)
-    s.add_argument("--samples-per-subspace", dest="samples_per_subspace", type=int)
-    s.add_argument("--directions", type=int)
-    s.add_argument("--csv")
-    _add_common(s, seed=True, threads=True)
-    s.set_defaults(func=_cmd_mtilde)
-
-    s = subs.add_parser("deconv", help="compute the sandwich admissibility certificate")
-    s.add_argument("--n", type=int)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--beta", type=float)
-    s.add_argument("--epsilon", type=float)
-    s.add_argument("--R", type=float)
-    s.add_argument("--c0", type=float)
-    _add_common(s)
-    s.set_defaults(func=_cmd_deconv)
-
-    s = subs.add_parser("deconv-verify", help="run the 1-d sandwich and emit margins")
-    s.add_argument("--body")
-    s.add_argument("--n", type=int)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--beta", type=float)
-    s.add_argument("--epsilon", type=float)
-    s.add_argument("--R", type=float)
-    s.add_argument("--c0", type=float)
-    s.add_argument("--grid-points", dest="grid_points", type=int)
-    s.add_argument("--json", dest="json_out", help="also write the report as JSON here")
-    _add_common(s)
-    s.set_defaults(func=_cmd_deconv_verify)
-
-    s = subs.add_parser("suite", help="run the acceptance criteria and print a table")
-    s.add_argument("--profile", choices=("desk", "quick"))
-    s.add_argument("--only", help="comma-separated criterion indices")
-    _add_common(s)
-    s.set_defaults(func=_cmd_suite)
-
+    for name, (func, help_text, params) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for p in params:
+            sub.add_argument(
+                p.flag or "--" + p.name.replace("_", "-"),
+                dest=p.name, type=p.type, choices=p.choices, action=p.action, help=p.help,
+            )
+        sub.add_argument("--config", help="JSON file of parameter defaults (flags win)")
+        sub.set_defaults(func=func, params=params)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(*_resolve(args, args.params))
     except ProjCltError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

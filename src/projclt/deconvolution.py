@@ -21,7 +21,7 @@ moderate alpha, where both routes are available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -33,7 +33,7 @@ from .errors import (
     InvalidSpec,
     RangeError,
 )
-from .model import DeconvCertificate, _as_positive_int, register, to_jsonable, from_jsonable
+from .model import NESTED, DeconvCertificate, _as_positive_int, register
 from .spherical import gaussian_density
 
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
@@ -70,28 +70,6 @@ class DeconvParams:
             object.__setattr__(self, name, val)
         if not self.c0 < 1.0:
             raise InvalidSpec(f"c0 must lie in (0, 1), got {self.c0!r}")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "n": self.n,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "hypothesis_radius": self.hypothesis_radius,
-            "c0": self.c0,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "DeconvParams":
-        return cls(
-            n=d["n"],
-            alpha=d["alpha"],
-            beta=d["beta"],
-            epsilon=d["epsilon"],
-            hypothesis_radius=d["hypothesis_radius"],
-            c0=d["c0"],
-        )
 
 
 def check_conditions(p: DeconvParams) -> DeconvCertificate:
@@ -229,32 +207,10 @@ class SandwichReport:
 
     body: str
     status: str
-    certificate: DeconvCertificate
+    certificate: DeconvCertificate = field(metadata=NESTED)
     hypothesis_sup: float | None = None
     lower_margin_min: float | None = None
     upper_margin_min: float | None = None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "body": self.body,
-            "status": self.status,
-            "certificate": to_jsonable(self.certificate),
-            "hypothesis_sup": self.hypothesis_sup,
-            "lower_margin_min": self.lower_margin_min,
-            "upper_margin_min": self.upper_margin_min,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "SandwichReport":
-        return cls(
-            body=d["body"],
-            status=d["status"],
-            certificate=from_jsonable(d["certificate"]),
-            hypothesis_sup=d["hypothesis_sup"],
-            lower_margin_min=d["lower_margin_min"],
-            upper_margin_min=d["upper_margin_min"],
-        )
 
 
 SANDWICH_SLACK = 1e-9

@@ -77,28 +77,6 @@ class KdeConfig:
         object.__setattr__(self, "direction_count", _as_positive_int(self.direction_count, "direction_count"))
         object.__setattr__(self, "chunk_size", _as_positive_int(self.chunk_size, "chunk_size"))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "bandwidth_rule": self.bandwidth_rule,
-            "bandwidth": self.bandwidth,
-            "points": None if self.points is None else self.points.tolist(),
-            "radii": None if self.radii is None else self.radii.tolist(),
-            "direction_count": self.direction_count,
-            "chunk_size": self.chunk_size,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "KdeConfig":
-        return cls(
-            bandwidth_rule=d["bandwidth_rule"],
-            bandwidth=d["bandwidth"],
-            points=None if d["points"] is None else np.asarray(d["points"]),
-            radii=None if d["radii"] is None else np.asarray(d["radii"]),
-            direction_count=d["direction_count"],
-            chunk_size=d["chunk_size"],
-        )
-
 
 def unit_directions(l: int, count: int) -> np.ndarray:
     """A fixed, deterministic set of unit vectors in R^l for radial averaging.

@@ -6,6 +6,7 @@ freshly deserialized object can be gated before use.
 
 Every type serializes to plain JSON with snake_case keys through
 :func:`to_jsonable` / :func:`from_jsonable` (dispatch on a ``"type"`` tag).
+One field-driven codec, attached by :func:`register`, serves every type.
 Floats survive the round trip exactly because ``json`` emits shortest-repr
 doubles; arrays are stored as nested lists.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -26,16 +27,77 @@ _MASS_SHORTFALL = 1e-6
 
 _REGISTRY: dict[str, type] = {}
 
+# Field metadata read by the codec.  OPTIONAL: a payload may omit the key and
+# the field default applies.  NESTED: the field holds a registered value that
+# is decoded from its own tagged dict (other dicts stay plain, even tagged ones).
+OPTIONAL = {"optional": True}
+NESTED = {"nested": True}
 
-def register(tag: str):
-    """Class decorator: make a type round-trippable under the given JSON tag."""
+
+def register(tag: str, keys: tuple = ()):
+    """Class decorator: make a dataclass round-trippable under the given JSON tag.
+
+    The JSON object is the ``"type"`` tag followed by one key per name in
+    ``keys`` (default: the dataclass fields, in order).  A name that is not a
+    field is a derived attribute: it is written for readers and, on decode,
+    checked against the rebuilt value.  A trailing underscore is dropped from
+    the key (``lambda_`` is written as ``lambda``).  A hand-written
+    ``to_jsonable`` or ``from_jsonable`` on the class takes precedence.
+    """
 
     def deco(cls):
         cls.json_tag = tag
+        cls.json_keys = keys or tuple(f.name for f in fields(cls))
+        if "to_jsonable" not in vars(cls):
+            cls.to_jsonable = _encode_fields
+        if "from_jsonable" not in vars(cls):
+            cls.from_jsonable = classmethod(_decode_fields)
         _REGISTRY[tag] = cls
         return cls
 
     return deco
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    if hasattr(value, "json_tag"):
+        return value.to_jsonable()
+    return value
+
+
+def _encode_fields(self) -> dict:
+    d = {"type": self.json_tag}
+    for name in self.json_keys:
+        d[name.rstrip("_")] = _plain(getattr(self, name))
+    return d
+
+
+def _decode_fields(cls, d: dict):
+    def stored(name):
+        key = name.rstrip("_")
+        if key not in d:
+            raise InvalidSpec(f"serialized {cls.json_tag} is missing key {key!r}")
+        return d[key]
+
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d or not f.metadata.get("optional"):
+            v = stored(f.name)
+            kwargs[f.name] = from_jsonable(v) if f.metadata.get("nested") and v is not None else v
+    value = cls(**kwargs)
+    derived = [name for name in cls.json_keys if name not in cls.__dataclass_fields__]
+    for name in derived:
+        if _plain(getattr(value, name)) != stored(name):
+            raise InvalidSpec(
+                f"stored {name.rstrip('_')} {stored(name)!r} disagrees with the value rebuilt "
+                f"from the other keys of {cls.json_tag}"
+            )
+    return value
 
 
 def validate(value):
@@ -138,13 +200,6 @@ class BodySpec:
         object.__setattr__(self, "kind", BodyKind.parse(self.kind))
         object.__setattr__(self, "dimension", _as_positive_int(self.dimension, "dimension"))
 
-    def to_jsonable(self) -> dict:
-        return {"type": self.json_tag, "kind": self.kind.value, "dimension": self.dimension}
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "BodySpec":
-        return cls(kind=d["kind"], dimension=d["dimension"])
-
 
 @register("gaussian_spec")
 @dataclass(frozen=True)
@@ -161,15 +216,8 @@ class GaussianSpec:
             raise InvalidSpec(f"variance must be positive and finite, got {self.variance!r}")
         object.__setattr__(self, "variance", v)
 
-    def to_jsonable(self) -> dict:
-        return {"type": self.json_tag, "dimension": self.dimension, "variance": self.variance}
 
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "GaussianSpec":
-        return cls(dimension=d["dimension"], variance=d["variance"])
-
-
-@register("convolution_schedule")
+@register("convolution_schedule", keys=("alpha", "lambda_"))
 @dataclass(frozen=True)
 class ConvolutionSchedule:
     """Smoothing schedule: one knob ``alpha`` fixes the derived rate and the
@@ -195,20 +243,8 @@ class ConvolutionSchedule:
         n = _as_positive_int(n, "n")
         return float(n) ** (-self.alpha * self.lambda_)
 
-    def to_jsonable(self) -> dict:
-        return {"type": self.json_tag, "alpha": self.alpha, "lambda": self.lambda_}
 
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "ConvolutionSchedule":
-        sched = cls(alpha=d["alpha"])
-        if "lambda" in d and d["lambda"] != sched.lambda_:
-            raise InvalidSpec(
-                f"stored lambda {d['lambda']!r} is not 1/(5*alpha+20) for alpha={d['alpha']!r}"
-            )
-        return sched
-
-
-@register("subspace_basis")
+@register("subspace_basis", keys=("ambient_dim", "subspace_dim", "rows"))
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """An orthonormal frame whose rows span an l-dimensional subspace of R^n."""
@@ -234,21 +270,6 @@ class SubspaceBasis:
     def subspace_dim(self) -> int:
         return self.rows.shape[0]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "ambient_dim": self.ambient_dim,
-            "subspace_dim": self.subspace_dim,
-            "rows": self.rows.tolist(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "SubspaceBasis":
-        basis = cls(rows=np.asarray(d["rows"], dtype=np.float64))
-        if basis.ambient_dim != d["ambient_dim"] or basis.subspace_dim != d["subspace_dim"]:
-            raise InvalidSpec("stored dimensions disagree with the stored rows")
-        return basis
-
 
 @register("radial_density")
 @dataclass(frozen=True, eq=False)
@@ -262,9 +283,9 @@ class RadialDensity:
     """
 
     form: str
-    grid: np.ndarray | None = None
-    mass: np.ndarray | None = None
-    chi_dim: int | None = None
+    grid: np.ndarray | None = field(default=None, metadata=OPTIONAL)
+    mass: np.ndarray | None = field(default=None, metadata=OPTIONAL)
+    chi_dim: int | None = field(default=None, metadata=OPTIONAL)
 
     def __post_init__(self):
         if self.form == "binned":
@@ -325,6 +346,7 @@ class RadialDensity:
                 )
 
     def to_jsonable(self) -> dict:
+        """Only the keys of this form: no ``chi_dim`` when binned, no ``grid`` or ``mass`` for chi."""
         d = {"type": self.json_tag, "form": self.form}
         if self.form == "binned":
             d["grid"] = self.grid.tolist()
@@ -332,12 +354,6 @@ class RadialDensity:
         else:
             d["chi_dim"] = self.chi_dim
         return d
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "RadialDensity":
-        if d["form"] == "binned":
-            return cls.binned(np.asarray(d["grid"]), np.asarray(d["mass"]))
-        return cls.closed_form_chi(d["chi_dim"])
 
 
 @register("density_estimate")
@@ -375,26 +391,6 @@ class DensityEstimate:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "points": self.points.tolist(),
-            "values": self.values.tolist(),
-            "stderr": self.stderr.tolist(),
-            "sample_count": self.sample_count,
-            "bandwidth": self.bandwidth,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "DensityEstimate":
-        return cls(
-            points=np.asarray(d["points"]),
-            values=np.asarray(d["values"]),
-            stderr=np.asarray(d["stderr"]),
-            sample_count=d["sample_count"],
-            bandwidth=d["bandwidth"],
-        )
-
 
 @register("ratio_report")
 @dataclass(frozen=True, eq=False)
@@ -404,7 +400,7 @@ class RatioReport:
     radius_grid: np.ndarray
     per_point_ratios: np.ndarray
     sup_abs_deviation: float
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict, metadata=OPTIONAL)
 
     def __post_init__(self):
         grid = _freeze(_as_float_array(self.radius_grid, "radius_grid", 1))
@@ -436,24 +432,6 @@ class RatioReport:
             meta=dict(meta or {}),
         )
 
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "radius_grid": self.radius_grid.tolist(),
-            "per_point_ratios": self.per_point_ratios.tolist(),
-            "sup_abs_deviation": self.sup_abs_deviation,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "RatioReport":
-        return cls(
-            radius_grid=np.asarray(d["radius_grid"]),
-            per_point_ratios=np.asarray(d["per_point_ratios"]),
-            sup_abs_deviation=d["sup_abs_deviation"],
-            meta=d.get("meta", {}),
-        )
-
 
 @register("deconv_certificate")
 @dataclass(frozen=True)
@@ -471,7 +449,7 @@ class DeconvCertificate:
     upper_radius: float
     lower_factor: float
     upper_factor: float
-    params: object | None = None
+    params: object | None = field(default=None, metadata={**OPTIONAL, **NESTED})
 
     def __post_init__(self):
         object.__setattr__(self, "admissible", bool(self.admissible))
@@ -493,28 +471,3 @@ class DeconvCertificate:
                 raise InvalidSpec("upper_factor must equal 1 + 8*epsilon")
             if eps > 0 and not (self.lower_factor < 1.0 < self.upper_factor):
                 raise InvalidSpec("factors must bracket 1 whenever epsilon > 0")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "admissible": self.admissible,
-            "violated_conditions": list(self.violated_conditions),
-            "lower_radius": self.lower_radius,
-            "upper_radius": self.upper_radius,
-            "lower_factor": self.lower_factor,
-            "upper_factor": self.upper_factor,
-            "params": None if self.params is None else to_jsonable(self.params),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "DeconvCertificate":
-        params = d.get("params")
-        return cls(
-            admissible=d["admissible"],
-            violated_conditions=tuple(d["violated_conditions"]),
-            lower_radius=d["lower_radius"],
-            upper_radius=d["upper_radius"],
-            lower_factor=d["lower_factor"],
-            upper_factor=d["upper_factor"],
-            params=None if params is None else from_jsonable(params),
-        )

@@ -50,7 +50,7 @@ _SQRT3 = math.sqrt(3.0)
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
 
-@register("sample_batch")
+@register("sample_batch", keys=("dimension", "count", "seed", "source", "data"))
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """An immutable (count, dimension) block of samples with its provenance."""
@@ -74,23 +74,6 @@ class SampleBatch:
     @property
     def dimension(self) -> int:
         return self.data.shape[1]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "type": self.json_tag,
-            "dimension": self.dimension,
-            "count": self.count,
-            "seed": self.seed,
-            "source": self.source,
-            "data": self.data.tolist(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "SampleBatch":
-        batch = cls(data=np.asarray(d["data"], dtype=np.float64), seed=d["seed"], source=d["source"])
-        if batch.count != d["count"] or batch.dimension != d["dimension"]:
-            raise InvalidSpec("stored count/dimension disagree with the stored data")
-        return batch
 
 
 def _seed_seq(seed) -> np.random.SeedSequence:

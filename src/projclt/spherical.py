@@ -50,13 +50,6 @@ class KernelParams:
             raise InvalidSpec(f"radius must be positive and finite, got {self.r!r}")
         object.__setattr__(self, "r", r)
 
-    def to_jsonable(self) -> dict:
-        return {"type": self.json_tag, "n": self.n, "l": self.l, "r": self.r}
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "KernelParams":
-        return cls(n=d["n"], l=d["l"], r=d["r"])
-
 
 def log_gamma_nl(n: int, l: int) -> float:
     """log of Gamma_nl = pi^(-l/2) Gamma(n/2) / Gamma((n-l)/2), for 1 <= l < n."""

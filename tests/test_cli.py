@@ -87,6 +87,27 @@ def test_config_file_merging(tmp_path, capsys):
     assert "unknown parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[1, 2]", "must hold a JSON object, got list"),
+        ('{"n": 100,', "is not valid JSON"),
+        (None, "cannot read config file"),
+    ],
+    ids=["json_list", "malformed_json", "missing_file"],
+)
+def test_bad_config_file_exits_1_naming_the_file(tmp_path, capsys, content, message):
+    cfg = tmp_path / "bad.json"
+    if content is not None:
+        cfg.write_text(content)
+    rc = main(["psi-scan", "--config", str(cfg), "--tmax", "1.5",
+               "--output", str(tmp_path / "scan.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err and str(cfg) in err
+
+
 # ------------------------------------------------------------ golden surface
 
 GOLDEN_OPTIONS = {

@@ -18,6 +18,7 @@ from projclt.model import (
     RadialDensity,
     RatioReport,
     SubspaceBasis,
+    _REGISTRY,
     dumps,
     from_jsonable,
     loads,
@@ -520,8 +521,6 @@ def test_golden_json_text(name):
 
 
 def test_golden_json_covers_every_registered_type():
-    from projclt.model import _REGISTRY
-
     _golden_values()  # imports every module that registers a type
     tags = {json.loads(text)["type"] for text in GOLDEN_JSON.values()}
     assert tags == set(_REGISTRY)
@@ -539,3 +538,38 @@ def test_golden_json_decodes_nested_values_only_where_declared():
     sandwich = loads(GOLDEN_JSON["sandwich_report"])
     assert isinstance(sandwich.certificate, DeconvCertificate)
     assert isinstance(sandwich.certificate.params, DeconvParams)
+
+
+# Keys a payload may omit: the field default applies (RadialDensity writes only
+# the keys of its form, so its constructor, not the decoder, rejects a gap).
+_OMITTABLE = {
+    ("ratio_report", "meta"),
+    ("deconv_certificate", "params"),
+    ("radial_density", "grid"),
+    ("radial_density", "mass"),
+    ("radial_density", "chi_dim"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_REGISTRY))
+def test_decoder_names_the_type_and_the_missing_key(tag):
+    with pytest.raises(InvalidSpec, match=f"serialized {tag} is missing key '"):
+        from_jsonable({"type": tag})
+    payloads = [json.loads(t) for t in GOLDEN_JSON.values() if json.loads(t)["type"] == tag]
+    assert payloads
+    for payload in payloads:
+        for key in payload:
+            if key == "type" or (tag, key) in _OMITTABLE:
+                continue
+            partial = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(InvalidSpec, match=f"serialized {tag} is missing key '{key}'"):
+                from_jsonable(partial)
+
+
+def test_optional_keys_may_be_omitted():
+    payload = json.loads(GOLDEN_JSON["ratio_report"])
+    del payload["meta"]
+    assert from_jsonable(payload).meta == {}
+    payload = json.loads(GOLDEN_JSON["deconv_certificate_params"])
+    del payload["params"]
+    assert from_jsonable(payload).params is None
