@@ -16,11 +16,10 @@ import sys
 
 import numpy as np
 
-from projclt.density import KdeConfig, estimate_density, ratio_to_gaussian
-from projclt.grassmann import project, random_subspace
+from projclt.cli import projected_ratio
 from projclt.model import BodySpec, ConvolutionSchedule
 from projclt.radial import thin_shell_fraction
-from projclt.samplers import convolve_and_rescale, sample_body
+from projclt.samplers import sample_body
 
 
 def parse_args(argv=None):
@@ -41,21 +40,14 @@ def parse_args(argv=None):
 
 
 def scan_body(kind, args, seed):
-    spec = BodySpec(kind, args.n)
     body_seed, noise_seed, basis_seed = np.random.SeedSequence(seed).spawn(3)
-    batch = sample_body(spec, args.samples, body_seed, threads=args.threads)
+    batch = sample_body(BodySpec(kind, args.n), args.samples, body_seed, threads=args.threads)
     shell = thin_shell_fraction(batch, args.n ** (-1.0 / 15.0))
-    if args.alpha is not None:
-        batch = convolve_and_rescale(
-            batch, ConvolutionSchedule(args.alpha), noise_seed, threads=args.threads
-        )
-    projected = project(batch, random_subspace(args.n, args.l, basis_seed))
-    del batch
-    if args.l == 1:
-        cfg = KdeConfig(points=np.linspace(-args.max_radius, args.max_radius, args.grid_points))
-    else:
-        cfg = KdeConfig(radii=np.linspace(0.0, args.max_radius, args.grid_points))
-    report = ratio_to_gaussian(estimate_density(projected, cfg), 1.0, args.max_radius)
+    _, report = projected_ratio(
+        batch, args.l, basis_seed, args.max_radius, args.grid_points,
+        schedule=None if args.alpha is None else ConvolutionSchedule(args.alpha),
+        noise_seed=noise_seed, threads=args.threads,
+    )
     return report, shell
 
 

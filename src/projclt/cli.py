@@ -183,6 +183,29 @@ def _experiment(echo: dict, resolved: dict, fmt: str) -> ExperimentConfig:
     )
 
 
+def projected_ratio(batch, l: int, basis_seed, max_radius: float, grid_points: int,
+                    direction_count: int = 16, schedule: ConvolutionSchedule | None = None,
+                    noise_seed=None, threads: int = 1):
+    """Estimate the batch's density on a Haar l-subspace and its ratio to the gaussian.
+
+    The batch is first smoothed by ``schedule`` when one is given.  The KDE grid
+    is ``grid_points`` points on [-max_radius, max_radius] for l = 1, else as
+    many radii on [0, max_radius] times ``direction_count`` directions.
+    """
+    if schedule is not None:
+        batch = convolve_and_rescale(batch, schedule, noise_seed, threads=threads)
+    projected = project(batch, random_subspace(batch.dimension, l, basis_seed))
+    del batch
+    if l == 1:
+        cfg = KdeConfig(points=np.linspace(-max_radius, max_radius, grid_points))
+    else:
+        cfg = KdeConfig(
+            radii=np.linspace(0.0, max_radius, grid_points), direction_count=direction_count
+        )
+    est = estimate_density(projected, cfg)
+    return est, ratio_to_gaussian(est, 1.0, max_radius)
+
+
 _BODY = Param("body")
 _N = Param("n", type=int)
 _L = Param("l", type=int)
@@ -249,32 +272,20 @@ def _cmd_project(resolved, echo) -> int:
 ])
 def _cmd_ratio(resolved, echo) -> int:
     _experiment(echo, resolved, "json")
-    n, l = int(resolved["n"]), int(resolved["l"])
+    alpha = resolved["alpha"]
     threads = int(resolved["threads"])
-    spec = BodySpec(BodyKind.parse(resolved["body"]), n)
+    spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed, basis_seed = root.spawn(3)
-    batch = sample_body(spec, int(resolved["samples"]), body_seed, threads=threads)
-    if resolved["alpha"] is not None:
-        schedule = ConvolutionSchedule(float(resolved["alpha"]))
-        batch = convolve_and_rescale(batch, schedule, noise_seed, threads=threads)
-    basis = random_subspace(n, l, basis_seed)
-    projected = project(batch, basis)
-    del batch
-    radius = float(resolved["max_radius"])
-    points = int(resolved["grid_points"])
-    if l == 1:
-        cfg = KdeConfig(points=np.linspace(-radius, radius, points))
-    else:
-        cfg = KdeConfig(
-            radii=np.linspace(0.0, radius, points),
-            direction_count=int(resolved["directions"]),
-        )
-    est = estimate_density(projected, cfg)
-    report = ratio_to_gaussian(est, 1.0, radius)
+    est, report = projected_ratio(
+        sample_body(spec, int(resolved["samples"]), body_seed, threads=threads),
+        int(resolved["l"]), basis_seed, float(resolved["max_radius"]), int(resolved["grid_points"]),
+        direction_count=int(resolved["directions"]), noise_seed=noise_seed, threads=threads,
+        schedule=None if alpha is None else ConvolutionSchedule(float(alpha)),
+    )
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
-        ref = gaussian_density(l, 1.0, report.radius_grid)
+        ref = gaussian_density(est.dim, 1.0, report.radius_grid)
         rows = zip(
             report.radius_grid.tolist(),
             report.per_point_ratios.tolist(),

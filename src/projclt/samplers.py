@@ -90,14 +90,14 @@ def _seed_jsonable(seed):
 
 
 def _generate(count: int, dim: int, seed, fill, threads: int = 1) -> np.ndarray:
-    """Fill a (count, dim) array chunk by chunk with per-chunk child streams."""
+    """Fill a (count, dim) array chunk by chunk: ``fill(rng, out[rows], rows)``."""
     out = np.empty((count, dim), dtype=np.float64)
-    bounds = [(lo, min(lo + CHUNK, count)) for lo in range(0, count, CHUNK)]
+    bounds = [slice(lo, min(lo + CHUNK, count)) for lo in range(0, count, CHUNK)]
     children = _seed_seq(seed).spawn(len(bounds))
 
     def work(task):
-        (lo, hi), child = task
-        fill(np.random.default_rng(child), out[lo:hi])
+        rows, child = task
+        fill(np.random.default_rng(child), out[rows], rows)
 
     tasks = list(zip(bounds, children))
     if threads > 1 and len(tasks) > 1:
@@ -109,11 +109,11 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1) -> np.ndarray:
     return out
 
 
-def _fill_cube(rng, out):
+def _fill_cube(rng, out, _rows):
     out[...] = rng.uniform(-_SQRT3, _SQRT3, size=out.shape)
 
 
-def _fill_ball(rng, out):
+def _fill_ball(rng, out, _rows):
     m, n = out.shape
     rng.standard_normal(out=out)
     norms = np.linalg.norm(out, axis=1)
@@ -122,7 +122,7 @@ def _fill_ball(rng, out):
     out *= (radii / norms)[:, None]
 
 
-def _fill_simplex(rng, out):
+def _fill_simplex(rng, out, _rows):
     m, n = out.shape
     spacings = rng.standard_exponential(size=(m, n + 1))
     s = spacings[:, :n] / spacings.sum(axis=1, keepdims=True)
@@ -132,11 +132,11 @@ def _fill_simplex(rng, out):
     out[...] = (s - row_mean) / math.sqrt(a) + row_mean * math.sqrt((n + 1.0) / a)
 
 
-def _fill_laplace(rng, out):
+def _fill_laplace(rng, out, _rows):
     out[...] = rng.laplace(0.0, _LAPLACE_SCALE, size=out.shape)
 
 
-def _fill_gaussian(rng, out):
+def _fill_gaussian(rng, out, _rows):
     rng.standard_normal(out=out)
 
 
@@ -169,7 +169,7 @@ def sample_gaussian(spec: GaussianSpec, count: int, seed, threads: int = 1) -> S
     count = _as_positive_int(count, "count")
     sigma = math.sqrt(spec.variance)
 
-    def fill(rng, out):
+    def fill(rng, out, _rows):
         rng.standard_normal(out=out)
         if sigma != 1.0:
             out *= sigma
@@ -210,28 +210,15 @@ def convolve_and_rescale(
 
     sigma = math.sqrt(v)
     scale = 1.0 / math.sqrt(1.0 + v)
-    xdata = x.data
-    out = np.empty_like(xdata)
-    bounds = [(lo, min(lo + CHUNK, x.count)) for lo in range(0, x.count, CHUNK)]
-    children = _seed_seq(seed).spawn(len(bounds))
 
-    def work(task):
-        (lo, hi), child = task
-        rng = np.random.default_rng(child)
-        block = rng.standard_normal((hi - lo, xdata.shape[1]))
-        block *= sigma
-        block += xdata[lo:hi]
-        block *= scale
-        out[lo:hi] = block
+    def fill(rng, out, rows):
+        rng.standard_normal(out=out)
+        out *= sigma
+        out += x.data[rows]
+        out *= scale
 
-    tasks = list(zip(bounds, children))
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, tasks))
-    else:
-        for task in tasks:
-            work(task)
-    return SampleBatch(data=out, seed=x.seed, source=source)
+    data = _generate(x.count, x.dimension, seed, fill, threads)
+    return SampleBatch(data=data, seed=x.seed, source=source)
 
 
 def whiten(batch: SampleBatch) -> SampleBatch:

@@ -21,7 +21,6 @@ from scipy.stats import chi2
 
 from .model import BodyKind, BodySpec, ConvolutionSchedule, GaussianSpec
 from .samplers import sample_body, sample_gaussian
-from .grassmann import project, random_subspace
 from .spherical import (
     KernelParams,
     gaussian_density,
@@ -31,7 +30,7 @@ from .spherical import (
     radial_mixture_marginal,
 )
 from .radial import thin_shell_fraction
-from .density import KdeConfig, estimate_density, m_tilde_profile, ratio_to_gaussian
+from .density import m_tilde_profile
 from .deconvolution import DeconvParams, check_conditions, grid_convolve, verify_sandwich
 from .model import RadialDensity
 
@@ -249,6 +248,8 @@ def _criterion_7(profile):
         bodies = (BodyKind.CUBE,)
         n, count = 100, 200_000
         run_l2 = False
+    from .cli import projected_ratio
+
     sched = ConvolutionSchedule(alpha=10.0)
     details = []
     ok = True
@@ -256,12 +257,8 @@ def _criterion_7(profile):
         t0 = time.perf_counter()
         spec = BodySpec(kind, n)
         batch = sample_body(spec, count, seed=7_000 + bi)
-        basis = random_subspace(n, 1, seed=7_100 + bi)
-        proj = project(batch, basis)
+        sup1 = projected_ratio(batch, 1, 7_100 + bi, 2.0, 81)[1].sup_abs_deviation
         del batch
-        est = estimate_density(proj, KdeConfig(points=np.linspace(-2.0, 2.0, 81)))
-        del proj
-        sup1 = ratio_to_gaussian(est, 1.0, 2.0).sup_abs_deviation
         body_ok = sup1 <= 0.05
         txt = f"{kind.value}: l=1 sup {sup1:.4f}"
         if run_l2:
