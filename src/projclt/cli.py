@@ -121,6 +121,22 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
+def _check_config_type(p: Param, value) -> None:
+    """Reject a config value ``p.type`` would not parse exactly; accepted values stay as read.
+
+    Bools are rejected, int parameters need integral numbers and float parameters
+    numbers; each element of a repeatable parameter's list is checked.
+    """
+    if p.type not in (int, float):
+        return
+    for v in value if p.action == "append" and isinstance(value, list) else [value]:
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if p.type is int and not (number and (isinstance(v, int) or v.is_integer())):
+            raise InvalidSpec(f"config parameter '{p.name}' must be an integer, got {v!r}")
+        if not number:
+            raise InvalidSpec(f"config parameter '{p.name}' must be a number, got {v!r}")
+
+
 def _resolve(args, params: list[Param]):
     """Merge defaults < config file < explicit flags; returns (resolved, echo)."""
     cfg = _read_config(args.config) if args.config else {}
@@ -132,6 +148,8 @@ def _resolve(args, params: list[Param]):
         value = getattr(args, p.name)
         if value is None:
             value = cfg.get(p.name)
+            if value is not None:
+                _check_config_type(p, value)
         if value is None:
             if p.default is _REQUIRED:
                 raise InvalidSpec(f"missing required parameter '{p.name}'")

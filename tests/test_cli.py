@@ -108,6 +108,52 @@ def test_bad_config_file_exits_1_naming_the_file(tmp_path, capsys, content, mess
     assert message in err and str(cfg) in err
 
 
+_PSI = ["psi-scan", "--l", "1"]
+_SHELL = ["thinshell", "--body", "cube", "--n", "5", "--samples", "100", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, message",
+    [
+        (_PSI + ["--tmax", "1"], {"n": "ten"}, "'n' must be an integer, got 'ten'"),
+        (_PSI + ["--tmax", "1"], {"n": 10.7}, "'n' must be an integer, got 10.7"),
+        (_PSI + ["--tmax", "1"], {"n": True}, "'n' must be an integer, got True"),
+        (_PSI + ["--n", "10"], {"tmax": "1.5"}, "'tmax' must be a number, got '1.5'"),
+        (_PSI + ["--n", "10"], {"tmax": False}, "'tmax' must be a number, got False"),
+        (_SHELL, {"epsilon": [0.1, "0.2"]}, "'epsilon' must be a number, got '0.2'"),
+        (_SHELL, {"epsilon": [0.1, None]}, "'epsilon' must be a number, got None"),
+        (_SHELL, {"epsilon": "0.1"}, "'epsilon' must be a number, got '0.1'"),
+    ],
+    ids=["int_string", "int_fraction", "int_bool", "float_string", "float_bool",
+         "append_string", "append_null", "append_scalar_string"],
+)
+def test_config_values_must_match_the_parameter_type(tmp_path, capsys, argv, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([*argv, "--config", str(path), "--output", str(tmp_path / "out.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config parameter ") and message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_accepted_config_values_are_echoed_as_written(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 40.0, "l": 1, "tmax": 1, "points": 3}))
+    out = tmp_path / "scan.csv"
+    assert main(["psi-scan", "--config", str(path), "--output", str(out)]) == 0
+    first = out.read_text().splitlines()[0]
+    assert '"n": 40.0' in first and '"tmax": 1,' in first
+    rows = _read_csv(out)[2]
+    assert len(rows) == 3
+
+    shell = tmp_path / "shell.json"
+    shell.write_text(json.dumps({"epsilon": [0.1, 1]}))
+    out = tmp_path / "shell.csv"
+    assert main([*_SHELL, "--config", str(shell), "--output", str(out)]) == 0
+    assert [row[0] for row in _read_csv(out)[2]] == ["0.1", "1.0"]
+
+
 # ------------------------------------------------------------ golden surface
 
 GOLDEN_OPTIONS = {
