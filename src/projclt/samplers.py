@@ -270,17 +270,24 @@ def save_batch(batch: SampleBatch, path: str, config: dict | None = None) -> Non
 
 
 def load_batch(path: str) -> SampleBatch:
-    """Inverse of :func:`save_batch`."""
-    with open(path + ".json") as f:
+    """Inverse of :func:`save_batch`; rejects an incomplete sidecar and non-finite data."""
+    sidecar_path = path + ".json"
+    with open(sidecar_path) as f:
         sidecar = json.load(f)
     if sidecar.get("dtype") != "float64" or sidecar.get("order") != "column_major":
-        raise InvalidSpec(f"unsupported batch layout in sidecar {path + '.json'}")
+        raise InvalidSpec(f"unsupported batch layout in sidecar {sidecar_path}")
+    for key in ("count", "dimension", "seed", "source"):
+        if key not in sidecar:
+            raise InvalidSpec(f"sidecar {sidecar_path} is missing key '{key}'")
     count, dim = sidecar["count"], sidecar["dimension"]
     flat = np.fromfile(path, dtype=np.float64)
     if flat.size != count * dim:
         raise InvalidSpec(
             f"batch file holds {flat.size} doubles, sidecar promises {count}x{dim}"
         )
+    # min and max propagate NaN and reach any infinity with no full-size temporary.
+    if flat.size and not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
+        raise InvalidSpec(f"batch file {path} holds non-finite values")
     data = flat.reshape((count, dim), order="F")
     return SampleBatch(data=data, seed=sidecar["seed"], source=sidecar["source"])
 

@@ -216,6 +216,30 @@ def test_load_rejects_foreign_layout(tmp_path):
         load_batch(path)
 
 
+@pytest.mark.parametrize("key", ["count", "dimension", "seed", "source"])
+def test_load_rejects_sidecar_missing_a_key(tmp_path, key):
+    import json
+
+    path = str(tmp_path / "batch.bin")
+    save_batch(sample_body(BodySpec("cube", 2), 100, seed=36), path)
+    sidecar = tmp_path / "batch.bin.json"
+    content = json.loads(sidecar.read_text())
+    del content[key]
+    sidecar.write_text(json.dumps(content))
+    with pytest.raises(InvalidSpec, match=f"batch.bin.json is missing key '{key}'"):
+        load_batch(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_load_rejects_non_finite_data(tmp_path, bad):
+    data = sample_body(BodySpec("cube", 3), 100, seed=37).data.copy()
+    data[57, 1] = bad
+    path = str(tmp_path / "batch.bin")
+    save_batch(SampleBatch(data=data, seed=37, source={}), path)
+    with pytest.raises(InvalidSpec, match="batch.bin holds non-finite values"):
+        load_batch(path)
+
+
 def test_csv_export_round_trips_floats_exactly(tmp_path):
     import json
 
