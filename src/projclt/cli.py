@@ -14,6 +14,13 @@ Each subcommand declares its parameters once, in the table passed to
 ``_subcommand``; that table yields both the argparse flags and the resolve
 order, which is also the key order of the echoed configuration.
 
+``projected_ratio`` is the one smooth -> project -> KDE -> ratio pipeline; the
+``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance criterion 7
+all call it.  It lives here rather than in ``density.py`` because it looks up
+``convolve_and_rescale``, ``random_subspace``, ``project``, ``estimate_density``
+and ``ratio_to_gaussian`` as attributes of this module, where the benchmark's
+tracer (``perfbench/tracing.py``) wraps them; moved, it would lose those spans.
+
 Exit codes: 0 success, 1 validation error, 2 acceptance-threshold failure in
 `suite` (and argparse usage errors).
 """
