@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep projected-marginal gaussianity across bodies and subspace dimensions.
 
-For every requested body the script draws an isotropic batch, optionally
-smooths it with the variance schedule, projects it onto a Haar subspace, and
-writes the pointwise density-to-gaussian ratios plus the thin-shell fraction
-of the ambient sample.  Example:
+For every requested body the script draws an isotropic batch, projects it
+onto a Haar subspace, optionally smooths the projection with l-dim noise of
+the schedule's ambient variance v(n) (equal in law to smoothing before
+projecting), and writes the pointwise density-to-gaussian ratios plus the
+thin-shell fraction of the ambient sample.  Example:
 
     python scripts/run_clt_scan.py --bodies cube,simplex --n 300 \
         --samples 200000 --l 1 --alpha 10 --seed 42 --out scan.csv

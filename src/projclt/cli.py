@@ -14,7 +14,7 @@ Each subcommand declares its parameters once, in the table passed to
 ``_subcommand``; that table yields both the argparse flags and the resolve
 order, which is also the key order of the echoed configuration.
 
-``projected_ratio`` is the one smooth -> project -> KDE -> ratio pipeline; the
+``projected_ratio`` is the one project -> smooth -> KDE -> ratio pipeline; the
 ``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance criterion 7
 all call it.  It lives here rather than in ``density.py`` because it looks up
 ``convolve_and_rescale``, ``random_subspace``, ``project``, ``estimate_density``
@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,10 @@ from .model import (
     validate,
 )
 from .samplers import (
+    atomic_open,
     convolve_and_rescale,
     load_batch,
+    read_json_object,
     sample_body,
     save_batch,
     save_batch_csv,
@@ -58,7 +60,7 @@ from .density import KdeConfig, estimate_density, m_tilde_profile, ratio_to_gaus
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
 from . import suite as suite_mod
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _REQUIRED = object()
 _STOCHASTIC = frozenset({"sample", "project", "ratio", "thinshell", "mtilde"})
@@ -89,7 +91,8 @@ class Param(NamedTuple):
 
     ``echo`` is False for sinks and schedulers (output paths, ``threads``),
     which never change an output number.  The flag is ``--`` plus the name
-    with dashes unless ``flag`` says otherwise.
+    with dashes unless ``flag`` says otherwise.  ``check``, when given,
+    replaces the type check of a config-file value and raises ``InvalidSpec``.
     """
 
     name: str
@@ -100,6 +103,7 @@ class Param(NamedTuple):
     help: str | None = None
     choices: tuple | None = None
     action: str | None = None
+    check: Callable | None = None
 
 
 _SUBCOMMANDS: dict[str, tuple] = {}
@@ -115,38 +119,33 @@ def _subcommand(name: str, help: str, params: list[Param]):
     return deco
 
 
-def _read_config(path: str) -> dict:
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except OSError as exc:
-        raise InvalidSpec(f"cannot read config file {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise InvalidSpec(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
-    return cfg
-
-
 def _check_config_type(p: Param, value) -> None:
-    """Reject a config value ``p.type`` would not parse exactly; accepted values stay as read.
+    """Reject a config value the flag would not accept; accepted values stay as read.
 
-    Bools are rejected, int parameters need integral numbers and float parameters
-    numbers; each element of a repeatable parameter's list is checked.
+    A value must be one of ``p.choices`` when those are given.  Bools are
+    rejected, int parameters need integral numbers, float parameters numbers
+    and the others strings; each element of a repeatable parameter's list is
+    checked.  ``p.check`` replaces all of this when given.
     """
-    if p.type not in (int, float):
+    if p.check is not None:
+        p.check(value)
         return
     for v in value if p.action == "append" and isinstance(value, list) else [value]:
+        if p.choices is not None and v not in p.choices:
+            allowed = ", ".join(map(repr, p.choices))
+            raise InvalidSpec(f"config parameter '{p.name}' must be one of {allowed}, got {v!r}")
         number = isinstance(v, (int, float)) and not isinstance(v, bool)
         if p.type is int and not (number and (isinstance(v, int) or v.is_integer())):
             raise InvalidSpec(f"config parameter '{p.name}' must be an integer, got {v!r}")
-        if not number:
+        if p.type is float and not number:
             raise InvalidSpec(f"config parameter '{p.name}' must be a number, got {v!r}")
+        if p.type is None and not isinstance(v, str):
+            raise InvalidSpec(f"config parameter '{p.name}' must be a string, got {v!r}")
 
 
 def _resolve(args, params: list[Param]):
     """Merge defaults < config file < explicit flags; returns (resolved, echo)."""
-    cfg = _read_config(args.config) if args.config else {}
+    cfg = read_json_object(args.config, "config file") if args.config else {}
     unknown = sorted(set(cfg) - {p.name for p in params})
     if unknown:
         raise InvalidSpec(f"config file sets unknown parameters: {', '.join(unknown)}")
@@ -170,12 +169,12 @@ def _resolve(args, params: list[Param]):
 def _dump_json(path: str | None, echo: dict, **body) -> None:
     """Write the schema version, the echoed config and ``body`` as JSON (stdout if no path)."""
     payload = {"schema_version": SCHEMA_VERSION, "config": echo, **body}
-    text = json.dumps(payload, indent=2) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        with open(path, "w") as f:
-            f.write(text)
+        with atomic_open(path) as f:
+            json.dump(payload, f, indent=2)
+            f.write("\n")
 
 
 def _csv_cell(v) -> str:
@@ -183,7 +182,7 @@ def _csv_cell(v) -> str:
 
 
 def _write_csv(path: str, echo: dict, columns, rows) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write("# " + json.dumps({"schema_version": SCHEMA_VERSION, "config": echo}) + "\n")
         f.write(",".join(columns) + "\n")
         for row in rows:
@@ -213,14 +212,22 @@ def projected_ratio(batch, l: int, basis_seed, max_radius: float, grid_points: i
                     noise_seed=None, threads: int = 1):
     """Estimate the batch's density on a Haar l-subspace and its ratio to the gaussian.
 
-    The batch is first smoothed by ``schedule`` when one is given.  The KDE grid
-    is ``grid_points`` points on [-max_radius, max_radius] for l = 1, else as
-    many radii on [0, max_radius] times ``direction_count`` directions.
+    With a ``schedule`` the projection is smoothed: l-dim noise of the ambient
+    variance v(n) is added after projecting, then rescaled by 1/sqrt(1 + v).
+    This has the law of smoothing the n-dim batch first, because for an
+    orthonormal l x n frame P the projected noise P y is exactly N(0, v I_l).
+    The KDE grid is ``grid_points`` points on [-max_radius, max_radius] for
+    l = 1, else as many radii on [0, max_radius] times ``direction_count``
+    directions.
     """
-    if schedule is not None:
-        batch = convolve_and_rescale(batch, schedule, noise_seed, threads=threads)
-    projected = project(batch, random_subspace(batch.dimension, l, basis_seed))
+    n = batch.dimension
+    projected = project(batch, random_subspace(n, l, basis_seed))
     del batch
+    if schedule is not None:
+        projected = convolve_and_rescale(
+            projected, schedule, noise_seed, noise_variance=schedule.noise_variance(n),
+            threads=threads,
+        )
     if l == 1:
         cfg = KdeConfig(points=np.linspace(-max_radius, max_radius, grid_points))
     else:
@@ -431,15 +438,27 @@ def _cmd_deconv_verify(resolved, echo) -> int:
     return 0
 
 
+def _criterion_indices(value) -> list | None:
+    """``suite --only`` as criterion indices, from a comma-separated string or a list of ints."""
+    if value is None or (isinstance(value, list) and all(type(i) is int for i in value)):
+        return value
+    if isinstance(value, str):
+        try:
+            return [int(tok) for tok in value.split(",") if tok.strip()]
+        except ValueError:
+            pass
+    raise InvalidSpec(
+        f"parameter 'only' must be comma-separated integers or a list of integers, got {value!r}"
+    )
+
+
 @_subcommand("suite", "run the acceptance criteria and print a table", [
     Param("profile", "desk", choices=("desk", "quick")),
-    Param("only", None, help="comma-separated criterion indices"),
+    Param("only", None, help="comma-separated criterion indices", check=_criterion_indices),
     _OPTIONAL_OUTPUT,
 ])
 def _cmd_suite(resolved, echo) -> int:
-    only = resolved["only"]
-    if isinstance(only, str):
-        only = [int(tok) for tok in only.split(",") if tok.strip()]
+    only = _criterion_indices(resolved["only"])
     results = suite_mod.run_all(profile=resolved["profile"], only=only)
     for result in results:
         print(result.line())

@@ -194,11 +194,14 @@ def m_tilde_profile(
     """Rotation-averaged radial profile of the smoothed projected density.
 
     For each of ``subspace_count`` independent Haar subspaces: draw a fresh
-    body sample, add unrescaled gaussian noise of variance v(n) from the
-    schedule, project, and KDE-evaluate at every radius (averaged over a fixed
-    set of unit directions).  The subspace-averaged values are divided by the
-    gaussian density of variance 1 + v, which is the exact law the smoothed
-    projection approaches; the profile is reported as ratios against radius.
+    body sample, project it, add unrescaled l-dim gaussian noise of the
+    schedule's variance v(n), and KDE-evaluate at every radius (averaged over
+    a fixed set of unit directions).  This equals in law adding n-dim noise
+    before projecting, because for an orthonormal l x n frame P the projected
+    noise P y is exactly N(0, v I_l).  The subspace-averaged values are
+    divided by the gaussian density of variance 1 + v, which is the exact law
+    the smoothed projection approaches; the profile is reported as ratios
+    against radius.
     """
     l = _as_positive_int(l, "l")
     if l > MAX_KDE_DIM:
@@ -209,7 +212,7 @@ def m_tilde_profile(
         raise InvalidSpec("radii must be nonnegative")
     n = body.dimension
     v = schedule.noise_variance(n)
-    noise = GaussianSpec(dimension=n, variance=v)
+    noise = GaussianSpec(dimension=l, variance=v)
     dirs = unit_directions(l, direction_count)
     cfg = KdeConfig(radii=radii, direction_count=direction_count, chunk_size=chunk_size)
 
@@ -218,15 +221,16 @@ def m_tilde_profile(
     for child in root.spawn(subspace_count):
         body_seed, noise_seed, basis_seed = child.spawn(3)
         x = sample_body(body, samples_per_subspace, body_seed, threads=threads)
+        projected = project(x, random_subspace(n, l, basis_seed))
+        del x
         y = sample_gaussian(noise, samples_per_subspace, noise_seed, threads=threads)
         smoothed = SampleBatch(
-            data=x.data + y.data,
+            data=projected.data + y.data,
             seed=_seed_jsonable(child),
-            source={"draw": "smoothed", "of": x.source, "noise_variance": v},
+            source={"draw": "smoothed", "of": projected.source, "noise_variance": v},
         )
-        del x, y
-        basis = random_subspace(n, l, basis_seed)
-        est = estimate_density(project(smoothed, basis), cfg)
+        del projected, y
+        est = estimate_density(smoothed, cfg)
         del smoothed
         accum += est.values.reshape(radii.size, dirs.shape[0]).mean(axis=1)
 

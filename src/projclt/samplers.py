@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,9 +252,40 @@ def whiten(batch: SampleBatch) -> SampleBatch:
     )
 
 
+@contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Open a fresh temp file beside ``path`` for writing; it replaces ``path`` on success.
+
+    ``mode`` is "w" or "wb".  If the body raises, the temp file is removed and
+    ``path`` is left as it was, so a reader never sees a half-written artifact.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, mode.replace("w", "x")) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """Load a JSON object from ``path``; any failure is an ``InvalidSpec`` naming the file."""
+    try:
+        with open(path) as f:
+            obj = json.load(f)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot read {what} {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InvalidSpec(f"{what} {path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def save_batch(batch: SampleBatch, path: str, config: dict | None = None) -> None:
-    """Write the batch as column-major float64 binary plus a JSON sidecar."""
-    batch.data.ravel(order="F").tofile(path)
+    """Write the batch as column-major float64 binary plus a JSON sidecar, each atomically."""
     sidecar = {
         "schema_version": 1,
         "dimension": batch.dimension,
@@ -264,23 +297,30 @@ def save_batch(batch: SampleBatch, path: str, config: dict | None = None) -> Non
     }
     if config is not None:
         sidecar["config"] = config
-    with open(path + ".json", "w") as f:
+    with atomic_open(path, "wb") as data_file, atomic_open(path + ".json") as f:
+        batch.data.ravel(order="F").tofile(data_file)
         json.dump(sidecar, f, indent=2)
         f.write("\n")
 
 
 def load_batch(path: str) -> SampleBatch:
-    """Inverse of :func:`save_batch`; rejects an incomplete sidecar and non-finite data."""
+    """Inverse of :func:`save_batch`.
+
+    An unreadable or incomplete sidecar, a missing data file and non-finite
+    data each raise ``InvalidSpec`` naming the file.
+    """
     sidecar_path = path + ".json"
-    with open(sidecar_path) as f:
-        sidecar = json.load(f)
+    sidecar = read_json_object(sidecar_path, "batch sidecar")
     if sidecar.get("dtype") != "float64" or sidecar.get("order") != "column_major":
         raise InvalidSpec(f"unsupported batch layout in sidecar {sidecar_path}")
     for key in ("count", "dimension", "seed", "source"):
         if key not in sidecar:
             raise InvalidSpec(f"sidecar {sidecar_path} is missing key '{key}'")
     count, dim = sidecar["count"], sidecar["dimension"]
-    flat = np.fromfile(path, dtype=np.float64)
+    try:
+        flat = np.fromfile(path, dtype=np.float64)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot read batch file {path}: {exc.strerror}") from None
     if flat.size != count * dim:
         raise InvalidSpec(
             f"batch file holds {flat.size} doubles, sidecar promises {count}x{dim}"
@@ -303,7 +343,7 @@ def save_batch_csv(batch: SampleBatch, path: str, config: dict | None = None) ->
     }
     if config is not None:
         header["config"] = config
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write("# " + json.dumps(header) + "\n")
         f.write(",".join(f"x{i}" for i in range(batch.dimension)) + "\n")
         for row in batch.data:

@@ -17,11 +17,12 @@ import sys
 import numpy as np
 import pytest
 
+import projclt.cli
 import projclt.suite
 from projclt.cli import ExperimentConfig, main
 from projclt.errors import InvalidSpec
-from projclt.model import loads
-from projclt.samplers import load_batch
+from projclt.model import BodySpec, loads
+from projclt.samplers import load_batch, sample_body, save_batch, save_batch_csv
 
 
 def _read_csv(path):
@@ -135,6 +136,47 @@ def test_config_values_must_match_the_parameter_type(tmp_path, capsys, argv, cfg
     err = capsys.readouterr().err
     assert err.startswith("error: config parameter ") and message in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, message",
+    [
+        (["suite"], {"profile": 5}, "parameter 'profile' must be one of 'desk', 'quick', got 5"),
+        (["suite"], {"profile": "full"}, "'profile' must be one of 'desk', 'quick', got 'full'"),
+        (_SHELL[:1] + _SHELL[3:], {"body": 5}, "config parameter 'body' must be a string, got 5"),
+        (["sample", *_SHELL[1:]], {"format": "json"}, "'format' must be one of 'bin', 'csv'"),
+        (["suite", "--profile", "quick"], {"only": 5}, "'only' must be comma-separated integers"),
+        (["suite", "--profile", "quick"], {"only": "2,x"}, "'only' must be comma-separated"),
+        (["suite", "--profile", "quick"], {"only": [2, "3"]}, "'only' must be comma-separated"),
+        (["suite", "--profile", "quick"], {"only": [True]}, "'only' must be comma-separated"),
+    ],
+    ids=["choice_int", "choice_string", "string_int", "format_choice", "only_int",
+         "only_bad_string", "only_mixed_list", "only_bool_list"],
+)
+def test_config_values_must_be_accepted_choices_and_strings(tmp_path, capsys, argv, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([*argv, "--config", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_suite_only_flag_rejects_non_integers(capsys):
+    assert main(["suite", "--profile", "quick", "--only", "2,x"]) == 1
+    assert "'only' must be comma-separated integers" in capsys.readouterr().err
+
+
+def test_suite_only_accepts_a_config_list_echoed_as_written(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"profile": "quick", "only": [2]}))
+    out = tmp_path / "suite.json"
+    assert main(["suite", "--config", str(path), "--output", str(out)]) == 0
+    assert re.search(r"\[PASS\] criterion\s+2 ", capsys.readouterr().out)
+    assert json.loads(out.read_text())["config"] == {
+        "subcommand": "suite", "profile": "quick", "only": [2]
+    }
 
 
 def test_accepted_config_values_are_echoed_as_written(tmp_path):
@@ -326,6 +368,38 @@ def test_project_pipeline(tmp_path):
     original = load_batch(str(src))
     projected = load_batch(str(dst))
     np.testing.assert_array_equal(projected.data, original.data @ basis.rows.T)
+
+
+def test_project_of_a_missing_input_exits_1_naming_the_sidecar(tmp_path, capsys):
+    missing = tmp_path / "missing.bin"
+    rc = main(["project", "--input", str(missing), "--l", "1", "--seed", "1",
+               "--output", str(tmp_path / "p.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read batch sidecar") and f"{missing}.json" in err
+
+
+# Each writer with its serializer made to fail after the target's temp file is open.
+_BATCH = sample_body(BodySpec("cube", 2), 10, seed=1)
+_FAILING_WRITES = {
+    "save_batch": ("dump", lambda path: save_batch(_BATCH, path)),
+    "save_batch_csv": ("dumps", lambda path: save_batch_csv(_BATCH, path)),
+    "dump_json": ("dump", lambda path: projclt.cli._dump_json(path, {}, x=1)),
+    "write_csv": ("_csv_cell", lambda path: projclt.cli._write_csv(path, {}, ("x",), [(1.5,)])),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_FAILING_WRITES))
+def test_a_failed_write_leaves_neither_target_nor_temp_file(tmp_path, monkeypatch, writer):
+    serializer, write = _FAILING_WRITES[writer]
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(projclt.cli if serializer == "_csv_cell" else json, serializer, fail)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        write(str(tmp_path / "artifact"))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------- ratio

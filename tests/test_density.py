@@ -12,6 +12,9 @@ import math
 import numpy as np
 import pytest
 
+import projclt.cli
+import projclt.density
+from projclt.cli import projected_ratio
 from projclt.density import (
     MAX_KDE_DIM,
     MIN_KDE_SAMPLES,
@@ -24,7 +27,7 @@ from projclt.density import (
 )
 from projclt.errors import DimensionTooHigh, InvalidSpec, RangeError, TooFewSamples
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
-from projclt.samplers import sample_gaussian
+from projclt.samplers import sample_body, sample_gaussian
 from projclt.spherical import gaussian_density
 
 
@@ -231,3 +234,48 @@ def test_m_tilde_profile_rejects_high_dimension():
             samples_per_subspace=10_000,
             seed=1,
         )
+
+
+# ------------------------------------------------- noise after projecting
+#
+# Both smoothed pipelines project first and then add l-dim noise of the
+# ambient variance v(n).  A moment test cannot tell v(n) from v(l): both
+# rescale to unit variance, and at small n the fourth-moment gap is about one
+# standard error.  So the calls themselves are recorded.
+
+_NOISE_N = 8
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_projected_ratio_adds_l_dim_noise_of_the_ambient_variance(monkeypatch, l):
+    calls = []
+    original = projclt.cli.convolve_and_rescale
+
+    def recording(x, *args, **kwargs):
+        out = original(x, *args, **kwargs)
+        calls.append((x.dimension, out.source["noise_variance"]))
+        return out
+
+    monkeypatch.setattr(projclt.cli, "convolve_and_rescale", recording)
+    schedule = ConvolutionSchedule(alpha=10.0)
+    batch = sample_body(BodySpec("cube", _NOISE_N), MIN_KDE_SAMPLES, seed=11)
+    projected_ratio(batch, l, 12, 2.0, 5, direction_count=4, schedule=schedule, noise_seed=13)
+    assert schedule.noise_variance(_NOISE_N) != schedule.noise_variance(l)
+    assert calls == [(l, schedule.noise_variance(_NOISE_N))]
+
+
+def test_m_tilde_profile_adds_l_dim_noise_of_the_ambient_variance(monkeypatch):
+    calls = []
+    original = projclt.density.sample_gaussian
+
+    def recording(spec, *args, **kwargs):
+        calls.append((spec.dimension, spec.variance))
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(projclt.density, "sample_gaussian", recording)
+    schedule = ConvolutionSchedule(alpha=10.0)
+    m_tilde_profile(
+        BodySpec("cube", _NOISE_N), schedule, l=2, radii=np.array([0.0, 1.0]),
+        subspace_count=3, samples_per_subspace=MIN_KDE_SAMPLES, seed=14, direction_count=4,
+    )
+    assert calls == [(2, schedule.noise_variance(_NOISE_N))] * 3

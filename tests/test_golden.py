@@ -3,7 +3,9 @@
 Each test pins the SHA-256 of an artifact (or of an array's bytes) produced
 by a fixed seed at a small size, so any refactor of the sample -> smooth ->
 project -> KDE -> ratio pipeline or of the chunked noise loop must reproduce
-the numbers exactly.  The ratio runs are the CLI's; the scan runs are the
+the numbers exactly.  A change that alters a random stream or the artifact
+schema re-pins the moved hashes and records each old -> new pair and its
+reason in CHANGES.md.  The ratio runs are the CLI's; the scan runs are the
 ``scripts/run_clt_scan.py`` script's; the criterion 7 value is the exact
 l=1 sup of the quick profile.
 """
@@ -30,13 +32,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "e81921b60e3c12a78c79bd34490cc685d95d76e9375cce30716e202448712dc1",
-        "e763db090afe27e84b79f5e7563d3f86fa1f1c07fedcead448b11212dbf08700",
+        "af039718ef6fa5e6b1fb7cb1e363b56bd1f118247bf4c5ccb4fe703cb846998e",
+        "234f650ce1097e4b791e5e44af77d0638979a51f9e2f0d5903e965e0d8fe6cfb",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "8e4d929aac77f33f538a3f2fe15c55582e962f0bbaff4a045fbf96b81f8636f2",
-        "96ae8fcd7ccb4efe7d707e9455dde7adde2cb04a48a67803291ece869dd26464",
+        "fc9cd42e99ed95144dffa9aa1363882cc625b5c4fea0246a4cb25752bcd6fdc0",
+        "13cdcf67fe1858deb539b84ecd9359b37424b9adf6af60c1939306aba5da3762",
     ),
 }
 
@@ -56,7 +58,7 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "23ca0c2800ffafb77f48ace7eb0e8f7e3820bbdd0c0b230cbd25c798c834e187",
+        "d54d3f299bfa08bca63a4c3973a23c5e683611d57665b9a612e9b8ca31472585",
     ),
     "l2_raw": (
         ["--l", "2"],

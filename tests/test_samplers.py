@@ -230,6 +230,30 @@ def test_load_rejects_sidecar_missing_a_key(tmp_path, key):
         load_batch(path)
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("no_data", "cannot read batch file"),
+        ("no_sidecar", "cannot read batch sidecar"),
+        ("malformed", "is not valid JSON"),
+        ("not_object", "must hold a JSON object, got list"),
+    ],
+)
+def test_load_names_the_unreadable_file(tmp_path, damage, message):
+    path = tmp_path / "batch.bin"
+    save_batch(sample_body(BodySpec("cube", 2), 100, seed=39), str(path))
+    sidecar = tmp_path / "batch.bin.json"
+    if damage == "no_data":
+        path.unlink()
+    elif damage == "no_sidecar":
+        sidecar.unlink()
+    else:
+        sidecar.write_text('{"count": 100,' if damage == "malformed" else "[1, 2]")
+    with pytest.raises(InvalidSpec, match=message) as info:
+        load_batch(str(path))
+    assert str(path if damage == "no_data" else sidecar) in str(info.value)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_load_rejects_non_finite_data(tmp_path, bad):
     data = sample_body(BodySpec("cube", 3), 100, seed=37).data.copy()
