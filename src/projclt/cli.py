@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,9 @@ class Param(NamedTuple):
 
     ``echo`` is False for sinks and schedulers (output paths, ``threads``),
     which never change an output number.  The flag is ``--`` plus the name
-    with dashes unless ``flag`` says otherwise.  ``check``, when given,
-    replaces the type check of a config-file value and raises ``InvalidSpec``.
+    with dashes unless ``flag`` says otherwise.  ``type=str`` marks a string
+    parameter whose handler validates it, so a config-file value for it is
+    passed through unchecked.
     """
 
     name: str
@@ -103,7 +104,6 @@ class Param(NamedTuple):
     help: str | None = None
     choices: tuple | None = None
     action: str | None = None
-    check: Callable | None = None
 
 
 _SUBCOMMANDS: dict[str, tuple] = {}
@@ -124,11 +124,10 @@ def _check_config_type(p: Param, value) -> None:
 
     A value must be one of ``p.choices`` when those are given.  Bools are
     rejected, int parameters need integral numbers, float parameters numbers
-    and the others strings; each element of a repeatable parameter's list is
-    checked.  ``p.check`` replaces all of this when given.
+    and untyped ones strings; each element of a repeatable parameter's list is
+    checked.  A ``str`` parameter is left to its handler.
     """
-    if p.check is not None:
-        p.check(value)
+    if p.type is str:
         return
     for v in value if p.action == "append" and isinstance(value, list) else [value]:
         if p.choices is not None and v not in p.choices:
@@ -169,12 +168,12 @@ def _resolve(args, params: list[Param]):
 def _dump_json(path: str | None, echo: dict, **body) -> None:
     """Write the schema version, the echoed config and ``body`` as JSON (stdout if no path)."""
     payload = {"schema_version": SCHEMA_VERSION, "config": echo, **body}
+    text = json.dumps(payload, indent=2) + "\n"
     if path is None:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(text)
     else:
         with atomic_open(path) as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
+            f.write(text)
 
 
 def _csv_cell(v) -> str:
@@ -454,7 +453,7 @@ def _criterion_indices(value) -> list | None:
 
 @_subcommand("suite", "run the acceptance criteria and print a table", [
     Param("profile", "desk", choices=("desk", "quick")),
-    Param("only", None, help="comma-separated criterion indices", check=_criterion_indices),
+    Param("only", None, str, help="comma-separated criterion indices"),
     _OPTIONAL_OUTPUT,
 ])
 def _cmd_suite(resolved, echo) -> int:

@@ -258,7 +258,13 @@ def atomic_open(path: str, mode: str = "w"):
 
     ``mode`` is "w" or "wb".  If the body raises, the temp file is removed and
     ``path`` is left as it was, so a reader never sees a half-written artifact.
+    Only a new path or a regular file is replaced; anything else, such as a
+    symlink, a FIFO or ``/dev/null``, is written through as ``open`` would.
     """
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, mode) as f:
+            yield f
+        return
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp, mode.replace("w", "x")) as f:
@@ -297,7 +303,8 @@ def save_batch(batch: SampleBatch, path: str, config: dict | None = None) -> Non
     }
     if config is not None:
         sidecar["config"] = config
-    with atomic_open(path, "wb") as data_file, atomic_open(path + ".json") as f:
+    # The sidecar, which readers trust, is renamed into place after the data.
+    with atomic_open(path + ".json") as f, atomic_open(path, "wb") as data_file:
         batch.data.ravel(order="F").tofile(data_file)
         json.dump(sidecar, f, indent=2)
         f.write("\n")

@@ -10,6 +10,7 @@ excludes paths and thread counts.
 import argparse
 import filecmp
 import json
+import os
 import re
 import subprocess
 import sys
@@ -379,26 +380,37 @@ def test_project_of_a_missing_input_exits_1_naming_the_sidecar(tmp_path, capsys)
     assert err.startswith("error: cannot read batch sidecar") and f"{missing}.json" in err
 
 
-# Each writer with its serializer made to fail after the target's temp file is open.
 _BATCH = sample_body(BodySpec("cube", 2), 10, seed=1)
-_FAILING_WRITES = {
-    "save_batch": ("dump", lambda path: save_batch(_BATCH, path)),
-    "save_batch_csv": ("dumps", lambda path: save_batch_csv(_BATCH, path)),
-    "dump_json": ("dump", lambda path: projclt.cli._dump_json(path, {}, x=1)),
-    "write_csv": ("_csv_cell", lambda path: projclt.cli._write_csv(path, {}, ("x",), [(1.5,)])),
+_WRITERS = {
+    "save_batch": lambda path: save_batch(_BATCH, path),
+    "save_batch_csv": lambda path: save_batch_csv(_BATCH, path),
+    "dump_json": lambda path: projclt.cli._dump_json(path, {}, x=1),
+    "write_csv": lambda path: projclt.cli._write_csv(path, {}, ("x",), [(1.5,)]),
 }
+# The serializer each writer calls after its target's temp file is open.
+_SERIALIZERS = {"save_batch": "dump", "save_batch_csv": "dumps", "write_csv": "_csv_cell"}
 
 
-@pytest.mark.parametrize("writer", sorted(_FAILING_WRITES))
-def test_a_failed_write_leaves_neither_target_nor_temp_file(tmp_path, monkeypatch, writer):
-    serializer, write = _FAILING_WRITES[writer]
-
+@pytest.mark.parametrize("writer", sorted(_SERIALIZERS))
+def test_a_write_failed_midway_leaves_neither_target_nor_temp_file(tmp_path, monkeypatch, writer):
     def fail(*args, **kwargs):
         raise RuntimeError("serializer failed")
 
+    serializer = _SERIALIZERS[writer]
     monkeypatch.setattr(projclt.cli if serializer == "_csv_cell" else json, serializer, fail)
     with pytest.raises(RuntimeError, match="serializer failed"):
-        write(str(tmp_path / "artifact"))
+        _WRITERS[writer](str(tmp_path / "artifact"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_failed_rename_leaves_neither_target_nor_temp_file(tmp_path, monkeypatch, writer):
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        _WRITERS[writer](str(tmp_path / "artifact"))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,8 @@
 """Sampling correctness: determinism, moments, supports, IO round trips."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from projclt.model import BodyKind, BodySpec, ConvolutionSchedule, GaussianSpec
 from projclt.samplers import (
     CHUNK,
     SampleBatch,
+    atomic_open,
     convolve_and_rescale,
     load_batch,
     sample_body,
@@ -262,6 +265,41 @@ def test_load_rejects_non_finite_data(tmp_path, bad):
     save_batch(SampleBatch(data=data, seed=37, source={}), path)
     with pytest.raises(InvalidSpec, match="batch.bin holds non-finite values"):
         load_batch(path)
+
+
+def test_atomic_open_replaces_a_regular_file_without_leaving_a_temp_file(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old")
+    with atomic_open(str(target)) as f:
+        f.write("new")
+    assert target.read_text() == "new"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_atomic_open_writes_through_a_symlink(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    with atomic_open(str(link)) as f:
+        f.write("new")
+    assert link.is_symlink() and real.read_text() == "new"
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
+def test_atomic_open_writes_through_a_fifo(tmp_path):
+    # A special file such as /dev/null must be written to, never renamed over.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with atomic_open(str(fifo), "wb") as f:
+            f.write(b"bytes")
+        assert os.read(reader, 64) == b"bytes"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_csv_export_round_trips_floats_exactly(tmp_path):
