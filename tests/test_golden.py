@@ -7,7 +7,9 @@ the numbers exactly.  A change that alters a random stream or the artifact
 schema re-pins the moved hashes and records each old -> new pair and its
 reason in CHANGES.md.  The ratio runs are the CLI's; the scan runs are the
 ``scripts/run_clt_scan.py`` script's; the criterion 7 value is the exact
-l=1 sup of the quick profile.
+l=1 sup of the quick profile.  The multi-chunk runs span two full chunks and
+a ragged tail, at one and two threads, so a chunk loop that reorders or
+splits work differently shows up as a moved hash.
 """
 
 import hashlib
@@ -116,3 +118,46 @@ def test_criterion_7_quick_sup_is_golden(monkeypatch):
     assert len(sups) == 1
     assert repr(sups[0]) == CRITERION_7_QUICK_SUP
     assert f"l=1 sup {sups[0]:.4f}" in detail
+
+
+MULTI_CHUNK = 2 * CHUNK + 17
+
+MULTI_CHUNK_RUNS = {
+    "ratio_l2": (
+        ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
+         "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
+        {
+            "r.json": "a9ac975532d1e29c607e18fee99f49cfb6848178afa71085dd903d898db85a94",
+            "r.csv": "25d668082435da46b24c7982f1a4d4b58abe3b9e036f178ae9906c2a65c41a31",
+        },
+    ),
+    "mtilde_l2": (
+        ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
+         "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
+        {"m.json": "f0126a24386ee3c9a0173e72881058aa20e97b09fb1fcd18986011f03e98b841"},
+    ),
+    **{
+        f"thinshell_{kind}": (
+            ["thinshell", "--body", kind, "--n", "20", "--samples", str(MULTI_CHUNK),
+             "--seed", "9", "--epsilon", "0.1", "--epsilon", "0.3", "--output", "{d}/t.csv"],
+            {"t.csv": sha},
+        )
+        for kind, sha in {
+            "cube": "732d7fa73a19026bc1c0b22b95e08e726f48a6b1e86df9a50e3bf22239409a60",
+            "ball": "f1d57b5b04ece45705575f1fc2158506e7d33215dadc953c2b2f6bd69ec5cc3a",
+            "simplex": "57252b5938178f2bcfb65f60ab84db8f83f0f6cbb0afe0071f10f1de42f2c767",
+            "product_laplace": "ea0057f1ea2b300e885ccfe5dd6602c2ca216bb095149c5933b6306e932f7512",
+            "gaussian": "55d3178e860d90908795ac1b1dba1b3a2fe56b6a8bdd0fddcfd651aef1ca567d",
+        }.items()
+    },
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("run", sorted(MULTI_CHUNK_RUNS))
+def test_multi_chunk_artifacts_are_golden(run, threads, tmp_path):
+    argv, shas = MULTI_CHUNK_RUNS[run]
+    rc = main([a.format(d=tmp_path) for a in argv] + ["--threads", str(threads)])
+    assert rc == 0
+    for name, sha in shas.items():
+        assert _sha((tmp_path / name).read_bytes()) == sha, name
