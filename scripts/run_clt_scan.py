@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Sweep projected-marginal gaussianity across bodies and subspace dimensions.
 
-For every requested body the script draws an isotropic batch, projects it
+For every requested body the script draws an isotropic sample, projects it
 onto a Haar subspace, optionally smooths the projection with l-dim noise of
 the schedule's ambient variance v(n) (equal in law to smoothing before
 projecting), and writes the pointwise density-to-gaussian ratios plus the
-thin-shell fraction of the ambient sample.  Example:
+thin-shell fraction of the ambient sample.  The sample is streamed chunk by
+chunk twice from the same seed, once for its norms and once for its
+projection, so the samples x n batch is never held.  Example:
 
     python scripts/run_clt_scan.py --bodies cube,simplex --n 300 \
         --samples 200000 --l 1 --alpha 10 --seed 42 --out scan.csv
@@ -19,7 +21,7 @@ import numpy as np
 
 from projclt.cli import projected_ratio
 from projclt.model import BodySpec, ConvolutionSchedule
-from projclt.radial import thin_shell_fraction
+from projclt.radial import norm_column, thin_shell_fraction
 from projclt.samplers import sample_body
 
 
@@ -42,12 +44,13 @@ def parse_args(argv=None):
 
 def scan_body(kind, args, seed):
     body_seed, noise_seed, basis_seed = np.random.SeedSequence(seed).spawn(3)
-    batch = sample_body(BodySpec(kind, args.n), args.samples, body_seed, threads=args.threads)
-    shell = thin_shell_fraction(batch, args.n ** (-1.0 / 15.0))
+    spec = BodySpec(kind, args.n)
+    norms = sample_body(spec, args.samples, body_seed, threads=args.threads, reduce=norm_column)
+    shell = thin_shell_fraction(norms, args.n ** (-1.0 / 15.0), dimension=args.n)
     _, report = projected_ratio(
-        batch, args.l, basis_seed, args.max_radius, args.grid_points,
+        spec, args.l, basis_seed, args.max_radius, args.grid_points,
         schedule=None if args.alpha is None else ConvolutionSchedule(args.alpha),
-        noise_seed=noise_seed, threads=args.threads,
+        noise_seed=noise_seed, threads=args.threads, count=args.samples, body_seed=body_seed,
     )
     return report, shell
 

@@ -16,10 +16,13 @@ order, which is also the key order of the echoed configuration.
 
 ``projected_ratio`` is the one project -> smooth -> KDE -> ratio pipeline; the
 ``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance criterion 7
-all call it.  It lives here rather than in ``density.py`` because it looks up
-``convolve_and_rescale``, ``random_subspace``, ``project``, ``estimate_density``
-and ``ratio_to_gaussian`` as attributes of this module, where the benchmark's
-tracer (``perfbench/tracing.py``) wraps them; moved, it would lose those spans.
+all call it, with a body spec so that the sample is projected chunk by chunk
+as it is drawn (``density.project_body``).  It lives here rather than in
+``density.py`` because it looks up ``convolve_and_rescale``,
+``random_subspace``, ``estimate_density`` and ``ratio_to_gaussian`` as
+attributes of this module, where the benchmark's tracer
+(``perfbench/tracing.py``) wraps them; moved, it would lose those spans.
+``thinshell`` likewise keeps only the sample norms.
 
 Exit codes: 0 success, 1 validation error, 2 acceptance-threshold failure in
 `suite` (and argparse usage errors).
@@ -55,8 +58,14 @@ from .samplers import (
 )
 from .grassmann import project, random_subspace
 from .spherical import gaussian_density, psi_gaussian_ratio_scan
-from .radial import thin_shell_fraction
-from .density import KdeConfig, estimate_density, m_tilde_profile, ratio_to_gaussian
+from .radial import norm_column, thin_shell_fraction
+from .density import (
+    KdeConfig,
+    estimate_density,
+    m_tilde_profile,
+    project_body,
+    ratio_to_gaussian,
+)
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
 from . import suite as suite_mod
 
@@ -206,11 +215,14 @@ def _experiment(echo: dict, resolved: dict, fmt: str) -> ExperimentConfig:
     )
 
 
-def projected_ratio(batch, l: int, basis_seed, max_radius: float, grid_points: int,
+def projected_ratio(sample, l: int, basis_seed, max_radius: float, grid_points: int,
                     direction_count: int = 16, schedule: ConvolutionSchedule | None = None,
-                    noise_seed=None, threads: int = 1):
-    """Estimate the batch's density on a Haar l-subspace and its ratio to the gaussian.
+                    noise_seed=None, threads: int = 1, count: int | None = None, body_seed=None):
+    """Estimate the sample's density on a Haar l-subspace and its ratio to the gaussian.
 
+    ``sample`` is a batch, or a ``BodySpec`` drawn ``count`` times from
+    ``body_seed`` and projected chunk by chunk as it is drawn, so that its
+    count x n batch is never held; both give the same numbers.
     With a ``schedule`` the projection is smoothed: l-dim noise of the ambient
     variance v(n) is added after projecting, then rescaled by 1/sqrt(1 + v).
     This has the law of smoothing the n-dim batch first, because for an
@@ -219,9 +231,13 @@ def projected_ratio(batch, l: int, basis_seed, max_radius: float, grid_points: i
     l = 1, else as many radii on [0, max_radius] times ``direction_count``
     directions.
     """
-    n = batch.dimension
-    projected = project(batch, random_subspace(n, l, basis_seed))
-    del batch
+    n = sample.dimension
+    basis = random_subspace(n, l, basis_seed)
+    if isinstance(sample, BodySpec):
+        projected = project_body(sample, count, body_seed, basis, threads)
+    else:
+        projected = project(sample, basis)
+    del sample
     if schedule is not None:
         projected = convolve_and_rescale(
             projected, schedule, noise_seed, noise_variance=schedule.noise_variance(n),
@@ -309,10 +325,10 @@ def _cmd_ratio(resolved, echo) -> int:
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed, basis_seed = root.spawn(3)
     est, report = projected_ratio(
-        sample_body(spec, int(resolved["samples"]), body_seed, threads=threads),
-        int(resolved["l"]), basis_seed, float(resolved["max_radius"]), int(resolved["grid_points"]),
-        direction_count=int(resolved["directions"]), noise_seed=noise_seed, threads=threads,
+        spec, int(resolved["l"]), basis_seed, float(resolved["max_radius"]),
+        int(resolved["grid_points"]), direction_count=int(resolved["directions"]),
         schedule=None if alpha is None else ConvolutionSchedule(float(alpha)),
+        noise_seed=noise_seed, threads=threads, count=int(resolved["samples"]), body_seed=body_seed,
     )
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
@@ -341,10 +357,13 @@ def _cmd_thinshell(resolved, echo) -> int:
     echo["epsilon"] = [float(e) for e in epsilons]
     _experiment(echo, resolved, "csv")
     spec = BodySpec(BodyKind.parse(resolved["body"]), n)
-    batch = sample_body(spec, int(resolved["samples"]), int(resolved["seed"]), threads=int(resolved["threads"]))
+    norms = sample_body(
+        spec, int(resolved["samples"]), int(resolved["seed"]), threads=int(resolved["threads"]),
+        reduce=norm_column,
+    )
     rows = []
     for eps in epsilons:
-        frac = thin_shell_fraction(batch, float(eps))
+        frac = thin_shell_fraction(norms, float(eps), dimension=n)
         rows.append((float(eps), frac.fraction, frac.stderr))
     _write_csv(resolved["output"], echo, ("epsilon", "fraction", "stderr"), rows)
     return 0

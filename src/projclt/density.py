@@ -179,6 +179,21 @@ def ratio_to_gaussian(estimate: DensityEstimate, v: float, max_radius: float) ->
     )
 
 
+def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> SampleBatch:
+    """Draw ``count`` body samples and project them onto ``basis`` chunk by chunk.
+
+    The (count, l) result holds the values of
+    ``project(sample_body(spec, count, seed), basis)`` while only one chunk of
+    the (count, n) batch per thread is held.  The projection is row-wise, so
+    every chunk is projected at the full chunk height.  Each chunk goes through
+    this module's ``project``, where the benchmark's tracer finds it.
+    """
+    return sample_body(
+        spec, count, seed, threads=threads, rowwise=True,
+        reduce=lambda chunk: project(SampleBatch(data=chunk, seed=None, source={}), basis).data,
+    )
+
+
 def m_tilde_profile(
     body: BodySpec,
     schedule: ConvolutionSchedule,
@@ -194,11 +209,12 @@ def m_tilde_profile(
     """Rotation-averaged radial profile of the smoothed projected density.
 
     For each of ``subspace_count`` independent Haar subspaces: draw a fresh
-    body sample, project it, add unrescaled l-dim gaussian noise of the
-    schedule's variance v(n), and KDE-evaluate at every radius (averaged over
-    a fixed set of unit directions).  This equals in law adding n-dim noise
-    before projecting, because for an orthonormal l x n frame P the projected
-    noise P y is exactly N(0, v I_l).  The subspace-averaged values are
+    body sample and project it chunk by chunk (:func:`project_body`), add
+    unrescaled l-dim gaussian noise of the schedule's variance v(n), and
+    KDE-evaluate at every radius (averaged over a fixed set of unit
+    directions).  This equals in law adding n-dim noise before projecting,
+    because for an orthonormal l x n frame P the projected noise P y is
+    exactly N(0, v I_l).  The subspace-averaged values are
     divided by the gaussian density of variance 1 + v, which is the exact law
     the smoothed projection approaches; the profile is reported as ratios
     against radius.
@@ -220,9 +236,8 @@ def m_tilde_profile(
     accum = np.zeros(radii.size)
     for child in root.spawn(subspace_count):
         body_seed, noise_seed, basis_seed = child.spawn(3)
-        x = sample_body(body, samples_per_subspace, body_seed, threads=threads)
-        projected = project(x, random_subspace(n, l, basis_seed))
-        del x
+        basis = random_subspace(n, l, basis_seed)
+        projected = project_body(body, samples_per_subspace, body_seed, basis, threads)
         y = sample_gaussian(noise, samples_per_subspace, noise_seed, threads=threads)
         smoothed = SampleBatch(
             data=projected.data + y.data,

@@ -25,13 +25,21 @@ class TruncatedMoment(NamedTuple):
     shell_part: float
 
 
+def norm_column(data: np.ndarray) -> np.ndarray:
+    """The euclidean norm of each row of ``data`` as a (count, 1) column.
+
+    A row-wise reduction instead of np.linalg.norm(..., axis=1), which
+    materializes a squared copy of its input.  It also serves as the
+    ``reduce`` of ``sample_body``, so thin-shell statistics never need the
+    (count, n) batch.
+    """
+    return np.sqrt(np.einsum("ij,ij->i", data, data))[:, None]
+
+
 def _norms(batch: SampleBatch) -> np.ndarray:
     if batch.count == 0:
         raise EmptyBatch("batch holds no samples")
-    # Row-wise reduction instead of np.linalg.norm(..., axis=1): the latter
-    # materializes a squared copy of the whole batch, which at acceptance
-    # scale (10^6 x 400 doubles) is gigabytes of scratch.
-    return np.sqrt(np.einsum("ij,ij->i", batch.data, batch.data))
+    return norm_column(batch.data)[:, 0]
 
 
 def radial_histogram(batch: SampleBatch, bin_count: int) -> RadialDensity:
@@ -50,13 +58,26 @@ def radial_histogram(batch: SampleBatch, bin_count: int) -> RadialDensity:
     return RadialDensity.binned(edges, counts / batch.count)
 
 
-def thin_shell_fraction(batch: SampleBatch, epsilon: float) -> ThinShellFraction:
-    """Fraction of samples with | |x|/sqrt(n) - 1 | >= epsilon, with binomial stderr."""
+def thin_shell_fraction(
+    batch: SampleBatch, epsilon: float, dimension: int | None = None
+) -> ThinShellFraction:
+    """Fraction of samples with | |x|/sqrt(n) - 1 | >= epsilon, with binomial stderr.
+
+    ``batch`` holds the samples, or, when ``dimension`` gives their n, one
+    column of their norms as ``sample_body(..., reduce=norm_column)`` returns.
+    """
     epsilon = float(epsilon)
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise RangeError(f"epsilon must be positive, got {epsilon!r}")
-    norms = _norms(batch)
-    dev = np.abs(norms / math.sqrt(batch.dimension) - 1.0)
+    if dimension is None:
+        norms, n = _norms(batch), batch.dimension
+    else:
+        if batch.dimension != 1:
+            raise InvalidSpec(f"a norms batch has one column, got {batch.dimension}")
+        if batch.count == 0:
+            raise EmptyBatch("batch holds no samples")
+        norms, n = batch.data[:, 0], _as_positive_int(dimension, "dimension")
+    dev = np.abs(norms / math.sqrt(n) - 1.0)
     p = float(np.count_nonzero(dev >= epsilon)) / batch.count
     return ThinShellFraction(p, math.sqrt(p * (1.0 - p) / batch.count))
 

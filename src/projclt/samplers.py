@@ -18,10 +18,16 @@ Normalizations (all kinds have mean 0 and identity covariance):
 * gaussian — standard normal coordinates.
 
 Generation is chunked: the root ``SeedSequence`` is split into one child per
-fixed-size chunk of rows, each chunk gets its own generator, and chunks write
-disjoint slices of a preallocated array.  Results are therefore bit-identical
-for a given (spec, count, seed) no matter how many worker threads are used,
-and large batches never need more than one chunk of scratch space.
+``CHUNK`` rows, and each chunk is drawn by its own generator.  Results are
+therefore bit-identical for a given (spec, count, seed) no matter how many
+worker threads are used.  There are two forms:
+
+* full — the chunks write disjoint slices of one preallocated (count, n)
+  array, which is returned; the whole batch is held in memory.
+* reduce — each chunk is drawn into a scratch buffer its worker thread
+  reuses, passed to a ``reduce`` function (a projection, the norms, moment
+  sums) and then overwritten, so memory is one (CHUNK, n) buffer per thread
+  plus the reduced outputs.  The per-chunk results come back in chunk order.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,8 +86,14 @@ class SampleBatch:
 
 
 def _seed_seq(seed) -> np.random.SeedSequence:
+    """A fresh ``SeedSequence`` for ``seed``.
+
+    A given sequence is copied, because spawning advances the sequence it is
+    called on: the copy leaves the caller's sequence as it was, so the same
+    seed draws the same sample however often it is used.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
     return np.random.SeedSequence(int(seed))
 
 
@@ -91,28 +104,65 @@ def _seed_jsonable(seed):
     return int(seed)
 
 
-def _generate(count: int, dim: int, seed, fill, threads: int = 1) -> np.ndarray:
-    """Fill a (count, dim) array chunk by chunk: ``fill(rng, out[rows], rows)``."""
-    out = np.empty((count, dim), dtype=np.float64)
+def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, rowwise=False):
+    """Draw ``count`` rows of width ``dim`` chunk by chunk with ``fill(rng, out, rows)``.
+
+    Without ``reduce`` the chunks are slices of one (count, dim) array, which
+    is returned.  With ``reduce`` each chunk is filled into its worker's
+    scratch buffer and passed to ``reduce(chunk)``, and the list of results
+    is returned in chunk order.  The buffer is refilled with the worker's next
+    chunk, so ``reduce`` must return new arrays and keep no view of its input.
+
+    ``rowwise`` declares that ``reduce`` maps each row to one output row.  It
+    is then given the whole buffer for every chunk, a short last chunk
+    followed by finite leftover rows, and the output rows past the chunk are
+    dropped.  A matrix product's rounding can depend on its row count
+    (OpenBLAS takes another kernel for small products), so this way each
+    chunk's product rounds as a full chunk's does.
+    """
     bounds = [slice(lo, min(lo + CHUNK, count)) for lo in range(0, count, CHUNK)]
     children = _seed_seq(seed).spawn(len(bounds))
+    if reduce is None:
+        out = np.empty((count, dim), dtype=np.float64)
 
-    def work(task):
-        rows, child = task
-        fill(np.random.default_rng(child), out[rows], rows)
-
-    tasks = list(zip(bounds, children))
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, tasks))
+        def work(i):
+            fill(np.random.default_rng(children[i]), out[bounds[i]], bounds[i])
     else:
-        for task in tasks:
-            work(task)
-    return out
+        scratch = threading.local()
+        height = min(CHUNK, count)
+
+        def work(i):
+            rows = bounds[i]
+            m = rows.stop - rows.start
+            if not hasattr(scratch, "buf"):
+                scratch.buf = np.zeros((height, dim), dtype=np.float64)
+            fill(np.random.default_rng(children[i]), scratch.buf[:m], rows)
+            if rowwise:
+                return reduce(scratch.buf[:height])[:m]
+            return reduce(scratch.buf[:m])
+
+    if threads > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, range(len(bounds))))
+    else:
+        results = [work(i) for i in range(len(bounds))]
+    return out if reduce is None else results
+
+
+def _draw(count, dim, seed, fill, threads, reduce, rowwise, source: dict) -> SampleBatch:
+    """The batch of :func:`_generate`; with ``reduce``, its 2-D results stacked in chunk order."""
+    data = _generate(count, dim, seed, fill, threads, reduce, rowwise)
+    if reduce is not None:
+        data = np.concatenate(data)
+        source = {"draw": "reduced", "of": source}
+    return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
 
 def _fill_cube(rng, out, _rows):
-    out[...] = rng.uniform(-_SQRT3, _SQRT3, size=out.shape)
+    # In place, with the bits of rng.uniform(-_SQRT3, _SQRT3): low + (high - low) * u.
+    rng.random(out=out)
+    out *= _SQRT3 - (-_SQRT3)
+    out += -_SQRT3
 
 
 def _fill_ball(rng, out, _rows):
@@ -127,11 +177,14 @@ def _fill_ball(rng, out, _rows):
 def _fill_simplex(rng, out, _rows):
     m, n = out.shape
     spacings = rng.standard_exponential(size=(m, n + 1))
-    s = spacings[:, :n] / spacings.sum(axis=1, keepdims=True)
-    s -= 1.0 / (n + 1.0)
+    np.divide(spacings[:, :n], spacings.sum(axis=1, keepdims=True), out=out)
+    del spacings
+    out -= 1.0 / (n + 1.0)
     a = 1.0 / ((n + 1.0) * (n + 2.0))
-    row_mean = s.mean(axis=1, keepdims=True)
-    out[...] = (s - row_mean) / math.sqrt(a) + row_mean * math.sqrt((n + 1.0) / a)
+    row_mean = out.mean(axis=1, keepdims=True)
+    out -= row_mean
+    out /= math.sqrt(a)
+    out += row_mean * math.sqrt((n + 1.0) / a)
 
 
 def _fill_laplace(rng, out, _rows):
@@ -151,21 +204,29 @@ _FILLS = {
 }
 
 
-def sample_body(spec: BodySpec, count: int, seed, threads: int = 1) -> SampleBatch:
-    """Draw i.i.d. samples from the isotropically normalized body."""
+def sample_body(
+    spec: BodySpec, count: int, seed, threads: int = 1, reduce=None, rowwise: bool = False
+) -> SampleBatch:
+    """Draw i.i.d. samples from the isotropically normalized body.
+
+    With ``reduce`` the (count, n) batch is never held: each chunk of rows is
+    mapped by ``reduce`` to a new 2-D array, and the returned batch stacks
+    those arrays in chunk order.  ``rowwise`` is as in :func:`_generate`.
+    """
     if not isinstance(spec, BodySpec):
         raise InvalidSpec(f"spec must be a BodySpec, got {type(spec).__name__}")
     count = _as_positive_int(count, "count")
-    data = _generate(count, spec.dimension, seed, _FILLS[spec.kind], threads)
-    return SampleBatch(
-        data=data,
-        seed=_seed_jsonable(seed),
-        source={"draw": "body", "spec": spec.to_jsonable()},
-    )
+    source = {"draw": "body", "spec": spec.to_jsonable()}
+    return _draw(count, spec.dimension, seed, _FILLS[spec.kind], threads, reduce, rowwise, source)
 
 
-def sample_gaussian(spec: GaussianSpec, count: int, seed, threads: int = 1) -> SampleBatch:
-    """Draw i.i.d. samples from the isotropic gaussian with the given variance."""
+def sample_gaussian(
+    spec: GaussianSpec, count: int, seed, threads: int = 1, reduce=None
+) -> SampleBatch:
+    """Draw i.i.d. samples from the isotropic gaussian with the given variance.
+
+    ``reduce`` acts as in :func:`sample_body`.
+    """
     if not isinstance(spec, GaussianSpec):
         raise InvalidSpec(f"spec must be a GaussianSpec, got {type(spec).__name__}")
     count = _as_positive_int(count, "count")
@@ -176,12 +237,8 @@ def sample_gaussian(spec: GaussianSpec, count: int, seed, threads: int = 1) -> S
         if sigma != 1.0:
             out *= sigma
 
-    data = _generate(count, spec.dimension, seed, fill, threads)
-    return SampleBatch(
-        data=data,
-        seed=_seed_jsonable(seed),
-        source={"draw": "gaussian", "spec": spec.to_jsonable()},
-    )
+    source = {"draw": "gaussian", "spec": spec.to_jsonable()}
+    return _draw(count, spec.dimension, seed, fill, threads, reduce, False, source)
 
 
 def convolve_and_rescale(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
+from .errors import InvalidSpec
 from .model import BodyKind, BodySpec, ConvolutionSchedule, GaussianSpec
 from .samplers import sample_body, sample_gaussian
 from .spherical import (
@@ -29,7 +30,7 @@ from .spherical import (
     psi_gaussian_ratio_scan,
     radial_mixture_marginal,
 )
-from .radial import thin_shell_fraction
+from .radial import norm_column, thin_shell_fraction
 from .density import m_tilde_profile
 from .deconvolution import DeconvParams, check_conditions, grid_convolve, verify_sandwich
 from .model import RadialDensity
@@ -141,6 +142,11 @@ def _criterion_4(profile):
     )
 
 
+def _moment_sums(chunk):
+    """One row per chunk: its column sums, then its raw second-moment sums."""
+    return np.concatenate([chunk.sum(axis=0), (chunk.T @ chunk).ravel()])[None, :]
+
+
 def _criterion_5(profile):
     """Empirical mean within 0.01 and covariance within 0.02 of identity."""
     count = 1_000_000 if profile == "desk" else 100_000
@@ -149,11 +155,11 @@ def _criterion_5(profile):
     ok = True
     for bi, kind in enumerate(BodyKind):
         for ni, n in enumerate((2, 10, 50)):
-            batch = sample_body(BodySpec(kind, n), count, seed=5_000 + 10 * bi + ni)
-            mean = batch.data.mean(axis=0)
-            centered = batch.data - mean
-            cov = (centered.T @ centered) / count
-            del batch, centered
+            sums = sample_body(
+                BodySpec(kind, n), count, seed=5_000 + 10 * bi + ni, reduce=_moment_sums
+            ).data.sum(axis=0)
+            mean = sums[:n] / count
+            cov = sums[n:].reshape(n, n) / count - np.outer(mean, mean)
             mean_dev = float(np.max(np.abs(mean)))
             cov_dev = float(np.max(np.abs(cov - np.eye(n))))
             if mean_dev > worst_mean:
@@ -206,9 +212,8 @@ def _criterion_6(profile):
     details = []
     for n in (100, 400):
         eps = _C6_EPS_SCALE * n ** (-1.0 / 15.0)
-        shells[n] = thin_shell_fraction(
-            sample_body(BodySpec(BodyKind.CUBE, n), count, seed=6_100 + n), eps
-        )
+        norms = sample_body(BodySpec(BodyKind.CUBE, n), count, seed=6_100 + n, reduce=norm_column)
+        shells[n] = thin_shell_fraction(norms, eps, dimension=n)
         details.append(f"cube n={n}: {shells[n].fraction:.4g} +/- {shells[n].stderr:.2g}")
     drop = shells[100].fraction - shells[400].fraction
     sigma = math.hypot(shells[100].stderr, shells[400].stderr)
@@ -219,9 +224,8 @@ def _criterion_6(profile):
     gauss_ok = True
     for n in (100, 400):
         eps = _C6_EPS_SCALE * n ** (-1.0 / 15.0)
-        frac = thin_shell_fraction(
-            sample_gaussian(GaussianSpec(n, 1.0), count, seed=6_200 + n), eps
-        ).fraction
+        norms = sample_gaussian(GaussianSpec(n, 1.0), count, seed=6_200 + n, reduce=norm_column)
+        frac = thin_shell_fraction(norms, eps, dimension=n).fraction
         lo, hi = n * (1.0 - eps) ** 2, n * (1.0 + eps) ** 2
         oracle = float(1.0 - (chi2.cdf(hi, n) - chi2.cdf(lo, n)))
         z = (frac - oracle) / math.sqrt(oracle * (1.0 - oracle) / count)
@@ -256,9 +260,9 @@ def _criterion_7(profile):
     for bi, kind in enumerate(bodies):
         t0 = time.perf_counter()
         spec = BodySpec(kind, n)
-        batch = sample_body(spec, count, seed=7_000 + bi)
-        sup1 = projected_ratio(batch, 1, 7_100 + bi, 2.0, 81)[1].sup_abs_deviation
-        del batch
+        sup1 = projected_ratio(
+            spec, 1, 7_100 + bi, 2.0, 81, count=count, body_seed=7_000 + bi
+        )[1].sup_abs_deviation
         body_ok = sup1 <= 0.05
         txt = f"{kind.value}: l=1 sup {sup1:.4f}"
         if run_l2:
@@ -418,5 +422,12 @@ def run_criterion(index: int, profile: str = "desk") -> CriterionResult:
 
 
 def run_all(profile: str = "desk", only=None) -> list[CriterionResult]:
+    """Run every criterion, or those in ``only``; an unknown index is an ``InvalidSpec``."""
     indices = sorted(_CRITERIA) if only is None else sorted(only)
+    unknown = [i for i in indices if i not in _CRITERIA]
+    if unknown:
+        valid = ", ".join(map(str, sorted(_CRITERIA)))
+        raise InvalidSpec(
+            f"no criterion {', '.join(map(str, unknown))}; valid indices are {valid}"
+        )
     return [run_criterion(i, profile) for i in indices]

@@ -559,6 +559,18 @@ def test_suite_propagates_failure_as_exit_2(monkeypatch, capsys):
     assert re.search(r"\[FAIL\] criterion\s+99 ", captured)
 
 
+@pytest.mark.parametrize("only", ["99", "0", "2,99"])
+def test_suite_rejects_unknown_criterion_indices_before_running_any(only, capsys):
+    rc = main(["suite", "--profile", "quick", "--only", only])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    bad = only.split(",")[-1]
+    assert captured.err == (
+        f"error: no criterion {bad}; valid indices are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11\n"
+    )
+
+
 # -------------------------------------------------------------- entry point
 
 

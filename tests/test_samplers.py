@@ -54,6 +54,15 @@ def test_thread_count_does_not_change_the_stream():
     )
 
 
+def test_a_seed_sequence_draws_the_same_sample_each_time_it_is_used():
+    # Spawning advances a SeedSequence; the samplers must spawn from a copy.
+    seed = np.random.SeedSequence(21).spawn(1)[0]
+    spec = BodySpec("cube", 3)
+    first = sample_body(spec, CHUNK + 5, seed)
+    np.testing.assert_array_equal(sample_body(spec, CHUNK + 5, seed).data, first.data)
+    assert seed.n_children_spawned == 0
+
+
 def test_prefix_stability_across_chunk_boundary():
     # Growing the batch never rewrites the already-drawn chunks.
     spec = BodySpec("cube", 2)

@@ -32,3 +32,40 @@ def test_tracer_installs_and_records_the_ratio_pipeline(tmp_path):
     for name in ("samplers.convolve_and_rescale", "grassmann.project",
                  "density.estimate_density", "density.ratio_to_gaussian"):
         assert name in names, f"no span for {name}"
+
+
+def _traced_spans(argv):
+    tracing = _load_tracing()
+    with tracing.Tracer("test") as tracer:
+        rc = main(argv)
+    assert rc == 0
+    for span in tracer.spans:
+        assert span["parent"] is None or span["parent"] < span["id"], span
+    return {span["name"] for span in tracer.spans}
+
+
+def test_tracer_records_the_streamed_mtilde_pipeline(tmp_path):
+    names = _traced_spans(
+        ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--t-points", "3",
+         "--subspaces", "2", "--samples-per-subspace", "70000", "--directions", "4",
+         "--seed", "7", "--output", str(tmp_path / "m.json")]
+    )
+    for name in ("samplers.sample_body", "grassmann.project", "density.estimate_density"):
+        assert name in names, f"no span for {name}"
+
+
+def test_tracer_records_the_thin_shell_fraction(tmp_path):
+    names = _traced_spans(
+        ["thinshell", "--body", "ball", "--n", "10", "--samples", "70000", "--seed", "3",
+         "--epsilon", "0.1", "--output", str(tmp_path / "t.csv")]
+    )
+    assert {"samplers.sample_body", "radial.thin_shell_fraction"} <= names
+
+
+def test_every_span_of_a_traced_ratio_run_follows_its_parent(tmp_path):
+    names = _traced_spans(
+        ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", "70000",
+         "--seed", "7", "--alpha", "10", "--grid-points", "5", "--directions", "4",
+         "--output", str(tmp_path / "r.json")]
+    )
+    assert {"samplers.sample_body", "grassmann.project"} <= names
