@@ -222,7 +222,8 @@ def projected_ratio(sample, l: int, basis_seed, max_radius: float, grid_points: 
 
     ``sample`` is a batch, or a ``BodySpec`` drawn ``count`` times from
     ``body_seed`` and projected chunk by chunk as it is drawn, so that its
-    count x n batch is never held; both give the same numbers.
+    count x n batch is never held; the two agree up to the rounding of the
+    projection product (see ``density.project_body``).
     With a ``schedule`` the projection is smoothed: l-dim noise of the ambient
     variance v(n) is added after projecting, then rescaled by 1/sqrt(1 + v).
     This has the law of smoothing the n-dim batch first, because for an

@@ -185,8 +185,11 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> S
     The (count, l) result holds the values of
     ``project(sample_body(spec, count, seed), basis)`` while only one chunk of
     the (count, n) batch per thread is held.  The projection is row-wise, so
-    every chunk is projected at the full chunk height.  Each chunk goes through
-    this module's ``project``, where the benchmark's tracer finds it.
+    every chunk is projected at the full chunk height and rounds as the
+    one-shot product does, except where OpenBLAS splits a one-shot
+    matrix-vector product (l = 1) between its threads at an odd row: that
+    row can differ in the last bit.  Each chunk goes through this module's
+    ``project``, where the benchmark's tracer finds it.
     """
     return sample_body(
         spec, count, seed, threads=threads, rowwise=True,

@@ -93,7 +93,9 @@ def _seed_seq(seed) -> np.random.SeedSequence:
     seed draws the same sample however often it is used.
     """
     if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
     return np.random.SeedSequence(int(seed))
 
 
