@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps each traced function at the module attributes
 its callers look it up by.  If a refactor moves a call away from those
 attributes the tracer either refuses to install or silently loses spans;
-this test catches both on a small smoothed ``projclt ratio`` run.
+these tests catch both on small ``projclt ratio``, ``mtilde`` and
+``thinshell`` runs, and check that every span's parent is an earlier span
+(a smaller id).
 """
 
 import importlib.util
