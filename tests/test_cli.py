@@ -59,6 +59,25 @@ def test_domain_errors_exit_1(capsys):
     assert "unknown body kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--body", "cube", "--n", "4", "--samples", "10"],
+        ["project", "--input", "batch.bin", "--l", "1"],
+        ["ratio", "--body", "cube", "--n", "4", "--l", "1", "--samples", "10"],
+        ["thinshell", "--body", "cube", "--n", "4", "--samples", "10"],
+        ["mtilde", "--body", "cube", "--n", "4", "--l", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stochastic_commands_need_a_seed(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv + ["--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: missing required parameter 'seed'\n"
+    assert not out.exists()
+
+
 def test_experiment_config_requires_seed_for_stochastic_commands():
     with pytest.raises(InvalidSpec, match="stochastic"):
         ExperimentConfig(subcommand="sample", params={}, seed=None, output=None, format="bin")
