@@ -48,9 +48,9 @@ def scan_body(kind, args, seed):
     norms = sample_body(spec, args.samples, body_seed, threads=args.threads, reduce=norm_column)
     shell = thin_shell_fraction(norms, args.n ** (-1.0 / 15.0), dimension=args.n)
     _, report = projected_ratio(
-        spec, args.l, basis_seed, args.max_radius, args.grid_points,
+        spec, args.samples, body_seed, args.l, basis_seed, args.max_radius, args.grid_points,
         schedule=None if args.alpha is None else ConvolutionSchedule(args.alpha),
-        noise_seed=noise_seed, threads=args.threads, count=args.samples, body_seed=body_seed,
+        noise_seed=noise_seed, threads=args.threads,
     )
     return report, shell
 

@@ -14,11 +14,9 @@ from .errors import (
     DomainError,
     EmptyBatch,
     GridTooCoarse,
-    HypothesisNotMet,
     InvalidSpec,
     ProjCltError,
     RangeError,
-    SingularCovariance,
     TooFewSamples,
 )
 from .model import (
@@ -35,7 +33,6 @@ from .model import (
     from_jsonable,
     loads,
     to_jsonable,
-    validate,
 )
 from .samplers import (
     SampleBatch,
@@ -45,7 +42,6 @@ from .samplers import (
     sample_gaussian,
     save_batch,
     save_batch_csv,
-    whiten,
 )
 from .grassmann import project, random_subspace
 from .spherical import (
@@ -58,13 +54,7 @@ from .spherical import (
     psi_gaussian_ratio_scan,
     radial_mixture_marginal,
 )
-from .radial import (
-    ThinShellFraction,
-    TruncatedMoment,
-    radial_histogram,
-    thin_shell_fraction,
-    truncated_moment,
-)
+from .radial import ThinShellFraction, thin_shell_fraction
 from .density import (
     KdeConfig,
     estimate_density,
@@ -85,6 +75,5 @@ from .deconvolution import (
     verify_sandwich,
 )
 from .suite import CriterionResult, run_all, run_criterion
-from .cli import ExperimentConfig
 
 __version__ = "0.1.0"

@@ -14,10 +14,11 @@ Each subcommand declares its parameters once, in the table passed to
 ``_subcommand``; that table yields both the argparse flags and the resolve
 order, which is also the key order of the echoed configuration.
 
-``projected_ratio`` is the one project -> smooth -> KDE -> ratio pipeline; the
-``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance criterion 7
-all call it, with a body spec so that the sample is projected chunk by chunk
-as it is drawn (``density.project_body``).  It lives here rather than in
+``projected_ratio`` is the one sample -> project -> smooth -> KDE -> ratio
+pipeline; the ``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance
+criterion 7 all call it.  It takes a body spec, a count and a seed, never a
+batch, and projects the sample chunk by chunk as it is drawn
+(``density.project_body``).  It lives here rather than in
 ``density.py`` because it looks up ``convolve_and_rescale``,
 ``random_subspace``, ``estimate_density`` and ``ratio_to_gaussian`` as
 attributes of this module, where the benchmark's tracer
@@ -33,20 +34,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidSpec, ProjCltError
-from .model import (
-    BodyKind,
-    BodySpec,
-    ConvolutionSchedule,
-    register,
-    to_jsonable,
-    validate,
-)
+from .model import BodyKind, BodySpec, ConvolutionSchedule, to_jsonable
 from .samplers import (
     atomic_open,
     convolve_and_rescale,
@@ -72,27 +65,6 @@ from . import suite as suite_mod
 SCHEMA_VERSION = 2
 
 _REQUIRED = object()
-_STOCHASTIC = frozenset({"sample", "project", "ratio", "thinshell", "mtilde"})
-
-
-@register("experiment_config")
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """Resolved invocation of one subcommand: parameter block, seed, sink."""
-
-    subcommand: str
-    params: dict
-    seed: int | None
-    output: str | None
-    format: str
-
-    def __post_init__(self):
-        if self.format not in ("json", "csv", "bin"):
-            raise InvalidSpec(f"format must be one of json/csv/bin, got {self.format!r}")
-        if self.subcommand in _STOCHASTIC and self.seed is None:
-            raise InvalidSpec(f"subcommand {self.subcommand!r} is stochastic and needs a seed")
-        if not isinstance(self.params, dict):
-            raise InvalidSpec("params must be a dict")
 
 
 class Param(NamedTuple):
@@ -202,28 +174,15 @@ def _save(batch, resolved: dict, echo: dict) -> None:
     save(batch, resolved["output"], config=echo)
 
 
-def _experiment(echo: dict, resolved: dict, fmt: str) -> ExperimentConfig:
-    params = {k: v for k, v in echo.items() if k not in ("subcommand", "seed")}
-    return validate(
-        ExperimentConfig(
-            subcommand=echo["subcommand"],
-            params=params,
-            seed=resolved.get("seed"),
-            output=resolved.get("output"),
-            format=fmt,
-        )
-    )
+def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
+                    max_radius: float, grid_points: int, direction_count: int = 16,
+                    schedule: ConvolutionSchedule | None = None, noise_seed=None,
+                    threads: int = 1):
+    """Estimate a body's projected density on a Haar l-subspace and its ratio to the gaussian.
 
-
-def projected_ratio(sample, l: int, basis_seed, max_radius: float, grid_points: int,
-                    direction_count: int = 16, schedule: ConvolutionSchedule | None = None,
-                    noise_seed=None, threads: int = 1, count: int | None = None, body_seed=None):
-    """Estimate the sample's density on a Haar l-subspace and its ratio to the gaussian.
-
-    ``sample`` is a batch, or a ``BodySpec`` drawn ``count`` times from
-    ``body_seed`` and projected chunk by chunk as it is drawn, so that its
-    count x n batch is never held; the two agree up to the rounding of the
-    projection product (see ``density.project_body``).
+    ``count`` samples of ``spec`` are drawn from ``body_seed`` and projected
+    chunk by chunk as they are drawn (``density.project_body``), so the
+    count x n batch is never held.
     With a ``schedule`` the projection is smoothed: l-dim noise of the ambient
     variance v(n) is added after projecting, then rescaled by 1/sqrt(1 + v).
     This has the law of smoothing the n-dim batch first, because for an
@@ -232,13 +191,9 @@ def projected_ratio(sample, l: int, basis_seed, max_radius: float, grid_points: 
     l = 1, else as many radii on [0, max_radius] times ``direction_count``
     directions.
     """
-    n = sample.dimension
+    n = spec.dimension
     basis = random_subspace(n, l, basis_seed)
-    if isinstance(sample, BodySpec):
-        projected = project_body(sample, count, body_seed, basis, threads)
-    else:
-        projected = project(sample, basis)
-    del sample
+    projected = project_body(spec, count, body_seed, basis, threads)
     if schedule is not None:
         projected = convolve_and_rescale(
             projected, schedule, noise_seed, noise_variance=schedule.noise_variance(n),
@@ -280,7 +235,6 @@ _DECONV_PARAMS = [
     _FORMAT, _THREADS, _OUTPUT,
 ])
 def _cmd_sample(resolved, echo) -> int:
-    _experiment(echo, resolved, resolved["format"])
     spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed = root.spawn(2)
@@ -300,7 +254,6 @@ def _cmd_sample(resolved, echo) -> int:
     _OUTPUT,
 ])
 def _cmd_project(resolved, echo) -> int:
-    _experiment(echo, resolved, resolved["format"])
     batch = load_batch(resolved["input"])
     basis = random_subspace(batch.dimension, int(resolved["l"]), int(resolved["seed"]))
     projected = project(batch, basis)
@@ -319,17 +272,17 @@ def _cmd_project(resolved, echo) -> int:
     Param("csv", None, echo=False, help="also write (point, ratio, stderr) rows here"),
 ])
 def _cmd_ratio(resolved, echo) -> int:
-    _experiment(echo, resolved, "json")
     alpha = resolved["alpha"]
     threads = int(resolved["threads"])
     spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed, basis_seed = root.spawn(3)
     est, report = projected_ratio(
-        spec, int(resolved["l"]), basis_seed, float(resolved["max_radius"]),
-        int(resolved["grid_points"]), direction_count=int(resolved["directions"]),
+        spec, int(resolved["samples"]), body_seed, int(resolved["l"]), basis_seed,
+        float(resolved["max_radius"]), int(resolved["grid_points"]),
+        direction_count=int(resolved["directions"]),
         schedule=None if alpha is None else ConvolutionSchedule(float(alpha)),
-        noise_seed=noise_seed, threads=threads, count=int(resolved["samples"]), body_seed=body_seed,
+        noise_seed=noise_seed, threads=threads,
     )
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
@@ -356,7 +309,6 @@ def _cmd_thinshell(resolved, echo) -> int:
     if not isinstance(epsilons, (list, tuple)):
         epsilons = [epsilons]
     echo["epsilon"] = [float(e) for e in epsilons]
-    _experiment(echo, resolved, "csv")
     spec = BodySpec(BodyKind.parse(resolved["body"]), n)
     norms = sample_body(
         spec, int(resolved["samples"]), int(resolved["seed"]), threads=int(resolved["threads"]),
@@ -374,7 +326,6 @@ def _cmd_thinshell(resolved, echo) -> int:
     _N, _L, Param("tmax", type=float), Param("points", 200, int), _OUTPUT,
 ])
 def _cmd_psi_scan(resolved, echo) -> int:
-    _experiment(echo, resolved, "csv")
     n, l = int(resolved["n"]), int(resolved["l"])
     report = psi_gaussian_ratio_scan(n, l, float(resolved["tmax"]), int(resolved["points"]))
     ref = gaussian_density(l, 1.0, report.radius_grid)
@@ -399,7 +350,6 @@ def _cmd_psi_scan(resolved, echo) -> int:
     Param("csv", None, echo=False),
 ])
 def _cmd_mtilde(resolved, echo) -> int:
-    _experiment(echo, resolved, "json")
     spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
     report = m_tilde_profile(
         spec,
@@ -434,7 +384,6 @@ def _deconv_params(resolved) -> DeconvParams:
     *_DECONV_PARAMS, _OPTIONAL_OUTPUT,
 ])
 def _cmd_deconv(resolved, echo) -> int:
-    _experiment(echo, resolved, "json")
     cert = check_conditions(_deconv_params(resolved))
     _dump_json(resolved["output"], echo, certificate=to_jsonable(cert))
     return 0
@@ -447,7 +396,6 @@ def _cmd_deconv(resolved, echo) -> int:
     Param("json_out", None, echo=False, flag="--json", help="also write the report as JSON here"),
 ])
 def _cmd_deconv_verify(resolved, echo) -> int:
-    _experiment(echo, resolved, "csv")
     report, rows = sandwich_margins(
         resolved["body"], _deconv_params(resolved), grid_points=int(resolved["grid_points"])
     )

@@ -27,12 +27,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 from scipy.special import erfc, ndtr
 
-from .errors import (
-    GridTooCoarse,
-    HypothesisNotMet,
-    InvalidSpec,
-    RangeError,
-)
+from .errors import GridTooCoarse, InvalidSpec, RangeError
 from .model import NESTED, DeconvCertificate, _as_positive_int, register
 from .spherical import gaussian_density
 
@@ -269,19 +264,11 @@ def sandwich_margins(body: str, p: DeconvParams, grid_points: int = 2001):
     return report, rows
 
 
-def verify_sandwich(
-    body: str, p: DeconvParams, grid_points: int = 2001, raise_if_unmet: bool = False
-) -> SandwichReport:
+def verify_sandwich(body: str, p: DeconvParams, grid_points: int = 2001) -> SandwichReport:
     """Run the sandwich implication for one catalog body and parameter set.
 
     The closeness hypothesis is checked numerically first; if it fails the
-    report says so rather than asserting the implication (opt into an
-    exception with ``raise_if_unmet``).
+    report's status says so rather than asserting the implication.
     """
     report, _ = sandwich_margins(body, p, grid_points=grid_points)
-    if raise_if_unmet and report.status == "hypothesis_not_met":
-        raise HypothesisNotMet(
-            f"{body}: convolved density deviates from its gaussian by "
-            f"{report.hypothesis_sup:.3g} > epsilon = {p.epsilon:.3g}"
-        )
     return report

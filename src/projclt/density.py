@@ -206,7 +206,6 @@ def m_tilde_profile(
     samples_per_subspace: int,
     seed,
     direction_count: int = 16,
-    chunk_size: int = 16384,
     threads: int = 1,
 ) -> RatioReport:
     """Rotation-averaged radial profile of the smoothed projected density.
@@ -233,7 +232,7 @@ def m_tilde_profile(
     v = schedule.noise_variance(n)
     noise = GaussianSpec(dimension=l, variance=v)
     dirs = unit_directions(l, direction_count)
-    cfg = KdeConfig(radii=radii, direction_count=direction_count, chunk_size=chunk_size)
+    cfg = KdeConfig(radii=radii, direction_count=direction_count)
 
     root = _seed_seq(seed)
     accum = np.zeros(radii.size)

@@ -16,10 +16,6 @@ class InvalidSpec(ProjCltError):
     """
 
 
-class SingularCovariance(ProjCltError):
-    """An empirical covariance was too ill-conditioned to whiten."""
-
-
 class DimensionError(ProjCltError):
     """Array shapes or dimensions are inconsistent with the requested operation."""
 
@@ -46,11 +42,3 @@ class TooFewSamples(ProjCltError):
 
 class GridTooCoarse(ProjCltError):
     """A discrete convolution grid cannot resolve the smoothing kernel."""
-
-
-class HypothesisNotMet(ProjCltError):
-    """A sandwich verification was requested but its closeness hypothesis fails.
-
-    Informative rather than fatal: the default reporting path records the
-    status instead of raising; raising is opt-in.
-    """

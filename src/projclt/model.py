@@ -1,8 +1,7 @@
 """Core configuration and report types shared by every module.
 
-All types are immutable dataclasses.  Structural checks run on construction;
-:func:`validate` re-checks the full invariant set and returns the value, so a
-freshly deserialized object can be gated before use.
+All types are immutable dataclasses whose invariants are checked on
+construction, so a deserialized value is checked as it is rebuilt.
 
 Every type serializes to plain JSON with snake_case keys through
 :func:`to_jsonable` / :func:`from_jsonable` (dispatch on a ``"type"`` tag).
@@ -23,7 +22,6 @@ import numpy as np
 from .errors import InvalidSpec
 
 _GRAM_TOL = 1e-10
-_MASS_SHORTFALL = 1e-6
 
 _REGISTRY: dict[str, type] = {}
 
@@ -41,17 +39,14 @@ def register(tag: str, keys: tuple = ()):
     ``keys`` (default: the dataclass fields, in order).  A name that is not a
     field is a derived attribute: it is written for readers and, on decode,
     checked against the rebuilt value.  A trailing underscore is dropped from
-    the key (``lambda_`` is written as ``lambda``).  A hand-written
-    ``to_jsonable`` or ``from_jsonable`` on the class takes precedence.
+    the key (``lambda_`` is written as ``lambda``).
     """
 
     def deco(cls):
         cls.json_tag = tag
         cls.json_keys = keys or tuple(f.name for f in fields(cls))
-        if "to_jsonable" not in vars(cls):
-            cls.to_jsonable = _encode_fields
-        if "from_jsonable" not in vars(cls):
-            cls.from_jsonable = classmethod(_decode_fields)
+        cls.to_jsonable = _encode_fields
+        cls.from_jsonable = classmethod(_decode_fields)
         _REGISTRY[tag] = cls
         return cls
 
@@ -97,18 +92,6 @@ def _decode_fields(cls, d: dict):
                 f"stored {name.rstrip('_')} {stored(name)!r} disagrees with the value rebuilt "
                 f"from the other keys of {cls.json_tag}"
             )
-    return value
-
-
-def validate(value):
-    """Return ``value`` iff all of its invariants hold, else raise InvalidSpec.
-
-    Construction already enforces structural invariants; types that have
-    additional whole-value checks define ``check_invariants``.
-    """
-    check = getattr(value, "check_invariants", None)
-    if check is not None:
-        check()
     return value
 
 
@@ -274,86 +257,24 @@ class SubspaceBasis:
 @register("radial_density")
 @dataclass(frozen=True, eq=False)
 class RadialDensity:
-    """Distribution of the euclidean norm, as bin masses or a closed form.
+    """Distribution of the euclidean norm in closed form.
 
-    Binned form: ``grid`` holds m+1 strictly increasing bin edges and ``mass``
-    the probability mass per bin (histogram semantics, so quadrature against a
-    kernel is a plain sum over bins).  Closed form: the norm of a standard
-    n-dimensional gaussian (chi law with ``chi_dim`` degrees of freedom).
+    ``form`` is always "chi": the norm of a standard n-dimensional gaussian,
+    a chi law with ``chi_dim`` degrees of freedom.  The field stays so that
+    the JSON names the law.
     """
 
     form: str
-    grid: np.ndarray | None = field(default=None, metadata=OPTIONAL)
-    mass: np.ndarray | None = field(default=None, metadata=OPTIONAL)
-    chi_dim: int | None = field(default=None, metadata=OPTIONAL)
+    chi_dim: int
 
     def __post_init__(self):
-        if self.form == "binned":
-            grid = _freeze(_as_float_array(self.grid, "grid", 1))
-            mass = _freeze(_as_float_array(self.mass, "mass", 1))
-            object.__setattr__(self, "grid", grid)
-            object.__setattr__(self, "mass", mass)
-            if grid.size < 2:
-                raise InvalidSpec("binned form needs at least two grid edges")
-            if not np.all(np.diff(grid) > 0):
-                raise InvalidSpec("grid edges must be strictly increasing")
-            if mass.size != grid.size - 1:
-                raise InvalidSpec(
-                    f"mass must have one entry per bin: {mass.size} masses vs {grid.size - 1} bins"
-                )
-            if np.any(mass < 0):
-                raise InvalidSpec("bin masses must be nonnegative")
-            if self.chi_dim is not None:
-                raise InvalidSpec("binned form must not carry chi_dim")
-        elif self.form == "chi":
-            if self.grid is not None or self.mass is not None:
-                raise InvalidSpec("chi form must not carry grid or mass")
-            object.__setattr__(self, "chi_dim", _as_positive_int(self.chi_dim, "chi_dim"))
-        else:
-            raise InvalidSpec(f"form must be 'binned' or 'chi', got {self.form!r}")
-
-    @classmethod
-    def binned(cls, grid, mass) -> "RadialDensity":
-        return cls(form="binned", grid=grid, mass=mass)
+        if self.form != "chi":
+            raise InvalidSpec(f"form must be 'chi', got {self.form!r}")
+        object.__setattr__(self, "chi_dim", _as_positive_int(self.chi_dim, "chi_dim"))
 
     @classmethod
     def closed_form_chi(cls, n: int) -> "RadialDensity":
         return cls(form="chi", chi_dim=n)
-
-    @property
-    def bin_count(self) -> int:
-        if self.form != "binned":
-            raise InvalidSpec("bin_count is only defined for the binned form")
-        return self.mass.size
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        if self.form != "binned":
-            raise InvalidSpec("midpoints are only defined for the binned form")
-        return 0.5 * (self.grid[:-1] + self.grid[1:])
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.mass.sum()) if self.form == "binned" else 1.0
-
-    def check_invariants(self) -> None:
-        if self.form == "binned":
-            total = self.total_mass
-            if not (1.0 - _MASS_SHORTFALL <= total <= 1.0 + 1e-12):
-                raise InvalidSpec(
-                    f"total mass {total!r} outside [1 - {_MASS_SHORTFALL}, 1] "
-                    "(binned form may truncate only a far-tail sliver)"
-                )
-
-    def to_jsonable(self) -> dict:
-        """Only the keys of this form: no ``chi_dim`` when binned, no ``grid`` or ``mass`` for chi."""
-        d = {"type": self.json_tag, "form": self.form}
-        if self.form == "binned":
-            d["grid"] = self.grid.tolist()
-            d["mass"] = self.mass.tolist()
-        else:
-            d["chi_dim"] = self.chi_dim
-        return d
 
 
 @register("density_estimate")

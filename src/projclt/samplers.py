@@ -23,7 +23,9 @@ therefore bit-identical for a given (spec, count, seed) no matter how many
 worker threads are used.  There are two forms:
 
 * full — the chunks write disjoint slices of one preallocated (count, n)
-  array, which is returned; the whole batch is held in memory.
+  array, which is returned; the whole batch is held in memory, so a batch
+  larger than physical memory is refused with ``RangeError`` before any
+  allocation.
 * reduce — each chunk is drawn into a scratch buffer its worker thread
   reuses, passed to a ``reduce`` function (a projection, the norms, moment
   sums) and then overwritten, so memory is one (CHUNK, n) buffer per thread
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, SingularCovariance
+from .errors import InvalidSpec, RangeError
 from .model import (
     BodyKind,
     BodySpec,
@@ -122,6 +124,14 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
     (OpenBLAS takes another kernel for small products), so this way each
     chunk's product rounds as a full chunk's does.
     """
+    if reduce is None:
+        need = count * dim * 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise RangeError(
+                f"a {count} x {dim} batch needs {need} bytes, more than the {have} bytes "
+                "of physical memory"
+            )
     bounds = [slice(lo, min(lo + CHUNK, count)) for lo in range(0, count, CHUNK)]
     children = _seed_seq(seed).spawn(len(bounds))
     if reduce is None:
@@ -280,35 +290,6 @@ def convolve_and_rescale(
 
     data = _generate(x.count, x.dimension, seed, fill, threads)
     return SampleBatch(data=data, seed=x.seed, source=source)
-
-
-def whiten(batch: SampleBatch) -> SampleBatch:
-    """Map a batch to empirical mean 0 and identity empirical covariance.
-
-    Uses the symmetric inverse square root of the empirical covariance, which
-    is deterministic and has no factorization sign ambiguity, so whitening a
-    rescaled copy of a batch reproduces the same output exactly up to
-    floating-point error.
-    """
-    n = batch.dimension
-    if batch.count < n + 1:
-        raise SingularCovariance(
-            f"need at least dimension + 1 = {n + 1} samples to whiten, got {batch.count}"
-        )
-    centered = batch.data - batch.data.mean(axis=0)
-    cov = (centered.T @ centered) / batch.count
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals[0] <= eigvals[-1] * 1e-12 or eigvals[0] <= 0.0:
-        raise SingularCovariance(
-            f"empirical covariance is numerically singular (eigenvalue range "
-            f"[{eigvals[0]:.3e}, {eigvals[-1]:.3e}])"
-        )
-    inv_root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    return SampleBatch(
-        data=centered @ inv_root,
-        seed=batch.seed,
-        source={"draw": "whitened", "of": batch.source},
-    )
 
 
 @contextmanager

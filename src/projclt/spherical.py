@@ -12,10 +12,9 @@ interest, so every evaluation happens in natural logs — via ``gammaln`` and
 
 Averaging psi over a radial distribution g gives the marginal of the
 spherically symmetrized vector:  ``radial_mixture_marginal`` computes
-integral of psi_{n,l,r}(t) g(r) dr, by a bin sum for binned g (histogram
-semantics, midpoint radius per bin) and by adaptive quadrature for the
-closed-form chi radial law.  With the chi law the mixture collapses to the
-standard gaussian density exactly — the fixed point the test-suite pins down.
+integral of psi_{n,l,r}(t) g(r) dr by adaptive quadrature for the closed-form
+chi radial law.  The mixture then collapses to the standard gaussian density
+exactly — the fixed point the test-suite pins down.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import DomainError, InvalidSpec, RangeError
-from .model import RadialDensity, RatioReport, _as_positive_int, register, validate
+from .model import RadialDensity, RatioReport, _as_positive_int, register
 
 
 @register("kernel_params")
@@ -168,8 +167,7 @@ def psi_ball_mass(params: KernelParams) -> float:
 def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.ndarray:
     """integral of psi_{n,l,r}(t) g(r) dr — the marginal of the symmetrized vector.
 
-    Binned g: midpoint-rule sum, one psi evaluation per bin.  Closed-form chi:
-    adaptive quadrature of psi * chi_pdf over r in [t, sqrt(n) + 26] (the chi
+    Adaptive quadrature of psi * chi_pdf over r in [t, sqrt(n) + 26] (the chi
     law is below 1e-100 beyond that), split at sqrt(n) where the mass lives.
     """
     if not isinstance(g, RadialDensity):
@@ -182,15 +180,6 @@ def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.n
     scalar = np.ndim(t) == 0
     if np.any(t_arr < 0):
         raise DomainError("t must be nonnegative")
-
-    if g.form == "binned":
-        validate(g)  # requires total mass ~ 1: quadrature against a sub-probability is not a marginal
-        out = np.zeros_like(t_arr)
-        for mid, mass in zip(g.midpoints, g.mass):
-            if mass == 0.0:
-                continue
-            out += mass * psi(KernelParams(n=n, l=l, r=float(mid)), t_arr)
-        return float(out[0]) if scalar else out
 
     n_chi = g.chi_dim
     expo = 0.5 * (n - l - 2)

@@ -260,9 +260,8 @@ def _criterion_7(profile):
     for bi, kind in enumerate(bodies):
         t0 = time.perf_counter()
         spec = BodySpec(kind, n)
-        sup1 = projected_ratio(
-            spec, 1, 7_100 + bi, 2.0, 81, count=count, body_seed=7_000 + bi
-        )[1].sup_abs_deviation
+        _, report1 = projected_ratio(spec, count, 7_000 + bi, 1, 7_100 + bi, 2.0, 81)
+        sup1 = report1.sup_abs_deviation
         body_ok = sup1 <= 0.05
         txt = f"{kind.value}: l=1 sup {sup1:.4f}"
         if run_l2:

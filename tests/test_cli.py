@@ -20,8 +20,7 @@ import pytest
 
 import projclt.cli
 import projclt.suite
-from projclt.cli import ExperimentConfig, main
-from projclt.errors import InvalidSpec
+from projclt.cli import main
 from projclt.model import BodySpec, loads
 from projclt.samplers import load_batch, sample_body, save_batch, save_batch_csv
 
@@ -59,6 +58,17 @@ def test_domain_errors_exit_1(capsys):
     assert "unknown body kind" in capsys.readouterr().err
 
 
+def test_a_batch_larger_than_physical_memory_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.bin"
+    rc = main(["sample", "--body", "cube", "--n", "1000", "--samples", "100000000000",
+               "--seed", "1", "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 100000000000 x 1000 batch needs 800000000000000 bytes")
+    assert "bytes of physical memory" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -76,13 +86,6 @@ def test_stochastic_commands_need_a_seed(tmp_path, capsys, argv):
     assert rc == 1
     assert capsys.readouterr().err == "error: missing required parameter 'seed'\n"
     assert not out.exists()
-
-
-def test_experiment_config_requires_seed_for_stochastic_commands():
-    with pytest.raises(InvalidSpec, match="stochastic"):
-        ExperimentConfig(subcommand="sample", params={}, seed=None, output=None, format="bin")
-    cfg = ExperimentConfig(subcommand="deconv", params={}, seed=None, output=None, format="json")
-    assert cfg.seed is None
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -25,7 +25,7 @@ from projclt.deconvolution import (
     sandwich_margins,
     verify_sandwich,
 )
-from projclt.errors import GridTooCoarse, HypothesisNotMet, InvalidSpec, RangeError
+from projclt.errors import GridTooCoarse, InvalidSpec, RangeError
 from projclt.model import dumps, loads
 from projclt.spherical import gaussian_density
 
@@ -265,11 +265,6 @@ def test_heavy_bodies_fail_the_closeness_hypothesis(body, sup_golden):
     assert report.status == "hypothesis_not_met"
     assert math.isclose(report.hypothesis_sup, sup_golden, rel_tol=1e-9)
     assert report.lower_margin_min is None and report.upper_margin_min is None
-
-
-def test_hypothesis_failure_can_raise_on_request():
-    with pytest.raises(HypothesisNotMet):
-        verify_sandwich("laplace", _params(2, 1e-24, 0.5, 0.005, 3.0), raise_if_unmet=True)
 
 
 def test_inadmissible_params_short_circuit():

@@ -27,7 +27,7 @@ from projclt.density import (
 )
 from projclt.errors import DimensionTooHigh, InvalidSpec, RangeError, TooFewSamples
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
-from projclt.samplers import sample_body, sample_gaussian
+from projclt.samplers import sample_gaussian
 from projclt.spherical import gaussian_density
 
 
@@ -258,8 +258,10 @@ def test_projected_ratio_adds_l_dim_noise_of_the_ambient_variance(monkeypatch, l
 
     monkeypatch.setattr(projclt.cli, "convolve_and_rescale", recording)
     schedule = ConvolutionSchedule(alpha=10.0)
-    batch = sample_body(BodySpec("cube", _NOISE_N), MIN_KDE_SAMPLES, seed=11)
-    projected_ratio(batch, l, 12, 2.0, 5, direction_count=4, schedule=schedule, noise_seed=13)
+    projected_ratio(
+        BodySpec("cube", _NOISE_N), MIN_KDE_SAMPLES, 11, l, 12, 2.0, 5, direction_count=4,
+        schedule=schedule, noise_seed=13,
+    )
     assert schedule.noise_variance(_NOISE_N) != schedule.noise_variance(l)
     assert calls == [(l, schedule.noise_variance(_NOISE_N))]
 

@@ -23,7 +23,6 @@ from projclt.model import (
     from_jsonable,
     loads,
     to_jsonable,
-    validate,
 )
 
 
@@ -140,54 +139,14 @@ def test_subspace_basis_round_trip_checks_dims():
 # ------------------------------------------------------------ RadialDensity
 
 
-def test_radial_density_binned_basics():
-    g = RadialDensity.binned([0.0, 1.0, 2.0, 4.0], [0.25, 0.5, 0.25])
-    assert g.form == "binned"
-    assert g.bin_count == 3
-    np.testing.assert_allclose(g.midpoints, [0.5, 1.5, 3.0])
-    assert g.total_mass == 1.0
-    validate(g)
-
-
-@pytest.mark.parametrize(
-    "grid, mass",
-    [
-        ([0.0, 1.0, 1.0], [0.5, 0.5]),      # edges not strictly increasing
-        ([0.0, 2.0, 1.0], [0.5, 0.5]),      # decreasing edge
-        ([0.0, 1.0, 2.0], [0.5]),           # mass/bin count mismatch
-        ([0.0, 1.0], [-0.1]),               # negative mass
-        ([1.0], [1.0]),                     # a single edge is no bin
-    ],
-)
-def test_radial_density_rejects_malformed_bins(grid, mass):
-    with pytest.raises(InvalidSpec):
-        RadialDensity.binned(grid, mass)
-
-
-def test_radial_density_mass_window():
-    # Construction tolerates sub-probability mass (quadratures may want raw
-    # histograms); whole-value validation enforces the near-1 window.
-    low = RadialDensity.binned([0.0, 1.0], [0.5])
-    with pytest.raises(InvalidSpec, match="total mass"):
-        validate(low)
-    validate(RadialDensity.binned([0.0, 1.0], [1.0 - 5e-7]))  # far-tail sliver is fine
-    with pytest.raises(InvalidSpec):
-        validate(RadialDensity.binned([0.0, 1.0], [1.0 + 1e-9]))  # never above 1
-
-
 def test_radial_density_chi_form():
     g = RadialDensity.closed_form_chi(100)
     assert g.form == "chi"
     assert g.chi_dim == 100
-    assert g.total_mass == 1.0
     with pytest.raises(InvalidSpec):
-        g.midpoints
+        RadialDensity(form="chi", chi_dim=0)
     with pytest.raises(InvalidSpec):
-        g.bin_count
-    with pytest.raises(InvalidSpec):
-        RadialDensity(form="chi", grid=np.array([0.0, 1.0]), chi_dim=3)
-    with pytest.raises(InvalidSpec):
-        RadialDensity(form="spline")
+        RadialDensity(form="spline", chi_dim=3)
 
 
 # ---------------------------------------------------------- DensityEstimate
@@ -362,19 +321,6 @@ def test_gaussian_spec_round_trip(dim, variance):
     assert back.dimension == s.dimension and back.variance == s.variance
 
 
-@given(
-    steps=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=8),
-    start=st.floats(min_value=0.0, max_value=2.0),
-)
-def test_radial_density_round_trip(steps, start):
-    grid = start + np.concatenate([[0.0], np.cumsum(steps)])
-    mass = np.full(len(steps), 1.0 / len(steps))
-    g = RadialDensity.binned(grid, mass)
-    back = loads(dumps(g))
-    np.testing.assert_array_equal(back.grid, g.grid)
-    np.testing.assert_array_equal(back.mass, g.mass)
-
-
 def test_ratio_report_round_trip_preserves_meta():
     rep = RatioReport.from_ratios([0.0, 0.5], [1.01, 0.98], meta={"n": 100, "l": 1})
     back = loads(dumps(rep))
@@ -386,7 +332,6 @@ def test_ratio_report_round_trip_preserves_meta():
 
 
 def _golden_values():
-    from projclt.cli import ExperimentConfig
     from projclt.deconvolution import DeconvParams, SandwichReport
     from projclt.density import KdeConfig
     from projclt.samplers import SampleBatch
@@ -408,7 +353,6 @@ def _golden_values():
         "gaussian_spec": GaussianSpec(dimension=2, variance=0.5),
         "convolution_schedule": ConvolutionSchedule(alpha=10.0),
         "subspace_basis": SubspaceBasis(rows=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
-        "radial_density_binned": RadialDensity.binned([0.0, 1.0, 2.0], [0.25, 0.75]),
         "radial_density_chi": RadialDensity.closed_form_chi(5),
         "density_estimate": DensityEstimate(
             points=[[0.0], [0.5]], values=[0.4, 0.35], stderr=[0.01, 0.02],
@@ -431,13 +375,6 @@ def _golden_values():
             body="uniform", status="hypothesis_not_met", certificate=admissible, hypothesis_sup=0.25
         ),
         "kernel_params": KernelParams(n=5, l=2, r=1.5),
-        "experiment_config": ExperimentConfig(
-            subcommand="psi-scan",
-            params={"n": 100, "l": 1, "tmax": 1.5, "points": 5},
-            seed=None,
-            output="scan.csv",
-            format="csv",
-        ),
     }
 
 
@@ -461,9 +398,6 @@ GOLDEN_JSON = {
     "subspace_basis": (
         '{"type": "subspace_basis", "ambient_dim": 3, "subspace_dim": 2, '
         '"rows": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]}'
-    ),
-    "radial_density_binned": (
-        '{"type": "radial_density", "form": "binned", "grid": [0.0, 1.0, 2.0], "mass": [0.25, 0.75]}'
     ),
     "radial_density_chi": '{"type": "radial_density", "form": "chi", "chi_dim": 5}',
     "density_estimate": (
@@ -502,11 +436,6 @@ GOLDEN_JSON = {
         '"lower_margin_min": null, "upper_margin_min": null}'
     ),
     "kernel_params": '{"type": "kernel_params", "n": 5, "l": 2, "r": 1.5}',
-    "experiment_config": (
-        '{"type": "experiment_config", "subcommand": "psi-scan", '
-        '"params": {"n": 100, "l": 1, "tmax": 1.5, "points": 5}, "seed": null, '
-        '"output": "scan.csv", "format": "csv"}'
-    ),
 }
 
 
@@ -540,14 +469,10 @@ def test_golden_json_decodes_nested_values_only_where_declared():
     assert isinstance(sandwich.certificate.params, DeconvParams)
 
 
-# Keys a payload may omit: the field default applies (RadialDensity writes only
-# the keys of its form, so its constructor, not the decoder, rejects a gap).
+# Keys a payload may omit: the field default applies.
 _OMITTABLE = {
     ("ratio_report", "meta"),
     ("deconv_certificate", "params"),
-    ("radial_density", "grid"),
-    ("radial_density", "mass"),
-    ("radial_density", "chi_dim"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Thin-shell fractions, radial histograms, and truncated inverse moments."""
+"""Thin-shell fractions from sample norms."""
 
 import math
 
@@ -7,23 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from projclt.errors import (
-    DomainError,
-    EmptyBatch,
-    InvalidSpec,
-    RangeError,
-    TooFewSamples,
-)
-from projclt.model import BodySpec, GaussianSpec, RadialDensity
-from projclt.radial import radial_histogram, thin_shell_fraction, truncated_moment
+from projclt.errors import EmptyBatch, InvalidSpec, RangeError
+from projclt.model import BodySpec, GaussianSpec
+from projclt.radial import norm_column, thin_shell_fraction
 from projclt.samplers import SampleBatch, sample_body, sample_gaussian
 
 
-def _batch_with_norms(norms, n=4):
-    """A batch in R^n whose row norms are exactly the given values."""
-    data = np.zeros((len(norms), n))
-    data[:, 0] = norms
-    return SampleBatch(data=data, seed=None, source={"draw": "synthetic"})
+def _norms_batch(norms):
+    """A one-column norms batch holding exactly the given values."""
+    return SampleBatch(data=np.array(norms, dtype=float)[:, None], seed=None, source={})
 
 
 # ------------------------------------------------------------- thin shell
@@ -31,8 +23,7 @@ def _batch_with_norms(norms, n=4):
 
 def test_thin_shell_fraction_counts_by_hand():
     # sqrt(n) = 2; norms 2.5 and 1.0 deviate by 0.25 and 0.5, the others less.
-    batch = _batch_with_norms([2.0, 2.1, 2.5, 1.0], n=4)
-    res = thin_shell_fraction(batch, 0.2)
+    res = thin_shell_fraction(_norms_batch([2.0, 2.1, 2.5, 1.0]), 0.2, 4)
     assert res.fraction == 0.5
     assert math.isclose(res.stderr, math.sqrt(0.25 / 4))
 
@@ -40,28 +31,30 @@ def test_thin_shell_fraction_counts_by_hand():
 def test_thin_shell_boundary_is_inclusive():
     # 2.5/2 and 1.5/2 are exactly representable, so both rows deviate by
     # exactly 0.25 and the >= cut must count them.
-    batch = _batch_with_norms([2.5, 1.5], n=4)
-    assert thin_shell_fraction(batch, 0.25).fraction == 1.0
+    assert thin_shell_fraction(_norms_batch([2.5, 1.5]), 0.25, 4).fraction == 1.0
 
 
 def test_thin_shell_rejects_bad_epsilon():
-    batch = _batch_with_norms([1.0], n=4)
     for eps in (0.0, -0.1, math.nan):
         with pytest.raises(RangeError):
-            thin_shell_fraction(batch, eps)
+            thin_shell_fraction(_norms_batch([1.0]), eps, 4)
 
 
 def test_empty_batch_is_an_error():
-    empty = SampleBatch(data=np.zeros((0, 3)), seed=None, source={})
     with pytest.raises(EmptyBatch):
-        thin_shell_fraction(empty, 0.1)
-    with pytest.raises(EmptyBatch):
-        radial_histogram(empty, 1)
+        thin_shell_fraction(_norms_batch([]), 0.1, 3)
+
+
+def test_thin_shell_needs_one_column_of_norms():
+    samples = SampleBatch(data=np.ones((4, 3)), seed=None, source={})
+    with pytest.raises(InvalidSpec, match="one column"):
+        thin_shell_fraction(samples, 0.1, 3)
 
 
 def test_gaussian_thin_shell_matches_the_chi_square_oracle():
-    batch = sample_gaussian(GaussianSpec(dimension=100, variance=1.0), 100_000, seed=31)
-    res = thin_shell_fraction(batch, 0.2)
+    spec = GaussianSpec(dimension=100, variance=1.0)
+    norms = sample_gaussian(spec, 100_000, seed=31, reduce=norm_column)
+    res = thin_shell_fraction(norms, 0.2, 100)
     oracle = stats.chi2.cdf(100 * 0.8**2, df=100) + stats.chi2.sf(100 * 1.2**2, df=100)
     assert abs(res.fraction - oracle) < 0.0015
 
@@ -70,8 +63,8 @@ def test_concentration_improves_with_dimension():
     # At fixed epsilon the off-shell mass of the cube drops fast in n.
     fracs = []
     for n in (10, 40, 160):
-        batch = sample_body(BodySpec("cube", n), 50_000, seed=61)
-        fracs.append(thin_shell_fraction(batch, 0.1).fraction)
+        norms = sample_body(BodySpec("cube", n), 50_000, seed=61, reduce=norm_column)
+        fracs.append(thin_shell_fraction(norms, 0.1, n).fraction)
     assert fracs[0] > fracs[1] >= fracs[2]
 
 
@@ -81,102 +74,6 @@ def test_concentration_improves_with_dimension():
     eps_b=st.floats(min_value=0.01, max_value=2.0),
 )
 def test_fraction_is_monotone_in_epsilon(eps_a, eps_b):
-    batch = sample_body(BodySpec("ball", 6), 500, seed=71)
+    norms = sample_body(BodySpec("ball", 6), 500, seed=71, reduce=norm_column)
     lo, hi = sorted((eps_a, eps_b))
-    assert thin_shell_fraction(batch, hi).fraction <= thin_shell_fraction(batch, lo).fraction
-
-
-# -------------------------------------------------------- radial histogram
-
-
-def test_radial_histogram_bins_by_hand():
-    batch = _batch_with_norms([0.5, 1.5, 2.5, 3.5] * 10, n=3)
-    g = radial_histogram(batch, 4)
-    assert g.form == "binned"
-    np.testing.assert_allclose(g.grid, [0.0, 0.875, 1.75, 2.625, 3.5])
-    np.testing.assert_allclose(g.mass, [0.25, 0.25, 0.25, 0.25])
-    assert g.total_mass == 1.0
-
-
-def test_radial_histogram_needs_ten_samples_per_bin():
-    batch = _batch_with_norms(np.linspace(1, 2, 39), n=2)
-    with pytest.raises(TooFewSamples):
-        radial_histogram(batch, 4)
-    radial_histogram(_batch_with_norms(np.linspace(1, 2, 40), n=2), 4)
-
-
-def test_radial_histogram_of_gaussian_tracks_the_chi_law():
-    n = 12
-    batch = sample_gaussian(GaussianSpec(dimension=n, variance=1.0), 200_000, seed=37)
-    g = radial_histogram(batch, 60)
-    mids = g.midpoints
-    widths = np.diff(g.grid)
-    chi = stats.chi.pdf(mids, n) * widths
-    assert np.abs(g.mass - chi).max() < 0.003
-
-
-# -------------------------------------------------------- truncated moment
-
-
-def _toy_density():
-    # midpoints 1, 2, 3 with masses 0.2, 0.3, 0.5
-    return RadialDensity.binned([0.5, 1.5, 2.5, 3.5], [0.2, 0.3, 0.5])
-
-
-def test_truncated_moment_by_hand():
-    # n=4: shell is [1.2, 2.8], so midpoints 1 and 3 are off-shell.
-    res = truncated_moment(_toy_density(), 2, 0.4, 4)
-    assert math.isclose(res.total, 0.2 * 1.0 + 0.5 / 9.0, rel_tol=1e-14)
-    assert res.guard_part == 0.0
-    assert math.isclose(res.shell_part, res.total, rel_tol=1e-14)
-
-
-def test_truncated_moment_zeroth_power_is_off_shell_mass():
-    res = truncated_moment(_toy_density(), 0, 0.4, 4)
-    assert math.isclose(res.total, 0.7, rel_tol=1e-14)
-
-
-def test_truncated_moment_with_everything_on_shell():
-    res = truncated_moment(_toy_density(), 3, 0.9, 4)  # shell [0.2, 3.8] covers all bins
-    assert res.total == 0.0 == res.guard_part == res.shell_part
-
-
-def test_truncated_moment_origin_guard_split():
-    # One bin far below the guard radius n^-2 = 1/16, one regular off-shell bin.
-    g = RadialDensity.binned([0.0, 0.002, 1.5, 2.5], [0.001, 0.009, 0.99])
-    res = truncated_moment(g, 1, 0.4, 4)
-    assert math.isclose(res.guard_part, 0.001 / 0.001, rel_tol=1e-14)  # midpoint 0.001
-    assert math.isclose(res.shell_part, 0.009 / 0.751, rel_tol=1e-12)  # midpoint 0.751 off-shell
-    assert math.isclose(res.total, res.guard_part + res.shell_part, rel_tol=1e-14)
-
-
-def test_truncated_moment_rejects_zero_midpoint():
-    g = RadialDensity.binned([-1.0, 1.0], [1.0])
-    with pytest.raises(DomainError, match="midpoint"):
-        truncated_moment(g, 1, 0.1, 4)
-
-
-def test_truncated_moment_input_validation():
-    g = _toy_density()
-    with pytest.raises(InvalidSpec):
-        truncated_moment(RadialDensity.closed_form_chi(5), 1, 0.1, 5)
-    with pytest.raises(InvalidSpec):
-        truncated_moment(g, -1, 0.1, 4)
-    with pytest.raises(InvalidSpec):
-        truncated_moment(g, True, 0.1, 4)
-    with pytest.raises(RangeError):
-        truncated_moment(g, 1, 0.0, 4)
-    with pytest.raises(DomainError):
-        truncated_moment("not a density", 1, 0.1, 4)
-
-
-def test_truncated_moment_agrees_with_direct_counting():
-    # l = 0 reduces the moment to off-shell mass, which must agree with the
-    # sample fraction up to the two bins straddling the shell boundary.
-    n, eps = 16, 0.3
-    batch = sample_body(BodySpec("product_laplace", n), 20_000, seed=91)
-    frac = thin_shell_fraction(batch, eps).fraction
-    g = radial_histogram(batch, 200)
-    res = truncated_moment(g, 0, eps, n)
-    boundary_mass = 2.0 * g.mass.max()
-    assert abs(res.total - frac) <= boundary_mass + 1e-12
+    assert thin_shell_fraction(norms, hi, 6).fraction <= thin_shell_fraction(norms, lo, 6).fraction

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projclt.errors import InvalidSpec, SingularCovariance
+from projclt.errors import InvalidSpec, RangeError
 from projclt.model import BodyKind, BodySpec, ConvolutionSchedule, GaussianSpec
 from projclt.samplers import (
     CHUNK,
@@ -20,7 +20,6 @@ from projclt.samplers import (
     sample_gaussian,
     save_batch,
     save_batch_csv,
-    whiten,
 )
 
 ALL_KINDS = ["cube", "ball", "simplex", "product_laplace", "gaussian"]
@@ -158,40 +157,10 @@ def test_convolve_threads_match_serial():
     )
 
 
-# ------------------------------------------------------------------ whiten
-
-
-def test_whiten_produces_exactly_isotropic_sample():
-    rng = np.random.default_rng(5)
-    mix = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.8, 0.6, 0.0, 0.0],
-            [0.3, -0.2, 1.1, 0.0],
-            [0.1, 0.4, -0.5, 0.7],
-        ]
-    )
-    raw = rng.standard_normal((20_000, 4)) @ mix.T + np.array([1.0, -2.0, 0.5, 3.0])
-    out = whiten(SampleBatch(data=raw, seed=None, source={"draw": "test"}))
-    assert np.abs(out.data.mean(axis=0)).max() < 1e-10
-    # whitening uses the empirical second moment, so the biased covariance of
-    # the output is the identity to numerical precision
-    cov = np.cov(out.data, rowvar=False, bias=True)
-    assert np.abs(cov - np.eye(4)).max() < 1e-10
-
-
-def test_whiten_needs_enough_samples():
-    data = np.random.default_rng(0).standard_normal((4, 4))
-    with pytest.raises(SingularCovariance):
-        whiten(SampleBatch(data=data, seed=None, source={}))
-
-
-def test_whiten_rejects_degenerate_directions():
-    rng = np.random.default_rng(1)
-    flat = rng.standard_normal((1_000, 3))
-    flat[:, 2] = flat[:, 0] + flat[:, 1]  # rank 2
-    with pytest.raises(SingularCovariance):
-        whiten(SampleBatch(data=flat, seed=None, source={}))
+def test_a_full_batch_larger_than_physical_memory_is_refused():
+    # The check runs before any allocation or seed spawning, so this is instant.
+    with pytest.raises(RangeError, match=r"a 100000000000 x 1000 batch needs 800000000000000 bytes"):
+        sample_body(BodySpec("cube", 1000), 10**11, seed=1)
 
 
 # ---------------------------------------------------------------- batch IO

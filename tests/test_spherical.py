@@ -183,26 +183,6 @@ def test_chi_log_pdf_origin_special_case():
 # ------------------------------------------------------------ radial mixture
 
 
-def test_binned_mixture_is_a_plain_kernel_sum():
-    g = RadialDensity.binned([0.9, 1.1], [1.0])  # all mass at midpoint 1.0
-    t = np.array([0.0, 0.4, 0.95])
-    expected = psi(KernelParams(n=8, l=2, r=1.0), t)
-    np.testing.assert_allclose(radial_mixture_marginal(g, 8, 2, t), expected, rtol=1e-14)
-
-
-def test_binned_mixture_is_linear_in_the_mass():
-    g = RadialDensity.binned([0.5, 1.5, 2.5], [0.4, 0.6])
-    t = 0.45
-    by_hand = 0.4 * psi(KernelParams(10, 1, 1.0), t) + 0.6 * psi(KernelParams(10, 1, 2.0), t)
-    assert math.isclose(radial_mixture_marginal(g, 10, 1, t), by_hand, rel_tol=1e-14)
-
-
-def test_binned_mixture_requires_probability_mass():
-    half = RadialDensity.binned([0.9, 1.1], [0.5])
-    with pytest.raises(InvalidSpec):
-        radial_mixture_marginal(half, 8, 2, 0.3)
-
-
 @pytest.mark.parametrize("n, l", [(10, 1), (30, 2), (50, 1)])
 def test_chi_mixture_reproduces_the_gaussian(n, l):
     # Mixing the sphere kernels over the chi radial law recovers the standard

@@ -135,8 +135,8 @@ def _peak_bytes(run) -> int:
 
 def test_streamed_projected_ratio_never_holds_the_batch():
     peak = _peak_bytes(lambda: projected_ratio(
-        BodySpec("cube", _N), _L, 1, 2.0, 5, direction_count=4,
-        schedule=ConvolutionSchedule(10.0), noise_seed=2, count=_COUNT, body_seed=3,
+        BodySpec("cube", _N), _COUNT, 3, _L, 1, 2.0, 5, direction_count=4,
+        schedule=ConvolutionSchedule(10.0), noise_seed=2,
     ))
     assert peak < 2 * _BUFFER + _COUNT * _L * 8, peak
 
