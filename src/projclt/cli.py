@@ -62,7 +62,7 @@ from .density import (
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
 from . import suite as suite_mod
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _REQUIRED = object()
 

@@ -108,6 +108,15 @@ def _seed_jsonable(seed):
     return int(seed)
 
 
+def _require_memory(what: str, need: int) -> None:
+    """Raise ``RangeError`` if ``need`` bytes for ``what`` exceed physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise RangeError(
+            f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
+        )
+
+
 def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, rowwise=False):
     """Draw ``count`` rows of width ``dim`` chunk by chunk with ``fill(rng, out, rows)``.
 
@@ -125,13 +134,7 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
     chunk's product rounds as a full chunk's does.
     """
     if reduce is None:
-        need = count * dim * 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise RangeError(
-                f"a {count} x {dim} batch needs {need} bytes, more than the {have} bytes "
-                "of physical memory"
-            )
+        _require_memory(f"a {count} x {dim} batch", count * dim * 8)
     bounds = [slice(lo, min(lo + CHUNK, count)) for lo in range(0, count, CHUNK)]
     children = _seed_seq(seed).spawn(len(bounds))
     if reduce is None:
@@ -353,8 +356,10 @@ def save_batch(batch: SampleBatch, path: str, config: dict | None = None) -> Non
 def load_batch(path: str) -> SampleBatch:
     """Inverse of :func:`save_batch`.
 
-    An unreadable or incomplete sidecar, a missing data file and non-finite
-    data each raise ``InvalidSpec`` naming the file.
+    An unreadable or incomplete sidecar, a ``count`` or ``dimension`` that is
+    not a positive integer, a data file of the wrong size, a missing data file
+    and non-finite data each raise ``InvalidSpec`` naming the file; a batch
+    larger than physical memory raises ``RangeError`` before it is read.
     """
     sidecar_path = path + ".json"
     sidecar = read_json_object(sidecar_path, "batch sidecar")
@@ -364,16 +369,26 @@ def load_batch(path: str) -> SampleBatch:
         if key not in sidecar:
             raise InvalidSpec(f"sidecar {sidecar_path} is missing key '{key}'")
     count, dim = sidecar["count"], sidecar["dimension"]
+    for key, value in (("count", count), ("dimension", dim)):
+        if type(value) is not int or value < 1:
+            raise InvalidSpec(
+                f"sidecar {sidecar_path} key '{key}' must be a positive integer, got {value!r}"
+            )
+    need = count * dim * 8
+    _require_memory(f"a {count} x {dim} batch", need)
     try:
-        flat = np.fromfile(path, dtype=np.float64)
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size != need:
+                raise InvalidSpec(
+                    f"batch file {path} holds {size} bytes, sidecar promises {count}x{dim} "
+                    f"doubles ({need} bytes)"
+                )
+            flat = np.fromfile(f, dtype=np.float64)
     except OSError as exc:
         raise InvalidSpec(f"cannot read batch file {path}: {exc.strerror}") from None
-    if flat.size != count * dim:
-        raise InvalidSpec(
-            f"batch file holds {flat.size} doubles, sidecar promises {count}x{dim}"
-        )
     # min and max propagate NaN and reach any infinity with no full-size temporary.
-    if flat.size and not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
+    if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
         raise InvalidSpec(f"batch file {path} holds non-finite values")
     data = flat.reshape((count, dim), order="F")
     return SampleBatch(data=data, seed=sidecar["seed"], source=sidecar["source"])

@@ -402,6 +402,27 @@ def test_project_of_a_missing_input_exits_1_naming_the_sidecar(tmp_path, capsys)
     assert err.startswith("error: cannot read batch sidecar") and f"{missing}.json" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"count": 2.5}, "key 'count' must be a positive integer, got 2.5"),
+        ({"count": "10", "dimension": "4"}, "key 'count' must be a positive integer, got '10'"),
+        ({"dimension": "4"}, "key 'dimension' must be a positive integer, got '4'"),
+        ({"count": 10**11, "dimension": 1000}, "a 100000000000 x 1000 batch needs"),
+    ],
+)
+def test_project_of_a_bad_sidecar_exits_1(tmp_path, capsys, edit, message):
+    src = tmp_path / "src.bin"
+    save_batch(sample_body(BodySpec("cube", 4), 10, seed=1), str(src))
+    sidecar = json.loads((tmp_path / "src.bin.json").read_text())
+    (tmp_path / "src.bin.json").write_text(json.dumps({**sidecar, **edit}))
+    rc = main(["project", "--input", str(src), "--l", "1", "--seed", "1",
+               "--output", str(tmp_path / "p.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 _BATCH = sample_body(BodySpec("cube", 2), 10, seed=1)
 _WRITERS = {
     "save_batch": lambda path: save_batch(_BATCH, path),

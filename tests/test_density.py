@@ -4,7 +4,9 @@ The gaussian-kernel estimator has an exactly known expectation on gaussian
 input: smoothing the l-dimensional standard gaussian with bandwidth h gives
 the gaussian of per-coordinate variance 1 + h^2.  The accuracy tests compare
 against that expectation, which separates Monte Carlo noise (covered by the
-reported standard errors) from smoothing bias.
+reported standard errors) from smoothing bias.  The binned estimator is also
+compared with the direct kernel sum over every sample-point pair, kept here
+as its oracle.
 """
 
 import math
@@ -21,13 +23,15 @@ from projclt.density import (
     KdeConfig,
     estimate_density,
     m_tilde_profile,
+    project_body,
     ratio_to_gaussian,
     scott_bandwidth,
     unit_directions,
 )
 from projclt.errors import DimensionTooHigh, InvalidSpec, RangeError, TooFewSamples
+from projclt.grassmann import random_subspace
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
-from projclt.samplers import sample_gaussian
+from projclt.samplers import SampleBatch, sample_gaussian
 from projclt.spherical import gaussian_density
 
 
@@ -118,13 +122,46 @@ def test_fixed_bandwidth_is_used_verbatim():
     assert abs(est.values[0] - truth) < 4.0 * est.stderr[0] + 1e-4
 
 
-def test_chunk_size_does_not_change_the_estimate():
-    batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 25_000, seed=23)
-    pts = np.array([[0.0, 0.0], [0.5, -0.5], [1.5, 1.0]])
-    a = estimate_density(batch, KdeConfig(points=pts, chunk_size=1_000))
-    b = estimate_density(batch, KdeConfig(points=pts, chunk_size=16_384))
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
-    np.testing.assert_allclose(a.stderr, b.stderr, rtol=1e-9)
+def direct_kernel_sum(data, pts, h):
+    """The KDE and its per-point stderr from every sample-point pair, chunk by chunk."""
+    count, l = data.shape
+    chunk = 16_384
+    pts_sq = np.einsum("ij,ij->i", pts, pts)
+    norm_const = math.exp(-0.5 * l * math.log(2.0 * math.pi) - l * math.log(h))
+    acc = np.zeros(pts.shape[0])
+    acc_sq = np.zeros(pts.shape[0])
+    for lo in range(0, count, chunk):
+        block = data[lo : lo + chunk]
+        sq = np.einsum("ij,ij->i", block, block)[:, None] + pts_sq[None, :]
+        sq -= 2.0 * (block @ pts.T)
+        np.clip(sq, 0.0, None, out=sq)
+        w = np.exp(sq * (-0.5 / (h * h))) * norm_const
+        acc += w.sum(axis=0)
+        acc_sq += np.einsum("ij,ij->j", w, w)
+    values = acc / count
+    var = np.clip(acc_sq / count - values * values, 0.0, None)
+    return values, np.sqrt(var / count)
+
+
+@pytest.mark.parametrize(
+    "l, body, cfg",
+    [
+        (1, "gaussian", KdeConfig(points=np.linspace(-2.0, 2.0, 41))),
+        (2, "cube", KdeConfig(radii=np.linspace(0.0, 2.0, 9), direction_count=8)),
+        (3, "simplex", KdeConfig(radii=np.linspace(0.0, 1.5, 7), direction_count=16)),
+        (2, "gaussian", KdeConfig(bandwidth_rule="fixed", bandwidth=0.1, points=[[0.3, -0.2]])),
+    ],
+    ids=["l1_scott", "l2_scott", "l3_scott", "l2_fixed"],
+)
+def test_binned_estimate_matches_the_direct_kernel_sum(l, body, cfg):
+    # Projections of 20-dimensional bodies, as the pipelines estimate them.  Their
+    # tails reach past the grid's 8h margin, so dropped rows are covered too.
+    basis = random_subspace(20, l, seed=22)
+    batch = project_body(BodySpec(body, 20), 60_000, 23, basis)
+    est = estimate_density(batch, cfg)
+    values, stderr = direct_kernel_sum(batch.data, est.points, est.bandwidth)
+    assert np.all(np.abs(est.values - values) <= 0.1 * stderr)
+    np.testing.assert_allclose(est.stderr, stderr, rtol=0.02)
 
 
 def test_radial_grid_is_radius_major():
@@ -150,6 +187,28 @@ def test_estimator_guards():
     batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 20_000, seed=27)
     with pytest.raises(InvalidSpec):
         estimate_density(batch, KdeConfig(points=np.zeros((3, 1))))  # dim mismatch
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{57: math.nan}, {19_999: -math.inf}, {57: math.nan, 19_999: math.inf}],
+    ids=["nan", "inf", "nan_and_inf"],
+)
+def test_estimator_rejects_non_finite_data(bad):
+    data = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 20_000, seed=30).data.copy()
+    for row, value in bad.items():
+        data[row, 1] = value
+    batch = SampleBatch(data=data, seed=30, source={})
+    with pytest.raises(InvalidSpec, match="20000 x 2 batch to estimate holds non-finite values"):
+        estimate_density(batch, KdeConfig(points=[[0.0, 0.0]]))
+
+
+def test_estimator_refuses_a_grid_larger_than_physical_memory():
+    # About 1.6e5 nodes per axis; the check runs before anything grid-sized is allocated.
+    batch = sample_gaussian(GaussianSpec(dimension=3, variance=1.0), MIN_KDE_SAMPLES, seed=31)
+    cfg = KdeConfig(bandwidth_rule="fixed", bandwidth=1e-4, radii=np.linspace(0.0, 2.0, 5))
+    with pytest.raises(RangeError, match="KDE grid at 80 points needs .* bytes of physical memory"):
+        estimate_density(batch, cfg)
 
 
 # -------------------------------------------------------------- ratio report

@@ -34,13 +34,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "af039718ef6fa5e6b1fb7cb1e363b56bd1f118247bf4c5ccb4fe703cb846998e",
-        "234f650ce1097e4b791e5e44af77d0638979a51f9e2f0d5903e965e0d8fe6cfb",
+        "81216c1cffed07fd60d90eed1845e7a2903acc574362ae426030509e2503f929",
+        "ce471e98fbbd20f94f4ce1a3d8d182130b1199a5b89ed8030d2ef6a09193a837",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "fc9cd42e99ed95144dffa9aa1363882cc625b5c4fea0246a4cb25752bcd6fdc0",
-        "13cdcf67fe1858deb539b84ecd9359b37424b9adf6af60c1939306aba5da3762",
+        "a02df0f2528fbe08a7e81a218376cdcd7bf92d4f3d397e747037a188f40eb2f1",
+        "617058efe9389f5ac1d39346b02e27769d560dec9788648ed363bf19c98963e1",
     ),
 }
 
@@ -60,11 +60,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "d54d3f299bfa08bca63a4c3973a23c5e683611d57665b9a612e9b8ca31472585",
+        "2598a9c5253328b967cf966f09402e8286c7d155118f9f0feb245ad6162066e4",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "6ce138a1b135a5f0b88767281bb31fcf7424d89fb2c996f2441fac90e3abae03",
+        "4beae9b9463bb976e98498a8c5dfcdd27f680a8fec3d979b5fe5571345098b1a",
     ),
 }
 
@@ -99,7 +99,7 @@ def test_convolve_and_rescale_output_is_golden(threads, order):
     assert _sha(np.ascontiguousarray(y.data).tobytes()) == CONVOLVE_SHA
 
 
-CRITERION_7_QUICK_SUP = "0.037858576832702884"
+CRITERION_7_QUICK_SUP = "0.0376764842499433"
 
 
 def test_criterion_7_quick_sup_is_golden(monkeypatch):
@@ -127,14 +127,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "a9ac975532d1e29c607e18fee99f49cfb6848178afa71085dd903d898db85a94",
-            "r.csv": "25d668082435da46b24c7982f1a4d4b58abe3b9e036f178ae9906c2a65c41a31",
+            "r.json": "d38576c957afa98834cbdd182c7288ce04bc0883cfee1baf575946c288ab277f",
+            "r.csv": "e75234d2f911bc502640c234d74241cae1afe7a3bbe4ba33c4866f9cb727914f",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "f0126a24386ee3c9a0173e72881058aa20e97b09fb1fcd18986011f03e98b841"},
+        {"m.json": "c05ccbf18d7bebacbe8b9ee1b7b97251dddd4506ddac671db22404de12a2282b"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -143,11 +143,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "732d7fa73a19026bc1c0b22b95e08e726f48a6b1e86df9a50e3bf22239409a60",
-            "ball": "f1d57b5b04ece45705575f1fc2158506e7d33215dadc953c2b2f6bd69ec5cc3a",
-            "simplex": "57252b5938178f2bcfb65f60ab84db8f83f0f6cbb0afe0071f10f1de42f2c767",
-            "product_laplace": "ea0057f1ea2b300e885ccfe5dd6602c2ca216bb095149c5933b6306e932f7512",
-            "gaussian": "55d3178e860d90908795ac1b1dba1b3a2fe56b6a8bdd0fddcfd651aef1ca567d",
+            "cube": "5175f64fcab7339dbffcb859ffcc28ba0714551351901c4fe276276b8bbaed97",
+            "ball": "68e710d60b859c747f75a6478273410b937c2ec3ae2f0fd66f043a1ed278b950",
+            "simplex": "e65305ef24bae4bd94200b213e20525bf6f6f5b4fde4fca05885c3fd1e313c45",
+            "product_laplace": "e8f4c83daf5e4981d5bd8fe29dbda3170d73e4960ebce834354f626624af1b3b",
+            "gaussian": "9ecf712fcb24cad0a22cb7604a51eb764497a9311ee74415215fe8601b2fed2c",
         }.items()
     },
 }

@@ -416,12 +416,11 @@ GOLDEN_JSON = {
     "deconv_certificate_params": _ADMISSIBLE_JSON,
     "kde_config_points": (
         '{"type": "kde_config", "bandwidth_rule": "scott", "bandwidth": null, '
-        '"points": [[-1.0], [0.0], [1.0]], "radii": null, "direction_count": 16, '
-        '"chunk_size": 16384}'
+        '"points": [[-1.0], [0.0], [1.0]], "radii": null, "direction_count": 16}'
     ),
     "kde_config_radii": (
         '{"type": "kde_config", "bandwidth_rule": "fixed", "bandwidth": 0.2, "points": null, '
-        '"radii": [0.0, 0.5], "direction_count": 4, "chunk_size": 16384}'
+        '"radii": [0.0, 0.5], "direction_count": 4}'
     ),
     "sample_batch": (
         '{"type": "sample_batch", "dimension": 2, "count": 3, '

@@ -1,5 +1,6 @@
 """Sampling correctness: determinism, moments, supports, IO round trips."""
 
+import json
 import math
 import os
 import stat
@@ -199,8 +200,6 @@ def test_load_rejects_foreign_layout(tmp_path):
 
 @pytest.mark.parametrize("key", ["count", "dimension", "seed", "source"])
 def test_load_rejects_sidecar_missing_a_key(tmp_path, key):
-    import json
-
     path = str(tmp_path / "batch.bin")
     save_batch(sample_body(BodySpec("cube", 2), 100, seed=36), path)
     sidecar = tmp_path / "batch.bin.json"
@@ -208,6 +207,26 @@ def test_load_rejects_sidecar_missing_a_key(tmp_path, key):
     del content[key]
     sidecar.write_text(json.dumps(content))
     with pytest.raises(InvalidSpec, match=f"batch.bin.json is missing key '{key}'"):
+        load_batch(path)
+
+
+@pytest.mark.parametrize("key", ["count", "dimension"])
+@pytest.mark.parametrize("bad", [2.5, 100.0, "100", True, 0, -1, None, [100]])
+def test_load_rejects_a_size_that_is_not_a_positive_integer(tmp_path, key, bad):
+    path = str(tmp_path / "batch.bin")
+    save_batch(sample_body(BodySpec("cube", 1), 100, seed=38), path)
+    sidecar = tmp_path / "batch.bin.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: bad}))
+    with pytest.raises(InvalidSpec, match=f"key '{key}' must be a positive integer"):
+        load_batch(path)
+
+
+def test_load_refuses_a_batch_larger_than_physical_memory_before_reading(tmp_path):
+    path = str(tmp_path / "batch.bin")
+    save_batch(sample_body(BodySpec("cube", 2), 100, seed=40), path)
+    sidecar = tmp_path / "batch.bin.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "count": 10**11}))
+    with pytest.raises(RangeError, match=r"a 100000000000 x 2 batch needs 1600000000000 bytes"):
         load_batch(path)
 
 
