@@ -5,8 +5,8 @@ For every requested body the script draws an isotropic sample, projects it
 onto a Haar subspace, optionally smooths the projection with l-dim noise of
 the schedule's ambient variance v(n) (equal in law to smoothing before
 projecting), and writes the pointwise density-to-gaussian ratios plus the
-thin-shell fraction of the ambient sample.  The sample is streamed chunk by
-chunk twice from the same seed, once for its norms and once for its
+thin-shell fraction of the ambient sample.  The sample is streamed block by
+block twice from the same seed, once for its norms and once for its
 projection, so the samples x n batch is never held.  Example:
 
     python scripts/run_clt_scan.py --bodies cube,simplex --n 300 \

@@ -17,7 +17,7 @@ order, which is also the key order of the echoed configuration.
 ``projected_ratio`` is the one sample -> project -> smooth -> KDE -> ratio
 pipeline; the ``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance
 criterion 7 all call it.  It takes a body spec, a count and a seed, never a
-batch, and projects the sample chunk by chunk as it is drawn
+batch, and projects the sample block by block as it is drawn
 (``density.project_body``).  It lives here rather than in
 ``density.py`` because it looks up ``convolve_and_rescale``,
 ``random_subspace``, ``estimate_density`` and ``ratio_to_gaussian`` as
@@ -62,7 +62,7 @@ from .density import (
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
 from . import suite as suite_mod
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _REQUIRED = object()
 
@@ -181,7 +181,7 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
     """Estimate a body's projected density on a Haar l-subspace and its ratio to the gaussian.
 
     ``count`` samples of ``spec`` are drawn from ``body_seed`` and projected
-    chunk by chunk as they are drawn (``density.project_body``), so the
+    block by block as they are drawn (``density.project_body``), so the
     count x n batch is never held.
     With a ``schedule`` the projection is smoothed: l-dim noise of the ambient
     variance v(n) is added after projecting, then rescaled by 1/sqrt(1 + v).
@@ -250,7 +250,7 @@ def _cmd_sample(resolved, echo) -> int:
     Param("input"), _L, _SEED, _FORMAT,
     Param("basis_out", None, echo=False, help="write the basis as JSON here"),
     Param("threads", 1, int, echo=False,
-          help="accepted and ignored: projection is one matrix product"),
+          help="accepted and ignored: projection runs in BLOCK-row products"),
     _OUTPUT,
 ])
 def _cmd_project(resolved, echo) -> int:

@@ -228,20 +228,20 @@ def ratio_to_gaussian(estimate: DensityEstimate, v: float, max_radius: float) ->
 
 
 def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> SampleBatch:
-    """Draw ``count`` body samples and project them onto ``basis`` chunk by chunk.
+    """Draw ``count`` body samples and project them onto ``basis`` block by block.
 
     The (count, l) result holds the values of
-    ``project(sample_body(spec, count, seed), basis)`` while only one chunk of
-    the (count, n) batch per thread is held.  The projection is row-wise, so
-    every chunk is projected at the full chunk height and rounds as the
-    one-shot product does, except where OpenBLAS splits a one-shot
-    matrix-vector product (l = 1) between its threads at an odd row: that
-    row can differ in the last bit.  Each chunk goes through this module's
-    ``project``, where the benchmark's tracer finds it.
+    ``project(sample_body(spec, count, seed), basis)`` bit for bit while only
+    one (BLOCK, n) block of the batch per thread is held.  ``project`` takes
+    every product at the block height, and the projection here is row-wise,
+    so each block, a short last one too, is projected at the full block
+    height.  Each block goes through this module's ``project``, where the
+    benchmark's tracer finds it, so the tracer counts one projection per
+    block.
     """
     return sample_body(
         spec, count, seed, threads=threads, rowwise=True,
-        reduce=lambda chunk: project(SampleBatch(data=chunk, seed=None, source={}), basis).data,
+        reduce=lambda block: project(SampleBatch(data=block, seed=None, source={}), basis).data,
     )
 
 
@@ -259,7 +259,7 @@ def m_tilde_profile(
     """Rotation-averaged radial profile of the smoothed projected density.
 
     For each of ``subspace_count`` independent Haar subspaces: draw a fresh
-    body sample and project it chunk by chunk (:func:`project_body`), add
+    body sample and project it block by block (:func:`project_body`), add
     unrescaled l-dim gaussian noise of the schedule's variance v(n), and
     KDE-evaluate at every radius (averaged over a fixed set of unit
     directions).  This equals in law adding n-dim noise before projecting,

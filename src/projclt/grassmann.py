@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .model import SubspaceBasis
-from .samplers import SampleBatch, _seed_seq
+from .samplers import BLOCK, SampleBatch, _seed_seq
 
 
 def random_subspace(n: int, l: int, seed) -> SubspaceBasis:
@@ -36,13 +36,26 @@ def project(batch: SampleBatch, basis: SubspaceBasis) -> SampleBatch:
 
     The output has dimension ``basis.subspace_dim``; with orthonormal rows the
     coordinate vector has euclidean norm at most that of the input sample.
+
+    The product is taken ``BLOCK`` rows at a time, and a short last slab as
+    the batch's last ``BLOCK`` rows, so in a batch of at least ``BLOCK`` rows
+    every row is rounded in a product of ``BLOCK`` rows, as the blocks of
+    ``density.project_body`` are.  A one-shot product would be rounded as
+    OpenBLAS splits it between its threads, so its bytes would depend on the
+    thread count.
     """
     if batch.dimension != basis.ambient_dim:
         raise DimensionError(
             f"batch dimension {batch.dimension} != basis ambient dimension {basis.ambient_dim}"
         )
+    count = batch.count
+    out = np.empty((count, basis.subspace_dim), dtype=np.float64)
+    for lo in range(0, count, BLOCK):
+        hi = min(lo + BLOCK, count)
+        start = max(0, hi - BLOCK)
+        out[lo:hi] = (batch.data[start:hi] @ basis.rows.T)[lo - start:]
     return SampleBatch(
-        data=batch.data @ basis.rows.T,
+        data=out,
         seed=batch.seed,
         source={
             "draw": "projected",

@@ -117,8 +117,17 @@ def dumps(value, indent=None) -> str:
     return json.dumps(to_jsonable(value), indent=indent)
 
 
+def _reject_json_constant(name: str):
+    """``parse_constant`` hook for ``json``: refuse ``NaN``, ``Infinity`` and ``-Infinity``.
+
+    ``json`` accepts these non-standard constants by default, which would let
+    a non-finite float into any field.
+    """
+    raise InvalidSpec(f"JSON constant {name} is not a finite number")
+
+
 def loads(text: str):
-    return from_jsonable(json.loads(text))
+    return from_jsonable(json.loads(text, parse_constant=_reject_json_constant))
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
@@ -230,12 +239,19 @@ class ConvolutionSchedule:
 @register("subspace_basis", keys=("ambient_dim", "subspace_dim", "rows"))
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """An orthonormal frame whose rows span an l-dimensional subspace of R^n."""
+    """An orthonormal frame whose rows span an l-dimensional subspace of R^n.
+
+    ``rows`` is stored C-contiguous.  OpenBLAS picks the kernel of a product
+    with ``rows.T`` by the memory order of ``rows``; with C order (OpenBLAS
+    0.3.31) a product of 2,048 rows or more rounds each row as a product of a
+    full sampler chunk does, so a sampler block's projection has the bits of
+    the one-shot product.
+    """
 
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = _freeze(_as_float_array(self.rows, "rows", 2))
+        rows = _freeze(np.ascontiguousarray(_as_float_array(self.rows, "rows", 2)))
         object.__setattr__(self, "rows", rows)
         l, n = rows.shape
         if not 1 <= l <= n:

@@ -20,16 +20,20 @@ Normalizations (all kinds have mean 0 and identity covariance):
 Generation is chunked: the root ``SeedSequence`` is split into one child per
 ``CHUNK`` rows, and each chunk is drawn by its own generator.  Results are
 therefore bit-identical for a given (spec, count, seed) no matter how many
-worker threads are used.  There are two forms:
+worker threads are used.  Within a chunk the generator fills the rows
+``BLOCK`` at a time, in order; for every kind but the ball this draws the
+same stream as one fill of the whole chunk.  ``CHUNK`` and ``BLOCK`` are both
+part of the stream.  There are two forms:
 
-* full — the chunks write disjoint slices of one preallocated (count, n)
+* full — each block is written into its rows of one preallocated (count, n)
   array, which is returned; the whole batch is held in memory, so a batch
   larger than physical memory is refused with ``RangeError`` before any
   allocation.
-* reduce — each chunk is drawn into a scratch buffer its worker thread
-  reuses, passed to a ``reduce`` function (a projection, the norms, moment
-  sums) and then overwritten, so memory is one (CHUNK, n) buffer per thread
-  plus the reduced outputs.  The per-chunk results come back in chunk order.
+* reduce — each block is drawn into a (BLOCK, n) scratch buffer its worker
+  thread reuses, passed at once to a ``reduce`` function (a projection, the
+  norms, moment sums) while it is still in cache, and then overwritten, so
+  memory is one block buffer per thread plus the reduced outputs.  The
+  per-block results come back in block order.
 """
 
 from __future__ import annotations
@@ -52,10 +56,12 @@ from .model import (
     GaussianSpec,
     _as_positive_int,
     _freeze,
+    _reject_json_constant,
     register,
 )
 
 CHUNK = 1 << 16
+BLOCK = 1 << 12
 
 _SQRT3 = math.sqrt(3.0)
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
@@ -118,54 +124,61 @@ def _require_memory(what: str, need: int) -> None:
 
 
 def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, rowwise=False):
-    """Draw ``count`` rows of width ``dim`` chunk by chunk with ``fill(rng, out, rows)``.
+    """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out, rows)``.
 
-    Without ``reduce`` the chunks are slices of one (count, dim) array, which
-    is returned.  With ``reduce`` each chunk is filled into its worker's
-    scratch buffer and passed to ``reduce(chunk)``, and the list of results
-    is returned in chunk order.  The buffer is refilled with the worker's next
-    chunk, so ``reduce`` must return new arrays and keep no view of its input.
+    Each chunk's generator fills its rows ``BLOCK`` at a time, in order.
+    Without ``reduce`` the blocks are slices of one (count, dim) array, which
+    is returned.  With ``reduce`` each block is filled into its worker's
+    scratch buffer and passed to ``reduce(block)``, and the list of results
+    is returned in block order.  The buffer is refilled with the worker's
+    next block, so ``reduce`` must return new arrays and keep no view of its
+    input.
 
     ``rowwise`` declares that ``reduce`` maps each row to one output row.  It
-    is then given the whole buffer for every chunk, a short last chunk
-    followed by finite leftover rows, and the output rows past the chunk are
+    is then given the whole buffer for every block, a short last block
+    followed by finite leftover rows, and the output rows past the block are
     dropped.  A matrix product's rounding can depend on its row count
     (OpenBLAS takes another kernel for small products), so this way each
-    chunk's product rounds as a full chunk's does.
+    block's product rounds as a full block's does.
     """
     if reduce is None:
         _require_memory(f"a {count} x {dim} batch", count * dim * 8)
-    bounds = [slice(lo, min(lo + CHUNK, count)) for lo in range(0, count, CHUNK)]
-    children = _seed_seq(seed).spawn(len(bounds))
-    if reduce is None:
         out = np.empty((count, dim), dtype=np.float64)
-
-        def work(i):
-            fill(np.random.default_rng(children[i]), out[bounds[i]], bounds[i])
     else:
         scratch = threading.local()
-        height = min(CHUNK, count)
+        height = min(BLOCK, count)
+    chunks = range(0, count, CHUNK)
+    children = _seed_seq(seed).spawn(len(chunks))
 
-        def work(i):
-            rows = bounds[i]
-            m = rows.stop - rows.start
+    def work(i):
+        rng = np.random.default_rng(children[i])
+        stop = min(chunks[i] + CHUNK, count)
+        results = []
+        for lo in range(chunks[i], stop, BLOCK):
+            rows = slice(lo, min(lo + BLOCK, stop))
+            if reduce is None:
+                fill(rng, out[rows], rows)
+                continue
             if not hasattr(scratch, "buf"):
                 scratch.buf = np.zeros((height, dim), dtype=np.float64)
-            fill(np.random.default_rng(children[i]), scratch.buf[:m], rows)
+            m = rows.stop - rows.start
+            fill(rng, scratch.buf[:m], rows)
             if rowwise:
-                return reduce(scratch.buf[:height])[:m]
-            return reduce(scratch.buf[:m])
+                results.append(reduce(scratch.buf[:height])[:m])
+            else:
+                results.append(reduce(scratch.buf[:m]))
+        return results
 
-    if threads > 1 and len(bounds) > 1:
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(len(bounds))))
+            per_chunk = list(pool.map(work, range(len(chunks))))
     else:
-        results = [work(i) for i in range(len(bounds))]
-    return out if reduce is None else results
+        per_chunk = [work(i) for i in range(len(chunks))]
+    return out if reduce is None else [r for results in per_chunk for r in results]
 
 
 def _draw(count, dim, seed, fill, threads, reduce, rowwise, source: dict) -> SampleBatch:
-    """The batch of :func:`_generate`; with ``reduce``, its 2-D results stacked in chunk order."""
+    """The batch of :func:`_generate`; with ``reduce``, its 2-D results stacked in block order."""
     data = _generate(count, dim, seed, fill, threads, reduce, rowwise)
     if reduce is not None:
         data = np.concatenate(data)
@@ -224,9 +237,9 @@ def sample_body(
 ) -> SampleBatch:
     """Draw i.i.d. samples from the isotropically normalized body.
 
-    With ``reduce`` the (count, n) batch is never held: each chunk of rows is
+    With ``reduce`` the (count, n) batch is never held: each block of rows is
     mapped by ``reduce`` to a new 2-D array, and the returned batch stacks
-    those arrays in chunk order.  ``rowwise`` is as in :func:`_generate`.
+    those arrays in block order.  ``rowwise`` is as in :func:`_generate`.
     """
     if not isinstance(spec, BodySpec):
         raise InvalidSpec(f"spec must be a BodySpec, got {type(spec).__name__}")
@@ -320,14 +333,19 @@ def atomic_open(path: str, mode: str = "w"):
 
 
 def read_json_object(path: str, what: str) -> dict:
-    """Load a JSON object from ``path``; any failure is an ``InvalidSpec`` naming the file."""
+    """Load a JSON object from ``path``; any failure is an ``InvalidSpec`` naming the file.
+
+    The non-finite constants ``NaN``, ``Infinity`` and ``-Infinity`` are refused.
+    """
     try:
         with open(path) as f:
-            obj = json.load(f)
+            obj = json.load(f, parse_constant=_reject_json_constant)
     except OSError as exc:
         raise InvalidSpec(f"cannot read {what} {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{what} {path} is not valid JSON: {exc}") from None
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{what} {path} is not valid: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidSpec(f"{what} {path} must hold a JSON object, got {type(obj).__name__}")
     return obj

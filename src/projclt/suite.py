@@ -142,9 +142,9 @@ def _criterion_4(profile):
     )
 
 
-def _moment_sums(chunk):
-    """One row per chunk: its column sums, then its raw second-moment sums."""
-    return np.concatenate([chunk.sum(axis=0), (chunk.T @ chunk).ravel()])[None, :]
+def _moment_sums(block):
+    """One row per block: its column sums, then its raw second-moment sums."""
+    return np.concatenate([block.sum(axis=0), (block.T @ block).ravel()])[None, :]
 
 
 def _criterion_5(profile):

@@ -393,6 +393,22 @@ def test_project_pipeline(tmp_path):
     np.testing.assert_array_equal(projected.data, original.data @ basis.rows.T)
 
 
+def test_project_bytes_do_not_depend_on_the_openblas_thread_count(tmp_path):
+    # A one-shot l = 1 product of this batch is split between OpenBLAS's
+    # threads, and the row at the split rounds by the thread count; project's
+    # BLOCK-row slabs round every row alike.
+    batch = sample_body(BodySpec("simplex", 20), 131_089, seed=7)
+    save_batch(batch, str(tmp_path / "batch.bin"))
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "projclt", "project", "--input", str(tmp_path / "batch.bin"),
+             "--l", "1", "--seed", "6", "--output", str(tmp_path / f"p{threads}.bin")],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "p1.bin").read_bytes() == (tmp_path / "p2.bin").read_bytes()
+
+
 def test_project_of_a_missing_input_exits_1_naming_the_sidecar(tmp_path, capsys):
     missing = tmp_path / "missing.bin"
     rc = main(["project", "--input", str(missing), "--l", "1", "--seed", "1",

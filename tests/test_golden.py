@@ -34,13 +34,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "81216c1cffed07fd60d90eed1845e7a2903acc574362ae426030509e2503f929",
-        "ce471e98fbbd20f94f4ce1a3d8d182130b1199a5b89ed8030d2ef6a09193a837",
+        "035de22f8147a5a2fac1c657d0af4d78c61d7d72a688398bcf23b59cf0a17c79",
+        "8b6a2005e20d3b1cf70b9ebb47d9c93e3ac99acdebd9c11390559751cee4c75c",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "a02df0f2528fbe08a7e81a218376cdcd7bf92d4f3d397e747037a188f40eb2f1",
-        "617058efe9389f5ac1d39346b02e27769d560dec9788648ed363bf19c98963e1",
+        "da0118c149af247c5fdf3b29e7fb70926757abfffdce7478cd48556754315b2d",
+        "5c4461ebb89d80cf279b93dc413d14de516977b5176ef276042cb74ec068755f",
     ),
 }
 
@@ -64,7 +64,7 @@ SCAN_RUNS = {
     ),
     "l2_raw": (
         ["--l", "2"],
-        "4beae9b9463bb976e98498a8c5dfcdd27f680a8fec3d979b5fe5571345098b1a",
+        "3626010e5e5e528158c11071a6751314dfc018e3069095fcb15d0298e5e6b9ec",
     ),
 }
 
@@ -127,14 +127,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "d38576c957afa98834cbdd182c7288ce04bc0883cfee1baf575946c288ab277f",
-            "r.csv": "e75234d2f911bc502640c234d74241cae1afe7a3bbe4ba33c4866f9cb727914f",
+            "r.json": "84126c0d4dbb66493b999f08f6c42dc4f3b356325c7637cbea4f874badba6b53",
+            "r.csv": "2fad97fe662159c32591004d456bb8e89ffb064aec038bda9714610268a0e221",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "c05ccbf18d7bebacbe8b9ee1b7b97251dddd4506ddac671db22404de12a2282b"},
+        {"m.json": "97a76fc4cf11dcc3f8f0f029ca135fb480d13682fb3b837be0fa08b40e7afaac"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -143,11 +143,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "5175f64fcab7339dbffcb859ffcc28ba0714551351901c4fe276276b8bbaed97",
-            "ball": "68e710d60b859c747f75a6478273410b937c2ec3ae2f0fd66f043a1ed278b950",
-            "simplex": "e65305ef24bae4bd94200b213e20525bf6f6f5b4fde4fca05885c3fd1e313c45",
-            "product_laplace": "e8f4c83daf5e4981d5bd8fe29dbda3170d73e4960ebce834354f626624af1b3b",
-            "gaussian": "9ecf712fcb24cad0a22cb7604a51eb764497a9311ee74415215fe8601b2fed2c",
+            "cube": "8f65cb4cdf3d546173b1e0631b0448eefe00491a674c41af0fa3e832d53b6d78",
+            "ball": "7844a8a3e4db96fb964f82fff526f45bf164389efce89ffc7b720ed434e3dc92",
+            "simplex": "87daeaff26deca976af2b4a68083d940a6ef50d8b1cb1c40412125269af2a580",
+            "product_laplace": "3af6207ff4f41625c172dbbabcbefcfc3e89f4e699aa6496bd280d10332ab493",
+            "gaussian": "b59d080e3ba3861675a4b0ba60aa316e35499eb537b1588ac41e5ff020d0816b",
         }.items()
     },
 }

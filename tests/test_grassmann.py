@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from projclt.errors import DimensionError
 from projclt.grassmann import project, random_subspace
-from projclt.model import BodySpec, GaussianSpec, loads, dumps
-from projclt.samplers import sample_body, sample_gaussian
+from projclt.model import BodySpec, GaussianSpec, SubspaceBasis, loads, dumps
+from projclt.samplers import BLOCK, CHUNK, SampleBatch, sample_body, sample_gaussian
 
 
 def test_basis_shape_and_orthonormality():
@@ -82,6 +82,29 @@ def test_basis_serialization_round_trip():
     basis = random_subspace(9, 3, seed=10)
     back = loads(dumps(basis))
     np.testing.assert_array_equal(back.rows, basis.rows)
+
+
+def test_basis_rows_are_c_contiguous():
+    # The rounding of every projection product rests on the memory order of rows.
+    basis = random_subspace(30, 3, seed=11)
+    assert basis.rows.flags.c_contiguous
+    assert loads(dumps(basis)).rows.flags.c_contiguous
+    assert SubspaceBasis(rows=np.asfortranarray(basis.rows)).rows.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [20, 64, 300])
+def test_block_row_products_round_as_the_full_chunk_product(n):
+    # Sampled blocks and project's slabs are BLOCK rows high; with C-ordered
+    # basis rows each row of such a product has the bits it has in a product
+    # of a full CHUNK of rows, at any offset.
+    data = np.random.default_rng(n).standard_normal((CHUNK, n))
+    for l in (1, 2, 3):
+        basis = random_subspace(n, l, seed=l)
+        full = data @ basis.rows.T
+        for lo in (0, 17, CHUNK // 2 + 5, CHUNK - BLOCK):
+            np.testing.assert_array_equal(data[lo:lo + BLOCK] @ basis.rows.T, full[lo:lo + BLOCK])
+        projected = project(SampleBatch(data=data, seed=None, source={}), basis)
+        np.testing.assert_array_equal(projected.data, full)
 
 
 @settings(max_examples=40, deadline=None)

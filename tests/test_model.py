@@ -284,6 +284,14 @@ def test_from_jsonable_rejects_untagged_payloads():
         from_jsonable({"type": "tetrahedron"})
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_loads_rejects_non_finite_json_constants(constant):
+    # RatioReport.meta is free-form, so only the parser can keep these out.
+    text = dumps(RatioReport.from_ratios([0.0, 0.5], [1.01, 0.98], meta={"v": 1.5}))
+    with pytest.raises(InvalidSpec, match=f"JSON constant {constant} is not a finite number"):
+        loads(text.replace("1.5", constant))
+
+
 def test_to_jsonable_rejects_foreign_objects():
     with pytest.raises(TypeError):
         to_jsonable(object())

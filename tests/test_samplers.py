@@ -17,6 +17,7 @@ from projclt.samplers import (
     atomic_open,
     convolve_and_rescale,
     load_batch,
+    read_json_object,
     sample_body,
     sample_gaussian,
     save_batch,
@@ -252,6 +253,25 @@ def test_load_names_the_unreadable_file(tmp_path, damage, message):
     with pytest.raises(InvalidSpec, match=message) as info:
         load_batch(str(path))
     assert str(path if damage == "no_data" else sidecar) in str(info.value)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_object_rejects_non_finite_json_constants(tmp_path, constant):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"alpha": {constant}}}')
+    with pytest.raises(
+        InvalidSpec, match=f"config file .*config.json is not valid: JSON constant {constant}"
+    ):
+        read_json_object(str(path), "config file")
+
+
+def test_load_rejects_a_non_finite_constant_in_the_sidecar(tmp_path):
+    path = str(tmp_path / "batch.bin")
+    save_batch(sample_body(BodySpec("cube", 2), 100, seed=41), path)
+    sidecar = tmp_path / "batch.bin.json"
+    sidecar.write_text(sidecar.read_text().replace('"seed": 41', '"seed": NaN'))
+    with pytest.raises(InvalidSpec, match="batch sidecar .*batch.bin.json is not valid: JSON con"):
+        load_batch(path)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
