@@ -56,12 +56,11 @@ from .spherical import (
 )
 from .radial import ThinShellFraction, thin_shell_fraction
 from .density import (
-    KdeConfig,
     estimate_density,
     m_tilde_profile,
+    radial_points,
     ratio_to_gaussian,
     scott_bandwidth,
-    unit_directions,
 )
 from .deconvolution import (
     BODIES_1D,

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidSpec, ProjCltError
-from .model import BodyKind, BodySpec, ConvolutionSchedule, to_jsonable
+from .errors import InvalidSpec, ProjCltError, RangeError
+from .model import BodyKind, BodySpec, ConvolutionSchedule, _as_positive_int, to_jsonable
 from .samplers import (
     atomic_open,
     convolve_and_rescale,
@@ -53,10 +54,10 @@ from .grassmann import project, random_subspace
 from .spherical import gaussian_density, psi_gaussian_ratio_scan
 from .radial import norm_column, thin_shell_fraction
 from .density import (
-    KdeConfig,
     estimate_density,
     m_tilde_profile,
     project_body,
+    radial_points,
     ratio_to_gaussian,
 )
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
@@ -189,23 +190,24 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
     orthonormal l x n frame P the projected noise P y is exactly N(0, v I_l).
     The KDE grid is ``grid_points`` points on [-max_radius, max_radius] for
     l = 1, else as many radii on [0, max_radius] times ``direction_count``
-    directions.
+    directions; it is checked and built before anything is drawn.
     """
+    if not (max_radius > 0 and math.isfinite(max_radius)):
+        raise RangeError(f"max_radius must be positive, got {max_radius!r}")
+    grid_points = _as_positive_int(grid_points, "grid_points")
     n = spec.dimension
     basis = random_subspace(n, l, basis_seed)
+    if l == 1:
+        points = np.linspace(-max_radius, max_radius, grid_points)[:, None]
+    else:
+        points = radial_points(np.linspace(0.0, max_radius, grid_points), l, direction_count)
     projected = project_body(spec, count, body_seed, basis, threads)
     if schedule is not None:
         projected = convolve_and_rescale(
             projected, schedule, noise_seed, noise_variance=schedule.noise_variance(n),
             threads=threads,
         )
-    if l == 1:
-        cfg = KdeConfig(points=np.linspace(-max_radius, max_radius, grid_points))
-    else:
-        cfg = KdeConfig(
-            radii=np.linspace(0.0, max_radius, grid_points), direction_count=direction_count
-        )
-    est = estimate_density(projected, cfg)
+    est = estimate_density(projected, points)
     return est, ratio_to_gaussian(est, 1.0, max_radius)
 
 

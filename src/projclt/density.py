@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .model import (
     RatioReport,
     _as_float_array,
     _as_positive_int,
-    _freeze,
-    register,
 )
 from .grassmann import project, random_subspace
 from .samplers import (
@@ -52,70 +49,32 @@ BIN_SPACING = 0.25
 GRID_MARGIN = 8.0
 
 
-@register("kde_config")
-@dataclass(frozen=True, eq=False)
-class KdeConfig:
-    """Bandwidth rule and evaluation grid for the density estimator.
+def radial_points(radii, l: int, direction_count: int = 16) -> np.ndarray:
+    """The points t*u over ``radii`` and a fixed set of unit directions u in R^l.
 
-    Exactly one grid style must be given: explicit ``points`` (k x l), or a
-    radial grid (``radii`` plus ``direction_count`` unit directions per
-    radius).  ``bandwidth_rule`` is "scott" (bandwidth sigma_hat * N^(-1/(l+4)))
-    or "fixed" (bandwidth given explicitly).
+    Radius-major: all directions of radii[0], then radii[1], ...  The
+    directions are, for l=1, the two signs; for l=2, ``direction_count``
+    equally spaced points on the circle; for l=3, a Fibonacci-lattice
+    covering of the sphere with ``direction_count`` points.
     """
-
-    bandwidth_rule: str = "scott"
-    bandwidth: float | None = None
-    points: np.ndarray | None = None
-    radii: np.ndarray | None = None
-    direction_count: int = 16
-
-    def __post_init__(self):
-        if self.bandwidth_rule not in ("scott", "fixed"):
-            raise InvalidSpec(f"bandwidth_rule must be 'scott' or 'fixed', got {self.bandwidth_rule!r}")
-        if self.bandwidth_rule == "fixed":
-            if self.bandwidth is None or not (float(self.bandwidth) > 0):
-                raise InvalidSpec("fixed bandwidth_rule needs bandwidth > 0")
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        elif self.bandwidth is not None:
-            raise InvalidSpec("bandwidth is only meaningful with bandwidth_rule='fixed'")
-        if (self.points is None) == (self.radii is None):
-            raise InvalidSpec("exactly one of points / radii must be given")
-        if self.points is not None:
-            pts = np.asarray(self.points, dtype=np.float64)
-            if pts.ndim == 1:
-                pts = pts[:, None]
-            object.__setattr__(self, "points", _freeze(_as_float_array(pts, "points", 2)))
-        else:
-            radii = _freeze(_as_float_array(self.radii, "radii", 1))
-            if np.any(radii < 0):
-                raise InvalidSpec("radii must be nonnegative")
-            object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "direction_count", _as_positive_int(self.direction_count, "direction_count"))
-
-
-def unit_directions(l: int, count: int) -> np.ndarray:
-    """A fixed, deterministic set of unit vectors in R^l for radial averaging.
-
-    l=1: the two signs.  l=2: equally spaced points on the circle.  l=3: a
-    Fibonacci-lattice covering of the sphere.
-    """
+    radii = _as_float_array(radii, "radii", 1)
+    if radii.size == 0 or np.any(radii < 0):
+        raise InvalidSpec("radii must be non-empty and nonnegative")
+    count = _as_positive_int(direction_count, "direction_count")
     if l == 1:
-        return np.array([[1.0], [-1.0]])
-    if l == 2:
+        dirs = np.array([[1.0], [-1.0]])
+    elif l == 2:
         angles = 2.0 * math.pi * np.arange(count) / count
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    if l == 3:
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    elif l == 3:
         k = np.arange(count)
         z = 1.0 - (2.0 * k + 1.0) / count
         rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         golden = math.pi * (3.0 - math.sqrt(5.0))
-        return np.column_stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z])
-    raise DimensionTooHigh(f"radial direction sets are defined for l <= 3, got l={l}")
-
-
-def _radial_points(radii: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Points t*u laid out radius-major: all directions of radii[0], then radii[1], ..."""
-    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
+        dirs = np.column_stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z])
+    else:
+        raise DimensionTooHigh(f"radial points are defined for l <= 3, got l={l}")
+    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, l)
 
 
 def scott_bandwidth(data: np.ndarray) -> float:
@@ -150,27 +109,30 @@ def _linear_bin(data: np.ndarray, lo: np.ndarray, delta: float, shape: tuple) ->
     return counts.reshape(shape)
 
 
-def estimate_density(projected: SampleBatch, config: KdeConfig) -> DensityEstimate:
-    """Gaussian-kernel density estimate of a batch at the configured grid, by linear binning."""
+def estimate_density(
+    projected: SampleBatch, points, bandwidth: float | None = None
+) -> DensityEstimate:
+    """Gaussian-kernel density estimate of a batch at the (k, l) ``points``, by linear binning.
+
+    ``bandwidth`` is a fixed kernel bandwidth h > 0; None takes Scott's rule.
+    """
     l = projected.dimension
     if l > MAX_KDE_DIM:
         raise DimensionTooHigh(f"density estimation supports l <= {MAX_KDE_DIM}, got l={l}")
     count = projected.count
     if count < MIN_KDE_SAMPLES:
         raise TooFewSamples(f"density estimation needs >= {MIN_KDE_SAMPLES} samples, got {count}")
+    pts = _as_float_array(points, "points", 2)
+    if pts.shape[0] == 0 or pts.shape[1] != l:
+        raise InvalidSpec(f"evaluation points must be a non-empty k x {l} array, got {pts.shape}")
+    if bandwidth is not None and not (float(bandwidth) > 0 and math.isfinite(bandwidth)):
+        raise InvalidSpec(f"bandwidth must be positive and finite, got {bandwidth!r}")
     data = projected.data
     # min and max propagate NaN and reach any infinity with no full-size temporary.
     if not (math.isfinite(data.min()) and math.isfinite(data.max())):
         raise InvalidSpec(f"the {count} x {l} batch to estimate holds non-finite values")
 
-    if config.points is not None:
-        pts = config.points
-        if pts.shape[1] != l:
-            raise InvalidSpec(f"evaluation points have dimension {pts.shape[1]}, batch has {l}")
-    else:
-        pts = _radial_points(config.radii, unit_directions(l, config.direction_count))
-
-    h = config.bandwidth if config.bandwidth_rule == "fixed" else scott_bandwidth(data)
+    h = scott_bandwidth(data) if bandwidth is None else float(bandwidth)
     delta = BIN_SPACING * h
     lo = pts.min(axis=0) - GRID_MARGIN * h
     span = pts.max(axis=0) + GRID_MARGIN * h - lo
@@ -270,17 +232,12 @@ def m_tilde_profile(
     against radius.
     """
     l = _as_positive_int(l, "l")
-    if l > MAX_KDE_DIM:
-        raise DimensionTooHigh(f"m_tilde_profile supports l <= {MAX_KDE_DIM}, got l={l}")
     subspace_count = _as_positive_int(subspace_count, "subspace_count")
-    radii = _as_float_array(radii, "radii", 1)
-    if np.any(radii < 0):
-        raise InvalidSpec("radii must be nonnegative")
+    points = radial_points(radii, l, direction_count)
+    radii = np.asarray(radii, dtype=np.float64)
     n = body.dimension
     v = schedule.noise_variance(n)
     noise = GaussianSpec(dimension=l, variance=v)
-    dirs = unit_directions(l, direction_count)
-    cfg = KdeConfig(radii=radii, direction_count=direction_count)
 
     root = _seed_seq(seed)
     accum = np.zeros(radii.size)
@@ -295,9 +252,9 @@ def m_tilde_profile(
             source={"draw": "smoothed", "of": projected.source, "noise_variance": v},
         )
         del projected, y
-        est = estimate_density(smoothed, cfg)
+        est = estimate_density(smoothed, points)
         del smoothed
-        accum += est.values.reshape(radii.size, dirs.shape[0]).mean(axis=1)
+        accum += est.values.reshape(radii.size, -1).mean(axis=1)
 
     profile = (accum / subspace_count) / gaussian_density(l, 1.0 + v, radii)
     return RatioReport.from_ratios(

@@ -29,11 +29,11 @@ part of the stream.  There are two forms:
   array, which is returned; the whole batch is held in memory, so a batch
   larger than physical memory is refused with ``RangeError`` before any
   allocation.
-* reduce — each block is drawn into a (BLOCK, n) scratch buffer its worker
-  thread reuses, passed at once to a ``reduce`` function (a projection, the
-  norms, moment sums) while it is still in cache, and then overwritten, so
-  memory is one block buffer per thread plus the reduced outputs.  The
-  per-block results come back in block order.
+* reduce (``sample_body`` only) — each block is drawn into a (BLOCK, n)
+  scratch buffer its worker thread reuses, passed at once to a ``reduce``
+  function (a projection, the norms, moment sums) while it is still in
+  cache, and then overwritten, so memory is one block buffer per thread
+  plus the reduced outputs.  The per-block results come back in block order.
 """
 
 from __future__ import annotations
@@ -177,15 +177,6 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
     return out if reduce is None else [r for results in per_chunk for r in results]
 
 
-def _draw(count, dim, seed, fill, threads, reduce, rowwise, source: dict) -> SampleBatch:
-    """The batch of :func:`_generate`; with ``reduce``, its 2-D results stacked in block order."""
-    data = _generate(count, dim, seed, fill, threads, reduce, rowwise)
-    if reduce is not None:
-        data = np.concatenate(data)
-        source = {"draw": "reduced", "of": source}
-    return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
-
-
 def _fill_cube(rng, out, _rows):
     # In place, with the bits of rng.uniform(-_SQRT3, _SQRT3): low + (high - low) * u.
     rng.random(out=out)
@@ -245,16 +236,15 @@ def sample_body(
         raise InvalidSpec(f"spec must be a BodySpec, got {type(spec).__name__}")
     count = _as_positive_int(count, "count")
     source = {"draw": "body", "spec": spec.to_jsonable()}
-    return _draw(count, spec.dimension, seed, _FILLS[spec.kind], threads, reduce, rowwise, source)
+    data = _generate(count, spec.dimension, seed, _FILLS[spec.kind], threads, reduce, rowwise)
+    if reduce is not None:
+        data = np.concatenate(data)
+        source = {"draw": "reduced", "of": source}
+    return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
 
-def sample_gaussian(
-    spec: GaussianSpec, count: int, seed, threads: int = 1, reduce=None
-) -> SampleBatch:
-    """Draw i.i.d. samples from the isotropic gaussian with the given variance.
-
-    ``reduce`` acts as in :func:`sample_body`.
-    """
+def sample_gaussian(spec: GaussianSpec, count: int, seed, threads: int = 1) -> SampleBatch:
+    """Draw i.i.d. samples from the isotropic gaussian with the given variance."""
     if not isinstance(spec, GaussianSpec):
         raise InvalidSpec(f"spec must be a GaussianSpec, got {type(spec).__name__}")
     count = _as_positive_int(count, "count")
@@ -265,8 +255,9 @@ def sample_gaussian(
         if sigma != 1.0:
             out *= sigma
 
+    data = _generate(count, spec.dimension, seed, fill, threads)
     source = {"draw": "gaussian", "spec": spec.to_jsonable()}
-    return _draw(count, spec.dimension, seed, fill, threads, reduce, False, source)
+    return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
 
 def convolve_and_rescale(

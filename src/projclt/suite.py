@@ -20,8 +20,8 @@ import numpy as np
 from scipy.stats import chi2
 
 from .errors import InvalidSpec
-from .model import BodyKind, BodySpec, ConvolutionSchedule, GaussianSpec
-from .samplers import sample_body, sample_gaussian
+from .model import BodyKind, BodySpec, ConvolutionSchedule
+from .samplers import sample_body
 from .spherical import (
     KernelParams,
     gaussian_density,
@@ -224,7 +224,9 @@ def _criterion_6(profile):
     gauss_ok = True
     for n in (100, 400):
         eps = _C6_EPS_SCALE * n ** (-1.0 / 15.0)
-        norms = sample_gaussian(GaussianSpec(n, 1.0), count, seed=6_200 + n, reduce=norm_column)
+        norms = sample_body(
+            BodySpec(BodyKind.STANDARD_GAUSSIAN, n), count, seed=6_200 + n, reduce=norm_column
+        )
         frac = thin_shell_fraction(norms, eps, dimension=n).fraction
         lo, hi = n * (1.0 - eps) ** 2, n * (1.0 + eps) ** 2
         oracle = float(1.0 - (chi2.cdf(hi, n) - chi2.cdf(lo, n)))

@@ -14,15 +14,26 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import projclt.cli
+import projclt.density
 import projclt.suite
 from projclt.cli import main
 from projclt.model import BodySpec, loads
 from projclt.samplers import load_batch, sample_body, save_batch, save_batch_csv
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _child_env(**extra):
+    """The environment of a ``python -m projclt`` child: this checkout's package first."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), **extra}
 
 
 def _read_csv(path):
@@ -67,6 +78,37 @@ def test_a_batch_larger_than_physical_memory_exits_1(tmp_path, capsys):
     assert err.startswith("error: a 100000000000 x 1000 batch needs 800000000000000 bytes")
     assert "bytes of physical memory" in err
     assert not out.exists()
+
+
+_RATIO = ["ratio", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1"]
+_MTILDE = ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_RATIO + ["--l", "1", "--grid-points", "0"], "grid_points must be >= 1"),
+        (_RATIO + ["--l", "2", "--grid-points", "0"], "grid_points must be >= 1"),
+        (_RATIO + ["--l", "1", "--max-radius", "-1"], "max_radius must be positive"),
+        (_RATIO + ["--l", "2", "--max-radius", "nan"], "max_radius must be positive"),
+        (_RATIO + ["--l", "2", "--directions", "0"], "direction_count must be >= 1"),
+        (_MTILDE + ["--t-points", "0"], "radii must be non-empty and nonnegative"),
+        (_MTILDE + ["--t-max", "-1"], "radii must be non-empty and nonnegative"),
+    ],
+    ids=["ratio_l1_no_points", "ratio_l2_no_points", "ratio_negative_radius",
+         "ratio_nan_radius", "ratio_no_directions", "mtilde_no_points", "mtilde_negative_radius"],
+)
+def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path, monkeypatch,
+                                                           capsys):
+    def draw(*args, **kwargs):
+        pytest.fail("a sample was drawn before the KDE grid was checked")
+
+    monkeypatch.setattr(projclt.cli, "project_body", draw)
+    monkeypatch.setattr(projclt.density, "project_body", draw)
+    out = tmp_path / "r.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -403,7 +445,7 @@ def test_project_bytes_do_not_depend_on_the_openblas_thread_count(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "projclt", "project", "--input", str(tmp_path / "batch.bin"),
              "--l", "1", "--seed", "6", "--output", str(tmp_path / f"p{threads}.bin")],
-            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS=threads),
         )
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "p1.bin").read_bytes() == (tmp_path / "p2.bin").read_bytes()
@@ -640,6 +682,7 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
          "--tmax", "1.7", "--points", "5", "--output", str(out)],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     header, _, rows = _read_csv(out)

@@ -17,20 +17,20 @@ import pytest
 import projclt.cli
 import projclt.density
 from projclt.cli import projected_ratio
+from projclt.deconvolution import body_convolved_density_1d
 from projclt.density import (
     MAX_KDE_DIM,
     MIN_KDE_SAMPLES,
-    KdeConfig,
     estimate_density,
     m_tilde_profile,
     project_body,
+    radial_points,
     ratio_to_gaussian,
     scott_bandwidth,
-    unit_directions,
 )
 from projclt.errors import DimensionTooHigh, InvalidSpec, RangeError, TooFewSamples
 from projclt.grassmann import random_subspace
-from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
+from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec, SubspaceBasis
 from projclt.samplers import SampleBatch, sample_gaussian
 from projclt.spherical import gaussian_density
 
@@ -39,11 +39,11 @@ from projclt.spherical import gaussian_density
 
 
 def test_line_directions_are_the_two_signs():
-    np.testing.assert_array_equal(unit_directions(1, 7), [[1.0], [-1.0]])
+    np.testing.assert_array_equal(radial_points([1.0], 1, 7), [[1.0], [-1.0]])
 
 
 def test_circle_directions_are_evenly_spaced():
-    dirs = unit_directions(2, 8)
+    dirs = radial_points([1.0], 2, 8)
     assert dirs.shape == (8, 2)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
     np.testing.assert_allclose(dirs.sum(axis=0), 0.0, atol=1e-13)
@@ -53,7 +53,7 @@ def test_circle_directions_are_evenly_spaced():
 
 
 def test_sphere_directions_cover_both_hemispheres():
-    dirs = unit_directions(3, 64)
+    dirs = radial_points([1.0], 3, 64)
     assert dirs.shape == (64, 3)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
     # the z lattice is symmetric by construction, x/y nearly balance
@@ -63,7 +63,7 @@ def test_sphere_directions_cover_both_hemispheres():
 
 def test_directions_reject_high_dimension():
     with pytest.raises(DimensionTooHigh):
-        unit_directions(4, 16)
+        radial_points([1.0], 4, 16)
 
 
 # -------------------------------------------------------------- bandwidth
@@ -76,19 +76,34 @@ def test_scott_bandwidth_formula():
     assert scott_bandwidth(data) == expected
 
 
-def test_kde_config_validation():
+@pytest.mark.parametrize(
+    "radii, direction_count",
+    [([], 16), ([[0.5]], 16), ([-0.5, 1.0], 16), ([0.5, math.nan], 16), ([0.5], 0)],
+    ids=["empty", "two_dimensional", "negative", "nan", "no_directions"],
+)
+def test_radial_points_reject_bad_grids(radii, direction_count):
     with pytest.raises(InvalidSpec):
-        KdeConfig()  # neither grid style
+        radial_points(radii, 2, direction_count)
+
+
+@pytest.mark.parametrize(
+    "points, bandwidth",
+    [
+        (np.zeros((0, 1)), None),  # no points
+        (np.zeros(3), None),  # a flat list is not a k x 1 array
+        (np.zeros((3, 2)), None),  # dimension mismatch
+        ([[math.inf]], None),
+        ([[0.0]], 0.0),
+        ([[0.0]], -0.3),
+        ([[0.0]], math.nan),
+        ([[0.0]], math.inf),
+    ],
+    ids=["empty", "flat", "dim_mismatch", "inf_point", "zero_h", "negative_h", "nan_h", "inf_h"],
+)
+def test_estimate_density_rejects_bad_arguments(points, bandwidth):
+    batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), MIN_KDE_SAMPLES, seed=20)
     with pytest.raises(InvalidSpec):
-        KdeConfig(points=[[0.0]], radii=[0.5])  # both grid styles
-    with pytest.raises(InvalidSpec):
-        KdeConfig(points=[[0.0]], bandwidth=0.3)  # bandwidth without 'fixed'
-    with pytest.raises(InvalidSpec):
-        KdeConfig(points=[[0.0]], bandwidth_rule="fixed")  # 'fixed' without bandwidth
-    with pytest.raises(InvalidSpec):
-        KdeConfig(radii=[-0.5, 1.0])
-    cfg = KdeConfig(points=[0.0, 1.0, 2.0])  # 1-d points may come as a flat list
-    assert cfg.points.shape == (3, 1)
+        estimate_density(batch, points, bandwidth)
 
 
 # ---------------------------------------------------------------- estimates
@@ -105,7 +120,7 @@ def test_estimator_matches_its_exact_expectation_per_dimension():
             g = np.linspace(-1.5, 1.5, 5)
             pts = np.stack(np.meshgrid(*([g] * l)), axis=-1).reshape(-1, l)
         batch = sample_gaussian(GaussianSpec(dimension=l, variance=1.0), count, seed=21)
-        est = estimate_density(batch, KdeConfig(points=pts))
+        est = estimate_density(batch, pts)
         truth = gaussian_density(l, 1.0 + est.bandwidth**2, np.linalg.norm(pts, axis=1))
         dev = np.abs(est.values - truth)
         assert dev.max() < tol
@@ -115,8 +130,7 @@ def test_estimator_matches_its_exact_expectation_per_dimension():
 
 def test_fixed_bandwidth_is_used_verbatim():
     batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=22)
-    cfg = KdeConfig(bandwidth_rule="fixed", bandwidth=0.25, points=np.zeros((1, 1)))
-    est = estimate_density(batch, cfg)
+    est = estimate_density(batch, np.zeros((1, 1)), bandwidth=0.25)
     assert est.bandwidth == 0.25
     truth = gaussian_density(1, 1.0 + 0.25**2, 0.0)
     assert abs(est.values[0] - truth) < 4.0 * est.stderr[0] + 1e-4
@@ -144,21 +158,21 @@ def direct_kernel_sum(data, pts, h):
 
 
 @pytest.mark.parametrize(
-    "l, body, cfg",
+    "l, body, points, bandwidth",
     [
-        (1, "gaussian", KdeConfig(points=np.linspace(-2.0, 2.0, 41))),
-        (2, "cube", KdeConfig(radii=np.linspace(0.0, 2.0, 9), direction_count=8)),
-        (3, "simplex", KdeConfig(radii=np.linspace(0.0, 1.5, 7), direction_count=16)),
-        (2, "gaussian", KdeConfig(bandwidth_rule="fixed", bandwidth=0.1, points=[[0.3, -0.2]])),
+        (1, "gaussian", np.linspace(-2.0, 2.0, 41)[:, None], None),
+        (2, "cube", radial_points(np.linspace(0.0, 2.0, 9), 2, 8), None),
+        (3, "simplex", radial_points(np.linspace(0.0, 1.5, 7), 3, 16), None),
+        (2, "gaussian", [[0.3, -0.2]], 0.1),
     ],
     ids=["l1_scott", "l2_scott", "l3_scott", "l2_fixed"],
 )
-def test_binned_estimate_matches_the_direct_kernel_sum(l, body, cfg):
+def test_binned_estimate_matches_the_direct_kernel_sum(l, body, points, bandwidth):
     # Projections of 20-dimensional bodies, as the pipelines estimate them.  Their
     # tails reach past the grid's 8h margin, so dropped rows are covered too.
     basis = random_subspace(20, l, seed=22)
     batch = project_body(BodySpec(body, 20), 60_000, 23, basis)
-    est = estimate_density(batch, cfg)
+    est = estimate_density(batch, points, bandwidth)
     values, stderr = direct_kernel_sum(batch.data, est.points, est.bandwidth)
     assert np.all(np.abs(est.values - values) <= 0.1 * stderr)
     np.testing.assert_allclose(est.stderr, stderr, rtol=0.02)
@@ -166,8 +180,7 @@ def test_binned_estimate_matches_the_direct_kernel_sum(l, body, cfg):
 
 def test_radial_grid_is_radius_major():
     batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 10_000, seed=24)
-    cfg = KdeConfig(radii=np.array([0.0, 1.0]), direction_count=4)
-    est = estimate_density(batch, cfg)
+    est = estimate_density(batch, radial_points([0.0, 1.0], 2, 4))
     assert est.points.shape == (8, 2)
     np.testing.assert_array_equal(est.points[:4], np.zeros((4, 2)))
     np.testing.assert_allclose(np.linalg.norm(est.points[4:], axis=1), 1.0, atol=1e-14)
@@ -178,15 +191,15 @@ def test_radial_grid_is_radius_major():
 def test_estimator_guards():
     small = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), MIN_KDE_SAMPLES - 1, seed=25)
     with pytest.raises(TooFewSamples):
-        estimate_density(small, KdeConfig(points=[[0.0]]))
+        estimate_density(small, [[0.0]])
 
     wide = sample_gaussian(GaussianSpec(dimension=MAX_KDE_DIM + 1, variance=1.0), 20_000, seed=26)
     with pytest.raises(DimensionTooHigh):
-        estimate_density(wide, KdeConfig(radii=[0.5]))
+        estimate_density(wide, np.zeros((1, MAX_KDE_DIM + 1)))
 
     batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 20_000, seed=27)
     with pytest.raises(InvalidSpec):
-        estimate_density(batch, KdeConfig(points=np.zeros((3, 1))))  # dim mismatch
+        estimate_density(batch, np.zeros((3, 1)))  # dim mismatch
 
 
 @pytest.mark.parametrize(
@@ -200,15 +213,36 @@ def test_estimator_rejects_non_finite_data(bad):
         data[row, 1] = value
     batch = SampleBatch(data=data, seed=30, source={})
     with pytest.raises(InvalidSpec, match="20000 x 2 batch to estimate holds non-finite values"):
-        estimate_density(batch, KdeConfig(points=[[0.0, 0.0]]))
+        estimate_density(batch, [[0.0, 0.0]])
 
 
 def test_estimator_refuses_a_grid_larger_than_physical_memory():
     # About 1.6e5 nodes per axis; the check runs before anything grid-sized is allocated.
     batch = sample_gaussian(GaussianSpec(dimension=3, variance=1.0), MIN_KDE_SAMPLES, seed=31)
-    cfg = KdeConfig(bandwidth_rule="fixed", bandwidth=1e-4, radii=np.linspace(0.0, 2.0, 5))
+    points = radial_points(np.linspace(0.0, 2.0, 5), 3, 16)
     with pytest.raises(RangeError, match="KDE grid at 80 points needs .* bytes of physical memory"):
-        estimate_density(batch, cfg)
+        estimate_density(batch, points, bandwidth=1e-4)
+
+
+# ------------------------------------------------------------- exact oracle
+
+# Bonferroni over the 31 points at a family false-failure rate of 1e-6.
+_ORACLE_Z = 5.53
+
+
+def test_a_cube_coordinate_projection_matches_its_exact_kde_expectation():
+    # Onto e1 the isotropic cube projects to the uniform law on [-sqrt(3), sqrt(3)],
+    # so the fixed-h estimate has the exact expectation uniform * N(0, h^2).  Over
+    # seeds 0-7 the worst |z| is 3.43; a cube sample scaled by 1 +/- 3% reaches
+    # |z| >= 5.8 at every one of those seeds, so a scale error of 3% fails here.
+    n, h = 50, 0.05
+    e1 = np.zeros((1, n))
+    e1[0, 0] = 1.0
+    batch = project_body(BodySpec("cube", n), 400_000, 0, SubspaceBasis(rows=e1))
+    x = np.linspace(-1.5, 1.5, 31)
+    est = estimate_density(batch, x[:, None], bandwidth=h)
+    z = (est.values - body_convolved_density_1d("uniform", x, h * h)) / est.stderr
+    assert np.abs(z).max() <= _ORACLE_Z
 
 
 # -------------------------------------------------------------- ratio report
@@ -216,7 +250,7 @@ def test_estimator_refuses_a_grid_larger_than_physical_memory():
 
 def test_ratio_to_gaussian_divides_by_the_reference():
     batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=28)
-    est = estimate_density(batch, KdeConfig(points=np.linspace(-1.0, 1.0, 9).reshape(-1, 1)))
+    est = estimate_density(batch, np.linspace(-1.0, 1.0, 9).reshape(-1, 1))
     rep = ratio_to_gaussian(est, 1.0, 1.0)
     ref = gaussian_density(1, 1.0, np.abs(np.linspace(-1.0, 1.0, 9)))
     np.testing.assert_allclose(rep.per_point_ratios, est.values / ref, rtol=1e-14)
@@ -227,7 +261,7 @@ def test_ratio_to_gaussian_divides_by_the_reference():
 
 def test_ratio_to_gaussian_rejects_points_beyond_the_radius():
     batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=29)
-    est = estimate_density(batch, KdeConfig(points=[[0.0], [1.5]]))
+    est = estimate_density(batch, [[0.0], [1.5]])
     with pytest.raises(RangeError):
         ratio_to_gaussian(est, 1.0, 1.0)
     with pytest.raises(RangeError):

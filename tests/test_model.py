@@ -341,7 +341,6 @@ def test_ratio_report_round_trip_preserves_meta():
 
 def _golden_values():
     from projclt.deconvolution import DeconvParams, SandwichReport
-    from projclt.density import KdeConfig
     from projclt.samplers import SampleBatch
     from projclt.spherical import KernelParams
 
@@ -369,10 +368,6 @@ def _golden_values():
         "ratio_report": RatioReport.from_ratios([0.0, 1.0], [1.0, 1.25], meta={"l": 1, "body": cube3}),
         "deconv_certificate": _certificate(),
         "deconv_certificate_params": admissible,
-        "kde_config_points": KdeConfig(points=[-1.0, 0.0, 1.0]),
-        "kde_config_radii": KdeConfig(
-            bandwidth_rule="fixed", bandwidth=0.2, radii=[0.0, 0.5], direction_count=4
-        ),
         "sample_batch": SampleBatch(
             data=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
             seed={"entropy": 7, "spawn_key": [1]},
@@ -422,14 +417,6 @@ GOLDEN_JSON = {
         '"lower_factor": 0.97, "upper_factor": 1.04, "params": null}'
     ),
     "deconv_certificate_params": _ADMISSIBLE_JSON,
-    "kde_config_points": (
-        '{"type": "kde_config", "bandwidth_rule": "scott", "bandwidth": null, '
-        '"points": [[-1.0], [0.0], [1.0]], "radii": null, "direction_count": 16}'
-    ),
-    "kde_config_radii": (
-        '{"type": "kde_config", "bandwidth_rule": "fixed", "bandwidth": 0.2, "points": null, '
-        '"radii": [0.0, 0.5], "direction_count": 4}'
-    ),
     "sample_batch": (
         '{"type": "sample_batch", "dimension": 2, "count": 3, '
         '"seed": {"entropy": 7, "spawn_key": [1]}, '

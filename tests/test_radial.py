@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from projclt.errors import EmptyBatch, InvalidSpec, RangeError
-from projclt.model import BodySpec, GaussianSpec
+from projclt.model import BodySpec
 from projclt.radial import norm_column, thin_shell_fraction
-from projclt.samplers import SampleBatch, sample_body, sample_gaussian
+from projclt.samplers import SampleBatch, sample_body
 
 
 def _norms_batch(norms):
@@ -52,8 +52,7 @@ def test_thin_shell_needs_one_column_of_norms():
 
 
 def test_gaussian_thin_shell_matches_the_chi_square_oracle():
-    spec = GaussianSpec(dimension=100, variance=1.0)
-    norms = sample_gaussian(spec, 100_000, seed=31, reduce=norm_column)
+    norms = sample_body(BodySpec("gaussian", 100), 100_000, seed=31, reduce=norm_column)
     res = thin_shell_fraction(norms, 0.2, 100)
     oracle = stats.chi2.cdf(100 * 0.8**2, df=100) + stats.chi2.sf(100 * 1.2**2, df=100)
     assert abs(res.fraction - oracle) < 0.0015
