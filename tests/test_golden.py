@@ -7,7 +7,9 @@ the numbers exactly.  A change that alters a random stream or the artifact
 schema re-pins the moved hashes and records each old -> new pair and its
 reason in CHANGES.md.  The ratio runs are the CLI's; the scan runs are the
 ``scripts/run_clt_scan.py`` script's; the criterion 7 value is the exact
-l=1 sup of the quick profile.  The multi-chunk runs span two full chunks and
+l=1 sup of the quick profile; the ``deconv-verify`` and
+``scripts/run_deconv_matrix.py`` pins cover the sandwich pass, whose margins
+are closed forms.  The multi-chunk runs span two full chunks and
 a ragged tail, at one and two threads, so a chunk loop that reorders or
 splits work differently shows up as a moved hash.
 """
@@ -161,3 +163,43 @@ def test_multi_chunk_artifacts_are_golden(run, threads, tmp_path):
     assert rc == 0
     for name, sha in shas.items():
         assert _sha((tmp_path / name).read_bytes()) == sha, name
+
+
+DECONV_VERIFY_RUNS = {
+    # Admissible and hypothesis-met: both margin regions carry rows.
+    "admissible": (
+        ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
+         "--epsilon", "0.001", "--R", "10"],
+        "98f91581fcb9701c23d46b72a1493ee478ccdcd65e4d7575ece70f5f8468114c",
+        "15414cebe3cb66c38b27c94874e88e13bcd5b591e60776a39ae8075ad54e682d",
+    ),
+    # alpha above c0 * n^-8: no rows, only the certificate's violations.
+    "inadmissible": (
+        ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
+         "--epsilon", "0.005", "--R", "3"],
+        "1f8ae446c88efb66f83782cf9210d391bea8a7a706069878d071e79ca196dc86",
+        "c21451ce8384858d18f2b824237c2c1b8d7c52fb1a0e18eb2af4bb723e0c105d",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(DECONV_VERIFY_RUNS))
+def test_deconv_verify_artifacts_are_golden(run, tmp_path):
+    extra, csv_sha, json_sha = DECONV_VERIFY_RUNS[run]
+    rc = main(["deconv-verify", *extra, "--output", str(tmp_path / "m.csv"),
+               "--json", str(tmp_path / "m.json")])
+    assert rc == 0
+    assert _sha((tmp_path / "m.csv").read_bytes()) == csv_sha
+    assert _sha((tmp_path / "m.json").read_bytes()) == json_sha
+
+
+DECONV_MATRIX_SHA = "f868218fde190ae1eac5639283e82a57c6f1ec2ef525ddf5a5c0e5963823e16a"
+
+
+def test_deconv_matrix_csv_is_golden(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("run_deconv_matrix", SCRIPTS / "run_deconv_matrix.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "matrix.csv"
+    assert script.main(["--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == DECONV_MATRIX_SHA
