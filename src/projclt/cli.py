@@ -54,6 +54,7 @@ from .grassmann import project, random_subspace
 from .spherical import gaussian_density, psi_gaussian_ratio_scan
 from .radial import norm_column, thin_shell_fraction
 from .density import (
+    check_kde_size,
     estimate_density,
     m_tilde_profile,
     project_body,
@@ -190,11 +191,12 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
     orthonormal l x n frame P the projected noise P y is exactly N(0, v I_l).
     The KDE grid is ``grid_points`` points on [-max_radius, max_radius] for
     l = 1, else as many radii on [0, max_radius] times ``direction_count``
-    directions; it is checked and built before anything is drawn.
+    directions; it and the sample size are checked before anything is drawn.
     """
     if not (max_radius > 0 and math.isfinite(max_radius)):
         raise RangeError(f"max_radius must be positive, got {max_radius!r}")
     grid_points = _as_positive_int(grid_points, "grid_points")
+    check_kde_size(count, l)
     n = spec.dimension
     basis = random_subspace(n, l, basis_seed)
     if l == 1:

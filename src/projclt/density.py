@@ -109,6 +109,18 @@ def _linear_bin(data: np.ndarray, lo: np.ndarray, delta: float, shape: tuple) ->
     return counts.reshape(shape)
 
 
+def check_kde_size(count: int, l: int) -> None:
+    """Refuse a count x l batch that ``estimate_density`` cannot take.
+
+    Callers that draw their own sample check its size here first, so a bad
+    size fails before anything is drawn.
+    """
+    if l > MAX_KDE_DIM:
+        raise DimensionTooHigh(f"density estimation supports l <= {MAX_KDE_DIM}, got l={l}")
+    if count < MIN_KDE_SAMPLES:
+        raise TooFewSamples(f"density estimation needs >= {MIN_KDE_SAMPLES} samples, got {count}")
+
+
 def estimate_density(
     projected: SampleBatch, points, bandwidth: float | None = None
 ) -> DensityEstimate:
@@ -117,11 +129,8 @@ def estimate_density(
     ``bandwidth`` is a fixed kernel bandwidth h > 0; None takes Scott's rule.
     """
     l = projected.dimension
-    if l > MAX_KDE_DIM:
-        raise DimensionTooHigh(f"density estimation supports l <= {MAX_KDE_DIM}, got l={l}")
     count = projected.count
-    if count < MIN_KDE_SAMPLES:
-        raise TooFewSamples(f"density estimation needs >= {MIN_KDE_SAMPLES} samples, got {count}")
+    check_kde_size(count, l)
     pts = _as_float_array(points, "points", 2)
     if pts.shape[0] == 0 or pts.shape[1] != l:
         raise InvalidSpec(f"evaluation points must be a non-empty k x {l} array, got {pts.shape}")
@@ -233,6 +242,7 @@ def m_tilde_profile(
     """
     l = _as_positive_int(l, "l")
     subspace_count = _as_positive_int(subspace_count, "subspace_count")
+    check_kde_size(samples_per_subspace, l)
     points = radial_points(radii, l, direction_count)
     radii = np.asarray(radii, dtype=np.float64)
     n = body.dimension

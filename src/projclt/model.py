@@ -103,8 +103,26 @@ def to_jsonable(value):
     return conv()
 
 
+def _reject_non_finite(value, key: str) -> None:
+    """Refuse a NaN or infinite float anywhere in a payload, naming its key path."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InvalidSpec(f"serialized key {key!r} holds the non-finite number {float(value)!r}")
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _reject_non_finite(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _reject_non_finite(v, f"{key}[{i}]")
+
+
 def from_jsonable(payload: dict):
-    """Rebuild a registered value from its JSON dict (inverse of to_jsonable)."""
+    """Rebuild a registered value from its JSON dict (inverse of to_jsonable).
+
+    A NaN or infinite float anywhere in the payload, free-form fields such
+    as ``RatioReport.meta`` included, is an ``InvalidSpec`` naming its key.
+    """
+    _reject_non_finite(payload, "")
     if not isinstance(payload, dict) or "type" not in payload:
         raise InvalidSpec("serialized value must be a dict with a 'type' tag")
     cls = _REGISTRY.get(payload["type"])

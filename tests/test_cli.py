@@ -112,6 +112,32 @@ def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ratio", "--body", "cube", "--n", "20", "--l", "1", "--samples", "5000", "--seed", "1"],
+         "density estimation needs >= 10000 samples, got 5000"),
+        (_MTILDE + ["--samples-per-subspace", "5000"],
+         "density estimation needs >= 10000 samples, got 5000"),
+        (["ratio", "--body", "cube", "--n", "20", "--l", "4", "--samples", "20000", "--seed", "1"],
+         "density estimation supports l <= 3, got l=4"),
+    ],
+    ids=["ratio_few_samples", "mtilde_few_samples", "ratio_l4"],
+)
+def test_a_sample_too_small_for_the_kde_exits_1_before_anything_is_drawn(argv, message, tmp_path,
+                                                                         monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        pytest.fail("a sample or a basis was drawn before the sample size was checked")
+
+    for module in (projclt.cli, projclt.density):
+        monkeypatch.setattr(module, "sample_body", draw)
+        monkeypatch.setattr(module, "random_subspace", draw)
+    out = tmp_path / "r.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sample", "--body", "cube", "--n", "4", "--samples", "10"],

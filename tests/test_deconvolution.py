@@ -6,7 +6,9 @@ closed forms; the tests cross-check them against direct quadrature at a
 resolvable alpha and against their exact limits at tiny alpha.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,63 @@ def test_grid_convolution_handles_two_dimensions():
     assert abs(out.sum() * 0.02**2 - 1.0) < 1e-8
 
 
+def _direct_convolution(density, spacing, variance):
+    """grid_convolve's truncated, renormalized kernel, summed directly per axis."""
+    half = math.ceil(8.0 * math.sqrt(variance) / spacing)
+    offsets = np.arange(-half, half + 1) * spacing
+    kernel = np.exp(-offsets * offsets / (2.0 * variance))
+    kernel /= kernel.sum()
+    out = density
+    for axis in range(density.ndim):
+        out = np.apply_along_axis(
+            lambda row: np.convolve(row, kernel, mode="full")[half:half + row.size], axis, out
+        )
+    return out
+
+
+def _uniform_grid(xs, spacing):
+    # a density with jumps and exact zeros, normalized to unit discrete mass
+    density = np.where(np.abs(xs) <= SQRT3, 1.0, 0.0)
+    return density / (density.sum() * spacing)
+
+
+def test_grid_convolution_matches_the_direct_sum_in_one_dimension():
+    spacing = 0.01
+    xs = np.arange(-4.0, 4.0, spacing)
+    for density, variance in (
+        (_uniform_grid(xs, spacing), 0.05),
+        (body_density_1d("laplace", xs, 0.0), 0.3),
+        (_uniform_grid(xs, spacing), 0.4),  # kernel wider than half the grid
+    ):
+        density = density / (density.sum() * spacing)
+        out = grid_convolve(density, spacing, variance)
+        assert np.abs(out - _direct_convolution(density, spacing, variance)).max() <= 1e-14
+
+
+def test_grid_convolution_matches_the_direct_sum_in_two_dimensions():
+    spacing = 0.02
+    xs = np.arange(-3.0, 3.0, spacing)
+    ys = np.arange(-2.5, 2.5, spacing)
+    density = np.outer(_uniform_grid(xs, spacing), body_density_1d("laplace", ys, 0.0))
+    density /= density.sum() * spacing**2
+    out = grid_convolve(density, spacing, 0.04)
+    assert out.shape == density.shape
+    assert np.abs(out - _direct_convolution(density, spacing, 0.04)).max() <= 1e-14
+
+
+def test_grid_convolution_output_is_a_valid_input_again():
+    # Far from the jumps the convolution underflows to 0; FFT roundoff must
+    # not leave negative values there, or the next pass refuses its input.
+    spacing = 0.001
+    xs = np.arange(-12.0, 12.0 + spacing / 2.0, spacing)
+    once = grid_convolve(_uniform_grid(xs, spacing), spacing, 0.01)
+    assert once.min() >= 0.0
+    assert np.any(once == 0.0)
+    twice = grid_convolve(once, spacing, 0.3)
+    assert twice.min() >= 0.0
+    assert abs(twice.sum() * spacing - 1.0) < 1e-9
+
+
 def test_grid_convolution_guards():
     xs = np.arange(-10.0, 10.0, 0.05)
     density = gaussian_density(1, 0.5, np.abs(xs))
@@ -294,6 +353,23 @@ def test_vacuous_side_produces_no_rows():
     assert report.status == "verified"
     assert report.upper_margin_min is None
     assert {r[0] for r in rows} == {"lower"}
+
+
+def _deconv_matrix():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_deconv_matrix.py"
+    spec = importlib.util.spec_from_file_location("run_deconv_matrix", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.DEFAULT_MATRIX
+
+
+@pytest.mark.parametrize("case", _deconv_matrix())
+@pytest.mark.parametrize("body", BODIES_1D)
+def test_verify_sandwich_reports_what_sandwich_margins_reports(case, body):
+    p = _params(*case)
+    report, rows = sandwich_margins(body, p, grid_points=301)
+    assert dumps(verify_sandwich(body, p, grid_points=301)) == dumps(report)
+    assert bool(rows) == (report.status in ("verified", "sandwich_violated"))
 
 
 def test_sandwich_report_round_trip():

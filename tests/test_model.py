@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,38 @@ def test_loads_rejects_non_finite_json_constants(constant):
     text = dumps(RatioReport.from_ratios([0.0, 0.5], [1.01, 0.98], meta={"v": 1.5}))
     with pytest.raises(InvalidSpec, match=f"JSON constant {constant} is not a finite number"):
         loads(text.replace("1.5", constant))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        ("meta", "meta.v"),
+        ("meta_list", "meta.window[1]"),
+        ("ratios", "per_point_ratios[1]"),
+        ("nested", "certificate.params.alpha"),
+    ],
+)
+def test_from_jsonable_rejects_non_finite_floats_naming_the_key(bad, where, key):
+    # Payloads built in Python never pass the JSON parser's constant hook.
+    from projclt.deconvolution import DeconvParams, verify_sandwich
+
+    if where == "nested":
+        params = DeconvParams(n=2, alpha=1e-24, beta=0.5, epsilon=0.005, hypothesis_radius=3.0)
+        payload = to_jsonable(verify_sandwich("uniform", params))
+        payload["certificate"]["params"]["alpha"] = bad
+    else:
+        payload = to_jsonable(
+            RatioReport.from_ratios([0.0, 0.5], [1.01, 0.98], meta={"v": 1.5, "window": [0.0, 2.0]})
+        )
+        if where == "meta":
+            payload["meta"]["v"] = bad
+        elif where == "meta_list":
+            payload["meta"]["window"][1] = bad
+        else:
+            payload["per_point_ratios"][1] = bad
+    with pytest.raises(InvalidSpec, match=rf"serialized key '{re.escape(key)}' holds the non-finite"):
+        from_jsonable(payload)
 
 
 def test_to_jsonable_rejects_foreign_objects():

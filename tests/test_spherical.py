@@ -195,6 +195,63 @@ def test_chi_mixture_reproduces_the_gaussian(n, l):
         assert abs(mix / ref - 1.0) < 1e-8
 
 
+def _quad_mixture(n_chi, n, l, t):
+    """The mixture by adaptive quadrature of the r-form integrand over [t, sqrt(n_chi) + 26].
+
+    For n - l = 1 the rim factor (1 - t^2/r^2)^(-1/2) is singular at r = t,
+    so the first unit of r is integrated against the weight (r - t)^(-1/2).
+    """
+    upper = math.sqrt(n_chi) + 26.0
+    if t >= upper:
+        return 0.0
+    expo = 0.5 * (n - l - 2)
+    log_c = log_gamma_nl(n, l)
+
+    def integrand(r):
+        if r <= t:
+            return 0.0
+        return math.exp(
+            log_c - l * math.log(r) + expo * math.log1p(-((t / r) ** 2)) + chi_log_pdf(n_chi, r)
+        )
+
+    lo, total = t, 0.0
+    if expo < 0:
+        lo = min(t + 1.0, upper)
+
+        def without_weight(r):
+            if r <= 0.0:  # t = 0: the weighted-out integrand vanishes like sqrt(r)
+                return 0.0
+            return math.exp(
+                log_c - (l + 2 * expo) * math.log(r) + expo * math.log(r + t)
+                + chi_log_pdf(n_chi, r)
+            )
+
+        total, _ = integrate.quad(without_weight, t, lo, weight="alg", wvar=(expo, 0.0),
+                                  epsabs=0.0, epsrel=1e-13, limit=200)
+    if lo < upper:
+        peak = [math.sqrt(n_chi)] if lo < math.sqrt(n_chi) < upper else None
+        rest, _ = integrate.quad(integrand, lo, upper, points=peak, epsabs=0.0, epsrel=1e-13,
+                                 limit=400)
+        total += rest
+    return total
+
+
+@pytest.mark.parametrize("n, l", [(2, 1), (4, 3), (5, 3), (16, 1), (1024, 3)])
+@pytest.mark.parametrize("extra_dims", [0, 3])
+def test_chi_mixture_matches_quadrature_of_the_r_integral(n, l, extra_dims):
+    # chi_dim = n + 3 mixes over a law whose mixture is not the gaussian.
+    n_chi = n + extra_dims
+    root = math.sqrt(n_chi)
+    ts = np.array([0.0, 0.7, 2.5, root, root + 10.0, root + 25.5, root + 26.0, root + 30.0])
+    g = RadialDensity(form="chi", chi_dim=n_chi)
+    mix = radial_mixture_marginal(g, n, l, ts)
+    oracle = np.array([_quad_mixture(n_chi, n, l, t) for t in ts])
+    np.testing.assert_allclose(mix, oracle, rtol=1e-10, atol=0.0)
+    assert np.all(mix[ts >= root + 26.0] == 0.0)
+    if extra_dims:
+        assert abs(mix[0] / gaussian_density(l, 1.0, 0.0) - 1.0) > 1e-3
+
+
 # -------------------------------------------------------------------- scans
 
 
