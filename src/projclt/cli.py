@@ -52,7 +52,7 @@ from .samplers import (
 )
 from .grassmann import project, random_subspace
 from .spherical import gaussian_density, psi_gaussian_ratio_scan
-from .radial import norm_column, thin_shell_fraction
+from .radial import norm_column, shell_epsilon, thin_shell_fraction
 from .density import (
     check_kde_size,
     estimate_density,
@@ -62,7 +62,6 @@ from .density import (
     ratio_to_gaussian,
 )
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
-from . import suite as suite_mod
 
 SCHEMA_VERSION = 4
 
@@ -242,9 +241,9 @@ def _cmd_sample(resolved, echo) -> int:
     spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed = root.spawn(2)
+    schedule = None if resolved["alpha"] is None else ConvolutionSchedule(float(resolved["alpha"]))
     batch = sample_body(spec, int(resolved["samples"]), body_seed, threads=int(resolved["threads"]))
-    if resolved["alpha"] is not None:
-        schedule = ConvolutionSchedule(float(resolved["alpha"]))
+    if schedule is not None:
         batch = convolve_and_rescale(batch, schedule, noise_seed, threads=int(resolved["threads"]))
     _save(batch, resolved, echo)
     return 0
@@ -312,7 +311,7 @@ def _cmd_thinshell(resolved, echo) -> int:
         epsilons = [n ** (-1.0 / 15.0)]
     if not isinstance(epsilons, (list, tuple)):
         epsilons = [epsilons]
-    echo["epsilon"] = [float(e) for e in epsilons]
+    echo["epsilon"] = epsilons = [shell_epsilon(e) for e in epsilons]
     spec = BodySpec(BodyKind.parse(resolved["body"]), n)
     norms = sample_body(
         spec, int(resolved["samples"]), int(resolved["seed"]), threads=int(resolved["threads"]),
@@ -320,8 +319,8 @@ def _cmd_thinshell(resolved, echo) -> int:
     )
     rows = []
     for eps in epsilons:
-        frac = thin_shell_fraction(norms, float(eps), dimension=n)
-        rows.append((float(eps), frac.fraction, frac.stderr))
+        frac = thin_shell_fraction(norms, eps, dimension=n)
+        rows.append((eps, frac.fraction, frac.stderr))
     _write_csv(resolved["output"], echo, ("epsilon", "fraction", "stderr"), rows)
     return 0
 
@@ -429,8 +428,10 @@ def _criterion_indices(value) -> list | None:
     _OPTIONAL_OUTPUT,
 ])
 def _cmd_suite(resolved, echo) -> int:
+    from . import suite  # loads scipy.stats; no other subcommand needs it
+
     only = _criterion_indices(resolved["only"])
-    results = suite_mod.run_all(profile=resolved["profile"], only=only)
+    results = suite.run_all(profile=resolved["profile"], only=only)
     for result in results:
         print(result.line())
     failed = [r.index for r in results if not r.passed]

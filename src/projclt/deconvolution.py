@@ -16,7 +16,8 @@ can resolve the kernel, so the convolved densities come from closed forms:
 the gaussian family is closed under convolution, the uniform convolution is a
 difference of normal CDFs, and the two-sided exponential has an exact
 erfc-based formula.  ``grid_convolve`` cross-validates those closed forms at
-moderate alpha, where both routes are available.
+moderate alpha, where both routes are available.  scipy is imported only
+inside ``body_convolved_density_1d``, so importing this module loads none of it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, ndtr
 
 from .errors import GridTooCoarse, InvalidSpec, RangeError
 from .model import NESTED, DeconvCertificate, _as_positive_int, register
@@ -174,6 +174,8 @@ def body_convolved_density_1d(body: str, x, alpha: float) -> np.ndarray:
     which is stable down to extremely small alpha because erfc saturates at 2
     on one side and underflows to 0 against a bounded exponential on the other.
     """
+    from scipy.special import erfc, ndtr
+
     x = np.asarray(x, dtype=np.float64)
     alpha = float(alpha)
     if not (alpha > 0 and math.isfinite(alpha)):

@@ -127,6 +127,10 @@ def estimate_density(
     """Gaussian-kernel density estimate of a batch at the (k, l) ``points``, by linear binning.
 
     ``bandwidth`` is a fixed kernel bandwidth h > 0; None takes Scott's rule.
+    On projected samples the binned values stay within 0.04 of the stderr of
+    the direct pair sum.  A density with a jump bins worse: at l = n (the raw
+    square, ``ratio --n 2 --l 2``) the gap reaches 0.36 of the stderr at the
+    square's edges.
     """
     l = projected.dimension
     count = projected.count

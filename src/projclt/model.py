@@ -122,6 +122,9 @@ def from_jsonable(payload: dict):
     A NaN or infinite float anywhere in the payload, free-form fields such
     as ``RatioReport.meta`` included, is an ``InvalidSpec`` naming its key.
     """
+    # Importing these registers the codec types defined outside this module.
+    from . import deconvolution, samplers, spherical  # noqa: F401
+
     _reject_non_finite(payload, "")
     if not isinstance(payload, dict) or "type" not in payload:
         raise InvalidSpec("serialized value must be a dict with a 'type' tag")

@@ -28,15 +28,21 @@ def norm_column(data: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", data, data))[:, None]
 
 
+def shell_epsilon(epsilon) -> float:
+    """``epsilon`` as a float, refused unless positive and finite."""
+    epsilon = float(epsilon)
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise RangeError(f"epsilon must be positive, got {epsilon!r}")
+    return epsilon
+
+
 def thin_shell_fraction(batch: SampleBatch, epsilon: float, dimension: int) -> ThinShellFraction:
     """Fraction of samples with | |x|/sqrt(n) - 1 | >= epsilon, with binomial stderr.
 
     ``batch`` is one column of sample norms, as ``sample_body(...,
     reduce=norm_column)`` returns, and ``dimension`` is the samples' n.
     """
-    epsilon = float(epsilon)
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise RangeError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = shell_epsilon(epsilon)
     if batch.dimension != 1:
         raise InvalidSpec(f"a norms batch has one column, got {batch.dimension}")
     if batch.count == 0:

@@ -17,7 +17,8 @@ one composite Gauss–Legendre rule, evaluated for every t at once after the
 substitution r = sqrt(t^2 + s^2) removes the rim factor's endpoint
 behaviour.  With chi_dim = n the mixture collapses to the standard gaussian
 density exactly — the fixed point the test-suite pins down.  Only the ball
-mass, ``psi_ball_mass``, keeps adaptive quadrature.
+mass, ``psi_ball_mass``, keeps adaptive quadrature.  scipy is imported inside
+the functions that call it, so importing this module loads none of it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .errors import DomainError, InvalidSpec, RangeError
 from .model import RadialDensity, RatioReport, _as_positive_int, register
@@ -55,6 +54,8 @@ class KernelParams:
 
 def log_gamma_nl(n: int, l: int) -> float:
     """log of Gamma_nl = pi^(-l/2) Gamma(n/2) / Gamma((n-l)/2), for 1 <= l < n."""
+    from scipy.special import gammaln
+
     n = _as_positive_int(n, "n")
     l = _as_positive_int(l, "l")
     if l >= n:
@@ -110,6 +111,8 @@ def gaussian_density(l: int, v: float, x_norm) -> float | np.ndarray:
 
 def chi_log_pdf(n: int, t) -> float | np.ndarray:
     """log density of the norm of a standard n-dimensional gaussian (chi law)."""
+    from scipy.special import gammaln
+
     n = _as_positive_int(n, "n")
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     out = np.full_like(t_arr, -np.inf)
@@ -128,6 +131,8 @@ def chi_log_pdf(n: int, t) -> float | np.ndarray:
 
 def _log_sphere_surface(l: int) -> float:
     """log surface area of the unit sphere S^(l-1) in R^l."""
+    from scipy.special import gammaln
+
     return math.log(2.0) + 0.5 * l * math.log(math.pi) - float(gammaln(0.5 * l))
 
 
@@ -143,6 +148,8 @@ def psi_ball_mass(params: KernelParams) -> float:
     Analytically the value is exactly 1; this function exists to measure how
     far the numerics drift from that.
     """
+    from scipy.integrate import quad
+
     n, l = params.n, params.l
     if l >= n:
         raise DomainError(f"psi_ball_mass needs l < n, got l={l}, n={n}")
@@ -189,6 +196,8 @@ def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.n
     log density written out, the integrand's log is
     const + (n-l-1) log s + (m - n) log r - r^2/2.
     """
+    from scipy.special import gammaln
+
     if not isinstance(g, RadialDensity):
         raise DomainError(f"g must be a RadialDensity, got {type(g).__name__}")
     n = _as_positive_int(n, "n")

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
+from . import cli
 from .errors import InvalidSpec
-from .model import BodyKind, BodySpec, ConvolutionSchedule
+from .model import BodyKind, BodySpec, ConvolutionSchedule, RadialDensity
 from .samplers import sample_body
 from .spherical import (
     KernelParams,
@@ -33,7 +34,6 @@ from .spherical import (
 from .radial import norm_column, thin_shell_fraction
 from .density import m_tilde_profile
 from .deconvolution import DeconvParams, check_conditions, grid_convolve, verify_sandwich
-from .model import RadialDensity
 
 
 @dataclass
@@ -254,15 +254,13 @@ def _criterion_7(profile):
         bodies = (BodyKind.CUBE,)
         n, count = 100, 200_000
         run_l2 = False
-    from .cli import projected_ratio
-
     sched = ConvolutionSchedule(alpha=10.0)
     details = []
     ok = True
     for bi, kind in enumerate(bodies):
         t0 = time.perf_counter()
         spec = BodySpec(kind, n)
-        _, report1 = projected_ratio(spec, count, 7_000 + bi, 1, 7_100 + bi, 2.0, 81)
+        _, report1 = cli.projected_ratio(spec, count, 7_000 + bi, 1, 7_100 + bi, 2.0, 81)
         sup1 = report1.sup_abs_deviation
         body_ok = sup1 <= 0.05
         txt = f"{kind.value}: l=1 sup {sup1:.4f}"
@@ -360,8 +358,6 @@ def _criterion_10(profile):
 
 def _criterion_11(profile):
     """Stochastic subcommands re-run byte-identically, whatever --threads is."""
-    from . import cli
-
     runs = {
         "ratio": lambda out, threads: [
             "ratio", "--body", "cube", "--n", "20", "--l", "1",

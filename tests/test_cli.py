@@ -23,8 +23,8 @@ import projclt.cli
 import projclt.density
 import projclt.suite
 from projclt.cli import main
-from projclt.model import BodySpec, loads
-from projclt.samplers import load_batch, sample_body, save_batch, save_batch_csv
+from projclt.model import BodySpec, dumps, loads
+from projclt.samplers import SampleBatch, load_batch, sample_body, save_batch, save_batch_csv
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -120,13 +120,23 @@ def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path
          "density estimation needs >= 10000 samples, got 5000"),
         (["ratio", "--body", "cube", "--n", "20", "--l", "4", "--samples", "20000", "--seed", "1"],
          "density estimation supports l <= 3, got l=4"),
+        (["sample", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1",
+          "--alpha", "-1"],
+         "alpha must lie in (0, 1e5), got -1.0"),
+        (["thinshell", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1",
+          "--epsilon", "0"],
+         "epsilon must be positive, got 0.0"),
+        (["thinshell", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1",
+          "--epsilon", "0.1", "--epsilon", "inf"],
+         "epsilon must be positive, got inf"),
     ],
-    ids=["ratio_few_samples", "mtilde_few_samples", "ratio_l4"],
+    ids=["ratio_few_samples", "mtilde_few_samples", "ratio_l4", "sample_negative_alpha",
+         "thinshell_zero_epsilon", "thinshell_infinite_second_epsilon"],
 )
-def test_a_sample_too_small_for_the_kde_exits_1_before_anything_is_drawn(argv, message, tmp_path,
-                                                                         monkeypatch, capsys):
+def test_a_bad_value_exits_1_before_anything_is_drawn(argv, message, tmp_path, monkeypatch,
+                                                      capsys):
     def draw(*args, **kwargs):
-        pytest.fail("a sample or a basis was drawn before the sample size was checked")
+        pytest.fail("a sample or a basis was drawn before the arguments were checked")
 
     for module in (projclt.cli, projclt.density):
         monkeypatch.setattr(module, "sample_body", draw)
@@ -714,3 +724,57 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     header, _, rows = _read_csv(out)
     assert header["config"]["n"] == 100
     assert len(rows) == 5
+
+
+# In-process tests cannot see which modules an import loads, or miss a
+# deferred import, because other test modules have loaded scipy already.
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, projclt.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# psi-scan, the third command that loads scipy, is the entry-point test above.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deconv-verify", "--body", "laplace", "--n", "2", "--alpha", "1e-24", "--beta", "0.5",
+         "--epsilon", "0.005", "--R", "3", "--grid-points", "201", "--output", "sandwich.csv"],
+        ["suite", "--profile", "quick", "--only", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_scipy_command_runs_in_a_fresh_interpreter(tmp_path, argv):
+    proc = subprocess.run([sys.executable, "-m", "projclt", *argv], capture_output=True,
+                          text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_fresh_interpreter_decodes_every_registered_type_from_model_alone():
+    from projclt.deconvolution import DeconvParams, check_conditions
+    from projclt.spherical import KernelParams
+
+    values = [
+        KernelParams(n=5, l=2, r=1.5),
+        check_conditions(DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.001,
+                                      hypothesis_radius=10.0)),
+        SampleBatch(np.eye(3), seed=4, source={"body": "test"}),
+    ]
+    code = (
+        "import sys\n"
+        "from projclt.model import dumps, loads\n"
+        "for line in sys.stdin:\n"
+        "    print(dumps(loads(line)))"
+    )
+    text = "".join(dumps(v) + "\n" for v in values)
+    proc = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == text

@@ -1,12 +1,18 @@
-"""Smoke tests of the sweep scripts in ``scripts/``, run in-process at small sizes."""
+"""Smoke tests of the sweep scripts in ``scripts/``, run in-process at small sizes,
+and of the README's library tour, run in a fresh interpreter."""
 
 import csv
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -43,3 +49,14 @@ def test_run_deconv_matrix_writes_one_row_per_body_and_parameter_set(tmp_path):
     assert header == ["body", "n", "alpha", "beta", "epsilon", "R", "status",
                       "hypothesis_sup", "lower_margin_min", "upper_margin_min"]
     assert len(rows) == len(script.DEFAULT_MATRIX) * len(script.BODIES_1D)
+
+
+def test_the_readme_library_tour_runs():
+    # A fresh interpreter, so the tour sees only what its own imports load.
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
