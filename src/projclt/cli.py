@@ -42,13 +42,16 @@ import numpy as np
 from .errors import InvalidSpec, ProjCltError, RangeError
 from .model import BodyKind, BodySpec, ConvolutionSchedule, _as_positive_int, to_jsonable
 from .samplers import (
+    SampleBatch,
     atomic_open,
     convolve_and_rescale,
     load_batch,
+    read_batch_sidecar,
     read_json_object,
     sample_body,
     save_batch,
     save_batch_csv,
+    save_sample,
 )
 from .grassmann import project, random_subspace
 from .spherical import gaussian_density, psi_gaussian_ratio_scan
@@ -239,13 +242,18 @@ _DECONV_PARAMS = [
 ])
 def _cmd_sample(resolved, echo) -> int:
     spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
+    count, threads = int(resolved["samples"]), int(resolved["threads"])
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed = root.spawn(2)
     schedule = None if resolved["alpha"] is None else ConvolutionSchedule(float(resolved["alpha"]))
-    batch = sample_body(spec, int(resolved["samples"]), body_seed, threads=int(resolved["threads"]))
+    if resolved["format"] == "bin":
+        save_sample(spec, count, body_seed, resolved["output"], config=echo, schedule=schedule,
+                    noise_seed=noise_seed, threads=threads)
+        return 0
+    batch = sample_body(spec, count, body_seed, threads=threads)
     if schedule is not None:
-        batch = convolve_and_rescale(batch, schedule, noise_seed, threads=int(resolved["threads"]))
-    _save(batch, resolved, echo)
+        batch = convolve_and_rescale(batch, schedule, noise_seed, threads=threads)
+    save_batch_csv(batch, resolved["output"], config=echo)
     return 0
 
 
@@ -253,14 +261,21 @@ def _cmd_sample(resolved, echo) -> int:
     Param("input"), _L, _SEED, _FORMAT,
     Param("basis_out", None, echo=False, help="write the basis as JSON here"),
     Param("threads", 1, int, echo=False,
-          help="accepted and ignored: projection runs in BLOCK-row products"),
+          help="accepted and ignored: the batch is read and projected one block of rows "
+               "at a time, which a second thread did not make faster"),
     _OUTPUT,
 ])
 def _cmd_project(resolved, echo) -> int:
-    batch = load_batch(resolved["input"])
-    basis = random_subspace(batch.dimension, int(resolved["l"]), int(resolved["seed"]))
-    projected = project(batch, basis)
-    _save(projected, resolved, echo)
+    path = resolved["input"]
+    sidecar = read_batch_sidecar(path)
+    basis = random_subspace(sidecar["dimension"], int(resolved["l"]), int(resolved["seed"]))
+
+    def reduce(block):
+        return project(SampleBatch(data=block, seed=None, source={}), basis).data
+
+    data = load_batch(path, reduce=reduce).data
+    source = {"draw": "projected", "of": sidecar["source"], "subspace_dim": basis.subspace_dim}
+    _save(SampleBatch(data=data, seed=sidecar["seed"], source=source), resolved, echo)
     if resolved["basis_out"]:
         _dump_json(resolved["basis_out"], echo, basis=to_jsonable(basis))
     return 0

@@ -28,12 +28,17 @@ part of the stream.  There are two forms:
 * full — each block is written into its rows of one preallocated (count, n)
   array, which is returned; the whole batch is held in memory, so a batch
   larger than physical memory is refused with ``RangeError`` before any
-  allocation.
-* reduce (``sample_body`` only) — each block is drawn into a (BLOCK, n)
-  scratch buffer its worker thread reuses, passed at once to a ``reduce``
-  function (a projection, the norms, moment sums) while it is still in
-  cache, and then overwritten, so memory is one block buffer per thread
-  plus the reduced outputs.  The per-block results come back in block order.
+  allocation.  Only library callers and the CSV writer use it.
+* reduce — each block is drawn into a (BLOCK, n) scratch buffer its worker
+  thread reuses, passed at once to a ``reduce`` function (a projection, the
+  norms, moment sums, or the batch-file writer of :func:`save_sample`) while
+  it is still in cache, and then overwritten, so memory is one block buffer
+  per thread plus the reduced outputs.  The per-block results come back in
+  block order.
+
+A batch file is column-major float64 with a JSON sidecar.  Its writer places
+each block's column segments by offset, so blocks may arrive in any order,
+and its reader (:func:`load_batch`) reads a block at a time as well.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -123,16 +129,17 @@ def _require_memory(what: str, need: int) -> None:
         )
 
 
-def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, rowwise=False):
+def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, rowwise=False,
+              smooth=None):
     """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out, rows)``.
 
     Each chunk's generator fills its rows ``BLOCK`` at a time, in order.
     Without ``reduce`` the blocks are slices of one (count, dim) array, which
     is returned.  With ``reduce`` each block is filled into its worker's
-    scratch buffer and passed to ``reduce(block)``, and the list of results
-    is returned in block order.  The buffer is refilled with the worker's
-    next block, so ``reduce`` must return new arrays and keep no view of its
-    input.
+    scratch buffer and passed to ``reduce(block, rows)``, and the list of
+    results is returned in block order.  The buffer is refilled with the
+    worker's next block, so ``reduce`` must return new arrays and keep no
+    view of its input.
 
     ``rowwise`` declares that ``reduce`` maps each row to one output row.  It
     is then given the whole buffer for every block, a short last block
@@ -140,6 +147,11 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
     dropped.  A matrix product's rounding can depend on its row count
     (OpenBLAS takes another kernel for small products), so this way each
     block's product rounds as a full block's does.
+
+    ``smooth``, a ``(noise_seed, sigma, scale)`` triple, smooths each block
+    before ``reduce`` sees it, as :func:`convolve_and_rescale` smooths the
+    full batch: ``noise_seed`` is split into chunks as ``seed`` is, and each
+    chunk's noise generator advances in step with its body generator.
     """
     if reduce is None:
         _require_memory(f"a {count} x {dim} batch", count * dim * 8)
@@ -149,9 +161,14 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
         height = min(BLOCK, count)
     chunks = range(0, count, CHUNK)
     children = _seed_seq(seed).spawn(len(chunks))
+    if smooth is not None:
+        noise_seed, sigma, scale = smooth
+        noise_children = _seed_seq(noise_seed).spawn(len(chunks))
 
     def work(i):
         rng = np.random.default_rng(children[i])
+        if smooth is not None:
+            noise_rng = np.random.default_rng(noise_children[i])
         stop = min(chunks[i] + CHUNK, count)
         results = []
         for lo in range(chunks[i], stop, BLOCK):
@@ -161,12 +178,18 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
                 continue
             if not hasattr(scratch, "buf"):
                 scratch.buf = np.zeros((height, dim), dtype=np.float64)
+                if smooth is not None:
+                    scratch.noise = np.zeros((height, dim), dtype=np.float64)
             m = rows.stop - rows.start
             fill(rng, scratch.buf[:m], rows)
+            block = scratch.buf
+            if smooth is not None:
+                _smooth_block(noise_rng, scratch.noise[:m], block[:m], sigma, scale)
+                block = scratch.noise
             if rowwise:
-                results.append(reduce(scratch.buf[:height])[:m])
+                results.append(reduce(block[:height], rows)[:m])
             else:
-                results.append(reduce(scratch.buf[:m]))
+                results.append(reduce(block[:m], rows))
         return results
 
     if threads > 1 and len(chunks) > 1:
@@ -175,6 +198,14 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
     else:
         per_chunk = [work(i) for i in range(len(chunks))]
     return out if reduce is None else [r for results in per_chunk for r in results]
+
+
+def _smooth_block(rng, out, x, sigma, scale):
+    """Fill ``out`` with (x + sigma * z) * scale, z drawn standard gaussian from ``rng``."""
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += x
+    out *= scale
 
 
 def _fill_cube(rng, out, _rows):
@@ -223,6 +254,12 @@ _FILLS = {
 }
 
 
+def _body_source(spec: BodySpec) -> dict:
+    if not isinstance(spec, BodySpec):
+        raise InvalidSpec(f"spec must be a BodySpec, got {type(spec).__name__}")
+    return {"draw": "body", "spec": spec.to_jsonable()}
+
+
 def sample_body(
     spec: BodySpec, count: int, seed, threads: int = 1, reduce=None, rowwise: bool = False
 ) -> SampleBatch:
@@ -232,13 +269,15 @@ def sample_body(
     mapped by ``reduce`` to a new 2-D array, and the returned batch stacks
     those arrays in block order.  ``rowwise`` is as in :func:`_generate`.
     """
-    if not isinstance(spec, BodySpec):
-        raise InvalidSpec(f"spec must be a BodySpec, got {type(spec).__name__}")
+    source = _body_source(spec)
     count = _as_positive_int(count, "count")
-    source = {"draw": "body", "spec": spec.to_jsonable()}
-    data = _generate(count, spec.dimension, seed, _FILLS[spec.kind], threads, reduce, rowwise)
-    if reduce is not None:
-        data = np.concatenate(data)
+    if reduce is None:
+        data = _generate(count, spec.dimension, seed, _FILLS[spec.kind], threads)
+    else:
+        data = np.concatenate(_generate(
+            count, spec.dimension, seed, _FILLS[spec.kind], threads,
+            lambda block, _rows: reduce(block), rowwise,
+        ))
         source = {"draw": "reduced", "of": source}
     return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
@@ -260,6 +299,16 @@ def sample_gaussian(spec: GaussianSpec, count: int, seed, threads: int = 1) -> S
     return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
 
+def _smoothed_source(source: dict, schedule: ConvolutionSchedule, v: float, seed) -> dict:
+    return {
+        "draw": "convolved_rescaled",
+        "of": source,
+        "schedule": schedule.to_jsonable(),
+        "noise_variance": v,
+        "noise_seed": _seed_jsonable(seed),
+    }
+
+
 def convolve_and_rescale(
     x: SampleBatch,
     schedule: ConvolutionSchedule,
@@ -276,13 +325,7 @@ def convolve_and_rescale(
     v = schedule.noise_variance(x.dimension) if noise_variance is None else float(noise_variance)
     if not (v >= 0.0 and math.isfinite(v)):
         raise InvalidSpec(f"noise variance must be finite and >= 0, got {noise_variance!r}")
-    source = {
-        "draw": "convolved_rescaled",
-        "of": x.source,
-        "schedule": schedule.to_jsonable(),
-        "noise_variance": v,
-        "noise_seed": _seed_jsonable(seed),
-    }
+    source = _smoothed_source(x.source, schedule, v, seed)
     if v == 0.0:
         return SampleBatch(data=x.data, seed=x.seed, source=source)
 
@@ -290,10 +333,7 @@ def convolve_and_rescale(
     scale = 1.0 / math.sqrt(1.0 + v)
 
     def fill(rng, out, rows):
-        rng.standard_normal(out=out)
-        out *= sigma
-        out += x.data[rows]
-        out *= scale
+        _smooth_block(rng, out, x.data[rows], sigma, scale)
 
     data = _generate(x.count, x.dimension, seed, fill, threads)
     return SampleBatch(data=data, seed=x.seed, source=source)
@@ -342,33 +382,121 @@ def read_json_object(path: str, what: str) -> dict:
     return obj
 
 
-def save_batch(batch: SampleBatch, path: str, config: dict | None = None) -> None:
-    """Write the batch as column-major float64 binary plus a JSON sidecar, each atomically."""
+@contextmanager
+def _batch_file(path: str, count: int, dim: int, seed, source: dict, config: dict | None):
+    """Yield the descriptor that a batch's data is written to by offset, then write its sidecar.
+
+    Data and sidecar each go into place atomically; the sidecar, which
+    readers trust, after the data.  A FIFO or socket at ``path`` cannot take
+    positioned writes and is refused with ``InvalidSpec`` before anything is
+    opened.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = 0
+    if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
+        raise InvalidSpec(f"cannot write batch file {path}: it is a FIFO or socket, not seekable")
     sidecar = {
         "schema_version": 1,
-        "dimension": batch.dimension,
-        "count": batch.count,
-        "seed": batch.seed,
-        "source": batch.source,
+        "dimension": dim,
+        "count": count,
+        "seed": seed,
+        "source": source,
         "dtype": "float64",
         "order": "column_major",
     }
     if config is not None:
         sidecar["config"] = config
-    # The sidecar, which readers trust, is renamed into place after the data.
     with atomic_open(path + ".json") as f, atomic_open(path, "wb") as data_file:
-        batch.data.ravel(order="F").tofile(data_file)
+        yield data_file.fileno()
         json.dump(sidecar, f, indent=2)
         f.write("\n")
 
 
-def load_batch(path: str) -> SampleBatch:
-    """Inverse of :func:`save_batch`.
+def _write_rows(fd: int, count: int, lo: int, block: np.ndarray) -> None:
+    """Write ``block`` as rows ``lo``.. of a column-major file of ``count`` rows.
 
-    An unreadable or incomplete sidecar, a ``count`` or ``dimension`` that is
-    not a positive integer, a data file of the wrong size, a missing data file
-    and non-finite data each raise ``InvalidSpec`` naming the file; a batch
-    larger than physical memory raises ``RangeError`` before it is read.
+    The block is transposed once, in cache, and each of its columns is one
+    positioned write at its column-major offset.
+    """
+    for j, column in enumerate(np.ascontiguousarray(block.T)):
+        view, offset = memoryview(column).cast("B"), (j * count + lo) * 8
+        while view:
+            done = os.pwrite(fd, view, offset)
+            view, offset = view[done:], offset + done
+
+
+def _read_rows(fd: int, count: int, lo: int, out: np.ndarray, path: str) -> None:
+    """Fill the column-major ``out`` with rows ``lo``.. of a file of ``count`` rows.
+
+    Each column of ``out`` is one positioned read; the rows are then checked
+    for non-finite values.
+    """
+    for j in range(out.shape[1]):
+        view, offset = memoryview(out[:, j]).cast("B"), (j * count + lo) * 8
+        while view:
+            done = os.preadv(fd, [view], offset)
+            if done == 0:
+                raise InvalidSpec(f"batch file {path} ended before its sidecar's size")
+            view, offset = view[done:], offset + done
+    # min and max propagate NaN and reach any infinity with no temporary.
+    if not (math.isfinite(out.min()) and math.isfinite(out.max())):
+        raise InvalidSpec(f"batch file {path} holds non-finite values")
+
+
+def save_sample(
+    spec: BodySpec,
+    count: int,
+    seed,
+    path: str,
+    config: dict | None = None,
+    schedule: ConvolutionSchedule | None = None,
+    noise_seed=None,
+    threads: int = 1,
+) -> None:
+    """Draw ``sample_body(spec, count, seed)`` straight into the batch file ``path``.
+
+    With a ``schedule`` the sample is smoothed as ``convolve_and_rescale``
+    smooths it with ``noise_seed``.  The data file and sidecar are, byte for
+    byte, what :func:`save_batch` writes of that batch, but each block is
+    written from its worker's buffer, so each thread holds two (BLOCK, n)
+    arrays, the buffer and its transpose, and a third, the noise, with a
+    ``schedule``.  A batch larger than physical memory, which
+    :func:`load_batch` could not hold, is refused with ``RangeError`` before
+    anything is drawn or opened; the CSV form has rows of varying length, so
+    it is written from a batch in memory (:func:`save_batch_csv`).
+    """
+    source = _body_source(spec)
+    count = _as_positive_int(count, "count")
+    dim = spec.dimension
+    _require_memory(f"a {count} x {dim} batch", count * dim * 8)
+    smooth = None
+    if schedule is not None:
+        v = schedule.noise_variance(dim)
+        source = _smoothed_source(source, schedule, v, noise_seed)
+        smooth = (noise_seed, math.sqrt(v), 1.0 / math.sqrt(1.0 + v))
+    with _batch_file(path, count, dim, _seed_jsonable(seed), source, config) as fd:
+        _generate(
+            count, dim, seed, _FILLS[spec.kind], threads,
+            lambda block, rows: _write_rows(fd, count, rows.start, block), smooth=smooth,
+        )
+
+
+def save_batch(batch: SampleBatch, path: str, config: dict | None = None) -> None:
+    """Write the batch as column-major float64 binary plus a JSON sidecar, each atomically."""
+    count = batch.count
+    with _batch_file(path, count, batch.dimension, batch.seed, batch.source, config) as fd:
+        for lo in range(0, count, BLOCK):
+            _write_rows(fd, count, lo, batch.data[lo : lo + BLOCK])
+
+
+def read_batch_sidecar(path: str) -> dict:
+    """The checked sidecar of the batch file ``path``.
+
+    An unreadable or incomplete sidecar, or a ``count`` or ``dimension`` that
+    is not a positive integer, raises ``InvalidSpec`` naming the file; a
+    batch larger than physical memory raises ``RangeError``.
     """
     sidecar_path = path + ".json"
     sidecar = read_json_object(sidecar_path, "batch sidecar")
@@ -383,8 +511,28 @@ def load_batch(path: str) -> SampleBatch:
             raise InvalidSpec(
                 f"sidecar {sidecar_path} key '{key}' must be a positive integer, got {value!r}"
             )
+    _require_memory(f"a {count} x {dim} batch", count * dim * 8)
+    return sidecar
+
+
+def load_batch(path: str, reduce=None) -> SampleBatch:
+    """Inverse of :func:`save_batch`, whole or one block of rows at a time.
+
+    The sidecar is checked by :func:`read_batch_sidecar`; a data file of the
+    wrong size, a missing data file and non-finite data each raise
+    ``InvalidSpec`` naming the file.
+
+    With ``reduce`` the (count, n) batch is never held.  Each block of
+    ``BLOCK`` rows is read into one reused column-major buffer, and
+    ``reduce`` maps it to a new array of one output row per row.  A short
+    last block is read as the file's last ``BLOCK`` rows and only its new
+    rows' outputs are kept, so every block is reduced at the height
+    ``grassmann.project`` multiplies a batch in memory at.  The returned
+    batch stacks the outputs in row order.
+    """
+    sidecar = read_batch_sidecar(path)
+    count, dim = sidecar["count"], sidecar["dimension"]
     need = count * dim * 8
-    _require_memory(f"a {count} x {dim} batch", need)
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
@@ -393,14 +541,22 @@ def load_batch(path: str) -> SampleBatch:
                     f"batch file {path} holds {size} bytes, sidecar promises {count}x{dim} "
                     f"doubles ({need} bytes)"
                 )
-            flat = np.fromfile(f, dtype=np.float64)
+            if reduce is None:
+                data = np.empty((count, dim), dtype=np.float64, order="F")
+                _read_rows(f.fileno(), count, 0, data, path)
+                return SampleBatch(data=data, seed=sidecar["seed"], source=sidecar["source"])
+            height = min(BLOCK, count)
+            buf = np.empty((height, dim), dtype=np.float64, order="F")
+            outputs = []
+            for lo in range(0, count, BLOCK):
+                start = min(lo, count - height)
+                _read_rows(f.fileno(), count, start, buf, path)
+                # A view, so a reducer that freezes its input leaves the buffer writable.
+                outputs.append(reduce(buf[:])[lo - start :])
     except OSError as exc:
         raise InvalidSpec(f"cannot read batch file {path}: {exc.strerror}") from None
-    # min and max propagate NaN and reach any infinity with no full-size temporary.
-    if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
-        raise InvalidSpec(f"batch file {path} holds non-finite values")
-    data = flat.reshape((count, dim), order="F")
-    return SampleBatch(data=data, seed=sidecar["seed"], source=sidecar["source"])
+    source = {"draw": "reduced", "of": sidecar["source"]}
+    return SampleBatch(data=np.concatenate(outputs), seed=sidecar["seed"], source=source)
 
 
 def save_batch_csv(batch: SampleBatch, path: str, config: dict | None = None) -> None:
@@ -418,4 +574,4 @@ def save_batch_csv(batch: SampleBatch, path: str, config: dict | None = None) ->
         f.write("# " + json.dumps(header) + "\n")
         f.write(",".join(f"x{i}" for i in range(batch.dimension)) + "\n")
         for row in batch.data:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+            f.write(",".join(map(repr, row.tolist())) + "\n")

@@ -21,10 +21,19 @@ import pytest
 
 import projclt.cli
 import projclt.density
+import projclt.samplers
 import projclt.suite
 from projclt.cli import main
-from projclt.model import BodySpec, dumps, loads
-from projclt.samplers import SampleBatch, load_batch, sample_body, save_batch, save_batch_csv
+from projclt.model import BodyKind, BodySpec, dumps, loads
+from projclt.samplers import (
+    BLOCK,
+    CHUNK,
+    SampleBatch,
+    load_batch,
+    sample_body,
+    save_batch,
+    save_batch_csv,
+)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -450,6 +459,50 @@ def test_sample_with_smoothing_schedule(tmp_path):
     assert abs(batch.data.var(axis=0).mean() - 1.0) < 0.02  # rescaled to unit variance
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_sample_failed_midway_leaves_no_batch_file_sidecar_or_temp_file(
+    threads, tmp_path, monkeypatch
+):
+    fill = projclt.samplers._FILLS[BodyKind.CUBE]
+    calls = []
+
+    def fail_on_the_third_block(rng, out, rows):
+        calls.append(rows)
+        if len(calls) == 3:
+            raise RuntimeError("fill failed")
+        fill(rng, out, rows)
+
+    monkeypatch.setitem(projclt.samplers._FILLS, BodyKind.CUBE, fail_on_the_third_block)
+    with pytest.raises(RuntimeError, match="fill failed"):
+        main(["sample", "--body", "cube", "--n", "3", "--samples", str(2 * CHUNK + 3),
+              "--seed", "1", "--threads", str(threads), "--output", str(tmp_path / "x.bin")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_to_a_fifo_is_refused_before_anything_is_drawn(tmp_path, monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        pytest.fail("a sample was drawn for a FIFO")
+
+    monkeypatch.setitem(projclt.samplers._FILLS, BodyKind.CUBE, draw)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    rc = main(["sample", "--body", "cube", "--n", "3", "--samples", "10", "--seed", "1",
+               "--output", str(fifo)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write batch file {fifo}: ")
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_sample_to_dev_null_exits_0(tmp_path):
+    # Through a link, so that the sidecar lands beside it and not in /dev.
+    null = tmp_path / "null.bin"
+    null.symlink_to(os.devnull)
+    rc = main(["sample", "--body", "cube", "--n", "3", "--samples", str(BLOCK + 1), "--seed", "1",
+               "--output", str(null)])
+    assert rc == 0
+    assert null.is_symlink() and (tmp_path / "null.bin.json").is_file()
+
+
 # ----------------------------------------------------------------- project
 
 
@@ -515,6 +568,20 @@ def test_project_of_a_bad_sidecar_exits_1(tmp_path, capsys, edit, message):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_project_of_a_batch_with_a_nan_in_its_last_row_writes_nothing(tmp_path, capsys):
+    # The last row lies in the short last block, which is read as the file's
+    # last BLOCK rows.
+    data = sample_body(BodySpec("cube", 4), 3 * BLOCK + 5, seed=1).data.copy()
+    data[-1, 2] = np.nan
+    src = tmp_path / "src.bin"
+    save_batch(SampleBatch(data=data, seed=1, source={}), str(src))
+    rc = main(["project", "--input", str(src), "--l", "2", "--seed", "1", "--threads", "2",
+               "--output", str(tmp_path / "p.bin"), "--basis-out", str(tmp_path / "basis.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: batch file {src} holds non-finite values\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src.bin", "src.bin.json"]
 
 
 _BATCH = sample_body(BodySpec("cube", 2), 10, seed=1)

@@ -1,17 +1,19 @@
 """The reduce form of the samplers: sample a block, reduce it, drop it.
 
 The reduced results must equal reducing the full batch, come back in block
-order at every thread count, and never need the (count, n) batch in memory.
+order at every thread count, and never need the (count, n) batch in memory;
+nor may ``sample`` writing a batch file or ``project --input`` reading one.
 Memory is read with ``tracemalloc``, which sees numpy's allocations.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from projclt.cli import projected_ratio
+from projclt.cli import main, projected_ratio
 from projclt.density import m_tilde_profile, project_body
 from projclt.grassmann import project, random_subspace
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
@@ -22,8 +24,12 @@ from projclt.samplers import (
     _SQRT3,
     _fill_cube,
     _fill_simplex,
+    convolve_and_rescale,
+    load_batch,
     sample_body,
     sample_gaussian,
+    save_batch,
+    save_sample,
 )
 
 ALL_KINDS = ["cube", "ball", "simplex", "product_laplace", "gaussian"]
@@ -100,6 +106,46 @@ def test_project_body_equals_projecting_the_full_batch(l):
         np.testing.assert_array_equal(streamed.data, full.data)
 
 
+@pytest.mark.parametrize("smoothed", [False, True], ids=["raw", "alpha"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_save_sample_writes_the_bytes_of_save_batch(threads, smoothed, tmp_path):
+    # More threads than cores and a short switch interval interleave the
+    # positioned writes of many blocks; each must still land in place.
+    spec, count, schedule = BodySpec("ball", 3), 5 * CHUNK + 7, ConvolutionSchedule(10.0)
+    batch = sample_body(spec, count, seed=1)
+    if smoothed:
+        batch = convolve_and_rescale(batch, schedule, seed=2)
+    save_batch(batch, str(tmp_path / "full.bin"), config={"x": 1})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        save_sample(spec, count, 1, str(tmp_path / "streamed.bin"), config={"x": 1},
+                    schedule=schedule if smoothed else None, noise_seed=2, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for suffix in ("", ".json"):
+        full = (tmp_path / f"full.bin{suffix}").read_bytes()
+        assert (tmp_path / f"streamed.bin{suffix}").read_bytes() == full
+    np.testing.assert_array_equal(load_batch(str(tmp_path / "streamed.bin")).data, batch.data)
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 5])
+def test_block_reads_equal_the_rows_of_the_whole_batch(count, tmp_path):
+    batch = sample_body(BodySpec("simplex", 4), count, seed=3)
+    path = str(tmp_path / "b.bin")
+    save_batch(batch, path)
+    heights = []
+
+    def first_column(block):
+        heights.append(block.shape[0])
+        return block[:, :1].copy()
+
+    reduced = load_batch(path, reduce=first_column)
+    assert heights == [min(BLOCK, count)] * -(-count // BLOCK)
+    np.testing.assert_array_equal(reduced.data, batch.data[:, :1])
+    assert reduced.source == {"draw": "reduced", "of": batch.source}
+
+
 def test_cube_fill_in_place_has_the_bits_of_uniform():
     out = np.empty((1000, 300))
     _fill_cube(np.random.default_rng(1), out, None)
@@ -169,3 +215,47 @@ def test_streamed_norms_never_hold_the_batch():
 
     peak = _peak_bytes(run)
     assert peak < 2 * _BUFFER + 2 * _COUNT * 8, peak
+
+
+# A batch file of 200,000 x 50 holds 76.3 MiB; one block buffer is 1.6 MiB.
+# `sample` holds, per thread, the block buffer and its transpose for the
+# positioned writes (with --alpha also the noise buffer); `project --input`
+# holds one column-major block buffer plus the (N, l) projection, first as
+# per-block pieces and then concatenated.  A first small run of each command
+# warms argparse's and numpy's one-time caches, which are not the batch.
+
+_FILE_N, _FILE_COUNT, _FILE_L = 50, 200_000, 2
+_FILE_BUFFER = BLOCK * _FILE_N * 8
+_MIB = 1 << 20
+
+
+def _sample_argv(out, count, extra=()):
+    return ["sample", "--n", str(_FILE_N), "--samples", str(count), "--seed", "1",
+            "--output", str(out), *extra]
+
+
+@pytest.mark.parametrize(
+    "body, extra, buffers",
+    [("cube", [], 2), ("simplex", [], 2), ("cube", ["--alpha", "10"], 3)],
+    ids=["cube", "simplex", "cube_alpha"],
+)
+def test_sample_writes_its_batch_file_without_holding_the_batch(body, extra, buffers, tmp_path):
+    threads = 2
+    out = tmp_path / "b.bin"
+    argv = ["--body", body, "--threads", str(threads), *extra]
+    assert main(_sample_argv(out, 10, argv)) == 0
+    peak = _peak_bytes(lambda: main(_sample_argv(out, _FILE_COUNT, argv)))
+    assert out.stat().st_size == _FILE_COUNT * _FILE_N * 8
+    assert peak < buffers * threads * _FILE_BUFFER + _MIB, peak
+
+
+def test_project_input_reads_its_batch_file_a_block_at_a_time(tmp_path):
+    src, dst = tmp_path / "b.bin", tmp_path / "p.bin"
+    project = ["project", "--input", str(src), "--l", str(_FILE_L), "--seed", "2",
+               "--output", str(dst), "--basis-out", str(tmp_path / "basis.json")]
+    assert main(_sample_argv(src, 10, ["--body", "cube"])) == 0
+    assert main(project) == 0
+    assert main(_sample_argv(src, _FILE_COUNT, ["--body", "cube", "--threads", "2"])) == 0
+    peak = _peak_bytes(lambda: main(project))
+    assert dst.stat().st_size == _FILE_COUNT * _FILE_L * 8
+    assert peak < _FILE_BUFFER + 2 * _FILE_COUNT * _FILE_L * 8 + _MIB, peak
