@@ -358,6 +358,21 @@ PROJECT_PINS = {
         "955bed71d00f5367716089b61602abab1c2063b377ecf9a21718258455cf513c",
         "4751b1507bc1bec748b49a8181f3ef35917ba0ec32b3b123c40765df77ef86ab",
     ),
+    (BLOCK + 1, 1): (
+        "b2e5b60b137b4ab8c378fc62cfaed0df627ba6df96b9d0798e9555096c66ad3f",
+        "bbbafc4bc737942c72cceb115e28b11acc9e42f9c8d15f72ffeaee638af6d489",
+        "fc934956d7ef817c65ecfc68719c1a4a62dce44b3b5994c9e7d886fbad701a82",
+    ),
+    (BLOCK + 1, 2): (
+        "6248900352e13130c158cdff41c54549d3cc5e9d4cd97176edb47aad47b9745a",
+        "a27caa9b049cfb9e87eb7fc575f395c2dfdfb6b54473103f348c6d021b92629e",
+        "2ed693261cc07a17e9d897e22d526a3f9355f8d13c92dd3b478a8a1fb0fb77c7",
+    ),
+    (BLOCK + 1, 3): (
+        "dfe3101f4fbc1ca59578fe8b8e222bb1a360e530bd11a0e2a06f060456205d8f",
+        "3f28cdb73c435d561c0c9160593a8aa1b2791bd4918070afbb4d116a64bf1ef8",
+        "4751b1507bc1bec748b49a8181f3ef35917ba0ec32b3b123c40765df77ef86ab",
+    ),
 }
 
 

@@ -125,6 +125,15 @@ def test_gaussian_spec_variance_is_respected():
     np.testing.assert_allclose(batch.data.var(axis=0), 2.5, rtol=0.03)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("variance", [1.0, 2.5])
+def test_gaussian_noise_is_the_gaussian_body_scaled(variance, threads):
+    count = 2 * CHUNK + 17
+    noise = sample_gaussian(GaussianSpec(4, variance), count, seed=7, threads=threads)
+    body = sample_body(BodySpec("gaussian", 4), count, seed=7, threads=threads)
+    np.testing.assert_array_equal(noise.data, body.data * math.sqrt(variance))
+
+
 # ------------------------------------------------------ convolve and rescale
 
 

@@ -129,7 +129,7 @@ def test_save_sample_writes_the_bytes_of_save_batch(threads, smoothed, tmp_path)
     np.testing.assert_array_equal(load_batch(str(tmp_path / "streamed.bin")).data, batch.data)
 
 
-@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 5])
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 def test_block_reads_equal_the_rows_of_the_whole_batch(count, tmp_path):
     batch = sample_body(BodySpec("simplex", 4), count, seed=3)
     path = str(tmp_path / "b.bin")
