@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidSpec, ProjCltError, RangeError
-from .model import BodyKind, BodySpec, ConvolutionSchedule, _as_positive_int, to_jsonable
+from .model import BodySpec, ConvolutionSchedule, _as_positive_int, to_jsonable
 from .samplers import (
     SampleBatch,
     atomic_open,
@@ -173,11 +173,6 @@ def _write_csv(path: str, echo: dict, columns, rows) -> None:
             f.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
-def _save(batch, resolved: dict, echo: dict) -> None:
-    save = save_batch_csv if resolved["format"] == "csv" else save_batch
-    save(batch, resolved["output"], config=echo)
-
-
 def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
                     max_radius: float, grid_points: int, direction_count: int = 16,
                     schedule: ConvolutionSchedule | None = None, noise_seed=None,
@@ -241,7 +236,7 @@ _DECONV_PARAMS = [
     _FORMAT, _THREADS, _OUTPUT,
 ])
 def _cmd_sample(resolved, echo) -> int:
-    spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
+    spec = BodySpec(resolved["body"], int(resolved["n"]))
     count, threads = int(resolved["samples"]), int(resolved["threads"])
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed = root.spawn(2)
@@ -266,6 +261,7 @@ def _cmd_sample(resolved, echo) -> int:
     _OUTPUT,
 ])
 def _cmd_project(resolved, echo) -> int:
+    _as_positive_int(int(resolved["threads"]), "threads")
     path = resolved["input"]
     sidecar = read_batch_sidecar(path)
     basis = random_subspace(sidecar["dimension"], int(resolved["l"]), int(resolved["seed"]))
@@ -275,7 +271,9 @@ def _cmd_project(resolved, echo) -> int:
 
     data = load_batch(path, reduce=reduce).data
     source = {"draw": "projected", "of": sidecar["source"], "subspace_dim": basis.subspace_dim}
-    _save(SampleBatch(data=data, seed=sidecar["seed"], source=source), resolved, echo)
+    save = save_batch_csv if resolved["format"] == "csv" else save_batch
+    save(SampleBatch(data=data, seed=sidecar["seed"], source=source), resolved["output"],
+         config=echo)
     if resolved["basis_out"]:
         _dump_json(resolved["basis_out"], echo, basis=to_jsonable(basis))
     return 0
@@ -292,7 +290,7 @@ def _cmd_project(resolved, echo) -> int:
 def _cmd_ratio(resolved, echo) -> int:
     alpha = resolved["alpha"]
     threads = int(resolved["threads"])
-    spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
+    spec = BodySpec(resolved["body"], int(resolved["n"]))
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed, basis_seed = root.spawn(3)
     est, report = projected_ratio(
@@ -327,7 +325,7 @@ def _cmd_thinshell(resolved, echo) -> int:
     if not isinstance(epsilons, (list, tuple)):
         epsilons = [epsilons]
     echo["epsilon"] = epsilons = [shell_epsilon(e) for e in epsilons]
-    spec = BodySpec(BodyKind.parse(resolved["body"]), n)
+    spec = BodySpec(resolved["body"], n)
     norms = sample_body(
         spec, int(resolved["samples"]), int(resolved["seed"]), threads=int(resolved["threads"]),
         reduce=norm_column,
@@ -368,7 +366,7 @@ def _cmd_psi_scan(resolved, echo) -> int:
     Param("csv", None, echo=False),
 ])
 def _cmd_mtilde(resolved, echo) -> int:
-    spec = BodySpec(BodyKind.parse(resolved["body"]), int(resolved["n"]))
+    spec = BodySpec(resolved["body"], int(resolved["n"]))
     report = m_tilde_profile(
         spec,
         ConvolutionSchedule(float(resolved["alpha"])),

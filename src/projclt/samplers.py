@@ -23,18 +23,15 @@ therefore bit-identical for a given (spec, count, seed) no matter how many
 worker threads are used.  Within a chunk the generator fills the rows
 ``BLOCK`` at a time, in order; for every kind but the ball this draws the
 same stream as one fill of the whole chunk.  ``CHUNK`` and ``BLOCK`` are both
-part of the stream.  There are two forms:
-
-* full — each block is written into its rows of one preallocated (count, n)
-  array, which is returned; the whole batch is held in memory, so a batch
-  larger than physical memory is refused with ``RangeError`` before any
-  allocation.  Only library callers and the CSV writer use it.
-* reduce — each block is drawn into a (BLOCK, n) scratch buffer its worker
-  thread reuses, passed at once to a ``reduce`` function (a projection, the
-  norms, moment sums, or the batch-file writer of :func:`save_sample`) while
-  it is still in cache, and then overwritten, so memory is one block buffer
-  per thread plus the reduced outputs.  The per-block results come back in
-  block order.
+part of the stream.  Every block takes one path: it is drawn into a
+(BLOCK, n) scratch buffer its worker thread reuses, passed at once to a
+reducer while it is still in cache, and then overwritten.  A reducer is a
+projection, the norms, moment sums or the batch-file writer of
+:func:`save_sample`, and memory is then one block buffer per thread plus the
+reduced outputs.  Without one, each block is copied into its rows of a
+(count, n) array that holds the whole batch, so a batch larger than physical
+memory is refused with ``RangeError`` before any allocation; only library
+callers and the CSV writer draw a whole batch.
 
 A batch file is column-major float64 with a JSON sidecar.  Its writer places
 each block's column segments by offset, so blocks may arrive in any order,
@@ -133,32 +130,38 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
               smooth=None):
     """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out, rows)``.
 
-    Each chunk's generator fills its rows ``BLOCK`` at a time, in order.
-    Without ``reduce`` the blocks are slices of one (count, dim) array, which
-    is returned.  With ``reduce`` each block is filled into its worker's
-    scratch buffer and passed to ``reduce(block, rows)``, and the list of
-    results is returned in block order.  The buffer is refilled with the
-    worker's next block, so ``reduce`` must return new arrays and keep no
-    view of its input.
+    Each chunk's generator fills its rows ``BLOCK`` at a time, in order, into
+    its worker's scratch buffer, and each block is passed to
+    ``reduce(block, rows)``; the list of results is returned in block order.
+    The buffer is refilled with the worker's next block, so ``reduce`` must
+    return new arrays and keep no view of its input.  Without ``reduce``
+    each block is copied into its rows of one (count, dim) array, which is
+    returned.
 
-    ``rowwise`` declares that ``reduce`` maps each row to one output row.  It
-    is then given the whole buffer for every block, a short last block
-    followed by finite leftover rows, and the output rows past the block are
-    dropped.  A matrix product's rounding can depend on its row count
-    (OpenBLAS takes another kernel for small products), so this way each
-    block's product rounds as a full block's does.
+    The short-block rule: ``rowwise`` declares that ``reduce`` maps each row
+    to one output row.  It is then given the whole buffer for every block, a
+    short last block of m rows in its top rows followed by finite leftover
+    rows, and only the first m output rows are kept.  A matrix product's
+    rounding can depend on its row count (OpenBLAS takes another kernel for
+    small products), so this way each block's product rounds as a full
+    block's does.
 
     ``smooth``, a ``(noise_seed, sigma, scale)`` triple, smooths each block
     before ``reduce`` sees it, as :func:`convolve_and_rescale` smooths the
     full batch: ``noise_seed`` is split into chunks as ``seed`` is, and each
     chunk's noise generator advances in step with its body generator.
     """
-    if reduce is None:
+    threads = _as_positive_int(threads, "threads")
+    whole = reduce is None
+    if whole:
         _require_memory(f"a {count} x {dim} batch", count * dim * 8)
         out = np.empty((count, dim), dtype=np.float64)
-    else:
-        scratch = threading.local()
-        height = min(BLOCK, count)
+
+        def reduce(block, rows):
+            out[rows] = block
+
+    scratch = threading.local()
+    height = min(BLOCK, count)
     chunks = range(0, count, CHUNK)
     children = _seed_seq(seed).spawn(len(chunks))
     if smooth is not None:
@@ -173,9 +176,6 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
         results = []
         for lo in range(chunks[i], stop, BLOCK):
             rows = slice(lo, min(lo + BLOCK, stop))
-            if reduce is None:
-                fill(rng, out[rows], rows)
-                continue
             if not hasattr(scratch, "buf"):
                 scratch.buf = np.zeros((height, dim), dtype=np.float64)
                 if smooth is not None:
@@ -197,7 +197,7 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
             per_chunk = list(pool.map(work, range(len(chunks))))
     else:
         per_chunk = [work(i) for i in range(len(chunks))]
-    return out if reduce is None else [r for results in per_chunk for r in results]
+    return out if whole else [r for results in per_chunk for r in results]
 
 
 def _smooth_block(rng, out, x, sigma, scale):
@@ -287,14 +287,8 @@ def sample_gaussian(spec: GaussianSpec, count: int, seed, threads: int = 1) -> S
     if not isinstance(spec, GaussianSpec):
         raise InvalidSpec(f"spec must be a GaussianSpec, got {type(spec).__name__}")
     count = _as_positive_int(count, "count")
-    sigma = math.sqrt(spec.variance)
-
-    def fill(rng, out, _rows):
-        rng.standard_normal(out=out)
-        if sigma != 1.0:
-            out *= sigma
-
-    data = _generate(count, spec.dimension, seed, fill, threads)
+    data = _generate(count, spec.dimension, seed, _fill_gaussian, threads)
+    data *= math.sqrt(spec.variance)
     source = {"draw": "gaussian", "spec": spec.to_jsonable()}
     return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
@@ -382,6 +376,11 @@ def read_json_object(path: str, what: str) -> dict:
     return obj
 
 
+def _batch_header(dim: int, count: int, seed, source: dict) -> dict:
+    """The keys that a batch file's sidecar and a CSV batch's header share, in their order."""
+    return {"schema_version": 1, "dimension": dim, "count": count, "seed": seed, "source": source}
+
+
 @contextmanager
 def _batch_file(path: str, count: int, dim: int, seed, source: dict, config: dict | None):
     """Yield the descriptor that a batch's data is written to by offset, then write its sidecar.
@@ -397,15 +396,8 @@ def _batch_file(path: str, count: int, dim: int, seed, source: dict, config: dic
         mode = 0
     if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
         raise InvalidSpec(f"cannot write batch file {path}: it is a FIFO or socket, not seekable")
-    sidecar = {
-        "schema_version": 1,
-        "dimension": dim,
-        "count": count,
-        "seed": seed,
-        "source": source,
-        "dtype": "float64",
-        "order": "column_major",
-    }
+    sidecar = _batch_header(dim, count, seed, source)
+    sidecar.update(dtype="float64", order="column_major")
     if config is not None:
         sidecar["config"] = config
     with atomic_open(path + ".json") as f, atomic_open(path, "wb") as data_file:
@@ -524,11 +516,9 @@ def load_batch(path: str, reduce=None) -> SampleBatch:
 
     With ``reduce`` the (count, n) batch is never held.  Each block of
     ``BLOCK`` rows is read into one reused column-major buffer, and
-    ``reduce`` maps it to a new array of one output row per row.  A short
-    last block is read as the file's last ``BLOCK`` rows and only its new
-    rows' outputs are kept, so every block is reduced at the height
-    ``grassmann.project`` multiplies a batch in memory at.  The returned
-    batch stacks the outputs in row order.
+    ``reduce`` maps it to a new array of one output row per row, under the
+    short-block rule of :func:`_generate`.  The returned batch stacks the
+    outputs in row order.
     """
     sidecar = read_batch_sidecar(path)
     count, dim = sidecar["count"], sidecar["dimension"]
@@ -549,10 +539,10 @@ def load_batch(path: str, reduce=None) -> SampleBatch:
             buf = np.empty((height, dim), dtype=np.float64, order="F")
             outputs = []
             for lo in range(0, count, BLOCK):
-                start = min(lo, count - height)
-                _read_rows(f.fileno(), count, start, buf, path)
+                m = min(BLOCK, count - lo)
+                _read_rows(f.fileno(), count, lo, buf[:m], path)
                 # A view, so a reducer that freezes its input leaves the buffer writable.
-                outputs.append(reduce(buf[:])[lo - start :])
+                outputs.append(reduce(buf[:])[:m])
     except OSError as exc:
         raise InvalidSpec(f"cannot read batch file {path}: {exc.strerror}") from None
     source = {"draw": "reduced", "of": sidecar["source"]}
@@ -561,13 +551,7 @@ def load_batch(path: str, reduce=None) -> SampleBatch:
 
 def save_batch_csv(batch: SampleBatch, path: str, config: dict | None = None) -> None:
     """Write the batch as CSV: '#'-prefixed provenance lines, header, rows."""
-    header = {
-        "schema_version": 1,
-        "dimension": batch.dimension,
-        "count": batch.count,
-        "seed": batch.seed,
-        "source": batch.source,
-    }
+    header = _batch_header(batch.dimension, batch.count, batch.seed, batch.source)
     if config is not None:
         header["config"] = config
     with atomic_open(path) as f:

@@ -419,12 +419,14 @@ def run_criterion(index: int, profile: str = "desk") -> CriterionResult:
 
 
 def run_all(profile: str = "desk", only=None) -> list[CriterionResult]:
-    """Run every criterion, or those in ``only``; an unknown index is an ``InvalidSpec``."""
+    """Run every criterion, or those in ``only``.
+
+    An empty ``only`` or an unknown index is an ``InvalidSpec``.
+    """
     indices = sorted(_CRITERIA) if only is None else sorted(only)
     unknown = [i for i in indices if i not in _CRITERIA]
-    if unknown:
+    if unknown or not indices:
+        named = ", ".join(map(str, unknown)) if unknown else "selected"
         valid = ", ".join(map(str, sorted(_CRITERIA)))
-        raise InvalidSpec(
-            f"no criterion {', '.join(map(str, unknown))}; valid indices are {valid}"
-        )
+        raise InvalidSpec(f"no criterion {named}; valid indices are {valid}")
     return [run_criterion(i, profile) for i in indices]

@@ -156,6 +156,28 @@ def test_a_bad_value_exits_1_before_anything_is_drawn(argv, message, tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
+_THREADED = {
+    "sample": ["sample", "--body", "cube", "--n", "5", "--samples", "100", "--seed", "1"],
+    "project": ["project", "--input", "in.bin", "--l", "1", "--seed", "1"],
+    "ratio": _RATIO + ["--l", "1"],
+    "thinshell": ["thinshell", "--body", "cube", "--n", "5", "--samples", "100", "--seed", "1"],
+    "mtilde": _MTILDE,
+}
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("subcommand", sorted(_THREADED))
+def test_a_thread_count_below_1_exits_1_and_writes_nothing(subcommand, threads, tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_batch(sample_body(BodySpec("cube", 5), 100, seed=1), "in.bin")
+    (tmp_path / "out").mkdir()
+    argv = _THREADED[subcommand] + ["--threads", threads, "--output", "out/r"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -772,6 +794,25 @@ def test_suite_rejects_unknown_criterion_indices_before_running_any(only, capsys
     bad = only.split(",")[-1]
     assert captured.err == (
         f"error: no criterion {bad}; valid indices are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["--only", ","], None), (["--only", ""], None), ([], {"only": []})],
+    ids=["comma", "empty_string", "empty_config_list"],
+)
+def test_suite_rejects_an_empty_selection_before_running_any(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    rc = main(["suite", "--profile", "quick", *argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no criterion selected; valid indices are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11\n"
     )
 
 

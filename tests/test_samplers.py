@@ -55,6 +55,15 @@ def test_thread_count_does_not_change_the_stream():
     )
 
 
+@pytest.mark.parametrize(
+    "threads, message",
+    [(0, "threads must be >= 1, got 0"), (2.5, "threads must be an integer, got 2.5")],
+)
+def test_a_thread_count_that_is_not_a_positive_integer_is_refused(threads, message):
+    with pytest.raises(InvalidSpec, match=message):
+        sample_body(BodySpec("cube", 3), 10, seed=1, threads=threads)
+
+
 def test_a_seed_sequence_draws_the_same_sample_each_time_it_is_used():
     # Spawning advances a SeedSequence; the samplers must spawn from a copy.
     seed = np.random.SeedSequence(21).spawn(1)[0]
