@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from projclt.cli import projected_ratio
+from projclt.cli import projected_ratio, usable_cores
 from projclt.model import BodySpec, ConvolutionSchedule
 from projclt.radial import norm_column, thin_shell_fraction
 from projclt.samplers import sample_body
@@ -37,7 +37,8 @@ def parse_args(argv=None):
     p.add_argument("--max-radius", type=float, default=2.0)
     p.add_argument("--grid-points", type=int, default=41)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=usable_cores(),
+                   help="worker threads (default: the usable cores)")
     p.add_argument("--out", required=True, help="CSV destination")
     return p.parse_args(argv)
 

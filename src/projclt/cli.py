@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -66,7 +67,7 @@ from .density import (
 )
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _REQUIRED = object()
 
@@ -150,6 +151,17 @@ def _resolve(args, params: list[Param]):
     return resolved, echo
 
 
+def usable_cores() -> int:
+    """The number of CPUs this process may run on, the default thread count.
+
+    ``os.cpu_count()`` where the affinity mask cannot be read.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _dump_json(path: str | None, echo: dict, **body) -> None:
     """Write the schema version, the echoed config and ``body`` as JSON (stdout if no path)."""
     payload = {"schema_version": SCHEMA_VERSION, "config": echo, **body}
@@ -217,7 +229,12 @@ _SAMPLES = Param("samples", type=int)
 _SEED = Param("seed", type=int)
 _FORMAT = Param("format", "bin", choices=("bin", "csv"))
 _DIRECTIONS = Param("directions", 16, int)
-_THREADS = Param("threads", 1, int, echo=False)
+_CORES = usable_cores()
+_THREADS = Param(
+    "threads", _CORES, int, echo=False,
+    help=f"worker threads (default: the {_CORES} usable cores); "
+         "the artifact's bytes do not depend on it",
+)
 _OUTPUT = Param("output", echo=False)
 _OPTIONAL_OUTPUT = Param("output", None, echo=False)
 _DECONV_PARAMS = [

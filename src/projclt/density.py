@@ -8,8 +8,10 @@ cell, linearly in each coordinate.  The kernel sum at a point is then the
 grid counts contracted with the separable kernel, one axis at a time, and
 the same contractions with the squared kernel give the per-point second
 moment and so the standard error.  Rows outside the grid still count in N;
-each would add less than e^(-32) of the peak kernel value.  Dimension is
-capped at 3 and the sample floor is 10^4 — beyond that the KDE
+each would add less than e^(-32) of the peak kernel value.  Every
+contraction is numpy's own loop (``einsum``), never a BLAS call, so the
+estimate wakes no BLAS thread beside the samplers' worker threads.
+Dimension is capped at 3 and the sample floor is 10^4 — beyond that the KDE
 bias/variance would no longer sit below the tolerances the experiment suite
 asserts.
 """
@@ -33,6 +35,7 @@ from .model import (
 )
 from .grassmann import project, random_subspace
 from .samplers import (
+    BLOCK,
     SampleBatch,
     _require_memory,
     _seed_jsonable,
@@ -91,21 +94,27 @@ def _linear_bin(data: np.ndarray, lo: np.ndarray, delta: float, shape: tuple) ->
 
     Each row inside the grid splits its unit weight among the 2^l nodes of its
     cell, linearly in each coordinate; rows outside the grid are dropped.
+    The rows are binned in blocks of ``BLOCK`` rows, or of as many rows as
+    the grid has cells if that is more, so the per-row temporaries stay
+    within the larger of a block and the grid while each block's counts
+    cost no more than its rows.
     """
     l = data.shape[1]
-    u = (data - lo) / delta
-    inside = np.all((u >= 0.0) & (u < np.array(shape) - 1), axis=1)
-    u = u[inside]
-    cell = np.floor(u).astype(np.intp)
-    frac = u - cell
-    sides = (1.0 - frac, frac)
     strides = np.array([math.prod(shape[a + 1 :]) for a in range(l)], dtype=np.intp)
-    base = cell @ strides
+    top = np.array(shape) - 1
     counts = np.zeros(math.prod(shape))
-    for corner in itertools.product((0, 1), repeat=l):
-        weight = math.prod(sides[c][:, a] for a, c in enumerate(corner))
-        index = base + np.dot(corner, strides)
-        counts += np.bincount(index, weights=weight, minlength=counts.size)
+    height = max(BLOCK, counts.size)
+    for start in range(0, data.shape[0], height):
+        u = (data[start : start + height] - lo) / delta
+        u = u[np.all((u >= 0.0) & (u < top), axis=1)]
+        cell = np.floor(u).astype(np.intp)
+        frac = u - cell
+        sides = (1.0 - frac, frac)
+        base = cell @ strides
+        for corner in itertools.product((0, 1), repeat=l):
+            weight = math.prod(sides[c][:, a] for a, c in enumerate(corner))
+            index = base + np.dot(corner, strides)
+            counts += np.bincount(index, weights=weight, minlength=counts.size)
     return counts.reshape(shape)
 
 
@@ -166,7 +175,7 @@ def estimate_density(
         z = (pts[:, a, None] - (lo[a] + delta * np.arange(m))) / h
         kernel = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * h)
         factors.append(np.vstack([kernel, kernel * kernel]))
-    sums = factors[0] @ counts.reshape(shape[0], -1)
+    sums = np.einsum("ij,jr->ir", factors[0], counts.reshape(shape[0], -1))
     for a in range(1, l):
         sums = np.einsum("ij,ijr->ir", factors[a], sums.reshape(2 * k, shape[a], -1))
     sums = sums.ravel()
@@ -207,17 +216,18 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> S
 
     The (count, l) result holds the values of
     ``project(sample_body(spec, count, seed), basis)`` bit for bit while only
-    one (BLOCK, n) block of the batch per thread is held.  ``project`` takes
-    every product at the block height, and the projection here is row-wise,
-    so each block, a short last one too, is projected at the full block
-    height.  Each block goes through this module's ``project``, where the
-    benchmark's tracer finds it, so the tracer counts one projection per
-    block.
+    one (BLOCK, n) block of the batch per thread is held: ``project`` rounds
+    each row of a row-major batch alike at any height.  Each block's
+    projection is written into its rows of the one (count, l) result.  Each
+    block goes through this module's ``project``, where the benchmark's
+    tracer finds it, so the tracer counts one projection per block.
     """
-    return sample_body(
-        spec, count, seed, threads=threads, rowwise=True,
-        reduce=lambda block: project(SampleBatch(data=block, seed=None, source={}), basis).data,
-    )
+    out = np.empty((count, basis.subspace_dim))
+
+    def reduce(block, rows):
+        out[rows] = project(SampleBatch(data=block, seed=None, source={}), basis).data
+
+    return sample_body(spec, count, seed, threads=threads, reduce=reduce, out=out)
 
 
 def m_tilde_profile(
@@ -260,12 +270,16 @@ def m_tilde_profile(
         basis = random_subspace(n, l, basis_seed)
         projected = project_body(body, samples_per_subspace, body_seed, basis, threads)
         y = sample_gaussian(noise, samples_per_subspace, noise_seed, threads=threads)
+        # The projection's array is this loop's own, so the noise is added into it.
+        projected.data.flags.writeable = True
+        np.add(projected.data, y.data, out=projected.data)
+        del y
         smoothed = SampleBatch(
-            data=projected.data + y.data,
+            data=projected.data,
             seed=_seed_jsonable(child),
             source={"draw": "smoothed", "of": projected.source, "noise_variance": v},
         )
-        del projected, y
+        del projected
         est = estimate_density(smoothed, points)
         del smoothed
         accum += est.values.reshape(radii.size, -1).mean(axis=1)

@@ -37,23 +37,34 @@ def project(batch: SampleBatch, basis: SubspaceBasis) -> SampleBatch:
     The output has dimension ``basis.subspace_dim``; with orthonormal rows the
     coordinate vector has euclidean norm at most that of the input sample.
 
-    The product is taken ``BLOCK`` rows at a time, and a short last slab as
-    the batch's last ``BLOCK`` rows, so in a batch of at least ``BLOCK`` rows
-    every row is rounded in a product of ``BLOCK`` rows, as the blocks of
-    ``density.project_body`` are.  A one-shot product would be rounded as
-    OpenBLAS splits it between its threads, so its bytes would depend on the
-    thread count.
+    The kernel follows the batch's memory order, read from its strides (a
+    one-row batch is C- and F-contiguous at once, but its row stride still
+    tells a row-major block's row from a batch file's one-row slab).  A
+    row-major batch, which is what the samplers' blocks and every batch
+    drawn in memory are, takes numpy's single-threaded row-dot loop
+    (``einsum``): each row is rounded alike at any row count and offset, so
+    a block's projection has the bits of the whole batch's, and no BLAS
+    thread competes with the samplers' worker threads.  A column-major
+    batch (a batch file's slabs) is multiplied by BLAS ``BLOCK`` rows at a
+    time, a short last slab as the batch's last ``BLOCK`` rows, so in a
+    batch of at least ``BLOCK`` rows every row is rounded in a product of
+    ``BLOCK`` rows.  A one-shot product would be rounded as OpenBLAS splits
+    it between its threads, so its bytes would depend on the thread count.
     """
     if batch.dimension != basis.ambient_dim:
         raise DimensionError(
             f"batch dimension {batch.dimension} != basis ambient dimension {basis.ambient_dim}"
         )
-    count = batch.count
-    out = np.empty((count, basis.subspace_dim), dtype=np.float64)
-    for lo in range(0, count, BLOCK):
-        hi = min(lo + BLOCK, count)
-        start = max(0, hi - BLOCK)
-        out[lo:hi] = (batch.data[start:hi] @ basis.rows.T)[lo - start:]
+    data = batch.data
+    if data.strides[1] == data.itemsize and data.strides[0] > data.itemsize:
+        out = np.einsum("ij,kj->ik", data, basis.rows)
+    else:
+        count = batch.count
+        out = np.empty((count, basis.subspace_dim), dtype=np.float64)
+        for lo in range(0, count, BLOCK):
+            hi = min(lo + BLOCK, count)
+            start = max(0, hi - BLOCK)
+            out[lo:hi] = (data[start:hi] @ basis.rows.T)[lo - start:]
     return SampleBatch(
         data=out,
         seed=batch.seed,

@@ -262,11 +262,10 @@ class ConvolutionSchedule:
 class SubspaceBasis:
     """An orthonormal frame whose rows span an l-dimensional subspace of R^n.
 
-    ``rows`` is stored C-contiguous.  OpenBLAS picks the kernel of a product
-    with ``rows.T`` by the memory order of ``rows``; with C order (OpenBLAS
-    0.3.31) a product of 2,048 rows or more rounds each row as a product of a
-    full sampler chunk does, so a sampler block's projection has the bits of
-    the one-shot product.
+    ``rows`` is stored C-contiguous, whatever order it is given in, because
+    the bits of a projection depend on it: OpenBLAS picks the kernel of a
+    product with ``rows.T`` by the memory order of ``rows``, and the row-dot
+    loop of ``grassmann.project`` reads each basis row as one run.
     """
 
     rows: np.ndarray

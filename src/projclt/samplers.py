@@ -24,8 +24,8 @@ worker threads are used.  Within a chunk the generator fills the rows
 ``BLOCK`` at a time, in order; for every kind but the ball this draws the
 same stream as one fill of the whole chunk.  ``CHUNK`` and ``BLOCK`` are both
 part of the stream.  Every block takes one path: it is drawn into a
-(BLOCK, n) scratch buffer its worker thread reuses, passed at once to a
-reducer while it is still in cache, and then overwritten.  A reducer is a
+(BLOCK, n) buffer lent to its worker thread for the chunk, passed at once to
+a reducer while it is still in cache, and then overwritten.  A reducer is a
 projection, the norms, moment sums or the batch-file writer of
 :func:`save_sample`, and memory is then one block buffer per thread plus the
 reduced outputs.  Without one, each block is copied into its rows of a
@@ -43,8 +43,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
 import stat
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -126,25 +126,17 @@ def _require_memory(what: str, need: int) -> None:
         )
 
 
-def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, rowwise=False,
-              smooth=None):
+def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, smooth=None):
     """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out, rows)``.
 
     Each chunk's generator fills its rows ``BLOCK`` at a time, in order, into
-    its worker's scratch buffer, and each block is passed to
+    a buffer lent to its worker, and each block is passed to
     ``reduce(block, rows)``; the list of results is returned in block order.
-    The buffer is refilled with the worker's next block, so ``reduce`` must
-    return new arrays and keep no view of its input.  Without ``reduce``
-    each block is copied into its rows of one (count, dim) array, which is
-    returned.
-
-    The short-block rule: ``rowwise`` declares that ``reduce`` maps each row
-    to one output row.  It is then given the whole buffer for every block, a
-    short last block of m rows in its top rows followed by finite leftover
-    rows, and only the first m output rows are kept.  A matrix product's
-    rounding can depend on its row count (OpenBLAS takes another kernel for
-    small products), so this way each block's product rounds as a full
-    block's does.
+    A short last block is passed at its own height.  The buffer is refilled
+    with the worker's next block, so ``reduce`` must return new arrays or
+    write its output elsewhere, and keep no view of its input.  Without
+    ``reduce`` each block is copied into its rows of one (count, dim) array,
+    which is returned.
 
     ``smooth``, a ``(noise_seed, sigma, scale)`` triple, smooths each block
     before ``reduce`` sees it, as :func:`convolve_and_rescale` smooths the
@@ -160,13 +152,26 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
         def reduce(block, rows):
             out[rows] = block
 
-    scratch = threading.local()
     height = min(BLOCK, count)
     chunks = range(0, count, CHUNK)
+    # One set of buffers per worker, made here and lent to a chunk at a time:
+    # made by the calling thread, they come from its allocator arena and are
+    # reused run after run, where buffers made in each run's fresh worker
+    # threads could each stay resident in another thread arena.  Each worker
+    # also holds, inside ``fill``, at most one height x (dim + 1) temporary.
+    workers = min(threads, len(chunks))
+    per_worker = 1 if smooth is None else 2
+    _require_memory(
+        f"{workers} worker threads' {height} x {dim} blocks",
+        8 * workers * height * (per_worker * dim + dim + 1),
+    )
     children = _seed_seq(seed).spawn(len(chunks))
     if smooth is not None:
         noise_seed, sigma, scale = smooth
         noise_children = _seed_seq(noise_seed).spawn(len(chunks))
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put([np.empty((height, dim)) for _ in range(per_worker)])
 
     def work(i):
         rng = np.random.default_rng(children[i])
@@ -174,22 +179,19 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, r
             noise_rng = np.random.default_rng(noise_children[i])
         stop = min(chunks[i] + CHUNK, count)
         results = []
-        for lo in range(chunks[i], stop, BLOCK):
-            rows = slice(lo, min(lo + BLOCK, stop))
-            if not hasattr(scratch, "buf"):
-                scratch.buf = np.zeros((height, dim), dtype=np.float64)
+        lent = buffers.get()
+        try:
+            for lo in range(chunks[i], stop, BLOCK):
+                rows = slice(lo, min(lo + BLOCK, stop))
+                m = rows.stop - rows.start
+                block = lent[0][:m]
+                fill(rng, block, rows)
                 if smooth is not None:
-                    scratch.noise = np.zeros((height, dim), dtype=np.float64)
-            m = rows.stop - rows.start
-            fill(rng, scratch.buf[:m], rows)
-            block = scratch.buf
-            if smooth is not None:
-                _smooth_block(noise_rng, scratch.noise[:m], block[:m], sigma, scale)
-                block = scratch.noise
-            if rowwise:
-                results.append(reduce(block[:height], rows)[:m])
-            else:
-                results.append(reduce(block[:m], rows))
+                    _smooth_block(noise_rng, lent[1][:m], block, sigma, scale)
+                    block = lent[1][:m]
+                results.append(reduce(block, rows))
+        finally:
+            buffers.put(lent)
         return results
 
     if threads > 1 and len(chunks) > 1:
@@ -261,23 +263,30 @@ def _body_source(spec: BodySpec) -> dict:
 
 
 def sample_body(
-    spec: BodySpec, count: int, seed, threads: int = 1, reduce=None, rowwise: bool = False
+    spec: BodySpec, count: int, seed, threads: int = 1, reduce=None, out=None
 ) -> SampleBatch:
     """Draw i.i.d. samples from the isotropically normalized body.
 
     With ``reduce`` the (count, n) batch is never held: each block of rows is
     mapped by ``reduce`` to a new 2-D array, and the returned batch stacks
-    those arrays in block order.  ``rowwise`` is as in :func:`_generate`.
+    those arrays in block order.  With ``out`` as well, a (count, k) array,
+    ``reduce(block, rows)`` writes the block's k-wide rows into ``out[rows]``
+    itself, no per-block arrays are kept, and the returned batch holds
+    ``out``.
     """
     source = _body_source(spec)
     count = _as_positive_int(count, "count")
+    fill = _FILLS[spec.kind]
     if reduce is None:
-        data = _generate(count, spec.dimension, seed, _FILLS[spec.kind], threads)
+        data = _generate(count, spec.dimension, seed, fill, threads)
     else:
-        data = np.concatenate(_generate(
-            count, spec.dimension, seed, _FILLS[spec.kind], threads,
-            lambda block, _rows: reduce(block), rowwise,
-        ))
+        if out is None:
+            data = np.concatenate(_generate(
+                count, spec.dimension, seed, fill, threads, lambda block, _rows: reduce(block)
+            ))
+        else:
+            _generate(count, spec.dimension, seed, fill, threads, reduce)
+            data = out
         source = {"draw": "reduced", "of": source}
     return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
@@ -516,9 +525,13 @@ def load_batch(path: str, reduce=None) -> SampleBatch:
 
     With ``reduce`` the (count, n) batch is never held.  Each block of
     ``BLOCK`` rows is read into one reused column-major buffer, and
-    ``reduce`` maps it to a new array of one output row per row, under the
-    short-block rule of :func:`_generate`.  The returned batch stacks the
-    outputs in row order.
+    ``reduce`` maps it to a new array of one output row per row.  A short
+    last block of m rows is read into the buffer's top rows, above rows of
+    the block before it, the reducer is given the whole buffer and its first
+    m output rows are kept: a BLAS product of a column-major slab can round
+    by its row count (OpenBLAS takes another kernel for small products), so
+    every slab is reduced at the full block height.  The returned batch
+    stacks the outputs in row order.
     """
     sidecar = read_batch_sidecar(path)
     count, dim = sidecar["count"], sidecar["dimension"]

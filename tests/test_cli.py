@@ -178,6 +178,17 @@ def test_a_thread_count_below_1_exits_1_and_writes_nothing(subcommand, threads, 
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_the_default_thread_count_is_the_usable_core_count(monkeypatch):
+    cores = len(os.sched_getaffinity(0))
+    assert projclt.cli.usable_cores() == cores
+    for name in ("sample", "ratio", "thinshell", "mtilde"):
+        args = projclt.cli.build_parser().parse_args(_THREADED[name] + ["--output", "x"])
+        resolved, echo = projclt.cli._resolve(args, args.params)
+        assert resolved["threads"] == cores and "threads" not in echo
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert projclt.cli.usable_cores() == os.cpu_count()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

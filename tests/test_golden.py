@@ -10,11 +10,11 @@ reason in CHANGES.md.  The ratio runs are the CLI's; the scan runs are the
 l=1 sup of the quick profile; the ``deconv-verify`` and
 ``scripts/run_deconv_matrix.py`` pins cover the sandwich pass, whose margins
 are closed forms.  The multi-chunk runs span two full chunks and
-a ragged tail, at one and two threads, so a chunk loop that reorders or
-splits work differently shows up as a moved hash.  The batch files of
-``sample`` (bin and CSV, with and without smoothing) and ``project --input``
-are pinned at counts on both sides of a block and a chunk, at one and two
-threads.
+a ragged tail, at one and two threads and at the default (every usable
+core), so a chunk loop that reorders or splits work differently shows up as
+a moved hash.  The batch files of ``sample`` (bin and CSV, with and without
+smoothing) and ``project --input`` are pinned at counts on both sides of a
+block and a chunk, at one and two threads; ``sample`` also at the default.
 """
 
 import hashlib
@@ -39,13 +39,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "035de22f8147a5a2fac1c657d0af4d78c61d7d72a688398bcf23b59cf0a17c79",
-        "8b6a2005e20d3b1cf70b9ebb47d9c93e3ac99acdebd9c11390559751cee4c75c",
+        "498c73eb396da938a8b8567505c3e35593b76b40527684d75f082b7950f97026",
+        "2b98fff3b43dc204d7fa094d803e413d795f5b79d3cc0f02f3b10ed18b6092de",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "da0118c149af247c5fdf3b29e7fb70926757abfffdce7478cd48556754315b2d",
-        "5c4461ebb89d80cf279b93dc413d14de516977b5176ef276042cb74ec068755f",
+        "39f8aade0d4d952db85340e6a0e975ac0df282411338eec71ed4a90b8dde17dd",
+        "cc63caf5f60087e88d00d24285e37522f0106a2f3dc314931275c6160838ebfb",
     ),
 }
 
@@ -65,11 +65,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "2598a9c5253328b967cf966f09402e8286c7d155118f9f0feb245ad6162066e4",
+        "fa84d4ccd5b91d6bfbe1e3cc87c4d244a02685dee98e5d75725b2f6383288c14",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "3626010e5e5e528158c11071a6751314dfc018e3069095fcb15d0298e5e6b9ec",
+        "1e30ade6a06e6890864b292c06a445ed74ea95ec909d6ae5b3acb32804d7a803",
     ),
 }
 
@@ -127,19 +127,25 @@ def test_criterion_7_quick_sup_is_golden(monkeypatch):
 
 MULTI_CHUNK = 2 * CHUNK + 17
 
+
+def _threads_flag(threads) -> list:
+    """``--threads`` at the given count; None leaves the flag out, for the default."""
+    return [] if threads is None else ["--threads", str(threads)]
+
+
 MULTI_CHUNK_RUNS = {
     "ratio_l2": (
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "84126c0d4dbb66493b999f08f6c42dc4f3b356325c7637cbea4f874badba6b53",
-            "r.csv": "2fad97fe662159c32591004d456bb8e89ffb064aec038bda9714610268a0e221",
+            "r.json": "f24eab7e26750fb9bda776013a4e4382832834d03d37127973794f1d28ccb0c2",
+            "r.csv": "5beda924481610207449263bc70d60c5a22244e02cf58bd1e4bea8a141c396d2",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "97a76fc4cf11dcc3f8f0f029ca135fb480d13682fb3b837be0fa08b40e7afaac"},
+        {"m.json": "1905d560000e408952a43d104503f961a637946ef85d5c72ceb647fd4927fdab"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -148,21 +154,21 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "8f65cb4cdf3d546173b1e0631b0448eefe00491a674c41af0fa3e832d53b6d78",
-            "ball": "7844a8a3e4db96fb964f82fff526f45bf164389efce89ffc7b720ed434e3dc92",
-            "simplex": "87daeaff26deca976af2b4a68083d940a6ef50d8b1cb1c40412125269af2a580",
-            "product_laplace": "3af6207ff4f41625c172dbbabcbefcfc3e89f4e699aa6496bd280d10332ab493",
-            "gaussian": "b59d080e3ba3861675a4b0ba60aa316e35499eb537b1588ac41e5ff020d0816b",
+            "cube": "696b94b80d9bd1db28704abf617ea1f16a49d21f7eb323a4e389031ff2740e37",
+            "ball": "2daf01cd2128f8143d8e0374db4c45b7b66e8564f5f0f80854f2130f644eb960",
+            "simplex": "c895afb86c22519264db565c2b4233d985518a714d68f39216c39957d68611d7",
+            "product_laplace": "7469dda9ae7dec3e9ea5a2f22e8fa55311b8175625336dbd451e3dc5085130d3",
+            "gaussian": "d758b886b19d51765a0aa13cfef4799d3322b03beecd59c471d5f2fc8c43d015",
         }.items()
     },
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, None])
 @pytest.mark.parametrize("run", sorted(MULTI_CHUNK_RUNS))
 def test_multi_chunk_artifacts_are_golden(run, threads, tmp_path):
     argv, shas = MULTI_CHUNK_RUNS[run]
-    rc = main([a.format(d=tmp_path) for a in argv] + ["--threads", str(threads)])
+    rc = main([a.format(d=tmp_path) for a in argv] + _threads_flag(threads))
     assert rc == 0
     for name, sha in shas.items():
         assert _sha((tmp_path / name).read_bytes()) == sha, name
@@ -173,15 +179,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "98f91581fcb9701c23d46b72a1493ee478ccdcd65e4d7575ece70f5f8468114c",
-        "15414cebe3cb66c38b27c94874e88e13bcd5b591e60776a39ae8075ad54e682d",
+        "3ec745b49ae5e40b2b0adfc7b2486f049744046448a1786a661c1fdf5a2f2c3b",
+        "87352a3beb5662cc1155051643745226f6151e92574c0fc5bd9fe70e60e12921",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "1f8ae446c88efb66f83782cf9210d391bea8a7a706069878d071e79ca196dc86",
-        "c21451ce8384858d18f2b824237c2c1b8d7c52fb1a0e18eb2af4bb723e0c105d",
+        "d6496ba16d2995ef0d559ab8463ddfe45290db1415bd80c10edecbbc0760d5da",
+        "d1c892550e03024d280df2075a4d816eb40ffb425051ff95ffdf102b8cbdcab7",
     ),
 }
 
@@ -309,7 +315,7 @@ SAMPLE_PINS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, None])
 @pytest.mark.parametrize(
     "key", list(SAMPLE_PINS), ids=lambda k: f"{k[0]}-{k[1]}-{'alpha' if k[2] else 'raw'}"
 )
@@ -317,7 +323,7 @@ def test_sample_batch_files_are_golden(key, threads, tmp_path):
     kind, count, smoothed = key
     out = tmp_path / "s.bin"
     rc = main(["sample", "--body", kind, "--n", "5", "--samples", str(count), "--seed", "3",
-               *(["--alpha", "10"] if smoothed else []), "--threads", str(threads),
+               *(["--alpha", "10"] if smoothed else []), *_threads_flag(threads),
                "--output", str(out)])
     assert rc == 0
     sidecar = tmp_path / "s.bin.json"
@@ -326,52 +332,68 @@ def test_sample_batch_files_are_golden(key, threads, tmp_path):
 
 # (count, l) -> (projection file, its sidecar, basis); a simplex batch at
 # n = 20, seed 4, projected with seed 5.  The input path is echoed, so the
-# runs use the same relative path.
+# runs use the same relative path.  A one-row file's slab is C- and
+# F-contiguous at once and must still take the column-major kernel.
 PROJECT_PINS = {
+    (1, 1): (
+        "0ded4cc1a8baf61ae9ef5dacac598e3dbee713378ab8be2c1a89f658c55543ad",
+        "16e920594bc1bf1265ad08e2d68940db8328b27aff9a292e88309ceb4f58069d",
+        "eccb67db24360066181ef4ef46cce20b85488ffc78fa18168d63c42e71f082a1",
+    ),
+    (1, 2): (
+        "4a0b9bc057e2f267e25ca399a6c3f5254123b5f44a9a047943957f5976e137db",
+        "9e6da7454deceddea37905d9eba25dda2a8e902066454d1138e62e2b33cf43c8",
+        "0a83629501f3404107072cf708eea12c8cc215b208093bdf1b158cbe350d0503",
+    ),
+    (1, 3): (
+        "252b771c7bd021f4d9e7bbb7e88cd022c6f28fe6e92bda79332e99bb5618c715",
+        "0e6c4daab28906a925857d2ff16923e179d4e8ae9c8fa4862373136833c7e0dd",
+        "c4b1229de2e1c01c45fb41638b0d50de539298a28199b16fe95c0e764468ce33",
+    ),
     (1000, 1): (
         "ed63f6a0c71474b2e90392808a05fddc53639bd8c0121b63512812d8db05bde2",
         "24428f8a7578386672f01dae70b9193840e2f6cdcf33f46bcb58d2c33abf9155",
-        "fc934956d7ef817c65ecfc68719c1a4a62dce44b3b5994c9e7d886fbad701a82",
+        "eccb67db24360066181ef4ef46cce20b85488ffc78fa18168d63c42e71f082a1",
     ),
     (1000, 2): (
         "c8ddac2da5a53e7b4413fef766c3e5ac5bdc0a0cef305e995853601907455efb",
         "70ea16dd3860e016200342a7167b7ce5fcabccecc631240551f744627b760e3c",
-        "2ed693261cc07a17e9d897e22d526a3f9355f8d13c92dd3b478a8a1fb0fb77c7",
+        "0a83629501f3404107072cf708eea12c8cc215b208093bdf1b158cbe350d0503",
     ),
     (1000, 3): (
         "01af28aea3f475e8360e5268b9a84162ac7d25da6feac986b4f787061ba605b1",
         "d7de4b6b134937933b3ae57c92fdf2462b6f8294f2343a1e74ebe40ecf680047",
-        "4751b1507bc1bec748b49a8181f3ef35917ba0ec32b3b123c40765df77ef86ab",
+        "c4b1229de2e1c01c45fb41638b0d50de539298a28199b16fe95c0e764468ce33",
     ),
     (3 * BLOCK + 5, 1): (
         "b7cd7ffc3c2429cedfa5605156e5ac2d4f0cc33428704dff5f2a09ec071fa67f",
         "79dc282cc96e3211057cad7a93f87f0c5d820116d06680705e54670e64c20e94",
-        "fc934956d7ef817c65ecfc68719c1a4a62dce44b3b5994c9e7d886fbad701a82",
+        "eccb67db24360066181ef4ef46cce20b85488ffc78fa18168d63c42e71f082a1",
     ),
     (3 * BLOCK + 5, 2): (
         "24e5ec84b5b60b0f417d53abb7f56e7457049eeb579cb6df2ac03d42d5b9f7c1",
         "b1793c215cf93da31656b6f595347b4de9fd3ca23783453a4bdc2b40c54319af",
-        "2ed693261cc07a17e9d897e22d526a3f9355f8d13c92dd3b478a8a1fb0fb77c7",
+        "0a83629501f3404107072cf708eea12c8cc215b208093bdf1b158cbe350d0503",
     ),
     (3 * BLOCK + 5, 3): (
         "e3822bcbea88cb872cd4f14320fbc0b27665e71defe49293e4c27e66603c1e72",
         "955bed71d00f5367716089b61602abab1c2063b377ecf9a21718258455cf513c",
-        "4751b1507bc1bec748b49a8181f3ef35917ba0ec32b3b123c40765df77ef86ab",
+        "c4b1229de2e1c01c45fb41638b0d50de539298a28199b16fe95c0e764468ce33",
     ),
     (BLOCK + 1, 1): (
         "b2e5b60b137b4ab8c378fc62cfaed0df627ba6df96b9d0798e9555096c66ad3f",
         "bbbafc4bc737942c72cceb115e28b11acc9e42f9c8d15f72ffeaee638af6d489",
-        "fc934956d7ef817c65ecfc68719c1a4a62dce44b3b5994c9e7d886fbad701a82",
+        "eccb67db24360066181ef4ef46cce20b85488ffc78fa18168d63c42e71f082a1",
     ),
     (BLOCK + 1, 2): (
         "6248900352e13130c158cdff41c54549d3cc5e9d4cd97176edb47aad47b9745a",
         "a27caa9b049cfb9e87eb7fc575f395c2dfdfb6b54473103f348c6d021b92629e",
-        "2ed693261cc07a17e9d897e22d526a3f9355f8d13c92dd3b478a8a1fb0fb77c7",
+        "0a83629501f3404107072cf708eea12c8cc215b208093bdf1b158cbe350d0503",
     ),
     (BLOCK + 1, 3): (
         "dfe3101f4fbc1ca59578fe8b8e222bb1a360e530bd11a0e2a06f060456205d8f",
         "3f28cdb73c435d561c0c9160593a8aa1b2791bd4918070afbb4d116a64bf1ef8",
-        "4751b1507bc1bec748b49a8181f3ef35917ba0ec32b3b123c40765df77ef86ab",
+        "c4b1229de2e1c01c45fb41638b0d50de539298a28199b16fe95c0e764468ce33",
     ),
 }
 

@@ -45,12 +45,23 @@ def test_one_dimensional_directions_cover_the_sphere_evenly():
 
 
 def test_projection_is_the_matrix_product():
-    batch = sample_body(BodySpec("cube", 6), 100, seed=2)
-    basis = random_subspace(6, 2, seed=3)
+    # A row-major batch takes the row-dot loop and a column-major one the BLAS
+    # product: both are the matrix product to within the rounding of two dot
+    # products of n terms, and the column-major one is it bit for bit.
+    n = 6
+    batch = sample_body(BodySpec("cube", n), 100, seed=2)
+    basis = random_subspace(n, 2, seed=3)
     out = project(batch, basis)
     assert out.dimension == 2
     assert out.count == 100
-    np.testing.assert_array_equal(out.data, batch.data @ basis.rows.T)
+    product = batch.data @ basis.rows.T
+    bound = 2 * n * np.finfo(float).eps * (np.abs(batch.data) @ np.abs(basis.rows.T))
+    assert np.all(np.abs(out.data - product) <= bound)
+    column_major = np.asfortranarray(batch.data)
+    np.testing.assert_array_equal(
+        project(SampleBatch(data=column_major, seed=None, source={}), basis).data,
+        column_major @ basis.rows.T,
+    )
     assert out.source["draw"] == "projected"
 
 
@@ -94,17 +105,17 @@ def test_basis_rows_are_c_contiguous():
 
 @pytest.mark.parametrize("n", [20, 64, 300])
 def test_block_row_products_round_as_the_full_chunk_product(n):
-    # Sampled blocks and project's slabs are BLOCK rows high; with C-ordered
-    # basis rows each row of such a product has the bits it has in a product
-    # of a full CHUNK of rows, at any offset.
+    # Sampled blocks are BLOCK rows high, a short last one fewer; a row-major
+    # batch is projected row by row, so each row of a block, at any height
+    # and offset, has the bits it has in the projection of a full CHUNK.
     data = np.random.default_rng(n).standard_normal((CHUNK, n))
     for l in (1, 2, 3):
         basis = random_subspace(n, l, seed=l)
-        full = data @ basis.rows.T
-        for lo in (0, 17, CHUNK // 2 + 5, CHUNK - BLOCK):
-            np.testing.assert_array_equal(data[lo:lo + BLOCK] @ basis.rows.T, full[lo:lo + BLOCK])
-        projected = project(SampleBatch(data=data, seed=None, source={}), basis)
-        np.testing.assert_array_equal(projected.data, full)
+        full = project(SampleBatch(data=data, seed=None, source={}), basis).data
+        for lo, height in ((0, BLOCK), (17, BLOCK), (CHUNK // 2 + 5, BLOCK - 1),
+                           (CHUNK - BLOCK, BLOCK), (5, 3), (CHUNK - 1, 1)):
+            block = SampleBatch(data=data[lo:lo + height], seed=None, source={})
+            np.testing.assert_array_equal(project(block, basis).data, full[lo:lo + height])
 
 
 @settings(max_examples=40, deadline=None)

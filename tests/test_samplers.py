@@ -183,6 +183,12 @@ def test_a_full_batch_larger_than_physical_memory_is_refused():
         sample_body(BodySpec("cube", 1000), 10**11, seed=1)
 
 
+def test_the_worker_threads_blocks_are_counted_against_physical_memory():
+    # Each of the two workers holds a 4,096 x n block and a fill temporary.
+    with pytest.raises(RangeError, match=r"2 worker threads' 4096 x 1000000000000 blocks needs"):
+        sample_body(BodySpec("cube", 10**12), 2 * CHUNK, seed=1, threads=2, reduce=np.sum)
+
+
 # ---------------------------------------------------------------- batch IO
 
 

@@ -27,6 +27,12 @@ def _read(path):
         return list(csv.reader(f))
 
 
+def test_run_clt_scan_threads_default_to_the_usable_cores():
+    from projclt.cli import usable_cores
+
+    assert _load("run_clt_scan").parse_args(["--out", "x"]).threads == usable_cores()
+
+
 @pytest.mark.parametrize("l", [1, 2])
 def test_run_clt_scan_writes_one_row_per_evaluation_point(tmp_path, l):
     out = tmp_path / "scan.csv"

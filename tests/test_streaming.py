@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from projclt.cli import main, projected_ratio
-from projclt.density import m_tilde_profile, project_body
+from projclt.density import estimate_density, m_tilde_profile, project_body, radial_points
 from projclt.grassmann import project, random_subspace
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
 from projclt.radial import norm_column, thin_shell_fraction
@@ -82,7 +82,7 @@ def test_per_chunk_results_come_back_in_chunk_order(threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_rowwise_reduce_sees_full_height_chunks_and_keeps_the_chunk_rows(threads):
+def test_a_reducer_sees_each_block_at_its_own_height(threads):
     heights = []
 
     def reduce(block):
@@ -91,18 +91,19 @@ def test_rowwise_reduce_sees_full_height_chunks_and_keeps_the_chunk_rows(threads
 
     spec = BodySpec("cube", 4)
     full = sample_body(spec, COUNT, seed=5)
-    first_column = sample_body(spec, COUNT, seed=5, threads=threads, reduce=reduce, rowwise=True)
-    assert heights == [BLOCK] * -(-COUNT // BLOCK)
+    first_column = sample_body(spec, COUNT, seed=5, threads=threads, reduce=reduce)
+    assert sorted(heights) == [COUNT % BLOCK] + [BLOCK] * (COUNT // BLOCK)
     np.testing.assert_array_equal(first_column.data, full.data[:, :1])
 
 
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("l", [1, 2, 3])
-def test_project_body_equals_projecting_the_full_batch(l):
+def test_project_body_equals_projecting_the_full_batch(l, count):
     spec = BodySpec("simplex", 20)
     basis = random_subspace(20, l, 6)
-    full = project(sample_body(spec, COUNT, seed=7), basis)
+    full = project(sample_body(spec, count, seed=7), basis)
     for threads in (1, 2):
-        streamed = project_body(spec, COUNT, 7, basis, threads)
+        streamed = project_body(spec, count, 7, basis, threads)
         np.testing.assert_array_equal(streamed.data, full.data)
 
 
@@ -192,12 +193,19 @@ def _peak_bytes(run) -> int:
         tracemalloc.stop()
 
 
+# Past the block buffer, a streamed KDE pipeline holds at most three (N, l)
+# arrays at once: the projection written block by block, the smoothed sample
+# (or, in m_tilde_profile, the noise added into the projection in place) and
+# the bandwidth's variance temporary.  The estimator bins in row blocks, so its temporaries
+# stay below one (N, l) array.
+
+
 def test_streamed_projected_ratio_never_holds_the_batch():
     peak = _peak_bytes(lambda: projected_ratio(
         BodySpec("cube", _N), _COUNT, 3, _L, 1, 2.0, 5, direction_count=4,
         schedule=ConvolutionSchedule(10.0), noise_seed=2,
     ))
-    assert peak < _BUFFER + 8 * _COUNT * _L * 8, peak
+    assert peak < _BUFFER + 3 * _COUNT * _L * 8, peak
 
 
 def test_streamed_m_tilde_profile_never_holds_the_batch():
@@ -205,7 +213,14 @@ def test_streamed_m_tilde_profile_never_holds_the_batch():
         BodySpec("cube", _N), ConvolutionSchedule(10.0), l=_L, radii=np.array([0.0, 1.0]),
         subspace_count=1, samples_per_subspace=_COUNT, seed=4, direction_count=4,
     ))
-    assert peak < _BUFFER + 8 * _COUNT * _L * 8, peak
+    assert peak < _BUFFER + 3 * _COUNT * _L * 8, peak
+
+
+def test_the_estimator_bins_its_sample_in_row_blocks():
+    batch = sample_gaussian(GaussianSpec(dimension=_L, variance=1.0), _COUNT, seed=6)
+    points = radial_points(np.linspace(0.0, 2.0, 9), _L, 16)
+    peak = _peak_bytes(lambda: estimate_density(batch, points))
+    assert peak < 1.5 * batch.data.nbytes, peak
 
 
 def test_streamed_norms_never_hold_the_batch():
