@@ -67,7 +67,7 @@ from .density import (
 )
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _REQUIRED = object()
 
@@ -296,6 +296,12 @@ def _cmd_project(resolved, echo) -> int:
     return 0
 
 
+def _drop_directions_at_l1(resolved, echo) -> None:
+    """Echo ``directions`` only at l >= 2: the l = 1 KDE grid has no directions to count."""
+    if int(resolved["l"]) == 1:
+        del echo["directions"]
+
+
 @_subcommand("ratio", "projected-density to gaussian ratio report", [
     _BODY, _N, _L, _SAMPLES, _SEED,
     Param("alpha", None, float),
@@ -308,6 +314,7 @@ def _cmd_ratio(resolved, echo) -> int:
     alpha = resolved["alpha"]
     threads = int(resolved["threads"])
     spec = BodySpec(resolved["body"], int(resolved["n"]))
+    _drop_directions_at_l1(resolved, echo)
     root = np.random.SeedSequence(int(resolved["seed"]))
     body_seed, noise_seed, basis_seed = root.spawn(3)
     est, report = projected_ratio(
@@ -384,6 +391,7 @@ def _cmd_psi_scan(resolved, echo) -> int:
 ])
 def _cmd_mtilde(resolved, echo) -> int:
     spec = BodySpec(resolved["body"], int(resolved["n"]))
+    _drop_directions_at_l1(resolved, echo)
     report = m_tilde_profile(
         spec,
         ConvolutionSchedule(float(resolved["alpha"])),

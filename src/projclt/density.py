@@ -58,12 +58,14 @@ def radial_points(radii, l: int, direction_count: int = 16) -> np.ndarray:
     Radius-major: all directions of radii[0], then radii[1], ...  The
     directions are, for l=1, the two signs; for l=2, ``direction_count``
     equally spaced points on the circle; for l=3, a Fibonacci-lattice
-    covering of the sphere with ``direction_count`` points.
+    covering of the sphere with ``direction_count`` points.  At l=1
+    ``direction_count`` is neither used nor checked.
     """
     radii = _as_float_array(radii, "radii", 1)
     if radii.size == 0 or np.any(radii < 0):
         raise InvalidSpec("radii must be non-empty and nonnegative")
-    count = _as_positive_int(direction_count, "direction_count")
+    if l != 1:
+        count = _as_positive_int(direction_count, "direction_count")
     if l == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif l == 2:
@@ -295,7 +297,7 @@ def m_tilde_profile(
             "noise_variance": v,
             "subspace_count": subspace_count,
             "samples_per_subspace": samples_per_subspace,
-            "direction_count": direction_count,
+            **({"direction_count": direction_count} if l > 1 else {}),
             "seed": _seed_jsonable(seed),
         },
     )

@@ -12,9 +12,14 @@ Normalizations (all kinds have mean 0 and identity covariance):
   the simplex covariance.  With a = 1/((n+1)(n+2)) the covariance is
   a*(I - J/(n+1)), whose inverse square root acts as 1/sqrt(a) orthogonal to
   the all-ones direction and sqrt((n+1)/a) along it — so whitening is two
-  rank-one updates per sample, no n x n matrix.
-* product_laplace — i.i.d. two-sided exponential with scale 1/sqrt(2), since
-  Var(Laplace(b)) = 2 b^2.
+  rank-one updates per sample, no n x n matrix.  Both fold into one scale and
+  one shift per row: with E_0..E_n the spacings, T their sum and
+  mu = ((T - E_n)/T - n/(n+1))/n the row mean of the centred coordinates,
+  x_i = E_i / (T sqrt(a)) + (-1/(n+1) - mu)/sqrt(a) + mu sqrt((n+1)/a).
+* product_laplace — i.i.d. two-sided exponential with scale b = 1/sqrt(2),
+  since Var(Laplace(b)) = 2 b^2, drawn by inverse CDF from one uniform u per
+  value as numpy's ``Generator.laplace`` draws it: b log(2u) for u < 1/2,
+  -b log(2 - 2u) otherwise.
 * gaussian — standard normal coordinates.
 
 Generation is chunked: the root ``SeedSequence`` is split into one child per
@@ -68,6 +73,7 @@ BLOCK = 1 << 12
 
 _SQRT3 = math.sqrt(3.0)
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
+_LAPLACE_FLOOR = 2.0**-53
 
 
 @register("sample_batch", keys=("dimension", "count", "seed", "source", "data"))
@@ -220,27 +226,47 @@ def _fill_cube(rng, out, _rows):
 def _fill_ball(rng, out, _rows):
     m, n = out.shape
     rng.standard_normal(out=out)
-    norms = np.linalg.norm(out, axis=1)
+    # Row norms without the squared copy that np.linalg.norm makes.
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
     norms[norms == 0.0] = 1.0
     radii = math.sqrt(n + 2.0) * rng.random(m) ** (1.0 / n)
     out *= (radii / norms)[:, None]
 
 
 def _fill_simplex(rng, out, _rows):
+    # The closed form of the module docstring: a pass for T and two over the block.
     m, n = out.shape
     spacings = rng.standard_exponential(size=(m, n + 1))
-    np.divide(spacings[:, :n], spacings.sum(axis=1, keepdims=True), out=out)
-    del spacings
-    out -= 1.0 / (n + 1.0)
+    total = spacings.sum(axis=1)
     a = 1.0 / ((n + 1.0) * (n + 2.0))
-    row_mean = out.mean(axis=1, keepdims=True)
-    out -= row_mean
-    out /= math.sqrt(a)
-    out += row_mean * math.sqrt((n + 1.0) / a)
+    root_a = math.sqrt(a)
+    mu = ((total - spacings[:, n]) / total - n / (n + 1.0)) / n
+    shift = (-1.0 / (n + 1.0) - mu) / root_a + mu * math.sqrt((n + 1.0) / a)
+    np.multiply(spacings[:, :n], (1.0 / (total * root_a))[:, None], out=out)
+    out += shift[:, None]
 
 
 def _fill_laplace(rng, out, _rows):
-    out[...] = rng.laplace(0.0, _LAPLACE_SCALE, size=out.shape)
+    """numpy's Laplace inverse CDF, in place, from one uniform u per value.
+
+    The value is copysign(-b log(min(2u, 2 - 2u)), 2u - 1), with 2u, 2 - 2u
+    and 2u - 1 each exact: b log(2u) for u < 1/2 and -b log(2 - 2u)
+    otherwise, as ``Generator.laplace`` computes it from the same u, but
+    with one vectorised logarithm in place of a scalar call per value.
+    numpy rounds 2 - u - u, so for u >= 1/2 the two may differ by that
+    rounding.  numpy draws again at u = 0 (probability 2^-53); this fill
+    clamps the logarithm's argument to 2^-53 there and gives the finite
+    b log(2^-53) = -53 b ln 2 instead.
+    """
+    rng.random(out=out)
+    out += out
+    mag = np.subtract(2.0, out)
+    np.minimum(mag, out, out=mag)
+    np.maximum(mag, _LAPLACE_FLOOR, out=mag)
+    np.log(mag, out=mag)
+    mag *= -_LAPLACE_SCALE
+    out -= 1.0
+    np.copysign(mag, out, out=out)
 
 
 def _fill_gaussian(rng, out, _rows):

@@ -109,26 +109,6 @@ def gaussian_density(l: int, v: float, x_norm) -> float | np.ndarray:
     return float(out) if np.ndim(x_norm) == 0 else out
 
 
-def chi_log_pdf(n: int, t) -> float | np.ndarray:
-    """log density of the norm of a standard n-dimensional gaussian (chi law)."""
-    from scipy.special import gammaln
-
-    n = _as_positive_int(n, "n")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.full_like(t_arr, -np.inf)
-    pos = t_arr > 0
-    tp = t_arr[pos]
-    out[pos] = (
-        (1.0 - 0.5 * n) * math.log(2.0)
-        + (n - 1) * np.log(tp)
-        - 0.5 * tp * tp
-        - float(gammaln(0.5 * n))
-    )
-    if n == 1:  # chi_1 has a positive limit sqrt(2/pi) at the origin
-        out[t_arr == 0] = 0.5 * math.log(2.0 / math.pi)
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
 def _log_sphere_surface(l: int) -> float:
     """log surface area of the unit sphere S^(l-1) in R^l."""
     from scipy.special import gammaln

@@ -150,13 +150,15 @@ def _moment_sums(block):
 def _criterion_5(profile):
     """Empirical mean within 0.01 and covariance within 0.02 of identity."""
     count = 1_000_000 if profile == "desk" else 100_000
+    threads = cli.usable_cores()  # the drawn rows and their sums do not depend on it
     worst_mean = worst_cov = 0.0
     where = ""
     ok = True
     for bi, kind in enumerate(BodyKind):
         for ni, n in enumerate((2, 10, 50)):
             sums = sample_body(
-                BodySpec(kind, n), count, seed=5_000 + 10 * bi + ni, reduce=_moment_sums
+                BodySpec(kind, n), count, seed=5_000 + 10 * bi + ni, threads=threads,
+                reduce=_moment_sums,
             ).data.sum(axis=0)
             mean = sums[:n] / count
             cov = sums[n:].reshape(n, n) / count - np.outer(mean, mean)
@@ -208,11 +210,14 @@ def _criterion_6(profile):
     gaussian oracle z-scores -1.46 and +0.46.
     """
     count = 1_000_000 if profile == "desk" else 100_000
+    threads = cli.usable_cores()
     shells = {}
     details = []
     for n in (100, 400):
         eps = _C6_EPS_SCALE * n ** (-1.0 / 15.0)
-        norms = sample_body(BodySpec(BodyKind.CUBE, n), count, seed=6_100 + n, reduce=norm_column)
+        norms = sample_body(
+            BodySpec(BodyKind.CUBE, n), count, seed=6_100 + n, threads=threads, reduce=norm_column
+        )
         shells[n] = thin_shell_fraction(norms, eps, dimension=n)
         details.append(f"cube n={n}: {shells[n].fraction:.4g} +/- {shells[n].stderr:.2g}")
     drop = shells[100].fraction - shells[400].fraction
@@ -225,7 +230,8 @@ def _criterion_6(profile):
     for n in (100, 400):
         eps = _C6_EPS_SCALE * n ** (-1.0 / 15.0)
         norms = sample_body(
-            BodySpec(BodyKind.STANDARD_GAUSSIAN, n), count, seed=6_200 + n, reduce=norm_column
+            BodySpec(BodyKind.STANDARD_GAUSSIAN, n), count, seed=6_200 + n, threads=threads,
+            reduce=norm_column,
         )
         frac = thin_shell_fraction(norms, eps, dimension=n).fraction
         lo, hi = n * (1.0 - eps) ** 2, n * (1.0 + eps) ** 2
@@ -255,12 +261,15 @@ def _criterion_7(profile):
         n, count = 100, 200_000
         run_l2 = False
     sched = ConvolutionSchedule(alpha=10.0)
+    threads = cli.usable_cores()
     details = []
     ok = True
     for bi, kind in enumerate(bodies):
         t0 = time.perf_counter()
         spec = BodySpec(kind, n)
-        _, report1 = cli.projected_ratio(spec, count, 7_000 + bi, 1, 7_100 + bi, 2.0, 81)
+        _, report1 = cli.projected_ratio(
+            spec, count, 7_000 + bi, 1, 7_100 + bi, 2.0, 81, threads=threads
+        )
         sup1 = report1.sup_abs_deviation
         body_ok = sup1 <= 0.05
         txt = f"{kind.value}: l=1 sup {sup1:.4f}"
@@ -273,6 +282,7 @@ def _criterion_7(profile):
                 subspace_count=32,
                 samples_per_subspace=125_000,
                 seed=7_200 + bi,
+                threads=threads,
             )
             sup2 = mt.sup_abs_deviation
             body_ok = body_ok and sup2 <= 0.05

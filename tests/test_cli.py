@@ -103,9 +103,11 @@ _MTILDE = ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--seed", "1"]
         (_RATIO + ["--l", "2", "--directions", "0"], "direction_count must be >= 1"),
         (_MTILDE + ["--t-points", "0"], "radii must be non-empty and nonnegative"),
         (_MTILDE + ["--t-max", "-1"], "radii must be non-empty and nonnegative"),
+        (_MTILDE + ["--directions", "0"], "direction_count must be >= 1"),
     ],
     ids=["ratio_l1_no_points", "ratio_l2_no_points", "ratio_negative_radius",
-         "ratio_nan_radius", "ratio_no_directions", "mtilde_no_points", "mtilde_negative_radius"],
+         "ratio_nan_radius", "ratio_no_directions", "mtilde_no_points", "mtilde_negative_radius",
+         "mtilde_no_directions"],
 )
 def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path, monkeypatch,
                                                            capsys):
@@ -387,8 +389,7 @@ GOLDEN_ECHO = {
     "ratio": (
         ["--body", "gaussian", "--n", "3", "--l", "1", "--samples", "10000", "--seed", "3",
          "--grid-points", "5"], "out.json",
-        ["subcommand", "body", "n", "l", "samples", "seed", "alpha", "max_radius", "grid_points",
-         "directions"],
+        ["subcommand", "body", "n", "l", "samples", "seed", "alpha", "max_radius", "grid_points"],
     ),
     "thinshell": (
         ["--body", "ball", "--n", "3", "--samples", "10", "--seed", "4"], "out.csv",
@@ -402,7 +403,7 @@ GOLDEN_ECHO = {
         ["--body", "gaussian", "--n", "4", "--l", "1", "--t-points", "2", "--subspaces", "1",
          "--samples-per-subspace", "10000", "--directions", "2", "--seed", "5"], "out.json",
         ["subcommand", "body", "n", "l", "alpha", "t_max", "t_points", "subspaces",
-         "samples_per_subspace", "directions", "seed"],
+         "samples_per_subspace", "seed"],
     ),
     "deconv": (
         ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
@@ -440,6 +441,32 @@ def test_golden_echoed_config_keys(subcommand, tmp_path, capsys):
     out = tmp_path / artifact
     assert main([subcommand, *argv, "--output", str(out)]) == 0
     assert list(_echoed_config(out)) == keys
+
+
+_L1_RUNS = {
+    "ratio": ["ratio", "--body", "cube", "--n", "6", "--samples", "10000", "--seed", "3",
+              "--grid-points", "5"],
+    "mtilde": ["mtilde", "--body", "cube", "--n", "6", "--t-points", "3", "--subspaces", "1",
+               "--samples-per-subspace", "10000", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_L1_RUNS))
+def test_directions_are_neither_checked_nor_echoed_at_l1(subcommand, tmp_path):
+    # The l = 1 grid is each radius with both signs, so --directions names no
+    # part of it: no value of it is refused or changes a byte.
+    artifacts = set()
+    for directions in ("16", "3", "0"):
+        out = tmp_path / f"{directions}.json"
+        assert main([*_L1_RUNS[subcommand], "--l", "1", "--directions", directions,
+                     "--output", str(out)]) == 0
+        artifacts.add(out.read_bytes())
+    assert len(artifacts) == 1
+    assert b"direction" not in artifacts.pop()
+    out = tmp_path / "l2.json"
+    assert main([*_L1_RUNS[subcommand], "--l", "2", "--directions", "3",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["directions"] == 3
 
 
 # ------------------------------------------------------------------ sample

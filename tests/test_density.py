@@ -42,6 +42,14 @@ def test_line_directions_are_the_two_signs():
     np.testing.assert_array_equal(radial_points([1.0], 1, 7), [[1.0], [-1.0]])
 
 
+@pytest.mark.parametrize("direction_count", [0, -3])
+def test_line_directions_ignore_the_direction_count(direction_count):
+    # Only l >= 2 grids have a direction count to check.
+    np.testing.assert_array_equal(
+        radial_points([0.0, 2.0], 1, direction_count), [[0.0], [-0.0], [2.0], [-2.0]]
+    )
+
+
 def test_circle_directions_are_evenly_spaced():
     dirs = radial_points([1.0], 2, 8)
     assert dirs.shape == (8, 2)

@@ -39,13 +39,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "498c73eb396da938a8b8567505c3e35593b76b40527684d75f082b7950f97026",
-        "2b98fff3b43dc204d7fa094d803e413d795f5b79d3cc0f02f3b10ed18b6092de",
+        "f824ff2116c0f0a70417eb00696152caaa407125aca24084c3be23e69deeae7d",
+        "080ad59c6551f9ee755f98b6cb4dee8baa9f6156b843e1dc752b249b96e1fe77",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "39f8aade0d4d952db85340e6a0e975ac0df282411338eec71ed4a90b8dde17dd",
-        "cc63caf5f60087e88d00d24285e37522f0106a2f3dc314931275c6160838ebfb",
+        "ae6c8c0f193f10b4fd40832cfae556d8f2d767e10c0da398be21288392d2c735",
+        "d12db804424f0099a8f3c0a31a4eeb52df6c1215c22077952ba970cd3ece3dac",
     ),
 }
 
@@ -65,11 +65,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "fa84d4ccd5b91d6bfbe1e3cc87c4d244a02685dee98e5d75725b2f6383288c14",
+        "d7709ebb893c64d869208d2c4dfeaed10b311850d0bcbfebbe42aee0fba4eb0d",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "1e30ade6a06e6890864b292c06a445ed74ea95ec909d6ae5b3acb32804d7a803",
+        "014ce66afbb259beb0f598378321d7b2dcc563483a9e4cfe4e74a720f641881d",
     ),
 }
 
@@ -138,14 +138,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "f24eab7e26750fb9bda776013a4e4382832834d03d37127973794f1d28ccb0c2",
-            "r.csv": "5beda924481610207449263bc70d60c5a22244e02cf58bd1e4bea8a141c396d2",
+            "r.json": "479eb106e6b6c765b3ea48277447c2e9cd78ddc189ae6fca3f4f58f2c9681232",
+            "r.csv": "b4fd5d3fabad8905a820e405d89a7f7068a5fee926e2263f376f86e88ba44a93",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "1905d560000e408952a43d104503f961a637946ef85d5c72ceb647fd4927fdab"},
+        {"m.json": "85187238e2c7367cd79338f1a888ecbbf34739de8d26defe44948abd8505415c"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -154,11 +154,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "696b94b80d9bd1db28704abf617ea1f16a49d21f7eb323a4e389031ff2740e37",
-            "ball": "2daf01cd2128f8143d8e0374db4c45b7b66e8564f5f0f80854f2130f644eb960",
-            "simplex": "c895afb86c22519264db565c2b4233d985518a714d68f39216c39957d68611d7",
-            "product_laplace": "7469dda9ae7dec3e9ea5a2f22e8fa55311b8175625336dbd451e3dc5085130d3",
-            "gaussian": "d758b886b19d51765a0aa13cfef4799d3322b03beecd59c471d5f2fc8c43d015",
+            "cube": "cc77ca0646587b5d418ea1bcdec1f9fd3397753dcf16afce814ab07888c40252",
+            "ball": "a0a6718767216c6abfa8563468622a472b790de377f29847e4928c5dd128ac26",
+            "simplex": "97e1ab33810dd78eea3a2802d73ca56be9c7fd1929b2420709d77a8e04872dc9",
+            "product_laplace": "98816048dd9f605f0796af99bc983f795c7b144c41b350ee2788a0840e718d1d",
+            "gaussian": "97f0768a068e9c5131ea0b6483a797bd7612be82f89088f58450816f2c25cad3",
         }.items()
     },
 }
@@ -179,15 +179,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "3ec745b49ae5e40b2b0adfc7b2486f049744046448a1786a661c1fdf5a2f2c3b",
-        "87352a3beb5662cc1155051643745226f6151e92574c0fc5bd9fe70e60e12921",
+        "a8ae14229d560f18f05a34ca221de3353cad462aebdae36e41bbe6002399fdc4",
+        "ce6c1c7047f5051382e2b170054ef49662b9e49b2ffeffef8d7b58479cd11a45",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "d6496ba16d2995ef0d559ab8463ddfe45290db1415bd80c10edecbbc0760d5da",
-        "d1c892550e03024d280df2075a4d816eb40ffb425051ff95ffdf102b8cbdcab7",
+        "cfefad0e11d5add10a018908b5621c753f9cf78e8f12bfc6ca81d7f8757b7e2e",
+        "06a49cf18d1e459fdf65a076540c8aa7680be9afa90563b9ee8f078b3990dbd8",
     ),
 }
 
@@ -257,59 +257,59 @@ SAMPLE_PINS = {
         "347aab9a14b3d0a3c0ec1b324974c7f50916226ec1c275e14b3ee334df33e9de",
     ),
     ("ball", BLOCK - 1, False): (
-        "0416f944ae8cd4a8a952479768af93735476d971605219e21443ea738feedd79",
+        "5e50ec9c566a2aae5bb071d4aaae8c9660de2963134d89154f046e22a9e75a8e",
         "35a8e2bae489b338cfb2918261a80a42905bf929c86a87f2edd4eb1c252107f9",
     ),
     ("ball", BLOCK - 1, True): (
-        "91467e903b561f51f903d0f7799614d98735ef52b2f6b2582a9d4000892a0f31",
+        "f875fe59f1e9989a8317bdd83d9eb732feeaead6d508fe02b806dbe4be0ee8ab",
         "e59df24ef0c795f0d0d2f2434efc2959ab02868c61792a3e25a7014f401fc448",
     ),
     ("ball", BLOCK + 1, False): (
-        "84d086d1e59d583999395ba31b89864cae608fa5fc4480bc53395d6c95c5cfc3",
+        "270abd5b7fa9cf9f757c7a601f7052f1e5e86e64ec8a8b766148fadde4a5a673",
         "827bd3fc55c1be6f83888fc3694f63bf5fadf5c98071a384375f44ecbc5a5fc2",
     ),
     ("ball", BLOCK + 1, True): (
-        "d3d1b4ea9ec1207c5f534f4f882ada7a95683f31c18ea699d5b0f2c5f997b9e6",
+        "bbfa5ede24ad012520232e0481aa6b87247e10722ffc058aea2c28b94ae5df78",
         "b07e3af5d2a1c8289d324125be146e578bdb422b074f5e4868c38efd18f09ac6",
     ),
     ("ball", 2 * CHUNK + 3, False): (
-        "e74c134a9e748f1baa57efb1c7ceae122fa40c296d7701b1f09614f6824f282f",
+        "ed316f470f2a06df9fce90ed0f90545d6d0f90b5cde1450937a715deb5bffa09",
         "2435aa1451c2259d22ced89e819153b99a2d45220661589d533edeaa1eaa6a8a",
     ),
     ("ball", 2 * CHUNK + 3, True): (
-        "be0560ddc62aff64bd4eacc5a389180e02cd0cbee8f0cbf19258ab5280b4fea1",
+        "010cf619dfa31105c48aa5617e6057abb15e94f568fcee7b021c734dceff767a",
         "4d860b9918caf81a8002775530c750daa19ba3ca557b664929196b6f5226205c",
     ),
     ("simplex", 1, False): (
-        "ade9bf16c55931a7aa1cbf3a8df6c68afe62a06d2e6e8b3ad1fdcdb34ad84b83",
+        "83db14bf7ebc998eb3566b3efc0d8e0b83288423d96bd5974c905a40f289a97a",
         "a51ccbd1bf21111290f011cd44fcf50502b1b09db579ce1d372795d322e5de87",
     ),
     ("simplex", 1, True): (
-        "46cddd6535055fd823163bff917f11fd348264eea0acd5809e3bec3062e0f758",
+        "e22e97fbde6843f863f29f066906b160a28e950406be18d7b126f23cc1ff7b1b",
         "3cbcdd5e3b8165f392090e2aecfa0d6dfc3ad8d95903aa208cc025cb72806e70",
     ),
     ("simplex", BLOCK - 1, False): (
-        "3bb9d80fcffb267cef50da52cce692360e59b74dd4bc1c722c004e1f85cfe065",
+        "c4f2af2630200c5db9913cc9b34c29f0e713e810f49b581f48702a3c6ccbeae8",
         "4995620c5a15be4920a39dcd3e3b6c0350993524fdc3b2fa3b68b3cd3987c632",
     ),
     ("simplex", BLOCK - 1, True): (
-        "f534be13049c8fe0db7a192f20da19f1f4359232bbaadf075d9e5d1c746f4d56",
+        "c9c4c0aef14acf8a7e55b57aa3a75cb62dfa75ca2d9bf29b308b67dac5a216aa",
         "22b517f03e721f99ed39c7ec30bf568a267f2cafc2070517a384277840a88bb2",
     ),
     ("simplex", BLOCK + 1, False): (
-        "a56910def0463cbbc6db54e4df34bd5f530c5f64ecfb9c85779e4eaf4f489dcc",
+        "b070efd094cbd5049e1a5648ebe4b75d0e8ec4ef34be4e393701cf18b6ed89d8",
         "934067b12a6f2d6cae5fac46c0aac24205e9af85bbe4d0284667f160b6d12f16",
     ),
     ("simplex", BLOCK + 1, True): (
-        "bcb65195ae51aa8e3341d219d0a47a82b5ecf54b16af825e51f2087444e76ac2",
+        "1f77789ec9e5681a3e5f04f70cc85ad33f128539c84afa2fe147eb113b77600f",
         "3da4a399aebf8245423ed05310db426ca44e11305c672356a89ec9c59f1a48a7",
     ),
     ("simplex", 2 * CHUNK + 3, False): (
-        "431f595eed6cf11b3f78727a86a02461569d2ff4480ae314e122cbcf760f4812",
+        "3b6d25f833d206c3362d8c6394e4c04d2934980763d6d8ce1f25acd0b1f74e64",
         "e01f25472965a2d26ce985b3f56b6ddebd4cd57479bd45f033adee803870beac",
     ),
     ("simplex", 2 * CHUNK + 3, True): (
-        "5f6dbf6065a471cfc55e7e170af7751ea52b58e132a1469767289cc298917e4e",
+        "a50cd40b30e9c7983abe07c95a54ab4f538f20fc71bbb32c25d474580d35349e",
         "4c280b78a1c1b49e866a86cc5a88220ef63db563fb50b3dc6d521a6ab8ef20d1",
     ),
 }
@@ -336,64 +336,64 @@ def test_sample_batch_files_are_golden(key, threads, tmp_path):
 # F-contiguous at once and must still take the column-major kernel.
 PROJECT_PINS = {
     (1, 1): (
-        "0ded4cc1a8baf61ae9ef5dacac598e3dbee713378ab8be2c1a89f658c55543ad",
+        "3aeda53a62926e46ba9a4787eacd80244a2abba665656517dabac8948c72a034",
         "16e920594bc1bf1265ad08e2d68940db8328b27aff9a292e88309ceb4f58069d",
-        "eccb67db24360066181ef4ef46cce20b85488ffc78fa18168d63c42e71f082a1",
+        "aee3e09ae5d562f99e1d3c3e2fd2af66dd0d9d150fcd026aacfdcd4b1036dc92",
     ),
     (1, 2): (
-        "4a0b9bc057e2f267e25ca399a6c3f5254123b5f44a9a047943957f5976e137db",
+        "508e2b83e04487f9511d7db256923243f2ad85bb9fd442c3487a3216421bd1fa",
         "9e6da7454deceddea37905d9eba25dda2a8e902066454d1138e62e2b33cf43c8",
-        "0a83629501f3404107072cf708eea12c8cc215b208093bdf1b158cbe350d0503",
+        "3b60df2f13ed948f9ba913579baa3edeb247fad90a8e3922409e0fe1710d9392",
     ),
     (1, 3): (
-        "252b771c7bd021f4d9e7bbb7e88cd022c6f28fe6e92bda79332e99bb5618c715",
+        "8d112df0e619ec4973d9aa41a0a3cce34a2b99bd1db31150b0a14b4dbab09eed",
         "0e6c4daab28906a925857d2ff16923e179d4e8ae9c8fa4862373136833c7e0dd",
-        "c4b1229de2e1c01c45fb41638b0d50de539298a28199b16fe95c0e764468ce33",
+        "0518989983566ed681e08235670807529e87452536351a206f4b917f6607c0da",
     ),
     (1000, 1): (
-        "ed63f6a0c71474b2e90392808a05fddc53639bd8c0121b63512812d8db05bde2",
+        "b3c96e2efb8944e901b9ce42ca9ad1f90cf4379174b5596c5b616ce6c2a92984",
         "24428f8a7578386672f01dae70b9193840e2f6cdcf33f46bcb58d2c33abf9155",
-        "eccb67db24360066181ef4ef46cce20b85488ffc78fa18168d63c42e71f082a1",
+        "aee3e09ae5d562f99e1d3c3e2fd2af66dd0d9d150fcd026aacfdcd4b1036dc92",
     ),
     (1000, 2): (
-        "c8ddac2da5a53e7b4413fef766c3e5ac5bdc0a0cef305e995853601907455efb",
+        "ddd4a35c95b636a1f7a1a69736618bc15f4dac6697aa95ce559a2389b07c62b2",
         "70ea16dd3860e016200342a7167b7ce5fcabccecc631240551f744627b760e3c",
-        "0a83629501f3404107072cf708eea12c8cc215b208093bdf1b158cbe350d0503",
+        "3b60df2f13ed948f9ba913579baa3edeb247fad90a8e3922409e0fe1710d9392",
     ),
     (1000, 3): (
-        "01af28aea3f475e8360e5268b9a84162ac7d25da6feac986b4f787061ba605b1",
+        "cd25686ff87832a4f38602e83da0c2e48a8abfe4435be5d072f2bfb712b23d20",
         "d7de4b6b134937933b3ae57c92fdf2462b6f8294f2343a1e74ebe40ecf680047",
-        "c4b1229de2e1c01c45fb41638b0d50de539298a28199b16fe95c0e764468ce33",
+        "0518989983566ed681e08235670807529e87452536351a206f4b917f6607c0da",
     ),
     (3 * BLOCK + 5, 1): (
-        "b7cd7ffc3c2429cedfa5605156e5ac2d4f0cc33428704dff5f2a09ec071fa67f",
+        "afd9b5209ed711a0d91c293d7163baa683100e817ebe8ccc8f8905d377e5f83f",
         "79dc282cc96e3211057cad7a93f87f0c5d820116d06680705e54670e64c20e94",
-        "eccb67db24360066181ef4ef46cce20b85488ffc78fa18168d63c42e71f082a1",
+        "aee3e09ae5d562f99e1d3c3e2fd2af66dd0d9d150fcd026aacfdcd4b1036dc92",
     ),
     (3 * BLOCK + 5, 2): (
-        "24e5ec84b5b60b0f417d53abb7f56e7457049eeb579cb6df2ac03d42d5b9f7c1",
+        "4a3746060424e99a6e80fadb8c53fea2ee37d147b939c1423c9816f25401c784",
         "b1793c215cf93da31656b6f595347b4de9fd3ca23783453a4bdc2b40c54319af",
-        "0a83629501f3404107072cf708eea12c8cc215b208093bdf1b158cbe350d0503",
+        "3b60df2f13ed948f9ba913579baa3edeb247fad90a8e3922409e0fe1710d9392",
     ),
     (3 * BLOCK + 5, 3): (
-        "e3822bcbea88cb872cd4f14320fbc0b27665e71defe49293e4c27e66603c1e72",
+        "f63d6f3627152253534d6ff7e1213c3ae5a4889a7b5db0311a3e9403beb4729b",
         "955bed71d00f5367716089b61602abab1c2063b377ecf9a21718258455cf513c",
-        "c4b1229de2e1c01c45fb41638b0d50de539298a28199b16fe95c0e764468ce33",
+        "0518989983566ed681e08235670807529e87452536351a206f4b917f6607c0da",
     ),
     (BLOCK + 1, 1): (
-        "b2e5b60b137b4ab8c378fc62cfaed0df627ba6df96b9d0798e9555096c66ad3f",
+        "23be1c3742b55964fc36417e4fa1a2fdc31c96e52643ae2701f9eb9b16b525a6",
         "bbbafc4bc737942c72cceb115e28b11acc9e42f9c8d15f72ffeaee638af6d489",
-        "eccb67db24360066181ef4ef46cce20b85488ffc78fa18168d63c42e71f082a1",
+        "aee3e09ae5d562f99e1d3c3e2fd2af66dd0d9d150fcd026aacfdcd4b1036dc92",
     ),
     (BLOCK + 1, 2): (
-        "6248900352e13130c158cdff41c54549d3cc5e9d4cd97176edb47aad47b9745a",
+        "3ab27ba5aaf36ba7bfecbfa8cbca6aad89652d80602f3874790afdccd6ca5d07",
         "a27caa9b049cfb9e87eb7fc575f395c2dfdfb6b54473103f348c6d021b92629e",
-        "0a83629501f3404107072cf708eea12c8cc215b208093bdf1b158cbe350d0503",
+        "3b60df2f13ed948f9ba913579baa3edeb247fad90a8e3922409e0fe1710d9392",
     ),
     (BLOCK + 1, 3): (
-        "dfe3101f4fbc1ca59578fe8b8e222bb1a360e530bd11a0e2a06f060456205d8f",
+        "040244ffd676efb0e91dc30091aa2af8d335b1b4ad19a77ffa642eccc3ae09d1",
         "3f28cdb73c435d561c0c9160593a8aa1b2791bd4918070afbb4d116a64bf1ef8",
-        "c4b1229de2e1c01c45fb41638b0d50de539298a28199b16fe95c0e764468ce33",
+        "0518989983566ed681e08235670807529e87452536351a206f4b917f6607c0da",
     ),
 }
 
@@ -413,9 +413,9 @@ def test_project_input_artifacts_are_golden(key, threads, tmp_path, monkeypatch)
 
 
 SAMPLE_CSV_PINS = {
-    "raw": ([], "0b25bfff3b7874b2fd92016bd62dfa73bcfabae8b7a6a393e477564ae96aa91b"),
+    "raw": ([], "d37b19d3ba3d6fba1330721b2d091f972aa1bd7acfce5b32b267a33ba8992643"),
     "alpha": (
-        ["--alpha", "10"], "b431104dd2bd49bd0e0babf943c25564a88ab467f2e6114e6995859b0acb4f4a"
+        ["--alpha", "10"], "5e193d252f830b85f33ed2757ca3b9b9565891a3800dedbe1ddefdb0f42df03c"
     ),
 }
 

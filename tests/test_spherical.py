@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.special import gammaln
 
 from projclt.errors import DomainError, InvalidSpec, RangeError
 from projclt.model import RadialDensity
 from projclt.spherical import (
     KernelParams,
-    chi_log_pdf,
     gaussian_density,
     log_gamma_nl,
     psi,
@@ -161,6 +161,22 @@ def test_gaussian_density_closed_forms():
     )
     with pytest.raises(RangeError):
         gaussian_density(1, 0.0, 0.5)
+
+
+def chi_log_pdf(n: int, t: float) -> float:
+    """log density of the norm of a standard n-dimensional gaussian (chi law).
+
+    The oracle of the quadrature checks below, itself checked against scipy.
+    """
+    if t <= 0.0:
+        # chi_1 has a positive limit sqrt(2/pi) at the origin; the others vanish.
+        return 0.5 * math.log(2.0 / math.pi) if n == 1 and t == 0.0 else -math.inf
+    return (
+        (1.0 - 0.5 * n) * math.log(2.0)
+        + (n - 1) * math.log(t)
+        - 0.5 * t * t
+        - float(gammaln(0.5 * n))
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 40])

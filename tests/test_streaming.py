@@ -21,8 +21,11 @@ from projclt.radial import norm_column, thin_shell_fraction
 from projclt.samplers import (
     BLOCK,
     CHUNK,
+    _LAPLACE_SCALE,
     _SQRT3,
+    _fill_ball,
     _fill_cube,
+    _fill_laplace,
     _fill_simplex,
     convolve_and_rescale,
     load_batch,
@@ -159,12 +162,63 @@ def test_simplex_fill_in_place_has_the_bits_of_the_out_of_place_formula():
     out = np.empty((m, n))
     _fill_simplex(np.random.default_rng(2), out, None)
     spacings = np.random.default_rng(2).standard_exponential(size=(m, n + 1))
-    s = spacings[:, :n] / spacings.sum(axis=1, keepdims=True)
-    s -= 1.0 / (n + 1.0)
+    total = spacings.sum(axis=1, keepdims=True)
     a = 1.0 / ((n + 1.0) * (n + 2.0))
+    mu = ((total - spacings[:, n:]) / total - n / (n + 1.0)) / n
+    shift = (-1.0 / (n + 1.0) - mu) / math.sqrt(a) + mu * math.sqrt((n + 1.0) / a)
+    np.testing.assert_array_equal(out, spacings[:, :n] * (1.0 / (total * math.sqrt(a))) + shift)
+    # The centre-then-whiten form it folds: equal up to the rounding of the
+    # O(1) terms that cancel, a few ulp of 1 for coordinates near 0.
+    s = spacings[:, :n] / total - 1.0 / (n + 1.0)
     row_mean = s.mean(axis=1, keepdims=True)
-    expected = (s - row_mean) / math.sqrt(a) + row_mean * math.sqrt((n + 1.0) / a)
-    np.testing.assert_array_equal(out, expected)
+    unfolded = (s - row_mean) / math.sqrt(a) + row_mean * math.sqrt((n + 1.0) / a)
+    np.testing.assert_allclose(out, unfolded, rtol=1e-13, atol=1e-14)
+
+
+def test_ball_fill_scales_by_the_norms_of_np_linalg_norm():
+    m, n = 1000, 30
+    out = np.empty((m, n))
+    _fill_ball(np.random.default_rng(3), out, None)
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((m, n))
+    radii = math.sqrt(n + 2.0) * rng.random(m) ** (1.0 / n)
+    np.testing.assert_allclose(out, g * (radii / np.linalg.norm(g, axis=1))[:, None], rtol=1e-15)
+
+
+class _Uniforms:
+    """A generator stub whose ``random(out=)`` writes the given u's, one per column."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...] = self.u
+
+
+def test_laplace_fill_is_the_inverse_cdf_at_the_edges_of_the_unit_interval():
+    half_ulp = 2.0**-53
+    u = np.array([0.0, half_ulp, 0.5 - half_ulp, 0.5, 1.0 - half_ulp])
+    out = np.empty((3, u.size))
+    _fill_laplace(_Uniforms(u), out, None)
+    assert np.isfinite(out).all()
+    # u = 0, which numpy draws again, takes the documented b log(2^-53).
+    assert out[0, 0] == _LAPLACE_SCALE * math.log(2.0**-53)
+    for j, uj in enumerate(u[1:], 1):
+        expected = _LAPLACE_SCALE * np.sign(0.5 - uj) * math.log(1.0 - abs(1.0 - 2.0 * uj))
+        assert (np.abs(out[:, j] - expected) <= 2 * np.spacing(abs(expected))).all(), uj
+
+
+def test_laplace_fill_draws_what_numpy_draws_from_the_same_uniforms():
+    m, n = 1000, 30
+    out = np.empty((m, n))
+    _fill_laplace(np.random.default_rng(4), out, None)
+    expected = np.random.default_rng(4).laplace(0.0, _LAPLACE_SCALE, size=(m, n))
+    u = np.random.default_rng(4).random((m, n))
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+    # numpy's 2 - u - u may be off the exact 2 - 2u by 2^-53, which moves its
+    # log by up to 2^-53 / (2 - 2u); past that, two ulp of the logarithm.
+    slack = _LAPLACE_SCALE * 2.0**-53 / (1.0 - np.abs(1.0 - 2.0 * u))
+    assert (np.abs(out - expected) <= slack + 2 * np.spacing(np.abs(expected))).all()
 
 
 # ------------------------------------------------------------------ memory
