@@ -2,12 +2,14 @@
 """Sweep projected-marginal gaussianity across bodies and subspace dimensions.
 
 For every requested body the script draws an isotropic sample, projects it
-onto a Haar subspace, optionally smooths the projection with l-dim noise of
-the schedule's ambient variance v(n) (equal in law to smoothing before
-projecting), and writes the pointwise density-to-gaussian ratios plus the
-thin-shell fraction of the ambient sample.  The sample is streamed block by
-block twice from the same seed, once for its norms and once for its
-projection, so the samples x n batch is never held.  Example:
+onto a Haar subspace, and writes the pointwise density-to-gaussian ratios
+plus the thin-shell fraction of the ambient sample.  With ``--alpha`` the
+ratios are those of the projection smoothed by N(0, v I_n), v the schedule's
+ambient variance v(n), estimated with no noise drawn as a kernel average of
+the unsmoothed projection (``projclt.cli.projected_ratio``) and read against
+the gaussian of variance 1 + v.  The sample is streamed block by block twice
+from the same seed, once for its norms and once for its projection, so the
+samples x n batch is never held.  Example:
 
     python scripts/run_clt_scan.py --bodies cube,simplex --n 300 \
         --samples 200000 --l 1 --alpha 10 --seed 42 --out scan.csv
@@ -44,14 +46,15 @@ def parse_args(argv=None):
 
 
 def scan_body(kind, args, seed):
-    body_seed, noise_seed, basis_seed = np.random.SeedSequence(seed).spawn(3)
+    # Three children, the middle one unused, keep the basis seed and raw bytes of schema 6.
+    body_seed, _, basis_seed = np.random.SeedSequence(seed).spawn(3)
     spec = BodySpec(kind, args.n)
     norms = sample_body(spec, args.samples, body_seed, threads=args.threads, reduce=norm_column)
     shell = thin_shell_fraction(norms, args.n ** (-1.0 / 15.0), dimension=args.n)
     _, report = projected_ratio(
         spec, args.samples, body_seed, args.l, basis_seed, args.max_radius, args.grid_points,
         schedule=None if args.alpha is None else ConvolutionSchedule(args.alpha),
-        noise_seed=noise_seed, threads=args.threads,
+        threads=args.threads,
     )
     return report, shell
 

@@ -14,12 +14,12 @@ Each subcommand declares its parameters once, in the table passed to
 ``_subcommand``; that table yields both the argparse flags and the resolve
 order, which is also the key order of the echoed configuration.
 
-``projected_ratio`` is the one sample -> project -> smooth -> KDE -> ratio
-pipeline; the ``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance
+``projected_ratio`` is the one sample -> project -> KDE -> ratio pipeline;
+the ``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance
 criterion 7 all call it.  It takes a body spec, a count and a seed, never a
 batch, and projects the sample block by block as it is drawn
-(``density.project_body``).  It lives here rather than in
-``density.py`` because it looks up ``convolve_and_rescale``,
+(``density.project_body``); it smooths by the kernel, drawing no noise.  It
+lives here rather than in ``density.py`` because it looks up
 ``random_subspace``, ``estimate_density`` and ``ratio_to_gaussian`` as
 attributes of this module, where the benchmark's tracer
 (``perfbench/tracing.py``) wraps them; moved, it would lose those spans.
@@ -64,10 +64,11 @@ from .density import (
     project_body,
     radial_points,
     ratio_to_gaussian,
+    smoothing_bandwidth,
 )
 from .deconvolution import DeconvParams, check_conditions, sandwich_margins
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _REQUIRED = object()
 
@@ -187,20 +188,19 @@ def _write_csv(path: str, echo: dict, columns, rows) -> None:
 
 def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
                     max_radius: float, grid_points: int, direction_count: int = 16,
-                    schedule: ConvolutionSchedule | None = None, noise_seed=None,
-                    threads: int = 1):
+                    schedule: ConvolutionSchedule | None = None, threads: int = 1):
     """Estimate a body's projected density on a Haar l-subspace and its ratio to the gaussian.
 
     ``count`` samples of ``spec`` are drawn from ``body_seed`` and projected
     block by block as they are drawn (``density.project_body``), so the
-    count x n batch is never held.
-    With a ``schedule`` the projection is smoothed: l-dim noise of the ambient
-    variance v(n) is added after projecting, then rescaled by 1/sqrt(1 + v).
-    This has the law of smoothing the n-dim batch first, because for an
-    orthonormal l x n frame P the projected noise P y is exactly N(0, v I_l).
-    The KDE grid is ``grid_points`` points on [-max_radius, max_radius] for
-    l = 1, else as many radii on [0, max_radius] times ``direction_count``
-    directions; it and the sample size are checked before anything is drawn.
+    count x n batch is never held.  Without a ``schedule`` the KDE takes
+    Scott's bandwidth, against the standard gaussian; with one it estimates
+    the projection smoothed at the ambient variance v(n) as ``mtilde`` does,
+    at ``density.smoothing_bandwidth(v)`` with no noise drawn, against the
+    gaussian of variance 1 + v.  The KDE grid is ``grid_points`` points on
+    [-max_radius, max_radius] for l = 1, else as many radii on
+    [0, max_radius] times ``direction_count`` directions; it and the sample
+    size are checked before anything is drawn.
     """
     if not (max_radius > 0 and math.isfinite(max_radius)):
         raise RangeError(f"max_radius must be positive, got {max_radius!r}")
@@ -212,14 +212,12 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
         points = np.linspace(-max_radius, max_radius, grid_points)[:, None]
     else:
         points = radial_points(np.linspace(0.0, max_radius, grid_points), l, direction_count)
-    projected = project_body(spec, count, body_seed, basis, threads)
+    variance, bandwidth = 1.0, None
     if schedule is not None:
-        projected = convolve_and_rescale(
-            projected, schedule, noise_seed, noise_variance=schedule.noise_variance(n),
-            threads=threads,
-        )
-    est = estimate_density(projected, points)
-    return est, ratio_to_gaussian(est, 1.0, max_radius)
+        v = schedule.noise_variance(n)
+        variance, bandwidth = 1.0 + v, smoothing_bandwidth(v)
+    est = estimate_density(project_body(spec, count, body_seed, basis, threads), points, bandwidth)
+    return est, ratio_to_gaussian(est, variance, max_radius)
 
 
 _BODY = Param("body")
@@ -316,17 +314,18 @@ def _cmd_ratio(resolved, echo) -> int:
     spec = BodySpec(resolved["body"], int(resolved["n"]))
     _drop_directions_at_l1(resolved, echo)
     root = np.random.SeedSequence(int(resolved["seed"]))
-    body_seed, noise_seed, basis_seed = root.spawn(3)
+    # Three children, the middle one unused, keep the basis seed and raw bytes of schema 6.
+    body_seed, _, basis_seed = root.spawn(3)
     est, report = projected_ratio(
         spec, int(resolved["samples"]), body_seed, int(resolved["l"]), basis_seed,
         float(resolved["max_radius"]), int(resolved["grid_points"]),
         direction_count=int(resolved["directions"]),
         schedule=None if alpha is None else ConvolutionSchedule(float(alpha)),
-        noise_seed=noise_seed, threads=threads,
+        threads=threads,
     )
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
-        ref = gaussian_density(est.dim, 1.0, report.radius_grid)
+        ref = gaussian_density(est.dim, report.meta["variance"], report.radius_grid)
         rows = zip(
             report.radius_grid.tolist(),
             report.per_point_ratios.tolist(),

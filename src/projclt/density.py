@@ -14,6 +14,11 @@ estimate wakes no BLAS thread beside the samplers' worker threads.
 Dimension is capped at 3 and the sample floor is 10^4 — beyond that the KDE
 bias/variance would no longer sit below the tolerances the experiment suite
 asserts.
+
+Smoothed pipelines draw no noise: for an orthonormal l x n frame P and
+Y ~ N(0, v I_n) the density of P(X + Y) at x is exactly E gamma_{l,v}(x - PX),
+a kernel average of PX at sqrt(v) (:func:`smoothing_bandwidth` corrects it
+for binning), read against gamma_{l,1+v} at unrescaled points.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .model import (
     BodySpec,
     ConvolutionSchedule,
     DensityEstimate,
-    GaussianSpec,
     RatioReport,
     _as_float_array,
     _as_positive_int,
@@ -41,7 +45,7 @@ from .samplers import (
     _seed_jsonable,
     _seed_seq,
     sample_body,
-    sample_gaussian,
+    sample_gaussian,  # no caller here; the benchmark's tracer looks it up at this module
 )
 from .spherical import gaussian_density
 
@@ -89,6 +93,16 @@ def scott_bandwidth(data: np.ndarray) -> float:
     if sigma == 0.0:
         sigma = 1.0  # degenerate sample; any positive bandwidth is as good as another
     return sigma * count ** (-1.0 / (l + 4))
+
+
+def smoothing_bandwidth(v: float) -> float:
+    """The binned estimate's bandwidth h for a kernel average at variance v.
+
+    Linear binning keeps each row's mean and adds f(1 - f) delta^2 of variance
+    per axis at fraction f of a cell, delta^2 / 6 on average; with delta =
+    BIN_SPACING * h that is h^2 / 96, so h^2 (1 + 1/96) = v.
+    """
+    return math.sqrt(v / (1.0 + BIN_SPACING**2 / 6.0))
 
 
 def _linear_bin(data: np.ndarray, lo: np.ndarray, delta: float, shape: tuple) -> np.ndarray:
@@ -246,15 +260,12 @@ def m_tilde_profile(
     """Rotation-averaged radial profile of the smoothed projected density.
 
     For each of ``subspace_count`` independent Haar subspaces: draw a fresh
-    body sample and project it block by block (:func:`project_body`), add
-    unrescaled l-dim gaussian noise of the schedule's variance v(n), and
-    KDE-evaluate at every radius (averaged over a fixed set of unit
-    directions).  This equals in law adding n-dim noise before projecting,
-    because for an orthonormal l x n frame P the projected noise P y is
-    exactly N(0, v I_l).  The subspace-averaged values are
-    divided by the gaussian density of variance 1 + v, which is the exact law
-    the smoothed projection approaches; the profile is reported as ratios
-    against radius.
+    body sample, project it block by block (:func:`project_body`) and
+    kernel-average it at ``smoothing_bandwidth(v)``, v = v(n) the schedule's
+    ambient variance, at every radius (averaged over a fixed set of unit
+    directions); no noise is drawn (see the module docstring).  The
+    subspace-averaged values are divided by the gaussian density of variance
+    1 + v, the exact law the smoothed projection approaches.
     """
     l = _as_positive_int(l, "l")
     subspace_count = _as_positive_int(subspace_count, "subspace_count")
@@ -263,27 +274,18 @@ def m_tilde_profile(
     radii = np.asarray(radii, dtype=np.float64)
     n = body.dimension
     v = schedule.noise_variance(n)
-    noise = GaussianSpec(dimension=l, variance=v)
+    h = smoothing_bandwidth(v)
 
     root = _seed_seq(seed)
     accum = np.zeros(radii.size)
     for child in root.spawn(subspace_count):
-        body_seed, noise_seed, basis_seed = child.spawn(3)
+        # Three children, the middle one unused, keep schema 6's samples and bases.
+        body_seed, _, basis_seed = child.spawn(3)
         basis = random_subspace(n, l, basis_seed)
-        projected = project_body(body, samples_per_subspace, body_seed, basis, threads)
-        y = sample_gaussian(noise, samples_per_subspace, noise_seed, threads=threads)
-        # The projection's array is this loop's own, so the noise is added into it.
-        projected.data.flags.writeable = True
-        np.add(projected.data, y.data, out=projected.data)
-        del y
-        smoothed = SampleBatch(
-            data=projected.data,
-            seed=_seed_jsonable(child),
-            source={"draw": "smoothed", "of": projected.source, "noise_variance": v},
+        # The projection is released before the next subspace draws its own.
+        est = estimate_density(
+            project_body(body, samples_per_subspace, body_seed, basis, threads), points, h
         )
-        del projected
-        est = estimate_density(smoothed, points)
-        del smoothed
         accum += est.values.reshape(radii.size, -1).mean(axis=1)
 
     profile = (accum / subspace_count) / gaussian_density(l, 1.0 + v, radii)
@@ -295,6 +297,8 @@ def m_tilde_profile(
             "schedule": schedule.to_jsonable(),
             "l": l,
             "noise_variance": v,
+            "variance": 1.0 + v,
+            "bandwidth": h,
             "subspace_count": subspace_count,
             "samples_per_subspace": samples_per_subspace,
             **({"direction_count": direction_count} if l > 1 else {}),

@@ -339,25 +339,15 @@ def _smoothed_source(source: dict, schedule: ConvolutionSchedule, v: float, seed
 
 
 def convolve_and_rescale(
-    x: SampleBatch,
-    schedule: ConvolutionSchedule,
-    seed,
-    noise_variance: float | None = None,
-    threads: int = 1,
+    x: SampleBatch, schedule: ConvolutionSchedule, seed, threads: int = 1
 ) -> SampleBatch:
     """Return (x + y) / sqrt(1 + v) with y fresh gaussian noise of variance v.
 
-    v defaults to ``schedule.noise_variance(x.dimension)``; passing
-    ``noise_variance=0.0`` makes the operation the identity on the data.
-    The rescaling keeps an isotropic input isotropic.
+    v is ``schedule.noise_variance(x.dimension)``.  The rescaling keeps an
+    isotropic input isotropic.
     """
-    v = schedule.noise_variance(x.dimension) if noise_variance is None else float(noise_variance)
-    if not (v >= 0.0 and math.isfinite(v)):
-        raise InvalidSpec(f"noise variance must be finite and >= 0, got {noise_variance!r}")
+    v = schedule.noise_variance(x.dimension)
     source = _smoothed_source(x.source, schedule, v, seed)
-    if v == 0.0:
-        return SampleBatch(data=x.data, seed=x.seed, source=source)
-
     sigma = math.sqrt(v)
     scale = 1.0 / math.sqrt(1.0 + v)
 

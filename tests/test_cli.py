@@ -698,6 +698,29 @@ def test_ratio_report_for_projected_gaussian(tmp_path):
     assert all(float(r[2]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("extra", [[], ["--alpha", "10"]], ids=["raw", "alpha"])
+def test_ratio_csv_stderr_is_relative_to_the_reports_reference(tmp_path, monkeypatch, extra):
+    # The CSV's ratio and stderr columns divide by the same gaussian, the one the
+    # report reads against: variance 1, or 1 + v with --alpha.
+    estimates = []
+    estimate = projclt.cli.estimate_density
+
+    def recording(*args, **kwargs):
+        estimates.append(estimate(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(projclt.cli, "estimate_density", recording)
+    csv = tmp_path / "ratio.csv"
+    rc = main(["ratio", "--body", "cube", "--n", "20", "--l", "1", "--samples", "20000",
+               "--seed", "5", "--grid-points", "21", *extra,
+               "--output", str(tmp_path / "ratio.json"), "--csv", str(csv)])
+    assert rc == 0
+    (est,) = estimates
+    _, _, rows = _read_csv(csv)
+    ratio, stderr = np.array([[float(r[1]), float(r[2])] for r in rows]).T
+    np.testing.assert_allclose(stderr / ratio, est.stderr / est.values, rtol=1e-12)
+
+
 # --------------------------------------------------------------- thinshell
 
 

@@ -39,13 +39,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "f824ff2116c0f0a70417eb00696152caaa407125aca24084c3be23e69deeae7d",
-        "080ad59c6551f9ee755f98b6cb4dee8baa9f6156b843e1dc752b249b96e1fe77",
+        "46f9bf65a4155049fc29b0f7b87ea9a442ff9d9426915432a5d6d296b837910e",
+        "299e991acec8d59942ed0d281443f5f616969d5d4d19422a1dd72c39e3249fad",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "ae6c8c0f193f10b4fd40832cfae556d8f2d767e10c0da398be21288392d2c735",
-        "d12db804424f0099a8f3c0a31a4eeb52df6c1215c22077952ba970cd3ece3dac",
+        "b34195deca01ef4e1358791371365be5ea5c6248bbe7d15778b4543e9b0e7597",
+        "d3e2b84cae470ffefe5c524fe46eee70ee466cea5f0f9d420480d4f33bca0415",
     ),
 }
 
@@ -65,7 +65,7 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "d7709ebb893c64d869208d2c4dfeaed10b311850d0bcbfebbe42aee0fba4eb0d",
+        "32b19f426dbf29eeff295a14ba0222275c343bcaaceeb7e2c6ca9b03a147d4b3",
     ),
     "l2_raw": (
         ["--l", "2"],
@@ -138,14 +138,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "479eb106e6b6c765b3ea48277447c2e9cd78ddc189ae6fca3f4f58f2c9681232",
-            "r.csv": "b4fd5d3fabad8905a820e405d89a7f7068a5fee926e2263f376f86e88ba44a93",
+            "r.json": "d29cd2a7cb311803aefece4b92b58e5fb9eb64ba59022140863d9c7209d220a3",
+            "r.csv": "da916fbf6e36d2ac071a936a40bcd84bbaf125bc9aa35597a96609f5ba3cfb7a",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "85187238e2c7367cd79338f1a888ecbbf34739de8d26defe44948abd8505415c"},
+        {"m.json": "48ab28415effab4255a9771be5ca09b4f68d5c0b7327d41fc7b39ca5803c0a50"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -154,11 +154,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "cc77ca0646587b5d418ea1bcdec1f9fd3397753dcf16afce814ab07888c40252",
-            "ball": "a0a6718767216c6abfa8563468622a472b790de377f29847e4928c5dd128ac26",
-            "simplex": "97e1ab33810dd78eea3a2802d73ca56be9c7fd1929b2420709d77a8e04872dc9",
-            "product_laplace": "98816048dd9f605f0796af99bc983f795c7b144c41b350ee2788a0840e718d1d",
-            "gaussian": "97f0768a068e9c5131ea0b6483a797bd7612be82f89088f58450816f2c25cad3",
+            "cube": "879a9bcf976339e1aa1b497be4f2b08e0c0322085a855bf0b86200bde68c1e54",
+            "ball": "2145ae413a0e7d3b7489db08e4a514f4f1147c0e281f7fdeca984ef29e7968fa",
+            "simplex": "af70df4b8254e4270e89b3b6d953e406caebe06cf6768dbeb8e0465faa601d78",
+            "product_laplace": "9388a152650c7dc96d47e87db5bb5a9a2e4237a06e17356a0c9c35599af5a81c",
+            "gaussian": "9f2635d4da92a390676c81147cbb404ed086e1f03daffada35a0586ae184e517",
         }.items()
     },
 }
@@ -179,15 +179,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "a8ae14229d560f18f05a34ca221de3353cad462aebdae36e41bbe6002399fdc4",
-        "ce6c1c7047f5051382e2b170054ef49662b9e49b2ffeffef8d7b58479cd11a45",
+        "7f18455c9d2e6bd4ecca29fc756ace8fa23c2a06bdaf5b1a7e17ec8e46a2c911",
+        "b3a00d6823aada85123523db1cad164542f7b7df5a61cf2c50ec19aa52c0ee58",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "cfefad0e11d5add10a018908b5621c753f9cf78e8f12bfc6ca81d7f8757b7e2e",
-        "06a49cf18d1e459fdf65a076540c8aa7680be9afa90563b9ee8f078b3990dbd8",
+        "a8f8c0d929e87ae7bbaa1b3cdcff5fb9af0366136e8eeb6fe7950ddeb68cf77f",
+        "4b8959c97e8cd92016f357c3f4c35378e30aae4eb78b9a1f2cafefa4e4c47e28",
     ),
 }
 
@@ -338,62 +338,62 @@ PROJECT_PINS = {
     (1, 1): (
         "3aeda53a62926e46ba9a4787eacd80244a2abba665656517dabac8948c72a034",
         "16e920594bc1bf1265ad08e2d68940db8328b27aff9a292e88309ceb4f58069d",
-        "aee3e09ae5d562f99e1d3c3e2fd2af66dd0d9d150fcd026aacfdcd4b1036dc92",
+        "a3bbcf3ec09a2fabba876e7eb7017bad36f071f83910118de27517c32b045979",
     ),
     (1, 2): (
         "508e2b83e04487f9511d7db256923243f2ad85bb9fd442c3487a3216421bd1fa",
         "9e6da7454deceddea37905d9eba25dda2a8e902066454d1138e62e2b33cf43c8",
-        "3b60df2f13ed948f9ba913579baa3edeb247fad90a8e3922409e0fe1710d9392",
+        "1f39fcef2bb2f941d24994aa29fbb63496043b2b623f230fd374406ab8920c22",
     ),
     (1, 3): (
         "8d112df0e619ec4973d9aa41a0a3cce34a2b99bd1db31150b0a14b4dbab09eed",
         "0e6c4daab28906a925857d2ff16923e179d4e8ae9c8fa4862373136833c7e0dd",
-        "0518989983566ed681e08235670807529e87452536351a206f4b917f6607c0da",
+        "5c30e18cce9b9b66a2e939e6ee6add9668078bdcd8b2798e40582f7478a2701a",
     ),
     (1000, 1): (
         "b3c96e2efb8944e901b9ce42ca9ad1f90cf4379174b5596c5b616ce6c2a92984",
         "24428f8a7578386672f01dae70b9193840e2f6cdcf33f46bcb58d2c33abf9155",
-        "aee3e09ae5d562f99e1d3c3e2fd2af66dd0d9d150fcd026aacfdcd4b1036dc92",
+        "a3bbcf3ec09a2fabba876e7eb7017bad36f071f83910118de27517c32b045979",
     ),
     (1000, 2): (
         "ddd4a35c95b636a1f7a1a69736618bc15f4dac6697aa95ce559a2389b07c62b2",
         "70ea16dd3860e016200342a7167b7ce5fcabccecc631240551f744627b760e3c",
-        "3b60df2f13ed948f9ba913579baa3edeb247fad90a8e3922409e0fe1710d9392",
+        "1f39fcef2bb2f941d24994aa29fbb63496043b2b623f230fd374406ab8920c22",
     ),
     (1000, 3): (
         "cd25686ff87832a4f38602e83da0c2e48a8abfe4435be5d072f2bfb712b23d20",
         "d7de4b6b134937933b3ae57c92fdf2462b6f8294f2343a1e74ebe40ecf680047",
-        "0518989983566ed681e08235670807529e87452536351a206f4b917f6607c0da",
+        "5c30e18cce9b9b66a2e939e6ee6add9668078bdcd8b2798e40582f7478a2701a",
     ),
     (3 * BLOCK + 5, 1): (
         "afd9b5209ed711a0d91c293d7163baa683100e817ebe8ccc8f8905d377e5f83f",
         "79dc282cc96e3211057cad7a93f87f0c5d820116d06680705e54670e64c20e94",
-        "aee3e09ae5d562f99e1d3c3e2fd2af66dd0d9d150fcd026aacfdcd4b1036dc92",
+        "a3bbcf3ec09a2fabba876e7eb7017bad36f071f83910118de27517c32b045979",
     ),
     (3 * BLOCK + 5, 2): (
         "4a3746060424e99a6e80fadb8c53fea2ee37d147b939c1423c9816f25401c784",
         "b1793c215cf93da31656b6f595347b4de9fd3ca23783453a4bdc2b40c54319af",
-        "3b60df2f13ed948f9ba913579baa3edeb247fad90a8e3922409e0fe1710d9392",
+        "1f39fcef2bb2f941d24994aa29fbb63496043b2b623f230fd374406ab8920c22",
     ),
     (3 * BLOCK + 5, 3): (
         "f63d6f3627152253534d6ff7e1213c3ae5a4889a7b5db0311a3e9403beb4729b",
         "955bed71d00f5367716089b61602abab1c2063b377ecf9a21718258455cf513c",
-        "0518989983566ed681e08235670807529e87452536351a206f4b917f6607c0da",
+        "5c30e18cce9b9b66a2e939e6ee6add9668078bdcd8b2798e40582f7478a2701a",
     ),
     (BLOCK + 1, 1): (
         "23be1c3742b55964fc36417e4fa1a2fdc31c96e52643ae2701f9eb9b16b525a6",
         "bbbafc4bc737942c72cceb115e28b11acc9e42f9c8d15f72ffeaee638af6d489",
-        "aee3e09ae5d562f99e1d3c3e2fd2af66dd0d9d150fcd026aacfdcd4b1036dc92",
+        "a3bbcf3ec09a2fabba876e7eb7017bad36f071f83910118de27517c32b045979",
     ),
     (BLOCK + 1, 2): (
         "3ab27ba5aaf36ba7bfecbfa8cbca6aad89652d80602f3874790afdccd6ca5d07",
         "a27caa9b049cfb9e87eb7fc575f395c2dfdfb6b54473103f348c6d021b92629e",
-        "3b60df2f13ed948f9ba913579baa3edeb247fad90a8e3922409e0fe1710d9392",
+        "1f39fcef2bb2f941d24994aa29fbb63496043b2b623f230fd374406ab8920c22",
     ),
     (BLOCK + 1, 3): (
         "040244ffd676efb0e91dc30091aa2af8d335b1b4ad19a77ffa642eccc3ae09d1",
         "3f28cdb73c435d561c0c9160593a8aa1b2791bd4918070afbb4d116a64bf1ef8",
-        "0518989983566ed681e08235670807529e87452536351a206f4b917f6607c0da",
+        "5c30e18cce9b9b66a2e939e6ee6add9668078bdcd8b2798e40582f7478a2701a",
     ),
 }
 

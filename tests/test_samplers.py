@@ -162,12 +162,6 @@ def test_convolve_and_rescale_restores_unit_variance():
     assert np.abs(z.data.mean(axis=0)).max() < 0.02
 
 
-def test_convolve_with_zero_noise_is_the_identity():
-    x = sample_body(BodySpec("ball", 4), 2_000, seed=25)
-    z = convolve_and_rescale(x, ConvolutionSchedule(alpha=10.0), seed=26, noise_variance=0.0)
-    np.testing.assert_array_equal(z.data, x.data)
-
-
 def test_convolve_threads_match_serial():
     x = sample_body(BodySpec("gaussian", 3), CHUNK + 500, seed=27)
     s = ConvolutionSchedule(alpha=5.0)

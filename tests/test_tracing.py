@@ -31,8 +31,7 @@ def test_tracer_installs_and_records_the_ratio_pipeline(tmp_path):
                    "--output", str(tmp_path / "r.json")])
     assert rc == 0
     names = {span["name"] for span in tracer.spans}
-    for name in ("samplers.convolve_and_rescale", "grassmann.project",
-                 "density.estimate_density", "density.ratio_to_gaussian"):
+    for name in ("grassmann.project", "density.estimate_density", "density.ratio_to_gaussian"):
         assert name in names, f"no span for {name}"
 
 
