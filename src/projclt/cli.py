@@ -15,15 +15,15 @@ Each subcommand declares its parameters once, in the table passed to
 order, which is also the key order of the echoed configuration.
 
 ``projected_ratio`` is the one sample -> project -> KDE -> ratio pipeline;
-the ``ratio`` subcommand, ``scripts/run_clt_scan.py`` and acceptance
-criterion 7 all call it.  It takes a body spec, a count and a seed, never a
-batch, and projects the sample block by block as it is drawn
-(``density.project_body``); it smooths by the kernel, drawing no noise.  It
-lives here rather than in ``density.py`` because it looks up
-``random_subspace``, ``estimate_density`` and ``ratio_to_gaussian`` as
-attributes of this module, where the benchmark's tracer
-(``perfbench/tracing.py``) wraps them; moved, it would lose those spans.
-``thinshell`` likewise keeps only the sample norms.
+the ``ratio`` and ``scan`` subcommands and acceptance criterion 7 all call
+it.  It takes a body spec, a count and a seed, never a batch, and projects
+the sample block by block as it is drawn (``density.project_body``); it
+smooths by the kernel, drawing no noise.  It lives here rather than in
+``density.py`` because it looks up ``random_subspace``, ``estimate_density``
+and ``ratio_to_gaussian`` as attributes of this module, where the
+benchmark's tracer (``perfbench/tracing.py``) wraps them; moved, it would
+lose those spans.
+``thinshell`` and ``scan`` likewise keep only the sample norms.
 
 Exit codes: 0 success, 1 validation error, 2 acceptance-threshold failure in
 `suite` (and argparse usage errors).
@@ -53,11 +53,13 @@ from .samplers import (
     save_batch,
     save_batch_csv,
     save_sample,
+    write_csv,
 )
 from .grassmann import project, random_subspace
 from .spherical import gaussian_density, psi_gaussian_ratio_scan
 from .radial import norm_column, shell_epsilon, thin_shell_fraction
 from .density import (
+    body_and_basis_seeds,
     check_kde_size,
     estimate_density,
     m_tilde_profile,
@@ -66,7 +68,9 @@ from .density import (
     ratio_to_gaussian,
     smoothing_bandwidth,
 )
-from .deconvolution import DeconvParams, check_conditions, sandwich_margins
+from .deconvolution import (
+    BODIES_1D, SANDWICH_MATRIX, DeconvParams, check_conditions, sandwich_margins, verify_sandwich,
+)
 
 SCHEMA_VERSION = 7
 
@@ -111,12 +115,13 @@ def _check_config_type(p: Param, value) -> None:
 
     A value must be one of ``p.choices`` when those are given.  Bools are
     rejected, int parameters need integral numbers, float parameters numbers
-    and untyped ones strings; each element of a repeatable parameter's list is
-    checked.  A ``str`` parameter is left to its handler.
+    and untyped ones strings; each element of a repeatable parameter's list
+    (a single value is read as a list of one) is checked.  A ``str``
+    parameter is left to its handler.
     """
     if p.type is str:
         return
-    for v in value if p.action == "append" and isinstance(value, list) else [value]:
+    for v in value if p.action == "append" else [value]:
         if p.choices is not None and v not in p.choices:
             allowed = ", ".join(map(repr, p.choices))
             raise InvalidSpec(f"config parameter '{p.name}' must be one of {allowed}, got {v!r}")
@@ -141,6 +146,8 @@ def _resolve(args, params: list[Param]):
         if value is None:
             value = cfg.get(p.name)
             if value is not None:
+                if p.action == "append" and not isinstance(value, list):
+                    value = [value]
                 _check_config_type(p, value)
         if value is None:
             if p.default is _REQUIRED:
@@ -174,16 +181,8 @@ def _dump_json(path: str | None, echo: dict, **body) -> None:
             f.write(text)
 
 
-def _csv_cell(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
 def _write_csv(path: str, echo: dict, columns, rows) -> None:
-    with atomic_open(path) as f:
-        f.write("# " + json.dumps({"schema_version": SCHEMA_VERSION, "config": echo}) + "\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_csv_cell(v) for v in row) + "\n")
+    write_csv(path, {"schema_version": SCHEMA_VERSION, "config": echo}, columns, rows)
 
 
 def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
@@ -235,6 +234,10 @@ _THREADS = Param(
 )
 _OUTPUT = Param("output", echo=False)
 _OPTIONAL_OUTPUT = Param("output", None, echo=False)
+_ALPHA = Param("alpha", None, float, help="smooth at the schedule's ambient variance")
+_MAX_RADIUS = Param("max_radius", 2.0, float)
+_GRID_POINTS = Param("grid_points", 81, int)
+_SANDWICH_GRID_POINTS = Param("grid_points", 2001, int)
 _DECONV_PARAMS = [
     _N,
     Param("alpha", type=float),
@@ -300,29 +303,27 @@ def _drop_directions_at_l1(resolved, echo) -> None:
         del echo["directions"]
 
 
+def _resolved_ratio(resolved, spec: BodySpec, seed: int, direction_count: int = 16):
+    """``(body_seed, estimate, report)`` of ``projected_ratio`` at the resolved parameters."""
+    alpha = resolved["alpha"]
+    body_seed, basis_seed = body_and_basis_seeds(seed)
+    return body_seed, *projected_ratio(
+        spec, int(resolved["samples"]), body_seed, int(resolved["l"]), basis_seed,
+        float(resolved["max_radius"]), int(resolved["grid_points"]), direction_count,
+        None if alpha is None else ConvolutionSchedule(float(alpha)), int(resolved["threads"]),
+    )
+
+
 @_subcommand("ratio", "projected-density to gaussian ratio report", [
-    _BODY, _N, _L, _SAMPLES, _SEED,
-    Param("alpha", None, float),
-    Param("max_radius", 2.0, float),
-    Param("grid_points", 81, int),
+    _BODY, _N, _L, _SAMPLES, _SEED, _ALPHA, _MAX_RADIUS, _GRID_POINTS,
     _DIRECTIONS, _THREADS, _OUTPUT,
     Param("csv", None, echo=False, help="also write (point, ratio, stderr) rows here"),
 ])
 def _cmd_ratio(resolved, echo) -> int:
-    alpha = resolved["alpha"]
-    threads = int(resolved["threads"])
     spec = BodySpec(resolved["body"], int(resolved["n"]))
     _drop_directions_at_l1(resolved, echo)
-    root = np.random.SeedSequence(int(resolved["seed"]))
-    # Three children, the middle one unused, keep the basis seed and raw bytes of schema 6.
-    body_seed, _, basis_seed = root.spawn(3)
-    est, report = projected_ratio(
-        spec, int(resolved["samples"]), body_seed, int(resolved["l"]), basis_seed,
-        float(resolved["max_radius"]), int(resolved["grid_points"]),
-        direction_count=int(resolved["directions"]),
-        schedule=None if alpha is None else ConvolutionSchedule(float(alpha)),
-        threads=threads,
-    )
+    _, est, report = _resolved_ratio(resolved, spec, int(resolved["seed"]),
+                                     int(resolved["directions"]))
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
         ref = gaussian_density(est.dim, report.meta["variance"], report.radius_grid)
@@ -345,8 +346,6 @@ def _cmd_thinshell(resolved, echo) -> int:
     epsilons = resolved["epsilon"]
     if epsilons is None:
         epsilons = [n ** (-1.0 / 15.0)]
-    if not isinstance(epsilons, (list, tuple)):
-        epsilons = [epsilons]
     echo["epsilon"] = epsilons = [shell_epsilon(e) for e in epsilons]
     spec = BodySpec(resolved["body"], n)
     norms = sample_body(
@@ -358,6 +357,34 @@ def _cmd_thinshell(resolved, echo) -> int:
         frac = thin_shell_fraction(norms, eps, dimension=n)
         rows.append((eps, frac.fraction, frac.stderr))
     _write_csv(resolved["output"], echo, ("epsilon", "fraction", "stderr"), rows)
+    return 0
+
+
+_SCAN_BODIES = ("cube", "ball", "simplex", "product_laplace")
+
+
+@_subcommand("scan", "ratio and thin-shell sweep over bodies, one CSV", [
+    Param("body", _SCAN_BODIES, action="append",
+          help=f"repeatable; default {', '.join(_SCAN_BODIES)}"),
+    _N, _L, _SAMPLES, _SEED, _ALPHA, _MAX_RADIUS, _GRID_POINTS, _THREADS, _OUTPUT,
+])
+def _cmd_scan(resolved, echo) -> int:
+    """Each body's ``ratio`` rows, and the off-shell fraction of its sample at n^(-1/15).
+
+    Body i is drawn from seed + i.  Every name is checked before a body is
+    drawn, and the rows are written once, at the end.
+    """
+    n, count, threads = int(resolved["n"]), int(resolved["samples"]), int(resolved["threads"])
+    specs = [BodySpec(body, n) for body in resolved["body"]]
+    rows = []
+    for i, (body, spec) in enumerate(zip(resolved["body"], specs)):
+        body_seed, _, report = _resolved_ratio(resolved, spec, int(resolved["seed"]) + i)
+        norms = sample_body(spec, count, body_seed, threads=threads, reduce=norm_column)
+        shell = thin_shell_fraction(norms, n ** (-1.0 / 15.0), dimension=n).fraction
+        rows += [(body, point, ratio, report.sup_abs_deviation, shell) for point, ratio in
+                 zip(report.radius_grid.tolist(), report.per_point_ratios.tolist())]
+    _write_csv(resolved["output"], echo,
+               ("body", "point", "ratio", "sup_abs_deviation", "shell_fraction"), rows)
     return 0
 
 
@@ -430,9 +457,7 @@ def _cmd_deconv(resolved, echo) -> int:
 
 
 @_subcommand("deconv-verify", "run the 1-d sandwich and emit margins", [
-    _BODY, *_DECONV_PARAMS,
-    Param("grid_points", 2001, int),
-    _OUTPUT,
+    _BODY, *_DECONV_PARAMS, _SANDWICH_GRID_POINTS, _OUTPUT,
     Param("json_out", None, echo=False, flag="--json", help="also write the report as JSON here"),
 ])
 def _cmd_deconv_verify(resolved, echo) -> int:
@@ -442,6 +467,23 @@ def _cmd_deconv_verify(resolved, echo) -> int:
     _write_csv(resolved["output"], echo, ("region", "x", "density", "bound", "margin"), rows)
     if resolved["json_out"]:
         _dump_json(resolved["json_out"], echo, report=to_jsonable(report))
+    return 0
+
+
+@_subcommand("deconv-matrix", "run the 1-d sandwich over the sandwich matrix, one CSV", [
+    _SANDWICH_GRID_POINTS, _OUTPUT,
+])
+def _cmd_deconv_matrix(resolved, echo) -> int:
+    """One row per 1-d body and row of ``SANDWICH_MATRIX``; an empty cell is a vacuous margin."""
+    rows = []
+    for p in SANDWICH_MATRIX:
+        for body in BODIES_1D:
+            rep = verify_sandwich(body, p, grid_points=int(resolved["grid_points"]))
+            rows.append((body, p.n, p.alpha, p.beta, p.epsilon, p.hypothesis_radius, rep.status,
+                         rep.hypothesis_sup, rep.lower_margin_min, rep.upper_margin_min))
+    columns = ("body", "n", "alpha", "beta", "epsilon", "R", "status", "hypothesis_sup",
+               "lower_margin_min", "upper_margin_min")
+    _write_csv(resolved["output"], echo, columns, rows)
     return 0
 
 

@@ -67,6 +67,18 @@ class DeconvParams:
             raise InvalidSpec(f"c0 must lie in (0, 1), got {self.c0!r}")
 
 
+# The sandwich matrix: the first four rows pass the gate, the last two exercise
+# the inadmissible paths (alpha too large, epsilon out of its window).
+SANDWICH_MATRIX = (
+    DeconvParams(n=2, alpha=1e-24, beta=0.5, epsilon=0.005, hypothesis_radius=3.0),
+    DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.001, hypothesis_radius=10.0),
+    DeconvParams(n=2, alpha=1e-30, beta=1.0, epsilon=0.008, hypothesis_radius=4.0),
+    DeconvParams(n=3, alpha=1e-26, beta=0.5, epsilon=0.002, hypothesis_radius=5.0),
+    DeconvParams(n=2, alpha=1e-3, beta=0.5, epsilon=0.005, hypothesis_radius=3.0),
+    DeconvParams(n=2, alpha=1e-24, beta=0.5, epsilon=0.5, hypothesis_radius=3.0),
+)
+
+
 def check_conditions(p: DeconvParams) -> DeconvCertificate:
     """Evaluate the admissibility gate and compute certified radii and factors.
 

@@ -246,6 +246,15 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> S
     return sample_body(spec, count, seed, threads=threads, reduce=reduce, out=out)
 
 
+def body_and_basis_seeds(seed) -> tuple:
+    """The first and third of three children of ``seed``, for a body sample and its basis.
+
+    The middle child, schema 6's noise seed, stays unused to keep schema 6's samples and bases.
+    """
+    body_seed, _, basis_seed = _seed_seq(seed).spawn(3)
+    return body_seed, basis_seed
+
+
 def m_tilde_profile(
     body: BodySpec,
     schedule: ConvolutionSchedule,
@@ -279,8 +288,7 @@ def m_tilde_profile(
     root = _seed_seq(seed)
     accum = np.zeros(radii.size)
     for child in root.spawn(subspace_count):
-        # Three children, the middle one unused, keep schema 6's samples and bases.
-        body_seed, _, basis_seed = child.spawn(3)
+        body_seed, basis_seed = body_and_basis_seeds(child)
         basis = random_subspace(n, l, basis_seed)
         # The projection is released before the next subspace draws its own.
         est = estimate_density(

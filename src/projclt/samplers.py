@@ -382,6 +382,23 @@ def atomic_open(path: str, mode: str = "w"):
         raise
 
 
+def _csv_cell(v) -> str:
+    return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def write_csv(path: str, header: dict, columns, rows) -> None:
+    """Write a '# {header JSON}' line, the column names and the rows to ``path`` atomically.
+
+    A float cell is written as its ``repr``, so it reads back exactly, ``None`` as an empty
+    cell and any other value as its ``str``.
+    """
+    with atomic_open(path) as f:
+        f.write("# " + json.dumps(header) + "\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(_csv_cell(v) for v in row) + "\n")
+
+
 def read_json_object(path: str, what: str) -> dict:
     """Load a JSON object from ``path``; any failure is an ``InvalidSpec`` naming the file.
 
@@ -579,12 +596,9 @@ def load_batch(path: str, reduce=None) -> SampleBatch:
 
 
 def save_batch_csv(batch: SampleBatch, path: str, config: dict | None = None) -> None:
-    """Write the batch as CSV: '#'-prefixed provenance lines, header, rows."""
+    """Write the batch as CSV (:func:`write_csv`): its provenance header, one row per sample."""
     header = _batch_header(batch.dimension, batch.count, batch.seed, batch.source)
     if config is not None:
         header["config"] = config
-    with atomic_open(path) as f:
-        f.write("# " + json.dumps(header) + "\n")
-        f.write(",".join(f"x{i}" for i in range(batch.dimension)) + "\n")
-        for row in batch.data:
-            f.write(",".join(map(repr, row.tolist())) + "\n")
+    columns = [f"x{i}" for i in range(batch.dimension)]
+    write_csv(path, header, columns, (row.tolist() for row in batch.data))

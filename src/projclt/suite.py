@@ -3,8 +3,9 @@
 Each criterion is a self-contained experiment with fixed seeds and sizes; the
 "desk" profile runs the full sizes the criteria are stated at, the "quick"
 profile shrinks the stochastic ones to smoke-test scale (same code paths, not
-the acceptance gate).  Criteria return a result record, never raise on a
-failed threshold — the caller decides what a failure means.
+the acceptance gate; criterion 5 gates its smaller sample by z-score).
+Criteria return a result record, never raise on a failed threshold — the
+caller decides what a failure means.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.stats import chi2, norm
 
 from . import cli
 from .errors import InvalidSpec
@@ -33,7 +34,9 @@ from .spherical import (
 )
 from .radial import norm_column, thin_shell_fraction
 from .density import m_tilde_profile
-from .deconvolution import DeconvParams, check_conditions, grid_convolve, verify_sandwich
+from .deconvolution import (
+    BODIES_1D, SANDWICH_MATRIX, DeconvParams, check_conditions, grid_convolve, verify_sandwich,
+)
 
 
 @dataclass
@@ -143,37 +146,52 @@ def _criterion_4(profile):
 
 
 def _moment_sums(block):
-    """One row per block: its column sums, then its raw second-moment sums."""
-    return np.concatenate([block.sum(axis=0), (block.T @ block).ravel()])[None, :]
+    """One row per block: its column sums, raw second-moment sums and sums of x_i^2 x_j^2."""
+    squares = block * block
+    return np.concatenate(
+        [block.sum(axis=0), (block.T @ block).ravel(), (squares.T @ squares).ravel()]
+    )[None, :]
 
 
 def _criterion_5(profile):
-    """Empirical mean within 0.01 and covariance within 0.02 of identity."""
+    """Empirical mean within 0.01 and covariance within 0.02 of identity (desk, N = 10^6).
+
+    At the quick profile's N = 10^5 the covariance noise alone reaches 0.02
+    (simplex, n = 50: 0.0235), so there each mean and covariance entry is
+    gated by its z-score, with standard errors sqrt(cov_ii / N) and
+    sqrt((E x_i^2 x_j^2 - (E x_i x_j)^2) / N) from the same sample: Bonferroni
+    over the M = 6975 distinct entries at a family false-failure rate of 1e-6,
+    |z| <= Phi^-1(1 - 1e-6 / 2M) = 6.41.
+    """
+    ns = (2, 10, 50)
     count = 1_000_000 if profile == "desk" else 100_000
+    entries = len(BodyKind) * sum(n + n * (n + 1) // 2 for n in ns)
+    z_gate = float(norm.isf(1e-6 / (2 * entries)))  # Bonferroni at a family rate of 1e-6
     threads = cli.usable_cores()  # the drawn rows and their sums do not depend on it
-    worst_mean = worst_cov = 0.0
-    where = ""
-    ok = True
+    stats = []  # (worst |mean|, worst |cov - I|, worst |z|, where) per body and n
     for bi, kind in enumerate(BodyKind):
-        for ni, n in enumerate((2, 10, 50)):
+        for ni, n in enumerate(ns):
             sums = sample_body(
                 BodySpec(kind, n), count, seed=5_000 + 10 * bi + ni, threads=threads,
                 reduce=_moment_sums,
             ).data.sum(axis=0)
             mean = sums[:n] / count
-            cov = sums[n:].reshape(n, n) / count - np.outer(mean, mean)
-            mean_dev = float(np.max(np.abs(mean)))
-            cov_dev = float(np.max(np.abs(cov - np.eye(n))))
-            if mean_dev > worst_mean:
-                worst_mean = mean_dev
-            if cov_dev > worst_cov:
-                worst_cov, where = cov_dev, f"{kind.value}, n={n}"
-            if mean_dev > 0.01 or cov_dev > 0.02:
-                ok = False
-    return ok, (
-        f"N={count}: worst |mean| = {worst_mean:.4f} (tol 0.01), "
-        f"worst |cov - I| = {worst_cov:.4f} (tol 0.02, at {where})"
-    )
+            second, fourth = sums[n:].reshape(2, n, n) / count
+            cov = second - np.outer(mean, mean)
+            cov_dev = np.abs(cov - np.eye(n))
+            z = max(np.max(np.abs(mean) / np.sqrt(np.diag(cov) / count)),
+                    np.max(cov_dev / np.sqrt((fourth - second * second) / count)))
+            stats.append((float(np.max(np.abs(mean))), float(np.max(cov_dev)), float(z),
+                          f"{kind.value}, n={n}"))
+    worst_mean = max(s[0] for s in stats)
+    _, worst_cov, _, where = max(stats, key=lambda s: s[1])
+    worst_z = max(s[2] for s in stats)
+    ok = worst_mean <= 0.01 and worst_cov <= 0.02 if profile == "desk" else worst_z <= z_gate
+    detail = (f"N={count}: worst |mean| = {worst_mean:.4f} (tol 0.01), "
+              f"worst |cov - I| = {worst_cov:.4f} (tol 0.02, at {where})")
+    if profile != "desk":
+        detail += f"; quick gates by z instead: worst |z| = {worst_z:.2f} (tol {z_gate:.2f})"
+    return ok, detail
 
 
 _C6_EPS_SCALE = 0.1  # eps_n = _C6_EPS_SCALE * n^(-1/15)
@@ -333,30 +351,15 @@ def _criterion_9(profile):
     return ok, "all seven equalities hold" if ok else "failed: " + "; ".join(bad)
 
 
-_SANDWICH_MATRIX = (
-    DeconvParams(n=2, alpha=1e-24, beta=0.5, epsilon=0.005, hypothesis_radius=3.0),
-    DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.001, hypothesis_radius=10.0),
-    DeconvParams(n=2, alpha=1e-30, beta=1.0, epsilon=0.008, hypothesis_radius=4.0),
-    DeconvParams(n=3, alpha=1e-26, beta=0.5, epsilon=0.002, hypothesis_radius=5.0),
-)
-
-
 def _criterion_10(profile):
     """Every hypothesis-met admissible case satisfies the sandwich pointwise."""
-    statuses = {}
-    violated = []
-    verified = 0
-    for params in _SANDWICH_MATRIX:
-        assert check_conditions(params).admissible  # matrix is admissible by construction
-        for body in ("gaussian", "gaussian_deflated", "uniform", "laplace"):
-            rep = verify_sandwich(body, params)
-            statuses[(body, params.n, params.alpha)] = rep.status
-            if rep.status == "sandwich_violated":
-                violated.append(f"{body} at n={params.n}, alpha={params.alpha:.0e}")
-            elif rep.status == "verified":
-                verified += 1
-    not_met = sum(1 for s in statuses.values() if s == "hypothesis_not_met")
-    ok = not violated and verified >= 2 * len(_SANDWICH_MATRIX)
+    admissible = [p for p in SANDWICH_MATRIX if check_conditions(p).admissible]
+    runs = [(body, p, verify_sandwich(body, p).status) for p in admissible for body in BODIES_1D]
+    violated = [f"{body} at n={p.n}, alpha={p.alpha:.0e}" for body, p, status in runs
+                if status == "sandwich_violated"]
+    verified = sum(status == "verified" for *_, status in runs)
+    not_met = sum(status == "hypothesis_not_met" for *_, status in runs)
+    ok = not violated and verified >= 2 * len(admissible)
     detail = (
         f"{verified} verified, {not_met} hypothesis-not-met (uniform/laplace are never "
         f"epsilon-close to gaussian), {len(violated)} violated"

@@ -90,6 +90,7 @@ def test_a_batch_larger_than_physical_memory_exits_1(tmp_path, capsys):
 
 
 _RATIO = ["ratio", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1"]
+_SCAN = ["scan", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1"]
 _MTILDE = ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--seed", "1"]
 
 
@@ -140,9 +141,15 @@ def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path
         (["thinshell", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1",
           "--epsilon", "0.1", "--epsilon", "inf"],
          "epsilon must be positive, got inf"),
+        (_SCAN + ["--l", "4"], "density estimation supports l <= 3, got l=4"),
+        (_SCAN + ["--l", "1", "--samples", "5000"],
+         "density estimation needs >= 10000 samples, got 5000"),
+        (_SCAN + ["--l", "1", "--grid-points", "0"], "grid_points must be >= 1"),
+        (["deconv-matrix", "--grid-points", "0"], "grid_points must be >= 1, got 0"),
     ],
     ids=["ratio_few_samples", "mtilde_few_samples", "ratio_l4", "sample_negative_alpha",
-         "thinshell_zero_epsilon", "thinshell_infinite_second_epsilon"],
+         "thinshell_zero_epsilon", "thinshell_infinite_second_epsilon", "scan_l4",
+         "scan_few_samples", "scan_no_points", "deconv_matrix_no_points"],
 )
 def test_a_bad_value_exits_1_before_anything_is_drawn(argv, message, tmp_path, monkeypatch,
                                                       capsys):
@@ -164,6 +171,7 @@ _THREADED = {
     "ratio": _RATIO + ["--l", "1"],
     "thinshell": ["thinshell", "--body", "cube", "--n", "5", "--samples", "100", "--seed", "1"],
     "mtilde": _MTILDE,
+    "scan": _SCAN + ["--l", "1"],
 }
 
 
@@ -183,7 +191,7 @@ def test_a_thread_count_below_1_exits_1_and_writes_nothing(subcommand, threads, 
 def test_the_default_thread_count_is_the_usable_core_count(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     assert projclt.cli.usable_cores() == cores
-    for name in ("sample", "ratio", "thinshell", "mtilde"):
+    for name in ("sample", "ratio", "thinshell", "mtilde", "scan"):
         args = projclt.cli.build_parser().parse_args(_THREADED[name] + ["--output", "x"])
         resolved, echo = projclt.cli._resolve(args, args.params)
         assert resolved["threads"] == cores and "threads" not in echo
@@ -199,6 +207,7 @@ def test_the_default_thread_count_is_the_usable_core_count(monkeypatch):
         ["ratio", "--body", "cube", "--n", "4", "--l", "1", "--samples", "10"],
         ["thinshell", "--body", "cube", "--n", "4", "--samples", "10"],
         ["mtilde", "--body", "cube", "--n", "4", "--l", "1"],
+        ["scan", "--n", "4", "--l", "1", "--samples", "10"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -360,6 +369,9 @@ GOLDEN_OPTIONS = {
     "deconv-verify": ["--R", "--alpha", "--beta", "--body", "--c0", "--config", "--epsilon",
                       "--grid-points", "--json", "--n", "--output"],
     "suite": ["--config", "--only", "--output", "--profile"],
+    "scan": ["--alpha", "--body", "--config", "--grid-points", "--l", "--max-radius", "--n",
+             "--output", "--samples", "--seed", "--threads"],
+    "deconv-matrix": ["--config", "--grid-points", "--output"],
 }
 
 
@@ -418,6 +430,15 @@ GOLDEN_ECHO = {
     "suite": (
         ["--only", "2"], "out.json",
         ["subcommand", "profile", "only"],
+    ),
+    "scan": (
+        ["--body", "gaussian", "--n", "3", "--l", "1", "--samples", "10000", "--seed", "3",
+         "--grid-points", "5"], "out.csv",
+        ["subcommand", "body", "n", "l", "samples", "seed", "alpha", "max_radius", "grid_points"],
+    ),
+    "deconv-matrix": (
+        ["--grid-points", "11"], "out.csv",
+        ["subcommand", "grid_points"],
     ),
 }
 
@@ -661,7 +682,7 @@ def test_a_write_failed_midway_leaves_neither_target_nor_temp_file(tmp_path, mon
         raise RuntimeError("serializer failed")
 
     serializer = _SERIALIZERS[writer]
-    monkeypatch.setattr(projclt.cli if serializer == "_csv_cell" else json, serializer, fail)
+    monkeypatch.setattr(projclt.samplers if serializer == "_csv_cell" else json, serializer, fail)
     with pytest.raises(RuntimeError, match="serializer failed"):
         _WRITERS[writer](str(tmp_path / "artifact"))
     assert list(tmp_path.iterdir()) == []
@@ -743,6 +764,30 @@ def test_thinshell_defaults_and_ordering(tmp_path):
     assert fractions[0.2] <= fractions[0.05]
 
 
+# -------------------------------------------------------------------- scan
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_scan_writes_one_row_per_body_and_evaluation_point(tmp_path, l):
+    out = tmp_path / "scan.csv"
+    rc = main(["scan", "--body", "cube", "--body", "ball", "--n", "20", "--samples", "20000",
+               "--seed", "1", "--l", str(l), "--grid-points", "9", "--output", str(out)])
+    assert rc == 0
+    _, columns, rows = _read_csv(out)
+    assert columns == ["body", "point", "ratio", "sup_abs_deviation", "shell_fraction"]
+    # For l = 2 each radius carries the 16 directions.
+    per_body = 9 if l == 1 else 9 * 16
+    assert [row[0] for row in rows] == ["cube"] * per_body + ["ball"] * per_body
+
+
+def test_scan_with_an_unknown_second_body_exits_1_and_leaves_no_file(tmp_path, capsys):
+    rc = main(["scan", "--body", "cube", "--body", "foo", "--n", "20", "--samples", "20000",
+               "--seed", "1", "--l", "1", "--output", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: unknown body kind 'foo'")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- psi-scan
 
 
@@ -819,6 +864,19 @@ def test_deconv_verify_reports_unmet_hypothesis_without_failing(tmp_path):
     assert payload["report"]["hypothesis_sup"] > 0.001
 
 
+def test_deconv_matrix_writes_one_row_per_body_and_parameter_set(tmp_path):
+    from projclt.deconvolution import BODIES_1D, SANDWICH_MATRIX
+
+    out = tmp_path / "matrix.csv"
+    assert main(["deconv-matrix", "--grid-points", "201", "--output", str(out)]) == 0
+    _, columns, rows = _read_csv(out)
+    assert columns == ["body", "n", "alpha", "beta", "epsilon", "R", "status",
+                       "hypothesis_sup", "lower_margin_min", "upper_margin_min"]
+    assert len(rows) == len(SANDWICH_MATRIX) * len(BODIES_1D)
+    # The last two parameter sets fail the gate, so nothing of the sandwich is measured.
+    assert {tuple(row[6:]) for row in rows[-8:]} == {("inadmissible", "", "", "")}
+
+
 # ------------------------------------------------------------------- suite
 
 
@@ -830,6 +888,26 @@ def test_suite_runs_a_single_fast_criterion(tmp_path, capsys):
     assert re.search(r"\[PASS\] criterion\s+2 ", captured)
     payload = json.loads(out.read_text())
     assert payload["results"][0]["passed"] is True
+
+
+def test_the_quick_suite_passes_at_the_catalog_samplers(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    rc = main(["suite", "--profile", "quick", "--output", str(out)])
+    assert rc == 0, capsys.readouterr().out
+    assert all(r["passed"] is True for r in json.loads(out.read_text())["results"])
+
+
+def test_quick_criterion_5_fails_a_cube_scaled_by_3_percent(monkeypatch):
+    # Its z-score gate must keep the power to see a 6% variance error.
+    fill = projclt.samplers._FILLS[BodyKind.CUBE]
+
+    def scaled(rng, out, rows):
+        fill(rng, out, rows)
+        out *= 1.03
+
+    monkeypatch.setitem(projclt.samplers._FILLS, BodyKind.CUBE, scaled)
+    result = projclt.suite.run_criterion(5, profile="quick")
+    assert not result.passed, result.detail
 
 
 def test_suite_propagates_failure_as_exit_2(monkeypatch, capsys):
@@ -897,6 +975,16 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
 
 # In-process tests cannot see which modules an import loads, or miss a
 # deferred import, because other test modules have loaded scipy already.
+
+
+def test_the_readme_library_tour_runs():
+    # A fresh interpreter, so the tour sees only what its own imports load.
+    readme = (Path(SRC).parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -6,9 +6,7 @@ closed forms; the tests cross-check them against direct quadrature at a
 resolvable alpha and against their exact limits at tiny alpha.
 """
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +15,7 @@ from scipy import integrate
 
 from projclt.deconvolution import (
     BODIES_1D,
+    SANDWICH_MATRIX,
     SANDWICH_SLACK,
     DeconvParams,
     SandwichReport,
@@ -93,6 +92,11 @@ def test_gate_rejects_epsilon_outside_its_window():
 def test_gate_violations_accumulate():
     cert = check_conditions(_params(2, 1e-3, 0.5, 0.5, 3.0))
     assert len(cert.violated_conditions) >= 2
+
+
+def test_the_sandwich_matrix_admits_exactly_its_first_four_rows():
+    admitted = [p for p in SANDWICH_MATRIX if check_conditions(p).admissible]
+    assert admitted == [_params(*case) for case in ADMISSIBLE] == list(SANDWICH_MATRIX[:4])
 
 
 @pytest.mark.parametrize("case", ADMISSIBLE)
@@ -355,20 +359,11 @@ def test_vacuous_side_produces_no_rows():
     assert {r[0] for r in rows} == {"lower"}
 
 
-def _deconv_matrix():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_deconv_matrix.py"
-    spec = importlib.util.spec_from_file_location("run_deconv_matrix", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script.DEFAULT_MATRIX
-
-
-@pytest.mark.parametrize("case", _deconv_matrix())
+@pytest.mark.parametrize("case", SANDWICH_MATRIX)
 @pytest.mark.parametrize("body", BODIES_1D)
 def test_verify_sandwich_reports_what_sandwich_margins_reports(case, body):
-    p = _params(*case)
-    report, rows = sandwich_margins(body, p, grid_points=301)
-    assert dumps(verify_sandwich(body, p, grid_points=301)) == dumps(report)
+    report, rows = sandwich_margins(body, case, grid_points=301)
+    assert dumps(verify_sandwich(body, case, grid_points=301)) == dumps(report)
     assert bool(rows) == (report.status in ("verified", "sandwich_violated"))
 
 

@@ -5,11 +5,10 @@ by a fixed seed at a small size, so any refactor of the sample -> smooth ->
 project -> KDE -> ratio pipeline or of the chunked noise loop must reproduce
 the numbers exactly.  A change that alters a random stream or the artifact
 schema re-pins the moved hashes and records each old -> new pair and its
-reason in CHANGES.md.  The ratio runs are the CLI's; the scan runs are the
-``scripts/run_clt_scan.py`` script's; the criterion 7 value is the exact
-l=1 sup of the quick profile; the ``deconv-verify`` and
-``scripts/run_deconv_matrix.py`` pins cover the sandwich pass, whose margins
-are closed forms.  The multi-chunk runs span two full chunks and
+reason in CHANGES.md.  The ratio and scan runs are the CLI's; the
+criterion 7 value is the exact l=1 sup of the quick profile; the
+``deconv-verify`` and ``deconv-matrix`` pins cover the sandwich pass, whose
+margins are closed forms.  The multi-chunk runs span two full chunks and
 a ragged tail, at one and two threads and at the default (every usable
 core), so a chunk loop that reorders or splits work differently shows up as
 a moved hash.  The batch files of ``sample`` (bin and CSV, with and without
@@ -18,8 +17,6 @@ block and a chunk, at one and two threads; ``sample`` also at the default.
 """
 
 import hashlib
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +25,6 @@ import projclt.suite
 from projclt.cli import main
 from projclt.model import BodyKind, BodySpec, ConvolutionSchedule, RatioReport
 from projclt.samplers import BLOCK, CHUNK, SampleBatch, convolve_and_rescale, sample_body
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -65,25 +59,22 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "32b19f426dbf29eeff295a14ba0222275c343bcaaceeb7e2c6ca9b03a147d4b3",
+        "661cf4f1e5fc83fb5087379f8938b2dd2fac4c941c9e1c9eb3ea73c45a8e518c",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "014ce66afbb259beb0f598378321d7b2dcc563483a9e4cfe4e74a720f641881d",
+        "b3f6962750ed9b557ddbb039232e6b81347684e886699de2dfc34bd1a5680752",
     ),
 }
 
 
 @pytest.mark.parametrize("run", sorted(SCAN_RUNS))
-def test_clt_scan_csv_is_golden(run, tmp_path, capsys):
+def test_clt_scan_csv_is_golden(run, tmp_path):
     extra, sha = SCAN_RUNS[run]
-    spec = importlib.util.spec_from_file_location("run_clt_scan", SCRIPTS / "run_clt_scan.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     out = tmp_path / "scan.csv"
-    rc = script.main(
-        ["--bodies", "cube,simplex", "--n", "20", "--samples", "20000", "--seed", "5", *extra,
-         "--out", str(out)]
+    rc = main(
+        ["scan", "--body", "cube", "--body", "simplex", "--n", "20", "--samples", "20000",
+         "--seed", "5", "--grid-points", "41", *extra, "--output", str(out)]
     )
     assert rc == 0
     assert _sha(out.read_bytes()) == sha
@@ -202,15 +193,12 @@ def test_deconv_verify_artifacts_are_golden(run, tmp_path):
     assert _sha((tmp_path / "m.json").read_bytes()) == json_sha
 
 
-DECONV_MATRIX_SHA = "f868218fde190ae1eac5639283e82a57c6f1ec2ef525ddf5a5c0e5963823e16a"
+DECONV_MATRIX_SHA = "90f0ea639ba5fce56ec2e5e9d595d5c98a25ecc77a058bec81de67bdc4f0c20e"
 
 
-def test_deconv_matrix_csv_is_golden(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("run_deconv_matrix", SCRIPTS / "run_deconv_matrix.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_deconv_matrix_csv_is_golden(tmp_path):
     out = tmp_path / "matrix.csv"
-    assert script.main(["--out", str(out)]) == 0
+    assert main(["deconv-matrix", "--output", str(out)]) == 0
     assert _sha(out.read_bytes()) == DECONV_MATRIX_SHA
 
 
