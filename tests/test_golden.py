@@ -8,10 +8,10 @@ schema re-pins the moved hashes and records each old -> new pair and its
 reason in CHANGES.md.  The ratio and scan runs are the CLI's; the
 criterion 7 value is the exact l=1 sup of the quick profile; the
 ``deconv-verify`` and ``deconv-matrix`` pins cover the sandwich pass, whose
-margins are closed forms.  The multi-chunk runs span two full chunks and
-a ragged tail, at one and two threads and at the default (every usable
-core), so a chunk loop that reorders or splits work differently shows up as
-a moved hash.  The batch files of ``sample`` (bin and CSV, with and without
+margins are closed forms, and the ``deconv`` pins cover the certificate
+alone.  The multi-chunk runs span two full chunks and a ragged tail, at one
+and two threads and at the default (every usable core), so a chunk loop
+that reorders or splits work differently shows up as a moved hash.  The batch files of ``sample`` (bin and CSV, with and without
 smoothing) and ``project --input`` are pinned at counts on both sides of a
 block and a chunk, at one and two threads; ``sample`` also at the default.
 """
@@ -191,6 +191,26 @@ def test_deconv_verify_artifacts_are_golden(run, tmp_path):
     assert rc == 0
     assert _sha((tmp_path / "m.csv").read_bytes()) == csv_sha
     assert _sha((tmp_path / "m.json").read_bytes()) == json_sha
+
+
+DECONV_RUNS = {
+    "admissible": (
+        ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
+        "ad64c6ff511db3f67cad99d8d78ad3325e1f45668a9d0d28f3328a7eed9bee60",
+    ),
+    # All three conditions fail: alpha, the noise floor and epsilon < 1/100.
+    "inadmissible": (
+        ["--n", "2", "--alpha", "1e-3", "--beta", "0.5", "--epsilon", "0.5", "--R", "3"],
+        "f24516fa78c5361d0416825e2b49f9bddf3f175d51210bdd88214abf0d4231dc",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(DECONV_RUNS))
+def test_deconv_certificate_json_is_golden(run, capsys):
+    extra, sha = DECONV_RUNS[run]
+    assert main(["deconv", *extra]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == sha
 
 
 DECONV_MATRIX_SHA = "90f0ea639ba5fce56ec2e5e9d595d5c98a25ecc77a058bec81de67bdc4f0c20e"
