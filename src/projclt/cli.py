@@ -69,7 +69,7 @@ from .density import (
     smoothing_bandwidth,
 )
 from .deconvolution import (
-    BODIES_1D, SANDWICH_MATRIX, DeconvParams, check_conditions, sandwich_margins, verify_sandwich,
+    BODIES_1D, SANDWICH_MATRIX, DeconvCertificate, DeconvParams, sandwich_margins, verify_sandwich,
 )
 
 SCHEMA_VERSION = 7
@@ -116,9 +116,11 @@ def _check_config_type(p: Param, value) -> None:
     A value must be one of ``p.choices`` when those are given.  Bools are
     rejected, int parameters need integral numbers, float parameters numbers
     and untyped ones strings; each element of a repeatable parameter's list
-    (a single value is read as a list of one) is checked.  A ``str``
-    parameter is left to its handler.
+    (a single value is read as a list of one, an empty list is refused) is
+    checked.  A ``str`` parameter is left to its handler.
     """
+    if p.action == "append" and not value:
+        raise InvalidSpec(f"config parameter '{p.name}' must list at least one value")
     if p.type is str:
         return
     for v in value if p.action == "append" else [value]:
@@ -381,7 +383,8 @@ def _cmd_scan(resolved, echo) -> int:
         body_seed, _, report = _resolved_ratio(resolved, spec, int(resolved["seed"]) + i)
         norms = sample_body(spec, count, body_seed, threads=threads, reduce=norm_column)
         shell = thin_shell_fraction(norms, n ** (-1.0 / 15.0), dimension=n).fraction
-        rows += [(body, point, ratio, report.sup_abs_deviation, shell) for point, ratio in
+        sup = report.sup_abs_deviation
+        rows += [(body, point, ratio, sup, shell) for point, ratio in
                  zip(report.radius_grid.tolist(), report.per_point_ratios.tolist())]
     _write_csv(resolved["output"], echo,
                ("body", "point", "ratio", "sup_abs_deviation", "shell_fraction"), rows)
@@ -451,7 +454,7 @@ def _deconv_params(resolved) -> DeconvParams:
     *_DECONV_PARAMS, _OPTIONAL_OUTPUT,
 ])
 def _cmd_deconv(resolved, echo) -> int:
-    cert = check_conditions(_deconv_params(resolved))
+    cert = DeconvCertificate(_deconv_params(resolved))
     _dump_json(resolved["output"], echo, certificate=to_jsonable(cert))
     return 0
 

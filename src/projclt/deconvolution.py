@@ -7,7 +7,8 @@ variance 1 + alpha out to radius R, then f itself is pinched between
 (smaller) radii — provided the parameters pass an admissibility gate tying
 alpha, epsilon, beta and n together.
 
-``check_conditions`` is the gate; ``grid_convolve`` is a mass-preserving
+``DeconvCertificate(params)`` is the gate, its verdict, radii and factors
+all derived from the parameters; ``grid_convolve`` is a mass-preserving
 discrete gaussian convolution for moderate alpha, done per axis with real
 FFTs; ``verify_sandwich`` runs the full implication on a catalog of
 closed-form 1-d log-concave densities, as whole-array margins.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec, RangeError
-from .model import NESTED, DeconvCertificate, _as_positive_int, register
+from .model import NESTED, _as_positive_int, register
 from .spherical import gaussian_density
 
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
@@ -67,6 +68,69 @@ class DeconvParams:
             raise InvalidSpec(f"c0 must lie in (0, 1), got {self.c0!r}")
 
 
+@register("deconv_certificate", keys=(
+    "admissible", "violated_conditions", "lower_radius", "upper_radius", "lower_factor",
+    "upper_factor", "params",
+))
+@dataclass(frozen=True)
+class DeconvCertificate:
+    """The sandwich gate on one parameter set: its verdict, certified radii and factors.
+
+    Admissible iff alpha <= c0 * n^-8 and
+    100 * (2n)^max(3*beta, 3/2) * alpha^(1/4) < epsilon < 1/100.
+    Inadmissibility is a result carried by the certificate, not an error.
+    Every value is a property of ``params``, so a decoded certificate whose
+    stored values disagree with its parameters is refused.
+    """
+
+    params: DeconvParams = field(metadata=NESTED)
+
+    def __post_init__(self):
+        if not isinstance(self.params, DeconvParams):
+            raise InvalidSpec(f"params must be a DeconvParams, got {self.params!r}")
+
+    @property
+    def violated_conditions(self) -> tuple:
+        p = self.params
+        violated = []
+        alpha_cap = p.c0 * p.n ** -8.0
+        if p.alpha > alpha_cap:
+            violated.append(f"alpha = {p.alpha:.6g} exceeds c0 * n^-8 = {alpha_cap:.6g}")
+        noise_floor = 100.0 * (2.0 * p.n) ** max(3.0 * p.beta, 1.5) * p.alpha ** 0.25
+        if not noise_floor < p.epsilon:
+            violated.append(
+                f"epsilon = {p.epsilon:.6g} does not exceed "
+                f"100 * (2n)^max(3*beta, 3/2) * alpha^(1/4) = {noise_floor:.6g}"
+            )
+        if not p.epsilon < 0.01:
+            violated.append(f"epsilon = {p.epsilon:.6g} is not below 1/100")
+        return tuple(violated)
+
+    @property
+    def admissible(self) -> bool:
+        return not self.violated_conditions
+
+    @property
+    def _reach(self) -> float:
+        return (2.0 * self.params.n) ** self.params.beta
+
+    @property
+    def lower_radius(self) -> float:
+        return min(self.params.hypothesis_radius - 1.0, self._reach)
+
+    @property
+    def upper_radius(self) -> float:
+        return min(self._reach, self.params.hypothesis_radius) - 3.0
+
+    @property
+    def lower_factor(self) -> float:
+        return 1.0 - 6.0 * self.params.epsilon
+
+    @property
+    def upper_factor(self) -> float:
+        return 1.0 + 8.0 * self.params.epsilon
+
+
 # The sandwich matrix: the first four rows pass the gate, the last two exercise
 # the inadmissible paths (alpha too large, epsilon out of its window).
 SANDWICH_MATRIX = (
@@ -77,39 +141,6 @@ SANDWICH_MATRIX = (
     DeconvParams(n=2, alpha=1e-3, beta=0.5, epsilon=0.005, hypothesis_radius=3.0),
     DeconvParams(n=2, alpha=1e-24, beta=0.5, epsilon=0.5, hypothesis_radius=3.0),
 )
-
-
-def check_conditions(p: DeconvParams) -> DeconvCertificate:
-    """Evaluate the admissibility gate and compute certified radii and factors.
-
-    Admissible iff alpha <= c0 * n^-8 and
-    100 * (2n)^max(3*beta, 3/2) * alpha^(1/4) < epsilon < 1/100.
-    Inadmissibility is a result carried by the certificate, not an error.
-    """
-    violated = []
-    alpha_cap = p.c0 * p.n ** -8.0
-    if p.alpha > alpha_cap:
-        violated.append(
-            f"alpha = {p.alpha:.6g} exceeds c0 * n^-8 = {alpha_cap:.6g}"
-        )
-    noise_floor = 100.0 * (2.0 * p.n) ** max(3.0 * p.beta, 1.5) * p.alpha ** 0.25
-    if not noise_floor < p.epsilon:
-        violated.append(
-            f"epsilon = {p.epsilon:.6g} does not exceed "
-            f"100 * (2n)^max(3*beta, 3/2) * alpha^(1/4) = {noise_floor:.6g}"
-        )
-    if not p.epsilon < 0.01:
-        violated.append(f"epsilon = {p.epsilon:.6g} is not below 1/100")
-    reach = (2.0 * p.n) ** p.beta
-    return DeconvCertificate(
-        admissible=not violated,
-        violated_conditions=tuple(violated),
-        lower_radius=min(p.hypothesis_radius - 1.0, reach),
-        upper_radius=min(reach, p.hypothesis_radius) - 3.0,
-        lower_factor=1.0 - 6.0 * p.epsilon,
-        upper_factor=1.0 + 8.0 * p.epsilon,
-        params=p,
-    )
 
 
 def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.ndarray:
@@ -235,7 +266,7 @@ SANDWICH_SLACK = 1e-9
 
 def _sandwich(body: str, p: DeconvParams, grid_points: int):
     """The report and, per non-vacuous region, (region, x, density, bound, margin) arrays."""
-    cert = check_conditions(p)
+    cert = DeconvCertificate(p)
     if not cert.admissible:
         return SandwichReport(body=body, status="inadmissible", certificate=cert), []
 

@@ -215,9 +215,9 @@ def ratio_to_gaussian(estimate: DensityEstimate, v: float, max_radius: float) ->
             f"evaluation points reach radius {norms.max():.6g} > max_radius {max_radius:.6g}"
         )
     ref = gaussian_density(estimate.dim, v, norms)
-    return RatioReport.from_ratios(
-        norms,
-        estimate.values / ref,
+    return RatioReport(
+        radius_grid=norms,
+        per_point_ratios=estimate.values / ref,
         meta={
             "variance": float(v),
             "max_radius": max_radius,
@@ -297,9 +297,9 @@ def m_tilde_profile(
         accum += est.values.reshape(radii.size, -1).mean(axis=1)
 
     profile = (accum / subspace_count) / gaussian_density(l, 1.0 + v, radii)
-    return RatioReport.from_ratios(
-        radii,
-        profile,
+    return RatioReport(
+        radius_grid=radii,
+        per_point_ratios=profile,
         meta={
             "body": body.to_jsonable(),
             "schedule": schedule.to_jsonable(),

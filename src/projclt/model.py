@@ -1,7 +1,11 @@
 """Core configuration and report types shared by every module.
 
 All types are immutable dataclasses whose invariants are checked on
-construction, so a deserialized value is checked as it is rebuilt.
+construction, so a deserialized value is checked as it is rebuilt.  A value
+a type can compute from its fields (a ratio report's sup, a certificate's
+verdict) is a property, never a stored field: the codec writes it as a
+derived key and refuses a payload whose stored value differs from the
+rebuilt one.
 
 Every type serializes to plain JSON with snake_case keys through
 :func:`to_jsonable` / :func:`from_jsonable` (dispatch on a ``"type"`` tag).
@@ -349,14 +353,13 @@ class DensityEstimate:
         return self.points.shape[1]
 
 
-@register("ratio_report")
+@register("ratio_report", keys=("radius_grid", "per_point_ratios", "sup_abs_deviation", "meta"))
 @dataclass(frozen=True, eq=False)
 class RatioReport:
     """Per-point density-to-gaussian ratios and their worst deviation from 1."""
 
     radius_grid: np.ndarray
     per_point_ratios: np.ndarray
-    sup_abs_deviation: float
     meta: dict = field(default_factory=dict, metadata=OPTIONAL)
 
     def __post_init__(self):
@@ -366,65 +369,9 @@ class RatioReport:
         object.__setattr__(self, "per_point_ratios", ratios)
         if grid.size != ratios.size or grid.size == 0:
             raise InvalidSpec("radius_grid and per_point_ratios must be nonempty and equal-length")
-        sup = float(self.sup_abs_deviation)
-        object.__setattr__(self, "sup_abs_deviation", sup)
-        true_sup = float(np.max(np.abs(ratios - 1.0)))
-        if not (sup >= 0 and abs(sup - true_sup) <= 1e-12 * max(1.0, true_sup)):
-            raise InvalidSpec(
-                f"sup_abs_deviation {sup!r} does not equal max|ratio - 1| = {true_sup!r}"
-            )
         if not isinstance(self.meta, dict):
             raise InvalidSpec("meta must be a JSON-ready dict")
 
-    @classmethod
-    def from_ratios(cls, radius_grid, ratios, meta=None) -> "RatioReport":
-        ratios = np.asarray(ratios, dtype=np.float64)
-        if ratios.size == 0:
-            raise InvalidSpec("cannot build a ratio report from an empty grid")
-        sup = float(np.max(np.abs(ratios - 1.0)))
-        return cls(
-            radius_grid=radius_grid,
-            per_point_ratios=ratios,
-            sup_abs_deviation=sup,
-            meta=dict(meta or {}),
-        )
-
-
-@register("deconv_certificate")
-@dataclass(frozen=True)
-class DeconvCertificate:
-    """Admissibility verdict plus the certified radii and sandwich factors.
-
-    The certificate keeps the parameter set it was computed from so its
-    internal consistency (factors vs epsilon, admissibility vs epsilon window)
-    can be re-checked after deserialization.
-    """
-
-    admissible: bool
-    violated_conditions: tuple
-    lower_radius: float
-    upper_radius: float
-    lower_factor: float
-    upper_factor: float
-    params: object | None = field(default=None, metadata={**OPTIONAL, **NESTED})
-
-    def __post_init__(self):
-        object.__setattr__(self, "admissible", bool(self.admissible))
-        violated = tuple(str(v) for v in self.violated_conditions)
-        object.__setattr__(self, "violated_conditions", violated)
-        for name in ("lower_radius", "upper_radius", "lower_factor", "upper_factor"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.admissible and violated:
-            raise InvalidSpec("an admissible certificate cannot list violated conditions")
-        if not self.admissible and not violated:
-            raise InvalidSpec("an inadmissible certificate must name the violated conditions")
-        if self.params is not None:
-            eps = float(self.params.epsilon)
-            if self.admissible and not (0.0 < eps < 0.01):
-                raise InvalidSpec(f"admissible requires 0 < epsilon < 1/100, got {eps!r}")
-            if abs(self.lower_factor - (1.0 - 6.0 * eps)) > 1e-12:
-                raise InvalidSpec("lower_factor must equal 1 - 6*epsilon")
-            if abs(self.upper_factor - (1.0 + 8.0 * eps)) > 1e-12:
-                raise InvalidSpec("upper_factor must equal 1 + 8*epsilon")
-            if eps > 0 and not (self.lower_factor < 1.0 < self.upper_factor):
-                raise InvalidSpec("factors must bracket 1 whenever epsilon > 0")
+    @property
+    def sup_abs_deviation(self) -> float:
+        return float(np.max(np.abs(self.per_point_ratios - 1.0)))

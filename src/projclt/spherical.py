@@ -234,9 +234,9 @@ def psi_gaussian_ratio_scan(n: int, l: int, t_max: float, grid_points: int = 200
     grid = np.linspace(0.0, t_max, grid_points)
     vals = psi(KernelParams(n=n, l=l, r=math.sqrt(n)), grid)
     ratios = vals / gaussian_density(l, 1.0, grid)
-    return RatioReport.from_ratios(
-        grid,
-        ratios,
+    return RatioReport(
+        radius_grid=grid,
+        per_point_ratios=ratios,
         meta={
             "n": n,
             "l": l,

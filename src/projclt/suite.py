@@ -35,7 +35,7 @@ from .spherical import (
 from .radial import norm_column, thin_shell_fraction
 from .density import m_tilde_profile
 from .deconvolution import (
-    BODIES_1D, SANDWICH_MATRIX, DeconvParams, check_conditions, grid_convolve, verify_sandwich,
+    BODIES_1D, SANDWICH_MATRIX, DeconvCertificate, DeconvParams, grid_convolve, verify_sandwich,
 )
 
 
@@ -333,13 +333,13 @@ def _criterion_9(profile):
     """Three hand-computed certificate examples reproduce exactly."""
     checks = []
 
-    c1 = check_conditions(DeconvParams(n=2, alpha=1e-12, beta=0.5, epsilon=0.005, hypothesis_radius=3.0))
+    c1 = DeconvCertificate(DeconvParams(n=2, alpha=1e-12, beta=0.5, epsilon=0.005, hypothesis_radius=3.0))
     checks.append(("example 1 inadmissible (noise floor 0.8 > 0.005)", not c1.admissible))
 
-    c2 = check_conditions(DeconvParams(n=2, alpha=1e-24, beta=0.5, epsilon=0.005, hypothesis_radius=3.0, c0=1e-2))
+    c2 = DeconvCertificate(DeconvParams(n=2, alpha=1e-24, beta=0.5, epsilon=0.005, hypothesis_radius=3.0, c0=1e-2))
     checks.append(("example 2 admissible", c2.admissible))
 
-    c3 = check_conditions(DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.001, hypothesis_radius=10.0))
+    c3 = DeconvCertificate(DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.001, hypothesis_radius=10.0))
     checks.append(("example 3 admissible", c3.admissible))
     checks.append(("lower radius min{9, 4} = 4", c3.lower_radius == 4.0))
     checks.append(("upper radius min{4, 10} - 3 = 1", c3.upper_radius == 1.0))
@@ -353,7 +353,7 @@ def _criterion_9(profile):
 
 def _criterion_10(profile):
     """Every hypothesis-met admissible case satisfies the sandwich pointwise."""
-    admissible = [p for p in SANDWICH_MATRIX if check_conditions(p).admissible]
+    admissible = [p for p in SANDWICH_MATRIX if DeconvCertificate(p).admissible]
     runs = [(body, p, verify_sandwich(body, p).status) for p in admissible for body in BODIES_1D]
     violated = [f"{body} at n={p.n}, alpha={p.alpha:.0e}" for body, p, status in runs
                 if status == "sandwich_violated"]

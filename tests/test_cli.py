@@ -10,8 +10,10 @@ excludes paths and thread counts.
 import argparse
 import filecmp
 import json
+import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ import projclt.density
 import projclt.samplers
 import projclt.suite
 from projclt.cli import main
+from projclt.errors import InvalidSpec
 from projclt.model import BodyKind, BodySpec, dumps, loads
 from projclt.samplers import (
     BLOCK,
@@ -278,9 +281,12 @@ _SHELL = ["thinshell", "--body", "cube", "--n", "5", "--samples", "100", "--seed
         (_SHELL, {"epsilon": [0.1, "0.2"]}, "'epsilon' must be a number, got '0.2'"),
         (_SHELL, {"epsilon": [0.1, None]}, "'epsilon' must be a number, got None"),
         (_SHELL, {"epsilon": "0.1"}, "'epsilon' must be a number, got '0.1'"),
+        (_SHELL, {"epsilon": []}, "'epsilon' must list at least one value"),
+        (["scan", *_SHELL[3:], "--l", "1"], {"body": []}, "'body' must list at least one value"),
     ],
     ids=["int_string", "int_fraction", "int_bool", "float_string", "float_bool",
-         "append_string", "append_null", "append_scalar_string"],
+         "append_string", "append_null", "append_scalar_string", "append_empty",
+         "scan_append_empty"],
 )
 def test_config_values_must_match_the_parameter_type(tmp_path, capsys, argv, cfg, message):
     path = tmp_path / "cfg.json"
@@ -877,6 +883,74 @@ def test_deconv_matrix_writes_one_row_per_body_and_parameter_set(tmp_path):
     assert {tuple(row[6:]) for row in rows[-8:]} == {("inadmissible", "", "", "")}
 
 
+# ------------------------------------------------------- decoded artifacts
+
+_DECONV_ADMISSIBLE = ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001",
+                      "--R", "10"]
+_DECONV_ALL_VIOLATED = ["--n", "2", "--alpha", "1e-3", "--beta", "0.5", "--epsilon", "0.5",
+                        "--R", "3"]
+
+# name -> (argv writing {d}/a.json, the key of its codec payload)
+ARTIFACT_RUNS = {
+    "ratio": (["ratio", "--body", "cube", "--n", "20", "--l", "1", "--samples", "20000",
+               "--seed", "7", "--output", "{d}/a.json"], "report"),
+    "deconv_admissible": (["deconv", *_DECONV_ADMISSIBLE, "--output", "{d}/a.json"],
+                          "certificate"),
+    "deconv_inadmissible": (["deconv", *_DECONV_ALL_VIOLATED, "--output", "{d}/a.json"],
+                            "certificate"),
+    "deconv_verify_admissible": (
+        ["deconv-verify", "--body", "gaussian_deflated", *_DECONV_ADMISSIBLE, "--grid-points",
+         "201", "--output", "{d}/m.csv", "--json", "{d}/a.json"], "report"),
+    "deconv_verify_inadmissible": (
+        ["deconv-verify", "--body", "laplace", *_DECONV_ALL_VIOLATED, "--output", "{d}/m.csv",
+         "--json", "{d}/a.json"], "report"),
+}
+
+
+def _artifact(run, tmp_path):
+    """The text of a run's JSON artifact, its parsed form and the key of its codec payload."""
+    argv, key = ARTIFACT_RUNS[run]
+    assert main([a.format(d=tmp_path) for a in argv]) == 0
+    text = (tmp_path / "a.json").read_text()
+    return text, json.loads(text), key
+
+
+@pytest.mark.parametrize("run", sorted(ARTIFACT_RUNS))
+def test_artifacts_round_trip_byte_identically_through_the_codec(run, tmp_path):
+    text, payload, key = _artifact(run, tmp_path)
+    payload[key] = json.loads(dumps(loads(json.dumps(payload[key]))))
+    assert json.dumps(payload, indent=2) + "\n" == text
+
+
+def _nudge(d, key):
+    d[key] = math.nextafter(d[key], math.inf)
+
+
+# name -> (artifact run, tampering of its codec payload, the key the refusal names)
+TAMPERINGS = {
+    "ratio_sup": ("ratio", lambda d: _nudge(d, "sup_abs_deviation"), "sup_abs_deviation"),
+    "admissible_flipped": (
+        "deconv_admissible", lambda d: d.update(admissible=False), "admissible"),
+    "inadmissible_flipped": (
+        "deconv_inadmissible", lambda d: d.update(admissible=True), "admissible"),
+    "lower_factor": ("deconv_admissible", lambda d: _nudge(d, "lower_factor"), "lower_factor"),
+    "violation_dropped": (
+        "deconv_inadmissible", lambda d: d["violated_conditions"].pop(0), "violated_conditions"),
+    "nested_upper_radius": (
+        "deconv_verify_admissible", lambda d: _nudge(d["certificate"], "upper_radius"),
+        "upper_radius"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERINGS))
+def test_a_tampered_artifact_is_refused_naming_the_key(name, tmp_path):
+    run, tamper, key = TAMPERINGS[name]
+    _, payload, payload_key = _artifact(run, tmp_path)
+    tamper(payload[payload_key])
+    with pytest.raises(InvalidSpec, match=f"stored {key} .* disagrees with the value rebuilt"):
+        loads(json.dumps(payload[payload_key]))
+
+
 # ------------------------------------------------------------------- suite
 
 
@@ -987,6 +1061,20 @@ def test_the_readme_library_tour_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_readme_shell_examples_parse():
+    readme = (Path(SRC).parent / "README.md").read_text()
+    block = re.search(r"^## Command line$.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("projclt ")]
+    assert len(commands) >= 12
+    parser = projclt.cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = (
         "import sys, projclt.cli\n"
@@ -1015,13 +1103,13 @@ def test_a_scipy_command_runs_in_a_fresh_interpreter(tmp_path, argv):
 
 
 def test_a_fresh_interpreter_decodes_every_registered_type_from_model_alone():
-    from projclt.deconvolution import DeconvParams, check_conditions
+    from projclt.deconvolution import DeconvCertificate, DeconvParams
     from projclt.spherical import KernelParams
 
     values = [
         KernelParams(n=5, l=2, r=1.5),
-        check_conditions(DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.001,
-                                      hypothesis_radius=10.0)),
+        DeconvCertificate(DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.001,
+                                       hypothesis_radius=10.0)),
         SampleBatch(np.eye(3), seed=4, source={"body": "test"}),
     ]
     code = (

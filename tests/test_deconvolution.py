@@ -17,11 +17,11 @@ from projclt.deconvolution import (
     BODIES_1D,
     SANDWICH_MATRIX,
     SANDWICH_SLACK,
+    DeconvCertificate,
     DeconvParams,
     SandwichReport,
     body_convolved_density_1d,
     body_density_1d,
-    check_conditions,
     grid_convolve,
     sandwich_margins,
     verify_sandwich,
@@ -49,7 +49,7 @@ def _params(n, alpha, beta, epsilon, R, **kw):
 
 
 def test_gate_certifies_the_hand_worked_example():
-    cert = check_conditions(_params(8, 1e-28, 0.5, 0.001, 10.0))
+    cert = DeconvCertificate(_params(8, 1e-28, 0.5, 0.001, 10.0))
     assert cert.admissible
     assert cert.violated_conditions == ()
     # reach (2n)^beta = 4; lower = min(R - 1, 4) = 4, upper = min(4, R) - 3 = 1
@@ -60,48 +60,48 @@ def test_gate_certifies_the_hand_worked_example():
 
 
 def test_gate_radii_can_be_vacuous():
-    cert = check_conditions(_params(2, 1e-24, 0.5, 0.005, 3.0))
+    cert = DeconvCertificate(_params(2, 1e-24, 0.5, 0.005, 3.0))
     assert cert.admissible
     assert cert.lower_radius == 2.0
     assert cert.upper_radius == -1.0  # min(2, 3) - 3: nothing to check up high
 
 
 def test_gate_beta_shapes_the_reach():
-    cert = check_conditions(_params(2, 1e-30, 1.0, 0.008, 4.0))
+    cert = DeconvCertificate(_params(2, 1e-30, 1.0, 0.008, 4.0))
     assert cert.lower_radius == 3.0  # min(R - 1, (2n)^1) = min(3, 4)
     assert cert.upper_radius == 1.0  # min(4, 4) - 3
 
 
 def test_gate_rejects_large_alpha():
-    cert = check_conditions(_params(2, 1e-3, 0.5, 0.005, 3.0))
+    cert = DeconvCertificate(_params(2, 1e-3, 0.5, 0.005, 3.0))
     assert not cert.admissible
     assert any("n^-8" in v for v in cert.violated_conditions)
 
 
 def test_gate_rejects_epsilon_outside_its_window():
-    too_big = check_conditions(_params(2, 1e-24, 0.5, 0.02, 3.0))
+    too_big = DeconvCertificate(_params(2, 1e-24, 0.5, 0.02, 3.0))
     assert not too_big.admissible
     assert any("1/100" in v for v in too_big.violated_conditions)
 
     # noise floor 100 * (2n)^1.5 * alpha^(1/4) = 8e-2 at alpha = 1e-8 ...
-    too_small = check_conditions(_params(2, 1e-8, 0.5, 0.005, 3.0))
+    too_small = DeconvCertificate(_params(2, 1e-8, 0.5, 0.005, 3.0))
     assert not too_small.admissible
     assert any("does not exceed" in v for v in too_small.violated_conditions)
 
 
 def test_gate_violations_accumulate():
-    cert = check_conditions(_params(2, 1e-3, 0.5, 0.5, 3.0))
+    cert = DeconvCertificate(_params(2, 1e-3, 0.5, 0.5, 3.0))
     assert len(cert.violated_conditions) >= 2
 
 
 def test_the_sandwich_matrix_admits_exactly_its_first_four_rows():
-    admitted = [p for p in SANDWICH_MATRIX if check_conditions(p).admissible]
+    admitted = [p for p in SANDWICH_MATRIX if DeconvCertificate(p).admissible]
     assert admitted == [_params(*case) for case in ADMISSIBLE] == list(SANDWICH_MATRIX[:4])
 
 
 @pytest.mark.parametrize("case", ADMISSIBLE)
 def test_gate_certificates_round_trip(case):
-    cert = check_conditions(_params(*case))
+    cert = DeconvCertificate(_params(*case))
     back = loads(dumps(cert))
     assert back.admissible == cert.admissible
     assert back.lower_radius == cert.lower_radius
@@ -112,7 +112,7 @@ def test_gate_certificates_round_trip(case):
 @given(case=st.sampled_from(ADMISSIBLE), shrink=st.floats(min_value=1.0, max_value=1e6))
 def test_gate_is_monotone_in_alpha(case, shrink):
     n, alpha, beta, epsilon, R = case
-    assert check_conditions(_params(n, alpha / shrink, beta, epsilon, R)).admissible
+    assert DeconvCertificate(_params(n, alpha / shrink, beta, epsilon, R)).admissible
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,7 +120,7 @@ def test_gate_is_monotone_in_alpha(case, shrink):
 def test_gate_is_monotone_in_epsilon(case, data):
     n, alpha, beta, epsilon, R = case
     bigger = data.draw(st.floats(min_value=epsilon, max_value=0.0099))
-    assert check_conditions(_params(n, alpha, beta, bigger, R)).admissible
+    assert DeconvCertificate(_params(n, alpha, beta, bigger, R)).admissible
 
 
 def test_params_validation():

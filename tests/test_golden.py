@@ -21,9 +21,10 @@ import hashlib
 import numpy as np
 import pytest
 
+import projclt.cli
 import projclt.suite
 from projclt.cli import main
-from projclt.model import BodyKind, BodySpec, ConvolutionSchedule, RatioReport
+from projclt.model import BodyKind, BodySpec, ConvolutionSchedule
 from projclt.samplers import BLOCK, CHUNK, SampleBatch, convolve_and_rescale, sample_body
 
 def _sha(data: bytes) -> str:
@@ -99,16 +100,16 @@ CRITERION_7_QUICK_SUP = "0.0376764842499433"
 
 
 def test_criterion_7_quick_sup_is_golden(monkeypatch):
-    # Every ratio report goes through RatioReport.from_ratios; record the sups.
+    # Criterion 7's report comes from cli.ratio_to_gaussian; record the sups.
     sups = []
-    original = RatioReport.from_ratios.__func__
+    original = projclt.cli.ratio_to_gaussian
 
-    def recording(cls, *args, **kwargs):
-        report = original(cls, *args, **kwargs)
+    def recording(*args, **kwargs):
+        report = original(*args, **kwargs)
         sups.append(report.sup_abs_deviation)
         return report
 
-    monkeypatch.setattr(RatioReport, "from_ratios", classmethod(recording))
+    monkeypatch.setattr(projclt.cli, "ratio_to_gaussian", recording)
     passed, detail = projclt.suite._criterion_7("quick")
     assert passed, detail
     assert len(sups) == 1

@@ -13,7 +13,6 @@ from projclt.model import (
     BodyKind,
     BodySpec,
     ConvolutionSchedule,
-    DeconvCertificate,
     DensityEstimate,
     GaussianSpec,
     RadialDensity,
@@ -190,13 +189,17 @@ def test_density_estimate_rejects_inconsistencies(overrides):
 # -------------------------------------------------------------- RatioReport
 
 
-def test_ratio_report_from_ratios_computes_sup():
-    rep = RatioReport.from_ratios([0.0, 1.0, 2.0], [1.0, 0.9, 1.25])
+def _report(grid, ratios, **meta):
+    return RatioReport(radius_grid=grid, per_point_ratios=ratios, meta=meta)
+
+
+def test_ratio_report_derives_its_sup():
+    rep = _report([0.0, 1.0, 2.0], [1.0, 0.9, 1.25])
     assert rep.sup_abs_deviation == 0.25
 
 
 def test_ratio_report_rejects_tampered_sup():
-    payload = to_jsonable(RatioReport.from_ratios([0.0, 1.0], [1.0, 1.1]))
+    payload = to_jsonable(_report([0.0, 1.0], [1.0, 1.1]))
     payload["sup_abs_deviation"] = 0.5
     with pytest.raises(InvalidSpec, match="sup_abs_deviation"):
         from_jsonable(payload)
@@ -204,73 +207,7 @@ def test_ratio_report_rejects_tampered_sup():
 
 def test_ratio_report_rejects_empty_grid():
     with pytest.raises(InvalidSpec):
-        RatioReport.from_ratios([], [])
-
-
-# -------------------------------------------------------- DeconvCertificate
-
-
-def _certificate(**overrides):
-    kwargs = dict(
-        admissible=False,
-        violated_conditions=("epsilon too big",),
-        lower_radius=2.0,
-        upper_radius=-1.0,
-        lower_factor=0.97,
-        upper_factor=1.04,
-    )
-    kwargs.update(overrides)
-    return DeconvCertificate(**kwargs)
-
-
-def test_certificate_verdict_must_match_violations():
-    with pytest.raises(InvalidSpec):
-        _certificate(admissible=True)  # admissible but violations listed
-    with pytest.raises(InvalidSpec):
-        _certificate(violated_conditions=())  # inadmissible without reasons
-    _certificate()  # consistent
-
-
-def test_certificate_factor_consistency_against_params():
-    from projclt.deconvolution import DeconvParams
-
-    p = DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.005, hypothesis_radius=10.0)
-    good = DeconvCertificate(
-        admissible=True,
-        violated_conditions=(),
-        lower_radius=4.0,
-        upper_radius=1.0,
-        lower_factor=1.0 - 6 * 0.005,
-        upper_factor=1.0 + 8 * 0.005,
-        params=p,
-    )
-    assert good.lower_factor < 1.0 < good.upper_factor
-    with pytest.raises(InvalidSpec, match="lower_factor"):
-        DeconvCertificate(
-            admissible=True,
-            violated_conditions=(),
-            lower_radius=4.0,
-            upper_radius=1.0,
-            lower_factor=0.9,
-            upper_factor=1.0 + 8 * 0.005,
-            params=p,
-        )
-
-
-def test_certificate_admissible_needs_small_epsilon():
-    from projclt.deconvolution import DeconvParams
-
-    p = DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.02, hypothesis_radius=10.0)
-    with pytest.raises(InvalidSpec, match="epsilon"):
-        DeconvCertificate(
-            admissible=True,
-            violated_conditions=(),
-            lower_radius=4.0,
-            upper_radius=1.0,
-            lower_factor=1.0 - 6 * 0.02,
-            upper_factor=1.0 + 8 * 0.02,
-            params=p,
-        )
+        _report([], [])
 
 
 # ------------------------------------------------------- registry round trips
@@ -288,7 +225,7 @@ def test_from_jsonable_rejects_untagged_payloads():
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_loads_rejects_non_finite_json_constants(constant):
     # RatioReport.meta is free-form, so only the parser can keep these out.
-    text = dumps(RatioReport.from_ratios([0.0, 0.5], [1.01, 0.98], meta={"v": 1.5}))
+    text = dumps(_report([0.0, 0.5], [1.01, 0.98], v=1.5))
     with pytest.raises(InvalidSpec, match=f"JSON constant {constant} is not a finite number"):
         loads(text.replace("1.5", constant))
 
@@ -312,9 +249,7 @@ def test_from_jsonable_rejects_non_finite_floats_naming_the_key(bad, where, key)
         payload = to_jsonable(verify_sandwich("uniform", params))
         payload["certificate"]["params"]["alpha"] = bad
     else:
-        payload = to_jsonable(
-            RatioReport.from_ratios([0.0, 0.5], [1.01, 0.98], meta={"v": 1.5, "window": [0.0, 2.0]})
-        )
+        payload = to_jsonable(_report([0.0, 0.5], [1.01, 0.98], v=1.5, window=[0.0, 2.0]))
         if where == "meta":
             payload["meta"]["v"] = bad
         elif where == "meta_list":
@@ -363,7 +298,7 @@ def test_gaussian_spec_round_trip(dim, variance):
 
 
 def test_ratio_report_round_trip_preserves_meta():
-    rep = RatioReport.from_ratios([0.0, 0.5], [1.01, 0.98], meta={"n": 100, "l": 1})
+    rep = _report([0.0, 0.5], [1.01, 0.98], n=100, l=1)
     back = loads(dumps(rep))
     assert back.meta == {"n": 100, "l": 1}
     assert back.sup_abs_deviation == rep.sup_abs_deviation
@@ -373,20 +308,12 @@ def test_ratio_report_round_trip_preserves_meta():
 
 
 def _golden_values():
-    from projclt.deconvolution import DeconvParams, SandwichReport
+    from projclt.deconvolution import DeconvCertificate, DeconvParams, SandwichReport
     from projclt.samplers import SampleBatch
     from projclt.spherical import KernelParams
 
     params = DeconvParams(n=8, alpha=1e-28, beta=0.5, epsilon=0.005, hypothesis_radius=10.0)
-    admissible = DeconvCertificate(
-        admissible=True,
-        violated_conditions=(),
-        lower_radius=4.0,
-        upper_radius=1.0,
-        lower_factor=1.0 - 6 * 0.005,
-        upper_factor=1.0 + 8 * 0.005,
-        params=params,
-    )
+    admissible = DeconvCertificate(params)
     cube3 = {"type": "body_spec", "kind": "cube", "dimension": 3}
     return {
         "body_spec": BodySpec(kind="laplace", dimension=3),
@@ -398,9 +325,8 @@ def _golden_values():
             points=[[0.0], [0.5]], values=[0.4, 0.35], stderr=[0.01, 0.02],
             sample_count=10000, bandwidth=0.1,
         ),
-        "ratio_report": RatioReport.from_ratios([0.0, 1.0], [1.0, 1.25], meta={"l": 1, "body": cube3}),
-        "deconv_certificate": _certificate(),
-        "deconv_certificate_params": admissible,
+        "ratio_report": _report([0.0, 1.0], [1.0, 1.25], l=1, body=cube3),
+        "deconv_certificate": admissible,
         "sample_batch": SampleBatch(
             data=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
             seed={"entropy": 7, "spawn_key": [1]},
@@ -444,12 +370,7 @@ GOLDEN_JSON = {
         '{"type": "ratio_report", "radius_grid": [0.0, 1.0], "per_point_ratios": [1.0, 1.25], '
         '"sup_abs_deviation": 0.25, "meta": {"l": 1, "body": ' + _CUBE3_JSON + "}}"
     ),
-    "deconv_certificate": (
-        '{"type": "deconv_certificate", "admissible": false, '
-        '"violated_conditions": ["epsilon too big"], "lower_radius": 2.0, "upper_radius": -1.0, '
-        '"lower_factor": 0.97, "upper_factor": 1.04, "params": null}'
-    ),
-    "deconv_certificate_params": _ADMISSIBLE_JSON,
+    "deconv_certificate": _ADMISSIBLE_JSON,
     "sample_batch": (
         '{"type": "sample_batch", "dimension": 2, "count": 3, '
         '"seed": {"entropy": 7, "spawn_key": [1]}, '
@@ -483,24 +404,28 @@ def test_golden_json_covers_every_registered_type():
 
 
 def test_golden_json_decodes_nested_values_only_where_declared():
-    from projclt.deconvolution import DeconvParams
+    from projclt.deconvolution import DeconvCertificate, DeconvParams
 
     report = loads(GOLDEN_JSON["ratio_report"])
     assert type(report.meta["body"]) is dict
     batch = loads(GOLDEN_JSON["sample_batch"])
     assert type(batch.source["spec"]) is dict
-    cert = loads(GOLDEN_JSON["deconv_certificate_params"])
+    cert = loads(GOLDEN_JSON["deconv_certificate"])
     assert isinstance(cert.params, DeconvParams)
     sandwich = loads(GOLDEN_JSON["sandwich_report"])
     assert isinstance(sandwich.certificate, DeconvCertificate)
     assert isinstance(sandwich.certificate.params, DeconvParams)
 
 
+def test_a_certificate_needs_its_params():
+    payload = json.loads(GOLDEN_JSON["deconv_certificate"])
+    payload["params"] = None
+    with pytest.raises(InvalidSpec, match="params must be a DeconvParams"):
+        from_jsonable(payload)
+
+
 # Keys a payload may omit: the field default applies.
-_OMITTABLE = {
-    ("ratio_report", "meta"),
-    ("deconv_certificate", "params"),
-}
+_OMITTABLE = {("ratio_report", "meta")}
 
 
 @pytest.mark.parametrize("tag", sorted(_REGISTRY))
@@ -522,6 +447,3 @@ def test_optional_keys_may_be_omitted():
     payload = json.loads(GOLDEN_JSON["ratio_report"])
     del payload["meta"]
     assert from_jsonable(payload).meta == {}
-    payload = json.loads(GOLDEN_JSON["deconv_certificate_params"])
-    del payload["params"]
-    assert from_jsonable(payload).params is None
