@@ -32,6 +32,7 @@ Exit codes: 0 success, 1 validation error, 2 acceptance-threshold failure in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -72,7 +73,7 @@ from .deconvolution import (
     BODIES_1D, SANDWICH_MATRIX, DeconvCertificate, DeconvParams, sandwich_margins, verify_sandwich,
 )
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 _REQUIRED = object()
 
@@ -530,6 +531,7 @@ def _cmd_suite(resolved, echo) -> int:
     return 0 if not failed else 2
 
 
+@functools.cache  # parse_args leaves the tree as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projclt",

@@ -91,7 +91,8 @@ def _decode_fields(cls, d: dict):
     value = cls(**kwargs)
     derived = [name for name in cls.json_keys if name not in cls.__dataclass_fields__]
     for name in derived:
-        if _plain(getattr(value, name)) != stored(name):
+        # As JSON text, so a value of another type that compares equal (1 for true) is refused.
+        if json.dumps(_plain(getattr(value, name))) != json.dumps(stored(name)):
             raise InvalidSpec(
                 f"stored {name.rstrip('_')} {stored(name)!r} disagrees with the value rebuilt "
                 f"from the other keys of {cls.json_tag}"

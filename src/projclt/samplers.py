@@ -22,21 +22,19 @@ Normalizations (all kinds have mean 0 and identity covariance):
   -b log(2 - 2u) otherwise.
 * gaussian — standard normal coordinates.
 
-Generation is chunked: the root ``SeedSequence`` is split into one child per
-``CHUNK`` rows, and each chunk is drawn by its own generator.  Results are
-therefore bit-identical for a given (spec, count, seed) no matter how many
-worker threads are used.  Within a chunk the generator fills the rows
-``BLOCK`` at a time, in order; for every kind but the ball this draws the
-same stream as one fill of the whole chunk.  ``CHUNK`` and ``BLOCK`` are both
-part of the stream.  Every block takes one path: it is drawn into a
-(BLOCK, n) buffer lent to its worker thread for the chunk, passed at once to
-a reducer while it is still in cache, and then overwritten.  A reducer is a
-projection, the norms, moment sums or the batch-file writer of
-:func:`save_sample`, and memory is then one block buffer per thread plus the
-reduced outputs.  Without one, each block is copied into its rows of a
-(count, n) array that holds the whole batch, so a batch larger than physical
-memory is refused with ``RangeError`` before any allocation; only library
-callers and the CSV writer draw a whole batch.
+Generation is by block: block i, ``BLOCK`` rows (a short last block fewer),
+is drawn by its own generator, seeded with the i-th child of the root
+``SeedSequence``.  Results are therefore bit-identical for a given (spec,
+count, seed) however many worker threads share the blocks, and a longer draw
+begins with the blocks of a shorter one; ``BLOCK`` is part of the stream.
+Every block takes one path: it is drawn into a (BLOCK, n) buffer of its
+worker thread, passed at once to a reducer while it is still in cache, and
+then overwritten.  A reducer is a projection, the norms, moment sums or the
+batch-file writer of :func:`save_sample`, and memory is then one block buffer
+per thread plus the reduced outputs.  Without one, each block is copied into
+its rows of a (count, n) array that holds the whole batch, so a batch larger
+than physical memory is refused with ``RangeError`` before any allocation;
+only library callers and the CSV writer draw a whole batch.
 
 A batch file is column-major float64 with a JSON sidecar.  Its writer places
 each block's column segments by offset, so blocks may arrive in any order,
@@ -48,8 +46,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
 import stat
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -68,7 +66,6 @@ from .model import (
     register,
 )
 
-CHUNK = 1 << 16
 BLOCK = 1 << 12
 
 _SQRT3 = math.sqrt(3.0)
@@ -132,22 +129,27 @@ def _require_memory(what: str, need: int) -> None:
         )
 
 
+def _block_rng(root: np.random.SeedSequence, i: int) -> np.random.Generator:
+    """Block ``i``'s generator, seeded with ``root.spawn(i + 1)[i]`` of a fresh ``root``."""
+    key = (*root.spawn_key, i)
+    child = np.random.SeedSequence(root.entropy, spawn_key=key, pool_size=root.pool_size)
+    return np.random.default_rng(child)
+
+
 def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, smooth=None):
     """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out, rows)``.
 
-    Each chunk's generator fills its rows ``BLOCK`` at a time, in order, into
-    a buffer lent to its worker, and each block is passed to
-    ``reduce(block, rows)``; the list of results is returned in block order.
-    A short last block is passed at its own height.  The buffer is refilled
-    with the worker's next block, so ``reduce`` must return new arrays or
-    write its output elsewhere, and keep no view of its input.  Without
-    ``reduce`` each block is copied into its rows of one (count, dim) array,
-    which is returned.
-
-    ``smooth``, a ``(noise_seed, sigma, scale)`` triple, smooths each block
-    before ``reduce`` sees it, as :func:`convolve_and_rescale` smooths the
-    full batch: ``noise_seed`` is split into chunks as ``seed`` is, and each
-    chunk's noise generator advances in step with its body generator.
+    Block i, rows ``i*BLOCK`` up to ``(i+1)*BLOCK`` or ``count``, is filled
+    by ``_block_rng(seed, i)``.  The workers take block indices from one
+    shared iterator, fill each block into a buffer of their own and pass it
+    to ``reduce(block, rows)``; the results are returned in block order.  The
+    buffer is refilled with the worker's next block, so ``reduce`` must
+    return new arrays or write its output elsewhere, and keep no view of its
+    input.  Without ``reduce`` each block is copied into its rows of one
+    (count, dim) array, which is returned.  ``smooth``, a ``(noise_seed,
+    sigma, scale)`` triple, smooths each block before ``reduce`` sees it, as
+    :func:`convolve_and_rescale` does, with block i's noise drawn by
+    ``_block_rng(noise_seed, i)``.
     """
     threads = _as_positive_int(threads, "threads")
     whole = reduce is None
@@ -159,61 +161,52 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
             out[rows] = block
 
     height = min(BLOCK, count)
-    chunks = range(0, count, CHUNK)
-    # One set of buffers per worker, made here and lent to a chunk at a time:
-    # made by the calling thread, they come from its allocator arena and are
-    # reused run after run, where buffers made in each run's fresh worker
-    # threads could each stay resident in another thread arena.  Each worker
-    # also holds, inside ``fill``, at most one height x (dim + 1) temporary.
-    workers = min(threads, len(chunks))
+    blocks = range(0, count, BLOCK)
+    # Each worker's buffers are made by the calling thread: they come from its
+    # allocator arena and are reused run after run, where buffers made in each
+    # run's fresh worker threads could each stay resident in another arena.
+    # Each worker also holds, inside ``fill``, at most one height x (dim + 1) temporary.
+    workers = min(threads, len(blocks))
     per_worker = 1 if smooth is None else 2
-    _require_memory(
-        f"{workers} worker threads' {height} x {dim} blocks",
-        8 * workers * height * (per_worker * dim + dim + 1),
-    )
-    children = _seed_seq(seed).spawn(len(chunks))
+    need = 8 * workers * height * (per_worker * dim + dim + 1)
+    _require_memory(f"{workers} worker threads' {height} x {dim} blocks", need)
+    root = _seed_seq(seed)
     if smooth is not None:
         noise_seed, sigma, scale = smooth
-        noise_children = _seed_seq(noise_seed).spawn(len(chunks))
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put([np.empty((height, dim)) for _ in range(per_worker)])
+        noise_root = _seed_seq(noise_seed)
+    results = [None] * len(blocks)
+    todo, lock = iter(range(len(blocks))), threading.Lock()
 
-    def work(i):
-        rng = np.random.default_rng(children[i])
-        if smooth is not None:
-            noise_rng = np.random.default_rng(noise_children[i])
-        stop = min(chunks[i] + CHUNK, count)
-        results = []
-        lent = buffers.get()
-        try:
-            for lo in range(chunks[i], stop, BLOCK):
-                rows = slice(lo, min(lo + BLOCK, stop))
-                m = rows.stop - rows.start
-                block = lent[0][:m]
-                fill(rng, block, rows)
-                if smooth is not None:
-                    _smooth_block(noise_rng, lent[1][:m], block, sigma, scale)
-                    block = lent[1][:m]
-                results.append(reduce(block, rows))
-        finally:
-            buffers.put(lent)
-        return results
+    def work(lent):
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            rows = slice(blocks[i], min(blocks[i] + BLOCK, count))
+            block = lent[0][: rows.stop - rows.start]
+            fill(_block_rng(root, i), block, rows)
+            if smooth is not None:
+                noise = lent[1][: len(block)]
+                block = _smooth_block(_block_rng(noise_root, i), noise, block, sigma, scale)
+            results[i] = reduce(block, rows)
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(work, range(len(chunks))))
+    lent = [[np.empty((height, dim)) for _ in range(per_worker)] for _ in range(workers)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, lent))
     else:
-        per_chunk = [work(i) for i in range(len(chunks))]
-    return out if whole else [r for results in per_chunk for r in results]
+        work(lent[0])
+    return out if whole else results
 
 
 def _smooth_block(rng, out, x, sigma, scale):
-    """Fill ``out`` with (x + sigma * z) * scale, z drawn standard gaussian from ``rng``."""
+    """Fill ``out`` with (x + sigma * z) * scale, z standard gaussian from ``rng``; return it."""
     rng.standard_normal(out=out)
     out *= sigma
     out += x
     out *= scale
+    return out
 
 
 def _fill_cube(rng, out, _rows):

@@ -30,7 +30,6 @@ from projclt.errors import InvalidSpec
 from projclt.model import BodyKind, BodySpec, dumps, loads
 from projclt.samplers import (
     BLOCK,
-    CHUNK,
     SampleBatch,
     load_batch,
     sample_body,
@@ -514,13 +513,19 @@ def test_sample_writes_loadable_batch(tmp_path):
 
 
 def test_sample_is_byte_reproducible_across_dirs_and_threads(tmp_path):
-    args = ["sample", "--body", "simplex", "--n", "6", "--samples", "2000", "--seed", "11"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    assert main(args + ["--output", str(a / "x.bin"), "--threads", "1"]) == 0
-    assert main(args + ["--output", str(b / "x.bin"), "--threads", "2"]) == 0
-    assert filecmp.cmp(a / "x.bin", b / "x.bin", shallow=False)
-    assert (a / "x.bin.json").read_text() == (b / "x.bin.json").read_text()
+    # Five full blocks and a short last one, raw and smoothed: the workers
+    # share the blocks differently at each thread count.
+    args = ["sample", "--body", "simplex", "--n", "6", "--samples", str(5 * BLOCK + 7),
+            "--seed", "11"]
+    for extra in ([], ["--alpha", "10"]):
+        dirs = [tmp_path / f"{len(extra)}-{threads}" for threads in (1, 2, 3)]
+        for threads, d in enumerate(dirs, start=1):
+            d.mkdir()
+            argv = args + extra + ["--output", str(d / "x.bin"), "--threads", str(threads)]
+            assert main(argv) == 0
+        for d in dirs[1:]:
+            assert filecmp.cmp(dirs[0] / "x.bin", d / "x.bin", shallow=False)
+            assert (dirs[0] / "x.bin.json").read_text() == (d / "x.bin.json").read_text()
 
 
 def test_sample_csv_format(tmp_path):
@@ -561,7 +566,7 @@ def test_a_sample_failed_midway_leaves_no_batch_file_sidecar_or_temp_file(
 
     monkeypatch.setitem(projclt.samplers._FILLS, BodyKind.CUBE, fail_on_the_third_block)
     with pytest.raises(RuntimeError, match="fill failed"):
-        main(["sample", "--body", "cube", "--n", "3", "--samples", str(2 * CHUNK + 3),
+        main(["sample", "--body", "cube", "--n", "3", "--samples", str(32 * BLOCK + 3),
               "--seed", "1", "--threads", str(threads), "--output", str(tmp_path / "x.bin")])
     assert list(tmp_path.iterdir()) == []
 
@@ -770,6 +775,24 @@ def test_thinshell_defaults_and_ordering(tmp_path):
     assert fractions[0.2] <= fractions[0.05]
 
 
+def test_in_process_calls_write_what_fresh_processes_write(tmp_path):
+    # One argparse tree serves every call in a process; an appended --epsilon
+    # list must start empty at each call, or a later call would see the earlier ones.
+    base = ["thinshell", "--body", "cube", "--n", "8", "--samples", "2000", "--seed", "3"]
+    runs = {"two": ["--epsilon", "0.1", "--epsilon", "0.3"], "one": ["--epsilon", "0.2"],
+            "default": []}
+    for name, epsilons in runs.items():
+        assert main(base + epsilons + ["--output", str(tmp_path / f"{name}.csv")]) == 0
+    assert projclt.cli.build_parser() is projclt.cli.build_parser()
+    for name, epsilons in runs.items():
+        fresh = tmp_path / f"fresh_{name}.csv"
+        proc = subprocess.run([sys.executable, "-m", "projclt", *base, *epsilons,
+                               "--output", str(fresh)], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / f"{name}.csv").read_bytes() == fresh.read_bytes()
+
+
 # -------------------------------------------------------------------- scan
 
 
@@ -939,6 +962,11 @@ TAMPERINGS = {
     "nested_upper_radius": (
         "deconv_verify_admissible", lambda d: _nudge(d["certificate"], "upper_radius"),
         "upper_radius"),
+    # Equal in Python but not in JSON: each would be re-encoded as true and 4.0.
+    "admissible_as_1": ("deconv_admissible", lambda d: d.update(admissible=1), "admissible"),
+    "lower_radius_as_int": (
+        "deconv_admissible", lambda d: d.update(lower_radius=int(d["lower_radius"])),
+        "lower_radius"),
 }
 
 

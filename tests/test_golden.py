@@ -2,18 +2,19 @@
 
 Each test pins the SHA-256 of an artifact (or of an array's bytes) produced
 by a fixed seed at a small size, so any refactor of the sample -> smooth ->
-project -> KDE -> ratio pipeline or of the chunked noise loop must reproduce
+project -> KDE -> ratio pipeline or of the block loop must reproduce
 the numbers exactly.  A change that alters a random stream or the artifact
 schema re-pins the moved hashes and records each old -> new pair and its
 reason in CHANGES.md.  The ratio and scan runs are the CLI's; the
 criterion 7 value is the exact l=1 sup of the quick profile; the
 ``deconv-verify`` and ``deconv-matrix`` pins cover the sandwich pass, whose
 margins are closed forms, and the ``deconv`` pins cover the certificate
-alone.  The multi-chunk runs span two full chunks and a ragged tail, at one
-and two threads and at the default (every usable core), so a chunk loop
-that reorders or splits work differently shows up as a moved hash.  The batch files of ``sample`` (bin and CSV, with and without
-smoothing) and ``project --input`` are pinned at counts on both sides of a
-block and a chunk, at one and two threads; ``sample`` also at the default.
+alone.  The multi-chunk runs span 32 full blocks and a short last one, at
+one and two threads and at the default (every usable core), so a block loop
+that reorders or splits work differently shows up as a moved hash.  The
+batch files of ``sample`` (bin and CSV, with and without smoothing) and
+``project --input`` are pinned at counts on both sides of a block and of
+many blocks, at one and two threads; ``sample`` also at the default.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ import projclt.cli
 import projclt.suite
 from projclt.cli import main
 from projclt.model import BodyKind, BodySpec, ConvolutionSchedule
-from projclt.samplers import BLOCK, CHUNK, SampleBatch, convolve_and_rescale, sample_body
+from projclt.samplers import BLOCK, SampleBatch, convolve_and_rescale, sample_body
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -34,13 +35,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "46f9bf65a4155049fc29b0f7b87ea9a442ff9d9426915432a5d6d296b837910e",
-        "299e991acec8d59942ed0d281443f5f616969d5d4d19422a1dd72c39e3249fad",
+        "256f7260b4ff4330c429c01f776fa18354070315c1c4f9d562a37cb42ca9791a",
+        "3376c99c3477f4654f5902bc2e9efc69b658dc3d97607bca4a9721c8c355c4b3",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "b34195deca01ef4e1358791371365be5ea5c6248bbe7d15778b4543e9b0e7597",
-        "d3e2b84cae470ffefe5c524fe46eee70ee466cea5f0f9d420480d4f33bca0415",
+        "f5faf684ceec14735c0bd67fe752a76e60ed408484ec6a95a9d4574e6aecebda",
+        "7af306e347edea5bf8d188acd7136f03a09036756722b9b4215532463b336f63",
     ),
 }
 
@@ -60,11 +61,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "661cf4f1e5fc83fb5087379f8938b2dd2fac4c941c9e1c9eb3ea73c45a8e518c",
+        "d87073725d52477ea8b79aba92d270480deff057323b4f141e6be2044291f0c6",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "b3f6962750ed9b557ddbb039232e6b81347684e886699de2dfc34bd1a5680752",
+        "a5a3d493f4194c0d274176823d4b667ec46186d7077014aa38de85545c20bfcc",
     ),
 }
 
@@ -81,22 +82,22 @@ def test_clt_scan_csv_is_golden(run, tmp_path):
     assert _sha(out.read_bytes()) == sha
 
 
-CONVOLVE_SHA = "960f0f09d9a6a348c2e072f011dfc7781db9103dc0df0e8e58a533cccf11bad7"
+CONVOLVE_SHA = "d165730d95b7de8f69f74aa5c6e8bebaf201f60a43f5f01c1dfda60e083984cf"
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_convolve_and_rescale_output_is_golden(threads, order):
-    # Three full chunks and a partial one, so two threads split real work;
+    # 48 full blocks and a short one, so two threads split real work;
     # a column-major input is what load_batch returns.
-    x = sample_body(BodySpec(BodyKind.CUBE, 5), 3 * CHUNK + 17, seed=3)
+    x = sample_body(BodySpec(BodyKind.CUBE, 5), 48 * BLOCK + 17, seed=3)
     x = SampleBatch(data=np.asarray(x.data, order=order), seed=x.seed, source=x.source)
     y = convolve_and_rescale(x, ConvolutionSchedule(10.0), seed=4, threads=threads)
     assert y.data.shape == x.data.shape
     assert _sha(np.ascontiguousarray(y.data).tobytes()) == CONVOLVE_SHA
 
 
-CRITERION_7_QUICK_SUP = "0.0376764842499433"
+CRITERION_7_QUICK_SUP = "0.024438747275267847"
 
 
 def test_criterion_7_quick_sup_is_golden(monkeypatch):
@@ -117,7 +118,7 @@ def test_criterion_7_quick_sup_is_golden(monkeypatch):
     assert f"l=1 sup {sups[0]:.4f}" in detail
 
 
-MULTI_CHUNK = 2 * CHUNK + 17
+MULTI_CHUNK = 32 * BLOCK + 17
 
 
 def _threads_flag(threads) -> list:
@@ -130,14 +131,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "d29cd2a7cb311803aefece4b92b58e5fb9eb64ba59022140863d9c7209d220a3",
-            "r.csv": "da916fbf6e36d2ac071a936a40bcd84bbaf125bc9aa35597a96609f5ba3cfb7a",
+            "r.json": "8123e60eeb4e6d6a6ad5c334b5ef0a214909d31d77741dd8f17463caf075aecb",
+            "r.csv": "3fcf947d14a418d83002ed16f82663384e53692fb7b1b2c10a8fa2d4fbfd4f99",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "48ab28415effab4255a9771be5ca09b4f68d5c0b7327d41fc7b39ca5803c0a50"},
+        {"m.json": "73f1121965712207f6e533abb0219f144fe854f59e70f14059385a1b3880cf9d"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -146,11 +147,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "879a9bcf976339e1aa1b497be4f2b08e0c0322085a855bf0b86200bde68c1e54",
-            "ball": "2145ae413a0e7d3b7489db08e4a514f4f1147c0e281f7fdeca984ef29e7968fa",
-            "simplex": "af70df4b8254e4270e89b3b6d953e406caebe06cf6768dbeb8e0465faa601d78",
-            "product_laplace": "9388a152650c7dc96d47e87db5bb5a9a2e4237a06e17356a0c9c35599af5a81c",
-            "gaussian": "9f2635d4da92a390676c81147cbb404ed086e1f03daffada35a0586ae184e517",
+            "cube": "e8c542c002ae3c6317c15509b7fc4a6642b92c3684575a0ab7ce6ef2f6c87fdf",
+            "ball": "d714b729fb3ab5f2d410d9392dcc362e5a69e7f7fcf6e2bd185880126b93b291",
+            "simplex": "7675adfa425c792dfe7be66a828da366360e586b6b00c464054136b87e0b0d67",
+            "product_laplace": "8128b909d03c111c9c58499453d090119847565c42d21c80c6e953bf470eccba",
+            "gaussian": "3d5ea97024fa0675318d50bad9e3f19adc961a50f503804f579c8d5b29da342c",
         }.items()
     },
 }
@@ -171,15 +172,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "7f18455c9d2e6bd4ecca29fc756ace8fa23c2a06bdaf5b1a7e17ec8e46a2c911",
-        "b3a00d6823aada85123523db1cad164542f7b7df5a61cf2c50ec19aa52c0ee58",
+        "f1f79d13269dcb1774f33ed2fb5e9b9f367bb97ee33168480856e02e45ca7054",
+        "213200b7f21e5f537fd60ae450a1adb74e624acc8a29bc58b620c56af5f86cd1",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "a8f8c0d929e87ae7bbaa1b3cdcff5fb9af0366136e8eeb6fe7950ddeb68cf77f",
-        "4b8959c97e8cd92016f357c3f4c35378e30aae4eb78b9a1f2cafefa4e4c47e28",
+        "0981635e1ad39db843b96ff931ce69a085eb60f0ba2613ad83192c5ad993a110",
+        "fcd42cd3f3ecdeff08f24d8a4c2564b3ee8ea5ceb2f1e3a292a4e254a7c45e5b",
     ),
 }
 
@@ -197,12 +198,12 @@ def test_deconv_verify_artifacts_are_golden(run, tmp_path):
 DECONV_RUNS = {
     "admissible": (
         ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
-        "ad64c6ff511db3f67cad99d8d78ad3325e1f45668a9d0d28f3328a7eed9bee60",
+        "1eee30b1b0cad0ca721cce7e4337095ec64f725e8c4008735ae886e2a59d7105",
     ),
     # All three conditions fail: alpha, the noise floor and epsilon < 1/100.
     "inadmissible": (
         ["--n", "2", "--alpha", "1e-3", "--beta", "0.5", "--epsilon", "0.5", "--R", "3"],
-        "f24516fa78c5361d0416825e2b49f9bddf3f175d51210bdd88214abf0d4231dc",
+        "f8563f91859754f3d81af56de7832ad6b42316c7e71ff0e4f455fe75ea4c1a55",
     ),
 }
 
@@ -214,7 +215,7 @@ def test_deconv_certificate_json_is_golden(run, capsys):
     assert _sha(capsys.readouterr().out.encode()) == sha
 
 
-DECONV_MATRIX_SHA = "90f0ea639ba5fce56ec2e5e9d595d5c98a25ecc77a058bec81de67bdc4f0c20e"
+DECONV_MATRIX_SHA = "7b765196bbbff477ec20f34bc581f7a40299de15fa453a91be65f01dff030e7d"
 
 
 def test_deconv_matrix_csv_is_golden(tmp_path):
@@ -242,19 +243,19 @@ SAMPLE_PINS = {
         "40cf916e94313fc1d6056c15a27310f9c759baebf52d273cc1e29784a8e85dca",
     ),
     ("cube", BLOCK + 1, False): (
-        "93173543307e5168eaf9bdb0c5457130823e16f0c716ea0b4a2cb17366b56773",
+        "8ed965800023a5668fc43c84577ee0f964ec9cf2ddc0d551a12208ead245bc5a",
         "79bdc63a01069cf056c59789e2261333003bc6328f7abbacc824a4d6a6e70a34",
     ),
     ("cube", BLOCK + 1, True): (
-        "9dc2cb61f8f0ebd71a1e75657d2bc907441934364ddfe7b510d1478c6f36e9f3",
+        "54a3fb835386a6ec79058ca58ac3b0be213b6047eb09506a133619038f9e810f",
         "ab6a403f5fda1befdda50af30151462edd5f33650972408db8ecedf345f5dcb1",
     ),
-    ("cube", 2 * CHUNK + 3, False): (
-        "6db904485af86c8ca5037d4b64c0fea6b5a9c7297084b05f1031fed5fa48c9cc",
+    ("cube", 32 * BLOCK + 3, False): (
+        "94c3fd298cf5f308a57dd758e1242247754e9f4fe46924419a1ff0c5ead6dc11",
         "3526a33830fcdf2536f7cfe9e147949b186d7c1d8b1c99194004393430f8ec5d",
     ),
-    ("cube", 2 * CHUNK + 3, True): (
-        "1758ccca4a02e8d28c25c54b8514efb53654023b6f64c47365eb514032f878be",
+    ("cube", 32 * BLOCK + 3, True): (
+        "b9f395099313745b7ee79965945d8b1fdb24ffe1c501777f0494a672a7bf9126",
         "5dab5fd50893077048e7959514ba296538bf1146fdb93edf8e4e5fd145720ffc",
     ),
     ("ball", 1, False): (
@@ -274,19 +275,19 @@ SAMPLE_PINS = {
         "e59df24ef0c795f0d0d2f2434efc2959ab02868c61792a3e25a7014f401fc448",
     ),
     ("ball", BLOCK + 1, False): (
-        "270abd5b7fa9cf9f757c7a601f7052f1e5e86e64ec8a8b766148fadde4a5a673",
+        "d2ed3fe0083876f28881c8b2b344a551ef211c35c46d87faf7e25be3375001af",
         "827bd3fc55c1be6f83888fc3694f63bf5fadf5c98071a384375f44ecbc5a5fc2",
     ),
     ("ball", BLOCK + 1, True): (
-        "bbfa5ede24ad012520232e0481aa6b87247e10722ffc058aea2c28b94ae5df78",
+        "83fa0cf0f2cea85799fb19c5d29f591c49a4b811481541044ed779200da862cf",
         "b07e3af5d2a1c8289d324125be146e578bdb422b074f5e4868c38efd18f09ac6",
     ),
-    ("ball", 2 * CHUNK + 3, False): (
-        "ed316f470f2a06df9fce90ed0f90545d6d0f90b5cde1450937a715deb5bffa09",
+    ("ball", 32 * BLOCK + 3, False): (
+        "9cce2f4eda5e36fdb6e70545145a58d1b7c9abf25410f7dd6ce0fe622fe2c1e1",
         "2435aa1451c2259d22ced89e819153b99a2d45220661589d533edeaa1eaa6a8a",
     ),
-    ("ball", 2 * CHUNK + 3, True): (
-        "010cf619dfa31105c48aa5617e6057abb15e94f568fcee7b021c734dceff767a",
+    ("ball", 32 * BLOCK + 3, True): (
+        "9a25d957b23dc9b1e7873d9e29bc3209f18e997b8ca1a7ec5ebfc5f990ddf6a5",
         "4d860b9918caf81a8002775530c750daa19ba3ca557b664929196b6f5226205c",
     ),
     ("simplex", 1, False): (
@@ -306,19 +307,19 @@ SAMPLE_PINS = {
         "22b517f03e721f99ed39c7ec30bf568a267f2cafc2070517a384277840a88bb2",
     ),
     ("simplex", BLOCK + 1, False): (
-        "b070efd094cbd5049e1a5648ebe4b75d0e8ec4ef34be4e393701cf18b6ed89d8",
+        "a35a299b1acf1ba86bf7d79080890814a76d72861ec9deb35b9a3f9553313d8a",
         "934067b12a6f2d6cae5fac46c0aac24205e9af85bbe4d0284667f160b6d12f16",
     ),
     ("simplex", BLOCK + 1, True): (
-        "1f77789ec9e5681a3e5f04f70cc85ad33f128539c84afa2fe147eb113b77600f",
+        "5661c144653818d09356009adcd927f3b67ddc9ecbb442cdabc5c95ad9ca293e",
         "3da4a399aebf8245423ed05310db426ca44e11305c672356a89ec9c59f1a48a7",
     ),
-    ("simplex", 2 * CHUNK + 3, False): (
-        "3b6d25f833d206c3362d8c6394e4c04d2934980763d6d8ce1f25acd0b1f74e64",
+    ("simplex", 32 * BLOCK + 3, False): (
+        "a98ab5c4d6cc0dd82c5620f10e8ce394de87864c76e75cf6341a41b1f02e102f",
         "e01f25472965a2d26ce985b3f56b6ddebd4cd57479bd45f033adee803870beac",
     ),
-    ("simplex", 2 * CHUNK + 3, True): (
-        "a50cd40b30e9c7983abe07c95a54ab4f538f20fc71bbb32c25d474580d35349e",
+    ("simplex", 32 * BLOCK + 3, True): (
+        "e4fb85ca31a457c5198d1a1511faf70377bbe89c8473fd0868520ecd9b094f11",
         "4c280b78a1c1b49e866a86cc5a88220ef63db563fb50b3dc6d521a6ab8ef20d1",
     ),
 }
@@ -347,62 +348,62 @@ PROJECT_PINS = {
     (1, 1): (
         "3aeda53a62926e46ba9a4787eacd80244a2abba665656517dabac8948c72a034",
         "16e920594bc1bf1265ad08e2d68940db8328b27aff9a292e88309ceb4f58069d",
-        "a3bbcf3ec09a2fabba876e7eb7017bad36f071f83910118de27517c32b045979",
+        "ee2ac80f3479e251cc51ef46a36059631dc9e767e17edbc2ee9b52f555103949",
     ),
     (1, 2): (
         "508e2b83e04487f9511d7db256923243f2ad85bb9fd442c3487a3216421bd1fa",
         "9e6da7454deceddea37905d9eba25dda2a8e902066454d1138e62e2b33cf43c8",
-        "1f39fcef2bb2f941d24994aa29fbb63496043b2b623f230fd374406ab8920c22",
+        "8e884ff21b95d87036ae26ea5c27db1fcd926fa640f844a6caaeb892b4a97d4a",
     ),
     (1, 3): (
         "8d112df0e619ec4973d9aa41a0a3cce34a2b99bd1db31150b0a14b4dbab09eed",
         "0e6c4daab28906a925857d2ff16923e179d4e8ae9c8fa4862373136833c7e0dd",
-        "5c30e18cce9b9b66a2e939e6ee6add9668078bdcd8b2798e40582f7478a2701a",
+        "a3d40c54f9ffb5c18611daef9d591fa1b19401c7b92c756de5e59367d28562f4",
     ),
     (1000, 1): (
         "b3c96e2efb8944e901b9ce42ca9ad1f90cf4379174b5596c5b616ce6c2a92984",
         "24428f8a7578386672f01dae70b9193840e2f6cdcf33f46bcb58d2c33abf9155",
-        "a3bbcf3ec09a2fabba876e7eb7017bad36f071f83910118de27517c32b045979",
+        "ee2ac80f3479e251cc51ef46a36059631dc9e767e17edbc2ee9b52f555103949",
     ),
     (1000, 2): (
         "ddd4a35c95b636a1f7a1a69736618bc15f4dac6697aa95ce559a2389b07c62b2",
         "70ea16dd3860e016200342a7167b7ce5fcabccecc631240551f744627b760e3c",
-        "1f39fcef2bb2f941d24994aa29fbb63496043b2b623f230fd374406ab8920c22",
+        "8e884ff21b95d87036ae26ea5c27db1fcd926fa640f844a6caaeb892b4a97d4a",
     ),
     (1000, 3): (
         "cd25686ff87832a4f38602e83da0c2e48a8abfe4435be5d072f2bfb712b23d20",
         "d7de4b6b134937933b3ae57c92fdf2462b6f8294f2343a1e74ebe40ecf680047",
-        "5c30e18cce9b9b66a2e939e6ee6add9668078bdcd8b2798e40582f7478a2701a",
+        "a3d40c54f9ffb5c18611daef9d591fa1b19401c7b92c756de5e59367d28562f4",
     ),
     (3 * BLOCK + 5, 1): (
-        "afd9b5209ed711a0d91c293d7163baa683100e817ebe8ccc8f8905d377e5f83f",
+        "df43d11237bb982711aba6fd698d42f482bb227d5f4ea68013352db4ea108e7f",
         "79dc282cc96e3211057cad7a93f87f0c5d820116d06680705e54670e64c20e94",
-        "a3bbcf3ec09a2fabba876e7eb7017bad36f071f83910118de27517c32b045979",
+        "ee2ac80f3479e251cc51ef46a36059631dc9e767e17edbc2ee9b52f555103949",
     ),
     (3 * BLOCK + 5, 2): (
-        "4a3746060424e99a6e80fadb8c53fea2ee37d147b939c1423c9816f25401c784",
+        "f057e4c86be15e0932b84fc47011921153e7d94e5809993d61f7deb200b25513",
         "b1793c215cf93da31656b6f595347b4de9fd3ca23783453a4bdc2b40c54319af",
-        "1f39fcef2bb2f941d24994aa29fbb63496043b2b623f230fd374406ab8920c22",
+        "8e884ff21b95d87036ae26ea5c27db1fcd926fa640f844a6caaeb892b4a97d4a",
     ),
     (3 * BLOCK + 5, 3): (
-        "f63d6f3627152253534d6ff7e1213c3ae5a4889a7b5db0311a3e9403beb4729b",
+        "9b773853c9994d5ce7869ab5f219654aecee59eb1b64e043ff61536a216d313e",
         "955bed71d00f5367716089b61602abab1c2063b377ecf9a21718258455cf513c",
-        "5c30e18cce9b9b66a2e939e6ee6add9668078bdcd8b2798e40582f7478a2701a",
+        "a3d40c54f9ffb5c18611daef9d591fa1b19401c7b92c756de5e59367d28562f4",
     ),
     (BLOCK + 1, 1): (
-        "23be1c3742b55964fc36417e4fa1a2fdc31c96e52643ae2701f9eb9b16b525a6",
+        "d82e892cdb9da1c24446a4dfb146bf99b0b307e553cb479863644887964368f6",
         "bbbafc4bc737942c72cceb115e28b11acc9e42f9c8d15f72ffeaee638af6d489",
-        "a3bbcf3ec09a2fabba876e7eb7017bad36f071f83910118de27517c32b045979",
+        "ee2ac80f3479e251cc51ef46a36059631dc9e767e17edbc2ee9b52f555103949",
     ),
     (BLOCK + 1, 2): (
-        "3ab27ba5aaf36ba7bfecbfa8cbca6aad89652d80602f3874790afdccd6ca5d07",
+        "df4be34246aa19fb73395a87c76aec8c524c7ead41c19b94886665e1e24838f6",
         "a27caa9b049cfb9e87eb7fc575f395c2dfdfb6b54473103f348c6d021b92629e",
-        "1f39fcef2bb2f941d24994aa29fbb63496043b2b623f230fd374406ab8920c22",
+        "8e884ff21b95d87036ae26ea5c27db1fcd926fa640f844a6caaeb892b4a97d4a",
     ),
     (BLOCK + 1, 3): (
-        "040244ffd676efb0e91dc30091aa2af8d335b1b4ad19a77ffa642eccc3ae09d1",
+        "d5c9046913abc184c3248276f2a38c32de2aecaccdb8b7a19f849727918409e3",
         "3f28cdb73c435d561c0c9160593a8aa1b2791bd4918070afbb4d116a64bf1ef8",
-        "5c30e18cce9b9b66a2e939e6ee6add9668078bdcd8b2798e40582f7478a2701a",
+        "a3d40c54f9ffb5c18611daef9d591fa1b19401c7b92c756de5e59367d28562f4",
     ),
 }
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from projclt.errors import DimensionError
 from projclt.grassmann import project, random_subspace
 from projclt.model import BodySpec, GaussianSpec, SubspaceBasis, loads, dumps
-from projclt.samplers import BLOCK, CHUNK, SampleBatch, sample_body, sample_gaussian
+from projclt.samplers import BLOCK, SampleBatch, sample_body, sample_gaussian
 
 
 def test_basis_shape_and_orthonormality():
@@ -107,13 +107,14 @@ def test_basis_rows_are_c_contiguous():
 def test_block_row_products_round_as_the_full_chunk_product(n):
     # Sampled blocks are BLOCK rows high, a short last one fewer; a row-major
     # batch is projected row by row, so each row of a block, at any height
-    # and offset, has the bits it has in the projection of a full CHUNK.
-    data = np.random.default_rng(n).standard_normal((CHUNK, n))
+    # and offset, has the bits it has in the projection of 16 blocks at once.
+    rows = 16 * BLOCK
+    data = np.random.default_rng(n).standard_normal((rows, n))
     for l in (1, 2, 3):
         basis = random_subspace(n, l, seed=l)
         full = project(SampleBatch(data=data, seed=None, source={}), basis).data
-        for lo, height in ((0, BLOCK), (17, BLOCK), (CHUNK // 2 + 5, BLOCK - 1),
-                           (CHUNK - BLOCK, BLOCK), (5, 3), (CHUNK - 1, 1)):
+        for lo, height in ((0, BLOCK), (17, BLOCK), (rows // 2 + 5, BLOCK - 1),
+                           (rows - BLOCK, BLOCK), (5, 3), (rows - 1, 1)):
             block = SampleBatch(data=data[lo:lo + height], seed=None, source={})
             np.testing.assert_array_equal(project(block, basis).data, full[lo:lo + height])
 

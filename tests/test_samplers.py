@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from projclt.errors import InvalidSpec, RangeError
 from projclt.model import BodyKind, BodySpec, ConvolutionSchedule, GaussianSpec
 from projclt.samplers import (
-    CHUNK,
+    BLOCK,
     SampleBatch,
+    _block_rng,
+    _seed_seq,
     atomic_open,
     convolve_and_rescale,
     load_batch,
@@ -40,13 +42,14 @@ def test_same_seed_reproduces_exactly(kind):
 
 
 def test_thread_count_does_not_change_the_stream():
-    # The generator seeds per fixed-size chunk, so carving chunks across
-    # threads must be bit-identical to the serial order.
+    # The generator seeds per block, so sharing blocks among threads must be
+    # bit-identical to the serial order.
     spec = BodySpec("ball", 3)
-    count = CHUNK + CHUNK // 2 + 17  # spans several chunks plus a ragged tail
+    count = 24 * BLOCK + 17  # many blocks and a short last one
     serial = sample_body(spec, count, seed=9, threads=1)
     threaded = sample_body(spec, count, seed=9, threads=2)
     np.testing.assert_array_equal(serial.data, threaded.data)
+    np.testing.assert_array_equal(sample_body(spec, count, seed=9, threads=3).data, serial.data)
 
     g = GaussianSpec(dimension=4, variance=2.0)
     np.testing.assert_array_equal(
@@ -65,20 +68,40 @@ def test_a_thread_count_that_is_not_a_positive_integer_is_refused(threads, messa
 
 
 def test_a_seed_sequence_draws_the_same_sample_each_time_it_is_used():
-    # Spawning advances a SeedSequence; the samplers must spawn from a copy.
+    # Spawning advances a SeedSequence; the samplers must leave it as it was.
     seed = np.random.SeedSequence(21).spawn(1)[0]
     spec = BodySpec("cube", 3)
-    first = sample_body(spec, CHUNK + 5, seed)
-    np.testing.assert_array_equal(sample_body(spec, CHUNK + 5, seed).data, first.data)
+    first = sample_body(spec, 16 * BLOCK + 5, seed)
+    np.testing.assert_array_equal(sample_body(spec, 16 * BLOCK + 5, seed).data, first.data)
     assert seed.n_children_spawned == 0
 
 
-def test_prefix_stability_across_chunk_boundary():
-    # Growing the batch never rewrites the already-drawn chunks.
-    spec = BodySpec("cube", 2)
-    small = sample_body(spec, CHUNK, seed=5)
-    large = sample_body(spec, CHUNK + 1000, seed=5)
-    np.testing.assert_array_equal(large.data[:CHUNK], small.data)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_prefix_stability_across_block_boundaries(kind):
+    # Growing the batch never rewrites the blocks already drawn, the ball's
+    # included, whether the shorter draw ends on a block boundary or not.
+    spec = BodySpec(kind, 4)
+    large = sample_body(spec, 5 * BLOCK + 7, seed=5, threads=2)
+    for k in (1, 3):
+        small = sample_body(spec, k * BLOCK, seed=5, threads=2)
+        np.testing.assert_array_equal(large.data[: k * BLOCK], small.data)
+    short = sample_body(spec, 3 * BLOCK + 7, seed=5)
+    np.testing.assert_array_equal(large.data[: 3 * BLOCK], short.data[: 3 * BLOCK])
+
+
+@pytest.mark.parametrize("seed", [5, np.random.SeedSequence(21).spawn(2)[1]], ids=["int", "spawned"])
+def test_each_block_seed_is_the_root_sequences_spawned_child(seed):
+    # Block i is seeded by the i-th child that spawn() would give, built alone.
+    root = _seed_seq(seed)
+    children = _seed_seq(seed).spawn(40)
+    for i in (0, 1, 17, 39):
+        child = _block_rng(root, i).bit_generator.seed_seq
+        assert child.spawn_key == children[i].spawn_key
+        np.testing.assert_array_equal(child.generate_state(8), children[i].generate_state(8))
+    assert root.n_children_spawned == 0
+    third = sample_body(BodySpec("cube", 3), 3 * BLOCK, seed, threads=2).data[2 * BLOCK :]
+    expected = np.random.default_rng(children[2]).uniform(-math.sqrt(3.0), math.sqrt(3.0), (BLOCK, 3))
+    np.testing.assert_array_equal(third, expected)
 
 
 # ----------------------------------------------------------------- moments
@@ -137,7 +160,7 @@ def test_gaussian_spec_variance_is_respected():
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("variance", [1.0, 2.5])
 def test_gaussian_noise_is_the_gaussian_body_scaled(variance, threads):
-    count = 2 * CHUNK + 17
+    count = 32 * BLOCK + 17
     noise = sample_gaussian(GaussianSpec(4, variance), count, seed=7, threads=threads)
     body = sample_body(BodySpec("gaussian", 4), count, seed=7, threads=threads)
     np.testing.assert_array_equal(noise.data, body.data * math.sqrt(variance))
@@ -163,7 +186,7 @@ def test_convolve_and_rescale_restores_unit_variance():
 
 
 def test_convolve_threads_match_serial():
-    x = sample_body(BodySpec("gaussian", 3), CHUNK + 500, seed=27)
+    x = sample_body(BodySpec("gaussian", 3), 16 * BLOCK + 500, seed=27)
     s = ConvolutionSchedule(alpha=5.0)
     np.testing.assert_array_equal(
         convolve_and_rescale(x, s, seed=28, threads=1).data,
@@ -180,7 +203,7 @@ def test_a_full_batch_larger_than_physical_memory_is_refused():
 def test_the_worker_threads_blocks_are_counted_against_physical_memory():
     # Each of the two workers holds a 4,096 x n block and a fill temporary.
     with pytest.raises(RangeError, match=r"2 worker threads' 4096 x 1000000000000 blocks needs"):
-        sample_body(BodySpec("cube", 10**12), 2 * CHUNK, seed=1, threads=2, reduce=np.sum)
+        sample_body(BodySpec("cube", 10**12), 32 * BLOCK, seed=1, threads=2, reduce=np.sum)
 
 
 # ---------------------------------------------------------------- batch IO

@@ -20,7 +20,6 @@ from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
 from projclt.radial import norm_column, thin_shell_fraction
 from projclt.samplers import (
     BLOCK,
-    CHUNK,
     _LAPLACE_SCALE,
     _SQRT3,
     _fill_ball,
@@ -36,7 +35,7 @@ from projclt.samplers import (
 )
 
 ALL_KINDS = ["cube", "ball", "simplex", "product_laplace", "gaussian"]
-COUNT = 2 * CHUNK + 17  # two full chunks and a ragged tail
+COUNT = 32 * BLOCK + 17  # 32 full blocks and a short last one
 
 
 # ------------------------------------------------------------ equal values
@@ -77,9 +76,9 @@ def test_streamed_gaussian_norms_equal_the_norms_of_the_full_batch(threads):
 def test_per_chunk_results_come_back_in_chunk_order(threads):
     # The first row of each block identifies it.
     spec = BodySpec("ball", 3)
-    full = sample_body(spec, 3 * CHUNK + 5, seed=8)
+    full = sample_body(spec, 48 * BLOCK + 5, seed=8)
     firsts = sample_body(
-        spec, 3 * CHUNK + 5, seed=8, threads=threads, reduce=lambda block: block[:1].copy()
+        spec, 48 * BLOCK + 5, seed=8, threads=threads, reduce=lambda block: block[:1].copy()
     )
     np.testing.assert_array_equal(firsts.data, full.data[::BLOCK])
 
@@ -99,7 +98,7 @@ def test_a_reducer_sees_each_block_at_its_own_height(threads):
     np.testing.assert_array_equal(first_column.data, full.data[:, :1])
 
 
-@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK + 1, 32 * BLOCK + 1])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_project_body_equals_projecting_the_full_batch(l, count):
     spec = BodySpec("simplex", 20)
@@ -115,7 +114,7 @@ def test_project_body_equals_projecting_the_full_batch(l, count):
 def test_save_sample_writes_the_bytes_of_save_batch(threads, smoothed, tmp_path):
     # More threads than cores and a short switch interval interleave the
     # positioned writes of many blocks; each must still land in place.
-    spec, count, schedule = BodySpec("ball", 3), 5 * CHUNK + 7, ConvolutionSchedule(10.0)
+    spec, count, schedule = BodySpec("ball", 3), 80 * BLOCK + 7, ConvolutionSchedule(10.0)
     batch = sample_body(spec, count, seed=1)
     if smoothed:
         batch = convolve_and_rescale(batch, schedule, seed=2)
@@ -223,8 +222,8 @@ def test_laplace_fill_draws_what_numpy_draws_from_the_same_uniforms():
 
 # ------------------------------------------------------------------ memory
 #
-# At n = 64 one block buffer is BLOCK * 64 * 8 bytes (2 MiB), one chunk is
-# 32 MiB and the full batch of 4 chunks is 128 MiB.  A streamed path holds
+# At n = 64 one block buffer is BLOCK * 64 * 8 bytes (2 MiB) and the full
+# batch of 64 blocks is 128 MiB.  A streamed path holds
 # one buffer (one thread) plus its outputs, first as per-block pieces and
 # then concatenated: the norms path must stay below two buffers plus two
 # copies of its (count, 1) output (8 MiB).  In a KDE pipeline the estimator
@@ -234,7 +233,7 @@ def test_laplace_fill_draws_what_numpy_draws_from_the_same_uniforms():
 # (34 MiB, about a fourth of the batch).
 
 _N, _L = 64, 2
-_COUNT = 4 * CHUNK
+_COUNT = 64 * BLOCK
 _BUFFER = BLOCK * _N * 8
 
 
