@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from typing import NamedTuple
@@ -42,7 +41,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidSpec, ProjCltError, RangeError
-from .model import BodySpec, ConvolutionSchedule, _as_positive_int, to_jsonable
+from .model import (
+    BodySpec, ConvolutionSchedule, _as_positive_float, _as_positive_int, to_jsonable,
+)
 from .samplers import (
     SampleBatch,
     atomic_open,
@@ -58,7 +59,7 @@ from .samplers import (
 )
 from .grassmann import project, random_subspace
 from .spherical import gaussian_density, psi_gaussian_ratio_scan
-from .radial import norm_column, shell_epsilon, thin_shell_fraction
+from .radial import norm_column, thin_shell_fraction
 from .density import (
     body_and_basis_seeds,
     check_kde_size,
@@ -204,8 +205,7 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
     [0, max_radius] times ``direction_count`` directions; it and the sample
     size are checked before anything is drawn.
     """
-    if not (max_radius > 0 and math.isfinite(max_radius)):
-        raise RangeError(f"max_radius must be positive, got {max_radius!r}")
+    max_radius = _as_positive_float(max_radius, "max_radius", RangeError)
     grid_points = _as_positive_int(grid_points, "grid_points")
     check_kde_size(count, l)
     n = spec.dimension
@@ -349,7 +349,7 @@ def _cmd_thinshell(resolved, echo) -> int:
     epsilons = resolved["epsilon"]
     if epsilons is None:
         epsilons = [n ** (-1.0 / 15.0)]
-    echo["epsilon"] = epsilons = [shell_epsilon(e) for e in epsilons]
+    echo["epsilon"] = epsilons = [_as_positive_float(e, "epsilon", RangeError) for e in epsilons]
     spec = BodySpec(resolved["body"], n)
     norms = sample_body(
         spec, int(resolved["samples"]), int(resolved["seed"]), threads=int(resolved["threads"]),

@@ -29,11 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec, RangeError
-from .model import NESTED, _as_positive_int, register
+from .model import NESTED, _as_nonnegative_array, _as_positive_float, _as_positive_int, register
+from .samplers import _LAPLACE_SCALE, _SQRT3
 from .spherical import gaussian_density
-
-_LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
-_SQRT3 = math.sqrt(3.0)
 
 BODIES_1D = ("gaussian", "gaussian_deflated", "uniform", "laplace")
 
@@ -60,10 +58,7 @@ class DeconvParams:
     def __post_init__(self):
         object.__setattr__(self, "n", _as_positive_int(self.n, "n"))
         for name in ("alpha", "beta", "epsilon", "hypothesis_radius", "c0"):
-            val = float(getattr(self, name))
-            if not (val > 0 and math.isfinite(val)):
-                raise InvalidSpec(f"{name} must be positive and finite, got {val!r}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _as_positive_float(getattr(self, name), name))
         if not self.c0 < 1.0:
             raise InvalidSpec(f"c0 must lie in (0, 1), got {self.c0!r}")
 
@@ -155,17 +150,11 @@ def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.nd
     FFT roundoff can leave values a few ulps below 0 where the density is
     0; they are set to 0, so the output is a valid input again.
     """
-    density = np.asarray(density, dtype=np.float64)
+    density = _as_nonnegative_array(density, "density values")
     if density.ndim not in (1, 2):
         raise InvalidSpec(f"density must be a 1-d or 2-d grid, got ndim={density.ndim}")
-    if np.any(density < 0) or not np.all(np.isfinite(density)):
-        raise InvalidSpec("density values must be finite and nonnegative")
-    spacing = float(spacing)
-    variance = float(variance)
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise RangeError(f"spacing must be positive, got {spacing!r}")
-    if not (variance > 0 and math.isfinite(variance)):
-        raise RangeError(f"variance must be positive, got {variance!r}")
+    spacing = _as_positive_float(spacing, "spacing", RangeError)
+    variance = _as_positive_float(variance, "variance", RangeError)
     sigma = math.sqrt(variance)
     if spacing > sigma / 2.0:
         raise GridTooCoarse(
@@ -220,9 +209,7 @@ def body_convolved_density_1d(body: str, x, alpha: float) -> np.ndarray:
     from scipy.special import erfc, ndtr
 
     x = np.asarray(x, dtype=np.float64)
-    alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise RangeError(f"alpha must be positive, got {alpha!r}")
+    alpha = _as_positive_float(alpha, "alpha", RangeError)
     if body == "gaussian":
         return np.asarray(gaussian_density(1, 1.0 + alpha, x))
     if body == "gaussian_deflated":

@@ -35,7 +35,10 @@ from .model import (
     DensityEstimate,
     RatioReport,
     _as_float_array,
+    _as_nonnegative_array,
+    _as_positive_float,
     _as_positive_int,
+    _require_finite,
 )
 from .grassmann import project, random_subspace
 from .samplers import (
@@ -65,9 +68,7 @@ def radial_points(radii, l: int, direction_count: int = 16) -> np.ndarray:
     covering of the sphere with ``direction_count`` points.  At l=1
     ``direction_count`` is neither used nor checked.
     """
-    radii = _as_float_array(radii, "radii", 1)
-    if radii.size == 0 or np.any(radii < 0):
-        raise InvalidSpec("radii must be non-empty and nonnegative")
+    radii = _as_nonnegative_array(_as_float_array(radii, "radii", 1), "radii")
     if l != 1:
         count = _as_positive_int(direction_count, "direction_count")
     if l == 1:
@@ -163,14 +164,12 @@ def estimate_density(
     pts = _as_float_array(points, "points", 2)
     if pts.shape[0] == 0 or pts.shape[1] != l:
         raise InvalidSpec(f"evaluation points must be a non-empty k x {l} array, got {pts.shape}")
-    if bandwidth is not None and not (float(bandwidth) > 0 and math.isfinite(bandwidth)):
-        raise InvalidSpec(f"bandwidth must be positive and finite, got {bandwidth!r}")
+    if bandwidth is not None:
+        bandwidth = _as_positive_float(bandwidth, "bandwidth")
     data = projected.data
-    # min and max propagate NaN and reach any infinity with no full-size temporary.
-    if not (math.isfinite(data.min()) and math.isfinite(data.max())):
-        raise InvalidSpec(f"the {count} x {l} batch to estimate holds non-finite values")
+    _require_finite(data, f"the {count} x {l} batch to estimate")
 
-    h = scott_bandwidth(data) if bandwidth is None else float(bandwidth)
+    h = scott_bandwidth(data) if bandwidth is None else bandwidth
     delta = BIN_SPACING * h
     lo = pts.min(axis=0) - GRID_MARGIN * h
     span = pts.max(axis=0) + GRID_MARGIN * h - lo
@@ -206,9 +205,7 @@ def estimate_density(
 
 def ratio_to_gaussian(estimate: DensityEstimate, v: float, max_radius: float) -> RatioReport:
     """Per-point estimate / gaussian_l[v] ratios over |x| <= max_radius."""
-    max_radius = float(max_radius)
-    if not (max_radius > 0 and math.isfinite(max_radius)):
-        raise RangeError(f"max_radius must be positive, got {max_radius!r}")
+    max_radius = _as_positive_float(max_radius, "max_radius", RangeError)
     norms = np.linalg.norm(estimate.points, axis=1)
     if np.any(norms > max_radius * (1.0 + 1e-12)):
         raise RangeError(

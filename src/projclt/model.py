@@ -165,6 +165,21 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     return a
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Refuse an array holding a NaN or an infinity, as ``InvalidSpec`` naming ``what``."""
+    # min and max propagate NaN and reach any infinity with no full-size temporary.
+    if not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise InvalidSpec(f"{what} holds non-finite values")
+
+
+def _as_nonnegative_array(x, name: str, error=InvalidSpec) -> np.ndarray:
+    """``x`` as a float64 array, refused unless non-empty, nonnegative and finite."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.size == 0 or not np.all((a >= 0.0) & (a < math.inf)):
+        raise error(f"{name} must be non-empty and nonnegative, with no NaN or infinity")
+    return a
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -176,6 +191,14 @@ def _as_positive_int(x, name: str) -> int:
     if x < 1:
         raise InvalidSpec(f"{name} must be >= 1, got {x}")
     return int(x)
+
+
+def _as_positive_float(x, name: str, error=InvalidSpec) -> float:
+    """``x`` as a float, refused with ``error`` unless positive and finite."""
+    v = float(x)
+    if not (v > 0.0 and math.isfinite(v)):
+        raise error(f"{name} must be positive, got {v!r}")
+    return v
 
 
 class BodyKind(str, Enum):
@@ -229,10 +252,7 @@ class GaussianSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _as_positive_int(self.dimension, "dimension"))
-        v = float(self.variance)
-        if not (v > 0.0 and math.isfinite(v)):
-            raise InvalidSpec(f"variance must be positive and finite, got {self.variance!r}")
-        object.__setattr__(self, "variance", v)
+        object.__setattr__(self, "variance", _as_positive_float(self.variance, "variance"))
 
 
 @register("convolution_schedule", keys=("alpha", "lambda_"))
@@ -344,10 +364,7 @@ class DensityEstimate:
         if np.any(stderr < 0):
             raise InvalidSpec("standard errors must be nonnegative")
         object.__setattr__(self, "sample_count", _as_positive_int(self.sample_count, "sample_count"))
-        bw = float(self.bandwidth)
-        if not (bw > 0 and math.isfinite(bw)):
-            raise InvalidSpec(f"bandwidth must be positive, got {self.bandwidth!r}")
-        object.__setattr__(self, "bandwidth", bw)
+        object.__setattr__(self, "bandwidth", _as_positive_float(self.bandwidth, "bandwidth"))
 
     @property
     def dim(self) -> int:

@@ -63,11 +63,13 @@ from .model import (
     _as_positive_int,
     _freeze,
     _reject_json_constant,
+    _require_finite,
     register,
 )
 
 BLOCK = 1 << 12
 
+# Unit-variance scales, shared with ``deconvolution``: the uniform's half-width, Laplace's b.
 _SQRT3 = math.sqrt(3.0)
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 _LAPLACE_FLOOR = 2.0**-53
@@ -149,7 +151,8 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
     (count, dim) array, which is returned.  ``smooth``, a ``(noise_seed,
     sigma, scale)`` triple, smooths each block before ``reduce`` sees it, as
     :func:`convolve_and_rescale` does, with block i's noise drawn by
-    ``_block_rng(noise_seed, i)``.
+    ``_block_rng(noise_seed, i)``.  A worker that raises empties the
+    iterator, so the others stop after their current block.
     """
     threads = _as_positive_int(threads, "threads")
     whole = reduce is None
@@ -178,18 +181,24 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
     todo, lock = iter(range(len(blocks))), threading.Lock()
 
     def work(lent):
-        while True:
+        try:
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                rows = slice(blocks[i], min(blocks[i] + BLOCK, count))
+                block = lent[0][: rows.stop - rows.start]
+                fill(_block_rng(root, i), block, rows)
+                if smooth is not None:
+                    noise = lent[1][: len(block)]
+                    block = _smooth_block(_block_rng(noise_root, i), noise, block, sigma, scale)
+                results[i] = reduce(block, rows)
+        except BaseException:
             with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            rows = slice(blocks[i], min(blocks[i] + BLOCK, count))
-            block = lent[0][: rows.stop - rows.start]
-            fill(_block_rng(root, i), block, rows)
-            if smooth is not None:
-                noise = lent[1][: len(block)]
-                block = _smooth_block(_block_rng(noise_root, i), noise, block, sigma, scale)
-            results[i] = reduce(block, rows)
+                for _ in todo:
+                    pass
+            raise
 
     lent = [[np.empty((height, dim)) for _ in range(per_worker)] for _ in range(workers)]
     if workers > 1:
@@ -467,9 +476,7 @@ def _read_rows(fd: int, count: int, lo: int, out: np.ndarray, path: str) -> None
             if done == 0:
                 raise InvalidSpec(f"batch file {path} ended before its sidecar's size")
             view, offset = view[done:], offset + done
-    # min and max propagate NaN and reach any infinity with no temporary.
-    if not (math.isfinite(out.min()) and math.isfinite(out.max())):
-        raise InvalidSpec(f"batch file {path} holds non-finite values")
+    _require_finite(out, f"batch file {path}")
 
 
 def save_sample(

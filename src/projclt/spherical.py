@@ -29,7 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidSpec, RangeError
-from .model import RadialDensity, RatioReport, _as_positive_int, register
+from .model import (
+    RadialDensity, RatioReport, _as_nonnegative_array, _as_positive_float, _as_positive_int,
+    register,
+)
 
 
 @register("kernel_params")
@@ -46,10 +49,7 @@ class KernelParams:
         object.__setattr__(self, "l", _as_positive_int(self.l, "l"))
         if self.l > self.n:
             raise InvalidSpec(f"need 1 <= l <= n, got l={self.l}, n={self.n}")
-        r = float(self.r)
-        if not (r > 0 and math.isfinite(r)):
-            raise InvalidSpec(f"radius must be positive and finite, got {self.r!r}")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _as_positive_float(self.r, "radius"))
 
 
 def log_gamma_nl(n: int, l: int) -> float:
@@ -81,10 +81,8 @@ def psi(params: KernelParams, t) -> float | np.ndarray:
     if not isinstance(params, KernelParams):
         raise DomainError(f"params must be KernelParams, got {type(params).__name__}")
     n, l, r = params.n, params.l, params.r
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t_arr = np.atleast_1d(_as_nonnegative_array(t, "t", DomainError))
     scalar = np.ndim(t) == 0
-    if np.any(~np.isfinite(t_arr)) or np.any(t_arr < 0):
-        raise DomainError("t must be nonnegative and finite")
     expo = 0.5 * (n - l - 2)
     out = np.zeros_like(t_arr)
     inside = t_arr < r
@@ -102,8 +100,7 @@ def psi(params: KernelParams, t) -> float | np.ndarray:
 def gaussian_density(l: int, v: float, x_norm) -> float | np.ndarray:
     """Isotropic gaussian density in R^l with variance v, at radius x_norm."""
     l = _as_positive_int(l, "l")
-    if not (v > 0 and math.isfinite(v)):
-        raise RangeError(f"variance must be positive and finite, got {v!r}")
+    v = _as_positive_float(v, "variance", RangeError)
     x = np.asarray(x_norm, dtype=np.float64)
     out = np.exp(-0.5 * l * math.log(2.0 * math.pi * v) - x * x / (2.0 * v))
     return float(out) if np.ndim(x_norm) == 0 else out
@@ -131,8 +128,6 @@ def psi_ball_mass(params: KernelParams) -> float:
     from scipy.integrate import quad
 
     n, l = params.n, params.l
-    if l >= n:
-        raise DomainError(f"psi_ball_mass needs l < n, got l={l}, n={n}")
     log_c = _log_sphere_surface(l) + log_gamma_nl(n, l)
     expo_sin = l - 1.0
     expo_cos = n - l - 1.0
@@ -182,12 +177,8 @@ def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.n
         raise DomainError(f"g must be a RadialDensity, got {type(g).__name__}")
     n = _as_positive_int(n, "n")
     l = _as_positive_int(l, "l")
-    if l >= n:
-        raise DomainError(f"radial_mixture_marginal needs l < n, got l={l}, n={n}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t_arr = np.atleast_1d(_as_nonnegative_array(t, "t", DomainError))
     scalar = np.ndim(t) == 0
-    if np.any(t_arr < 0):
-        raise DomainError("t must be nonnegative")
 
     n_chi = g.chi_dim
     upper = math.sqrt(n_chi) + 26.0

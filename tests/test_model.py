@@ -447,3 +447,56 @@ def test_optional_keys_may_be_omitted():
     payload = json.loads(GOLDEN_JSON["ratio_report"])
     del payload["meta"]
     assert from_jsonable(payload).meta == {}
+
+
+# ----------------------------------------------------------- positive reals
+
+
+def _positive_real_entries():
+    """(call taking the bad value, exception class, name in the message) per entry."""
+    from projclt.cli import projected_ratio
+    from projclt.deconvolution import DeconvParams, body_convolved_density_1d, grid_convolve
+    from projclt.density import estimate_density, ratio_to_gaussian
+    from projclt.errors import RangeError
+    from projclt.radial import thin_shell_fraction
+    from projclt.samplers import SampleBatch
+    from projclt.spherical import KernelParams, gaussian_density
+
+    projected = SampleBatch(data=np.linspace(-1.0, 1.0, 10_000)[:, None], seed=None, source={})
+    norms = SampleBatch(data=np.array([[1.0]]), seed=None, source={})
+    deconv = dict(n=2, alpha=1e-24, beta=0.5, epsilon=0.005, hypothesis_radius=3.0)
+    entries = [
+        ("GaussianSpec.variance", lambda v: GaussianSpec(3, v), InvalidSpec, "variance"),
+        ("DensityEstimate.bandwidth", lambda v: _estimate(bandwidth=v), InvalidSpec, "bandwidth"),
+        ("KernelParams.r", lambda v: KernelParams(5, 2, v), InvalidSpec, "radius"),
+        *(
+            (f"DeconvParams.{name}", lambda v, name=name: DeconvParams(**{**deconv, name: v}),
+             InvalidSpec, name)
+            for name in ("alpha", "beta", "epsilon", "hypothesis_radius", "c0")
+        ),
+        ("estimate_density.bandwidth", lambda v: estimate_density(projected, [[0.0]], v),
+         InvalidSpec, "bandwidth"),
+        ("ratio_to_gaussian.max_radius", lambda v: ratio_to_gaussian(_estimate(), 1.0, v),
+         RangeError, "max_radius"),
+        ("projected_ratio.max_radius",
+         lambda v: projected_ratio(BodySpec("cube", 3), 10_000, 1, 1, 2, v, 5),
+         RangeError, "max_radius"),
+        ("gaussian_density.variance", lambda v: gaussian_density(1, v, 0.0), RangeError,
+         "variance"),
+        ("grid_convolve.spacing", lambda v: grid_convolve(np.ones(4), v, 0.3), RangeError,
+         "spacing"),
+        ("grid_convolve.variance", lambda v: grid_convolve(np.ones(4), 0.01, v), RangeError,
+         "variance"),
+        ("body_convolved_density_1d.alpha", lambda v: body_convolved_density_1d("uniform", 0.0, v),
+         RangeError, "alpha"),
+        ("thin_shell_fraction.epsilon", lambda v: thin_shell_fraction(norms, v, 1), RangeError,
+         "epsilon"),
+    ]
+    return [pytest.param(call, error, name, id=entry) for entry, call, error, name in entries]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("call, error, name", _positive_real_entries())
+def test_every_positive_real_refuses_what_is_not_positive_and_finite(call, error, name, bad):
+    with pytest.raises(error, match=f"{name} must be positive"):
+        call(bad)

@@ -40,6 +40,11 @@ def test_thin_shell_rejects_bad_epsilon():
             thin_shell_fraction(_norms_batch([1.0]), eps, 4)
 
 
+def test_a_nan_norm_is_refused_not_counted_on_shell():
+    with pytest.raises(InvalidSpec, match="holds non-finite values"):
+        thin_shell_fraction(_norms_batch([2.0, math.nan, 2.1]), 0.2, 4)
+
+
 def test_empty_batch_is_an_error():
     with pytest.raises(EmptyBatch):
         thin_shell_fraction(_norms_batch([]), 0.1, 3)

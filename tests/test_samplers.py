@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from projclt.samplers import (
     BLOCK,
     SampleBatch,
     _block_rng,
+    _generate,
     _seed_seq,
     atomic_open,
     convolve_and_rescale,
@@ -198,6 +200,32 @@ def test_a_full_batch_larger_than_physical_memory_is_refused():
     # The check runs before any allocation or seed spawning, so this is instant.
     with pytest.raises(RangeError, match=r"a 100000000000 x 1000 batch needs 800000000000000 bytes"):
         sample_body(BodySpec("cube", 1000), 10**11, seed=1)
+
+
+def test_a_failing_block_stops_the_other_worker_at_its_current_block():
+    # Block 3 fails only once the second worker has begun a block, so both
+    # workers run; the second worker's blocks past 3 wait for the failure,
+    # so it holds exactly one block when block 3 raises.
+    began, failed = threading.Event(), threading.Event()
+    filled, workers = [], set()
+
+    def fill(rng, out, rows):
+        i = rows.start // BLOCK
+        filled.append(i)
+        workers.add(threading.get_ident())
+        if len(workers) == 2:
+            began.set()
+        if i == 3:
+            assert began.wait(10)
+            failed.set()
+            raise RuntimeError("block 3")
+        if i > 3:
+            assert failed.wait(10)
+        out.fill(0.0)
+
+    with pytest.raises(RuntimeError, match="block 3"):
+        _generate(80 * BLOCK, 3, 1, fill, threads=2, reduce=lambda block, rows: None)
+    assert len(filled) <= 3 + 2, sorted(filled)
 
 
 def test_the_worker_threads_blocks_are_counted_against_physical_memory():

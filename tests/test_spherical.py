@@ -94,6 +94,15 @@ def test_kernel_treats_t_as_a_radius():
         psi(p, np.array([0.1, -0.7]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_chi_mixture_refuses_a_radius_the_kernel_refuses(bad):
+    p, g = KernelParams(n=16, l=2, r=4.0), RadialDensity.closed_form_chi(16)
+    with pytest.raises(DomainError):
+        psi(p, [bad])
+    with pytest.raises(DomainError):
+        radial_mixture_marginal(g, 16, 2, [bad])
+
+
 def test_kernel_edge_values_by_exponent_sign():
     # exponent (n - l - 2)/2 positive: vanishes at the rim
     assert psi(KernelParams(n=6, l=1, r=1.0), 1.0) == 0.0

@@ -3,9 +3,9 @@
 ``perfbench/tracing.py`` wraps each traced function at the module attributes
 its callers look it up by.  If a refactor moves a call away from those
 attributes the tracer either refuses to install or silently loses spans;
-these tests catch both on small ``projclt ratio``, ``mtilde`` and
-``thinshell`` runs, and check that every span's parent is an earlier span
-(a smaller id).
+these tests catch both on small ``projclt ratio``, ``mtilde``,
+``thinshell``, ``sample`` and ``project`` runs, and check that every span's
+parent is an earlier span (a smaller id).
 """
 
 import importlib.util
@@ -35,11 +35,11 @@ def test_tracer_installs_and_records_the_ratio_pipeline(tmp_path):
         assert name in names, f"no span for {name}"
 
 
-def _traced_spans(argv):
+def _traced_spans(*argvs):
     tracing = _load_tracing()
     with tracing.Tracer("test") as tracer:
-        rc = main(argv)
-    assert rc == 0
+        for argv in argvs:
+            assert main(argv) == 0, argv
     for span in tracer.spans:
         assert span["parent"] is None or span["parent"] < span["id"], span
     return {span["name"] for span in tracer.spans}
@@ -70,3 +70,16 @@ def test_every_span_of_a_traced_ratio_run_follows_its_parent(tmp_path):
          "--output", str(tmp_path / "r.json")]
     )
     assert {"samplers.sample_body", "grassmann.project"} <= names
+
+
+def test_tracer_records_the_catalog_sample_and_project_steps(tmp_path):
+    batch = str(tmp_path / "batch.bin")
+    names = _traced_spans(
+        ["sample", "--body", "simplex", "--n", "10", "--samples", "9000", "--seed", "5",
+         "--format", "bin", "--output", batch],
+        ["project", "--input", batch, "--l", "2", "--seed", "6",
+         "--basis-out", str(tmp_path / "basis.json"), "--output", str(tmp_path / "proj.bin")],
+    )
+    expected = {"samplers.load_batch", "grassmann.random_subspace", "grassmann.project",
+                "samplers.save_batch"}
+    assert expected <= names
