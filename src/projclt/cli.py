@@ -17,7 +17,7 @@ order, which is also the key order of the echoed configuration.
 ``projected_ratio`` is the one sample -> project -> KDE -> ratio pipeline;
 the ``ratio`` and ``scan`` subcommands and acceptance criterion 7 all call
 it.  It takes a body spec, a count and a seed, never a batch, and projects
-the sample block by block as it is drawn (``density.project_body``); it
+the sample tile by tile as it is drawn (``density.project_body``); it
 smooths by the kernel, drawing no noise.  It lives here rather than in
 ``density.py`` because it looks up ``random_subspace``, ``estimate_density``
 and ``ratio_to_gaussian`` as attributes of this module, where the
@@ -195,7 +195,7 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
     """Estimate a body's projected density on a Haar l-subspace and its ratio to the gaussian.
 
     ``count`` samples of ``spec`` are drawn from ``body_seed`` and projected
-    block by block as they are drawn (``density.project_body``), so the
+    tile by tile as they are drawn (``density.project_body``), so the
     count x n batch is never held.  Without a ``schedule`` the KDE takes
     Scott's bandwidth, against the standard gaussian; with one it estimates
     the projection smoothed at the ambient variance v(n) as ``mtilde`` does,

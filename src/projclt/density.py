@@ -225,15 +225,16 @@ def ratio_to_gaussian(estimate: DensityEstimate, v: float, max_radius: float) ->
 
 
 def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> SampleBatch:
-    """Draw ``count`` body samples and project them onto ``basis`` block by block.
+    """Draw ``count`` body samples and project them onto ``basis`` tile by tile.
 
     The (count, l) result holds the values of
     ``project(sample_body(spec, count, seed), basis)`` bit for bit while only
-    one (BLOCK, n) block of the batch per thread is held: ``project`` rounds
-    each row of a row-major batch alike at any height.  Each block's
-    projection is written into its rows of the one (count, l) result.  Each
-    block goes through this module's ``project``, where the benchmark's
-    tracer finds it, so the tracer counts one projection per block.
+    one tile of the batch per thread is held, at most ``samplers.TILE_BYTES``
+    (a whole (BLOCK, n) block for the ball): ``project`` rounds each row of a
+    row-major batch alike at any height.  Each tile's projection is written
+    into its rows of the one (count, l) result.  Each tile goes through this
+    module's ``project``, where the benchmark's tracer finds it, so the
+    tracer counts one projection per tile.
     """
     out = np.empty((count, basis.subspace_dim))
 

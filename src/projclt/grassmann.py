@@ -40,10 +40,10 @@ def project(batch: SampleBatch, basis: SubspaceBasis) -> SampleBatch:
     The kernel follows the batch's memory order, read from its strides (a
     one-row batch is C- and F-contiguous at once, but its row stride still
     tells a row-major block's row from a batch file's one-row slab).  A
-    row-major batch, which is what the samplers' blocks and every batch
+    row-major batch, which is what the samplers' tiles and every batch
     drawn in memory are, takes numpy's single-threaded row-dot loop
     (``einsum``): each row is rounded alike at any row count and offset, so
-    a block's projection has the bits of the whole batch's, and no BLAS
+    a tile's projection has the bits of the whole batch's, and no BLAS
     thread competes with the samplers' worker threads.  A column-major
     batch (a batch file's slabs) is multiplied by BLAS ``BLOCK`` rows at a
     time, a short last slab as the batch's last ``BLOCK`` rows, so in a

@@ -76,6 +76,12 @@ def _encode_fields(self) -> dict:
     return d
 
 
+# The JSON values a field annotated float or float | None may hold, by annotation text
+# (every module defining a codec type imports ``annotations`` from ``__future__``).  The
+# codec writes every float as a JSON float, so a string, a bool or an int is not its output.
+_FLOAT_FIELDS = {"float": float, "float | None": (float, type(None))}
+
+
 def _decode_fields(cls, d: dict):
     def stored(name):
         key = name.rstrip("_")
@@ -87,6 +93,12 @@ def _decode_fields(cls, d: dict):
     for f in fields(cls):
         if f.name in d or not f.metadata.get("optional"):
             v = stored(f.name)
+            allowed = _FLOAT_FIELDS.get(f.type)
+            if allowed is not None and not isinstance(v, allowed):
+                raise InvalidSpec(
+                    f"serialized {cls.json_tag} key {f.name.rstrip('_')!r} must be a float, "
+                    f"got {v!r}"
+                )
             kwargs[f.name] = from_jsonable(v) if f.metadata.get("nested") and v is not None else v
     value = cls(**kwargs)
     derived = [name for name in cls.json_keys if name not in cls.__dataclass_fields__]
@@ -194,7 +206,12 @@ def _as_positive_int(x, name: str) -> int:
 
 
 def _as_positive_float(x, name: str, error=InvalidSpec) -> float:
-    """``x`` as a float, refused with ``error`` unless positive and finite."""
+    """``x`` as a float, refused with ``error`` unless positive and finite.
+
+    A bool or a string, which ``float`` would take, is refused with ``InvalidSpec``.
+    """
+    if isinstance(x, (bool, np.bool_, str)):
+        raise InvalidSpec(f"{name} must be a number, got {x!r}")
     v = float(x)
     if not (v > 0.0 and math.isfinite(v)):
         raise error(f"{name} must be positive, got {v!r}")

@@ -27,14 +27,20 @@ is drawn by its own generator, seeded with the i-th child of the root
 ``SeedSequence``.  Results are therefore bit-identical for a given (spec,
 count, seed) however many worker threads share the blocks, and a longer draw
 begins with the blocks of a shorter one; ``BLOCK`` is part of the stream.
-Every block takes one path: it is drawn into a (BLOCK, n) buffer of its
-worker thread, passed at once to a reducer while it is still in cache, and
-then overwritten.  A reducer is a projection, the norms, moment sums or the
-batch-file writer of :func:`save_sample`, and memory is then one block buffer
-per thread plus the reduced outputs.  Without one, each block is copied into
-its rows of a (count, n) array that holds the whole batch, so a batch larger
-than physical memory is refused with ``RangeError`` before any allocation;
-only library callers and the CSV writer draw a whole batch.
+Within a block, rows are drawn and reduced a tile at a time: a tile is the
+most rows that ``TILE_BYTES``, a 2 MiB per-core L2 cache, holds, at most
+``BLOCK`` (873 rows at n = 300).  The fills draw their rows in order
+from the block's generator, so the tiles of a block have the block's bits;
+the ball, which draws its radii after all of a block's normals, is drawn a
+whole block at a time.  Every tile takes one path: it is drawn into a
+buffer of its worker thread, passed at once to a reducer while it is still
+in cache, and then overwritten, and the reducer sees the tiles of each
+block in row order.  A reducer is a projection, the norms, moment sums or
+the batch-file writer of :func:`save_sample`, and memory is then one tile
+buffer per thread plus the reduced outputs.  Without one, each tile is
+copied into its rows of a (count, n) array that holds the whole batch, so a
+batch larger than physical memory is refused with ``RangeError`` before any
+allocation; only library callers and the CSV writer draw a whole batch.
 
 A batch file is column-major float64 with a JSON sidecar.  Its writer places
 each block's column segments by offset, so blocks may arrive in any order,
@@ -68,6 +74,9 @@ from .model import (
 )
 
 BLOCK = 1 << 12
+# Bytes of one tile, the rows drawn and reduced at once: a 2 MiB per-core L2.  At 1 MiB
+# an n = 50 block splits in two, which doubles the batch writer's positioned writes.
+TILE_BYTES = 1 << 21
 
 # Unit-variance scales, shared with ``deconvolution``: the uniform's half-width, Laplace's b.
 _SQRT3 = math.sqrt(3.0)
@@ -141,18 +150,22 @@ def _block_rng(root: np.random.SeedSequence, i: int) -> np.random.Generator:
 def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, smooth=None):
     """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out, rows)``.
 
-    Block i, rows ``i*BLOCK`` up to ``(i+1)*BLOCK`` or ``count``, is filled
-    by ``_block_rng(seed, i)``.  The workers take block indices from one
-    shared iterator, fill each block into a buffer of their own and pass it
-    to ``reduce(block, rows)``; the results are returned in block order.  The
-    buffer is refilled with the worker's next block, so ``reduce`` must
-    return new arrays or write its output elsewhere, and keep no view of its
-    input.  Without ``reduce`` each block is copied into its rows of one
-    (count, dim) array, which is returned.  ``smooth``, a ``(noise_seed,
-    sigma, scale)`` triple, smooths each block before ``reduce`` sees it, as
-    :func:`convolve_and_rescale` does, with block i's noise drawn by
-    ``_block_rng(noise_seed, i)``.  A worker that raises empties the
-    iterator, so the others stop after their current block.
+    Block i, rows ``i*BLOCK`` up to ``(i+1)*BLOCK`` or ``count``, is drawn
+    by ``_block_rng(seed, i)``, one tile at a time: a tile is the most rows
+    of width ``dim`` that ``TILE_BYTES`` holds, at most ``BLOCK``, and the
+    ball's fill is given whole blocks (see the module docstring).  The
+    workers take block indices from one shared iterator, fill each tile of
+    the block into a buffer of their own and pass it to ``reduce(tile,
+    rows)``, a block's tiles in row order; the results are returned in row
+    order, one per tile.  The buffer is refilled with the worker's next
+    tile, so ``reduce`` must return new arrays or write its output
+    elsewhere, and keep no view of its input.  Without ``reduce`` each tile
+    is copied into its rows of one (count, dim) array, which is returned.
+    ``smooth``, a ``(noise_seed, sigma, scale)`` triple, smooths each tile
+    before ``reduce`` sees it, as :func:`convolve_and_rescale` does, with
+    block i's noise drawn tile by tile by ``_block_rng(noise_seed, i)``.
+    A worker that raises empties the iterator, so the others stop after
+    their current block.
     """
     threads = _as_positive_int(threads, "threads")
     whole = reduce is None
@@ -160,10 +173,11 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
         _require_memory(f"a {count} x {dim} batch", count * dim * 8)
         out = np.empty((count, dim), dtype=np.float64)
 
-        def reduce(block, rows):
-            out[rows] = block
+        def reduce(tile, rows):
+            out[rows] = tile
 
-    height = min(BLOCK, count)
+    tile = BLOCK if fill is _fill_ball else max(1, min(BLOCK, TILE_BYTES // (8 * dim)))
+    height = min(tile, count)
     blocks = range(0, count, BLOCK)
     # Each worker's buffers are made by the calling thread: they come from its
     # allocator arena and are reused run after run, where buffers made in each
@@ -187,13 +201,17 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
                     i = next(todo, None)
                 if i is None:
                     return
-                rows = slice(blocks[i], min(blocks[i] + BLOCK, count))
-                block = lent[0][: rows.stop - rows.start]
-                fill(_block_rng(root, i), block, rows)
+                rng, stop = _block_rng(root, i), min(blocks[i] + BLOCK, count)
                 if smooth is not None:
-                    noise = lent[1][: len(block)]
-                    block = _smooth_block(_block_rng(noise_root, i), noise, block, sigma, scale)
-                results[i] = reduce(block, rows)
+                    noise_rng = _block_rng(noise_root, i)
+                results[i] = []
+                for lo in range(blocks[i], stop, tile):
+                    rows = slice(lo, min(lo + tile, stop))
+                    part = lent[0][: rows.stop - lo]
+                    fill(rng, part, rows)
+                    if smooth is not None:
+                        part = _smooth_block(noise_rng, lent[1][: len(part)], part, sigma, scale)
+                    results[i].append(reduce(part, rows))
         except BaseException:
             with lock:
                 for _ in todo:
@@ -206,7 +224,7 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
             list(pool.map(work, lent))
     else:
         work(lent[0])
-    return out if whole else results
+    return out if whole else [r for parts in results for r in parts]
 
 
 def _smooth_block(rng, out, x, sigma, scale):
@@ -295,12 +313,12 @@ def sample_body(
 ) -> SampleBatch:
     """Draw i.i.d. samples from the isotropically normalized body.
 
-    With ``reduce`` the (count, n) batch is never held: each block of rows is
-    mapped by ``reduce`` to a new 2-D array, and the returned batch stacks
-    those arrays in block order.  With ``out`` as well, a (count, k) array,
-    ``reduce(block, rows)`` writes the block's k-wide rows into ``out[rows]``
-    itself, no per-block arrays are kept, and the returned batch holds
-    ``out``.
+    With ``reduce`` the (count, n) batch is never held: each tile of rows
+    (see :func:`_generate`) is mapped by ``reduce`` to a new 2-D array, and
+    the returned batch stacks those arrays in row order.  With ``out`` as
+    well, a (count, k) array, ``reduce(tile, rows)`` writes the tile's
+    k-wide rows into ``out[rows]`` itself, no per-tile arrays are kept, and
+    the returned batch holds ``out``.
     """
     source = _body_source(spec)
     count = _as_positive_int(count, "count")
@@ -493,8 +511,8 @@ def save_sample(
 
     With a ``schedule`` the sample is smoothed as ``convolve_and_rescale``
     smooths it with ``noise_seed``.  The data file and sidecar are, byte for
-    byte, what :func:`save_batch` writes of that batch, but each block is
-    written from its worker's buffer, so each thread holds two (BLOCK, n)
+    byte, what :func:`save_batch` writes of that batch, but each tile is
+    written from its worker's buffer, so each thread holds two tile-sized
     arrays, the buffer and its transpose, and a third, the noise, with a
     ``schedule``.  A batch larger than physical memory, which
     :func:`load_batch` could not hold, is refused with ``RangeError`` before

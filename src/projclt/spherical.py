@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidSpec, RangeError
+from .errors import DomainError, RangeError
 from .model import (
     RadialDensity, RatioReport, _as_nonnegative_array, _as_positive_float, _as_positive_int,
     register,
@@ -38,7 +38,7 @@ from .model import (
 @register("kernel_params")
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel parameters: ambient dimension n, marginal dimension l, radius r."""
+    """Kernel parameters: ambient dimension n, marginal dimension l < n, radius r."""
 
     n: int
     l: int
@@ -47,8 +47,7 @@ class KernelParams:
     def __post_init__(self):
         object.__setattr__(self, "n", _as_positive_int(self.n, "n"))
         object.__setattr__(self, "l", _as_positive_int(self.l, "l"))
-        if self.l > self.n:
-            raise InvalidSpec(f"need 1 <= l <= n, got l={self.l}, n={self.n}")
+        log_gamma_nl(self.n, self.l)  # refuses l >= n, which no sphere kernel can take
         object.__setattr__(self, "r", _as_positive_float(self.r, "radius"))
 
 
@@ -59,7 +58,7 @@ def log_gamma_nl(n: int, l: int) -> float:
     n = _as_positive_int(n, "n")
     l = _as_positive_int(l, "l")
     if l >= n:
-        raise DomainError(f"log_gamma_nl needs l < n, got l={l}, n={n}")
+        raise DomainError(f"the sphere kernel needs l < n, got l={l}, n={n}")
     return -0.5 * l * math.log(math.pi) + float(gammaln(0.5 * n) - gammaln(0.5 * (n - l)))
 
 

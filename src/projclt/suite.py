@@ -146,7 +146,7 @@ def _criterion_4(profile):
 
 
 def _moment_sums(block):
-    """One row per block: its column sums, raw second-moment sums and sums of x_i^2 x_j^2."""
+    """One row per tile: its column sums, raw second-moment sums and sums of x_i^2 x_j^2."""
     squares = block * block
     return np.concatenate(
         [block.sum(axis=0), (block.T @ block).ravel(), (squares.T @ squares).ravel()]

@@ -424,6 +424,26 @@ def test_a_certificate_needs_its_params():
         from_jsonable(payload)
 
 
+@pytest.mark.parametrize("value", ['"0.5"', "true", "1"], ids=["str", "bool", "int"])
+def test_a_float_key_takes_only_a_json_float(value):
+    # float() takes each of these, and dumps would write 0.5, 1.0 and 1.0:
+    # a decoded value that does not re-encode to its own bytes.
+    text = '{"type": "gaussian_spec", "dimension": 3, "variance": 0.5}'
+    assert dumps(loads(text)) == text
+    with pytest.raises(InvalidSpec, match="gaussian_spec key 'variance' must be a float"):
+        loads(text.replace("0.5", value))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_every_float_key_refuses_a_string_a_bool_and_an_int(name):
+    payload = json.loads(GOLDEN_JSON[name])
+    for key, value in payload.items():
+        if type(value) is float:
+            for bad in (repr(value), True, 1):
+                with pytest.raises(InvalidSpec, match=re.escape(key)):
+                    from_jsonable({**payload, key: bad})
+
+
 # Keys a payload may omit: the field default applies.
 _OMITTABLE = {("ratio_report", "meta")}
 
@@ -499,4 +519,11 @@ def _positive_real_entries():
 @pytest.mark.parametrize("call, error, name", _positive_real_entries())
 def test_every_positive_real_refuses_what_is_not_positive_and_finite(call, error, name, bad):
     with pytest.raises(error, match=f"{name} must be positive"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5"], ids=["bool", "numpy_bool", "str"])
+@pytest.mark.parametrize("call, error, name", _positive_real_entries())
+def test_every_positive_real_refuses_a_bool_and_a_string(call, error, name, bad):
+    with pytest.raises(InvalidSpec, match=f"{name} must be a number"):
         call(bad)

@@ -229,8 +229,9 @@ def test_a_failing_block_stops_the_other_worker_at_its_current_block():
 
 
 def test_the_worker_threads_blocks_are_counted_against_physical_memory():
-    # Each of the two workers holds a 4,096 x n block and a fill temporary.
-    with pytest.raises(RangeError, match=r"2 worker threads' 4096 x 1000000000000 blocks needs"):
+    # Each of the two workers holds a one-row tile, the most rows of this width
+    # that fit the tile budget, and a fill temporary.
+    with pytest.raises(RangeError, match=r"2 worker threads' 1 x 1000000000000 blocks needs"):
         sample_body(BodySpec("cube", 10**12), 32 * BLOCK, seed=1, threads=2, reduce=np.sum)
 
 

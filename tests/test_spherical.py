@@ -136,6 +136,14 @@ def test_kernel_params_validation():
         psi(KernelParams(n=5, l=5, r=1.0), 0.1)
 
 
+@pytest.mark.parametrize("t", [[2.0, 1.0], [0.5], 1.0, 0.0], ids=["past_r", "inside", "at_r", "0"])
+@pytest.mark.parametrize("l", [5, 6])
+def test_a_kernel_with_l_at_least_n_is_refused_before_any_radius_is_read(l, t):
+    # Past r, at r and inside it: no radius may decide whether l = n is refused.
+    with pytest.raises(DomainError, match="the sphere kernel needs l < n"):
+        psi(KernelParams(n=5, l=l, r=1.0), t)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=60),

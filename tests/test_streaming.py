@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from projclt import samplers
 from projclt.cli import main, projected_ratio
 from projclt.density import estimate_density, m_tilde_profile, project_body, radial_points
 from projclt.grassmann import project, random_subspace
@@ -22,6 +23,7 @@ from projclt.samplers import (
     BLOCK,
     _LAPLACE_SCALE,
     _SQRT3,
+    SampleBatch,
     _fill_ball,
     _fill_cube,
     _fill_laplace,
@@ -107,6 +109,54 @@ def test_project_body_equals_projecting_the_full_batch(l, count):
     for threads in (1, 2):
         streamed = project_body(spec, count, 7, basis, threads)
         np.testing.assert_array_equal(streamed.data, full.data)
+
+
+# ------------------------------------------------------------ tiles
+
+# With the budget patched down to 1,000 rows of width 6, each full block is
+# drawn as four 1,000-row tiles and one of 96; the ball's fill alone takes
+# whole blocks.  A budget of one block's bytes gives the whole-block draw.
+_TILE_N, _TILE_ROWS, _TILE_COUNT = 6, 1000, 3 * BLOCK + 17
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_block_drawn_in_tiles_has_the_bits_of_the_whole_block(kind, threads, monkeypatch,
+                                                                 tmp_path):
+    spec, basis = BodySpec(kind, _TILE_N), random_subspace(_TILE_N, 2, 6)
+
+    def draw(rows):
+        monkeypatch.setattr(samplers, "TILE_BYTES", rows * _TILE_N * 8)
+        heights = []
+
+        def reduce(tile):
+            heights.append(len(tile))
+            return tile.copy()
+
+        path = tmp_path / f"{rows}.bin"
+        save_sample(spec, _TILE_COUNT, 1, str(path), schedule=ConvolutionSchedule(10.0),
+                    noise_seed=2, threads=threads)
+        return (sample_body(spec, _TILE_COUNT, 1, threads).data,
+                sample_body(spec, _TILE_COUNT, 1, threads, reduce=reduce).data,
+                project_body(spec, _TILE_COUNT, 1, basis, threads).data,
+                path.read_bytes(), sorted(heights))
+
+    whole, tiled = draw(BLOCK), draw(_TILE_ROWS)
+    for reference, value in zip(whole[:3], tiled[:3]):
+        np.testing.assert_array_equal(value, reference)
+    assert tiled[3] == whole[3]
+    batch = SampleBatch(data=tiled[0], seed=None, source={})
+    np.testing.assert_array_equal(tiled[2], project(batch, basis).data)
+    assert whole[4] == [17, BLOCK, BLOCK, BLOCK]
+    assert tiled[4] == (whole[4] if kind == "ball" else [17] + [96] * 3 + [_TILE_ROWS] * 12)
+
+
+def test_a_wide_block_is_held_one_tile_at_a_time():
+    # At n = 1,000 a block holds 32.8 MB and a tile 262 rows (2.1 MB).
+    n, count = 1_000, 2 * BLOCK
+    basis = random_subspace(n, 1, 2)
+    peak = _peak_bytes(lambda: project_body(BodySpec("cube", n), count, 1, basis))
+    assert peak < 3 * samplers.TILE_BYTES + count * 8, peak
 
 
 @pytest.mark.parametrize("smoothed", [False, True], ids=["raw", "alpha"])
