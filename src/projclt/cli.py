@@ -45,6 +45,7 @@ from .model import (
     BodySpec, ConvolutionSchedule, _as_positive_float, _as_positive_int, to_jsonable,
 )
 from .samplers import (
+    SCHEMA_VERSION,
     SampleBatch,
     atomic_open,
     convolve_and_rescale,
@@ -73,8 +74,6 @@ from .density import (
 from .deconvolution import (
     BODIES_1D, SANDWICH_MATRIX, DeconvCertificate, DeconvParams, sandwich_margins, verify_sandwich,
 )
-
-SCHEMA_VERSION = 8
 
 _REQUIRED = object()
 

@@ -229,12 +229,12 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> S
 
     The (count, l) result holds the values of
     ``project(sample_body(spec, count, seed), basis)`` bit for bit while only
-    one tile of the batch per thread is held, at most ``samplers.TILE_BYTES``
-    (a whole (BLOCK, n) block for the ball): ``project`` rounds each row of a
-    row-major batch alike at any height.  Each tile's projection is written
-    into its rows of the one (count, l) result.  Each tile goes through this
-    module's ``project``, where the benchmark's tracer finds it, so the
-    tracer counts one projection per tile.
+    one tile of the batch per thread is held, at most ``samplers.TILE_BYTES``:
+    ``project`` rounds each row of a row-major batch alike at any height.
+    Each tile's projection is written into its rows of the one (count, l)
+    result.  Each tile goes through this module's ``project``, where the
+    benchmark's tracer finds it, so the tracer counts one projection per
+    tile.
     """
     out = np.empty((count, basis.subspace_dim))
 

@@ -285,8 +285,8 @@ class ConvolutionSchedule:
     alpha: float
 
     def __post_init__(self):
-        a = float(self.alpha)
-        if not (math.isfinite(a) and 0.0 < a < 1e5):
+        a = _as_positive_float(self.alpha, "alpha")
+        if a >= 1e5:
             raise InvalidSpec(f"alpha must lie in (0, 1e5), got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
 

@@ -9,23 +9,12 @@ import numpy as np
 
 from .errors import EmptyBatch, InvalidSpec, RangeError
 from .model import _as_positive_float, _as_positive_int, _require_finite
-from .samplers import SampleBatch
+from .samplers import SampleBatch, norm_column  # noqa: F401  (re-exported)
 
 
 class ThinShellFraction(NamedTuple):
     fraction: float
     stderr: float
-
-
-def norm_column(data: np.ndarray) -> np.ndarray:
-    """The euclidean norm of each row of ``data`` as a (count, 1) column.
-
-    A row-wise reduction instead of np.linalg.norm(..., axis=1), which
-    materializes a squared copy of its input.  It also serves as the
-    ``reduce`` of ``sample_body``, so thin-shell statistics never need the
-    (count, n) batch.
-    """
-    return np.sqrt(np.einsum("ij,ij->i", data, data))[:, None]
 
 
 def thin_shell_fraction(batch: SampleBatch, epsilon: float, dimension: int) -> ThinShellFraction:

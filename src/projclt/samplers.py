@@ -4,8 +4,9 @@ Normalizations (all kinds have mean 0 and identity covariance):
 
 * cube — i.i.d. coordinates uniform on [-sqrt(3), sqrt(3)], variance (2*sqrt(3))^2/12 = 1.
 * ball — uniform on the centered euclidean ball of radius sqrt(n+2); drawn as
-  (gaussian direction) x (radius with CDF (r/R)^n), which is exact and
-  rejection-free in every dimension, and gives E|X|^2 = n R^2/(n+2) = n.
+  sqrt(n+2) Z_1..Z_n / |Z| from n + 2 standard normals Z, which is exact and
+  rejection-free in every dimension (Barthe, Guedon, Mendelson and Naor,
+  Ann. Probab. 2005, at p = 2), and gives E|X|^2 = (n+2) n/(n+2) = n.
 * simplex — uniform on the regular n-simplex via normalized exponential
   spacings (the first n coordinates of a flat Dirichlet), centered at its
   known mean 1/(n+1) and whitened with the closed-form inverse square root of
@@ -29,15 +30,14 @@ count, seed) however many worker threads share the blocks, and a longer draw
 begins with the blocks of a shorter one; ``BLOCK`` is part of the stream.
 Within a block, rows are drawn and reduced a tile at a time: a tile is the
 most rows that ``TILE_BYTES``, a 2 MiB per-core L2 cache, holds, at most
-``BLOCK`` (873 rows at n = 300).  The fills draw their rows in order
-from the block's generator, so the tiles of a block have the block's bits;
-the ball, which draws its radii after all of a block's normals, is drawn a
-whole block at a time.  Every tile takes one path: it is drawn into a
-buffer of its worker thread, passed at once to a reducer while it is still
-in cache, and then overwritten, and the reducer sees the tiles of each
-block in row order.  A reducer is a projection, the norms, moment sums or
-the batch-file writer of :func:`save_sample`, and memory is then one tile
-buffer per thread plus the reduced outputs.  Without one, each tile is
+``BLOCK`` (873 rows at n = 300).  Every fill draws its rows in order from
+the block's generator, so the tiles of a block have the block's bits.
+Every tile takes one path: it is drawn into a buffer of its worker thread,
+passed at once to a reducer while it is still in cache, and then
+overwritten, and the reducer sees the tiles of each block in row order.
+A reducer is a projection, the norms, moment sums or the batch-file writer
+of :func:`save_sample`, and memory is then one tile buffer per thread plus
+the reduced outputs.  Without one, each tile is
 copied into its rows of a (count, n) array that holds the whole batch, so a
 batch larger than physical memory is refused with ``RangeError`` before any
 allocation; only library callers and the CSV writer draw a whole batch.
@@ -73,6 +73,9 @@ from .model import (
     register,
 )
 
+# The artifact schema, ``schema_version`` in every batch sidecar, CSV header and CLI
+# JSON: it moves whenever the same inputs give an artifact other bytes.
+SCHEMA_VERSION = 9
 BLOCK = 1 << 12
 # Bytes of one tile, the rows drawn and reduced at once: a 2 MiB per-core L2.  At 1 MiB
 # an n = 50 block splits in two, which doubles the batch writer's positioned writes.
@@ -152,8 +155,7 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
 
     Block i, rows ``i*BLOCK`` up to ``(i+1)*BLOCK`` or ``count``, is drawn
     by ``_block_rng(seed, i)``, one tile at a time: a tile is the most rows
-    of width ``dim`` that ``TILE_BYTES`` holds, at most ``BLOCK``, and the
-    ball's fill is given whole blocks (see the module docstring).  The
+    of width ``dim`` that ``TILE_BYTES`` holds, at most ``BLOCK``.  The
     workers take block indices from one shared iterator, fill each tile of
     the block into a buffer of their own and pass it to ``reduce(tile,
     rows)``, a block's tiles in row order; the results are returned in row
@@ -176,16 +178,16 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
         def reduce(tile, rows):
             out[rows] = tile
 
-    tile = BLOCK if fill is _fill_ball else max(1, min(BLOCK, TILE_BYTES // (8 * dim)))
+    tile = max(1, min(BLOCK, TILE_BYTES // (8 * dim)))
     height = min(tile, count)
     blocks = range(0, count, BLOCK)
     # Each worker's buffers are made by the calling thread: they come from its
     # allocator arena and are reused run after run, where buffers made in each
     # run's fresh worker threads could each stay resident in another arena.
-    # Each worker also holds, inside ``fill``, at most one height x (dim + 1) temporary.
+    # Each worker also holds, inside ``fill``, at most one height x (dim + 2) temporary.
     workers = min(threads, len(blocks))
     per_worker = 1 if smooth is None else 2
-    need = 8 * workers * height * (per_worker * dim + dim + 1)
+    need = 8 * workers * height * (per_worker * dim + dim + 2)
     _require_memory(f"{workers} worker threads' {height} x {dim} blocks", need)
     root = _seed_seq(seed)
     if smooth is not None:
@@ -236,6 +238,17 @@ def _smooth_block(rng, out, x, sigma, scale):
     return out
 
 
+def norm_column(data: np.ndarray) -> np.ndarray:
+    """The euclidean norm of each row of ``data`` as a (count, 1) column.
+
+    A row-wise reduction instead of np.linalg.norm(..., axis=1), which
+    materializes a squared copy of its input.  It scales the ball's normals,
+    and it also serves as the ``reduce`` of ``sample_body``, so thin-shell
+    statistics (``radial``) never need the (count, n) batch.
+    """
+    return np.sqrt(np.einsum("ij,ij->i", data, data))[:, None]
+
+
 def _fill_cube(rng, out, _rows):
     # In place, with the bits of rng.uniform(-_SQRT3, _SQRT3): low + (high - low) * u.
     rng.random(out=out)
@@ -244,13 +257,10 @@ def _fill_cube(rng, out, _rows):
 
 
 def _fill_ball(rng, out, _rows):
+    # The module docstring's sqrt(n+2) Z_1..Z_n / |Z|.
     m, n = out.shape
-    rng.standard_normal(out=out)
-    # Row norms without the squared copy that np.linalg.norm makes.
-    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
-    norms[norms == 0.0] = 1.0
-    radii = math.sqrt(n + 2.0) * rng.random(m) ** (1.0 / n)
-    out *= (radii / norms)[:, None]
+    z = rng.standard_normal(size=(m, n + 2))
+    np.multiply(z[:, :n], math.sqrt(n + 2.0) / norm_column(z), out=out)
 
 
 def _fill_simplex(rng, out, _rows):
@@ -440,7 +450,8 @@ def read_json_object(path: str, what: str) -> dict:
 
 def _batch_header(dim: int, count: int, seed, source: dict) -> dict:
     """The keys that a batch file's sidecar and a CSV batch's header share, in their order."""
-    return {"schema_version": 1, "dimension": dim, "count": count, "seed": seed, "source": source}
+    return {"schema_version": SCHEMA_VERSION, "dimension": dim, "count": count, "seed": seed,
+            "source": source}
 
 
 @contextmanager

@@ -35,13 +35,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "256f7260b4ff4330c429c01f776fa18354070315c1c4f9d562a37cb42ca9791a",
-        "3376c99c3477f4654f5902bc2e9efc69b658dc3d97607bca4a9721c8c355c4b3",
+        "eb28b7fe27437ec8c6af3c22977f3c78b8b5431ce72cfefa9c67dbd8608e624d",
+        "b49967c0d9e25196311ec66684132c4a5c3bab84f7170a03b9609a07dd7f45a3",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "f5faf684ceec14735c0bd67fe752a76e60ed408484ec6a95a9d4574e6aecebda",
-        "7af306e347edea5bf8d188acd7136f03a09036756722b9b4215532463b336f63",
+        "0fac9a9869193ed651271c85cd61195ebdbc719bb316e446e88d5dfbc7c049fc",
+        "ab500612db1438795e3c3d30eb172e6b53767617ee11ee1d4abaeacc9e31818d",
     ),
 }
 
@@ -61,11 +61,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "d87073725d52477ea8b79aba92d270480deff057323b4f141e6be2044291f0c6",
+        "0ad4617f1531b5bf854de0df4a6c7c264347bc8cb05833bab05d8d06d06e6e8c",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "a5a3d493f4194c0d274176823d4b667ec46186d7077014aa38de85545c20bfcc",
+        "e3e12c585d7837063349430a125873494e0b23f2c77a3c7a3003146946abfb3c",
     ),
 }
 
@@ -131,14 +131,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "8123e60eeb4e6d6a6ad5c334b5ef0a214909d31d77741dd8f17463caf075aecb",
-            "r.csv": "3fcf947d14a418d83002ed16f82663384e53692fb7b1b2c10a8fa2d4fbfd4f99",
+            "r.json": "be496e23be50503e4f35c90e364519860257f1479d0312ad283e89688158d715",
+            "r.csv": "ddc8789b5ec43cdb0d1756ddcca0ed3a7d95a81c53bfdb26b3e643e3e1676c44",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "73f1121965712207f6e533abb0219f144fe854f59e70f14059385a1b3880cf9d"},
+        {"m.json": "f3f315b1b3bff09d24f94cd02b6cf852e36a6ccb477dab36b9dd66a8e7b1044c"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -147,11 +147,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "e8c542c002ae3c6317c15509b7fc4a6642b92c3684575a0ab7ce6ef2f6c87fdf",
-            "ball": "d714b729fb3ab5f2d410d9392dcc362e5a69e7f7fcf6e2bd185880126b93b291",
-            "simplex": "7675adfa425c792dfe7be66a828da366360e586b6b00c464054136b87e0b0d67",
-            "product_laplace": "8128b909d03c111c9c58499453d090119847565c42d21c80c6e953bf470eccba",
-            "gaussian": "3d5ea97024fa0675318d50bad9e3f19adc961a50f503804f579c8d5b29da342c",
+            "cube": "6f6fbe6dacd3d1ee23b057d83f857d58eabf1719d1b897db6a8c95f47890f691",
+            "ball": "2192af483e264c3eb344389a27f707f64ffb5238ec7f94068e05bd8799cd7220",
+            "simplex": "10abc819cce74448bc011c89b68a7741ba8ac56a91587ff4d730ab724120697f",
+            "product_laplace": "be61417f752314892695564c9e0ac4cb6b60ed54803ca867f718660d1cead5f8",
+            "gaussian": "05b0ba0509deed13000614748345c87dfc15e341c45d80ba9fd9fb6c2866ef33",
         }.items()
     },
 }
@@ -172,15 +172,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "f1f79d13269dcb1774f33ed2fb5e9b9f367bb97ee33168480856e02e45ca7054",
-        "213200b7f21e5f537fd60ae450a1adb74e624acc8a29bc58b620c56af5f86cd1",
+        "5bf9608469a5cdab28a58647010123bef27fadc120816840004e052d738a3898",
+        "dc34f04618c19e128e3a7e1e291490edaa5ecb2df768607c7745793ec595054a",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "0981635e1ad39db843b96ff931ce69a085eb60f0ba2613ad83192c5ad993a110",
-        "fcd42cd3f3ecdeff08f24d8a4c2564b3ee8ea5ceb2f1e3a292a4e254a7c45e5b",
+        "f885f0cc3171e3d74541c8f54c9df03127e1e80a47d26ce02595d57fefbfb24c",
+        "8e2ab9ee158f6ada35be25491f29c5a57320b4812685c5c843ff0e3beca54b76",
     ),
 }
 
@@ -198,12 +198,12 @@ def test_deconv_verify_artifacts_are_golden(run, tmp_path):
 DECONV_RUNS = {
     "admissible": (
         ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
-        "1eee30b1b0cad0ca721cce7e4337095ec64f725e8c4008735ae886e2a59d7105",
+        "9bde0c71a015cd1451fcb53113f9f72f6572853cd474f108bce57452ee83bf5c",
     ),
     # All three conditions fail: alpha, the noise floor and epsilon < 1/100.
     "inadmissible": (
         ["--n", "2", "--alpha", "1e-3", "--beta", "0.5", "--epsilon", "0.5", "--R", "3"],
-        "f8563f91859754f3d81af56de7832ad6b42316c7e71ff0e4f455fe75ea4c1a55",
+        "43d628977b38e68e384dc6251afe3ff273170762ff311ab11388bd9041791c54",
     ),
 }
 
@@ -215,7 +215,7 @@ def test_deconv_certificate_json_is_golden(run, capsys):
     assert _sha(capsys.readouterr().out.encode()) == sha
 
 
-DECONV_MATRIX_SHA = "7b765196bbbff477ec20f34bc581f7a40299de15fa453a91be65f01dff030e7d"
+DECONV_MATRIX_SHA = "90f15d2ebad1709e0500428c61984767d1a0ba17812e3348e744fc223b24ac0d"
 
 
 def test_deconv_matrix_csv_is_golden(tmp_path):
@@ -228,99 +228,99 @@ def test_deconv_matrix_csv_is_golden(tmp_path):
 SAMPLE_PINS = {
     ("cube", 1, False): (
         "a41f1b73cf61d7b6127b59f8502df2b2f46310968cab8d231b42ca2f6e7796d9",
-        "72e07a3fe2d2ebd605d8400e638c4a4c6e015f86fcc44930a5f153cbcbb6ebaf",
+        "d53ab3fb9beeb1c4b497bb63c7cd6f792474d7d8bab0aa494cef722b8873846c",
     ),
     ("cube", 1, True): (
         "777c97f8ea88083e5790e46476c0d73d309df2e6729f9f08a3bc2b01de602900",
-        "dffac079fd6fbfd0be9fcca24cda240d36c269b4033c8ad35e49b583a428d85a",
+        "b7b6569b658deba04fb9c00019170399de1fc609dcd080cba50572a5c84450cc",
     ),
     ("cube", BLOCK - 1, False): (
         "4ab6caadd5f4ca0ca9d318cbb326944196bb05aec83913d7d6f55d994354c813",
-        "58775ccaa92194117d59dd732aeb08b5d74770f7e052dca10c91f1944a07e4ab",
+        "7115ba65f48462cdf703805f26750d6f30c14cac419abb36e191eaef8e9915b4",
     ),
     ("cube", BLOCK - 1, True): (
         "154de557db65eccdeb10bf0bd8225d4fc2e402724d0c47e0581000ae3ae72f91",
-        "40cf916e94313fc1d6056c15a27310f9c759baebf52d273cc1e29784a8e85dca",
+        "45789665b7252f5a7c04cd188c049f93f6eccf0f57cdea7782c4bf9cb2eb4ee6",
     ),
     ("cube", BLOCK + 1, False): (
         "8ed965800023a5668fc43c84577ee0f964ec9cf2ddc0d551a12208ead245bc5a",
-        "79bdc63a01069cf056c59789e2261333003bc6328f7abbacc824a4d6a6e70a34",
+        "46efbfafe527cbd708ff7e12a224c50d7062b70838a044b3c43228b1931adf8b",
     ),
     ("cube", BLOCK + 1, True): (
         "54a3fb835386a6ec79058ca58ac3b0be213b6047eb09506a133619038f9e810f",
-        "ab6a403f5fda1befdda50af30151462edd5f33650972408db8ecedf345f5dcb1",
+        "3bb7322e250d69fa40fb857ce4cd4059c06ff831c6db05ffb1787392885c94b8",
     ),
     ("cube", 32 * BLOCK + 3, False): (
         "94c3fd298cf5f308a57dd758e1242247754e9f4fe46924419a1ff0c5ead6dc11",
-        "3526a33830fcdf2536f7cfe9e147949b186d7c1d8b1c99194004393430f8ec5d",
+        "c27b6897d5d3bd367650da8d99f93b46db1bc772694d0e1792085865e1c48f65",
     ),
     ("cube", 32 * BLOCK + 3, True): (
         "b9f395099313745b7ee79965945d8b1fdb24ffe1c501777f0494a672a7bf9126",
-        "5dab5fd50893077048e7959514ba296538bf1146fdb93edf8e4e5fd145720ffc",
+        "3656348231359b4e75af2fdb1dcb139a4fcb0f9f169785596f9e8ebba35dbc1b",
     ),
     ("ball", 1, False): (
-        "8d2d124e4ae3744598f4063f38030d308fa20364ac0e169bfe57284207a2b999",
-        "7290cb6e34f62be795368583ecf8acf0c7d1a6aee68a915a79466ce9c19ca1fa",
+        "27509e01518fcf346a1e2d3f6d3f7aa3d46716a98a5d1c41dd3ff334b3f90c47",
+        "d0acf478dcf3a26e52153004e85f0c599aff74d50d58afa422aeceeefb26e728",
     ),
     ("ball", 1, True): (
-        "7c8b64e406672aff3b779e4fd009bd1d8f914e566d3d4bd3bd9b94ad3fd35ce6",
-        "347aab9a14b3d0a3c0ec1b324974c7f50916226ec1c275e14b3ee334df33e9de",
+        "decc22ddd74887005cdcaee7be4b94157b2a68a1b63e710b5305440de65eacc4",
+        "9546f5a714dc5ca3e5e90f2659a302c2eb770bc519624336560580a1d9404382",
     ),
     ("ball", BLOCK - 1, False): (
-        "5e50ec9c566a2aae5bb071d4aaae8c9660de2963134d89154f046e22a9e75a8e",
-        "35a8e2bae489b338cfb2918261a80a42905bf929c86a87f2edd4eb1c252107f9",
+        "6c1597581f9f674f586308ab9d23d2093bd93136529c81a448afae9d290a472d",
+        "e9e1fc6b892b880e9cb8ca11482182516a222382c1b6673a37530e8cedd5e3d3",
     ),
     ("ball", BLOCK - 1, True): (
-        "f875fe59f1e9989a8317bdd83d9eb732feeaead6d508fe02b806dbe4be0ee8ab",
-        "e59df24ef0c795f0d0d2f2434efc2959ab02868c61792a3e25a7014f401fc448",
+        "27742268f69997e53d6188baac42d7197574cef0f13a239e4739470e4409754f",
+        "b851934ade7ebab14e477d9b4292df67daaee1a24210e36228d1da04dfa7bfa3",
     ),
     ("ball", BLOCK + 1, False): (
-        "d2ed3fe0083876f28881c8b2b344a551ef211c35c46d87faf7e25be3375001af",
-        "827bd3fc55c1be6f83888fc3694f63bf5fadf5c98071a384375f44ecbc5a5fc2",
+        "47ed89d268db40c69848958712c027287f6bfee04e7e98a8136aecb4d731169b",
+        "a8b7ccb4e4d0ca49ecd28914fd7c16bab66176db7e5ed82e3b96915aabf550f5",
     ),
     ("ball", BLOCK + 1, True): (
-        "83fa0cf0f2cea85799fb19c5d29f591c49a4b811481541044ed779200da862cf",
-        "b07e3af5d2a1c8289d324125be146e578bdb422b074f5e4868c38efd18f09ac6",
+        "0a9a2599f572f8d02188020f2594af225cb1660ce64bde6d80e80ec78d2a171b",
+        "8b32ef49de576717040dcff64efbe70f99e1587aa9b787fde9c95686ca686412",
     ),
     ("ball", 32 * BLOCK + 3, False): (
-        "9cce2f4eda5e36fdb6e70545145a58d1b7c9abf25410f7dd6ce0fe622fe2c1e1",
-        "2435aa1451c2259d22ced89e819153b99a2d45220661589d533edeaa1eaa6a8a",
+        "a4a1f9dc9a2ee976d5066ab06001be52605c7d20b10c16f6111c5f3e69bf8207",
+        "153b20353c897dc666b27c6daa4189ecccd8157cdbdfba2a01b41ac79b4ccc4a",
     ),
     ("ball", 32 * BLOCK + 3, True): (
-        "9a25d957b23dc9b1e7873d9e29bc3209f18e997b8ca1a7ec5ebfc5f990ddf6a5",
-        "4d860b9918caf81a8002775530c750daa19ba3ca557b664929196b6f5226205c",
+        "1bde47649f7e6c14d6bf8c55b0794b740df19a2b6abee9f2e67bbf67b5540f66",
+        "6242caf711692457f013721810b37cd77ef5e3058cc51a1533673b95774ee989",
     ),
     ("simplex", 1, False): (
         "83db14bf7ebc998eb3566b3efc0d8e0b83288423d96bd5974c905a40f289a97a",
-        "a51ccbd1bf21111290f011cd44fcf50502b1b09db579ce1d372795d322e5de87",
+        "af3d041a2fcfb8f38b926fe18fefba386a596da5dde373d788c6eff77f02b14a",
     ),
     ("simplex", 1, True): (
         "e22e97fbde6843f863f29f066906b160a28e950406be18d7b126f23cc1ff7b1b",
-        "3cbcdd5e3b8165f392090e2aecfa0d6dfc3ad8d95903aa208cc025cb72806e70",
+        "d363d2d4d5f3f21c24aff62aaaaf7333290a498feb081a500c607c8ba23adff5",
     ),
     ("simplex", BLOCK - 1, False): (
         "c4f2af2630200c5db9913cc9b34c29f0e713e810f49b581f48702a3c6ccbeae8",
-        "4995620c5a15be4920a39dcd3e3b6c0350993524fdc3b2fa3b68b3cd3987c632",
+        "25cf9176c27d31c515e345df5f1f0e99b52e3f8793ad5fc4c141f6cc43c5010d",
     ),
     ("simplex", BLOCK - 1, True): (
         "c9c4c0aef14acf8a7e55b57aa3a75cb62dfa75ca2d9bf29b308b67dac5a216aa",
-        "22b517f03e721f99ed39c7ec30bf568a267f2cafc2070517a384277840a88bb2",
+        "836d57897ed5638cea32d86462ed8db5ed71ee858b61c609f907b32dd958d953",
     ),
     ("simplex", BLOCK + 1, False): (
         "a35a299b1acf1ba86bf7d79080890814a76d72861ec9deb35b9a3f9553313d8a",
-        "934067b12a6f2d6cae5fac46c0aac24205e9af85bbe4d0284667f160b6d12f16",
+        "aac25608a52d082624051dc481bbee09a9c8b3195bad8436a49d908d3b6c5c57",
     ),
     ("simplex", BLOCK + 1, True): (
         "5661c144653818d09356009adcd927f3b67ddc9ecbb442cdabc5c95ad9ca293e",
-        "3da4a399aebf8245423ed05310db426ca44e11305c672356a89ec9c59f1a48a7",
+        "66e214ba9093c7565dbe0a4a83822dc2986615e0af4335d326aada09558dafc0",
     ),
     ("simplex", 32 * BLOCK + 3, False): (
         "a98ab5c4d6cc0dd82c5620f10e8ce394de87864c76e75cf6341a41b1f02e102f",
-        "e01f25472965a2d26ce985b3f56b6ddebd4cd57479bd45f033adee803870beac",
+        "cda7649441dc43c7b82d257dece9ead91ae2b5c210dd1e3bb297b04da5d743f3",
     ),
     ("simplex", 32 * BLOCK + 3, True): (
         "e4fb85ca31a457c5198d1a1511faf70377bbe89c8473fd0868520ecd9b094f11",
-        "4c280b78a1c1b49e866a86cc5a88220ef63db563fb50b3dc6d521a6ab8ef20d1",
+        "1f3035666cd7c0618b8faf44e87d8d77da32a0055a967871e4b5c262dc6e8fe8",
     ),
 }
 
@@ -347,63 +347,63 @@ def test_sample_batch_files_are_golden(key, threads, tmp_path):
 PROJECT_PINS = {
     (1, 1): (
         "3aeda53a62926e46ba9a4787eacd80244a2abba665656517dabac8948c72a034",
-        "16e920594bc1bf1265ad08e2d68940db8328b27aff9a292e88309ceb4f58069d",
-        "ee2ac80f3479e251cc51ef46a36059631dc9e767e17edbc2ee9b52f555103949",
+        "ff7e916ac43a0f8140c79c13b2f96f3c2c58c75e98f0c5c98e0a2b6dd8286f3d",
+        "438bc853ac3fa6027b7668eb47c8155ad20e29b68f6f78588c35da2f045b2830",
     ),
     (1, 2): (
         "508e2b83e04487f9511d7db256923243f2ad85bb9fd442c3487a3216421bd1fa",
-        "9e6da7454deceddea37905d9eba25dda2a8e902066454d1138e62e2b33cf43c8",
-        "8e884ff21b95d87036ae26ea5c27db1fcd926fa640f844a6caaeb892b4a97d4a",
+        "071f28549e10aa3f9c2273efdd9e0cd656e793e5ebb0baae0361c256912b21e8",
+        "a1724b6f3b69f0e6b8ae130a0373f69dba83d48b5efb04e50e6eade66153657d",
     ),
     (1, 3): (
         "8d112df0e619ec4973d9aa41a0a3cce34a2b99bd1db31150b0a14b4dbab09eed",
-        "0e6c4daab28906a925857d2ff16923e179d4e8ae9c8fa4862373136833c7e0dd",
-        "a3d40c54f9ffb5c18611daef9d591fa1b19401c7b92c756de5e59367d28562f4",
+        "8ec16b13940c9fcbea755f76969b103f778d5e053fe336cf53c23696e3f1b7c0",
+        "3d6979e28ec999a82d68e2098d563b0067576eee805f9a4b435ae16753910042",
     ),
     (1000, 1): (
         "b3c96e2efb8944e901b9ce42ca9ad1f90cf4379174b5596c5b616ce6c2a92984",
-        "24428f8a7578386672f01dae70b9193840e2f6cdcf33f46bcb58d2c33abf9155",
-        "ee2ac80f3479e251cc51ef46a36059631dc9e767e17edbc2ee9b52f555103949",
+        "75ae6dac588735a59c790aaf2875775c40363b888e923de98c2ce6078d0cec0b",
+        "438bc853ac3fa6027b7668eb47c8155ad20e29b68f6f78588c35da2f045b2830",
     ),
     (1000, 2): (
         "ddd4a35c95b636a1f7a1a69736618bc15f4dac6697aa95ce559a2389b07c62b2",
-        "70ea16dd3860e016200342a7167b7ce5fcabccecc631240551f744627b760e3c",
-        "8e884ff21b95d87036ae26ea5c27db1fcd926fa640f844a6caaeb892b4a97d4a",
+        "25770ec2979f138033a5c158a0e8c62ece51a63fd1bcb08f22dfa6cdbd758cf5",
+        "a1724b6f3b69f0e6b8ae130a0373f69dba83d48b5efb04e50e6eade66153657d",
     ),
     (1000, 3): (
         "cd25686ff87832a4f38602e83da0c2e48a8abfe4435be5d072f2bfb712b23d20",
-        "d7de4b6b134937933b3ae57c92fdf2462b6f8294f2343a1e74ebe40ecf680047",
-        "a3d40c54f9ffb5c18611daef9d591fa1b19401c7b92c756de5e59367d28562f4",
+        "2aa854db77a7962444b6b75aa16ac86728ac79e0f603e295655224830e2fbcfc",
+        "3d6979e28ec999a82d68e2098d563b0067576eee805f9a4b435ae16753910042",
     ),
     (3 * BLOCK + 5, 1): (
         "df43d11237bb982711aba6fd698d42f482bb227d5f4ea68013352db4ea108e7f",
-        "79dc282cc96e3211057cad7a93f87f0c5d820116d06680705e54670e64c20e94",
-        "ee2ac80f3479e251cc51ef46a36059631dc9e767e17edbc2ee9b52f555103949",
+        "8946f05307571843ae150904693aac14c3b134d79eb029cfed847dd3f2233539",
+        "438bc853ac3fa6027b7668eb47c8155ad20e29b68f6f78588c35da2f045b2830",
     ),
     (3 * BLOCK + 5, 2): (
         "f057e4c86be15e0932b84fc47011921153e7d94e5809993d61f7deb200b25513",
-        "b1793c215cf93da31656b6f595347b4de9fd3ca23783453a4bdc2b40c54319af",
-        "8e884ff21b95d87036ae26ea5c27db1fcd926fa640f844a6caaeb892b4a97d4a",
+        "8ea6a38dcf21a8bf51bff98edf008ace3e51e2d3a469eaf0b8ff2e4b92c1c4e2",
+        "a1724b6f3b69f0e6b8ae130a0373f69dba83d48b5efb04e50e6eade66153657d",
     ),
     (3 * BLOCK + 5, 3): (
         "9b773853c9994d5ce7869ab5f219654aecee59eb1b64e043ff61536a216d313e",
-        "955bed71d00f5367716089b61602abab1c2063b377ecf9a21718258455cf513c",
-        "a3d40c54f9ffb5c18611daef9d591fa1b19401c7b92c756de5e59367d28562f4",
+        "99f36e9ac9c0341680ea2ae7d577e448452777a32d997b2feca635fa1028e264",
+        "3d6979e28ec999a82d68e2098d563b0067576eee805f9a4b435ae16753910042",
     ),
     (BLOCK + 1, 1): (
         "d82e892cdb9da1c24446a4dfb146bf99b0b307e553cb479863644887964368f6",
-        "bbbafc4bc737942c72cceb115e28b11acc9e42f9c8d15f72ffeaee638af6d489",
-        "ee2ac80f3479e251cc51ef46a36059631dc9e767e17edbc2ee9b52f555103949",
+        "b6e106e15e46ebbccad803945332d543665cdb2f1d0c80d53fa3a83fbbd25737",
+        "438bc853ac3fa6027b7668eb47c8155ad20e29b68f6f78588c35da2f045b2830",
     ),
     (BLOCK + 1, 2): (
         "df4be34246aa19fb73395a87c76aec8c524c7ead41c19b94886665e1e24838f6",
-        "a27caa9b049cfb9e87eb7fc575f395c2dfdfb6b54473103f348c6d021b92629e",
-        "8e884ff21b95d87036ae26ea5c27db1fcd926fa640f844a6caaeb892b4a97d4a",
+        "1724bf19a9d0a1179d31d867015e210dcb42e2712401e2bfafa518603a25508d",
+        "a1724b6f3b69f0e6b8ae130a0373f69dba83d48b5efb04e50e6eade66153657d",
     ),
     (BLOCK + 1, 3): (
         "d5c9046913abc184c3248276f2a38c32de2aecaccdb8b7a19f849727918409e3",
-        "3f28cdb73c435d561c0c9160593a8aa1b2791bd4918070afbb4d116a64bf1ef8",
-        "a3d40c54f9ffb5c18611daef9d591fa1b19401c7b92c756de5e59367d28562f4",
+        "320b0b3d09186bc8d97a285d5ca96e61d33e58a8605fdf5754bea69950b9bae7",
+        "3d6979e28ec999a82d68e2098d563b0067576eee805f9a4b435ae16753910042",
     ),
 }
 
@@ -423,9 +423,9 @@ def test_project_input_artifacts_are_golden(key, threads, tmp_path, monkeypatch)
 
 
 SAMPLE_CSV_PINS = {
-    "raw": ([], "d37b19d3ba3d6fba1330721b2d091f972aa1bd7acfce5b32b267a33ba8992643"),
+    "raw": ([], "83669a63ea2a6187c85a67fc72475e5c544121578934ee8f1d56d24e4ce1a4ed"),
     "alpha": (
-        ["--alpha", "10"], "5e193d252f830b85f33ed2757ca3b9b9565891a3800dedbe1ddefdb0f42df03c"
+        ["--alpha", "10"], "6736b582ca1475ba4dad60a0b81c34c9a08f68f8ecd45b2fb7df851b944019cf"
     ),
 }
 

@@ -94,6 +94,12 @@ def test_schedule_rejects_out_of_range_alpha(bad_alpha):
         ConvolutionSchedule(alpha=bad_alpha)
 
 
+@pytest.mark.parametrize("alpha", [True, "10"])
+def test_schedule_rejects_an_alpha_that_is_not_a_number(alpha):
+    with pytest.raises(InvalidSpec, match="alpha must be a number"):
+        ConvolutionSchedule(alpha)
+
+
 def test_schedule_serialized_lambda_is_checked():
     payload = to_jsonable(ConvolutionSchedule(alpha=10.0))
     assert payload["lambda"] == 1.0 / 70.0

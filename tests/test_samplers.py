@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import threading
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from projclt.errors import InvalidSpec, RangeError
 from projclt.model import BodyKind, BodySpec, ConvolutionSchedule, GaussianSpec
+from projclt.radial import norm_column
 from projclt.samplers import (
     BLOCK,
     SampleBatch,
@@ -132,6 +134,32 @@ def test_ball_support_and_radial_law():
     assert norms.max() <= math.sqrt(n + 2) * (1 + 1e-12)
     # E|X|^2 = n for the isotropic radius sqrt(n+2) * U^(1/n)
     assert abs(np.mean(norms**2) - n) < 0.05
+
+
+# Each cell is a two-sided binomial z-test of the share below one decile of
+# a uniform law: 9 deciles at each of n = 1, 3, 50 and 9 for the n = 1
+# coordinate, at a family false-failure rate of 1e-6 (Bonferroni).
+_DECILES = np.arange(1, 10) / 10
+_DECILE_Z = NormalDist().inv_cdf(1 - 1e-6 / (2 * 36))
+
+
+def _decile_z(u):
+    """The z-scores of the shares of ``u`` at or below each decile, if ``u`` is uniform on (0, 1)."""
+    below = np.searchsorted(np.sort(u), _DECILES, side="right")
+    return (below - u.size * _DECILES) / np.sqrt(u.size * _DECILES * (1 - _DECILES))
+
+
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_the_ball_is_exactly_uniform(n):
+    # Uniform on the ball of radius sqrt(n+2): (|X| / sqrt(n+2))^n is uniform
+    # on (0, 1), and at n = 1, X itself is uniform on [-sqrt(3), sqrt(3)].
+    batch = sample_body(BodySpec("ball", n), 100_000, seed=23, reduce=norm_column)
+    z = _decile_z((batch.data[:, 0] / math.sqrt(n + 2)) ** n)
+    assert np.abs(z).max() < _DECILE_Z, z
+    if n == 1:
+        x = sample_body(BodySpec("ball", 1), 100_000, seed=23).data[:, 0]
+        z = _decile_z((x + math.sqrt(3.0)) / (2 * math.sqrt(3.0)))
+        assert np.abs(z).max() < _DECILE_Z, z
 
 
 def test_simplex_rows_satisfy_the_affine_support_bound():

@@ -114,8 +114,8 @@ def test_project_body_equals_projecting_the_full_batch(l, count):
 # ------------------------------------------------------------ tiles
 
 # With the budget patched down to 1,000 rows of width 6, each full block is
-# drawn as four 1,000-row tiles and one of 96; the ball's fill alone takes
-# whole blocks.  A budget of one block's bytes gives the whole-block draw.
+# drawn as four 1,000-row tiles and one of 96.  A budget of one block's bytes
+# gives the whole-block draw.
 _TILE_N, _TILE_ROWS, _TILE_COUNT = 6, 1000, 3 * BLOCK + 17
 
 
@@ -148,14 +148,29 @@ def test_a_block_drawn_in_tiles_has_the_bits_of_the_whole_block(kind, threads, m
     batch = SampleBatch(data=tiled[0], seed=None, source={})
     np.testing.assert_array_equal(tiled[2], project(batch, basis).data)
     assert whole[4] == [17, BLOCK, BLOCK, BLOCK]
-    assert tiled[4] == (whole[4] if kind == "ball" else [17] + [96] * 3 + [_TILE_ROWS] * 12)
+    assert tiled[4] == [17] + [96] * 3 + [_TILE_ROWS] * 12
 
 
-def test_a_wide_block_is_held_one_tile_at_a_time():
-    # At n = 1,000 a block holds 32.8 MB and a tile 262 rows (2.1 MB).
+@pytest.mark.parametrize("kind", list(samplers._FILLS))
+def test_every_fill_draws_its_rows_in_row_order(kind):
+    # The tiles of a block have the block's bits only if each fill draws its
+    # rows in row order: two calls on one generator give the bits of one.
+    fill = samplers._FILLS[kind]
+    whole, parts = np.empty((1000, 7)), np.empty((1000, 7))
+    fill(np.random.default_rng(5), whole, slice(0, 1000))
+    rng = np.random.default_rng(5)
+    fill(rng, parts[:300], slice(0, 300))
+    fill(rng, parts[300:], slice(300, 1000))
+    np.testing.assert_array_equal(parts, whole)
+
+
+@pytest.mark.parametrize("kind", ["cube", "ball"])
+def test_a_wide_block_is_held_one_tile_at_a_time(kind):
+    # At n = 1,000 a block holds 32.8 MB and a tile 262 rows (2.1 MB); the
+    # ball's fill holds one more tile's worth of normals.
     n, count = 1_000, 2 * BLOCK
     basis = random_subspace(n, 1, 2)
-    peak = _peak_bytes(lambda: project_body(BodySpec("cube", n), count, 1, basis))
+    peak = _peak_bytes(lambda: project_body(BodySpec(kind, n), count, 1, basis))
     assert peak < 3 * samplers.TILE_BYTES + count * 8, peak
 
 
@@ -228,10 +243,9 @@ def test_ball_fill_scales_by_the_norms_of_np_linalg_norm():
     m, n = 1000, 30
     out = np.empty((m, n))
     _fill_ball(np.random.default_rng(3), out, None)
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal((m, n))
-    radii = math.sqrt(n + 2.0) * rng.random(m) ** (1.0 / n)
-    np.testing.assert_allclose(out, g * (radii / np.linalg.norm(g, axis=1))[:, None], rtol=1e-15)
+    z = np.random.default_rng(3).standard_normal((m, n + 2))
+    expected = z[:, :n] * (math.sqrt(n + 2.0) / np.linalg.norm(z, axis=1))[:, None]
+    np.testing.assert_allclose(out, expected, rtol=1e-15)
 
 
 class _Uniforms:
