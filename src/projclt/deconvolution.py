@@ -184,7 +184,8 @@ def body_density_1d(body: str, x, alpha: float) -> np.ndarray:
     if body == "gaussian":
         return np.asarray(gaussian_density(1, 1.0, x))
     if body == "gaussian_deflated":
-        if not 0.0 < alpha < 1.0:
+        alpha = _as_positive_float(alpha, "alpha", RangeError)
+        if not alpha < 1.0:
             raise RangeError("gaussian_deflated needs 0 < alpha < 1")
         return np.asarray(gaussian_density(1, 1.0 - alpha, x))
     if body == "uniform":
@@ -246,6 +247,12 @@ class SandwichReport:
     hypothesis_sup: float | None = None
     lower_margin_min: float | None = None
     upper_margin_min: float | None = None
+
+    def __post_init__(self):
+        for name in ("hypothesis_sup", "lower_margin_min", "upper_margin_min"):
+            v = getattr(self, name)
+            if not (v is None or isinstance(v, float)):
+                raise InvalidSpec(f"{name} must be a float or None, got {v!r}")
 
 
 SANDWICH_SLACK = 1e-9

@@ -4,8 +4,15 @@ All types are immutable dataclasses whose invariants are checked on
 construction, so a deserialized value is checked as it is rebuilt.  A value
 a type can compute from its fields (a ratio report's sup, a certificate's
 verdict) is a property, never a stored field: the codec writes it as a
-derived key and refuses a payload whose stored value differs from the
-rebuilt one.
+derived key for readers.
+
+Decoding has one rule: a payload is accepted only as the encoding of the
+value rebuilt from it.  Every key the encoder writes must hold, as JSON
+text, what the rebuilt value encodes there (an omitted optional key
+excepted), and a key it does not write is refused.  A derived key that
+disagrees, an int where a float is written, an alias such as ``"laplace"``
+for ``"product_laplace"`` and an unknown key are each an ``InvalidSpec``
+naming the key.
 
 Every type serializes to plain JSON with snake_case keys through
 :func:`to_jsonable` / :func:`from_jsonable` (dispatch on a ``"type"`` tag).
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -41,9 +49,10 @@ def register(tag: str, keys: tuple = ()):
 
     The JSON object is the ``"type"`` tag followed by one key per name in
     ``keys`` (default: the dataclass fields, in order).  A name that is not a
-    field is a derived attribute: it is written for readers and, on decode,
-    checked against the rebuilt value.  A trailing underscore is dropped from
-    the key (``lambda_`` is written as ``lambda``).
+    field is a derived attribute, written for readers.  A trailing underscore
+    is dropped from the key (``lambda_`` is written as ``lambda``).  Decoding
+    rebuilds the value from the field keys and accepts the payload only if
+    the value encodes to it: each key equal as JSON text, and no other key.
     """
 
     def deco(cls):
@@ -76,38 +85,26 @@ def _encode_fields(self) -> dict:
     return d
 
 
-# The JSON values a field annotated float or float | None may hold, by annotation text
-# (every module defining a codec type imports ``annotations`` from ``__future__``).  The
-# codec writes every float as a JSON float, so a string, a bool or an int is not its output.
-_FLOAT_FIELDS = {"float": float, "float | None": (float, type(None))}
-
-
 def _decode_fields(cls, d: dict):
-    def stored(name):
-        key = name.rstrip("_")
-        if key not in d:
-            raise InvalidSpec(f"serialized {cls.json_tag} is missing key {key!r}")
-        return d[key]
-
+    optional = {f.name for f in fields(cls) if f.metadata.get("optional")}
+    for name in ("type", *cls.json_keys):
+        if name.rstrip("_") not in d and name not in optional:
+            raise InvalidSpec(f"serialized {cls.json_tag} is missing key {name.rstrip('_')!r}")
     kwargs = {}
     for f in fields(cls):
-        if f.name in d or not f.metadata.get("optional"):
-            v = stored(f.name)
-            allowed = _FLOAT_FIELDS.get(f.type)
-            if allowed is not None and not isinstance(v, allowed):
-                raise InvalidSpec(
-                    f"serialized {cls.json_tag} key {f.name.rstrip('_')!r} must be a float, "
-                    f"got {v!r}"
-                )
+        if f.name.rstrip("_") in d:
+            v = d[f.name.rstrip("_")]
             kwargs[f.name] = from_jsonable(v) if f.metadata.get("nested") and v is not None else v
     value = cls(**kwargs)
-    derived = [name for name in cls.json_keys if name not in cls.__dataclass_fields__]
-    for name in derived:
-        # As JSON text, so a value of another type that compares equal (1 for true) is refused.
-        if json.dumps(_plain(getattr(value, name))) != json.dumps(stored(name)):
+    encoded = value.to_jsonable()
+    for key, v in d.items():
+        if key not in encoded:
+            raise InvalidSpec(f"serialized {cls.json_tag} has unknown key {key!r}")
+        # As JSON text, so a value that only compares equal (1 for 1.0 or true) is refused.
+        if json.dumps(v, sort_keys=True) != json.dumps(encoded[key], sort_keys=True):
             raise InvalidSpec(
-                f"stored {name.rstrip('_')} {stored(name)!r} disagrees with the value rebuilt "
-                f"from the other keys of {cls.json_tag}"
+                f"stored {key} {reprlib.repr(v)} disagrees with the value rebuilt from the "
+                f"{cls.json_tag} payload, which encodes it as {reprlib.repr(encoded[key])}"
             )
     return value
 
@@ -208,9 +205,9 @@ def _as_positive_int(x, name: str) -> int:
 def _as_positive_float(x, name: str, error=InvalidSpec) -> float:
     """``x`` as a float, refused with ``error`` unless positive and finite.
 
-    A bool or a string, which ``float`` would take, is refused with ``InvalidSpec``.
+    A bool or a string, which ``float`` would take, and None are refused with ``InvalidSpec``.
     """
-    if isinstance(x, (bool, np.bool_, str)):
+    if isinstance(x, (bool, np.bool_, str, type(None))):
         raise InvalidSpec(f"{name} must be a number, got {x!r}")
     v = float(x)
     if not (v > 0.0 and math.isfinite(v)):

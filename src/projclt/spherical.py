@@ -62,14 +62,6 @@ def log_gamma_nl(n: int, l: int) -> float:
     return -0.5 * l * math.log(math.pi) + float(gammaln(0.5 * n) - gammaln(0.5 * (n - l)))
 
 
-def _log_psi(n: int, l: int, r: float, t: np.ndarray) -> np.ndarray:
-    """log psi on 0 <= t < r (callers handle t >= r); t is a clean float array."""
-    base = log_gamma_nl(n, l) - l * math.log(r)
-    expo = 0.5 * (n - l - 2)
-    u = t / r
-    return base + expo * np.log1p(-u * u)
-
-
 def psi(params: KernelParams, t) -> float | np.ndarray:
     """Marginal density psi_{n,l,r} at radius t (scalar or array, t >= 0).
 
@@ -82,17 +74,16 @@ def psi(params: KernelParams, t) -> float | np.ndarray:
     n, l, r = params.n, params.l, params.r
     t_arr = np.atleast_1d(_as_nonnegative_array(t, "t", DomainError))
     scalar = np.ndim(t) == 0
+    log_scale = log_gamma_nl(n, l) - l * math.log(r)
     expo = 0.5 * (n - l - 2)
     out = np.zeros_like(t_arr)
     inside = t_arr < r
-    if np.any(inside):
-        out[inside] = np.exp(_log_psi(n, l, r, t_arr[inside]))
-    edge = t_arr == r
-    if np.any(edge):
-        if expo == 0:
-            out[edge] = math.exp(log_gamma_nl(n, l) - l * math.log(r))
-        elif expo < 0:
-            out[edge] = np.inf
+    u = t_arr[inside] / r
+    out[inside] = np.exp(log_scale + expo * np.log1p(-u * u))
+    if expo == 0:
+        out[t_arr == r] = math.exp(log_scale)
+    elif expo < 0:
+        out[t_arr == r] = np.inf
     return float(out[0]) if scalar else out
 
 
@@ -217,9 +208,9 @@ def psi_gaussian_ratio_scan(n: int, l: int, t_max: float, grid_points: int = 200
     n = _as_positive_int(n, "n")
     l = _as_positive_int(l, "l")
     grid_points = _as_positive_int(grid_points, "grid_points")
-    t_max = float(t_max)
+    t_max = _as_positive_float(t_max, "t_max", RangeError)
     limit = n ** 0.125
-    if not (0 < t_max < limit):
+    if not t_max < limit:
         raise RangeError(f"t_max must lie in (0, n^(1/8)) = (0, {limit:.6g}), got {t_max!r}")
     grid = np.linspace(0.0, t_max, grid_points)
     vals = psi(KernelParams(n=n, l=l, r=math.sqrt(n)), grid)

@@ -663,8 +663,8 @@ def test_project_of_a_bad_sidecar_exits_1(tmp_path, capsys, edit, message):
 
 
 def test_project_of_a_batch_with_a_nan_in_its_last_row_writes_nothing(tmp_path, capsys):
-    # The last row lies in the short last block, which is read as the file's
-    # last BLOCK rows.
+    # The last row lies in the short last block, which is read into the top
+    # rows of a BLOCK-row buffer, above rows of the block before it.
     data = sample_body(BodySpec("cube", 4), 3 * BLOCK + 5, seed=1).data.copy()
     data[-1, 2] = np.nan
     src = tmp_path / "src.bin"

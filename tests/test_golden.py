@@ -8,13 +8,14 @@ schema re-pins the moved hashes and records each old -> new pair and its
 reason in CHANGES.md.  The ratio and scan runs are the CLI's; the
 criterion 7 value is the exact l=1 sup of the quick profile; the
 ``deconv-verify`` and ``deconv-matrix`` pins cover the sandwich pass, whose
-margins are closed forms, and the ``deconv`` pins cover the certificate
-alone.  The multi-chunk runs span 32 full blocks and a short last one, at
-one and two threads and at the default (every usable core), so a block loop
-that reorders or splits work differently shows up as a moved hash.  The
-batch files of ``sample`` (bin and CSV, with and without smoothing) and
-``project --input`` are pinned at counts on both sides of a block and of
-many blocks, at one and two threads; ``sample`` also at the default.
+margins are closed forms, the ``deconv`` pins cover the certificate alone,
+and the ``psi-scan`` pins cover the sphere kernel psi.  The multi-chunk runs
+span 32 full blocks and a short last one, at one and two threads and at the
+default (every usable core), so a block loop that reorders or splits work
+differently shows up as a moved hash.  The batch files of ``sample`` (bin
+and CSV, with and without smoothing) and ``project --input`` are pinned at
+counts on both sides of a block and of many blocks, at one and two threads;
+``sample`` also at the default.
 """
 
 import hashlib
@@ -79,6 +80,26 @@ def test_clt_scan_csv_is_golden(run, tmp_path):
          "--seed", "5", "--grid-points", "41", *extra, "--output", str(out)]
     )
     assert rc == 0
+    assert _sha(out.read_bytes()) == sha
+
+
+PSI_SCAN_RUNS = {
+    "l1": (
+        ["--n", "100", "--l", "1", "--tmax", "1.7", "--points", "200"],
+        "614179fbfae3ad1251cee565ebf100fcd8fb56ddc5b4727dbcbe34ca2e99069e",
+    ),
+    "l2": (
+        ["--n", "64", "--l", "2", "--tmax", "1.2", "--points", "55"],
+        "0907a610d07338dec3d9b925358e1fd3f0aaac959103cb1d55d02ee73a7ab047",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PSI_SCAN_RUNS))
+def test_psi_scan_csv_is_golden(run, tmp_path):
+    extra, sha = PSI_SCAN_RUNS[run]
+    out = tmp_path / "psi.csv"
+    assert main(["psi-scan", *extra, "--output", str(out)]) == 0
     assert _sha(out.read_bytes()) == sha
 
 
