@@ -18,7 +18,8 @@ the gaussian family is closed under convolution, the uniform convolution is a
 difference of normal CDFs, and the two-sided exponential has an exact
 erfc-based formula.  ``grid_convolve`` cross-validates those closed forms at
 moderate alpha, where both routes are available.  scipy is imported only
-inside ``body_convolved_density_1d``, so importing this module loads none of it.
+inside ``grid_convolve`` and ``body_convolved_density_1d``, so importing this
+module loads none of it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .samplers import _LAPLACE_SCALE, _SQRT3
 from .spherical import gaussian_density
 
 BODIES_1D = ("gaussian", "gaussian_deflated", "uniform", "laplace")
+SANDWICH_STATUSES = ("verified", "inadmissible", "hypothesis_not_met", "sandwich_violated")
 
 
 @register("deconv_params")
@@ -145,11 +147,14 @@ def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.nd
     renormalized to unit discrete mass, so the discrete total mass is
     preserved exactly up to boundary truncation.  Separability handles the
     2-d case as two 1-d passes.  Each pass is the full linear convolution,
-    computed with ``np.fft.rfft``/``irfft`` zero-padded to a power of two,
-    cut to the input's extent: the grid is taken as zero outside itself.
+    computed with ``np.fft.rfft``/``irfft`` zero-padded to the next 5-smooth
+    length (``scipy.fft.next_fast_len``), cut to the input's extent: the grid
+    is taken as zero outside itself.
     FFT roundoff can leave values a few ulps below 0 where the density is
     0; they are set to 0, so the output is a valid input again.
     """
+    from scipy.fft import next_fast_len
+
     density = _as_nonnegative_array(density, "density values")
     if density.ndim not in (1, 2):
         raise InvalidSpec(f"density must be a 1-d or 2-d grid, got ndim={density.ndim}")
@@ -172,7 +177,7 @@ def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.nd
     for axis in range(density.ndim):
         rows = np.moveaxis(out, axis, -1)
         count = rows.shape[-1]
-        size = 1 << (count + 2 * half - 1).bit_length()
+        size = next_fast_len(count + 2 * half - 1, real=True)
         full = np.fft.irfft(np.fft.rfft(rows, size) * np.fft.rfft(kernel, size), size)
         out = np.moveaxis(full[..., half:half + count], -1, axis)
     return np.maximum(out, 0.0)
@@ -196,6 +201,20 @@ def body_density_1d(body: str, x, alpha: float) -> np.ndarray:
     raise InvalidSpec(f"unknown 1-d body {body!r}; known: {', '.join(BODIES_1D)}")
 
 
+def _unless_saturated(fn, z, lo: float, hi: float, below: float, above: float) -> np.ndarray:
+    """fn(z), writing fn's exact limit ``below`` where z <= lo and ``above`` where z >= hi.
+
+    Only points not provably saturated are passed to fn, so a NaN reaches fn
+    and stays NaN.
+    """
+    z = np.asarray(z)
+    high = z >= hi
+    out = np.where(high, above, below)
+    live = ~((z <= lo) | high)
+    out[live] = fn(z[live])
+    return out
+
+
 def body_convolved_density_1d(body: str, x, alpha: float) -> np.ndarray:
     """Closed-form density of (body sample + gaussian noise of variance alpha).
 
@@ -206,6 +225,10 @@ def body_convolved_density_1d(body: str, x, alpha: float) -> np.ndarray:
                                   + e^(+x/b) erfc((alpha/b + x)/sqrt(2 alpha)) ],
     which is stable down to extremely small alpha because erfc saturates at 2
     on one side and underflows to 0 against a bounded exponential on the other.
+    Where ndtr or erfc is exactly its limit in double precision (ndtr beyond
+    |z| >= 40, erfc at z <= -7 or z >= 30), that limit is written without a
+    call; at admissible alpha this is all but at most one grid point.  A NaN
+    point stays NaN.
     """
     from scipy.special import erfc, ndtr
 
@@ -219,13 +242,21 @@ def body_convolved_density_1d(body: str, x, alpha: float) -> np.ndarray:
         return np.asarray(gaussian_density(1, 1.0, x))
     if body == "uniform":
         s = math.sqrt(alpha)
-        return np.asarray((ndtr((x + _SQRT3) / s) - ndtr((x - _SQRT3) / s)) / (2.0 * _SQRT3))
+
+        def cdf(z):
+            return _unless_saturated(ndtr, z, -40.0, 40.0, 0.0, 1.0)
+
+        return np.asarray((cdf((x + _SQRT3) / s) - cdf((x - _SQRT3) / s)) / (2.0 * _SQRT3))
     if body == "laplace":
         b = _LAPLACE_SCALE
         s = math.sqrt(2.0 * alpha)
         prefactor = math.exp(alpha / (2.0 * b * b)) / (4.0 * b)
-        left = np.exp(-x / b) * erfc((alpha / b - x) / s)
-        right = np.exp(x / b) * erfc((alpha / b + x) / s)
+
+        def tail(z):
+            return _unless_saturated(erfc, z, -7.0, 30.0, 2.0, 0.0)
+
+        left = np.exp(-x / b) * tail((alpha / b - x) / s)
+        right = np.exp(x / b) * tail((alpha / b + x) / s)
         return np.asarray(prefactor * (left + right))
     raise InvalidSpec(f"unknown 1-d body {body!r}; known: {', '.join(BODIES_1D)}")
 
@@ -235,10 +266,11 @@ def body_convolved_density_1d(body: str, x, alpha: float) -> np.ndarray:
 class SandwichReport:
     """Outcome of one sandwich verification run.
 
-    ``status`` is one of "verified", "inadmissible", "hypothesis_not_met", or
-    "sandwich_violated".  Margins are signed distances to the bounds (>= 0
-    means the bound holds at that point); a certified radius <= 0 makes that
-    side vacuous and its margin None.
+    ``status`` is one of ``SANDWICH_STATUSES``: "verified", "inadmissible",
+    "hypothesis_not_met", or "sandwich_violated"; ``body`` is one of
+    ``BODIES_1D``.  Margins are signed distances to the bounds (>= 0 means
+    the bound holds at that point); a certified radius <= 0 makes that side
+    vacuous and its margin None.
     """
 
     body: str
@@ -249,6 +281,12 @@ class SandwichReport:
     upper_margin_min: float | None = None
 
     def __post_init__(self):
+        for name, allowed in (("body", BODIES_1D), ("status", SANDWICH_STATUSES)):
+            v = getattr(self, name)
+            if not (isinstance(v, str) and v in allowed):
+                raise InvalidSpec(f"{name} must be one of {', '.join(allowed)}, got {v!r}")
+        if not isinstance(self.certificate, DeconvCertificate):
+            raise InvalidSpec(f"certificate must be a DeconvCertificate, got {self.certificate!r}")
         for name in ("hypothesis_sup", "lower_margin_min", "upper_margin_min"):
             v = getattr(self, name)
             if not (v is None or isinstance(v, float)):

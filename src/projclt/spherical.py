@@ -15,14 +15,17 @@ spherically symmetrized vector:  ``radial_mixture_marginal`` computes
 integral of psi_{n,l,r}(t) g(r) dr for the closed-form chi radial law with
 one composite Gauss–Legendre rule, evaluated for every t at once after the
 substitution r = sqrt(t^2 + s^2) removes the rim factor's endpoint
-behaviour.  With chi_dim = n the mixture collapses to the standard gaussian
-density exactly — the fixed point the test-suite pins down.  Only the ball
-mass, ``psi_ball_mass``, keeps adaptive quadrature.  scipy is imported inside
-the functions that call it, so importing this module loads none of it.
+behaviour; the rule's nodes and weights are built on first use and kept.
+With chi_dim = n the mixture collapses to the standard gaussian density
+exactly — the fixed point the test-suite pins down.  Only the ball mass,
+``psi_ball_mass``, keeps adaptive quadrature.  scipy is imported inside the
+functions that call it, and ``numpy.polynomial`` is first reached by the
+mixture rule, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,29 +114,23 @@ def psi_ball_mass(params: KernelParams) -> float:
     S_{l-1} * Gamma_nl * sin(phi)^(l-1) * cos(phi)^(n-l-1), which is smooth and
     bounded on [0, pi/2] for every l <= n-1 — including the edge cases
     n - l in {1, 2} whose integrand in t blows up or jumps at t = r — so plain
-    adaptive quadrature resolves the integral to near machine precision.
+    adaptive quadrature resolves the integral to near machine precision.  The
+    constant S_{l-1} * Gamma_nl is exponentiated once, from its logs, and each
+    node evaluates the product of powers directly.
     Analytically the value is exactly 1; this function exists to measure how
     far the numerics drift from that.
     """
     from scipy.integrate import quad
 
+    if not isinstance(params, KernelParams):
+        raise DomainError(f"params must be KernelParams, got {type(params).__name__}")
     n, l = params.n, params.l
-    log_c = _log_sphere_surface(l) + log_gamma_nl(n, l)
+    scale = math.exp(_log_sphere_surface(l) + log_gamma_nl(n, l))
     expo_sin = l - 1.0
     expo_cos = n - l - 1.0
 
     def integrand(phi):
-        s, c = math.sin(phi), math.cos(phi)
-        val = log_c
-        if expo_sin > 0:
-            if s == 0.0:
-                return 0.0
-            val += expo_sin * math.log(s)
-        if expo_cos > 0:
-            if c == 0.0:
-                return 0.0
-            val += expo_cos * math.log(c)
-        return math.exp(val)
+        return scale * math.sin(phi) ** expo_sin * math.cos(phi) ** expo_cos
 
     mass, _ = quad(integrand, 0.0, 0.5 * math.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
     return mass
@@ -143,6 +140,19 @@ def psi_ball_mass(params: KernelParams) -> float:
 # nodes evaluated in one array (as many t-points as fit share it).
 MIXTURE_NODES = 20
 _MIXTURE_BLOCK = 1 << 20
+
+
+@functools.cache
+def _mixture_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The ``MIXTURE_NODES``-point Gauss–Legendre nodes and weights on [-1, 1].
+
+    Built on first use, not at import, so importing this module loads no
+    ``numpy.polynomial``; read-only, since every caller shares them.
+    """
+    rule = np.polynomial.legendre.leggauss(MIXTURE_NODES)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.ndarray:
@@ -178,7 +188,7 @@ def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.n
         + (1.0 - 0.5 * n_chi) * math.log(2.0)
         - float(gammaln(0.5 * n_chi))
     )
-    x, w = np.polynomial.legendre.leggauss(MIXTURE_NODES)
+    x, w = _mixture_rule()
     panels = np.arange(math.ceil(math.sqrt(upper * upper - lower * lower)) + 1.0)
     rows = max(1, _MIXTURE_BLOCK // (panels.size * MIXTURE_NODES))
     flat = t_arr.ravel()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import erfc, ndtr
 
 from projclt.deconvolution import (
     BODIES_1D,
@@ -222,6 +223,36 @@ def test_grid_convolution_output_is_a_valid_input_again():
     assert abs(twice.sum() * spacing - 1.0) < 1e-9
 
 
+def _is_5_smooth(size):
+    for p in (2, 3, 5):
+        while size % p == 0:
+            size //= p
+    return size == 1
+
+
+@pytest.mark.parametrize("shape, variance", [((24001,), 0.5), ((300, 250), 0.04)])
+def test_grid_convolution_pads_each_axis_to_a_5_smooth_length(monkeypatch, shape, variance):
+    spacing = 0.001 if len(shape) == 1 else 0.02
+    density = np.ones(shape) / (math.prod(shape) * spacing ** len(shape))
+    half = math.ceil(8.0 * math.sqrt(variance) / spacing)
+    sizes = []
+    rfft = np.fft.rfft
+
+    def spy(a, n=None, *args, **kwargs):
+        sizes.append(n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    grid_convolve(density, spacing, variance)
+    # one transform of the rows and one of the kernel per axis
+    assert len(sizes) == 2 * len(shape)
+    for count, (rows, kernel) in zip(shape, zip(sizes[::2], sizes[1::2])):
+        assert rows == kernel >= count + 2 * half - 1
+        assert _is_5_smooth(rows)
+    if shape == (24001,):
+        assert sizes[0] == 36000  # a power of two would be 65536
+
+
 def test_grid_convolution_guards():
     xs = np.arange(-10.0, 10.0, 0.05)
     density = gaussian_density(1, 0.5, np.abs(xs))
@@ -266,6 +297,41 @@ def test_closed_form_convolutions_match_quadrature(body, x):
     ref, _ = integrate.quad(integrand, x - 12, x + 12, points=quad_points, limit=400)
     val = float(body_convolved_density_1d(body, np.array([x]), alpha)[0])
     assert math.isclose(val, ref, rel_tol=1e-9)
+
+
+def test_the_skipped_special_function_values_are_exact_limits():
+    # The closed forms write these limits instead of calling scipy beyond the
+    # cut-offs; a scipy that moves them must fail here, not change bits.
+    assert ndtr(-40.0) == 0.0 and ndtr(40.0) == 1.0
+    assert erfc(-7.0) == 2.0 and erfc(30.0) == 0.0
+
+
+def _unmasked_convolved_density_1d(body, x, alpha):
+    # The closed forms with every point passed to scipy.
+    if body == "uniform":
+        s = math.sqrt(alpha)
+        return (ndtr((x + SQRT3) / s) - ndtr((x - SQRT3) / s)) / (2.0 * SQRT3)
+    b = 1.0 / math.sqrt(2.0)
+    s = math.sqrt(2.0 * alpha)
+    prefactor = math.exp(alpha / (2.0 * b * b)) / (4.0 * b)
+    left = np.exp(-x / b) * erfc((alpha / b - x) / s)
+    right = np.exp(x / b) * erfc((alpha / b + x) / s)
+    return prefactor * (left + right)
+
+
+@pytest.mark.parametrize("body", ["uniform", "laplace"])
+@pytest.mark.parametrize("alpha", [1e-3, 1e-24, 1e-30])
+@pytest.mark.parametrize("radius", [3.0, 10.0])
+def test_closed_forms_equal_the_unmasked_formula_bit_for_bit(body, alpha, radius):
+    xs = np.linspace(-radius, radius, 20001)
+    expected = _unmasked_convolved_density_1d(body, xs, alpha)
+    assert np.array_equal(body_convolved_density_1d(body, xs, alpha), expected)
+
+
+@pytest.mark.parametrize("body", ["uniform", "laplace"])
+def test_a_nan_point_gives_nan(body):
+    out = body_convolved_density_1d(body, np.array([0.0, math.nan, 1.0]), 1e-24)
+    assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2]]))
 
 
 def test_deflated_convolution_is_exactly_standard_gaussian():

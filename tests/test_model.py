@@ -476,6 +476,23 @@ def test_a_payload_is_accepted_only_as_the_encoding_of_the_value_it_rebuilds(pay
         from_jsonable(payload)
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        pytest.param(_golden_with("sandwich_report", status="bogus"), "status", id="status"),
+        pytest.param(_golden_with("sandwich_report", body="dodecahedron"), "body", id="body"),
+        pytest.param(
+            _golden_with("sandwich_report", certificate=json.loads(_PARAMS_JSON)), "certificate",
+            id="certificate",
+        ),
+    ],
+)
+def test_a_sandwich_report_refuses_a_field_outside_its_closed_set(payload, key):
+    # Each re-encoded to its own bytes before the report checked these fields.
+    with pytest.raises(InvalidSpec, match=f"^{key} must be"):
+        from_jsonable(payload)
+
+
 # Keys a payload may omit: the field default applies.
 _OMITTABLE = {("ratio_report", "meta")}
 

@@ -6,6 +6,7 @@ regressions beyond honest floating-point noise indicate a real change in the
 numerics.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,12 @@ def test_kernel_has_unit_ball_mass(n, l):
         pytest.skip("kernel needs l < n")
     mass = psi_ball_mass(KernelParams(n=n, l=l, r=1.0))
     assert abs(mass - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_kernel_has_unit_ball_mass_in_high_dimension(n, l):
+    assert abs(psi_ball_mass(KernelParams(n=n, l=l, r=1.0)) - 1.0) <= 1e-10
 
 
 def test_ball_mass_is_scale_free():
@@ -134,6 +141,12 @@ def test_kernel_params_validation():
         KernelParams(n=5, l=2, r=-1.0)
     with pytest.raises(DomainError):
         psi(KernelParams(n=5, l=5, r=1.0), 0.1)
+
+
+@pytest.mark.parametrize("bad", [{"n": 5, "l": 2, "r": 1.0}, (5, 2, 1.0), None])
+def test_ball_mass_refuses_anything_but_kernel_params(bad):
+    with pytest.raises(DomainError, match="params must be KernelParams"):
+        psi_ball_mass(bad)
 
 
 @pytest.mark.parametrize("t", [[2.0, 1.0], [0.5], 1.0, 0.0], ids=["past_r", "inside", "at_r", "0"])
@@ -267,6 +280,23 @@ def _quad_mixture(n_chi, n, l, t):
                                  limit=400)
         total += rest
     return total
+
+
+# SHA-256 of the chi mixture's float64 bytes at n in {2, 16, 64, 256, 1024},
+# l in {1, 2, 3} (l < n), on 20 points of [0, 6] and one past sqrt(n) + 26;
+# frozen from the implementation that rebuilt its Gauss–Legendre rule per call.
+CHI_MIXTURE_DIGEST = "b65643366522bb5df5d5a5f1775daa836bb6362b0d2e8441301d863646bb5025"
+
+
+def test_chi_mixture_bits_are_pinned():
+    digest = hashlib.sha256()
+    for n in (2, 16, 64, 256, 1024):
+        g = RadialDensity.closed_form_chi(n)
+        t = np.append(np.linspace(0.0, 6.0, 20), math.sqrt(n) + 27.0)
+        for l in (1, 2, 3):
+            if l < n:
+                digest.update(radial_mixture_marginal(g, n, l, t).tobytes())
+    assert digest.hexdigest() == CHI_MIXTURE_DIGEST
 
 
 @pytest.mark.parametrize("n, l", [(2, 1), (4, 3), (5, 3), (16, 1), (1024, 3)])
