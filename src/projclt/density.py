@@ -234,9 +234,10 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> S
     Each tile's projection is written into its rows of the one (count, l)
     result.  Each tile goes through this module's ``project``, where the
     benchmark's tracer finds it, so the tracer counts one projection per
-    tile.
+    tile.  A ``count`` that is not a positive integer is refused with
+    ``InvalidSpec`` before anything is allocated.
     """
-    out = np.empty((count, basis.subspace_dim))
+    out = np.empty((_as_positive_int(count, "count"), basis.subspace_dim))
 
     def reduce(block, rows):
         out[rows] = project(SampleBatch(data=block, seed=None, source={}), basis).data

@@ -41,6 +41,8 @@ the reduced outputs.  Without one, each tile is
 copied into its rows of a (count, n) array that holds the whole batch, so a
 batch larger than physical memory is refused with ``RangeError`` before any
 allocation; only library callers and the CSV writer draw a whole batch.
+Smoothing by gaussian noise is a library call only: :func:`convolve_and_rescale`
+smooths a batch held in memory, and no artifact writer draws noise.
 
 A batch file is column-major float64 with a JSON sidecar.  Its writer places
 each block's column segments by offset, so blocks may arrive in any order,
@@ -75,7 +77,7 @@ from .model import (
 
 # The artifact schema, ``schema_version`` in every batch sidecar, CSV header and CLI
 # JSON: it moves whenever the same inputs give an artifact other bytes.
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 BLOCK = 1 << 12
 # Bytes of one tile, the rows drawn and reduced at once: a 2 MiB per-core L2.  At 1 MiB
 # an n = 50 block splits in two, which doubles the batch writer's positioned writes.
@@ -150,7 +152,7 @@ def _block_rng(root: np.random.SeedSequence, i: int) -> np.random.Generator:
     return np.random.default_rng(child)
 
 
-def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, smooth=None):
+def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None):
     """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out, rows)``.
 
     Block i, rows ``i*BLOCK`` up to ``(i+1)*BLOCK`` or ``count``, is drawn
@@ -163,9 +165,6 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
     tile, so ``reduce`` must return new arrays or write its output
     elsewhere, and keep no view of its input.  Without ``reduce`` each tile
     is copied into its rows of one (count, dim) array, which is returned.
-    ``smooth``, a ``(noise_seed, sigma, scale)`` triple, smooths each tile
-    before ``reduce`` sees it, as :func:`convolve_and_rescale` does, with
-    block i's noise drawn tile by tile by ``_block_rng(noise_seed, i)``.
     A worker that raises empties the iterator, so the others stop after
     their current block.
     """
@@ -181,22 +180,18 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
     tile = max(1, min(BLOCK, TILE_BYTES // (8 * dim)))
     height = min(tile, count)
     blocks = range(0, count, BLOCK)
-    # Each worker's buffers are made by the calling thread: they come from its
-    # allocator arena and are reused run after run, where buffers made in each
+    # Each worker's buffer is made by the calling thread: it comes from its
+    # allocator arena and is reused run after run, where a buffer made in each
     # run's fresh worker threads could each stay resident in another arena.
     # Each worker also holds, inside ``fill``, at most one height x (dim + 2) temporary.
     workers = min(threads, len(blocks))
-    per_worker = 1 if smooth is None else 2
-    need = 8 * workers * height * (per_worker * dim + dim + 2)
+    need = 8 * workers * height * (2 * dim + 2)
     _require_memory(f"{workers} worker threads' {height} x {dim} blocks", need)
     root = _seed_seq(seed)
-    if smooth is not None:
-        noise_seed, sigma, scale = smooth
-        noise_root = _seed_seq(noise_seed)
     results = [None] * len(blocks)
     todo, lock = iter(range(len(blocks))), threading.Lock()
 
-    def work(lent):
+    def work(buf):
         try:
             while True:
                 with lock:
@@ -204,15 +199,11 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
                 if i is None:
                     return
                 rng, stop = _block_rng(root, i), min(blocks[i] + BLOCK, count)
-                if smooth is not None:
-                    noise_rng = _block_rng(noise_root, i)
                 results[i] = []
                 for lo in range(blocks[i], stop, tile):
                     rows = slice(lo, min(lo + tile, stop))
-                    part = lent[0][: rows.stop - lo]
+                    part = buf[: rows.stop - lo]
                     fill(rng, part, rows)
-                    if smooth is not None:
-                        part = _smooth_block(noise_rng, lent[1][: len(part)], part, sigma, scale)
                     results[i].append(reduce(part, rows))
         except BaseException:
             with lock:
@@ -220,22 +211,13 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None, s
                     pass
             raise
 
-    lent = [[np.empty((height, dim)) for _ in range(per_worker)] for _ in range(workers)]
+    bufs = [np.empty((height, dim)) for _ in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, lent))
+            list(pool.map(work, bufs))
     else:
-        work(lent[0])
+        work(bufs[0])
     return out if whole else [r for parts in results for r in parts]
-
-
-def _smooth_block(rng, out, x, sigma, scale):
-    """Fill ``out`` with (x + sigma * z) * scale, z standard gaussian from ``rng``; return it."""
-    rng.standard_normal(out=out)
-    out *= sigma
-    out += x
-    out *= scale
-    return out
 
 
 def norm_column(data: np.ndarray) -> np.ndarray:
@@ -328,10 +310,13 @@ def sample_body(
     the returned batch stacks those arrays in row order.  With ``out`` as
     well, a (count, k) array, ``reduce(tile, rows)`` writes the tile's
     k-wide rows into ``out[rows]`` itself, no per-tile arrays are kept, and
-    the returned batch holds ``out``.
+    the returned batch holds ``out``.  ``out`` without ``reduce`` is refused
+    with ``InvalidSpec``: nothing would write into it.
     """
     source = _body_source(spec)
     count = _as_positive_int(count, "count")
+    if out is not None and reduce is None:
+        raise InvalidSpec("out needs a reduce that writes each tile's rows into it")
     fill = _FILLS[spec.kind]
     if reduce is None:
         data = _generate(count, spec.dimension, seed, fill, threads)
@@ -358,16 +343,6 @@ def sample_gaussian(spec: GaussianSpec, count: int, seed, threads: int = 1) -> S
     return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
 
-def _smoothed_source(source: dict, schedule: ConvolutionSchedule, v: float, seed) -> dict:
-    return {
-        "draw": "convolved_rescaled",
-        "of": source,
-        "schedule": schedule.to_jsonable(),
-        "noise_variance": v,
-        "noise_seed": _seed_jsonable(seed),
-    }
-
-
 def convolve_and_rescale(
     x: SampleBatch, schedule: ConvolutionSchedule, seed, threads: int = 1
 ) -> SampleBatch:
@@ -377,12 +352,21 @@ def convolve_and_rescale(
     isotropic input isotropic.
     """
     v = schedule.noise_variance(x.dimension)
-    source = _smoothed_source(x.source, schedule, v, seed)
+    source = {
+        "draw": "convolved_rescaled",
+        "of": x.source,
+        "schedule": schedule.to_jsonable(),
+        "noise_variance": v,
+        "noise_seed": _seed_jsonable(seed),
+    }
     sigma = math.sqrt(v)
     scale = 1.0 / math.sqrt(1.0 + v)
 
     def fill(rng, out, rows):
-        _smooth_block(rng, out, x.data[rows], sigma, scale)
+        rng.standard_normal(out=out)
+        out *= sigma
+        out += x.data[rows]
+        out *= scale
 
     data = _generate(x.count, x.dimension, seed, fill, threads)
     return SampleBatch(data=data, seed=x.seed, source=source)
@@ -514,18 +498,14 @@ def save_sample(
     seed,
     path: str,
     config: dict | None = None,
-    schedule: ConvolutionSchedule | None = None,
-    noise_seed=None,
     threads: int = 1,
 ) -> None:
     """Draw ``sample_body(spec, count, seed)`` straight into the batch file ``path``.
 
-    With a ``schedule`` the sample is smoothed as ``convolve_and_rescale``
-    smooths it with ``noise_seed``.  The data file and sidecar are, byte for
-    byte, what :func:`save_batch` writes of that batch, but each tile is
-    written from its worker's buffer, so each thread holds two tile-sized
-    arrays, the buffer and its transpose, and a third, the noise, with a
-    ``schedule``.  A batch larger than physical memory, which
+    The data file and sidecar are, byte for byte, what :func:`save_batch`
+    writes of that batch, but each tile is written from its worker's
+    buffer, so each thread holds two tile-sized arrays, the buffer and its
+    transpose.  A batch larger than physical memory, which
     :func:`load_batch` could not hold, is refused with ``RangeError`` before
     anything is drawn or opened; the CSV form has rows of varying length, so
     it is written from a batch in memory (:func:`save_batch_csv`).
@@ -534,15 +514,10 @@ def save_sample(
     count = _as_positive_int(count, "count")
     dim = spec.dimension
     _require_memory(f"a {count} x {dim} batch", count * dim * 8)
-    smooth = None
-    if schedule is not None:
-        v = schedule.noise_variance(dim)
-        source = _smoothed_source(source, schedule, v, noise_seed)
-        smooth = (noise_seed, math.sqrt(v), 1.0 / math.sqrt(1.0 + v))
     with _batch_file(path, count, dim, _seed_jsonable(seed), source, config) as fd:
         _generate(
             count, dim, seed, _FILLS[spec.kind], threads,
-            lambda block, rows: _write_rows(fd, count, rows.start, block), smooth=smooth,
+            lambda block, rows: _write_rows(fd, count, rows.start, block),
         )
 
 

@@ -134,9 +134,6 @@ def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path
          "density estimation needs >= 10000 samples, got 5000"),
         (["ratio", "--body", "cube", "--n", "20", "--l", "4", "--samples", "20000", "--seed", "1"],
          "density estimation supports l <= 3, got l=4"),
-        (["sample", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1",
-          "--alpha", "-1"],
-         "alpha must be positive, got -1.0"),
         (["thinshell", "--body", "cube", "--n", "20", "--samples", "20000", "--seed", "1",
           "--epsilon", "0"],
          "epsilon must be positive, got 0.0"),
@@ -149,8 +146,7 @@ def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path
         (_SCAN + ["--l", "1", "--grid-points", "0"], "grid_points must be >= 1"),
         (["deconv-matrix", "--grid-points", "0"], "grid_points must be >= 1, got 0"),
     ],
-    ids=["ratio_few_samples", "mtilde_few_samples", "ratio_l4", "sample_negative_alpha",
-         "thinshell_zero_epsilon", "thinshell_infinite_second_epsilon", "scan_l4",
+    ids=["ratio_few_samples", "mtilde_few_samples", "ratio_l4", "thinshell_zero_epsilon", "thinshell_infinite_second_epsilon", "scan_l4",
          "scan_few_samples", "scan_no_points", "deconv_matrix_no_points"],
 )
 def test_a_bad_value_exits_1_before_anything_is_drawn(argv, message, tmp_path, monkeypatch,
@@ -358,8 +354,8 @@ def test_accepted_config_values_are_echoed_as_written(tmp_path):
 # ------------------------------------------------------------ golden surface
 
 GOLDEN_OPTIONS = {
-    "sample": ["--alpha", "--body", "--config", "--format", "--n", "--output", "--samples",
-               "--seed", "--threads"],
+    "sample": ["--body", "--config", "--format", "--n", "--output", "--samples", "--seed",
+               "--threads"],
     "project": ["--basis-out", "--config", "--format", "--input", "--l", "--output", "--seed",
                 "--threads"],
     "ratio": ["--alpha", "--body", "--config", "--csv", "--directions", "--grid-points", "--l",
@@ -397,7 +393,7 @@ def test_golden_option_strings():
 GOLDEN_ECHO = {
     "sample": (
         ["--body", "cube", "--n", "3", "--samples", "10", "--seed", "1"], "out.bin",
-        ["subcommand", "body", "n", "samples", "seed", "alpha", "format"],
+        ["subcommand", "body", "n", "samples", "seed", "format"],
     ),
     "project": (
         ["--l", "1", "--seed", "2"], "out.bin",
@@ -513,19 +509,17 @@ def test_sample_writes_loadable_batch(tmp_path):
 
 
 def test_sample_is_byte_reproducible_across_dirs_and_threads(tmp_path):
-    # Five full blocks and a short last one, raw and smoothed: the workers
-    # share the blocks differently at each thread count.
+    # Five full blocks and a short last one: the workers share the blocks
+    # differently at each thread count.
     args = ["sample", "--body", "simplex", "--n", "6", "--samples", str(5 * BLOCK + 7),
             "--seed", "11"]
-    for extra in ([], ["--alpha", "10"]):
-        dirs = [tmp_path / f"{len(extra)}-{threads}" for threads in (1, 2, 3)]
-        for threads, d in enumerate(dirs, start=1):
-            d.mkdir()
-            argv = args + extra + ["--output", str(d / "x.bin"), "--threads", str(threads)]
-            assert main(argv) == 0
-        for d in dirs[1:]:
-            assert filecmp.cmp(dirs[0] / "x.bin", d / "x.bin", shallow=False)
-            assert (dirs[0] / "x.bin.json").read_text() == (d / "x.bin.json").read_text()
+    dirs = [tmp_path / str(threads) for threads in (1, 2, 3)]
+    for threads, d in enumerate(dirs, start=1):
+        d.mkdir()
+        assert main(args + ["--output", str(d / "x.bin"), "--threads", str(threads)]) == 0
+    for d in dirs[1:]:
+        assert filecmp.cmp(dirs[0] / "x.bin", d / "x.bin", shallow=False)
+        assert (dirs[0] / "x.bin.json").read_text() == (d / "x.bin.json").read_text()
 
 
 def test_sample_csv_format(tmp_path):
@@ -540,15 +534,25 @@ def test_sample_csv_format(tmp_path):
     assert np.linalg.norm(values, axis=1).max() <= np.sqrt(5) * (1 + 1e-12)
 
 
-def test_sample_with_smoothing_schedule(tmp_path):
-    out = tmp_path / "smooth.bin"
-    rc = main(["sample", "--body", "cube", "--n", "30", "--samples", "20000",
-               "--seed", "17", "--alpha", "10.0", "--output", str(out)])
-    assert rc == 0
-    batch = load_batch(str(out))
-    sidecar = json.loads((tmp_path / "smooth.bin.json").read_text())
-    assert sidecar["config"]["alpha"] == 10.0
-    assert abs(batch.data.var(axis=0).mean() - 1.0) < 0.02  # rescaled to unit variance
+_SAMPLE = ["sample", "--body", "cube", "--n", "4", "--samples", "10", "--seed", "1"]
+
+
+def test_sample_has_no_alpha_flag(tmp_path, capsys):
+    # Smoothing is a library call (samplers.convolve_and_rescale); sample draws no noise.
+    with pytest.raises(SystemExit) as exc:
+        main(_SAMPLE + ["--alpha", "10", "--output", str(tmp_path / "s.bin")])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_file_that_sets_alpha_for_sample_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 10.0}))
+    out = tmp_path / "s.bin"
+    assert main(_SAMPLE + ["--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config file sets unknown parameters: alpha\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -292,6 +292,17 @@ def test_a_smoothed_cube_coordinate_projection_matches_its_exact_density():
 # -------------------------------------------------------------- ratio report
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [(-1, "count must be >= 1, got -1"), (0, "count must be >= 1, got 0"),
+     (2.5, "count must be an integer, got 2.5"), (True, "count must be an integer, got True")],
+)
+def test_project_body_refuses_a_count_that_is_not_a_positive_integer(count, message):
+    basis = random_subspace(4, 1, 2)
+    with pytest.raises(InvalidSpec, match=message):
+        project_body(BodySpec("cube", 4), count, 1, basis)
+
+
 def test_ratio_to_gaussian_divides_by_the_reference():
     batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=28)
     est = estimate_density(batch, np.linspace(-1.0, 1.0, 9).reshape(-1, 1))

@@ -1,4 +1,4 @@
-"""Golden bytes of the projected-ratio pipeline and the noise step.
+"""Golden bytes of the projected-ratio pipeline and the library's noise step.
 
 Each test pins the SHA-256 of an artifact (or of an array's bytes) produced
 by a fixed seed at a small size, so any refactor of the sample -> smooth ->
@@ -13,9 +13,12 @@ and the ``psi-scan`` pins cover the sphere kernel psi.  The multi-chunk runs
 span 32 full blocks and a short last one, at one and two threads and at the
 default (every usable core), so a block loop that reorders or splits work
 differently shows up as a moved hash.  The batch files of ``sample`` (bin
-and CSV, with and without smoothing) and ``project --input`` are pinned at
+and CSV; ``sample`` draws no noise) and ``project --input`` are pinned at
 counts on both sides of a block and of many blocks, at one and two threads;
-``sample`` also at the default.
+``sample`` also at the default.  The noise step, ``convolve_and_rescale``,
+is a library call only, pinned by its output bytes (``CONVOLVE_SHA``) and,
+at the counts and thread counts above, by the data bytes that the retired
+``sample --alpha`` wrote.
 """
 
 import hashlib
@@ -36,13 +39,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "eb28b7fe27437ec8c6af3c22977f3c78b8b5431ce72cfefa9c67dbd8608e624d",
-        "b49967c0d9e25196311ec66684132c4a5c3bab84f7170a03b9609a07dd7f45a3",
+        "4295205513273dd224fe40f9b3457e198a878533892dc2b64ece98c9e7eea892",
+        "6db3adb61775627feef763b1055f8d9ed9ddd927c362e433f7abca8bb356776e",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "0fac9a9869193ed651271c85cd61195ebdbc719bb316e446e88d5dfbc7c049fc",
-        "ab500612db1438795e3c3d30eb172e6b53767617ee11ee1d4abaeacc9e31818d",
+        "899f60ff6db4ac5e09b4c129c212fb0f7f2bcfc3d06bda9c9c182ae184677b15",
+        "d67ef4bb1115197f1dc3f7f48b8ffed3814086c6cbdb937d4cfb27146dfedb5e",
     ),
 }
 
@@ -62,11 +65,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "0ad4617f1531b5bf854de0df4a6c7c264347bc8cb05833bab05d8d06d06e6e8c",
+        "211b9a43b98687130afcab830606014a316aa57c3096800db7b02474f29c9bf5",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "e3e12c585d7837063349430a125873494e0b23f2c77a3c7a3003146946abfb3c",
+        "e0b5b69f3066281e95b9214d0cad615b4de2445fa660394af315210cae17b049",
     ),
 }
 
@@ -86,11 +89,11 @@ def test_clt_scan_csv_is_golden(run, tmp_path):
 PSI_SCAN_RUNS = {
     "l1": (
         ["--n", "100", "--l", "1", "--tmax", "1.7", "--points", "200"],
-        "614179fbfae3ad1251cee565ebf100fcd8fb56ddc5b4727dbcbe34ca2e99069e",
+        "d526d7a8c2486e986c484aea016bdbc5772cddc63c8d1c0b31078533d1e52f92",
     ),
     "l2": (
         ["--n", "64", "--l", "2", "--tmax", "1.2", "--points", "55"],
-        "0907a610d07338dec3d9b925358e1fd3f0aaac959103cb1d55d02ee73a7ab047",
+        "7b94a7f2a84fbbc35e94e584c4029aaf16722e42ff5947b5bb52159d3fb4f5ec",
     ),
 }
 
@@ -152,14 +155,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "be496e23be50503e4f35c90e364519860257f1479d0312ad283e89688158d715",
-            "r.csv": "ddc8789b5ec43cdb0d1756ddcca0ed3a7d95a81c53bfdb26b3e643e3e1676c44",
+            "r.json": "46c887fb4d9884b5389e56dcedca82e3786681c3e5ec1b7df1407f0d79fd6048",
+            "r.csv": "0696078c2a0befdad089e755bbbbc7f0ad168d4d8445a2067f21ee977ffcecc9",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "f3f315b1b3bff09d24f94cd02b6cf852e36a6ccb477dab36b9dd66a8e7b1044c"},
+        {"m.json": "1e5b51c88cb34b0ac1a802a6eeb19f8b9a61b56dcca88e12fc8ebd8bdbacaabf"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -168,11 +171,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "6f6fbe6dacd3d1ee23b057d83f857d58eabf1719d1b897db6a8c95f47890f691",
-            "ball": "2192af483e264c3eb344389a27f707f64ffb5238ec7f94068e05bd8799cd7220",
-            "simplex": "10abc819cce74448bc011c89b68a7741ba8ac56a91587ff4d730ab724120697f",
-            "product_laplace": "be61417f752314892695564c9e0ac4cb6b60ed54803ca867f718660d1cead5f8",
-            "gaussian": "05b0ba0509deed13000614748345c87dfc15e341c45d80ba9fd9fb6c2866ef33",
+            "cube": "1a7ddcb84898d3e268373ea6225538a0a29be9d86658ac65563f225637b7c792",
+            "ball": "2be404b89b98a1e6355c427767d8fc2d26936091034c454ae9abe7a5dd881a83",
+            "simplex": "0fa5c8a4de9762e6965ce1ad1b4903f940485f2a7d7ec813e33e6b1a84ed1ba6",
+            "product_laplace": "1a98be666d5d8c7f74934bea118135386f57a71adf6099fcb5213acc64b9d001",
+            "gaussian": "b57c5814551c84fd9a43b0e08f8c38c0504a231b6aef6b0bb094b512205e5428",
         }.items()
     },
 }
@@ -193,15 +196,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "5bf9608469a5cdab28a58647010123bef27fadc120816840004e052d738a3898",
-        "dc34f04618c19e128e3a7e1e291490edaa5ecb2df768607c7745793ec595054a",
+        "4de241437b514e940627920f5bbf7f91d858dc480d53b8548c6c246af2b5a791",
+        "782afc7c47684d9257955034f2aa15c20e76d8f33fd03563fddc2897b0f7a040",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "f885f0cc3171e3d74541c8f54c9df03127e1e80a47d26ce02595d57fefbfb24c",
-        "8e2ab9ee158f6ada35be25491f29c5a57320b4812685c5c843ff0e3beca54b76",
+        "f7299ae5320e463c52961a7f21ce80d7221440edbd7d609df48664b23dad7d9a",
+        "b2b0bfbc2414ea9a8c1d0ca465029cfeb23a2add61289576be89ea9ff2e9d813",
     ),
 }
 
@@ -219,12 +222,12 @@ def test_deconv_verify_artifacts_are_golden(run, tmp_path):
 DECONV_RUNS = {
     "admissible": (
         ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
-        "9bde0c71a015cd1451fcb53113f9f72f6572853cd474f108bce57452ee83bf5c",
+        "e697b9e4d53d3aca14e96da6e7e990179b37ff143451d50b9b6febdfa1bad265",
     ),
     # All three conditions fail: alpha, the noise floor and epsilon < 1/100.
     "inadmissible": (
         ["--n", "2", "--alpha", "1e-3", "--beta", "0.5", "--epsilon", "0.5", "--R", "3"],
-        "43d628977b38e68e384dc6251afe3ff273170762ff311ab11388bd9041791c54",
+        "b90744827ec26ac0d5d4aa47aab1ea3f5131a5590792a6d62411d6e942c4b32c",
     ),
 }
 
@@ -236,7 +239,7 @@ def test_deconv_certificate_json_is_golden(run, capsys):
     assert _sha(capsys.readouterr().out.encode()) == sha
 
 
-DECONV_MATRIX_SHA = "90f15d2ebad1709e0500428c61984767d1a0ba17812e3348e744fc223b24ac0d"
+DECONV_MATRIX_SHA = "a8d4ba00aec5f8ad56c992eb5bdf7a1daabda7a353d8740a96507c39310831d9"
 
 
 def test_deconv_matrix_csv_is_golden(tmp_path):
@@ -245,120 +248,101 @@ def test_deconv_matrix_csv_is_golden(tmp_path):
     assert _sha(out.read_bytes()) == DECONV_MATRIX_SHA
 
 
-# (body, count, smoothed) -> (batch file, sidecar); n = 5, seed 3.
+# (body, count) -> (batch file, sidecar); n = 5, seed 3.
 SAMPLE_PINS = {
-    ("cube", 1, False): (
+    ("cube", 1): (
         "a41f1b73cf61d7b6127b59f8502df2b2f46310968cab8d231b42ca2f6e7796d9",
-        "d53ab3fb9beeb1c4b497bb63c7cd6f792474d7d8bab0aa494cef722b8873846c",
+        "dd121636bca98ed23c56b4ee96d33a8f0b7c0cd4fe46ffc460ad902281e12161",
     ),
-    ("cube", 1, True): (
-        "777c97f8ea88083e5790e46476c0d73d309df2e6729f9f08a3bc2b01de602900",
-        "b7b6569b658deba04fb9c00019170399de1fc609dcd080cba50572a5c84450cc",
-    ),
-    ("cube", BLOCK - 1, False): (
+    ("cube", BLOCK - 1): (
         "4ab6caadd5f4ca0ca9d318cbb326944196bb05aec83913d7d6f55d994354c813",
-        "7115ba65f48462cdf703805f26750d6f30c14cac419abb36e191eaef8e9915b4",
+        "8d7a1c45312475e98094701868d723b42f6e169c070c4e105df1781c9c1dd4ca",
     ),
-    ("cube", BLOCK - 1, True): (
-        "154de557db65eccdeb10bf0bd8225d4fc2e402724d0c47e0581000ae3ae72f91",
-        "45789665b7252f5a7c04cd188c049f93f6eccf0f57cdea7782c4bf9cb2eb4ee6",
-    ),
-    ("cube", BLOCK + 1, False): (
+    ("cube", BLOCK + 1): (
         "8ed965800023a5668fc43c84577ee0f964ec9cf2ddc0d551a12208ead245bc5a",
-        "46efbfafe527cbd708ff7e12a224c50d7062b70838a044b3c43228b1931adf8b",
+        "41d4709f4070e3a19d0f2a8a79fba0165cf7a6451783cb132e2f34c5b5b159e8",
     ),
-    ("cube", BLOCK + 1, True): (
-        "54a3fb835386a6ec79058ca58ac3b0be213b6047eb09506a133619038f9e810f",
-        "3bb7322e250d69fa40fb857ce4cd4059c06ff831c6db05ffb1787392885c94b8",
-    ),
-    ("cube", 32 * BLOCK + 3, False): (
+    ("cube", 32 * BLOCK + 3): (
         "94c3fd298cf5f308a57dd758e1242247754e9f4fe46924419a1ff0c5ead6dc11",
-        "c27b6897d5d3bd367650da8d99f93b46db1bc772694d0e1792085865e1c48f65",
+        "c71a6c3aa6308b8b20397ae861172409c34ec53083eccffa6f4361abddc312e7",
     ),
-    ("cube", 32 * BLOCK + 3, True): (
-        "b9f395099313745b7ee79965945d8b1fdb24ffe1c501777f0494a672a7bf9126",
-        "3656348231359b4e75af2fdb1dcb139a4fcb0f9f169785596f9e8ebba35dbc1b",
-    ),
-    ("ball", 1, False): (
+    ("ball", 1): (
         "27509e01518fcf346a1e2d3f6d3f7aa3d46716a98a5d1c41dd3ff334b3f90c47",
-        "d0acf478dcf3a26e52153004e85f0c599aff74d50d58afa422aeceeefb26e728",
+        "229ae0f96e9e5bdfc1e2e74632cb79746ee52dbf41fa2f800b8e05579a2b0f3d",
     ),
-    ("ball", 1, True): (
-        "decc22ddd74887005cdcaee7be4b94157b2a68a1b63e710b5305440de65eacc4",
-        "9546f5a714dc5ca3e5e90f2659a302c2eb770bc519624336560580a1d9404382",
-    ),
-    ("ball", BLOCK - 1, False): (
+    ("ball", BLOCK - 1): (
         "6c1597581f9f674f586308ab9d23d2093bd93136529c81a448afae9d290a472d",
-        "e9e1fc6b892b880e9cb8ca11482182516a222382c1b6673a37530e8cedd5e3d3",
+        "8c031f1b6cc7f12dd6363d13d96af15d65579f1f4e0263afcefca9f29e9d1863",
     ),
-    ("ball", BLOCK - 1, True): (
-        "27742268f69997e53d6188baac42d7197574cef0f13a239e4739470e4409754f",
-        "b851934ade7ebab14e477d9b4292df67daaee1a24210e36228d1da04dfa7bfa3",
-    ),
-    ("ball", BLOCK + 1, False): (
+    ("ball", BLOCK + 1): (
         "47ed89d268db40c69848958712c027287f6bfee04e7e98a8136aecb4d731169b",
-        "a8b7ccb4e4d0ca49ecd28914fd7c16bab66176db7e5ed82e3b96915aabf550f5",
+        "206e07af7549d013f7c8528853a4d5e58114e8fa3b8dfc34081afb80ab49fba4",
     ),
-    ("ball", BLOCK + 1, True): (
-        "0a9a2599f572f8d02188020f2594af225cb1660ce64bde6d80e80ec78d2a171b",
-        "8b32ef49de576717040dcff64efbe70f99e1587aa9b787fde9c95686ca686412",
-    ),
-    ("ball", 32 * BLOCK + 3, False): (
+    ("ball", 32 * BLOCK + 3): (
         "a4a1f9dc9a2ee976d5066ab06001be52605c7d20b10c16f6111c5f3e69bf8207",
-        "153b20353c897dc666b27c6daa4189ecccd8157cdbdfba2a01b41ac79b4ccc4a",
+        "61a5ebb4ac39a199294e952af215d853d1db5bb1d54f1b9e41877040d75709b5",
     ),
-    ("ball", 32 * BLOCK + 3, True): (
-        "1bde47649f7e6c14d6bf8c55b0794b740df19a2b6abee9f2e67bbf67b5540f66",
-        "6242caf711692457f013721810b37cd77ef5e3058cc51a1533673b95774ee989",
-    ),
-    ("simplex", 1, False): (
+    ("simplex", 1): (
         "83db14bf7ebc998eb3566b3efc0d8e0b83288423d96bd5974c905a40f289a97a",
-        "af3d041a2fcfb8f38b926fe18fefba386a596da5dde373d788c6eff77f02b14a",
+        "11a2f5b385e57e7c930eea6fe2e5b4bca0f5cdfe2090fbf71604e880fe2093fc",
     ),
-    ("simplex", 1, True): (
-        "e22e97fbde6843f863f29f066906b160a28e950406be18d7b126f23cc1ff7b1b",
-        "d363d2d4d5f3f21c24aff62aaaaf7333290a498feb081a500c607c8ba23adff5",
-    ),
-    ("simplex", BLOCK - 1, False): (
+    ("simplex", BLOCK - 1): (
         "c4f2af2630200c5db9913cc9b34c29f0e713e810f49b581f48702a3c6ccbeae8",
-        "25cf9176c27d31c515e345df5f1f0e99b52e3f8793ad5fc4c141f6cc43c5010d",
+        "869e9d07194b48151ae1077899b8534d55f88036f28309b650e64ab1d4cc163a",
     ),
-    ("simplex", BLOCK - 1, True): (
-        "c9c4c0aef14acf8a7e55b57aa3a75cb62dfa75ca2d9bf29b308b67dac5a216aa",
-        "836d57897ed5638cea32d86462ed8db5ed71ee858b61c609f907b32dd958d953",
-    ),
-    ("simplex", BLOCK + 1, False): (
+    ("simplex", BLOCK + 1): (
         "a35a299b1acf1ba86bf7d79080890814a76d72861ec9deb35b9a3f9553313d8a",
-        "aac25608a52d082624051dc481bbee09a9c8b3195bad8436a49d908d3b6c5c57",
+        "ec917e3d8b7d0f318ce85f16994712c7765adbdb83a08fb6433c9d6c7dcaf837",
     ),
-    ("simplex", BLOCK + 1, True): (
-        "5661c144653818d09356009adcd927f3b67ddc9ecbb442cdabc5c95ad9ca293e",
-        "66e214ba9093c7565dbe0a4a83822dc2986615e0af4335d326aada09558dafc0",
-    ),
-    ("simplex", 32 * BLOCK + 3, False): (
+    ("simplex", 32 * BLOCK + 3): (
         "a98ab5c4d6cc0dd82c5620f10e8ce394de87864c76e75cf6341a41b1f02e102f",
-        "cda7649441dc43c7b82d257dece9ead91ae2b5c210dd1e3bb297b04da5d743f3",
-    ),
-    ("simplex", 32 * BLOCK + 3, True): (
-        "e4fb85ca31a457c5198d1a1511faf70377bbe89c8473fd0868520ecd9b094f11",
-        "1f3035666cd7c0618b8faf44e87d8d77da32a0055a967871e4b5c262dc6e8fe8",
+        "09a1d48d00e96891391c74abe40587b97f112521218f5ad2d2a67d8809da2997",
     ),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2, None])
-@pytest.mark.parametrize(
-    "key", list(SAMPLE_PINS), ids=lambda k: f"{k[0]}-{k[1]}-{'alpha' if k[2] else 'raw'}"
-)
+@pytest.mark.parametrize("key", list(SAMPLE_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_sample_batch_files_are_golden(key, threads, tmp_path):
-    kind, count, smoothed = key
+    kind, count = key
     out = tmp_path / "s.bin"
     rc = main(["sample", "--body", kind, "--n", "5", "--samples", str(count), "--seed", "3",
-               *(["--alpha", "10"] if smoothed else []), *_threads_flag(threads),
-               "--output", str(out)])
+               *_threads_flag(threads), "--output", str(out)])
     assert rc == 0
     sidecar = tmp_path / "s.bin.json"
     assert (_sha(out.read_bytes()), _sha(sidecar.read_bytes())) == SAMPLE_PINS[key]
+
+
+# (body, count) -> column-major data bytes of the smoothed batch that
+# ``sample --alpha 10 --seed 3`` wrote at n = 5 (schema 9): body seed child 0,
+# noise seed child 1 of SeedSequence(3).
+SMOOTHED_SAMPLE_PINS = {
+    ("cube", 1): "777c97f8ea88083e5790e46476c0d73d309df2e6729f9f08a3bc2b01de602900",
+    ("cube", BLOCK - 1): "154de557db65eccdeb10bf0bd8225d4fc2e402724d0c47e0581000ae3ae72f91",
+    ("cube", BLOCK + 1): "54a3fb835386a6ec79058ca58ac3b0be213b6047eb09506a133619038f9e810f",
+    ("cube", 32 * BLOCK + 3): "b9f395099313745b7ee79965945d8b1fdb24ffe1c501777f0494a672a7bf9126",
+    ("ball", 1): "decc22ddd74887005cdcaee7be4b94157b2a68a1b63e710b5305440de65eacc4",
+    ("ball", BLOCK - 1): "27742268f69997e53d6188baac42d7197574cef0f13a239e4739470e4409754f",
+    ("ball", BLOCK + 1): "0a9a2599f572f8d02188020f2594af225cb1660ce64bde6d80e80ec78d2a171b",
+    ("ball", 32 * BLOCK + 3): "1bde47649f7e6c14d6bf8c55b0794b740df19a2b6abee9f2e67bbf67b5540f66",
+    ("simplex", 1): "e22e97fbde6843f863f29f066906b160a28e950406be18d7b126f23cc1ff7b1b",
+    ("simplex", BLOCK - 1): "c9c4c0aef14acf8a7e55b57aa3a75cb62dfa75ca2d9bf29b308b67dac5a216aa",
+    ("simplex", BLOCK + 1): "5661c144653818d09356009adcd927f3b67ddc9ecbb442cdabc5c95ad9ca293e",
+    ("simplex", 32 * BLOCK + 3): "e4fb85ca31a457c5198d1a1511faf70377bbe89c8473fd0868520ecd9b094f11",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, None])
+@pytest.mark.parametrize("key", list(SMOOTHED_SAMPLE_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_the_library_noise_step_keeps_the_smoothed_sample_bytes(key, threads):
+    # The noise step is a library call now; at the block edges and thread
+    # counts that ``sample --alpha`` was pinned at, it draws the same bits.
+    kind, count = key
+    threads = threads or projclt.cli.usable_cores()
+    body_seed, noise_seed = np.random.SeedSequence(3).spawn(2)
+    x = sample_body(BodySpec(kind, 5), count, body_seed, threads=threads)
+    y = convolve_and_rescale(x, ConvolutionSchedule(10.0), noise_seed, threads=threads)
+    assert _sha(np.asfortranarray(y.data).tobytes(order="F")) == SMOOTHED_SAMPLE_PINS[key]
 
 
 # (count, l) -> (projection file, its sidecar, basis); a simplex batch at
@@ -368,63 +352,63 @@ def test_sample_batch_files_are_golden(key, threads, tmp_path):
 PROJECT_PINS = {
     (1, 1): (
         "3aeda53a62926e46ba9a4787eacd80244a2abba665656517dabac8948c72a034",
-        "ff7e916ac43a0f8140c79c13b2f96f3c2c58c75e98f0c5c98e0a2b6dd8286f3d",
-        "438bc853ac3fa6027b7668eb47c8155ad20e29b68f6f78588c35da2f045b2830",
+        "304b63469f1897af0bba2385659ae362654cd1eebcaa82adfa7bdf6ba70fa79d",
+        "02fe7ff1ddc839f5a85b9fdf1c501f8fe879d432abb23a7771089a90faab9944",
     ),
     (1, 2): (
         "508e2b83e04487f9511d7db256923243f2ad85bb9fd442c3487a3216421bd1fa",
-        "071f28549e10aa3f9c2273efdd9e0cd656e793e5ebb0baae0361c256912b21e8",
-        "a1724b6f3b69f0e6b8ae130a0373f69dba83d48b5efb04e50e6eade66153657d",
+        "7944f8d1bd6c07d67288bdc426d6fd333bfa280e637798996ad2a7b040fda521",
+        "8283379446a08d853a574cce04849a88f8b20247bb4588109a803474c1615c80",
     ),
     (1, 3): (
         "8d112df0e619ec4973d9aa41a0a3cce34a2b99bd1db31150b0a14b4dbab09eed",
-        "8ec16b13940c9fcbea755f76969b103f778d5e053fe336cf53c23696e3f1b7c0",
-        "3d6979e28ec999a82d68e2098d563b0067576eee805f9a4b435ae16753910042",
+        "306c644497f439c1d28194d3181d612594eafbddb2800afe9289b14426c7941b",
+        "4749dbe712a1f5337415b4046e375059b6ac5fb1417dc625736c9cd932bbad2b",
     ),
     (1000, 1): (
         "b3c96e2efb8944e901b9ce42ca9ad1f90cf4379174b5596c5b616ce6c2a92984",
-        "75ae6dac588735a59c790aaf2875775c40363b888e923de98c2ce6078d0cec0b",
-        "438bc853ac3fa6027b7668eb47c8155ad20e29b68f6f78588c35da2f045b2830",
+        "de11a01c6eb50b5cb89b3c74fc8f3aec0cecbf9465069996e23efe67c2a8a4dd",
+        "02fe7ff1ddc839f5a85b9fdf1c501f8fe879d432abb23a7771089a90faab9944",
     ),
     (1000, 2): (
         "ddd4a35c95b636a1f7a1a69736618bc15f4dac6697aa95ce559a2389b07c62b2",
-        "25770ec2979f138033a5c158a0e8c62ece51a63fd1bcb08f22dfa6cdbd758cf5",
-        "a1724b6f3b69f0e6b8ae130a0373f69dba83d48b5efb04e50e6eade66153657d",
+        "ff5b6acc025df9db28af2d9754a9eb7ce0f3b98e10a96a71f2585309fab4ee16",
+        "8283379446a08d853a574cce04849a88f8b20247bb4588109a803474c1615c80",
     ),
     (1000, 3): (
         "cd25686ff87832a4f38602e83da0c2e48a8abfe4435be5d072f2bfb712b23d20",
-        "2aa854db77a7962444b6b75aa16ac86728ac79e0f603e295655224830e2fbcfc",
-        "3d6979e28ec999a82d68e2098d563b0067576eee805f9a4b435ae16753910042",
+        "5b293a501693b743ed8f1039055db8969d854e3dc2d2a103d882ec3168da1a6a",
+        "4749dbe712a1f5337415b4046e375059b6ac5fb1417dc625736c9cd932bbad2b",
     ),
     (3 * BLOCK + 5, 1): (
         "df43d11237bb982711aba6fd698d42f482bb227d5f4ea68013352db4ea108e7f",
-        "8946f05307571843ae150904693aac14c3b134d79eb029cfed847dd3f2233539",
-        "438bc853ac3fa6027b7668eb47c8155ad20e29b68f6f78588c35da2f045b2830",
+        "10a61288bbfd317a3aa03c662ac349e183763490a023f5c25416b6d00a356e33",
+        "02fe7ff1ddc839f5a85b9fdf1c501f8fe879d432abb23a7771089a90faab9944",
     ),
     (3 * BLOCK + 5, 2): (
         "f057e4c86be15e0932b84fc47011921153e7d94e5809993d61f7deb200b25513",
-        "8ea6a38dcf21a8bf51bff98edf008ace3e51e2d3a469eaf0b8ff2e4b92c1c4e2",
-        "a1724b6f3b69f0e6b8ae130a0373f69dba83d48b5efb04e50e6eade66153657d",
+        "e2b01c3d14d5afc5ae0e46ea7e2f190c5d7fec0ddc5162e8c3d783731f7ce24f",
+        "8283379446a08d853a574cce04849a88f8b20247bb4588109a803474c1615c80",
     ),
     (3 * BLOCK + 5, 3): (
         "9b773853c9994d5ce7869ab5f219654aecee59eb1b64e043ff61536a216d313e",
-        "99f36e9ac9c0341680ea2ae7d577e448452777a32d997b2feca635fa1028e264",
-        "3d6979e28ec999a82d68e2098d563b0067576eee805f9a4b435ae16753910042",
+        "2c999411da41565325450c20d57f8f59be19502147cddf1094d457f1e34da882",
+        "4749dbe712a1f5337415b4046e375059b6ac5fb1417dc625736c9cd932bbad2b",
     ),
     (BLOCK + 1, 1): (
         "d82e892cdb9da1c24446a4dfb146bf99b0b307e553cb479863644887964368f6",
-        "b6e106e15e46ebbccad803945332d543665cdb2f1d0c80d53fa3a83fbbd25737",
-        "438bc853ac3fa6027b7668eb47c8155ad20e29b68f6f78588c35da2f045b2830",
+        "7c442e01c012b98fb7c80ae90f99a2dcd9feb5959a6ec771ce615efe2cd507c0",
+        "02fe7ff1ddc839f5a85b9fdf1c501f8fe879d432abb23a7771089a90faab9944",
     ),
     (BLOCK + 1, 2): (
         "df4be34246aa19fb73395a87c76aec8c524c7ead41c19b94886665e1e24838f6",
-        "1724bf19a9d0a1179d31d867015e210dcb42e2712401e2bfafa518603a25508d",
-        "a1724b6f3b69f0e6b8ae130a0373f69dba83d48b5efb04e50e6eade66153657d",
+        "7ab5df6eb30f421b92a5f854319f934892da1360a0a04a9e06e25958e33885e3",
+        "8283379446a08d853a574cce04849a88f8b20247bb4588109a803474c1615c80",
     ),
     (BLOCK + 1, 3): (
         "d5c9046913abc184c3248276f2a38c32de2aecaccdb8b7a19f849727918409e3",
-        "320b0b3d09186bc8d97a285d5ca96e61d33e58a8605fdf5754bea69950b9bae7",
-        "3d6979e28ec999a82d68e2098d563b0067576eee805f9a4b435ae16753910042",
+        "7170e9bb0710519c62027011d36de106c443389e517c83deb50f2905401d0a45",
+        "4749dbe712a1f5337415b4046e375059b6ac5fb1417dc625736c9cd932bbad2b",
     ),
 }
 
@@ -443,19 +427,12 @@ def test_project_input_artifacts_are_golden(key, threads, tmp_path, monkeypatch)
     assert tuple(_sha((tmp_path / name).read_bytes()) for name in names) == PROJECT_PINS[key]
 
 
-SAMPLE_CSV_PINS = {
-    "raw": ([], "83669a63ea2a6187c85a67fc72475e5c544121578934ee8f1d56d24e4ce1a4ed"),
-    "alpha": (
-        ["--alpha", "10"], "6736b582ca1475ba4dad60a0b81c34c9a08f68f8ecd45b2fb7df851b944019cf"
-    ),
-}
+SAMPLE_CSV_SHA = "59c8a8a1e173438271ee52ae0187130d49b7c15efeabbd35ca45e092d46321f7"
 
 
-@pytest.mark.parametrize("run", sorted(SAMPLE_CSV_PINS))
-def test_sample_csv_is_golden(run, tmp_path):
-    extra, sha = SAMPLE_CSV_PINS[run]
+def test_sample_csv_is_golden(tmp_path):
     out = tmp_path / "c.csv"
-    rc = main(["sample", "--body", "ball", "--n", "3", "--samples", "500", "--seed", "13", *extra,
+    rc = main(["sample", "--body", "ball", "--n", "3", "--samples", "500", "--seed", "13",
                "--format", "csv", "--output", str(out)])
     assert rc == 0
-    assert _sha(out.read_bytes()) == sha
+    assert _sha(out.read_bytes()) == SAMPLE_CSV_SHA

@@ -16,6 +16,7 @@ import pytest
 from projclt import samplers
 from projclt.cli import main, projected_ratio
 from projclt.density import estimate_density, m_tilde_profile, project_body, radial_points
+from projclt.errors import InvalidSpec
 from projclt.grassmann import project, random_subspace
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
 from projclt.radial import norm_column, thin_shell_fraction
@@ -100,6 +101,14 @@ def test_a_reducer_sees_each_block_at_its_own_height(threads):
     np.testing.assert_array_equal(first_column.data, full.data[:, :1])
 
 
+def test_out_without_a_reduce_is_refused():
+    # Nothing would write the tiles into ``out``; it stays as it was.
+    out = np.zeros((10, 3))
+    with pytest.raises(InvalidSpec, match="out needs a reduce"):
+        sample_body(BodySpec("cube", 3), 10, seed=1, out=out)
+    assert not out.any()
+
+
 @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK + 1, 32 * BLOCK + 1])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_project_body_equals_projecting_the_full_batch(l, count):
@@ -134,21 +143,22 @@ def test_a_block_drawn_in_tiles_has_the_bits_of_the_whole_block(kind, threads, m
             return tile.copy()
 
         path = tmp_path / f"{rows}.bin"
-        save_sample(spec, _TILE_COUNT, 1, str(path), schedule=ConvolutionSchedule(10.0),
-                    noise_seed=2, threads=threads)
-        return (sample_body(spec, _TILE_COUNT, 1, threads).data,
+        save_sample(spec, _TILE_COUNT, 1, str(path), threads=threads)
+        batch = sample_body(spec, _TILE_COUNT, 1, threads)
+        return (batch.data,
                 sample_body(spec, _TILE_COUNT, 1, threads, reduce=reduce).data,
                 project_body(spec, _TILE_COUNT, 1, basis, threads).data,
+                convolve_and_rescale(batch, ConvolutionSchedule(10.0), 2, threads).data,
                 path.read_bytes(), sorted(heights))
 
     whole, tiled = draw(BLOCK), draw(_TILE_ROWS)
-    for reference, value in zip(whole[:3], tiled[:3]):
+    for reference, value in zip(whole[:4], tiled[:4]):
         np.testing.assert_array_equal(value, reference)
-    assert tiled[3] == whole[3]
+    assert tiled[4] == whole[4]
     batch = SampleBatch(data=tiled[0], seed=None, source={})
     np.testing.assert_array_equal(tiled[2], project(batch, basis).data)
-    assert whole[4] == [17, BLOCK, BLOCK, BLOCK]
-    assert tiled[4] == [17] + [96] * 3 + [_TILE_ROWS] * 12
+    assert whole[5] == [17, BLOCK, BLOCK, BLOCK]
+    assert tiled[5] == [17] + [96] * 3 + [_TILE_ROWS] * 12
 
 
 @pytest.mark.parametrize("kind", list(samplers._FILLS))
@@ -174,21 +184,18 @@ def test_a_wide_block_is_held_one_tile_at_a_time(kind):
     assert peak < 3 * samplers.TILE_BYTES + count * 8, peak
 
 
-@pytest.mark.parametrize("smoothed", [False, True], ids=["raw", "alpha"])
 @pytest.mark.parametrize("threads", [1, 4])
-def test_save_sample_writes_the_bytes_of_save_batch(threads, smoothed, tmp_path):
+def test_save_sample_writes_the_bytes_of_save_batch(threads, tmp_path):
     # More threads than cores and a short switch interval interleave the
     # positioned writes of many blocks; each must still land in place.
-    spec, count, schedule = BodySpec("ball", 3), 80 * BLOCK + 7, ConvolutionSchedule(10.0)
+    spec, count = BodySpec("ball", 3), 80 * BLOCK + 7
     batch = sample_body(spec, count, seed=1)
-    if smoothed:
-        batch = convolve_and_rescale(batch, schedule, seed=2)
     save_batch(batch, str(tmp_path / "full.bin"), config={"x": 1})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         save_sample(spec, count, 1, str(tmp_path / "streamed.bin"), config={"x": 1},
-                    schedule=schedule if smoothed else None, noise_seed=2, threads=threads)
+                    threads=threads)
     finally:
         sys.setswitchinterval(interval)
     for suffix in ("", ".json"):
@@ -352,7 +359,7 @@ def test_streamed_norms_never_hold_the_batch():
 
 # A batch file of 200,000 x 50 holds 76.3 MiB; one block buffer is 1.6 MiB.
 # `sample` holds, per thread, the block buffer and its transpose for the
-# positioned writes (with --alpha also the noise buffer); `project --input`
+# positioned writes; `project --input`
 # holds one column-major block buffer plus the (N, l) projection, first as
 # per-block pieces and then concatenated.  A first small run of each command
 # warms argparse's and numpy's one-time caches, which are not the batch.
@@ -367,19 +374,15 @@ def _sample_argv(out, count, extra=()):
             "--output", str(out), *extra]
 
 
-@pytest.mark.parametrize(
-    "body, extra, buffers",
-    [("cube", [], 2), ("simplex", [], 2), ("cube", ["--alpha", "10"], 3)],
-    ids=["cube", "simplex", "cube_alpha"],
-)
-def test_sample_writes_its_batch_file_without_holding_the_batch(body, extra, buffers, tmp_path):
+@pytest.mark.parametrize("body", ["cube", "simplex"])
+def test_sample_writes_its_batch_file_without_holding_the_batch(body, tmp_path):
     threads = 2
     out = tmp_path / "b.bin"
-    argv = ["--body", body, "--threads", str(threads), *extra]
+    argv = ["--body", body, "--threads", str(threads)]
     assert main(_sample_argv(out, 10, argv)) == 0
     peak = _peak_bytes(lambda: main(_sample_argv(out, _FILE_COUNT, argv)))
     assert out.stat().st_size == _FILE_COUNT * _FILE_N * 8
-    assert peak < buffers * threads * _FILE_BUFFER + _MIB, peak
+    assert peak < 2 * threads * _FILE_BUFFER + _MIB, peak
 
 
 def test_project_input_reads_its_batch_file_a_block_at_a_time(tmp_path):
