@@ -47,6 +47,7 @@ from .model import (
 from .samplers import (
     SCHEMA_VERSION,
     SampleBatch,
+    _require_memory,
     atomic_open,
     convolve_and_rescale,  # no caller here; the benchmark's tracer looks it up at this module
     load_batch,
@@ -195,11 +196,12 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
 
     ``count`` samples of ``spec`` are drawn from ``body_seed`` and projected
     tile by tile as they are drawn (``density.project_body``), so the
-    count x n batch is never held.  Without a ``schedule`` the KDE takes
-    Scott's bandwidth, against the standard gaussian; with one it estimates
-    the projection smoothed at the ambient variance v(n) as ``mtilde`` does,
-    at ``density.smoothing_bandwidth(v)`` with no noise drawn, against the
-    gaussian of variance 1 + v.  The KDE grid is ``grid_points`` points on
+    count x n batch is never held.  It estimates the projection smoothed at
+    variance v as ``mtilde`` does, at ``density.smoothing_bandwidth(v)`` with
+    no noise drawn, against the gaussian of variance 1 + v: v is the
+    ``schedule``'s ambient variance v(n), or without one v(N, l) =
+    N^(-2/(l+4)), Scott's h^2 at the unit variance of every catalog
+    projection.  The KDE grid is ``grid_points`` points on
     [-max_radius, max_radius] for l = 1, else as many radii on
     [0, max_radius] times ``direction_count`` directions; it and the sample
     size are checked before anything is drawn.
@@ -213,12 +215,10 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
         points = np.linspace(-max_radius, max_radius, grid_points)[:, None]
     else:
         points = radial_points(np.linspace(0.0, max_radius, grid_points), l, direction_count)
-    variance, bandwidth = 1.0, None
-    if schedule is not None:
-        v = schedule.noise_variance(n)
-        variance, bandwidth = 1.0 + v, smoothing_bandwidth(v)
-    est = estimate_density(project_body(spec, count, body_seed, basis, threads), points, bandwidth)
-    return est, ratio_to_gaussian(est, variance, max_radius)
+    v = count ** (-2.0 / (l + 4)) if schedule is None else schedule.noise_variance(n)
+    est = estimate_density(project_body(spec, count, body_seed, basis, threads), points,
+                           smoothing_bandwidth(v))
+    return est, ratio_to_gaussian(est, 1.0 + v, max_radius)
 
 
 _BODY = Param("body")
@@ -236,7 +236,7 @@ _THREADS = Param(
 )
 _OUTPUT = Param("output", echo=False)
 _OPTIONAL_OUTPUT = Param("output", None, echo=False)
-_ALPHA = Param("alpha", None, float, help="smooth at the schedule's ambient variance")
+_ALPHA = Param("alpha", None, float, help="smooth at the schedule's v(n), not at N^(-2/(l+4))")
 _MAX_RADIUS = Param("max_radius", 2.0, float)
 _GRID_POINTS = Param("grid_points", 81, int)
 _SANDWICH_GRID_POINTS = Param("grid_points", 2001, int)
@@ -344,9 +344,10 @@ def _cmd_thinshell(resolved, echo) -> int:
         epsilons = [n ** (-1.0 / 15.0)]
     echo["epsilon"] = epsilons = [_as_positive_float(e, "epsilon", RangeError) for e in epsilons]
     spec = BodySpec(resolved["body"], n)
+    count = int(resolved["samples"])
+    _require_memory(f"a column of {count} norms", 8 * count)
     norms = sample_body(
-        spec, int(resolved["samples"]), int(resolved["seed"]), threads=int(resolved["threads"]),
-        reduce=norm_column,
+        spec, count, int(resolved["seed"]), threads=int(resolved["threads"]), reduce=norm_column,
     )
     rows = []
     for eps in epsilons:

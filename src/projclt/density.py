@@ -15,10 +15,12 @@ Dimension is capped at 3 and the sample floor is 10^4 — beyond that the KDE
 bias/variance would no longer sit below the tolerances the experiment suite
 asserts.
 
-Smoothed pipelines draw no noise: for an orthonormal l x n frame P and
-Y ~ N(0, v I_n) the density of P(X + Y) at x is exactly E gamma_{l,v}(x - PX),
-a kernel average of PX at sqrt(v) (:func:`smoothing_bandwidth` corrects it
-for binning), read against gamma_{l,1+v} at unrescaled points.
+Every pipeline reads a smoothed density and draws no noise: for an
+orthonormal l x n frame P and Y ~ N(0, v I_n) the density of P(X + Y) at x is
+exactly E gamma_{l,v}(x - PX), a kernel average of PX at sqrt(v)
+(:func:`smoothing_bandwidth` corrects it for binning), read against
+gamma_{l,1+v} at unrescaled points; ``cli.projected_ratio`` without a schedule
+takes v = N^(-2/(l+4)).
 """
 
 from __future__ import annotations
@@ -87,15 +89,6 @@ def radial_points(radii, l: int, direction_count: int = 16) -> np.ndarray:
     return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, l)
 
 
-def scott_bandwidth(data: np.ndarray) -> float:
-    """Scott's rule: sqrt(mean per-coordinate variance) * N^(-1/(l+4))."""
-    count, l = data.shape
-    sigma = math.sqrt(float(np.mean(np.var(data, axis=0))))
-    if sigma == 0.0:
-        sigma = 1.0  # degenerate sample; any positive bandwidth is as good as another
-    return sigma * count ** (-1.0 / (l + 4))
-
-
 def smoothing_bandwidth(v: float) -> float:
     """The binned estimate's bandwidth h for a kernel average at variance v.
 
@@ -147,16 +140,13 @@ def check_kde_size(count: int, l: int) -> None:
         raise TooFewSamples(f"density estimation needs >= {MIN_KDE_SAMPLES} samples, got {count}")
 
 
-def estimate_density(
-    projected: SampleBatch, points, bandwidth: float | None = None
-) -> DensityEstimate:
+def estimate_density(projected: SampleBatch, points, bandwidth: float) -> DensityEstimate:
     """Gaussian-kernel density estimate of a batch at the (k, l) ``points``, by linear binning.
 
-    ``bandwidth`` is a fixed kernel bandwidth h > 0; None takes Scott's rule.
-    On projected samples the binned values stay within 0.04 of the stderr of
-    the direct pair sum.  A density with a jump bins worse: at l = n (the raw
-    square, ``ratio --n 2 --l 2``) the gap reaches 0.36 of the stderr at the
-    square's edges.
+    ``bandwidth`` is the kernel bandwidth h > 0.  On projected samples the
+    binned values stay within 0.04 of the stderr of the direct pair sum.  A
+    density with a jump bins worse: at l = n (the raw square, ``ratio --n 2
+    --l 2``) the gap reaches 0.36 of the stderr at the square's edges.
     """
     l = projected.dimension
     count = projected.count
@@ -164,12 +154,10 @@ def estimate_density(
     pts = _as_float_array(points, "points", 2)
     if pts.shape[0] == 0 or pts.shape[1] != l:
         raise InvalidSpec(f"evaluation points must be a non-empty k x {l} array, got {pts.shape}")
-    if bandwidth is not None:
-        bandwidth = _as_positive_float(bandwidth, "bandwidth")
+    h = _as_positive_float(bandwidth, "bandwidth")
     data = projected.data
     _require_finite(data, f"the {count} x {l} batch to estimate")
 
-    h = scott_bandwidth(data) if bandwidth is None else bandwidth
     delta = BIN_SPACING * h
     lo = pts.min(axis=0) - GRID_MARGIN * h
     span = pts.max(axis=0) + GRID_MARGIN * h - lo
@@ -235,9 +223,12 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> S
     result.  Each tile goes through this module's ``project``, where the
     benchmark's tracer finds it, so the tracer counts one projection per
     tile.  A ``count`` that is not a positive integer is refused with
-    ``InvalidSpec`` before anything is allocated.
+    ``InvalidSpec``, and a result larger than physical memory with
+    ``RangeError``, before anything is allocated.
     """
-    out = np.empty((_as_positive_int(count, "count"), basis.subspace_dim))
+    count, l = _as_positive_int(count, "count"), basis.subspace_dim
+    _require_memory(f"a {count} x {l} projection", 8 * count * l)
+    out = np.empty((count, l))
 
     def reduce(block, rows):
         out[rows] = project(SampleBatch(data=block, seed=None, source={}), basis).data

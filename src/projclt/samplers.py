@@ -77,7 +77,7 @@ from .model import (
 
 # The artifact schema, ``schema_version`` in every batch sidecar, CSV header and CLI
 # JSON: it moves whenever the same inputs give an artifact other bytes.
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 BLOCK = 1 << 12
 # Bytes of one tile, the rows drawn and reduced at once: a 2 MiB per-core L2.  At 1 MiB
 # an n = 50 block splits in two, which doubles the batch writer's positioned writes.
@@ -380,18 +380,22 @@ def atomic_open(path: str, mode: str = "w"):
     ``path`` is left as it was, so a reader never sees a half-written artifact.
     Only a new path or a regular file is replaced; anything else, such as a
     symlink, a FIFO or ``/dev/null``, is written through as ``open`` would.
+    A file that cannot be opened, the temp file or the one written through,
+    is an ``InvalidSpec`` naming ``path``.
     """
-    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
-        with open(path, mode) as f:
-            yield f
-        return
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    through = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
+    tmp = path if through else f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(tmp, mode.replace("w", "x")) as f:
+        f = open(tmp, mode if through else mode.replace("w", "x"))
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with f:
             yield f
-        os.replace(tmp, path)
+        if not through:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        if not through and os.path.exists(tmp):
             os.remove(tmp)
         raise
 

@@ -275,10 +275,10 @@ def _criterion_7(profile):
         n, count = 300, 1_000_000
         run_l2 = True
     else:
-        # The normal tails past 0.05 around Scott's bias h^2 (x^2 - 1)/2 plus the cube's
-        # -1.2 sum(theta^4) He4(x)/24, summed over the 81 points, give a false-failure
-        # rate of 1.1e-4 over Haar bases at N = 10^6 (0.25 at 2 x 10^5, where 5 of 40
-        # seed pairs failed; at 10^6 none does, the worst reading 0.037).
+        # The normal tails past 0.05 around the cube's -1.2 sum(theta^4) He4(x)/24, summed
+        # over the 81 points at the per-point stderr (at most 0.0091), give a false-failure
+        # rate of 5.6e-6 over Haar bases at N = 10^6.  Of 40 seed pairs none fails, the
+        # worst reading 0.029, and their z-scores about that term have sd 1.00.
         bodies = (BodyKind.CUBE,)
         n, count = 100, 1_000_000
         run_l2 = False

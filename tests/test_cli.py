@@ -714,6 +714,35 @@ def test_a_failed_rename_leaves_neither_target_nor_temp_file(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["missing/artifact", "directory"])
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_an_unwritable_output_is_a_named_error(tmp_path, writer, target):
+    # A path in a missing directory fails to open its temp file; a directory is
+    # written through and fails to open itself.
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    reason = "Is a directory" if target == "directory" else "No such file or directory"
+    # save_batch opens its sidecar first, beside the data file.
+    name = re.escape(str(path)) + (r"(\.json)?" if writer == "save_batch" else "")
+    with pytest.raises(InvalidSpec, match=f"^cannot write {name}: {reason}$"):
+        _WRITERS[writer](str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["directory"]
+    assert list((tmp_path / "directory").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi-scan", "--n", "10", "--l", "1", "--tmax", "1.0"],
+    ["deconv", "--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
+    ["sample", "--body", "cube", "--n", "3", "--samples", "10", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_an_output_in_a_missing_directory_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    assert main([*argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------- ratio
 
 
@@ -727,7 +756,7 @@ def test_ratio_report_for_projected_gaussian(tmp_path):
     payload = json.loads(out.read_text())
     report = loads(json.dumps(payload["report"]))
     assert report.radius_grid.shape == (21,)
-    assert report.sup_abs_deviation < 0.15  # raw KDE vs gaussian: bias + noise
+    assert report.sup_abs_deviation < 0.15  # the smoothed gaussian is the reference: noise only
     _, columns, rows = _read_csv(csv)
     assert columns == ["point", "ratio", "stderr"]
     assert len(rows) == 21
@@ -737,7 +766,7 @@ def test_ratio_report_for_projected_gaussian(tmp_path):
 @pytest.mark.parametrize("extra", [[], ["--alpha", "10"]], ids=["raw", "alpha"])
 def test_ratio_csv_stderr_is_relative_to_the_reports_reference(tmp_path, monkeypatch, extra):
     # The CSV's ratio and stderr columns divide by the same gaussian, the one the
-    # report reads against: variance 1, or 1 + v with --alpha.
+    # report reads against: variance 1 + v, v = N^(-2/(l+4)), or v(n) with --alpha.
     estimates = []
     estimate = projclt.cli.estimate_density
 
@@ -757,7 +786,36 @@ def test_ratio_csv_stderr_is_relative_to_the_reports_reference(tmp_path, monkeyp
     np.testing.assert_allclose(stderr / ratio, est.stderr / est.values, rtol=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ratio", "--body", "cube", "--n", "20", "--l", "1", "--seed", "1", "--samples"],
+    ["scan", "--n", "20", "--l", "1", "--seed", "1", "--samples"],
+    ["mtilde", "--body", "cube", "--n", "20", "--l", "1", "--seed", "1",
+     "--samples-per-subspace"],
+], ids=lambda argv: argv[0])
+def test_a_projection_larger_than_physical_memory_exits_1(tmp_path, capsys, argv):
+    rc = main([*argv, str(10**12), "--output", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 1000000000000 x 1 projection needs 8000000000000 bytes")
+    assert err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------- thinshell
+
+
+def test_thinshell_refuses_norms_larger_than_physical_memory_before_drawing(tmp_path, capsys,
+                                                                             monkeypatch):
+    def draw(*args, **kwargs):
+        pytest.fail("thinshell drew a sample it cannot hold the norms of")
+
+    monkeypatch.setattr(projclt.cli, "sample_body", draw)
+    rc = main(["thinshell", "--body", "cube", "--n", "4", "--samples", str(10**12),
+               "--seed", "1", "--output", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a column of 1000000000000 norms needs 8000000000000 bytes")
+    assert err.count("\n") == 1, err
 
 
 def test_thinshell_defaults_and_ordering(tmp_path):

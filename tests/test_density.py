@@ -24,7 +24,6 @@ from projclt.density import (
     project_body,
     radial_points,
     ratio_to_gaussian,
-    scott_bandwidth,
     smoothing_bandwidth,
 )
 from projclt.errors import DimensionTooHigh, InvalidSpec, RangeError, TooFewSamples
@@ -73,16 +72,6 @@ def test_directions_reject_high_dimension():
         radial_points([1.0], 4, 16)
 
 
-# -------------------------------------------------------------- bandwidth
-
-
-def test_scott_bandwidth_formula():
-    rng = np.random.default_rng(0)
-    data = rng.standard_normal((4000, 2)) * np.array([1.0, 2.0])
-    expected = math.sqrt(float(np.mean(np.var(data, axis=0)))) * 4000 ** (-1.0 / 6.0)
-    assert scott_bandwidth(data) == expected
-
-
 @pytest.mark.parametrize(
     "radii, direction_count",
     [([], 16), ([[0.5]], 16), ([-0.5, 1.0], 16), ([0.5, math.nan], 16), ([0.5], 0)],
@@ -96,16 +85,18 @@ def test_radial_points_reject_bad_grids(radii, direction_count):
 @pytest.mark.parametrize(
     "points, bandwidth",
     [
-        (np.zeros((0, 1)), None),  # no points
-        (np.zeros(3), None),  # a flat list is not a k x 1 array
-        (np.zeros((3, 2)), None),  # dimension mismatch
-        ([[math.inf]], None),
+        (np.zeros((0, 1)), 0.1),  # no points
+        (np.zeros(3), 0.1),  # a flat list is not a k x 1 array
+        (np.zeros((3, 2)), 0.1),  # dimension mismatch
+        ([[math.inf]], 0.1),
         ([[0.0]], 0.0),
         ([[0.0]], -0.3),
         ([[0.0]], math.nan),
         ([[0.0]], math.inf),
+        ([[0.0]], None),  # the bandwidth has no default
     ],
-    ids=["empty", "flat", "dim_mismatch", "inf_point", "zero_h", "negative_h", "nan_h", "inf_h"],
+    ids=["empty", "flat", "dim_mismatch", "inf_point", "zero_h", "negative_h", "nan_h", "inf_h",
+         "no_h"],
 )
 def test_estimate_density_rejects_bad_arguments(points, bandwidth):
     batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), MIN_KDE_SAMPLES, seed=20)
@@ -132,7 +123,7 @@ def test_estimator_matches_its_exact_expectation_per_dimension():
             g = np.linspace(-1.5, 1.5, 5)
             pts = np.stack(np.meshgrid(*([g] * l)), axis=-1).reshape(-1, l)
         batch = sample_gaussian(GaussianSpec(dimension=l, variance=1.0), count, seed=21)
-        est = estimate_density(batch, pts)
+        est = estimate_density(batch, pts, bandwidth=count ** (-1 / (l + 4)))
         assert tol >= 5.84 * est.stderr.max()
         truth = gaussian_density(l, 1.0 + est.bandwidth**2, np.linalg.norm(pts, axis=1))
         dev = np.abs(est.values - truth)
@@ -179,9 +170,10 @@ _V20 = ConvolutionSchedule(alpha=10.0).noise_variance(20)
 @pytest.mark.parametrize(
     "l, body, points, bandwidth, kernel_variance",
     [
-        (1, "gaussian", np.linspace(-2.0, 2.0, 41)[:, None], None, None),
-        (2, "cube", radial_points(np.linspace(0.0, 2.0, 9), 2, 8), None, None),
-        (3, "simplex", radial_points(np.linspace(0.0, 1.5, 7), 3, 16), None, None),
+        (1, "gaussian", np.linspace(-2.0, 2.0, 41)[:, None], 60_000 ** (-1 / 5), None),
+        (2, "cube", radial_points(np.linspace(0.0, 2.0, 9), 2, 8), 60_000 ** (-1 / 6), None),
+        (3, "simplex", radial_points(np.linspace(0.0, 1.5, 7), 3, 16), 60_000 ** (-1 / 7),
+         None),
         (2, "gaussian", [[0.3, -0.2]], 0.1, None),
         (1, "cube", np.linspace(-2.0, 2.0, 41)[:, None], smoothing_bandwidth(_V20), _V20),
         (2, "cube", radial_points(np.linspace(0.0, 2.0, 9), 2, 8),
@@ -207,7 +199,7 @@ def test_binned_estimate_matches_the_direct_kernel_sum(l, body, points, bandwidt
 
 def test_radial_grid_is_radius_major():
     batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 10_000, seed=24)
-    est = estimate_density(batch, radial_points([0.0, 1.0], 2, 4))
+    est = estimate_density(batch, radial_points([0.0, 1.0], 2, 4), bandwidth=10_000 ** (-1 / 6))
     assert est.points.shape == (8, 2)
     np.testing.assert_array_equal(est.points[:4], np.zeros((4, 2)))
     np.testing.assert_allclose(np.linalg.norm(est.points[4:], axis=1), 1.0, atol=1e-14)
@@ -218,15 +210,16 @@ def test_radial_grid_is_radius_major():
 def test_estimator_guards():
     small = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), MIN_KDE_SAMPLES - 1, seed=25)
     with pytest.raises(TooFewSamples):
-        estimate_density(small, [[0.0]])
+        estimate_density(small, [[0.0]], bandwidth=(MIN_KDE_SAMPLES - 1) ** (-1 / 5))
 
     wide = sample_gaussian(GaussianSpec(dimension=MAX_KDE_DIM + 1, variance=1.0), 20_000, seed=26)
     with pytest.raises(DimensionTooHigh):
-        estimate_density(wide, np.zeros((1, MAX_KDE_DIM + 1)))
+        estimate_density(wide, np.zeros((1, MAX_KDE_DIM + 1)),
+                         bandwidth=20_000 ** (-1 / (MAX_KDE_DIM + 5)))
 
     batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 20_000, seed=27)
     with pytest.raises(InvalidSpec):
-        estimate_density(batch, np.zeros((3, 1)))  # dim mismatch
+        estimate_density(batch, np.zeros((3, 1)), bandwidth=20_000 ** (-1 / 6))  # dim mismatch
 
 
 @pytest.mark.parametrize(
@@ -240,7 +233,7 @@ def test_estimator_rejects_non_finite_data(bad):
         data[row, 1] = value
     batch = SampleBatch(data=data, seed=30, source={})
     with pytest.raises(InvalidSpec, match="20000 x 2 batch to estimate holds non-finite values"):
-        estimate_density(batch, [[0.0, 0.0]])
+        estimate_density(batch, [[0.0, 0.0]], bandwidth=20_000 ** (-1 / 6))
 
 
 def test_estimator_refuses_a_grid_larger_than_physical_memory():
@@ -305,7 +298,8 @@ def test_project_body_refuses_a_count_that_is_not_a_positive_integer(count, mess
 
 def test_ratio_to_gaussian_divides_by_the_reference():
     batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=28)
-    est = estimate_density(batch, np.linspace(-1.0, 1.0, 9).reshape(-1, 1))
+    est = estimate_density(batch, np.linspace(-1.0, 1.0, 9).reshape(-1, 1),
+                           bandwidth=20_000 ** (-1 / 5))
     rep = ratio_to_gaussian(est, 1.0, 1.0)
     ref = gaussian_density(1, 1.0, np.abs(np.linspace(-1.0, 1.0, 9)))
     np.testing.assert_allclose(rep.per_point_ratios, est.values / ref, rtol=1e-14)
@@ -316,7 +310,7 @@ def test_ratio_to_gaussian_divides_by_the_reference():
 
 def test_ratio_to_gaussian_rejects_points_beyond_the_radius():
     batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=29)
-    est = estimate_density(batch, [[0.0], [1.5]])
+    est = estimate_density(batch, [[0.0], [1.5]], bandwidth=20_000 ** (-1 / 5))
     with pytest.raises(RangeError):
         ratio_to_gaussian(est, 1.0, 1.0)
     with pytest.raises(RangeError):
@@ -410,3 +404,25 @@ def test_the_smoothed_pipelines_read_the_ambient_variance(l):
     )
     assert (mt.meta["variance"], mt.meta["bandwidth"]) == (1.0 + v, smoothing_bandwidth(v))
     assert mt.meta["noise_variance"] == v
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_the_unsmoothed_ratio_is_the_kernel_average_at_the_sample_size_variance(l):
+    # Without a schedule, projected_ratio reads the projection smoothed at
+    # v = N^(-2/(l+4)), Scott's h^2 at unit variance, against gamma_{l,1+v}.
+    spec, count, max_radius = BodySpec("cube", _NOISE_N), MIN_KDE_SAMPLES, 2.0
+    v = count ** (-2 / (l + 4))
+    est, rep = projected_ratio(spec, count, 11, l, 12, max_radius, 5, direction_count=4)
+    assert rep.meta["variance"] == 1.0 + v
+    assert est.bandwidth == smoothing_bandwidth(v)
+    if l == 1:
+        points = np.linspace(-max_radius, max_radius, 5)[:, None]
+    else:
+        points = radial_points(np.linspace(0.0, max_radius, 5), l, 4)
+    projected = project_body(spec, count, 11, random_subspace(_NOISE_N, l, 12))
+    expected = ratio_to_gaussian(
+        estimate_density(projected, points, smoothing_bandwidth(v)), 1.0 + v, max_radius
+    )
+    np.testing.assert_array_equal(rep.radius_grid, expected.radius_grid)
+    np.testing.assert_array_equal(rep.per_point_ratios, expected.per_point_ratios)
+    assert rep.meta == expected.meta

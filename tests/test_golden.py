@@ -39,13 +39,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "4295205513273dd224fe40f9b3457e198a878533892dc2b64ece98c9e7eea892",
-        "6db3adb61775627feef763b1055f8d9ed9ddd927c362e433f7abca8bb356776e",
+        "406eed319d8dd218cfb8bf0cce110f986112e9a217561ede4d996a974aa73d2a",
+        "2ba71c61745db47b60679d1a8033e4d28ac128cf32ccd001c7656c8d2ca16b11",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "899f60ff6db4ac5e09b4c129c212fb0f7f2bcfc3d06bda9c9c182ae184677b15",
-        "d67ef4bb1115197f1dc3f7f48b8ffed3814086c6cbdb937d4cfb27146dfedb5e",
+        "da5dad40c073165df39bc5767f9ddbf8c29cbd6b06e901f9324e419f9cb72ce9",
+        "7c93e911359af304023bd8e681528fdec0aaa4f72797d9a15453e6b4f8874735",
     ),
 }
 
@@ -65,11 +65,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "211b9a43b98687130afcab830606014a316aa57c3096800db7b02474f29c9bf5",
+        "d0a469cc38512c2fb9ceae5506fca25480052a3a4592c5a8e3345d84799db528",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "e0b5b69f3066281e95b9214d0cad615b4de2445fa660394af315210cae17b049",
+        "b204c46ff9672068ee2c40e889b8614384a23013ffbdefdde8033c903946bdb3",
     ),
 }
 
@@ -89,11 +89,11 @@ def test_clt_scan_csv_is_golden(run, tmp_path):
 PSI_SCAN_RUNS = {
     "l1": (
         ["--n", "100", "--l", "1", "--tmax", "1.7", "--points", "200"],
-        "d526d7a8c2486e986c484aea016bdbc5772cddc63c8d1c0b31078533d1e52f92",
+        "584a2ff00b722f272ffbbb0f42cf99b4d1a51d02de6b894e85988e69cadb726f",
     ),
     "l2": (
         ["--n", "64", "--l", "2", "--tmax", "1.2", "--points", "55"],
-        "7b94a7f2a84fbbc35e94e584c4029aaf16722e42ff5947b5bb52159d3fb4f5ec",
+        "716bdd238de7ebfd944b2319087285da6cff8837b25a546d90d588daa0e98ec1",
     ),
 }
 
@@ -121,7 +121,7 @@ def test_convolve_and_rescale_output_is_golden(threads, order):
     assert _sha(np.ascontiguousarray(y.data).tobytes()) == CONVOLVE_SHA
 
 
-CRITERION_7_QUICK_SUP = "0.024438747275267847"
+CRITERION_7_QUICK_SUP = "0.020233022729186922"
 
 
 def test_criterion_7_quick_sup_is_golden(monkeypatch):
@@ -155,14 +155,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "46c887fb4d9884b5389e56dcedca82e3786681c3e5ec1b7df1407f0d79fd6048",
-            "r.csv": "0696078c2a0befdad089e755bbbbc7f0ad168d4d8445a2067f21ee977ffcecc9",
+            "r.json": "613985753b09805306ed1e372057cfce24f946990fc5415fe8f6d59055f18f06",
+            "r.csv": "ba5ae662730885ad3b70ed66022358ef22670f1f614651ea0e5f1444d2cd6aa0",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "1e5b51c88cb34b0ac1a802a6eeb19f8b9a61b56dcca88e12fc8ebd8bdbacaabf"},
+        {"m.json": "ebd7160b1742aa3590cd60aa4c7f47202af141cf0c1293e682436927da753dd7"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -171,11 +171,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "1a7ddcb84898d3e268373ea6225538a0a29be9d86658ac65563f225637b7c792",
-            "ball": "2be404b89b98a1e6355c427767d8fc2d26936091034c454ae9abe7a5dd881a83",
-            "simplex": "0fa5c8a4de9762e6965ce1ad1b4903f940485f2a7d7ec813e33e6b1a84ed1ba6",
-            "product_laplace": "1a98be666d5d8c7f74934bea118135386f57a71adf6099fcb5213acc64b9d001",
-            "gaussian": "b57c5814551c84fd9a43b0e08f8c38c0504a231b6aef6b0bb094b512205e5428",
+            "cube": "1c2108ce1d97304cf9f4638513b5bb34a4de423bf5981f82bb451bad482ce6bc",
+            "ball": "d9cd44222a73fee4710a60e1f470420077531a90fc2638249e72adaafa5ed627",
+            "simplex": "d02baf66c5ee1522e2e3e8b9fd9c1aef9458a3236b8f2fa178d36b262b4c4dcd",
+            "product_laplace": "79ac92ed927db6c10b986d8c83776c4c91dd97a14405ace1c39421d6deda5fbd",
+            "gaussian": "6356b99ae68405dc299ffb36abd688b08eba8f5e36bc562be191087ccbe97c49",
         }.items()
     },
 }
@@ -196,15 +196,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "4de241437b514e940627920f5bbf7f91d858dc480d53b8548c6c246af2b5a791",
-        "782afc7c47684d9257955034f2aa15c20e76d8f33fd03563fddc2897b0f7a040",
+        "60cc94d09e8eaf0ee5595a96b1d7a8692ee9c560c2a2b9593d344b0a1237174b",
+        "ac0c5d29ea255493135392036f292912e08c18c90a6115bf62148a02d05aba18",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "f7299ae5320e463c52961a7f21ce80d7221440edbd7d609df48664b23dad7d9a",
-        "b2b0bfbc2414ea9a8c1d0ca465029cfeb23a2add61289576be89ea9ff2e9d813",
+        "39f1deb8a43fc241b65df7353544d9064d802e61d1aaec874f404e01c266cb8b",
+        "eadaadbb185e984b3f5297084fb9ea4af9241160f3df9990342b1e0ed4641893",
     ),
 }
 
@@ -222,12 +222,12 @@ def test_deconv_verify_artifacts_are_golden(run, tmp_path):
 DECONV_RUNS = {
     "admissible": (
         ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
-        "e697b9e4d53d3aca14e96da6e7e990179b37ff143451d50b9b6febdfa1bad265",
+        "842fd5b7a542b9fc8f5ee660eda557106ab63ff60ff9c9dd8a2eaa30a1c74b13",
     ),
     # All three conditions fail: alpha, the noise floor and epsilon < 1/100.
     "inadmissible": (
         ["--n", "2", "--alpha", "1e-3", "--beta", "0.5", "--epsilon", "0.5", "--R", "3"],
-        "b90744827ec26ac0d5d4aa47aab1ea3f5131a5590792a6d62411d6e942c4b32c",
+        "24730176764cba3d793533dfd812de806ef54d84be666d20a5f08c2daac635c8",
     ),
 }
 
@@ -239,7 +239,7 @@ def test_deconv_certificate_json_is_golden(run, capsys):
     assert _sha(capsys.readouterr().out.encode()) == sha
 
 
-DECONV_MATRIX_SHA = "a8d4ba00aec5f8ad56c992eb5bdf7a1daabda7a353d8740a96507c39310831d9"
+DECONV_MATRIX_SHA = "9beea47d33ffe2ccefcf5e7680a18228e3011bfd6255acaeedff15f585608e23"
 
 
 def test_deconv_matrix_csv_is_golden(tmp_path):
@@ -252,51 +252,51 @@ def test_deconv_matrix_csv_is_golden(tmp_path):
 SAMPLE_PINS = {
     ("cube", 1): (
         "a41f1b73cf61d7b6127b59f8502df2b2f46310968cab8d231b42ca2f6e7796d9",
-        "dd121636bca98ed23c56b4ee96d33a8f0b7c0cd4fe46ffc460ad902281e12161",
+        "c746d3d55fe6e56fa3fd822a960b5161a27b961af70a97be0e49e2adad9f049a",
     ),
     ("cube", BLOCK - 1): (
         "4ab6caadd5f4ca0ca9d318cbb326944196bb05aec83913d7d6f55d994354c813",
-        "8d7a1c45312475e98094701868d723b42f6e169c070c4e105df1781c9c1dd4ca",
+        "4a3c19ae9b87f1f00c526797fda8d4854c7089d101c8ee71707d7e98c61dae70",
     ),
     ("cube", BLOCK + 1): (
         "8ed965800023a5668fc43c84577ee0f964ec9cf2ddc0d551a12208ead245bc5a",
-        "41d4709f4070e3a19d0f2a8a79fba0165cf7a6451783cb132e2f34c5b5b159e8",
+        "ed9bb4644b850432e3402eb0e0141472e1db4c5837d7c695aa0473d02c45f5cf",
     ),
     ("cube", 32 * BLOCK + 3): (
         "94c3fd298cf5f308a57dd758e1242247754e9f4fe46924419a1ff0c5ead6dc11",
-        "c71a6c3aa6308b8b20397ae861172409c34ec53083eccffa6f4361abddc312e7",
+        "9e991da168b58e7f3dcb19d8a74db5793dd88d36ad6696ef197ab14ac77995da",
     ),
     ("ball", 1): (
         "27509e01518fcf346a1e2d3f6d3f7aa3d46716a98a5d1c41dd3ff334b3f90c47",
-        "229ae0f96e9e5bdfc1e2e74632cb79746ee52dbf41fa2f800b8e05579a2b0f3d",
+        "bced511cdf529e0a0639e4d61cb0b5ba1783325c495da917b3581c0d23eb11bb",
     ),
     ("ball", BLOCK - 1): (
         "6c1597581f9f674f586308ab9d23d2093bd93136529c81a448afae9d290a472d",
-        "8c031f1b6cc7f12dd6363d13d96af15d65579f1f4e0263afcefca9f29e9d1863",
+        "534bf1fbf51ad7248b05630e258150cf39236a0ffedfaab810c95f5c77ecc307",
     ),
     ("ball", BLOCK + 1): (
         "47ed89d268db40c69848958712c027287f6bfee04e7e98a8136aecb4d731169b",
-        "206e07af7549d013f7c8528853a4d5e58114e8fa3b8dfc34081afb80ab49fba4",
+        "fdd1e66da8ac87b191fc0862d307a0abb6914cac0575720203a384852e4d0f12",
     ),
     ("ball", 32 * BLOCK + 3): (
         "a4a1f9dc9a2ee976d5066ab06001be52605c7d20b10c16f6111c5f3e69bf8207",
-        "61a5ebb4ac39a199294e952af215d853d1db5bb1d54f1b9e41877040d75709b5",
+        "c10450551556e3ca6137944e6884a1539a00f14a2c8cf60b3db15d88f7019d0b",
     ),
     ("simplex", 1): (
         "83db14bf7ebc998eb3566b3efc0d8e0b83288423d96bd5974c905a40f289a97a",
-        "11a2f5b385e57e7c930eea6fe2e5b4bca0f5cdfe2090fbf71604e880fe2093fc",
+        "27b9aa6b86aaf268fd837c60a9a5b216c1462ec8e43bfa8312dcfd72b0b1c2eb",
     ),
     ("simplex", BLOCK - 1): (
         "c4f2af2630200c5db9913cc9b34c29f0e713e810f49b581f48702a3c6ccbeae8",
-        "869e9d07194b48151ae1077899b8534d55f88036f28309b650e64ab1d4cc163a",
+        "d8a58b45e748ad04d10897f790fcc63d4423bca7c147443a71194a15f3743082",
     ),
     ("simplex", BLOCK + 1): (
         "a35a299b1acf1ba86bf7d79080890814a76d72861ec9deb35b9a3f9553313d8a",
-        "ec917e3d8b7d0f318ce85f16994712c7765adbdb83a08fb6433c9d6c7dcaf837",
+        "a3991d14b7e006b844d06e28199abdb0ad08e80de63dc68f2584b3406bd7e14a",
     ),
     ("simplex", 32 * BLOCK + 3): (
         "a98ab5c4d6cc0dd82c5620f10e8ce394de87864c76e75cf6341a41b1f02e102f",
-        "09a1d48d00e96891391c74abe40587b97f112521218f5ad2d2a67d8809da2997",
+        "084e4d1974c2f065e45c1877595ab67ab322c62a13c3d3b0812ea5cb6e63e29a",
     ),
 }
 
@@ -352,63 +352,63 @@ def test_the_library_noise_step_keeps_the_smoothed_sample_bytes(key, threads):
 PROJECT_PINS = {
     (1, 1): (
         "3aeda53a62926e46ba9a4787eacd80244a2abba665656517dabac8948c72a034",
-        "304b63469f1897af0bba2385659ae362654cd1eebcaa82adfa7bdf6ba70fa79d",
-        "02fe7ff1ddc839f5a85b9fdf1c501f8fe879d432abb23a7771089a90faab9944",
+        "88e591fe047544bb6eabbc263edad96fab53fcc1e831a76152dbf7f89c85856a",
+        "db987499ab9de3eb49b02603fbe0f75b89a0ca7733cea336a394eacfbf7dece3",
     ),
     (1, 2): (
         "508e2b83e04487f9511d7db256923243f2ad85bb9fd442c3487a3216421bd1fa",
-        "7944f8d1bd6c07d67288bdc426d6fd333bfa280e637798996ad2a7b040fda521",
-        "8283379446a08d853a574cce04849a88f8b20247bb4588109a803474c1615c80",
+        "27d3b757fe8c00cbd106ac51d926b4b8633ab7760964987a278ad8a289013fdc",
+        "27a3922967c542735ff548f78c2a73b71bafc3e104215739e1aa21d705b3a641",
     ),
     (1, 3): (
         "8d112df0e619ec4973d9aa41a0a3cce34a2b99bd1db31150b0a14b4dbab09eed",
-        "306c644497f439c1d28194d3181d612594eafbddb2800afe9289b14426c7941b",
-        "4749dbe712a1f5337415b4046e375059b6ac5fb1417dc625736c9cd932bbad2b",
+        "a124688ca6ee64e3511fc9bb5d64deb98a028143960b7759b64dd506428cf01c",
+        "d10f45e3a90e53dc24a66d56d2e0a253ebdbb5cb3b67361f4cfc8c9ac171522e",
     ),
     (1000, 1): (
         "b3c96e2efb8944e901b9ce42ca9ad1f90cf4379174b5596c5b616ce6c2a92984",
-        "de11a01c6eb50b5cb89b3c74fc8f3aec0cecbf9465069996e23efe67c2a8a4dd",
-        "02fe7ff1ddc839f5a85b9fdf1c501f8fe879d432abb23a7771089a90faab9944",
+        "8a96bee29195832ad94cf1b601430e525d1abcab80a893b8fa6e4179c4848033",
+        "db987499ab9de3eb49b02603fbe0f75b89a0ca7733cea336a394eacfbf7dece3",
     ),
     (1000, 2): (
         "ddd4a35c95b636a1f7a1a69736618bc15f4dac6697aa95ce559a2389b07c62b2",
-        "ff5b6acc025df9db28af2d9754a9eb7ce0f3b98e10a96a71f2585309fab4ee16",
-        "8283379446a08d853a574cce04849a88f8b20247bb4588109a803474c1615c80",
+        "485dd118423474df4ac7d03324141f644d73444de43a03fef4e53a6da76b2332",
+        "27a3922967c542735ff548f78c2a73b71bafc3e104215739e1aa21d705b3a641",
     ),
     (1000, 3): (
         "cd25686ff87832a4f38602e83da0c2e48a8abfe4435be5d072f2bfb712b23d20",
-        "5b293a501693b743ed8f1039055db8969d854e3dc2d2a103d882ec3168da1a6a",
-        "4749dbe712a1f5337415b4046e375059b6ac5fb1417dc625736c9cd932bbad2b",
+        "6e8622c0ba080bf2321b212824a913745ceb2b9466bd8341ee8997a62abd5637",
+        "d10f45e3a90e53dc24a66d56d2e0a253ebdbb5cb3b67361f4cfc8c9ac171522e",
     ),
     (3 * BLOCK + 5, 1): (
         "df43d11237bb982711aba6fd698d42f482bb227d5f4ea68013352db4ea108e7f",
-        "10a61288bbfd317a3aa03c662ac349e183763490a023f5c25416b6d00a356e33",
-        "02fe7ff1ddc839f5a85b9fdf1c501f8fe879d432abb23a7771089a90faab9944",
+        "7e4393ff223680953a1efcbda99712dabc8e35af13e0052687ddc1cfa559f030",
+        "db987499ab9de3eb49b02603fbe0f75b89a0ca7733cea336a394eacfbf7dece3",
     ),
     (3 * BLOCK + 5, 2): (
         "f057e4c86be15e0932b84fc47011921153e7d94e5809993d61f7deb200b25513",
-        "e2b01c3d14d5afc5ae0e46ea7e2f190c5d7fec0ddc5162e8c3d783731f7ce24f",
-        "8283379446a08d853a574cce04849a88f8b20247bb4588109a803474c1615c80",
+        "b0f7a7d55404aa7a8241f44681fac8727b4810d3e9736af4e554fffaa1607667",
+        "27a3922967c542735ff548f78c2a73b71bafc3e104215739e1aa21d705b3a641",
     ),
     (3 * BLOCK + 5, 3): (
         "9b773853c9994d5ce7869ab5f219654aecee59eb1b64e043ff61536a216d313e",
-        "2c999411da41565325450c20d57f8f59be19502147cddf1094d457f1e34da882",
-        "4749dbe712a1f5337415b4046e375059b6ac5fb1417dc625736c9cd932bbad2b",
+        "86c04dfc6af7d31be4acdf5a4c3b314ea200d9facac4b8f8ae00c703c04f4eec",
+        "d10f45e3a90e53dc24a66d56d2e0a253ebdbb5cb3b67361f4cfc8c9ac171522e",
     ),
     (BLOCK + 1, 1): (
         "d82e892cdb9da1c24446a4dfb146bf99b0b307e553cb479863644887964368f6",
-        "7c442e01c012b98fb7c80ae90f99a2dcd9feb5959a6ec771ce615efe2cd507c0",
-        "02fe7ff1ddc839f5a85b9fdf1c501f8fe879d432abb23a7771089a90faab9944",
+        "a2ca8cb786b2e2c7975bbd448cf97a96d2c82a1968fa9b5e8b53ad312cb79674",
+        "db987499ab9de3eb49b02603fbe0f75b89a0ca7733cea336a394eacfbf7dece3",
     ),
     (BLOCK + 1, 2): (
         "df4be34246aa19fb73395a87c76aec8c524c7ead41c19b94886665e1e24838f6",
-        "7ab5df6eb30f421b92a5f854319f934892da1360a0a04a9e06e25958e33885e3",
-        "8283379446a08d853a574cce04849a88f8b20247bb4588109a803474c1615c80",
+        "5ed2a646d7bc454b65149eaeba5ccb6de00b00c092815d78150d8e5da9e48890",
+        "27a3922967c542735ff548f78c2a73b71bafc3e104215739e1aa21d705b3a641",
     ),
     (BLOCK + 1, 3): (
         "d5c9046913abc184c3248276f2a38c32de2aecaccdb8b7a19f849727918409e3",
-        "7170e9bb0710519c62027011d36de106c443389e517c83deb50f2905401d0a45",
-        "4749dbe712a1f5337415b4046e375059b6ac5fb1417dc625736c9cd932bbad2b",
+        "db32e06ba706c624cbf6432c867ec37aed93c7673e1d44810d8d7876fa717a8f",
+        "d10f45e3a90e53dc24a66d56d2e0a253ebdbb5cb3b67361f4cfc8c9ac171522e",
     ),
 }
 
@@ -427,7 +427,7 @@ def test_project_input_artifacts_are_golden(key, threads, tmp_path, monkeypatch)
     assert tuple(_sha((tmp_path / name).read_bytes()) for name in names) == PROJECT_PINS[key]
 
 
-SAMPLE_CSV_SHA = "59c8a8a1e173438271ee52ae0187130d49b7c15efeabbd35ca45e092d46321f7"
+SAMPLE_CSV_SHA = "b18369004ebc53ff37429cb811bf7caa91ba5a89901bbf33cf6c071b9fd91e4a"
 
 
 def test_sample_csv_is_golden(tmp_path):

@@ -344,7 +344,7 @@ def test_streamed_m_tilde_profile_never_holds_the_batch():
 def test_the_estimator_bins_its_sample_in_row_blocks():
     batch = sample_gaussian(GaussianSpec(dimension=_L, variance=1.0), _COUNT, seed=6)
     points = radial_points(np.linspace(0.0, 2.0, 9), _L, 16)
-    peak = _peak_bytes(lambda: estimate_density(batch, points))
+    peak = _peak_bytes(lambda: estimate_density(batch, points, _COUNT ** (-1 / (_L + 4))))
     assert peak < 1.5 * batch.data.nbytes, peak
 
 
