@@ -14,16 +14,16 @@ Each subcommand declares its parameters once, in the table passed to
 ``_subcommand``; that table yields both the argparse flags and the resolve
 order, which is also the key order of the echoed configuration.
 
-``projected_ratio`` is the one sample -> project -> KDE -> ratio pipeline;
-the ``ratio`` and ``scan`` subcommands and acceptance criterion 7 all call
-it.  It takes a body spec, a count and a seed, never a batch, and projects
-the sample tile by tile as it is drawn (``density.project_body``); it
-smooths by the kernel, drawing no noise.  It lives here rather than in
-``density.py`` because it looks up ``random_subspace``, ``estimate_density``
-and ``ratio_to_gaussian`` as attributes of this module, where the
-benchmark's tracer (``perfbench/tracing.py``) wraps them; moved, it would
-lose those spans.
-``thinshell`` and ``scan`` likewise keep only the sample norms.
+``projected_ratio`` is the ratio report of the ``ratio`` and ``scan``
+subcommands and acceptance criterion 7.  Its estimate is
+``density.smoothed_marginal``, the one sample -> project -> KDE step that
+``mtilde`` reads too; it takes a body spec, a count and seeds, never a batch,
+projects the sample tile by tile as it is drawn and smooths by the kernel,
+drawing no noise.  ``projected_ratio`` lives here rather than in
+``density.py`` because it looks up ``ratio_to_gaussian`` as an attribute of
+this module, where the benchmark's tracer (``perfbench/tracing.py``) wraps
+it; moved, it would lose that span.
+``thinshell`` and ``scan`` keep only the sample norms.
 
 Exit codes: 0 success, 1 validation error, 2 acceptance-threshold failure in
 `suite` (and argparse usage errors).
@@ -48,6 +48,7 @@ from .samplers import (
     SCHEMA_VERSION,
     SampleBatch,
     _require_memory,
+    _seed_seq,
     atomic_open,
     convolve_and_rescale,  # no caller here; the benchmark's tracer looks it up at this module
     load_batch,
@@ -65,12 +66,11 @@ from .radial import norm_column, thin_shell_fraction
 from .density import (
     body_and_basis_seeds,
     check_kde_size,
-    estimate_density,
+    estimate_density,  # no caller here; the benchmark's tracer looks it up at this module
     m_tilde_profile,
-    project_body,
     radial_points,
     ratio_to_gaussian,
-    smoothing_bandwidth,
+    smoothed_marginal,
 )
 from .deconvolution import (
     BODIES_1D, SANDWICH_MATRIX, DeconvCertificate, DeconvParams, sandwich_margins, verify_sandwich,
@@ -192,32 +192,27 @@ def _write_csv(path: str, echo: dict, columns, rows) -> None:
 def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
                     max_radius: float, grid_points: int, direction_count: int = 16,
                     schedule: ConvolutionSchedule | None = None, threads: int = 1):
-    """Estimate a body's projected density on a Haar l-subspace and its ratio to the gaussian.
+    """A body's smoothed projected density on a Haar l-subspace and its ratio to the gaussian.
 
-    ``count`` samples of ``spec`` are drawn from ``body_seed`` and projected
-    tile by tile as they are drawn (``density.project_body``), so the
-    count x n batch is never held.  It estimates the projection smoothed at
-    variance v as ``mtilde`` does, at ``density.smoothing_bandwidth(v)`` with
-    no noise drawn, against the gaussian of variance 1 + v: v is the
-    ``schedule``'s ambient variance v(n), or without one v(N, l) =
-    N^(-2/(l+4)), Scott's h^2 at the unit variance of every catalog
-    projection.  The KDE grid is ``grid_points`` points on
-    [-max_radius, max_radius] for l = 1, else as many radii on
-    [0, max_radius] times ``direction_count`` directions; it and the sample
-    size are checked before anything is drawn.
+    The estimate is ``density.smoothed_marginal`` of ``count`` samples of
+    ``spec`` from ``body_seed`` on the subspace drawn from ``basis_seed``,
+    smoothed at variance v as ``mtilde``'s is, and it is read against the
+    gaussian of variance 1 + v: v is the ``schedule``'s ambient variance
+    v(n), or without one v(N, l) = N^(-2/(l+4)), Scott's h^2 at the unit
+    variance of every catalog projection.  The KDE grid is ``grid_points``
+    points on [-max_radius, max_radius] for l = 1, else as many radii on
+    [0, max_radius] times ``direction_count`` directions; it, l and the
+    sample size are checked before anything is drawn.
     """
     max_radius = _as_positive_float(max_radius, "max_radius", RangeError)
     grid_points = _as_positive_int(grid_points, "grid_points")
     check_kde_size(count, l)
-    n = spec.dimension
-    basis = random_subspace(n, l, basis_seed)
     if l == 1:
         points = np.linspace(-max_radius, max_radius, grid_points)[:, None]
     else:
         points = radial_points(np.linspace(0.0, max_radius, grid_points), l, direction_count)
-    v = count ** (-2.0 / (l + 4)) if schedule is None else schedule.noise_variance(n)
-    est = estimate_density(project_body(spec, count, body_seed, basis, threads), points,
-                           smoothing_bandwidth(v))
+    v = count ** (-2.0 / (l + 4)) if schedule is None else schedule.noise_variance(spec.dimension)
+    est = smoothed_marginal(spec, count, body_seed, basis_seed, points, v, threads)
     return est, ratio_to_gaussian(est, 1.0 + v, max_radius)
 
 
@@ -257,7 +252,7 @@ def _cmd_sample(resolved, echo) -> int:
     spec = BodySpec(resolved["body"], int(resolved["n"]))
     count, threads = int(resolved["samples"]), int(resolved["threads"])
     # Child 0 of the seed, the body seed ``sample`` has always drawn from.
-    body_seed = np.random.SeedSequence(int(resolved["seed"])).spawn(1)[0]
+    body_seed = _seed_seq(int(resolved["seed"])).spawn(1)[0]
     if resolved["format"] == "bin":
         save_sample(spec, count, body_seed, resolved["output"], config=echo, threads=threads)
     else:
@@ -345,7 +340,7 @@ def _cmd_thinshell(resolved, echo) -> int:
     echo["epsilon"] = epsilons = [_as_positive_float(e, "epsilon", RangeError) for e in epsilons]
     spec = BodySpec(resolved["body"], n)
     count = int(resolved["samples"])
-    _require_memory(f"a column of {count} norms", 8 * count)
+    _require_memory(f"a column of {count} norms", 16 * count)
     norms = sample_body(
         spec, count, int(resolved["seed"]), threads=int(resolved["threads"]), reduce=norm_column,
     )

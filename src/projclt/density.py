@@ -19,8 +19,10 @@ Every pipeline reads a smoothed density and draws no noise: for an
 orthonormal l x n frame P and Y ~ N(0, v I_n) the density of P(X + Y) at x is
 exactly E gamma_{l,v}(x - PX), a kernel average of PX at sqrt(v)
 (:func:`smoothing_bandwidth` corrects it for binning), read against
-gamma_{l,1+v} at unrescaled points; ``cli.projected_ratio`` without a schedule
-takes v = N^(-2/(l+4)).
+gamma_{l,1+v} at unrescaled points.  :func:`smoothed_marginal` is the one
+sample -> project -> kernel-average step: ``ratio``, ``scan`` and ``mtilde``
+all read their estimates from it, and ``cli.projected_ratio`` without a
+schedule takes v = N^(-2/(l+4)).
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ def radial_points(radii, l: int, direction_count: int = 16) -> np.ndarray:
     ``direction_count`` is neither used nor checked.
     """
     radii = _as_nonnegative_array(_as_float_array(radii, "radii", 1), "radii")
+    l = _as_positive_int(l, "l")
     if l != 1:
         count = _as_positive_int(direction_count, "direction_count")
     if l == 1:
@@ -219,21 +222,33 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> S
     ``project(sample_body(spec, count, seed), basis)`` bit for bit while only
     one tile of the batch per thread is held, at most ``samplers.TILE_BYTES``:
     ``project`` rounds each row of a row-major batch alike at any height.
-    Each tile's projection is written into its rows of the one (count, l)
-    result.  Each tile goes through this module's ``project``, where the
-    benchmark's tracer finds it, so the tracer counts one projection per
-    tile.  A ``count`` that is not a positive integer is refused with
-    ``InvalidSpec``, and a result larger than physical memory with
-    ``RangeError``, before anything is allocated.
+    The tiles' projections are stacked into the result, 16 count l bytes
+    at once.  Each tile goes through this module's ``project``, where the
+    benchmark's tracer finds it.  A ``count`` that is not a positive integer
+    is refused with ``InvalidSpec``, and projections larger than physical
+    memory with ``RangeError``, before anything is drawn.
     """
     count, l = _as_positive_int(count, "count"), basis.subspace_dim
-    _require_memory(f"a {count} x {l} projection", 8 * count * l)
-    out = np.empty((count, l))
+    _require_memory(f"a {count} x {l} projection", 16 * count * l)
+    return sample_body(spec, count, seed, threads=threads, reduce=lambda tile: project(
+        SampleBatch(data=tile, seed=None, source={}), basis).data)
 
-    def reduce(block, rows):
-        out[rows] = project(SampleBatch(data=block, seed=None, source={}), basis).data
 
-    return sample_body(spec, count, seed, threads=threads, reduce=reduce, out=out)
+def smoothed_marginal(spec: BodySpec, count: int, body_seed, basis_seed, points, v: float,
+                      threads: int = 1) -> DensityEstimate:
+    """The density of a body, smoothed at variance v and projected on a Haar subspace, at ``points``.
+
+    The subspace, of the dimension l of the (k, l) ``points``, is drawn from
+    ``basis_seed``; ``count`` samples of ``spec`` from ``body_seed`` are
+    projected onto it tile by tile (:func:`project_body`) and
+    kernel-averaged at ``smoothing_bandwidth(v)``: the density of P(X + Y),
+    Y ~ N(0, v I_n), with no noise drawn.  The size is checked first.
+    """
+    pts = _as_float_array(points, "points", 2)
+    check_kde_size(count, pts.shape[1])
+    basis = random_subspace(spec.dimension, pts.shape[1], basis_seed)
+    return estimate_density(project_body(spec, count, body_seed, basis, threads), pts,
+                            smoothing_bandwidth(v))
 
 
 def body_and_basis_seeds(seed) -> tuple:
@@ -258,32 +273,26 @@ def m_tilde_profile(
 ) -> RatioReport:
     """Rotation-averaged radial profile of the smoothed projected density.
 
-    For each of ``subspace_count`` independent Haar subspaces: draw a fresh
-    body sample, project it block by block (:func:`project_body`) and
-    kernel-average it at ``smoothing_bandwidth(v)``, v = v(n) the schedule's
-    ambient variance, at every radius (averaged over a fixed set of unit
-    directions); no noise is drawn (see the module docstring).  The
-    subspace-averaged values are divided by the gaussian density of variance
-    1 + v, the exact law the smoothed projection approaches.
+    For each of ``subspace_count`` children of ``seed``, the
+    :func:`smoothed_marginal` of a fresh body sample on a fresh Haar subspace
+    (seeded by :func:`body_and_basis_seeds` of the child), at v = v(n) the
+    schedule's ambient variance, is averaged over a fixed set of unit
+    directions at every radius.  The subspace-averaged values are divided by
+    the gaussian density of variance 1 + v, the exact law the smoothed
+    projection approaches.
     """
     l = _as_positive_int(l, "l")
     subspace_count = _as_positive_int(subspace_count, "subspace_count")
     check_kde_size(samples_per_subspace, l)
     points = radial_points(radii, l, direction_count)
     radii = np.asarray(radii, dtype=np.float64)
-    n = body.dimension
-    v = schedule.noise_variance(n)
-    h = smoothing_bandwidth(v)
+    v = schedule.noise_variance(body.dimension)
 
-    root = _seed_seq(seed)
     accum = np.zeros(radii.size)
-    for child in root.spawn(subspace_count):
-        body_seed, basis_seed = body_and_basis_seeds(child)
-        basis = random_subspace(n, l, basis_seed)
+    for child in _seed_seq(seed).spawn(subspace_count):
         # The projection is released before the next subspace draws its own.
-        est = estimate_density(
-            project_body(body, samples_per_subspace, body_seed, basis, threads), points, h
-        )
+        est = smoothed_marginal(body, samples_per_subspace, *body_and_basis_seeds(child), points,
+                                v, threads)
         accum += est.values.reshape(radii.size, -1).mean(axis=1)
 
     profile = (accum / subspace_count) / gaussian_density(l, 1.0 + v, radii)
@@ -296,7 +305,7 @@ def m_tilde_profile(
             "l": l,
             "noise_variance": v,
             "variance": 1.0 + v,
-            "bandwidth": h,
+            "bandwidth": est.bandwidth,
             "subspace_count": subspace_count,
             "samples_per_subspace": samples_per_subspace,
             **({"direction_count": direction_count} if l > 1 else {}),

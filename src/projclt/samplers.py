@@ -37,7 +37,8 @@ passed at once to a reducer while it is still in cache, and then
 overwritten, and the reducer sees the tiles of each block in row order.
 A reducer is a projection, the norms, moment sums or the batch-file writer
 of :func:`save_sample`, and memory is then one tile buffer per thread plus
-the reduced outputs.  Without one, each tile is
+the reduced outputs, which :func:`sample_body` stacks into one more copy.
+Without one, each tile is
 copied into its rows of a (count, n) array that holds the whole batch, so a
 batch larger than physical memory is refused with ``RangeError`` before any
 allocation; only library callers and the CSV writer draw a whole batch.
@@ -116,16 +117,20 @@ class SampleBatch:
 
 
 def _seed_seq(seed) -> np.random.SeedSequence:
-    """A fresh ``SeedSequence`` for ``seed``.
+    """A fresh ``SeedSequence`` for ``seed``, a ``SeedSequence`` or a non-negative integer.
 
     A given sequence is copied, because spawning advances the sequence it is
     called on: the copy leaves the caller's sequence as it was, so the same
-    seed draws the same sample however often it is used.
+    seed draws the same sample however often it is used.  Any other seed,
+    a negative one, a float or a bool among them, is refused with
+    ``InvalidSpec`` naming it.
     """
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(
             seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
         )
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.SeedSequence(int(seed))
 
 
@@ -300,34 +305,23 @@ def _body_source(spec: BodySpec) -> dict:
     return {"draw": "body", "spec": spec.to_jsonable()}
 
 
-def sample_body(
-    spec: BodySpec, count: int, seed, threads: int = 1, reduce=None, out=None
-) -> SampleBatch:
+def sample_body(spec: BodySpec, count: int, seed, threads: int = 1, reduce=None) -> SampleBatch:
     """Draw i.i.d. samples from the isotropically normalized body.
 
     With ``reduce`` the (count, n) batch is never held: each tile of rows
-    (see :func:`_generate`) is mapped by ``reduce`` to a new 2-D array, and
-    the returned batch stacks those arrays in row order.  With ``out`` as
-    well, a (count, k) array, ``reduce(tile, rows)`` writes the tile's
-    k-wide rows into ``out[rows]`` itself, no per-tile arrays are kept, and
-    the returned batch holds ``out``.  ``out`` without ``reduce`` is refused
-    with ``InvalidSpec``: nothing would write into it.
+    (see :func:`_generate`) is mapped by ``reduce(tile)`` to a new 2-D array
+    of one row per row, and the returned batch stacks those arrays in row
+    order, so the per-tile outputs and their stacked copy are held at once.
     """
     source = _body_source(spec)
     count = _as_positive_int(count, "count")
-    if out is not None and reduce is None:
-        raise InvalidSpec("out needs a reduce that writes each tile's rows into it")
     fill = _FILLS[spec.kind]
     if reduce is None:
         data = _generate(count, spec.dimension, seed, fill, threads)
     else:
-        if out is None:
-            data = np.concatenate(_generate(
-                count, spec.dimension, seed, fill, threads, lambda block, _rows: reduce(block)
-            ))
-        else:
-            _generate(count, spec.dimension, seed, fill, threads, reduce)
-            data = out
+        data = np.concatenate(_generate(
+            count, spec.dimension, seed, fill, threads, lambda tile, _rows: reduce(tile)
+        ))
         source = {"draw": "reduced", "of": source}
     return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 

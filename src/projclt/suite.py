@@ -436,11 +436,11 @@ def run_criterion(index: int, profile: str = "desk") -> CriterionResult:
 
 
 def run_all(profile: str = "desk", only=None) -> list[CriterionResult]:
-    """Run every criterion, or those in ``only``.
+    """Run every criterion, or those in ``only``, each once and in index order.
 
     An empty ``only`` or an unknown index is an ``InvalidSpec``.
     """
-    indices = sorted(_CRITERIA) if only is None else sorted(only)
+    indices = sorted(_CRITERIA) if only is None else sorted(set(only))
     unknown = [i for i in indices if i not in _CRITERIA]
     if unknown or not indices:
         named = ", ".join(map(str, unknown)) if unknown else "selected"

@@ -117,7 +117,6 @@ def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path
     def draw(*args, **kwargs):
         pytest.fail("a sample was drawn before the KDE grid was checked")
 
-    monkeypatch.setattr(projclt.cli, "project_body", draw)
     monkeypatch.setattr(projclt.density, "project_body", draw)
     out = tmp_path / "r.json"
     assert main(argv + ["--output", str(out)]) == 1
@@ -145,9 +144,11 @@ def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path
          "density estimation needs >= 10000 samples, got 5000"),
         (_SCAN + ["--l", "1", "--grid-points", "0"], "grid_points must be >= 1"),
         (["deconv-matrix", "--grid-points", "0"], "grid_points must be >= 1, got 0"),
+        (_RATIO + ["--l", "0"], "l must be >= 1, got 0"),
+        (_SCAN + ["--l", "0"], "l must be >= 1, got 0"),
     ],
     ids=["ratio_few_samples", "mtilde_few_samples", "ratio_l4", "thinshell_zero_epsilon", "thinshell_infinite_second_epsilon", "scan_l4",
-         "scan_few_samples", "scan_no_points", "deconv_matrix_no_points"],
+         "scan_few_samples", "scan_no_points", "deconv_matrix_no_points", "ratio_l0", "scan_l0"],
 )
 def test_a_bad_value_exits_1_before_anything_is_drawn(argv, message, tmp_path, monkeypatch,
                                                       capsys):
@@ -184,6 +185,23 @@ def test_a_thread_count_below_1_exits_1_and_writes_nothing(subcommand, threads, 
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", sorted(_THREADED))
+def test_a_negative_seed_exits_1_and_writes_nothing(subcommand, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_batch(sample_body(BodySpec("cube", 5), 100, seed=1), "in.bin")
+    (tmp_path / "out").mkdir()
+    argv = _THREADED[subcommand] + ["--seed", "-1", "--output", "out/r"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"], ids=repr)
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    with pytest.raises(InvalidSpec, match=f"seed must be a non-negative integer, got {seed!r}"):
+        sample_body(BodySpec("cube", 3), 10, seed)
 
 
 def test_the_default_thread_count_is_the_usable_core_count(monkeypatch):
@@ -768,13 +786,13 @@ def test_ratio_csv_stderr_is_relative_to_the_reports_reference(tmp_path, monkeyp
     # The CSV's ratio and stderr columns divide by the same gaussian, the one the
     # report reads against: variance 1 + v, v = N^(-2/(l+4)), or v(n) with --alpha.
     estimates = []
-    estimate = projclt.cli.estimate_density
+    estimate = projclt.density.estimate_density
 
     def recording(*args, **kwargs):
         estimates.append(estimate(*args, **kwargs))
         return estimates[-1]
 
-    monkeypatch.setattr(projclt.cli, "estimate_density", recording)
+    monkeypatch.setattr(projclt.density, "estimate_density", recording)
     csv = tmp_path / "ratio.csv"
     rc = main(["ratio", "--body", "cube", "--n", "20", "--l", "1", "--samples", "20000",
                "--seed", "5", "--grid-points", "21", *extra,
@@ -796,7 +814,7 @@ def test_a_projection_larger_than_physical_memory_exits_1(tmp_path, capsys, argv
     rc = main([*argv, str(10**12), "--output", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: a 1000000000000 x 1 projection needs 8000000000000 bytes")
+    assert err.startswith("error: a 1000000000000 x 1 projection needs 16000000000000 bytes")
     assert err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
 
@@ -814,7 +832,7 @@ def test_thinshell_refuses_norms_larger_than_physical_memory_before_drawing(tmp_
                "--seed", "1", "--output", str(tmp_path / "t.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: a column of 1000000000000 norms needs 8000000000000 bytes")
+    assert err.startswith("error: a column of 1000000000000 norms needs 16000000000000 bytes")
     assert err.count("\n") == 1, err
 
 
@@ -1052,6 +1070,17 @@ def test_suite_runs_a_single_fast_criterion(tmp_path, capsys):
     assert re.search(r"\[PASS\] criterion\s+2 ", captured)
     payload = json.loads(out.read_text())
     assert payload["results"][0]["passed"] is True
+
+
+def test_a_criterion_selected_twice_runs_once(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    assert main(["suite", "--only", "2,2", "--output", str(out)]) == 0
+    captured = capsys.readouterr().out
+    assert len(re.findall(r"\[PASS\] criterion\s+2 ", captured)) == 1
+    assert "1/1 criteria passed" in captured
+    payload = json.loads(out.read_text())
+    assert [r["index"] for r in payload["results"]] == [2]
+    assert payload["config"]["only"] == "2,2"
 
 
 def test_the_quick_suite_passes_at_the_catalog_samplers(tmp_path, capsys):

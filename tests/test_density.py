@@ -14,22 +14,25 @@ import math
 import numpy as np
 import pytest
 
+import projclt.density
 from projclt.cli import projected_ratio
 from projclt.deconvolution import body_convolved_density_1d
 from projclt.density import (
     MAX_KDE_DIM,
     MIN_KDE_SAMPLES,
+    body_and_basis_seeds,
     estimate_density,
     m_tilde_profile,
     project_body,
     radial_points,
     ratio_to_gaussian,
+    smoothed_marginal,
     smoothing_bandwidth,
 )
 from projclt.errors import DimensionTooHigh, InvalidSpec, RangeError, TooFewSamples
 from projclt.grassmann import random_subspace
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec, SubspaceBasis
-from projclt.samplers import SampleBatch, sample_gaussian
+from projclt.samplers import SampleBatch, _seed_seq, sample_gaussian
 from projclt.spherical import gaussian_density
 
 
@@ -65,6 +68,11 @@ def test_sphere_directions_cover_both_hemispheres():
     # the z lattice is symmetric by construction, x/y nearly balance
     assert abs(dirs[:, 2].sum()) < 1e-12
     assert np.abs(dirs.mean(axis=0)).max() < 0.02
+
+
+def test_directions_reject_a_dimension_below_1():
+    with pytest.raises(InvalidSpec, match="l must be >= 1, got 0"):
+        radial_points([1.0], 0, 16)
 
 
 def test_directions_reject_high_dimension():
@@ -426,3 +434,53 @@ def test_the_unsmoothed_ratio_is_the_kernel_average_at_the_sample_size_variance(
     np.testing.assert_array_equal(rep.radius_grid, expected.radius_grid)
     np.testing.assert_array_equal(rep.per_point_ratios, expected.per_point_ratios)
     assert rep.meta == expected.meta
+
+
+# ------------------------------------------------- the one smoothed-marginal step
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_the_ratio_estimate_is_the_smoothed_marginal(l):
+    spec, count, max_radius = BodySpec("simplex", _NOISE_N), MIN_KDE_SAMPLES + 7, 1.5
+    schedule = ConvolutionSchedule(alpha=10.0)
+    est, _ = projected_ratio(spec, count, 21, l, 22, max_radius, 5, direction_count=4,
+                             schedule=schedule, threads=2)
+    points = (np.linspace(-max_radius, max_radius, 5)[:, None] if l == 1
+              else radial_points(np.linspace(0.0, max_radius, 5), l, 4))
+    expected = smoothed_marginal(spec, count, 21, 22, points, schedule.noise_variance(_NOISE_N))
+    np.testing.assert_array_equal(est.points, expected.points)
+    np.testing.assert_array_equal(est.values, expected.values)
+    np.testing.assert_array_equal(est.stderr, expected.stderr)
+    assert (est.bandwidth, est.sample_count) == (expected.bandwidth, expected.sample_count)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_one_subspace_m_tilde_is_the_direction_mean_of_the_smoothed_marginal(l):
+    spec, schedule, radii = BodySpec("cube", _NOISE_N), ConvolutionSchedule(alpha=10.0), [0.0, 1.0]
+    v = schedule.noise_variance(_NOISE_N)
+    mt = m_tilde_profile(spec, schedule, l=l, radii=radii, subspace_count=1,
+                         samples_per_subspace=MIN_KDE_SAMPLES, seed=31, direction_count=4)
+    (child,) = _seed_seq(31).spawn(1)
+    est = smoothed_marginal(spec, MIN_KDE_SAMPLES, *body_and_basis_seeds(child),
+                            radial_points(radii, l, 4), v)
+    expected = est.values.reshape(2, -1).mean(axis=1) / gaussian_density(l, 1.0 + v,
+                                                                         np.array(radii))
+    np.testing.assert_array_equal(mt.per_point_ratios, expected)
+    assert mt.meta["bandwidth"] == est.bandwidth
+
+
+@pytest.mark.parametrize(
+    "points, count, error, message",
+    [(np.zeros((3, 4)), MIN_KDE_SAMPLES, DimensionTooHigh, "supports l <= 3, got l=4"),
+     (np.zeros((3, 1)), MIN_KDE_SAMPLES - 1, TooFewSamples, "needs >= 10000 samples")],
+    ids=["l4", "few_samples"],
+)
+def test_the_smoothed_marginal_checks_its_size_before_drawing(points, count, error, message,
+                                                              monkeypatch):
+    def draw(*args, **kwargs):
+        pytest.fail("a sample or a basis was drawn before the size was checked")
+
+    monkeypatch.setattr(projclt.density, "random_subspace", draw)
+    monkeypatch.setattr(projclt.density, "project_body", draw)
+    with pytest.raises(error, match=message):
+        smoothed_marginal(BodySpec("cube", _NOISE_N), count, 1, 2, points, 0.5)

@@ -16,7 +16,6 @@ import pytest
 from projclt import samplers
 from projclt.cli import main, projected_ratio
 from projclt.density import estimate_density, m_tilde_profile, project_body, radial_points
-from projclt.errors import InvalidSpec
 from projclt.grassmann import project, random_subspace
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
 from projclt.radial import norm_column, thin_shell_fraction
@@ -99,14 +98,6 @@ def test_a_reducer_sees_each_block_at_its_own_height(threads):
     first_column = sample_body(spec, COUNT, seed=5, threads=threads, reduce=reduce)
     assert sorted(heights) == [COUNT % BLOCK] + [BLOCK] * (COUNT // BLOCK)
     np.testing.assert_array_equal(first_column.data, full.data[:, :1])
-
-
-def test_out_without_a_reduce_is_refused():
-    # Nothing would write the tiles into ``out``; it stays as it was.
-    out = np.zeros((10, 3))
-    with pytest.raises(InvalidSpec, match="out needs a reduce"):
-        sample_body(BodySpec("cube", 3), 10, seed=1, out=out)
-    assert not out.any()
 
 
 @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK + 1, 32 * BLOCK + 1])

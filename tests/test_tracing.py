@@ -4,8 +4,8 @@
 its callers look it up by.  If a refactor moves a call away from those
 attributes the tracer either refuses to install or silently loses spans;
 these tests catch both on small ``projclt ratio``, ``mtilde``,
-``thinshell``, ``sample`` and ``project`` runs, and check that every span's
-parent is an earlier span (a smaller id).
+``thinshell``, ``scan``, ``sample`` and ``project`` runs, and check that
+every span's parent is an earlier span (a smaller id).
 """
 
 import importlib.util
@@ -82,4 +82,14 @@ def test_tracer_records_the_catalog_sample_and_project_steps(tmp_path):
     )
     expected = {"samplers.load_batch", "grassmann.random_subspace", "grassmann.project",
                 "samplers.save_batch"}
+    assert expected <= names
+
+
+def test_tracer_records_the_scan_sweep(tmp_path):
+    names = _traced_spans(
+        ["scan", "--body", "cube", "--n", "20", "--l", "1", "--samples", "20000", "--seed", "7",
+         "--alpha", "10", "--grid-points", "5", "--output", str(tmp_path / "s.csv")]
+    )
+    expected = {"samplers.sample_body", "grassmann.project", "density.estimate_density",
+                "density.ratio_to_gaussian", "radial.thin_shell_fraction"}
     assert expected <= names
