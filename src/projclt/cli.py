@@ -64,8 +64,8 @@ from .grassmann import project, random_subspace
 from .spherical import gaussian_density, psi_gaussian_ratio_scan
 from .radial import norm_column, thin_shell_fraction
 from .density import (
+    DIRECTIONS,
     body_and_basis_seeds,
-    check_kde_size,
     estimate_density,  # no caller here; the benchmark's tracer looks it up at this module
     m_tilde_profile,
     radial_points,
@@ -84,16 +84,14 @@ class Param(NamedTuple):
 
     ``echo`` is False for sinks and schedulers (output paths, ``threads``),
     which never change an output number.  The flag is ``--`` plus the name
-    with dashes unless ``flag`` says otherwise.  ``type=str`` marks a string
-    parameter whose handler validates it, so a config-file value for it is
-    passed through unchecked.
+    with dashes.  ``type=str`` marks a string parameter whose handler
+    validates it, so a config-file value for it is passed through unchecked.
     """
 
     name: str
     default: object = _REQUIRED
     type: type | None = None
     echo: bool = True
-    flag: str | None = None
     help: str | None = None
     choices: tuple | None = None
     action: str | None = None
@@ -189,8 +187,19 @@ def _write_csv(path: str, echo: dict, columns, rows) -> None:
     write_csv(path, {"schema_version": SCHEMA_VERSION, "config": echo}, columns, rows)
 
 
+def _kde_line(name: str, count, start: float, stop: float, l: int) -> np.ndarray:
+    """``count`` equally spaced radii on [start, stop] of a KDE grid in R^l, checked first.
+
+    Each becomes at most ``DIRECTIONS`` points, so a grid whose points exceed
+    physical memory is refused with ``RangeError`` before any is built.
+    """
+    count = _as_positive_int(count, name)
+    _require_memory(f"a KDE grid of {name}={count}", 8 * DIRECTIONS * l * count)
+    return np.linspace(start, stop, count)
+
+
 def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
-                    max_radius: float, grid_points: int, direction_count: int = 16,
+                    max_radius: float, grid_points: int,
                     schedule: ConvolutionSchedule | None = None, threads: int = 1):
     """A body's smoothed projected density on a Haar l-subspace and its ratio to the gaussian.
 
@@ -201,17 +210,16 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
     v(n), or without one v(N, l) = N^(-2/(l+4)), Scott's h^2 at the unit
     variance of every catalog projection.  The KDE grid is ``grid_points``
     points on [-max_radius, max_radius] for l = 1, else as many radii on
-    [0, max_radius] times ``direction_count`` directions; it, l and the
+    [0, max_radius] times ``density.DIRECTIONS`` directions; it, l and the
     sample size are checked before anything is drawn.
     """
     max_radius = _as_positive_float(max_radius, "max_radius", RangeError)
-    grid_points = _as_positive_int(grid_points, "grid_points")
-    check_kde_size(count, l)
     if l == 1:
-        points = np.linspace(-max_radius, max_radius, grid_points)[:, None]
+        points = _kde_line("grid_points", grid_points, -max_radius, max_radius, l)[:, None]
     else:
-        points = radial_points(np.linspace(0.0, max_radius, grid_points), l, direction_count)
-    v = count ** (-2.0 / (l + 4)) if schedule is None else schedule.noise_variance(spec.dimension)
+        points = radial_points(_kde_line("grid_points", grid_points, 0.0, max_radius, l), l)
+    # smoothed_marginal refuses a count below MIN_KDE_SAMPLES before it draws.
+    v = schedule.noise_variance(spec.dimension) if schedule else max(count, 1) ** (-2 / (l + 4))
     est = smoothed_marginal(spec, count, body_seed, basis_seed, points, v, threads)
     return est, ratio_to_gaussian(est, 1.0 + v, max_radius)
 
@@ -222,7 +230,6 @@ _L = Param("l", type=int)
 _SAMPLES = Param("samples", type=int)
 _SEED = Param("seed", type=int)
 _FORMAT = Param("format", "bin", choices=("bin", "csv"))
-_DIRECTIONS = Param("directions", 16, int)
 _CORES = usable_cores()
 _THREADS = Param(
     "threads", _CORES, int, echo=False,
@@ -288,33 +295,24 @@ def _cmd_project(resolved, echo) -> int:
     return 0
 
 
-def _drop_directions_at_l1(resolved, echo) -> None:
-    """Echo ``directions`` only at l >= 2: the l = 1 KDE grid has no directions to count."""
-    if int(resolved["l"]) == 1:
-        del echo["directions"]
-
-
-def _resolved_ratio(resolved, spec: BodySpec, seed: int, direction_count: int = 16):
+def _resolved_ratio(resolved, spec: BodySpec, seed: int):
     """``(body_seed, estimate, report)`` of ``projected_ratio`` at the resolved parameters."""
     alpha = resolved["alpha"]
     body_seed, basis_seed = body_and_basis_seeds(seed)
     return body_seed, *projected_ratio(
         spec, int(resolved["samples"]), body_seed, int(resolved["l"]), basis_seed,
-        float(resolved["max_radius"]), int(resolved["grid_points"]), direction_count,
+        float(resolved["max_radius"]), int(resolved["grid_points"]),
         None if alpha is None else ConvolutionSchedule(float(alpha)), int(resolved["threads"]),
     )
 
 
 @_subcommand("ratio", "projected-density to gaussian ratio report", [
-    _BODY, _N, _L, _SAMPLES, _SEED, _ALPHA, _MAX_RADIUS, _GRID_POINTS,
-    _DIRECTIONS, _THREADS, _OUTPUT,
+    _BODY, _N, _L, _SAMPLES, _SEED, _ALPHA, _MAX_RADIUS, _GRID_POINTS, _THREADS, _OUTPUT,
     Param("csv", None, echo=False, help="also write (point, ratio, stderr) rows here"),
 ])
 def _cmd_ratio(resolved, echo) -> int:
     spec = BodySpec(resolved["body"], int(resolved["n"]))
-    _drop_directions_at_l1(resolved, echo)
-    _, est, report = _resolved_ratio(resolved, spec, int(resolved["seed"]),
-                                     int(resolved["directions"]))
+    _, est, report = _resolved_ratio(resolved, spec, int(resolved["seed"]))
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
         ref = gaussian_density(est.dim, report.meta["variance"], report.radius_grid)
@@ -405,21 +403,19 @@ def _cmd_psi_scan(resolved, echo) -> int:
     Param("t_points", 9, int),
     Param("subspaces", 32, int),
     Param("samples_per_subspace", 125_000, int),
-    _DIRECTIONS, _SEED, _THREADS, _OUTPUT,
+    _SEED, _THREADS, _OUTPUT,
     Param("csv", None, echo=False),
 ])
 def _cmd_mtilde(resolved, echo) -> int:
-    spec = BodySpec(resolved["body"], int(resolved["n"]))
-    _drop_directions_at_l1(resolved, echo)
+    spec, l = BodySpec(resolved["body"], int(resolved["n"])), int(resolved["l"])
     report = m_tilde_profile(
         spec,
         ConvolutionSchedule(float(resolved["alpha"])),
-        l=int(resolved["l"]),
-        radii=np.linspace(0.0, float(resolved["t_max"]), int(resolved["t_points"])),
+        l=l,
+        radii=_kde_line("t_points", int(resolved["t_points"]), 0.0, float(resolved["t_max"]), l),
         subspace_count=int(resolved["subspaces"]),
         samples_per_subspace=int(resolved["samples_per_subspace"]),
         seed=int(resolved["seed"]),
-        direction_count=int(resolved["directions"]),
         threads=int(resolved["threads"]),
     )
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
@@ -451,15 +447,15 @@ def _cmd_deconv(resolved, echo) -> int:
 
 @_subcommand("deconv-verify", "run the 1-d sandwich and emit margins", [
     _BODY, *_DECONV_PARAMS, _SANDWICH_GRID_POINTS, _OUTPUT,
-    Param("json_out", None, echo=False, flag="--json", help="also write the report as JSON here"),
+    Param("json", None, echo=False, help="also write the report as JSON here"),
 ])
 def _cmd_deconv_verify(resolved, echo) -> int:
     report, rows = sandwich_margins(
         resolved["body"], _deconv_params(resolved), grid_points=int(resolved["grid_points"])
     )
     _write_csv(resolved["output"], echo, ("region", "x", "density", "bound", "margin"), rows)
-    if resolved["json_out"]:
-        _dump_json(resolved["json_out"], echo, report=to_jsonable(report))
+    if resolved["json"]:
+        _dump_json(resolved["json"], echo, report=to_jsonable(report))
     return 0
 
 
@@ -531,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         for p in params:
             sub.add_argument(
-                p.flag or "--" + p.name.replace("_", "-"),
+                "--" + p.name.replace("_", "-"),
                 dest=p.name, type=p.type, choices=p.choices, action=p.action, help=p.help,
             )
         sub.add_argument("--config", help="JSON file of parameter defaults (flags win)")

@@ -58,37 +58,36 @@ from .spherical import gaussian_density
 
 MAX_KDE_DIM = 3
 MIN_KDE_SAMPLES = 10_000
+# Unit directions per radius of an l >= 2 evaluation grid (radial_points).
+DIRECTIONS = 16
 # Binning grid: node spacing, and reach past the evaluation points, in bandwidths.
 BIN_SPACING = 0.25
 GRID_MARGIN = 8.0
 
 
-def radial_points(radii, l: int, direction_count: int = 16) -> np.ndarray:
+def radial_points(radii, l: int) -> np.ndarray:
     """The points t*u over ``radii`` and a fixed set of unit directions u in R^l.
 
     Radius-major: all directions of radii[0], then radii[1], ...  The
-    directions are, for l=1, the two signs; for l=2, ``direction_count``
-    equally spaced points on the circle; for l=3, a Fibonacci-lattice
-    covering of the sphere with ``direction_count`` points.  At l=1
-    ``direction_count`` is neither used nor checked.
+    directions are, for l=1, the two signs; for l=2, ``DIRECTIONS`` equally
+    spaced points on the circle; for l=3, a Fibonacci-lattice covering of
+    the sphere with ``DIRECTIONS`` points; l > ``MAX_KDE_DIM`` is refused.
     """
     radii = _as_nonnegative_array(_as_float_array(radii, "radii", 1), "radii")
     l = _as_positive_int(l, "l")
-    if l != 1:
-        count = _as_positive_int(direction_count, "direction_count")
+    k = np.arange(DIRECTIONS)
     if l == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif l == 2:
-        angles = 2.0 * math.pi * np.arange(count) / count
+        angles = 2.0 * math.pi * k / DIRECTIONS
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     elif l == 3:
-        k = np.arange(count)
-        z = 1.0 - (2.0 * k + 1.0) / count
+        z = 1.0 - (2.0 * k + 1.0) / DIRECTIONS
         rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         golden = math.pi * (3.0 - math.sqrt(5.0))
         dirs = np.column_stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z])
     else:
-        raise DimensionTooHigh(f"radial points are defined for l <= 3, got l={l}")
+        raise DimensionTooHigh(f"density estimation supports l <= {MAX_KDE_DIM}, got l={l}")
     return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, l)
 
 
@@ -131,16 +130,34 @@ def _linear_bin(data: np.ndarray, lo: np.ndarray, delta: float, shape: tuple) ->
     return counts.reshape(shape)
 
 
-def check_kde_size(count: int, l: int) -> None:
-    """Refuse a count x l batch that ``estimate_density`` cannot take.
+def _kde_grid(count: int, points: np.ndarray, bandwidth) -> tuple:
+    """The bandwidth and binning grid ``(h, lo, delta, shape)`` of ``count`` rows at ``points``.
 
-    Callers that draw their own sample check its size here first, so a bad
-    size fails before anything is drawn.
+    It checks every size rule of an estimate at the (k, l) ``points``: l <= ``MAX_KDE_DIM``,
+    ``count`` >= ``MIN_KDE_SAMPLES``, k >= 1, h > 0 and the memory of the grid's contractions.
     """
+    k, l = points.shape
     if l > MAX_KDE_DIM:
         raise DimensionTooHigh(f"density estimation supports l <= {MAX_KDE_DIM}, got l={l}")
     if count < MIN_KDE_SAMPLES:
         raise TooFewSamples(f"density estimation needs >= {MIN_KDE_SAMPLES} samples, got {count}")
+    if points.size == 0:
+        raise InvalidSpec(f"evaluation points must be a non-empty k x {l} array, got {points.shape}")
+    h = _as_positive_float(bandwidth, "bandwidth")
+    delta = BIN_SPACING * h
+    lo = points.min(axis=0) - GRID_MARGIN * h
+    span = points.max(axis=0) + GRID_MARGIN * h - lo
+    if not np.all(span / delta < 2.0**53):
+        raise RangeError(f"a KDE grid at {k} points needs {np.max(span / delta):.3g} nodes on an axis")
+    shape = tuple(math.ceil(w / delta) + 1 for w in span)
+    # The grid, the first contraction (2k x cells / M_1), and per axis the stacked
+    # 2k x M_a kernel factors and the three k x M_a arrays that build them.
+    cells = math.prod(shape)
+    _require_memory(
+        f"a {' x '.join(map(str, shape))} KDE grid at {k} points",
+        8 * (cells + 2 * k * (cells // shape[0]) + 5 * k * sum(shape)),
+    )
+    return h, lo, delta, shape
 
 
 def estimate_density(projected: SampleBatch, points, bandwidth: float) -> DensityEstimate:
@@ -153,25 +170,12 @@ def estimate_density(projected: SampleBatch, points, bandwidth: float) -> Densit
     """
     l = projected.dimension
     count = projected.count
-    check_kde_size(count, l)
     pts = _as_float_array(points, "points", 2)
-    if pts.shape[0] == 0 or pts.shape[1] != l:
+    if pts.shape[1] != l:
         raise InvalidSpec(f"evaluation points must be a non-empty k x {l} array, got {pts.shape}")
-    h = _as_positive_float(bandwidth, "bandwidth")
+    h, lo, delta, shape = _kde_grid(count, pts, bandwidth)
     data = projected.data
     _require_finite(data, f"the {count} x {l} batch to estimate")
-
-    delta = BIN_SPACING * h
-    lo = pts.min(axis=0) - GRID_MARGIN * h
-    span = pts.max(axis=0) + GRID_MARGIN * h - lo
-    shape = tuple(math.ceil(w / delta) + 1 for w in span)
-    k = pts.shape[0]
-    # The grid and the first contraction, 2k x (cells / M_1), are the largest arrays.
-    cells = math.prod(shape)
-    _require_memory(
-        f"a {' x '.join(map(str, shape))} KDE grid at {k} points",
-        8 * (cells + 2 * k * (cells // shape[0])),
-    )
     counts = _linear_bin(data, lo, delta, shape)
 
     # Per axis, the 1-d kernel and its square at every (point, node) pair, stacked
@@ -182,6 +186,7 @@ def estimate_density(projected: SampleBatch, points, bandwidth: float) -> Densit
         kernel = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * h)
         factors.append(np.vstack([kernel, kernel * kernel]))
     sums = np.einsum("ij,jr->ir", factors[0], counts.reshape(shape[0], -1))
+    k = pts.shape[0]
     for a in range(1, l):
         sums = np.einsum("ij,ijr->ir", factors[a], sums.reshape(2 * k, shape[a], -1))
     sums = sums.ravel()
@@ -242,13 +247,13 @@ def smoothed_marginal(spec: BodySpec, count: int, body_seed, basis_seed, points,
     ``basis_seed``; ``count`` samples of ``spec`` from ``body_seed`` are
     projected onto it tile by tile (:func:`project_body`) and
     kernel-averaged at ``smoothing_bandwidth(v)``: the density of P(X + Y),
-    Y ~ N(0, v I_n), with no noise drawn.  The size is checked first.
+    Y ~ N(0, v I_n), with no noise drawn.  Every size rule of the estimate is
+    checked before the subspace or the sample is drawn.
     """
-    pts = _as_float_array(points, "points", 2)
-    check_kde_size(count, pts.shape[1])
+    pts, h = _as_float_array(points, "points", 2), smoothing_bandwidth(v)
+    _kde_grid(count, pts, h)
     basis = random_subspace(spec.dimension, pts.shape[1], basis_seed)
-    return estimate_density(project_body(spec, count, body_seed, basis, threads), pts,
-                            smoothing_bandwidth(v))
+    return estimate_density(project_body(spec, count, body_seed, basis, threads), pts, h)
 
 
 def body_and_basis_seeds(seed) -> tuple:
@@ -268,7 +273,6 @@ def m_tilde_profile(
     subspace_count: int,
     samples_per_subspace: int,
     seed,
-    direction_count: int = 16,
     threads: int = 1,
 ) -> RatioReport:
     """Rotation-averaged radial profile of the smoothed projected density.
@@ -281,10 +285,9 @@ def m_tilde_profile(
     the gaussian density of variance 1 + v, the exact law the smoothed
     projection approaches.
     """
-    l = _as_positive_int(l, "l")
     subspace_count = _as_positive_int(subspace_count, "subspace_count")
-    check_kde_size(samples_per_subspace, l)
-    points = radial_points(radii, l, direction_count)
+    points = radial_points(radii, l)
+    l = points.shape[1]
     radii = np.asarray(radii, dtype=np.float64)
     v = schedule.noise_variance(body.dimension)
 
@@ -308,7 +311,6 @@ def m_tilde_profile(
             "bandwidth": est.bandwidth,
             "subspace_count": subspace_count,
             "samples_per_subspace": samples_per_subspace,
-            **({"direction_count": direction_count} if l > 1 else {}),
             "seed": _seed_jsonable(seed),
         },
     )

@@ -78,7 +78,7 @@ from .model import (
 
 # The artifact schema, ``schema_version`` in every batch sidecar, CSV header and CLI
 # JSON: it moves whenever the same inputs give an artifact other bytes.
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 BLOCK = 1 << 12
 # Bytes of one tile, the rows drawn and reduced at once: a 2 MiB per-core L2.  At 1 MiB
 # an n = 50 block splits in two, which doubles the batch writer's positioned writes.

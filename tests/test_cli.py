@@ -103,14 +103,18 @@ _MTILDE = ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--seed", "1"]
         (_RATIO + ["--l", "2", "--grid-points", "0"], "grid_points must be >= 1"),
         (_RATIO + ["--l", "1", "--max-radius", "-1"], "max_radius must be positive"),
         (_RATIO + ["--l", "2", "--max-radius", "nan"], "max_radius must be positive"),
-        (_RATIO + ["--l", "2", "--directions", "0"], "direction_count must be >= 1"),
-        (_MTILDE + ["--t-points", "0"], "radii must be non-empty and nonnegative"),
+        (_RATIO + ["--l", "1", "--max-radius", "1e300"], "a KDE grid at 81 points needs"),
+        (_RATIO + ["--l", "2", "--max-radius", "1e6"], "a 41896645 x 41896645 KDE grid"),
+        (_MTILDE + ["--t-points", "0"], "t_points must be >= 1, got 0"),
+        (_MTILDE + ["--t-points", "-1"], "t_points must be >= 1, got -1"),
         (_MTILDE + ["--t-max", "-1"], "radii must be non-empty and nonnegative"),
-        (_MTILDE + ["--directions", "0"], "direction_count must be >= 1"),
+        (_MTILDE + ["--t-max", "1e6"], "a 9960332 x 9960332 KDE grid at 144 points needs"),
+        (_SCAN + ["--l", "3", "--max-radius", "1e300"], "a KDE grid at 1296 points needs"),
     ],
     ids=["ratio_l1_no_points", "ratio_l2_no_points", "ratio_negative_radius",
-         "ratio_nan_radius", "ratio_no_directions", "mtilde_no_points", "mtilde_negative_radius",
-         "mtilde_no_directions"],
+         "ratio_nan_radius", "ratio_huge_radius", "ratio_wide_grid", "mtilde_no_points",
+         "mtilde_negative_points", "mtilde_negative_radius", "mtilde_wide_grid",
+         "scan_huge_radius"],
 )
 def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path, monkeypatch,
                                                            capsys):
@@ -121,6 +125,34 @@ def test_a_bad_kde_grid_exits_1_before_anything_is_drawn(argv, message, tmp_path
     out = tmp_path / "r.json"
     assert main(argv + ["--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_RATIO + ["--l", "1", "--grid-points", "10000000"],
+         "a KDE grid of grid_points=10000000 needs 1280000000 bytes"),
+        (_RATIO + ["--l", "2", "--grid-points", "10000000"],
+         "a KDE grid of grid_points=10000000 needs 2560000000 bytes"),
+        (_MTILDE + ["--t-points", "10000000"],
+         "a KDE grid of t_points=10000000 needs 2560000000 bytes"),
+    ],
+    ids=["ratio_l1", "ratio_l2", "mtilde"],
+)
+def test_an_oversize_grid_is_refused_before_its_points_are_built(argv, message, tmp_path,
+                                                                 monkeypatch, capsys):
+    # 1 GiB of physical memory: each grid's points would take more, so none is built.
+    def build(*args, **kwargs):
+        pytest.fail("the grid was built before its size was checked")
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(projclt.cli.np, "linspace", build)
+    monkeypatch.setattr(projclt.density, "project_body", build)
+    assert main(argv + ["--output", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}, more than the 1073741824 bytes of physical memory")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -376,12 +408,12 @@ GOLDEN_OPTIONS = {
                "--threads"],
     "project": ["--basis-out", "--config", "--format", "--input", "--l", "--output", "--seed",
                 "--threads"],
-    "ratio": ["--alpha", "--body", "--config", "--csv", "--directions", "--grid-points", "--l",
-              "--max-radius", "--n", "--output", "--samples", "--seed", "--threads"],
+    "ratio": ["--alpha", "--body", "--config", "--csv", "--grid-points", "--l", "--max-radius",
+              "--n", "--output", "--samples", "--seed", "--threads"],
     "thinshell": ["--body", "--config", "--epsilon", "--n", "--output", "--samples", "--seed",
                   "--threads"],
     "psi-scan": ["--config", "--l", "--n", "--output", "--points", "--tmax"],
-    "mtilde": ["--alpha", "--body", "--config", "--csv", "--directions", "--l", "--n", "--output",
+    "mtilde": ["--alpha", "--body", "--config", "--csv", "--l", "--n", "--output",
                "--samples-per-subspace", "--seed", "--subspaces", "--t-max", "--t-points",
                "--threads"],
     "deconv": ["--R", "--alpha", "--beta", "--c0", "--config", "--epsilon", "--n", "--output"],
@@ -432,7 +464,7 @@ GOLDEN_ECHO = {
     ),
     "mtilde": (
         ["--body", "gaussian", "--n", "4", "--l", "1", "--t-points", "2", "--subspaces", "1",
-         "--samples-per-subspace", "10000", "--directions", "2", "--seed", "5"], "out.json",
+         "--samples-per-subspace", "10000", "--seed", "5"], "out.json",
         ["subcommand", "body", "n", "l", "alpha", "t_max", "t_points", "subspaces",
          "samples_per_subspace", "seed"],
     ),
@@ -483,7 +515,7 @@ def test_golden_echoed_config_keys(subcommand, tmp_path, capsys):
     assert list(_echoed_config(out)) == keys
 
 
-_L1_RUNS = {
+_GRID_RUNS = {
     "ratio": ["ratio", "--body", "cube", "--n", "6", "--samples", "10000", "--seed", "3",
               "--grid-points", "5"],
     "mtilde": ["mtilde", "--body", "cube", "--n", "6", "--t-points", "3", "--subspaces", "1",
@@ -491,22 +523,22 @@ _L1_RUNS = {
 }
 
 
-@pytest.mark.parametrize("subcommand", sorted(_L1_RUNS))
-def test_directions_are_neither_checked_nor_echoed_at_l1(subcommand, tmp_path):
-    # The l = 1 grid is each radius with both signs, so --directions names no
-    # part of it: no value of it is refused or changes a byte.
-    artifacts = set()
-    for directions in ("16", "3", "0"):
-        out = tmp_path / f"{directions}.json"
-        assert main([*_L1_RUNS[subcommand], "--l", "1", "--directions", directions,
-                     "--output", str(out)]) == 0
-        artifacts.add(out.read_bytes())
-    assert len(artifacts) == 1
-    assert b"direction" not in artifacts.pop()
-    out = tmp_path / "l2.json"
-    assert main([*_L1_RUNS[subcommand], "--l", "2", "--directions", "3",
-                 "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["directions"] == 3
+@pytest.mark.parametrize("subcommand", sorted(_GRID_RUNS))
+def test_the_grid_directions_are_fixed(subcommand, tmp_path, capsys):
+    # Every l >= 2 grid has density.DIRECTIONS directions per radius: no flag, config
+    # key or artifact key names them.
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*_GRID_RUNS[subcommand], "--l", "2", "--directions", "4", "--output", str(out)])
+    assert exc.value.code == 2
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"directions": 16}))
+    assert main([*_GRID_RUNS[subcommand], "--l", "2", "--config", str(config),
+                 "--output", str(out)]) == 1
+    assert "error: config file sets unknown parameters: directions" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*_GRID_RUNS[subcommand], "--l", "2", "--output", str(out)]) == 0
+    assert b"direction" not in out.read_bytes()
 
 
 # ------------------------------------------------------------------ sample
@@ -919,7 +951,7 @@ def test_mtilde_small_run(tmp_path):
     csv = tmp_path / "mtilde.csv"
     rc = main(["mtilde", "--body", "gaussian", "--n", "16", "--l", "1",
                "--t-max", "1.0", "--t-points", "3", "--subspaces", "2",
-               "--samples-per-subspace", "10000", "--directions", "2",
+               "--samples-per-subspace", "10000",
                "--seed", "3", "--output", str(out), "--csv", str(csv)])
     assert rc == 0
     payload = json.loads(out.read_text())

@@ -10,6 +10,7 @@ as its oracle.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import projclt.density
 from projclt.cli import projected_ratio
 from projclt.deconvolution import body_convolved_density_1d
 from projclt.density import (
+    DIRECTIONS,
     MAX_KDE_DIM,
     MIN_KDE_SAMPLES,
     body_and_basis_seeds,
@@ -40,30 +42,33 @@ from projclt.spherical import gaussian_density
 
 
 def test_line_directions_are_the_two_signs():
-    np.testing.assert_array_equal(radial_points([1.0], 1, 7), [[1.0], [-1.0]])
+    np.testing.assert_array_equal(radial_points([1.0], 1), [[1.0], [-1.0]])
+    np.testing.assert_array_equal(radial_points([0.0, 2.0], 1), [[0.0], [-0.0], [2.0], [-2.0]])
 
 
-@pytest.mark.parametrize("direction_count", [0, -3])
-def test_line_directions_ignore_the_direction_count(direction_count):
-    # Only l >= 2 grids have a direction count to check.
-    np.testing.assert_array_equal(
-        radial_points([0.0, 2.0], 1, direction_count), [[0.0], [-0.0], [2.0], [-2.0]]
-    )
+@pytest.mark.parametrize("l", [2, 3])
+def test_each_radius_carries_the_fixed_directions(l):
+    radii = [0.0, 0.5, 2.0]
+    points = radial_points(radii, l)
+    assert points.shape == (len(radii) * DIRECTIONS, l)
+    norms = np.linalg.norm(points, axis=1).reshape(len(radii), DIRECTIONS)
+    np.testing.assert_allclose(norms, np.repeat([radii], DIRECTIONS, axis=0).T, atol=1e-14)
+    np.testing.assert_array_equal(points[2 * DIRECTIONS:], 4.0 * points[DIRECTIONS:2 * DIRECTIONS])
 
 
 def test_circle_directions_are_evenly_spaced():
-    dirs = radial_points([1.0], 2, 8)
-    assert dirs.shape == (8, 2)
+    dirs = radial_points([1.0], 2)
+    assert dirs.shape == (DIRECTIONS, 2)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
     np.testing.assert_allclose(dirs.sum(axis=0), 0.0, atol=1e-13)
-    # adjacent angle gaps are all 2 pi / 8
+    # adjacent angle gaps are all 2 pi / DIRECTIONS
     angles = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
-    np.testing.assert_allclose(np.diff(angles), 2 * math.pi / 8, atol=1e-12)
+    np.testing.assert_allclose(np.diff(angles), 2 * math.pi / DIRECTIONS, atol=1e-12)
 
 
 def test_sphere_directions_cover_both_hemispheres():
-    dirs = radial_points([1.0], 3, 64)
-    assert dirs.shape == (64, 3)
+    dirs = radial_points([1.0], 3)
+    assert dirs.shape == (DIRECTIONS, 3)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
     # the z lattice is symmetric by construction, x/y nearly balance
     assert abs(dirs[:, 2].sum()) < 1e-12
@@ -72,22 +77,22 @@ def test_sphere_directions_cover_both_hemispheres():
 
 def test_directions_reject_a_dimension_below_1():
     with pytest.raises(InvalidSpec, match="l must be >= 1, got 0"):
-        radial_points([1.0], 0, 16)
+        radial_points([1.0], 0)
 
 
 def test_directions_reject_high_dimension():
-    with pytest.raises(DimensionTooHigh):
-        radial_points([1.0], 4, 16)
+    with pytest.raises(DimensionTooHigh, match="density estimation supports l <= 3, got l=4"):
+        radial_points([1.0], 4)
 
 
 @pytest.mark.parametrize(
-    "radii, direction_count",
-    [([], 16), ([[0.5]], 16), ([-0.5, 1.0], 16), ([0.5, math.nan], 16), ([0.5], 0)],
-    ids=["empty", "two_dimensional", "negative", "nan", "no_directions"],
+    "radii",
+    [[], [[0.5]], [-0.5, 1.0], [0.5, math.nan]],
+    ids=["empty", "two_dimensional", "negative", "nan"],
 )
-def test_radial_points_reject_bad_grids(radii, direction_count):
+def test_radial_points_reject_bad_grids(radii):
     with pytest.raises(InvalidSpec):
-        radial_points(radii, 2, direction_count)
+        radial_points(radii, 2)
 
 
 @pytest.mark.parametrize(
@@ -179,13 +184,11 @@ _V20 = ConvolutionSchedule(alpha=10.0).noise_variance(20)
     "l, body, points, bandwidth, kernel_variance",
     [
         (1, "gaussian", np.linspace(-2.0, 2.0, 41)[:, None], 60_000 ** (-1 / 5), None),
-        (2, "cube", radial_points(np.linspace(0.0, 2.0, 9), 2, 8), 60_000 ** (-1 / 6), None),
-        (3, "simplex", radial_points(np.linspace(0.0, 1.5, 7), 3, 16), 60_000 ** (-1 / 7),
-         None),
+        (2, "cube", radial_points(np.linspace(0.0, 2.0, 9), 2), 60_000 ** (-1 / 6), None),
+        (3, "simplex", radial_points(np.linspace(0.0, 1.5, 7), 3), 60_000 ** (-1 / 7), None),
         (2, "gaussian", [[0.3, -0.2]], 0.1, None),
         (1, "cube", np.linspace(-2.0, 2.0, 41)[:, None], smoothing_bandwidth(_V20), _V20),
-        (2, "cube", radial_points(np.linspace(0.0, 2.0, 9), 2, 8),
-         smoothing_bandwidth(_V20), _V20),
+        (2, "cube", radial_points(np.linspace(0.0, 2.0, 9), 2), smoothing_bandwidth(_V20), _V20),
     ],
     ids=["l1_scott", "l2_scott", "l3_scott", "l2_fixed", "l1_smoothed", "l2_smoothed"],
 )
@@ -207,12 +210,12 @@ def test_binned_estimate_matches_the_direct_kernel_sum(l, body, points, bandwidt
 
 def test_radial_grid_is_radius_major():
     batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 10_000, seed=24)
-    est = estimate_density(batch, radial_points([0.0, 1.0], 2, 4), bandwidth=10_000 ** (-1 / 6))
-    assert est.points.shape == (8, 2)
-    np.testing.assert_array_equal(est.points[:4], np.zeros((4, 2)))
-    np.testing.assert_allclose(np.linalg.norm(est.points[4:], axis=1), 1.0, atol=1e-14)
-    # all four copies of radius 0 see the same kernel sum
-    assert np.ptp(est.values[:4]) == 0.0
+    est = estimate_density(batch, radial_points([0.0, 1.0], 2), bandwidth=10_000 ** (-1 / 6))
+    assert est.points.shape == (2 * DIRECTIONS, 2)
+    np.testing.assert_array_equal(est.points[:DIRECTIONS], np.zeros((DIRECTIONS, 2)))
+    np.testing.assert_allclose(np.linalg.norm(est.points[DIRECTIONS:], axis=1), 1.0, atol=1e-14)
+    # every copy of radius 0 sees the same kernel sum
+    assert np.ptp(est.values[:DIRECTIONS]) == 0.0
 
 
 def test_estimator_guards():
@@ -247,9 +250,22 @@ def test_estimator_rejects_non_finite_data(bad):
 def test_estimator_refuses_a_grid_larger_than_physical_memory():
     # About 1.6e5 nodes per axis; the check runs before anything grid-sized is allocated.
     batch = sample_gaussian(GaussianSpec(dimension=3, variance=1.0), MIN_KDE_SAMPLES, seed=31)
-    points = radial_points(np.linspace(0.0, 2.0, 5), 3, 16)
+    points = radial_points(np.linspace(0.0, 2.0, 5), 3)
     with pytest.raises(RangeError, match="KDE grid at 80 points needs .* bytes of physical memory"):
         estimate_density(batch, points, bandwidth=1e-4)
+
+
+def test_the_grid_guard_counts_the_kernel_factors(monkeypatch):
+    # 2,000 points on [-1.5, 1.5] at h = 0.087 make a 203-node grid.  The grid and the
+    # first contraction take 8 (203 + 2 * 2,000) = 33,624 bytes, under the 1 MiB of
+    # memory patched in below; the stacked kernel factors and the three arrays that
+    # build them take 8 * 5 * 2,000 * 203 = 16,240,000 bytes more, and are refused.
+    batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), MIN_KDE_SAMPLES, seed=32)
+    points = np.linspace(-1.5, 1.5, 2_000)[:, None]
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(RangeError, match="a 203 KDE grid at 2000 points needs 16273624 bytes"):
+        estimate_density(batch, points, bandwidth=0.087)
 
 
 # ------------------------------------------------------------- exact oracle
@@ -401,14 +417,13 @@ def test_the_smoothed_pipelines_read_the_ambient_variance(l):
     v = schedule.noise_variance(_NOISE_N)
     assert v != schedule.noise_variance(l)
     est, rep = projected_ratio(
-        BodySpec("cube", _NOISE_N), MIN_KDE_SAMPLES, 11, l, 12, 2.0, 5, direction_count=4,
-        schedule=schedule,
+        BodySpec("cube", _NOISE_N), MIN_KDE_SAMPLES, 11, l, 12, 2.0, 5, schedule=schedule,
     )
     assert (rep.meta["variance"], rep.meta["bandwidth"]) == (1.0 + v, smoothing_bandwidth(v))
     assert est.bandwidth == smoothing_bandwidth(v)
     mt = m_tilde_profile(
         BodySpec("cube", _NOISE_N), schedule, l=l, radii=np.array([0.0, 1.0]),
-        subspace_count=2, samples_per_subspace=MIN_KDE_SAMPLES, seed=14, direction_count=4,
+        subspace_count=2, samples_per_subspace=MIN_KDE_SAMPLES, seed=14,
     )
     assert (mt.meta["variance"], mt.meta["bandwidth"]) == (1.0 + v, smoothing_bandwidth(v))
     assert mt.meta["noise_variance"] == v
@@ -420,13 +435,13 @@ def test_the_unsmoothed_ratio_is_the_kernel_average_at_the_sample_size_variance(
     # v = N^(-2/(l+4)), Scott's h^2 at unit variance, against gamma_{l,1+v}.
     spec, count, max_radius = BodySpec("cube", _NOISE_N), MIN_KDE_SAMPLES, 2.0
     v = count ** (-2 / (l + 4))
-    est, rep = projected_ratio(spec, count, 11, l, 12, max_radius, 5, direction_count=4)
+    est, rep = projected_ratio(spec, count, 11, l, 12, max_radius, 5)
     assert rep.meta["variance"] == 1.0 + v
     assert est.bandwidth == smoothing_bandwidth(v)
     if l == 1:
         points = np.linspace(-max_radius, max_radius, 5)[:, None]
     else:
-        points = radial_points(np.linspace(0.0, max_radius, 5), l, 4)
+        points = radial_points(np.linspace(0.0, max_radius, 5), l)
     projected = project_body(spec, count, 11, random_subspace(_NOISE_N, l, 12))
     expected = ratio_to_gaussian(
         estimate_density(projected, points, smoothing_bandwidth(v)), 1.0 + v, max_radius
@@ -443,10 +458,9 @@ def test_the_unsmoothed_ratio_is_the_kernel_average_at_the_sample_size_variance(
 def test_the_ratio_estimate_is_the_smoothed_marginal(l):
     spec, count, max_radius = BodySpec("simplex", _NOISE_N), MIN_KDE_SAMPLES + 7, 1.5
     schedule = ConvolutionSchedule(alpha=10.0)
-    est, _ = projected_ratio(spec, count, 21, l, 22, max_radius, 5, direction_count=4,
-                             schedule=schedule, threads=2)
+    est, _ = projected_ratio(spec, count, 21, l, 22, max_radius, 5, schedule=schedule, threads=2)
     points = (np.linspace(-max_radius, max_radius, 5)[:, None] if l == 1
-              else radial_points(np.linspace(0.0, max_radius, 5), l, 4))
+              else radial_points(np.linspace(0.0, max_radius, 5), l))
     expected = smoothed_marginal(spec, count, 21, 22, points, schedule.noise_variance(_NOISE_N))
     np.testing.assert_array_equal(est.points, expected.points)
     np.testing.assert_array_equal(est.values, expected.values)
@@ -459,10 +473,10 @@ def test_one_subspace_m_tilde_is_the_direction_mean_of_the_smoothed_marginal(l):
     spec, schedule, radii = BodySpec("cube", _NOISE_N), ConvolutionSchedule(alpha=10.0), [0.0, 1.0]
     v = schedule.noise_variance(_NOISE_N)
     mt = m_tilde_profile(spec, schedule, l=l, radii=radii, subspace_count=1,
-                         samples_per_subspace=MIN_KDE_SAMPLES, seed=31, direction_count=4)
+                         samples_per_subspace=MIN_KDE_SAMPLES, seed=31)
     (child,) = _seed_seq(31).spawn(1)
     est = smoothed_marginal(spec, MIN_KDE_SAMPLES, *body_and_basis_seeds(child),
-                            radial_points(radii, l, 4), v)
+                            radial_points(radii, l), v)
     expected = est.values.reshape(2, -1).mean(axis=1) / gaussian_density(l, 1.0 + v,
                                                                          np.array(radii))
     np.testing.assert_array_equal(mt.per_point_ratios, expected)
@@ -470,12 +484,17 @@ def test_one_subspace_m_tilde_is_the_direction_mean_of_the_smoothed_marginal(l):
 
 
 @pytest.mark.parametrize(
-    "points, count, error, message",
-    [(np.zeros((3, 4)), MIN_KDE_SAMPLES, DimensionTooHigh, "supports l <= 3, got l=4"),
-     (np.zeros((3, 1)), MIN_KDE_SAMPLES - 1, TooFewSamples, "needs >= 10000 samples")],
-    ids=["l4", "few_samples"],
+    "points, count, v, error, message",
+    [(np.zeros((3, 4)), MIN_KDE_SAMPLES, 0.5, DimensionTooHigh, "supports l <= 3, got l=4"),
+     (np.zeros((3, 1)), MIN_KDE_SAMPLES - 1, 0.5, TooFewSamples, "needs >= 10000 samples"),
+     (np.zeros((0, 1)), MIN_KDE_SAMPLES, 0.5, InvalidSpec, "must be a non-empty k x 1 array"),
+     (np.zeros((3, 1)), MIN_KDE_SAMPLES, 0.0, InvalidSpec, "bandwidth must be positive"),
+     (radial_points([0.0, 1e4], 3), MIN_KDE_SAMPLES, 0.5, RangeError,
+      "KDE grid at 32 points needs .* bytes of physical memory"),
+     ([[0.0], [1e300]], MIN_KDE_SAMPLES, 0.5, RangeError, "KDE grid at 2 points needs .* nodes")],
+    ids=["l4", "few_samples", "no_points", "zero_bandwidth", "grid_memory", "grid_nodes"],
 )
-def test_the_smoothed_marginal_checks_its_size_before_drawing(points, count, error, message,
+def test_the_smoothed_marginal_checks_its_size_before_drawing(points, count, v, error, message,
                                                               monkeypatch):
     def draw(*args, **kwargs):
         pytest.fail("a sample or a basis was drawn before the size was checked")
@@ -483,4 +502,4 @@ def test_the_smoothed_marginal_checks_its_size_before_drawing(points, count, err
     monkeypatch.setattr(projclt.density, "random_subspace", draw)
     monkeypatch.setattr(projclt.density, "project_body", draw)
     with pytest.raises(error, match=message):
-        smoothed_marginal(BodySpec("cube", _NOISE_N), count, 1, 2, points, 0.5)
+        smoothed_marginal(BodySpec("cube", _NOISE_N), count, 1, 2, points, v)

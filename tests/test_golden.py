@@ -39,13 +39,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "406eed319d8dd218cfb8bf0cce110f986112e9a217561ede4d996a974aa73d2a",
-        "2ba71c61745db47b60679d1a8033e4d28ac128cf32ccd001c7656c8d2ca16b11",
+        "312218bac05bd433870d76234eecf4840f5ce82b5792a0fbc33a87fcb7d8a6a2",
+        "3d694d5b39c22f7230c0eaaebb2b74f43ed180745d0c354f34ad1a8eb7edd3db",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "da5dad40c073165df39bc5767f9ddbf8c29cbd6b06e901f9324e419f9cb72ce9",
-        "7c93e911359af304023bd8e681528fdec0aaa4f72797d9a15453e6b4f8874735",
+        "a6cc111339dc48f97aa18dc68785ff09ed280363b779415751707c0b41ee92e2",
+        "92a52baae6b254f827ef00670d9b48d4e6de00dfa8ac8e7a263d30f1c0fa8474",
     ),
 }
 
@@ -65,11 +65,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "d0a469cc38512c2fb9ceae5506fca25480052a3a4592c5a8e3345d84799db528",
+        "9a16bae429bd0fc92ac551dfe0fdcbda73e9c82cd9715bdd8e494e58c25571e8",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "b204c46ff9672068ee2c40e889b8614384a23013ffbdefdde8033c903946bdb3",
+        "0d085a340082ab6a1abf568ad69d50c790093c5ca3d8924521f2699349dcb13b",
     ),
 }
 
@@ -89,11 +89,11 @@ def test_clt_scan_csv_is_golden(run, tmp_path):
 PSI_SCAN_RUNS = {
     "l1": (
         ["--n", "100", "--l", "1", "--tmax", "1.7", "--points", "200"],
-        "584a2ff00b722f272ffbbb0f42cf99b4d1a51d02de6b894e85988e69cadb726f",
+        "a9210d8bd0b2e2ea832819b8bb5255b88a9cbbb19060e7b07e6c513285b0c261",
     ),
     "l2": (
         ["--n", "64", "--l", "2", "--tmax", "1.2", "--points", "55"],
-        "716bdd238de7ebfd944b2319087285da6cff8837b25a546d90d588daa0e98ec1",
+        "48327e3ad892e079bd44bed771cc73681647ebdc72d7089f153cf804e93bc2cf",
     ),
 }
 
@@ -155,14 +155,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "613985753b09805306ed1e372057cfce24f946990fc5415fe8f6d59055f18f06",
-            "r.csv": "ba5ae662730885ad3b70ed66022358ef22670f1f614651ea0e5f1444d2cd6aa0",
+            "r.json": "b51cf9b2ac666166418a609578eec31b8a495338b5daf1da68bde59c46650664",
+            "r.csv": "eac14ffc12e6cf7582b5321d8b89acab5d76e5e8d18fe39fd47f84a2f7118db0",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "ebd7160b1742aa3590cd60aa4c7f47202af141cf0c1293e682436927da753dd7"},
+        {"m.json": "72198fae9043be94843cbc2c48ddff4cd1ba54fb1709cef859247935b5bd8ba6"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -171,11 +171,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "1c2108ce1d97304cf9f4638513b5bb34a4de423bf5981f82bb451bad482ce6bc",
-            "ball": "d9cd44222a73fee4710a60e1f470420077531a90fc2638249e72adaafa5ed627",
-            "simplex": "d02baf66c5ee1522e2e3e8b9fd9c1aef9458a3236b8f2fa178d36b262b4c4dcd",
-            "product_laplace": "79ac92ed927db6c10b986d8c83776c4c91dd97a14405ace1c39421d6deda5fbd",
-            "gaussian": "6356b99ae68405dc299ffb36abd688b08eba8f5e36bc562be191087ccbe97c49",
+            "cube": "8526f3dc07f83465ddcebbffe4663feb98deb6d86bcf85bb7d2371153b607a43",
+            "ball": "44f27b6555daaa9bbaf879d0b7ae0f0d1bb5525a0232aae6dc85320967f3c60c",
+            "simplex": "730d50216ed22177edd7afac67ceeeca33f48fe293c63d7bcd3537e3a2777906",
+            "product_laplace": "385efac1bd75b093811f54cc9fe6374fe3b112a3f015c227be9a076e80156b7b",
+            "gaussian": "e14dcd481674db2e2aee3106f189f82d6843a6966925c4ee8e1624ca5bf1e17f",
         }.items()
     },
 }
@@ -196,15 +196,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "60cc94d09e8eaf0ee5595a96b1d7a8692ee9c560c2a2b9593d344b0a1237174b",
-        "ac0c5d29ea255493135392036f292912e08c18c90a6115bf62148a02d05aba18",
+        "8e56fd46fd43ee0478f1e811354053b53e352863eba341d878ce0c30d5986852",
+        "c2fb0a7ec233247b6db1b2691a8ead01406688473e5593c5f3e1e724494bd3a8",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "39f1deb8a43fc241b65df7353544d9064d802e61d1aaec874f404e01c266cb8b",
-        "eadaadbb185e984b3f5297084fb9ea4af9241160f3df9990342b1e0ed4641893",
+        "5a33981d1d905c1afcd0b7b301a5f8cbf256888c68b90c32df5273482dee9221",
+        "841749ccb49246238c257a0899ebd341dfbece5799246e12c520f22791a80228",
     ),
 }
 
@@ -222,12 +222,12 @@ def test_deconv_verify_artifacts_are_golden(run, tmp_path):
 DECONV_RUNS = {
     "admissible": (
         ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
-        "842fd5b7a542b9fc8f5ee660eda557106ab63ff60ff9c9dd8a2eaa30a1c74b13",
+        "f7623271b9c9dfb3dd062bbea31272172adff78f1ab1f4fa4c4cbe6e452f5b25",
     ),
     # All three conditions fail: alpha, the noise floor and epsilon < 1/100.
     "inadmissible": (
         ["--n", "2", "--alpha", "1e-3", "--beta", "0.5", "--epsilon", "0.5", "--R", "3"],
-        "24730176764cba3d793533dfd812de806ef54d84be666d20a5f08c2daac635c8",
+        "3571715a9d1db81170eb4f5904907e9cc79c3b2738efc4fbfb1de8240eeb990a",
     ),
 }
 
@@ -239,7 +239,7 @@ def test_deconv_certificate_json_is_golden(run, capsys):
     assert _sha(capsys.readouterr().out.encode()) == sha
 
 
-DECONV_MATRIX_SHA = "9beea47d33ffe2ccefcf5e7680a18228e3011bfd6255acaeedff15f585608e23"
+DECONV_MATRIX_SHA = "349b5af7a1e4a1a50fcb970f0907186a027b61d0c592b359cbd569cceb872bd8"
 
 
 def test_deconv_matrix_csv_is_golden(tmp_path):
@@ -252,51 +252,51 @@ def test_deconv_matrix_csv_is_golden(tmp_path):
 SAMPLE_PINS = {
     ("cube", 1): (
         "a41f1b73cf61d7b6127b59f8502df2b2f46310968cab8d231b42ca2f6e7796d9",
-        "c746d3d55fe6e56fa3fd822a960b5161a27b961af70a97be0e49e2adad9f049a",
+        "505fe36c5128c62ed69de6ffe33f069cc31e16ae7a3a70cccba9509f4dd078ec",
     ),
     ("cube", BLOCK - 1): (
         "4ab6caadd5f4ca0ca9d318cbb326944196bb05aec83913d7d6f55d994354c813",
-        "4a3c19ae9b87f1f00c526797fda8d4854c7089d101c8ee71707d7e98c61dae70",
+        "42d024bc5c59fae5423c1000419a5c4f4124f65ea2c0a0d31aa17286c31dd9a0",
     ),
     ("cube", BLOCK + 1): (
         "8ed965800023a5668fc43c84577ee0f964ec9cf2ddc0d551a12208ead245bc5a",
-        "ed9bb4644b850432e3402eb0e0141472e1db4c5837d7c695aa0473d02c45f5cf",
+        "382f0ac50445e9c42fd4cdcef50947fce35209615cbaef2bfac9e811801aadb9",
     ),
     ("cube", 32 * BLOCK + 3): (
         "94c3fd298cf5f308a57dd758e1242247754e9f4fe46924419a1ff0c5ead6dc11",
-        "9e991da168b58e7f3dcb19d8a74db5793dd88d36ad6696ef197ab14ac77995da",
+        "f146285a83f96f41d9951ce6b5f30a98831291abfbe9198214667ece73f061b0",
     ),
     ("ball", 1): (
         "27509e01518fcf346a1e2d3f6d3f7aa3d46716a98a5d1c41dd3ff334b3f90c47",
-        "bced511cdf529e0a0639e4d61cb0b5ba1783325c495da917b3581c0d23eb11bb",
+        "084b4932b5fd86c0d3fdaa5cad92a8572cd2c53cf2a7483ac795881e7ac10111",
     ),
     ("ball", BLOCK - 1): (
         "6c1597581f9f674f586308ab9d23d2093bd93136529c81a448afae9d290a472d",
-        "534bf1fbf51ad7248b05630e258150cf39236a0ffedfaab810c95f5c77ecc307",
+        "8620efb39ece3e84677076c50470aa33af771d51d6c369576e808209dd017f3e",
     ),
     ("ball", BLOCK + 1): (
         "47ed89d268db40c69848958712c027287f6bfee04e7e98a8136aecb4d731169b",
-        "fdd1e66da8ac87b191fc0862d307a0abb6914cac0575720203a384852e4d0f12",
+        "d4bafa8b58d5de31f9c21312079e1cdd3c726201ce0e67c4f314bb8e155096b9",
     ),
     ("ball", 32 * BLOCK + 3): (
         "a4a1f9dc9a2ee976d5066ab06001be52605c7d20b10c16f6111c5f3e69bf8207",
-        "c10450551556e3ca6137944e6884a1539a00f14a2c8cf60b3db15d88f7019d0b",
+        "a60e448d3fbd129f8c11176e77d238f0a80ca0e39382b08323da2ec4b8b20c6c",
     ),
     ("simplex", 1): (
         "83db14bf7ebc998eb3566b3efc0d8e0b83288423d96bd5974c905a40f289a97a",
-        "27b9aa6b86aaf268fd837c60a9a5b216c1462ec8e43bfa8312dcfd72b0b1c2eb",
+        "8a6553136435b257a9dbadb913f89da4bd981834f43cec5be03b9134a45e4b41",
     ),
     ("simplex", BLOCK - 1): (
         "c4f2af2630200c5db9913cc9b34c29f0e713e810f49b581f48702a3c6ccbeae8",
-        "d8a58b45e748ad04d10897f790fcc63d4423bca7c147443a71194a15f3743082",
+        "cc1f8264b4fd53da2f6e2005e62c6c9aa6b1f3b10bfcfebee8efbb56e2eabb20",
     ),
     ("simplex", BLOCK + 1): (
         "a35a299b1acf1ba86bf7d79080890814a76d72861ec9deb35b9a3f9553313d8a",
-        "a3991d14b7e006b844d06e28199abdb0ad08e80de63dc68f2584b3406bd7e14a",
+        "5ea0f0bc169aac8a32f8d7f196454e42fa582c8868f87e5655df7d1537de686a",
     ),
     ("simplex", 32 * BLOCK + 3): (
         "a98ab5c4d6cc0dd82c5620f10e8ce394de87864c76e75cf6341a41b1f02e102f",
-        "084e4d1974c2f065e45c1877595ab67ab322c62a13c3d3b0812ea5cb6e63e29a",
+        "59f20cc0187f7d87f52c3feeebf68e301cde9248720e1eb205a326762b58b387",
     ),
 }
 
@@ -352,63 +352,63 @@ def test_the_library_noise_step_keeps_the_smoothed_sample_bytes(key, threads):
 PROJECT_PINS = {
     (1, 1): (
         "3aeda53a62926e46ba9a4787eacd80244a2abba665656517dabac8948c72a034",
-        "88e591fe047544bb6eabbc263edad96fab53fcc1e831a76152dbf7f89c85856a",
-        "db987499ab9de3eb49b02603fbe0f75b89a0ca7733cea336a394eacfbf7dece3",
+        "2d332dfaff4a4e815a4862cf5780559cb6619f53bc04868a63c3e9662f0e0220",
+        "3ecb69110b6b59132288b967415d5d1c5109f77f9abc41424231be096fcc4ed8",
     ),
     (1, 2): (
         "508e2b83e04487f9511d7db256923243f2ad85bb9fd442c3487a3216421bd1fa",
-        "27d3b757fe8c00cbd106ac51d926b4b8633ab7760964987a278ad8a289013fdc",
-        "27a3922967c542735ff548f78c2a73b71bafc3e104215739e1aa21d705b3a641",
+        "826bda38a81fdca0d69c06aebabfa5266a6fe2720bb735fcd73e5bd442b90e39",
+        "5dcf39095d44e285a3521f8a30063b49e6ae4a3676642a40403e47945179a2d6",
     ),
     (1, 3): (
         "8d112df0e619ec4973d9aa41a0a3cce34a2b99bd1db31150b0a14b4dbab09eed",
-        "a124688ca6ee64e3511fc9bb5d64deb98a028143960b7759b64dd506428cf01c",
-        "d10f45e3a90e53dc24a66d56d2e0a253ebdbb5cb3b67361f4cfc8c9ac171522e",
+        "476c675b80de055a312bf6f700b8b276f67510651c125d0ad823a069890c1768",
+        "0e9345124464d6b81bc11252f70f2619a35360b09c55eb21dcc1a8e77c8382b5",
     ),
     (1000, 1): (
         "b3c96e2efb8944e901b9ce42ca9ad1f90cf4379174b5596c5b616ce6c2a92984",
-        "8a96bee29195832ad94cf1b601430e525d1abcab80a893b8fa6e4179c4848033",
-        "db987499ab9de3eb49b02603fbe0f75b89a0ca7733cea336a394eacfbf7dece3",
+        "5fdf65b2db8e416831d085dc79fdd7193c6ae41f0cc5b0b6b358dce4d8091651",
+        "3ecb69110b6b59132288b967415d5d1c5109f77f9abc41424231be096fcc4ed8",
     ),
     (1000, 2): (
         "ddd4a35c95b636a1f7a1a69736618bc15f4dac6697aa95ce559a2389b07c62b2",
-        "485dd118423474df4ac7d03324141f644d73444de43a03fef4e53a6da76b2332",
-        "27a3922967c542735ff548f78c2a73b71bafc3e104215739e1aa21d705b3a641",
+        "8d1e801518e056005a1a5aaecc35f1066c09bc3bd1d0fdb6f2ec1fd408d15dcc",
+        "5dcf39095d44e285a3521f8a30063b49e6ae4a3676642a40403e47945179a2d6",
     ),
     (1000, 3): (
         "cd25686ff87832a4f38602e83da0c2e48a8abfe4435be5d072f2bfb712b23d20",
-        "6e8622c0ba080bf2321b212824a913745ceb2b9466bd8341ee8997a62abd5637",
-        "d10f45e3a90e53dc24a66d56d2e0a253ebdbb5cb3b67361f4cfc8c9ac171522e",
+        "8b832fc6c7dfed7e38c96d4c6f5efc4d4e4062680b218c21c2c5516148c9aeeb",
+        "0e9345124464d6b81bc11252f70f2619a35360b09c55eb21dcc1a8e77c8382b5",
     ),
     (3 * BLOCK + 5, 1): (
         "df43d11237bb982711aba6fd698d42f482bb227d5f4ea68013352db4ea108e7f",
-        "7e4393ff223680953a1efcbda99712dabc8e35af13e0052687ddc1cfa559f030",
-        "db987499ab9de3eb49b02603fbe0f75b89a0ca7733cea336a394eacfbf7dece3",
+        "476e8e27a6ff55bd8c5f847dcac0f9222ba3c220ac81f0048c686ea39a0e1839",
+        "3ecb69110b6b59132288b967415d5d1c5109f77f9abc41424231be096fcc4ed8",
     ),
     (3 * BLOCK + 5, 2): (
         "f057e4c86be15e0932b84fc47011921153e7d94e5809993d61f7deb200b25513",
-        "b0f7a7d55404aa7a8241f44681fac8727b4810d3e9736af4e554fffaa1607667",
-        "27a3922967c542735ff548f78c2a73b71bafc3e104215739e1aa21d705b3a641",
+        "2e324bd044c899d2aff4d52fd20c3bb3c5336e1b2105d2473879aaf395be4479",
+        "5dcf39095d44e285a3521f8a30063b49e6ae4a3676642a40403e47945179a2d6",
     ),
     (3 * BLOCK + 5, 3): (
         "9b773853c9994d5ce7869ab5f219654aecee59eb1b64e043ff61536a216d313e",
-        "86c04dfc6af7d31be4acdf5a4c3b314ea200d9facac4b8f8ae00c703c04f4eec",
-        "d10f45e3a90e53dc24a66d56d2e0a253ebdbb5cb3b67361f4cfc8c9ac171522e",
+        "0799122d0c8bc0edc35c1a742949f75c2b153f2b75b0a35f9d8940da1697425a",
+        "0e9345124464d6b81bc11252f70f2619a35360b09c55eb21dcc1a8e77c8382b5",
     ),
     (BLOCK + 1, 1): (
         "d82e892cdb9da1c24446a4dfb146bf99b0b307e553cb479863644887964368f6",
-        "a2ca8cb786b2e2c7975bbd448cf97a96d2c82a1968fa9b5e8b53ad312cb79674",
-        "db987499ab9de3eb49b02603fbe0f75b89a0ca7733cea336a394eacfbf7dece3",
+        "f86982c7e20b7fe4a3ebf00e84c39274c99f884ff2bbca5f76ab2b48f5ba1874",
+        "3ecb69110b6b59132288b967415d5d1c5109f77f9abc41424231be096fcc4ed8",
     ),
     (BLOCK + 1, 2): (
         "df4be34246aa19fb73395a87c76aec8c524c7ead41c19b94886665e1e24838f6",
-        "5ed2a646d7bc454b65149eaeba5ccb6de00b00c092815d78150d8e5da9e48890",
-        "27a3922967c542735ff548f78c2a73b71bafc3e104215739e1aa21d705b3a641",
+        "185ebc37d91d5c3ee8b33c6708467d47ccb5af8d58ade24f08815196687e47b9",
+        "5dcf39095d44e285a3521f8a30063b49e6ae4a3676642a40403e47945179a2d6",
     ),
     (BLOCK + 1, 3): (
         "d5c9046913abc184c3248276f2a38c32de2aecaccdb8b7a19f849727918409e3",
-        "db32e06ba706c624cbf6432c867ec37aed93c7673e1d44810d8d7876fa717a8f",
-        "d10f45e3a90e53dc24a66d56d2e0a253ebdbb5cb3b67361f4cfc8c9ac171522e",
+        "c0755ba418410cdf4325c5732964836fecdffb33405524113c6f77361b020a3d",
+        "0e9345124464d6b81bc11252f70f2619a35360b09c55eb21dcc1a8e77c8382b5",
     ),
 }
 
@@ -427,7 +427,7 @@ def test_project_input_artifacts_are_golden(key, threads, tmp_path, monkeypatch)
     assert tuple(_sha((tmp_path / name).read_bytes()) for name in names) == PROJECT_PINS[key]
 
 
-SAMPLE_CSV_SHA = "b18369004ebc53ff37429cb811bf7caa91ba5a89901bbf33cf6c071b9fd91e4a"
+SAMPLE_CSV_SHA = "4c26e46f4e5642ce588d9c773ec67407d0b84bfe2accd940453fb86944c43546"
 
 
 def test_sample_csv_is_golden(tmp_path):

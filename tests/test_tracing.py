@@ -48,7 +48,7 @@ def _traced_spans(*argvs):
 def test_tracer_records_the_streamed_mtilde_pipeline(tmp_path):
     names = _traced_spans(
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--t-points", "3",
-         "--subspaces", "2", "--samples-per-subspace", "70000", "--directions", "4",
+         "--subspaces", "2", "--samples-per-subspace", "70000",
          "--seed", "7", "--output", str(tmp_path / "m.json")]
     )
     for name in ("samplers.sample_body", "grassmann.project", "density.estimate_density"):
@@ -66,7 +66,7 @@ def test_tracer_records_the_thin_shell_fraction(tmp_path):
 def test_every_span_of_a_traced_ratio_run_follows_its_parent(tmp_path):
     names = _traced_spans(
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", "70000",
-         "--seed", "7", "--alpha", "10", "--grid-points", "5", "--directions", "4",
+         "--seed", "7", "--alpha", "10", "--grid-points", "5",
          "--output", str(tmp_path / "r.json")]
     )
     assert {"samplers.sample_body", "grassmann.project"} <= names
