@@ -22,8 +22,11 @@ projects the sample tile by tile as it is drawn and smooths by the kernel,
 drawing no noise.  ``projected_ratio`` lives here rather than in
 ``density.py`` because it looks up ``ratio_to_gaussian`` as an attribute of
 this module, where the benchmark's tracer (``perfbench/tracing.py``) wraps
-it; moved, it would lose that span.
-``thinshell`` and ``scan`` keep only the sample norms.
+it; moved, it would lose that span.  ``thinshell`` and ``scan`` keep only the sample norms.
+
+``--seed s`` names one (sample, basis) pair, ``density.body_and_basis_seeds(s)``:
+``sample`` and ``thinshell`` draw the sample, ``project`` the basis and ``ratio``
+both.  ``scan``'s body i reads seed + i, and ``mtilde`` one pair per child of s.
 
 Exit codes: 0 success, 1 validation error, 2 acceptance-threshold failure in
 `suite` (and argparse usage errors).
@@ -48,7 +51,6 @@ from .samplers import (
     SCHEMA_VERSION,
     SampleBatch,
     _require_memory,
-    _seed_seq,
     atomic_open,
     convolve_and_rescale,  # no caller here; the benchmark's tracer looks it up at this module
     load_batch,
@@ -111,7 +113,7 @@ def _subcommand(name: str, help: str, params: list[Param]):
 
 
 def _check_config_type(p: Param, value) -> None:
-    """Reject a config value the flag would not accept; accepted values stay as read.
+    """Reject a config value the flag would not accept.
 
     A value must be one of ``p.choices`` when those are given.  Bools are
     rejected, int parameters need integral numbers, float parameters numbers
@@ -137,12 +139,15 @@ def _check_config_type(p: Param, value) -> None:
 
 
 def _resolve(args, params: list[Param]):
-    """Merge defaults < config file < explicit flags; returns (resolved, echo)."""
+    """Merge defaults < config file < explicit flags; returns (resolved, echo).
+
+    A resolved number has its ``Param.type``; the echo keeps it as written.
+    """
     cfg = read_json_object(args.config, "config file") if args.config else {}
     unknown = sorted(set(cfg) - {p.name for p in params})
     if unknown:
         raise InvalidSpec(f"config file sets unknown parameters: {', '.join(unknown)}")
-    resolved = {}
+    resolved, echo = {}, {"subcommand": args.subcommand}
     for p in params:
         value = getattr(args, p.name)
         if value is None:
@@ -155,9 +160,11 @@ def _resolve(args, params: list[Param]):
             if p.default is _REQUIRED:
                 raise InvalidSpec(f"missing required parameter '{p.name}'")
             value = p.default
+        if p.echo:
+            echo[p.name] = value
+        if p.type in (int, float) and value is not None:
+            value = [p.type(v) for v in value] if p.action == "append" else p.type(value)
         resolved[p.name] = value
-    echo = {"subcommand": args.subcommand}
-    echo.update({p.name: resolved[p.name] for p in params if p.echo})
     return resolved, echo
 
 
@@ -242,6 +249,7 @@ _ALPHA = Param("alpha", None, float, help="smooth at the schedule's v(n), not at
 _MAX_RADIUS = Param("max_radius", 2.0, float)
 _GRID_POINTS = Param("grid_points", 81, int)
 _SANDWICH_GRID_POINTS = Param("grid_points", 2001, int)
+# In the order of DeconvParams' fields, which _deconv_params fills by position.
 _DECONV_PARAMS = [
     _N,
     Param("alpha", type=float),
@@ -256,10 +264,9 @@ _DECONV_PARAMS = [
     _BODY, _N, _SAMPLES, _SEED, _FORMAT, _THREADS, _OUTPUT,
 ])
 def _cmd_sample(resolved, echo) -> int:
-    spec = BodySpec(resolved["body"], int(resolved["n"]))
-    count, threads = int(resolved["samples"]), int(resolved["threads"])
-    # Child 0 of the seed, the body seed ``sample`` has always drawn from.
-    body_seed = _seed_seq(int(resolved["seed"])).spawn(1)[0]
+    spec = BodySpec(resolved["body"], resolved["n"])
+    count, threads = resolved["samples"], resolved["threads"]
+    body_seed, _ = body_and_basis_seeds(resolved["seed"])
     if resolved["format"] == "bin":
         save_sample(spec, count, body_seed, resolved["output"], config=echo, threads=threads)
     else:
@@ -277,10 +284,11 @@ def _cmd_sample(resolved, echo) -> int:
     _OUTPUT,
 ])
 def _cmd_project(resolved, echo) -> int:
-    _as_positive_int(int(resolved["threads"]), "threads")
+    _as_positive_int(resolved["threads"], "threads")
     path = resolved["input"]
     sidecar = read_batch_sidecar(path)
-    basis = random_subspace(sidecar["dimension"], int(resolved["l"]), int(resolved["seed"]))
+    _, basis_seed = body_and_basis_seeds(resolved["seed"])
+    basis = random_subspace(sidecar["dimension"], resolved["l"], basis_seed)
 
     def reduce(block):
         return project(SampleBatch(data=block, seed=None, source={}), basis).data
@@ -295,15 +303,26 @@ def _cmd_project(resolved, echo) -> int:
     return 0
 
 
-def _resolved_ratio(resolved, spec: BodySpec, seed: int):
-    """``(body_seed, estimate, report)`` of ``projected_ratio`` at the resolved parameters."""
+def _resolved_ratio(resolved, spec: BodySpec, body_seed, basis_seed):
+    """``(estimate, report)`` of ``projected_ratio`` at the resolved parameters."""
     alpha = resolved["alpha"]
-    body_seed, basis_seed = body_and_basis_seeds(seed)
-    return body_seed, *projected_ratio(
-        spec, int(resolved["samples"]), body_seed, int(resolved["l"]), basis_seed,
-        float(resolved["max_radius"]), int(resolved["grid_points"]),
-        None if alpha is None else ConvolutionSchedule(float(alpha)), int(resolved["threads"]),
+    return projected_ratio(
+        spec, resolved["samples"], body_seed, resolved["l"], basis_seed, resolved["max_radius"],
+        resolved["grid_points"], None if alpha is None else ConvolutionSchedule(alpha),
+        resolved["threads"],
     )
+
+
+def _shell_fractions(resolved, spec: BodySpec, body_seed, epsilons) -> list:
+    """The off-shell fraction of the resolved sample of ``spec`` from ``body_seed`` at each epsilon.
+
+    Only its norms are held, a column checked against physical memory first; ``sample_body``
+    and ``thin_shell_fraction`` are looked up here, where the benchmark's tracer wraps them.
+    """
+    count = resolved["samples"]
+    _require_memory(f"a column of {count} norms", 16 * count)
+    norms = sample_body(spec, count, body_seed, threads=resolved["threads"], reduce=norm_column)
+    return [thin_shell_fraction(norms, eps, dimension=spec.dimension) for eps in epsilons]
 
 
 @_subcommand("ratio", "projected-density to gaussian ratio report", [
@@ -311,8 +330,8 @@ def _resolved_ratio(resolved, spec: BodySpec, seed: int):
     Param("csv", None, echo=False, help="also write (point, ratio, stderr) rows here"),
 ])
 def _cmd_ratio(resolved, echo) -> int:
-    spec = BodySpec(resolved["body"], int(resolved["n"]))
-    _, est, report = _resolved_ratio(resolved, spec, int(resolved["seed"]))
+    spec = BodySpec(resolved["body"], resolved["n"])
+    est, report = _resolved_ratio(resolved, spec, *body_and_basis_seeds(resolved["seed"]))
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
         ref = gaussian_density(est.dim, report.meta["variance"], report.radius_grid)
@@ -331,21 +350,12 @@ def _cmd_ratio(resolved, echo) -> int:
     _THREADS, _OUTPUT,
 ])
 def _cmd_thinshell(resolved, echo) -> int:
-    n = int(resolved["n"])
-    epsilons = resolved["epsilon"]
-    if epsilons is None:
-        epsilons = [n ** (-1.0 / 15.0)]
+    n = resolved["n"]
+    epsilons = resolved["epsilon"] or [n ** (-1.0 / 15.0)]
     echo["epsilon"] = epsilons = [_as_positive_float(e, "epsilon", RangeError) for e in epsilons]
-    spec = BodySpec(resolved["body"], n)
-    count = int(resolved["samples"])
-    _require_memory(f"a column of {count} norms", 16 * count)
-    norms = sample_body(
-        spec, count, int(resolved["seed"]), threads=int(resolved["threads"]), reduce=norm_column,
-    )
-    rows = []
-    for eps in epsilons:
-        frac = thin_shell_fraction(norms, eps, dimension=n)
-        rows.append((eps, frac.fraction, frac.stderr))
+    body_seed, _ = body_and_basis_seeds(resolved["seed"])
+    fractions = _shell_fractions(resolved, BodySpec(resolved["body"], n), body_seed, epsilons)
+    rows = [(eps, frac.fraction, frac.stderr) for eps, frac in zip(epsilons, fractions)]
     _write_csv(resolved["output"], echo, ("epsilon", "fraction", "stderr"), rows)
     return 0
 
@@ -361,18 +371,19 @@ _SCAN_BODIES = ("cube", "ball", "simplex", "product_laplace")
 def _cmd_scan(resolved, echo) -> int:
     """Each body's ``ratio`` rows, and the off-shell fraction of its sample at n^(-1/15).
 
-    Body i is drawn from seed + i.  Every name is checked before a body is
-    drawn, and the rows are written once, at the end.
+    Body i reads the seeds of ``ratio --seed seed+i``, so its rows are that
+    run's and its fraction is ``thinshell --seed seed+i``'s.  Every name is
+    checked before a body is drawn, and the rows are written once, at the end.
     """
-    n, count, threads = int(resolved["n"]), int(resolved["samples"]), int(resolved["threads"])
+    n = resolved["n"]
     specs = [BodySpec(body, n) for body in resolved["body"]]
     rows = []
     for i, (body, spec) in enumerate(zip(resolved["body"], specs)):
-        body_seed, _, report = _resolved_ratio(resolved, spec, int(resolved["seed"]) + i)
-        norms = sample_body(spec, count, body_seed, threads=threads, reduce=norm_column)
-        shell = thin_shell_fraction(norms, n ** (-1.0 / 15.0), dimension=n).fraction
+        body_seed, basis_seed = body_and_basis_seeds(resolved["seed"] + i)
+        _, report = _resolved_ratio(resolved, spec, body_seed, basis_seed)
+        (shell,) = _shell_fractions(resolved, spec, body_seed, [n ** (-1.0 / 15.0)])
         sup = report.sup_abs_deviation
-        rows += [(body, point, ratio, sup, shell) for point, ratio in
+        rows += [(body, point, ratio, sup, shell.fraction) for point, ratio in
                  zip(report.radius_grid.tolist(), report.per_point_ratios.tolist())]
     _write_csv(resolved["output"], echo,
                ("body", "point", "ratio", "sup_abs_deviation", "shell_fraction"), rows)
@@ -383,15 +394,10 @@ def _cmd_scan(resolved, echo) -> int:
     _N, _L, Param("tmax", type=float), Param("points", 200, int), _OUTPUT,
 ])
 def _cmd_psi_scan(resolved, echo) -> int:
-    n, l = int(resolved["n"]), int(resolved["l"])
-    report = psi_gaussian_ratio_scan(n, l, float(resolved["tmax"]), int(resolved["points"]))
-    ref = gaussian_density(l, 1.0, report.radius_grid)
-    rows = zip(
-        report.radius_grid.tolist(),
-        (report.per_point_ratios * ref).tolist(),
-        ref.tolist(),
-        report.per_point_ratios.tolist(),
-    )
+    l = resolved["l"]
+    report = psi_gaussian_ratio_scan(resolved["n"], l, resolved["tmax"], resolved["points"])
+    ref, ratios = gaussian_density(l, 1.0, report.radius_grid), report.per_point_ratios
+    rows = zip(report.radius_grid.tolist(), (ratios * ref).tolist(), ref.tolist(), ratios.tolist())
     _write_csv(resolved["output"], echo, ("t", "psi", "gaussian", "ratio"), rows)
     return 0
 
@@ -407,16 +413,12 @@ def _cmd_psi_scan(resolved, echo) -> int:
     Param("csv", None, echo=False),
 ])
 def _cmd_mtilde(resolved, echo) -> int:
-    spec, l = BodySpec(resolved["body"], int(resolved["n"])), int(resolved["l"])
+    l = resolved["l"]
     report = m_tilde_profile(
-        spec,
-        ConvolutionSchedule(float(resolved["alpha"])),
-        l=l,
-        radii=_kde_line("t_points", int(resolved["t_points"]), 0.0, float(resolved["t_max"]), l),
-        subspace_count=int(resolved["subspaces"]),
-        samples_per_subspace=int(resolved["samples_per_subspace"]),
-        seed=int(resolved["seed"]),
-        threads=int(resolved["threads"]),
+        BodySpec(resolved["body"], resolved["n"]), ConvolutionSchedule(resolved["alpha"]), l=l,
+        radii=_kde_line("t_points", resolved["t_points"], 0.0, resolved["t_max"], l),
+        subspace_count=resolved["subspaces"], samples_per_subspace=resolved["samples_per_subspace"],
+        seed=resolved["seed"], threads=resolved["threads"],
     )
     _dump_json(resolved["output"], echo, report=to_jsonable(report))
     if resolved["csv"]:
@@ -426,14 +428,7 @@ def _cmd_mtilde(resolved, echo) -> int:
 
 
 def _deconv_params(resolved) -> DeconvParams:
-    return DeconvParams(
-        n=int(resolved["n"]),
-        alpha=float(resolved["alpha"]),
-        beta=float(resolved["beta"]),
-        epsilon=float(resolved["epsilon"]),
-        hypothesis_radius=float(resolved["R"]),
-        c0=float(resolved["c0"]),
-    )
+    return DeconvParams(*(resolved[p.name] for p in _DECONV_PARAMS))
 
 
 @_subcommand("deconv", "compute the sandwich admissibility certificate", [
@@ -451,7 +446,7 @@ def _cmd_deconv(resolved, echo) -> int:
 ])
 def _cmd_deconv_verify(resolved, echo) -> int:
     report, rows = sandwich_margins(
-        resolved["body"], _deconv_params(resolved), grid_points=int(resolved["grid_points"])
+        resolved["body"], _deconv_params(resolved), grid_points=resolved["grid_points"]
     )
     _write_csv(resolved["output"], echo, ("region", "x", "density", "bound", "margin"), rows)
     if resolved["json"]:
@@ -467,7 +462,7 @@ def _cmd_deconv_matrix(resolved, echo) -> int:
     rows = []
     for p in SANDWICH_MATRIX:
         for body in BODIES_1D:
-            rep = verify_sandwich(body, p, grid_points=int(resolved["grid_points"]))
+            rep = verify_sandwich(body, p, grid_points=resolved["grid_points"])
             rows.append((body, p.n, p.alpha, p.beta, p.epsilon, p.hypothesis_radius, rep.status,
                          rep.hypothesis_sup, rep.lower_margin_min, rep.upper_margin_min))
     columns = ("body", "n", "alpha", "beta", "epsilon", "R", "status", "hypothesis_sup",

@@ -134,7 +134,8 @@ def _kde_grid(count: int, points: np.ndarray, bandwidth) -> tuple:
     """The bandwidth and binning grid ``(h, lo, delta, shape)`` of ``count`` rows at ``points``.
 
     It checks every size rule of an estimate at the (k, l) ``points``: l <= ``MAX_KDE_DIM``,
-    ``count`` >= ``MIN_KDE_SAMPLES``, k >= 1, h > 0 and the memory of the grid's contractions.
+    ``count`` >= ``MIN_KDE_SAMPLES``, k >= 1, h > 0 and the memory of the binning and the
+    contractions.
     """
     k, l = points.shape
     if l > MAX_KDE_DIM:
@@ -150,12 +151,14 @@ def _kde_grid(count: int, points: np.ndarray, bandwidth) -> tuple:
     if not np.all(span / delta < 2.0**53):
         raise RangeError(f"a KDE grid at {k} points needs {np.max(span / delta):.3g} nodes on an axis")
     shape = tuple(math.ceil(w / delta) + 1 for w in span)
-    # The grid, the first contraction (2k x cells / M_1), and per axis the stacked
-    # 2k x M_a kernel factors and the three k x M_a arrays that build them.
+    # The counts, and beside them first the binning (one np.bincount output and 4l + 5
+    # doubles per row of a _linear_bin block), then the contractions: the first (2k x
+    # cells / M_1), and per axis the stacked 2k x M_a kernel factors and their 3 k x M_a inputs.
     cells = math.prod(shape)
+    binning = cells + (4 * l + 5) * min(count, max(BLOCK, cells))
     _require_memory(
         f"a {' x '.join(map(str, shape))} KDE grid at {k} points",
-        8 * (cells + 2 * k * (cells // shape[0]) + 5 * k * sum(shape)),
+        8 * (cells + max(binning, 2 * k * (cells // shape[0]) + 5 * k * sum(shape))),
     )
     return h, lo, delta, shape
 

@@ -78,7 +78,7 @@ from .model import (
 
 # The artifact schema, ``schema_version`` in every batch sidecar, CSV header and CLI
 # JSON: it moves whenever the same inputs give an artifact other bytes.
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 BLOCK = 1 << 12
 # Bytes of one tile, the rows drawn and reduced at once: a 2 MiB per-core L2.  At 1 MiB
 # an n = 50 block splits in two, which doubles the batch writer's positioned writes.
@@ -310,8 +310,9 @@ def sample_body(spec: BodySpec, count: int, seed, threads: int = 1, reduce=None)
 
     With ``reduce`` the (count, n) batch is never held: each tile of rows
     (see :func:`_generate`) is mapped by ``reduce(tile)`` to a new 2-D array
-    of one row per row, and the returned batch stacks those arrays in row
-    order, so the per-tile outputs and their stacked copy are held at once.
+    of any height, and the returned batch stacks those arrays in tile order,
+    so the per-tile outputs and their stacked copy are held at once.  Only a
+    reducer that maps each row to one row gives rows aligned with the sample.
     """
     source = _body_source(spec)
     count = _as_positive_int(count, "count")

@@ -26,7 +26,9 @@ import projclt.density
 import projclt.samplers
 import projclt.suite
 from projclt.cli import main
+from projclt.density import body_and_basis_seeds, project_body
 from projclt.errors import InvalidSpec
+from projclt.grassmann import random_subspace
 from projclt.model import BodyKind, BodySpec, dumps, loads
 from projclt.samplers import (
     BLOCK,
@@ -401,6 +403,27 @@ def test_accepted_config_values_are_echoed_as_written(tmp_path):
     assert [row[0] for row in _read_csv(out)[2]] == ["0.1", "1.0"]
 
 
+@pytest.mark.parametrize(
+    "argv, config, flags, body",
+    [(["ratio", "--body", "cube", "--l", "1", "--samples", "10000", "--seed", "3",
+       "--grid-points", "5"], {"n": 50.0}, ["--n", "50"], "report"),
+     (["deconv", "--beta", "0.5", "--epsilon", "0.001"], {"n": 8.0, "alpha": 1e-28, "R": 10},
+      ["--n", "8", "--alpha", "1e-28", "--R", "10"], "certificate")],
+    ids=["ratio", "deconv"],
+)
+def test_a_config_number_reads_as_its_flag_and_is_echoed_as_written(argv, config, flags, body,
+                                                                      tmp_path):
+    # Handlers read each value at its parameter's type: 50.0 for an int is 50, 10 for
+    # a float is 10.0.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(path), "--output", str(tmp_path / "c.json")]) == 0
+    assert main([*argv, *flags, "--output", str(tmp_path / "f.json")]) == 0
+    text = (tmp_path / "c.json").read_text()
+    assert json.loads(text)[body] == json.loads((tmp_path / "f.json").read_text())[body]
+    assert f'"n": {config["n"]!r}' in text
+
+
 # ------------------------------------------------------------ golden surface
 
 GOLDEN_OPTIONS = {
@@ -670,6 +693,43 @@ def test_project_pipeline(tmp_path):
     np.testing.assert_array_equal(projected.data, original.data @ basis.rows.T)
 
 
+def test_project_draws_the_basis_of_the_seed_that_drew_the_sample(tmp_path):
+    # sample --seed s and project --seed s project the sample that ratio --seed s
+    # reads onto the subspace that it reads it on.
+    spec, count, seed = BodySpec("simplex", 20), 3 * BLOCK + 5, 11
+    src, dst, basis_path = tmp_path / "b.bin", tmp_path / "p.bin", tmp_path / "basis.json"
+    assert main(["sample", "--body", "simplex", "--n", "20", "--samples", str(count),
+                 "--seed", str(seed), "--output", str(src)]) == 0
+    assert main(["project", "--input", str(src), "--l", "2", "--seed", str(seed),
+                 "--output", str(dst), "--basis-out", str(basis_path)]) == 0
+    body_seed, basis_seed = body_and_basis_seeds(seed)
+    basis = random_subspace(20, 2, basis_seed)
+    rows = np.array(json.loads(basis_path.read_text())["basis"]["rows"])
+    np.testing.assert_array_equal(rows, basis.rows)
+    # The file's column-major slabs take the BLAS kernel, project_body the row-dot one,
+    # so the two agree to rounding: 1e-12 of the largest coordinate.
+    expected = project_body(spec, count, body_seed, basis).data
+    atol = 1e-12 * np.abs(expected).max()
+    np.testing.assert_allclose(load_batch(str(dst)).data, expected, rtol=0, atol=atol)
+
+
+def test_project_csv_rows_are_the_bin_projection(tmp_path):
+    src = tmp_path / "b.bin"
+    assert main(["sample", "--body", "ball", "--n", "6", "--samples", str(BLOCK + 3),
+                 "--seed", "2", "--output", str(src)]) == 0
+    for fmt in ("bin", "csv"):
+        assert main(["project", "--input", str(src), "--l", "2", "--seed", "4", "--format", fmt,
+                     "--output", str(tmp_path / f"p.{fmt}")]) == 0
+    header, columns, rows = _read_csv(tmp_path / "p.csv")
+    assert columns == ["x0", "x1"]
+    from_csv = np.array([[float(v) for v in row] for row in rows])
+    from_bin = np.ascontiguousarray(load_batch(str(tmp_path / "p.bin")).data)
+    assert from_csv.tobytes() == from_bin.tobytes()
+    sidecar = json.loads((tmp_path / "p.bin.json").read_text())
+    assert header["source"] == sidecar["source"]
+    assert header["config"] == {**sidecar["config"], "format": "csv"}
+
+
 def test_project_bytes_do_not_depend_on_the_openblas_thread_count(tmp_path):
     # A one-shot l = 1 product of this batch is split between OpenBLAS's
     # threads, and the row at the split rounds by the thread count; project's
@@ -885,6 +945,21 @@ def test_thinshell_defaults_and_ordering(tmp_path):
     _, _, rows = _read_csv(out2)
     fractions = {float(r[0]): float(r[1]) for r in rows}
     assert fractions[0.2] <= fractions[0.05]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_thinshell_reads_the_fraction_of_scans_sample(threads, tmp_path):
+    # thinshell --seed s draws ratio --seed s's sample, as scan's first body does.
+    common = ["--body", "product_laplace", "--n", "10", "--samples", "200000", "--seed", "9",
+              "--threads", threads]
+    assert main(["thinshell", *common, "--output", str(tmp_path / "t.csv")]) == 0
+    assert main(["scan", *common, "--l", "1", "--grid-points", "3",
+                 "--output", str(tmp_path / "s.csv")]) == 0
+    _, _, shell_rows = _read_csv(tmp_path / "t.csv")
+    _, columns, scan_rows = _read_csv(tmp_path / "s.csv")
+    assert float(shell_rows[0][0]) == 10 ** (-1 / 15)
+    cells = {row[columns.index("shell_fraction")] for row in scan_rows}
+    assert cells == {shell_rows[0][1]} == {"0.010325"}
 
 
 def test_in_process_calls_write_what_fresh_processes_write(tmp_path):

@@ -11,6 +11,7 @@ as its oracle.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,45 @@ def test_the_grid_guard_counts_the_kernel_factors(monkeypatch):
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     with pytest.raises(RangeError, match="a 203 KDE grid at 2000 points needs 16273624 bytes"):
         estimate_density(batch, points, bandwidth=0.087)
+
+
+@pytest.mark.parametrize(
+    "points, h, count",
+    [(np.zeros((1, 3)), 0.01, MIN_KDE_SAMPLES),
+     (radial_points(np.linspace(0.0, 0.1, 9), 3), 0.1, 200_000)],
+    ids=["one_point", "radial_grid"],
+)
+def test_the_grid_guard_counts_at_least_the_measured_peak(points, h, count, monkeypatch):
+    # Every row inside the grid, so each one is binned.  At the parent the guard
+    # counted 2.27 and 16.7 MB here, where tracemalloc reads 5.60 and 30.3 MB.
+    counted = []
+    guard = projclt.density._require_memory
+    monkeypatch.setattr(projclt.density, "_require_memory",
+                        lambda what, need: (counted.append(need), guard(what, need)))
+    lo, hi = points.min(axis=0) - 7 * h, points.max(axis=0) + 7 * h
+    data = lo + (hi - lo) * np.random.default_rng(33).random((count, 3))
+    batch = SampleBatch(data=data, seed=None, source={})
+    tracemalloc.start()
+    try:
+        estimate_density(batch, points, bandwidth=h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted and counted[0] >= peak
+
+
+def test_the_grid_guard_counts_the_binning_before_drawing(monkeypatch):
+    # One l = 3 point at h = 0.01 makes a 65^3 grid: the contractions count about
+    # 2.3 MB, the binning of 10,000 rows 5.8 MB; 4 MiB of memory lies between.
+    def draw(*args, **kwargs):
+        pytest.fail("a basis was drawn before the binning's memory was checked")
+
+    monkeypatch.setattr(projclt.density, "random_subspace", draw)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    v = 1e-4 * (1.0 + projclt.density.BIN_SPACING**2 / 6.0)
+    with pytest.raises(RangeError, match=r"KDE grid at 1 points needs 5\d{6} bytes"):
+        smoothed_marginal(BodySpec("cube", _NOISE_N), MIN_KDE_SAMPLES, 1, 2, np.zeros((1, 3)), v)
 
 
 # ------------------------------------------------------------- exact oracle

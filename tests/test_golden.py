@@ -39,13 +39,13 @@ def _sha(data: bytes) -> str:
 RATIO_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "312218bac05bd433870d76234eecf4840f5ce82b5792a0fbc33a87fcb7d8a6a2",
-        "3d694d5b39c22f7230c0eaaebb2b74f43ed180745d0c354f34ad1a8eb7edd3db",
+        "44b8318da9a8dd161bdee6ff5619db995876b99aa699bafd19daf917c7c4fc15",
+        "dd208492e3dfab729c3e2dbfaf5c3cb48e6f43f575bfac97143c397fb7d6ba3a",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "a6cc111339dc48f97aa18dc68785ff09ed280363b779415751707c0b41ee92e2",
-        "92a52baae6b254f827ef00670d9b48d4e6de00dfa8ac8e7a263d30f1c0fa8474",
+        "3392c1559b8dcf4a942a180c7532ebfaf8e07bf2f6b18e0e4207924f090c4bb3",
+        "ed01a2bf6de8d21c67fb0e27bc00ee746763669671552c52a7d70a0c9205c6fa",
     ),
 }
 
@@ -65,11 +65,11 @@ def test_ratio_artifacts_are_golden(run, tmp_path):
 SCAN_RUNS = {
     "l1_alpha": (
         ["--l", "1", "--alpha", "10"],
-        "9a16bae429bd0fc92ac551dfe0fdcbda73e9c82cd9715bdd8e494e58c25571e8",
+        "ee046b27a1aeefdda9b7916dda4bd94dbbe2abbc0d2e3ee53de4d974465e2bef",
     ),
     "l2_raw": (
         ["--l", "2"],
-        "0d085a340082ab6a1abf568ad69d50c790093c5ca3d8924521f2699349dcb13b",
+        "d1d179ee06c554f3e0752cd18b42e9f7b5fd09b174a90f9b44df30652a1a23f2",
     ),
 }
 
@@ -89,11 +89,11 @@ def test_clt_scan_csv_is_golden(run, tmp_path):
 PSI_SCAN_RUNS = {
     "l1": (
         ["--n", "100", "--l", "1", "--tmax", "1.7", "--points", "200"],
-        "a9210d8bd0b2e2ea832819b8bb5255b88a9cbbb19060e7b07e6c513285b0c261",
+        "bba2d95275b6cc7fa5bc650c914c10a3c41c0a96d1a3f4d19b04b7ab5e5de729",
     ),
     "l2": (
         ["--n", "64", "--l", "2", "--tmax", "1.2", "--points", "55"],
-        "48327e3ad892e079bd44bed771cc73681647ebdc72d7089f153cf804e93bc2cf",
+        "32633a4923c3eee013e217117f381ec7edef373a0cfd764750114b0537b30126",
     ),
 }
 
@@ -155,14 +155,14 @@ MULTI_CHUNK_RUNS = {
         ["ratio", "--body", "cube", "--n", "20", "--l", "2", "--samples", str(MULTI_CHUNK),
          "--seed", "7", "--output", "{d}/r.json", "--csv", "{d}/r.csv"],
         {
-            "r.json": "b51cf9b2ac666166418a609578eec31b8a495338b5daf1da68bde59c46650664",
-            "r.csv": "eac14ffc12e6cf7582b5321d8b89acab5d76e5e8d18fe39fd47f84a2f7118db0",
+            "r.json": "b6b86d29dc2bb2f0698efd567c396cf9e8d86777e0b37d192a57ab2bb6079c4f",
+            "r.csv": "25bbe52036b8beff2e34fa7bb57a6b00e42c56f29f908370053cf50896e2dd45",
         },
     ),
     "mtilde_l2": (
         ["mtilde", "--body", "cube", "--n", "20", "--l", "2", "--subspaces", "2",
          "--samples-per-subspace", str(MULTI_CHUNK), "--seed", "8", "--output", "{d}/m.json"],
-        {"m.json": "72198fae9043be94843cbc2c48ddff4cd1ba54fb1709cef859247935b5bd8ba6"},
+        {"m.json": "6ab3f227928b38cd1fcc911267c20815c0cf27bd34365801c2c86d2f2debd5f1"},
     ),
     **{
         f"thinshell_{kind}": (
@@ -171,11 +171,11 @@ MULTI_CHUNK_RUNS = {
             {"t.csv": sha},
         )
         for kind, sha in {
-            "cube": "8526f3dc07f83465ddcebbffe4663feb98deb6d86bcf85bb7d2371153b607a43",
-            "ball": "44f27b6555daaa9bbaf879d0b7ae0f0d1bb5525a0232aae6dc85320967f3c60c",
-            "simplex": "730d50216ed22177edd7afac67ceeeca33f48fe293c63d7bcd3537e3a2777906",
-            "product_laplace": "385efac1bd75b093811f54cc9fe6374fe3b112a3f015c227be9a076e80156b7b",
-            "gaussian": "e14dcd481674db2e2aee3106f189f82d6843a6966925c4ee8e1624ca5bf1e17f",
+            "cube": "7b9f22ebf8c95489dc6c4e5e29a3965d8d6d511beff989b8dd5eab65d4edbd93",
+            "ball": "04cf739ee4ab98fb5b391f8bc5e130d3e245e6d8dfba8790119a66d0b988b48d",
+            "simplex": "932350f91f81d394256da074079c3b9c74a13b3ddfc17649129314ec62050d5b",
+            "product_laplace": "1f18f699dd2222c6395f3ebee081e7354d989cdf963dad20d239428b4195a967",
+            "gaussian": "5199e31f7d22576662ce1d546237b443d249e9ff62e470bfab29f8fddf0ce654",
         }.items()
     },
 }
@@ -196,15 +196,15 @@ DECONV_VERIFY_RUNS = {
     "admissible": (
         ["--body", "gaussian_deflated", "--n", "8", "--alpha", "1e-28", "--beta", "0.5",
          "--epsilon", "0.001", "--R", "10"],
-        "8e56fd46fd43ee0478f1e811354053b53e352863eba341d878ce0c30d5986852",
-        "c2fb0a7ec233247b6db1b2691a8ead01406688473e5593c5f3e1e724494bd3a8",
+        "ff8dd6396a13ad7ad003f2c0d2e4393cfe1d06ddc1220d5535d11a53744b9aa7",
+        "e08477309e0b57b604ef54daaa8536afb4d3b3695f4adbd3532bc21e7c514d95",
     ),
     # alpha above c0 * n^-8: no rows, only the certificate's violations.
     "inadmissible": (
         ["--body", "laplace", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
          "--epsilon", "0.005", "--R", "3"],
-        "5a33981d1d905c1afcd0b7b301a5f8cbf256888c68b90c32df5273482dee9221",
-        "841749ccb49246238c257a0899ebd341dfbece5799246e12c520f22791a80228",
+        "65d45f71de956cf14f1fa089f9e82e9e8b0e6b0e97dcafe636b8a6117e3bf66e",
+        "a14f4803d8af0b1a88a91dca6c31b2674e0b91d317492b147ac97432ef30b8de",
     ),
 }
 
@@ -222,12 +222,12 @@ def test_deconv_verify_artifacts_are_golden(run, tmp_path):
 DECONV_RUNS = {
     "admissible": (
         ["--n", "8", "--alpha", "1e-28", "--beta", "0.5", "--epsilon", "0.001", "--R", "10"],
-        "f7623271b9c9dfb3dd062bbea31272172adff78f1ab1f4fa4c4cbe6e452f5b25",
+        "0b4985d232c8747ffce25e7e235fa69c06dfa876e3cfab4330d5f1869f6b33d1",
     ),
     # All three conditions fail: alpha, the noise floor and epsilon < 1/100.
     "inadmissible": (
         ["--n", "2", "--alpha", "1e-3", "--beta", "0.5", "--epsilon", "0.5", "--R", "3"],
-        "3571715a9d1db81170eb4f5904907e9cc79c3b2738efc4fbfb1de8240eeb990a",
+        "f36369754035ca79f994b6f0faae779815f654a56d85fa3474416513e3eac12e",
     ),
 }
 
@@ -239,7 +239,7 @@ def test_deconv_certificate_json_is_golden(run, capsys):
     assert _sha(capsys.readouterr().out.encode()) == sha
 
 
-DECONV_MATRIX_SHA = "349b5af7a1e4a1a50fcb970f0907186a027b61d0c592b359cbd569cceb872bd8"
+DECONV_MATRIX_SHA = "693f66c02b15c0139bf3c693d000c91d6b66a0294df0fb5cc18a9da045885d76"
 
 
 def test_deconv_matrix_csv_is_golden(tmp_path):
@@ -252,51 +252,51 @@ def test_deconv_matrix_csv_is_golden(tmp_path):
 SAMPLE_PINS = {
     ("cube", 1): (
         "a41f1b73cf61d7b6127b59f8502df2b2f46310968cab8d231b42ca2f6e7796d9",
-        "505fe36c5128c62ed69de6ffe33f069cc31e16ae7a3a70cccba9509f4dd078ec",
+        "8f7efc7cb85f85277541243acc2adbf69c3c783b7ae2599ef332869ae764e5f0",
     ),
     ("cube", BLOCK - 1): (
         "4ab6caadd5f4ca0ca9d318cbb326944196bb05aec83913d7d6f55d994354c813",
-        "42d024bc5c59fae5423c1000419a5c4f4124f65ea2c0a0d31aa17286c31dd9a0",
+        "2a96a52f1a38475157d4e386be1f41453824ddce3695009a853cb8b271c6899d",
     ),
     ("cube", BLOCK + 1): (
         "8ed965800023a5668fc43c84577ee0f964ec9cf2ddc0d551a12208ead245bc5a",
-        "382f0ac50445e9c42fd4cdcef50947fce35209615cbaef2bfac9e811801aadb9",
+        "847788087a2c114645b0e0404baddb7e99dc1617b1268c2932e9cbba62e39271",
     ),
     ("cube", 32 * BLOCK + 3): (
         "94c3fd298cf5f308a57dd758e1242247754e9f4fe46924419a1ff0c5ead6dc11",
-        "f146285a83f96f41d9951ce6b5f30a98831291abfbe9198214667ece73f061b0",
+        "b6deddb26bf136f14cad6cde47df29d4b7d24b9a7906948a0c862a31bbf41710",
     ),
     ("ball", 1): (
         "27509e01518fcf346a1e2d3f6d3f7aa3d46716a98a5d1c41dd3ff334b3f90c47",
-        "084b4932b5fd86c0d3fdaa5cad92a8572cd2c53cf2a7483ac795881e7ac10111",
+        "2b6c26a3654b4ee325fe77132d8508738e6a21fee2aa36cdf0c59a3a44cbe90b",
     ),
     ("ball", BLOCK - 1): (
         "6c1597581f9f674f586308ab9d23d2093bd93136529c81a448afae9d290a472d",
-        "8620efb39ece3e84677076c50470aa33af771d51d6c369576e808209dd017f3e",
+        "58f3d7791738ef19c1f1cda9272865d3714bfae9c3136c2d6822950c4354687c",
     ),
     ("ball", BLOCK + 1): (
         "47ed89d268db40c69848958712c027287f6bfee04e7e98a8136aecb4d731169b",
-        "d4bafa8b58d5de31f9c21312079e1cdd3c726201ce0e67c4f314bb8e155096b9",
+        "f2a372d26e1e75df16acb4ee149059824fe21c391eb3cc1e6b92bd0702218ed4",
     ),
     ("ball", 32 * BLOCK + 3): (
         "a4a1f9dc9a2ee976d5066ab06001be52605c7d20b10c16f6111c5f3e69bf8207",
-        "a60e448d3fbd129f8c11176e77d238f0a80ca0e39382b08323da2ec4b8b20c6c",
+        "5a3ed12d27e40a8e388ee1e1bf476d6b9ae7f389dd711648a3ffeb96ac7e25d4",
     ),
     ("simplex", 1): (
         "83db14bf7ebc998eb3566b3efc0d8e0b83288423d96bd5974c905a40f289a97a",
-        "8a6553136435b257a9dbadb913f89da4bd981834f43cec5be03b9134a45e4b41",
+        "eb1849e588df5c53b61537f1993072ecb78eaa2408af33341dab9135de591fb0",
     ),
     ("simplex", BLOCK - 1): (
         "c4f2af2630200c5db9913cc9b34c29f0e713e810f49b581f48702a3c6ccbeae8",
-        "cc1f8264b4fd53da2f6e2005e62c6c9aa6b1f3b10bfcfebee8efbb56e2eabb20",
+        "e1f104bbc8e784e3d526beb4ef7a9ebd1275c339fe95d4dfea0a754474a2bbf4",
     ),
     ("simplex", BLOCK + 1): (
         "a35a299b1acf1ba86bf7d79080890814a76d72861ec9deb35b9a3f9553313d8a",
-        "5ea0f0bc169aac8a32f8d7f196454e42fa582c8868f87e5655df7d1537de686a",
+        "69c7cff888ce88dc4d0a9933488601941076b657c6466f8af5e51f4c0d0902eb",
     ),
     ("simplex", 32 * BLOCK + 3): (
         "a98ab5c4d6cc0dd82c5620f10e8ce394de87864c76e75cf6341a41b1f02e102f",
-        "59f20cc0187f7d87f52c3feeebf68e301cde9248720e1eb205a326762b58b387",
+        "87a8d5be07c349c7ff8e6a08832e19598786175cadcf1a4fab9e595d3745a6c0",
     ),
 }
 
@@ -351,64 +351,64 @@ def test_the_library_noise_step_keeps_the_smoothed_sample_bytes(key, threads):
 # F-contiguous at once and must still take the column-major kernel.
 PROJECT_PINS = {
     (1, 1): (
-        "3aeda53a62926e46ba9a4787eacd80244a2abba665656517dabac8948c72a034",
-        "2d332dfaff4a4e815a4862cf5780559cb6619f53bc04868a63c3e9662f0e0220",
-        "3ecb69110b6b59132288b967415d5d1c5109f77f9abc41424231be096fcc4ed8",
+        "0ce0d540dc30db8b4117279f99be3a9c34f89c13b303fbfc046bfbe1d67221d1",
+        "5e0b2322fd89735fad2fc7950347abcc6892d974afe54bbf1101c1d8226f81c4",
+        "d39f7c54d38470553ff29d3b67cb9909007f396e57172d82124030c8efac65a1",
     ),
     (1, 2): (
-        "508e2b83e04487f9511d7db256923243f2ad85bb9fd442c3487a3216421bd1fa",
-        "826bda38a81fdca0d69c06aebabfa5266a6fe2720bb735fcd73e5bd442b90e39",
-        "5dcf39095d44e285a3521f8a30063b49e6ae4a3676642a40403e47945179a2d6",
+        "ee79a0f8f92bcb07f983a05247cb8bf256d716952ea523222ab5acc683759693",
+        "e7cd991e5cceb03d4b8d134115ecdcffbe05558e1d6113c110637d36942ad523",
+        "5d380f839f1de62b0f405d93911409906d3fb5216243ee3a89938d530d14beef",
     ),
     (1, 3): (
-        "8d112df0e619ec4973d9aa41a0a3cce34a2b99bd1db31150b0a14b4dbab09eed",
-        "476c675b80de055a312bf6f700b8b276f67510651c125d0ad823a069890c1768",
-        "0e9345124464d6b81bc11252f70f2619a35360b09c55eb21dcc1a8e77c8382b5",
+        "8037cf03b6035a8cc5797dc0d46213bd857494379019b7154ea0bb6fd4a90617",
+        "a3eb25aae9b452576295d603d9a9123d4a0b327a4c9a8f76d195650d7489b3c9",
+        "a20636462f40eb4c3bccb33acaaaff0ad2a6bfb5112bff52097e76c4eb2b0561",
     ),
     (1000, 1): (
-        "b3c96e2efb8944e901b9ce42ca9ad1f90cf4379174b5596c5b616ce6c2a92984",
-        "5fdf65b2db8e416831d085dc79fdd7193c6ae41f0cc5b0b6b358dce4d8091651",
-        "3ecb69110b6b59132288b967415d5d1c5109f77f9abc41424231be096fcc4ed8",
+        "0fde7f717a656be6423cf722cdb816393b8062c8a8831b21daa13294e60c9943",
+        "2c7bd0cd925ac56c77a809c08dfb49ca73a5603e2e456f4c5129f4c012d37295",
+        "d39f7c54d38470553ff29d3b67cb9909007f396e57172d82124030c8efac65a1",
     ),
     (1000, 2): (
-        "ddd4a35c95b636a1f7a1a69736618bc15f4dac6697aa95ce559a2389b07c62b2",
-        "8d1e801518e056005a1a5aaecc35f1066c09bc3bd1d0fdb6f2ec1fd408d15dcc",
-        "5dcf39095d44e285a3521f8a30063b49e6ae4a3676642a40403e47945179a2d6",
+        "7fc519d1815fd4d8d447e2c412bf2f700cd5aa571f03092b5386c4c9ba8e2b65",
+        "c7fb2540c7762ebc28408b13cc259c78fd968f38955dc45cd481f3a37f990aa1",
+        "5d380f839f1de62b0f405d93911409906d3fb5216243ee3a89938d530d14beef",
     ),
     (1000, 3): (
-        "cd25686ff87832a4f38602e83da0c2e48a8abfe4435be5d072f2bfb712b23d20",
-        "8b832fc6c7dfed7e38c96d4c6f5efc4d4e4062680b218c21c2c5516148c9aeeb",
-        "0e9345124464d6b81bc11252f70f2619a35360b09c55eb21dcc1a8e77c8382b5",
+        "483c704ebb9f7768d533e8a1d45e83f9b3a2c73ee3a4a7e85ce44e3e1c91bcdb",
+        "7c5013277df1fb6846f6cecf38dbf38e2f7fe6c1147c456ace35d2820424b7f1",
+        "a20636462f40eb4c3bccb33acaaaff0ad2a6bfb5112bff52097e76c4eb2b0561",
     ),
     (3 * BLOCK + 5, 1): (
-        "df43d11237bb982711aba6fd698d42f482bb227d5f4ea68013352db4ea108e7f",
-        "476e8e27a6ff55bd8c5f847dcac0f9222ba3c220ac81f0048c686ea39a0e1839",
-        "3ecb69110b6b59132288b967415d5d1c5109f77f9abc41424231be096fcc4ed8",
+        "7f4aadacb9acf4877ee2705ca73cf295f9e21e82f3175dc7422ec64aae348eca",
+        "3fc81d367680a9adf241a96c05b915c59601daefcb4f6a900b98bb121f9ef502",
+        "d39f7c54d38470553ff29d3b67cb9909007f396e57172d82124030c8efac65a1",
     ),
     (3 * BLOCK + 5, 2): (
-        "f057e4c86be15e0932b84fc47011921153e7d94e5809993d61f7deb200b25513",
-        "2e324bd044c899d2aff4d52fd20c3bb3c5336e1b2105d2473879aaf395be4479",
-        "5dcf39095d44e285a3521f8a30063b49e6ae4a3676642a40403e47945179a2d6",
+        "0c13f55f48f7b5417c5584240935e1cb4e5e1dfe10fc37d25e8c78ac02949760",
+        "881c8ed24c795b38ec6065efbfc40d4e591af80d245f938a60a26285c3fea2e1",
+        "5d380f839f1de62b0f405d93911409906d3fb5216243ee3a89938d530d14beef",
     ),
     (3 * BLOCK + 5, 3): (
-        "9b773853c9994d5ce7869ab5f219654aecee59eb1b64e043ff61536a216d313e",
-        "0799122d0c8bc0edc35c1a742949f75c2b153f2b75b0a35f9d8940da1697425a",
-        "0e9345124464d6b81bc11252f70f2619a35360b09c55eb21dcc1a8e77c8382b5",
+        "9af93f2282bcc9b79b4ea380b14d96be7a0e43ca1a532d2975bb7284161de30f",
+        "745ffdc49460e332887d8bd17c0119b61f018b69bf9a634600190758ef4b4c42",
+        "a20636462f40eb4c3bccb33acaaaff0ad2a6bfb5112bff52097e76c4eb2b0561",
     ),
     (BLOCK + 1, 1): (
-        "d82e892cdb9da1c24446a4dfb146bf99b0b307e553cb479863644887964368f6",
-        "f86982c7e20b7fe4a3ebf00e84c39274c99f884ff2bbca5f76ab2b48f5ba1874",
-        "3ecb69110b6b59132288b967415d5d1c5109f77f9abc41424231be096fcc4ed8",
+        "cea1f3a7dd86e925050af082f6b20223bf89d8d6b9a733d9d42d06a724f435a2",
+        "3faa1a5c947788111d0c00da025fcf3fa10d24725859a48453c264aa4df5cdc1",
+        "d39f7c54d38470553ff29d3b67cb9909007f396e57172d82124030c8efac65a1",
     ),
     (BLOCK + 1, 2): (
-        "df4be34246aa19fb73395a87c76aec8c524c7ead41c19b94886665e1e24838f6",
-        "185ebc37d91d5c3ee8b33c6708467d47ccb5af8d58ade24f08815196687e47b9",
-        "5dcf39095d44e285a3521f8a30063b49e6ae4a3676642a40403e47945179a2d6",
+        "aab290a53cb2dea6210bc32650b06ec53cbea5305e5a294206b5f63726e109db",
+        "a919d370e41ae3a5aa6d262e9e08132c4104863f159c60fb24012e730087d2f1",
+        "5d380f839f1de62b0f405d93911409906d3fb5216243ee3a89938d530d14beef",
     ),
     (BLOCK + 1, 3): (
-        "d5c9046913abc184c3248276f2a38c32de2aecaccdb8b7a19f849727918409e3",
-        "c0755ba418410cdf4325c5732964836fecdffb33405524113c6f77361b020a3d",
-        "0e9345124464d6b81bc11252f70f2619a35360b09c55eb21dcc1a8e77c8382b5",
+        "aca3e417d04df342961928cc92b20d075197ae3c7583416209dac98e08f1fed5",
+        "1c565bcf0539788c87fb538963a802b92758a2d0cc970c7fca33d55976905d4f",
+        "a20636462f40eb4c3bccb33acaaaff0ad2a6bfb5112bff52097e76c4eb2b0561",
     ),
 }
 
@@ -427,7 +427,7 @@ def test_project_input_artifacts_are_golden(key, threads, tmp_path, monkeypatch)
     assert tuple(_sha((tmp_path / name).read_bytes()) for name in names) == PROJECT_PINS[key]
 
 
-SAMPLE_CSV_SHA = "4c26e46f4e5642ce588d9c773ec67407d0b84bfe2accd940453fb86944c43546"
+SAMPLE_CSV_SHA = "15e04216dec6c1da7fb95b8fbadc67736d7b09b7725d68f010f03954fb6bbce9"
 
 
 def test_sample_csv_is_golden(tmp_path):
