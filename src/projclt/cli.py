@@ -22,7 +22,8 @@ projects the sample tile by tile as it is drawn and smooths by the kernel,
 drawing no noise.  ``projected_ratio`` lives here rather than in
 ``density.py`` because it looks up ``ratio_to_gaussian`` as an attribute of
 this module, where the benchmark's tracer (``perfbench/tracing.py``) wraps
-it; moved, it would lose that span.  ``thinshell`` and ``scan`` keep only the sample norms.
+it; moved, it would lose that span.  ``thinshell`` keeps only the sample norms,
+and ``scan`` reads them from the tiles its ratio projects, so each body is drawn once.
 
 ``--seed s`` names one (sample, basis) pair, ``density.body_and_basis_seeds(s)``:
 ``sample`` and ``thinshell`` draw the sample, ``project`` the basis and ``ratio``
@@ -207,7 +208,8 @@ def _kde_line(name: str, count, start: float, stop: float, l: int) -> np.ndarray
 
 def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
                     max_radius: float, grid_points: int,
-                    schedule: ConvolutionSchedule | None = None, threads: int = 1):
+                    schedule: ConvolutionSchedule | None = None, threads: int = 1,
+                    with_norms: bool = False):
     """A body's smoothed projected density on a Haar l-subspace and its ratio to the gaussian.
 
     The estimate is ``density.smoothed_marginal`` of ``count`` samples of
@@ -218,7 +220,9 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
     variance of every catalog projection.  The KDE grid is ``grid_points``
     points on [-max_radius, max_radius] for l = 1, else as many radii on
     [0, max_radius] times ``density.DIRECTIONS`` directions; it, l and the
-    sample size are checked before anything is drawn.
+    sample size are checked before anything is drawn.  ``with_norms``
+    appends the sample's (count, 1) norms batch to the returned pair
+    (``density.project_body``).
     """
     max_radius = _as_positive_float(max_radius, "max_radius", RangeError)
     if l == 1:
@@ -227,8 +231,12 @@ def projected_ratio(spec: BodySpec, count: int, body_seed, l: int, basis_seed,
         points = radial_points(_kde_line("grid_points", grid_points, 0.0, max_radius, l), l)
     # smoothed_marginal refuses a count below MIN_KDE_SAMPLES before it draws.
     v = schedule.noise_variance(spec.dimension) if schedule else max(count, 1) ** (-2 / (l + 4))
-    est = smoothed_marginal(spec, count, body_seed, basis_seed, points, v, threads)
-    return est, ratio_to_gaussian(est, 1.0 + v, max_radius)
+    if not with_norms:
+        est = smoothed_marginal(spec, count, body_seed, basis_seed, points, v, threads)
+        return est, ratio_to_gaussian(est, 1.0 + v, max_radius)
+    est, norms = smoothed_marginal(spec, count, body_seed, basis_seed, points, v, threads,
+                                   with_norms=True)
+    return est, ratio_to_gaussian(est, 1.0 + v, max_radius), norms
 
 
 _BODY = Param("body")
@@ -303,26 +311,14 @@ def _cmd_project(resolved, echo) -> int:
     return 0
 
 
-def _resolved_ratio(resolved, spec: BodySpec, body_seed, basis_seed):
-    """``(estimate, report)`` of ``projected_ratio`` at the resolved parameters."""
+def _resolved_ratio(resolved, spec: BodySpec, body_seed, basis_seed, with_norms: bool = False):
+    """``projected_ratio`` at the resolved parameters: ``(estimate, report)``, and the norms."""
     alpha = resolved["alpha"]
     return projected_ratio(
         spec, resolved["samples"], body_seed, resolved["l"], basis_seed, resolved["max_radius"],
         resolved["grid_points"], None if alpha is None else ConvolutionSchedule(alpha),
-        resolved["threads"],
+        resolved["threads"], with_norms,
     )
-
-
-def _shell_fractions(resolved, spec: BodySpec, body_seed, epsilons) -> list:
-    """The off-shell fraction of the resolved sample of ``spec`` from ``body_seed`` at each epsilon.
-
-    Only its norms are held, a column checked against physical memory first; ``sample_body``
-    and ``thin_shell_fraction`` are looked up here, where the benchmark's tracer wraps them.
-    """
-    count = resolved["samples"]
-    _require_memory(f"a column of {count} norms", 16 * count)
-    norms = sample_body(spec, count, body_seed, threads=resolved["threads"], reduce=norm_column)
-    return [thin_shell_fraction(norms, eps, dimension=spec.dimension) for eps in epsilons]
 
 
 @_subcommand("ratio", "projected-density to gaussian ratio report", [
@@ -354,7 +350,12 @@ def _cmd_thinshell(resolved, echo) -> int:
     epsilons = resolved["epsilon"] or [n ** (-1.0 / 15.0)]
     echo["epsilon"] = epsilons = [_as_positive_float(e, "epsilon", RangeError) for e in epsilons]
     body_seed, _ = body_and_basis_seeds(resolved["seed"])
-    fractions = _shell_fractions(resolved, BodySpec(resolved["body"], n), body_seed, epsilons)
+    count = resolved["samples"]
+    # Only the sample's norms are held, a column checked against physical memory first.
+    _require_memory(f"a column of {count} norms", 16 * count)
+    norms = sample_body(BodySpec(resolved["body"], n), count, body_seed,
+                        threads=resolved["threads"], reduce=norm_column)
+    fractions = [thin_shell_fraction(norms, eps, dimension=n) for eps in epsilons]
     rows = [(eps, frac.fraction, frac.stderr) for eps, frac in zip(epsilons, fractions)]
     _write_csv(resolved["output"], echo, ("epsilon", "fraction", "stderr"), rows)
     return 0
@@ -380,8 +381,8 @@ def _cmd_scan(resolved, echo) -> int:
     rows = []
     for i, (body, spec) in enumerate(zip(resolved["body"], specs)):
         body_seed, basis_seed = body_and_basis_seeds(resolved["seed"] + i)
-        _, report = _resolved_ratio(resolved, spec, body_seed, basis_seed)
-        (shell,) = _shell_fractions(resolved, spec, body_seed, [n ** (-1.0 / 15.0)])
+        _, report, norms = _resolved_ratio(resolved, spec, body_seed, basis_seed, with_norms=True)
+        shell = thin_shell_fraction(norms, n ** (-1.0 / 15.0), dimension=n)
         sup = report.sup_abs_deviation
         rows += [(body, point, ratio, sup, shell.fraction) for point, ratio in
                  zip(report.radius_grid.tolist(), report.per_point_ratios.tolist())]

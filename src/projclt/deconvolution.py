@@ -17,7 +17,14 @@ can resolve the kernel, so the convolved densities come from closed forms:
 the gaussian family is closed under convolution, the uniform convolution is a
 difference of normal CDFs, and the two-sided exponential has an exact
 erfc-based formula.  ``grid_convolve`` cross-validates those closed forms at
-moderate alpha, where both routes are available.  scipy is imported only
+moderate alpha, where both routes are available.  The two gaussian bodies
+read their raw and convolved variances from one rule: 'gaussian' has 1 and
+1 + alpha, 'gaussian_deflated' has 1 - alpha and 1.  The sandwich evaluates
+each gaussian once per grid: a body density whose variance equals, as a
+float, that of the reference gaussian on the same grid (1 + alpha on the
+hypothesis grid, 1 on each region's) is that array, not a second call.  At
+every admissible alpha (below 1e-16) 1 + alpha and 1 - alpha round to 1, so
+a verified gaussian op costs three evaluations.  scipy is imported only
 inside ``grid_convolve`` and ``body_convolved_density_1d``, so importing this
 module loads none of it.
 """
@@ -183,16 +190,29 @@ def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.nd
     return np.maximum(out, 0.0)
 
 
-def body_density_1d(body: str, x, alpha: float) -> np.ndarray:
-    """Closed-form density f of a catalog 1-d body (alpha only shapes 'gaussian_deflated')."""
-    x = np.asarray(x, dtype=np.float64)
+def _gaussian_variances(body: str, alpha) -> tuple[float, float] | None:
+    """(raw, convolved) variance of a gaussian catalog body at noise variance alpha, else None.
+
+    'gaussian' has variance 1 and its convolution 1 + alpha; 'gaussian_deflated'
+    has 1 - alpha, so its convolution is the standard gaussian, and it needs
+    0 < alpha < 1.
+    """
     if body == "gaussian":
-        return np.asarray(gaussian_density(1, 1.0, x))
+        return 1.0, 1.0 + alpha
     if body == "gaussian_deflated":
         alpha = _as_positive_float(alpha, "alpha", RangeError)
         if not alpha < 1.0:
             raise RangeError("gaussian_deflated needs 0 < alpha < 1")
-        return np.asarray(gaussian_density(1, 1.0 - alpha, x))
+        return 1.0 - alpha, 1.0
+    return None
+
+
+def body_density_1d(body: str, x, alpha: float) -> np.ndarray:
+    """Closed-form density f of a catalog 1-d body (alpha only shapes 'gaussian_deflated')."""
+    x = np.asarray(x, dtype=np.float64)
+    variances = _gaussian_variances(body, alpha)
+    if variances:
+        return np.asarray(gaussian_density(1, variances[0], x))
     if body == "uniform":
         return np.where(np.abs(x) <= _SQRT3, 1.0 / (2.0 * _SQRT3), 0.0)
     if body == "laplace":
@@ -234,12 +254,9 @@ def body_convolved_density_1d(body: str, x, alpha: float) -> np.ndarray:
 
     x = np.asarray(x, dtype=np.float64)
     alpha = _as_positive_float(alpha, "alpha", RangeError)
-    if body == "gaussian":
-        return np.asarray(gaussian_density(1, 1.0 + alpha, x))
-    if body == "gaussian_deflated":
-        if not alpha < 1.0:
-            raise RangeError("gaussian_deflated needs 0 < alpha < 1")
-        return np.asarray(gaussian_density(1, 1.0, x))
+    variances = _gaussian_variances(body, alpha)
+    if variances:
+        return np.asarray(gaussian_density(1, variances[1], x))
     if body == "uniform":
         s = math.sqrt(alpha)
 
@@ -296,6 +313,23 @@ class SandwichReport:
 SANDWICH_SLACK = 1e-9
 
 
+def _with_reference(xs, body_density, variance, reference_variance: float):
+    """(the body's density on xs, the gaussian density of ``reference_variance`` on xs).
+
+    ``variance`` is the body's if it is gaussian, whose density is then that
+    gaussian's; else it is None and the density is ``body_density(xs)``.  The
+    body's density is the reference too when the two variances are equal
+    floats (they give equal bits), so no gaussian is evaluated twice on one
+    grid.  It is evaluated first: made after the reference, the laplace
+    closed form's grid-sized temporaries page-faulted anew on each call and
+    took 1.6 times as long.
+    """
+    density = body_density(xs) if variance is None else gaussian_density(1, variance, xs)
+    if variance == reference_variance:
+        return density, density
+    return density, gaussian_density(1, reference_variance, xs)
+
+
 def _sandwich(body: str, p: DeconvParams, grid_points: int):
     """The report and, per non-vacuous region, (region, x, density, bound, margin) arrays."""
     cert = DeconvCertificate(p)
@@ -303,9 +337,11 @@ def _sandwich(body: str, p: DeconvParams, grid_points: int):
         return SandwichReport(body=body, status="inadmissible", certificate=cert), []
 
     grid_points = _as_positive_int(grid_points, "grid_points")
+    raw_variance, conv_variance = _gaussian_variances(body, p.alpha) or (None, None)
     xs = np.linspace(-p.hypothesis_radius, p.hypothesis_radius, grid_points)
-    conv = body_convolved_density_1d(body, xs, p.alpha)
-    ref = gaussian_density(1, 1.0 + p.alpha, xs)
+    conv, ref = _with_reference(
+        xs, lambda x: body_convolved_density_1d(body, x, p.alpha), conv_variance, 1.0 + p.alpha
+    )
     hyp_sup = float(np.max(np.abs(conv / ref - 1.0)))
     if hyp_sup > p.epsilon:
         return (
@@ -325,9 +361,12 @@ def _sandwich(body: str, p: DeconvParams, grid_points: int):
             mins[region] = None
             continue
         xs_r = np.linspace(-radius, radius, grid_points)
-        f = body_density_1d(body, xs_r, p.alpha)
-        bound = factor * gaussian_density(1, 1.0, xs_r)
-        margin = sign * (f - bound)
+        f, base = _with_reference(
+            xs_r, lambda x: body_density_1d(body, x, p.alpha), raw_variance, 1.0
+        )
+        bound = factor * base
+        margin = f - bound
+        margin *= sign
         mins[region] = float(margin.min())
         regions.append((region, xs_r, f, bound, margin))
     ok = all(m is None or m >= -SANDWICH_SLACK for m in mins.values())

@@ -51,6 +51,7 @@ from .samplers import (
     _require_memory,
     _seed_jsonable,
     _seed_seq,
+    norm_column,
     sample_body,
     sample_gaussian,  # no caller here; the benchmark's tracer looks it up at this module
 )
@@ -223,7 +224,8 @@ def ratio_to_gaussian(estimate: DensityEstimate, v: float, max_radius: float) ->
     )
 
 
-def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> SampleBatch:
+def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1,
+                 with_norms: bool = False):
     """Draw ``count`` body samples and project them onto ``basis`` tile by tile.
 
     The (count, l) result holds the values of
@@ -235,15 +237,32 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1) -> S
     benchmark's tracer finds it.  A ``count`` that is not a positive integer
     is refused with ``InvalidSpec``, and projections larger than physical
     memory with ``RangeError``, before anything is drawn.
+
+    ``with_norms`` returns ``(projection, norms)``, where ``norms`` is the
+    (count, 1) column of the sample's euclidean norms (``norm_column``),
+    which each tile's reducer appends to its projection: one draw serves
+    the projection and the thin-shell fraction.  The memory check then
+    counts l + 1 columns.
     """
     count, l = _as_positive_int(count, "count"), basis.subspace_dim
     _require_memory(f"a {count} x {l} projection", 16 * count * l)
-    return sample_body(spec, count, seed, threads=threads, reduce=lambda tile: project(
-        SampleBatch(data=tile, seed=None, source={}), basis).data)
+    if with_norms:
+        _require_memory(f"a {count} x {l} projection with its norms", 16 * count * (l + 1))
+
+    def reduce(tile):
+        coords = project(SampleBatch(data=tile, seed=None, source={}), basis).data
+        return np.hstack((coords, norm_column(tile))) if with_norms else coords
+
+    batch = sample_body(spec, count, seed, threads=threads, reduce=reduce)
+    if not with_norms:
+        return batch
+    coords, norms = np.ascontiguousarray(batch.data[:, :l]), batch.data[:, l:]
+    return (SampleBatch(data=coords, seed=batch.seed, source=batch.source),
+            SampleBatch(data=norms, seed=batch.seed, source=batch.source))
 
 
 def smoothed_marginal(spec: BodySpec, count: int, body_seed, basis_seed, points, v: float,
-                      threads: int = 1) -> DensityEstimate:
+                      threads: int = 1, with_norms: bool = False):
     """The density of a body, smoothed at variance v and projected on a Haar subspace, at ``points``.
 
     The subspace, of the dimension l of the (k, l) ``points``, is drawn from
@@ -251,12 +270,17 @@ def smoothed_marginal(spec: BodySpec, count: int, body_seed, basis_seed, points,
     projected onto it tile by tile (:func:`project_body`) and
     kernel-averaged at ``smoothing_bandwidth(v)``: the density of P(X + Y),
     Y ~ N(0, v I_n), with no noise drawn.  Every size rule of the estimate is
-    checked before the subspace or the sample is drawn.
+    checked before the subspace or the sample is drawn.  ``with_norms``
+    returns ``(estimate, norms)``, the norms of the same sample
+    (:func:`project_body`).
     """
     pts, h = _as_float_array(points, "points", 2), smoothing_bandwidth(v)
     _kde_grid(count, pts, h)
     basis = random_subspace(spec.dimension, pts.shape[1], basis_seed)
-    return estimate_density(project_body(spec, count, body_seed, basis, threads), pts, h)
+    if not with_norms:
+        return estimate_density(project_body(spec, count, body_seed, basis, threads), pts, h)
+    projected, norms = project_body(spec, count, body_seed, basis, threads, with_norms=True)
+    return estimate_density(projected, pts, h), norms
 
 
 def body_and_basis_seeds(seed) -> tuple:

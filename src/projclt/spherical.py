@@ -91,12 +91,21 @@ def psi(params: KernelParams, t) -> float | np.ndarray:
 
 
 def gaussian_density(l: int, v: float, x_norm) -> float | np.ndarray:
-    """Isotropic gaussian density in R^l with variance v, at radius x_norm."""
+    """Isotropic gaussian density in R^l with variance v, at radius x_norm.
+
+    An array is evaluated in one new buffer, in place, in the order of the
+    scalar formula exp(c - x*x / (2v)), so both give the same bits.
+    """
     l = _as_positive_int(l, "l")
     v = _as_positive_float(v, "variance", RangeError)
     x = np.asarray(x_norm, dtype=np.float64)
-    out = np.exp(-0.5 * l * math.log(2.0 * math.pi * v) - x * x / (2.0 * v))
-    return float(out) if np.ndim(x_norm) == 0 else out
+    log_scale = -0.5 * l * math.log(2.0 * math.pi * v)
+    if np.ndim(x_norm) == 0:
+        return float(np.exp(log_scale - x * x / (2.0 * v)))
+    out = np.multiply(x, x)
+    out /= 2.0 * v
+    np.subtract(log_scale, out, out=out)
+    return np.exp(out, out=out)
 
 
 def _log_sphere_surface(l: int) -> float:
@@ -199,13 +208,29 @@ def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.n
         s_hi = np.sqrt(np.maximum(upper * upper - t2, 0.0))
         edges = np.minimum(s_lo + panels, s_hi)
         half = 0.5 * np.diff(edges, axis=1)[..., None]
-        s = (edges[:, :-1, None] + half + half * x).reshape(len(t2), -1)
+        # In place: s = edges + half + half x, r2 = t2 + s s and
+        # log_f = const + (n-l-1) log s + (m-n)/2 log r2 - r2/2, each summed left
+        # to right; float + and * commute, so swapped operands keep every bit.
+        s = np.multiply(half, x)
+        s += edges[:, :-1, None] + half
+        s = s.reshape(len(t2), -1)
         weights = (half * w).reshape(len(t2), -1)
-        inside = s > 0.0  # all nodes of a t >= upper sit at s = 0, with weight 0
-        s = np.where(inside, s, 1.0)
-        r2 = t2 + s * s
-        log_f = log_const + (n - l - 1) * np.log(s) + 0.5 * (n_chi - n) * np.log(r2) - 0.5 * r2
-        out[lo:lo + len(t2)] = np.sum(np.where(inside, weights * np.exp(log_f), 0.0), axis=1)
+        outside = ~(s > 0.0)  # all nodes of a t >= upper sit at s = 0, with weight 0
+        s[outside] = 1.0
+        r2 = s * s
+        r2 += t2
+        log_f = np.log(s, out=s)
+        log_f *= n - l - 1
+        log_f += log_const
+        log_r2 = np.log(r2)
+        log_r2 *= 0.5 * (n_chi - n)
+        log_f += log_r2
+        r2 *= 0.5
+        log_f -= r2
+        integrand = np.exp(log_f, out=log_f)
+        integrand *= weights
+        integrand[outside] = 0.0
+        out[lo:lo + len(t2)] = np.sum(integrand, axis=1)
     out = out.reshape(t_arr.shape)
     return float(out[0]) if scalar else out
 

@@ -996,6 +996,21 @@ def test_scan_writes_one_row_per_body_and_evaluation_point(tmp_path, l):
     assert [row[0] for row in rows] == ["cube"] * per_body + ["ball"] * per_body
 
 
+def test_a_one_body_scan_draws_its_sample_once(tmp_path, monkeypatch):
+    # The ratio's tile reducer also returns the norm column the shell fraction reads.
+    draws = []
+    generate = projclt.samplers._generate
+
+    def counting(count, dim, *args, **kwargs):
+        draws.append((count, dim))
+        return generate(count, dim, *args, **kwargs)
+
+    monkeypatch.setattr(projclt.samplers, "_generate", counting)
+    assert main(["scan", "--body", "cube", "--n", "20", "--l", "2", "--samples", "20000",
+                 "--seed", "1", "--grid-points", "5", "--output", str(tmp_path / "s.csv")]) == 0
+    assert draws == [(20000, 20)]
+
+
 def test_scan_with_an_unknown_second_body_exits_1_and_leaves_no_file(tmp_path, capsys):
     rc = main(["scan", "--body", "cube", "--body", "foo", "--n", "20", "--samples", "20000",
                "--seed", "1", "--l", "1", "--output", str(tmp_path / "x.csv")])

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import erfc, ndtr
 
+import projclt.deconvolution
 from projclt.deconvolution import (
     BODIES_1D,
     SANDWICH_MATRIX,
@@ -431,6 +432,47 @@ def test_verify_sandwich_reports_what_sandwich_margins_reports(case, body):
     report, rows = sandwich_margins(body, case, grid_points=301)
     assert dumps(verify_sandwich(body, case, grid_points=301)) == dumps(report)
     assert bool(rows) == (report.status in ("verified", "sandwich_violated"))
+
+
+# Admissible, with both regions non-vacuous: reach (2n)^beta = 4, lower radius 4, upper 1.
+_TWO_REGIONS = _params(8, 1e-24, 0.5, 0.008, 10.0)
+
+
+def _count_gaussians(monkeypatch) -> list:
+    variances = []
+
+    def counting(l, v, x):
+        variances.append(v)
+        return gaussian_density(l, v, x)
+
+    monkeypatch.setattr(projclt.deconvolution, "gaussian_density", counting)
+    return variances
+
+
+@pytest.mark.parametrize("body", ["gaussian", "gaussian_deflated"])
+def test_a_verified_gaussian_op_evaluates_one_gaussian_per_grid(body, monkeypatch):
+    # 1 + alpha and 1 - alpha round to 1 here: the hypothesis grid's density is
+    # its reference and each region's density is its bound's base.
+    variances = _count_gaussians(monkeypatch)
+    report, rows = sandwich_margins(body, _TWO_REGIONS, 201)
+    assert report.status == "verified"
+    assert {row[0] for row in rows} == {"lower", "upper"}
+    assert variances == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("body", ["uniform", "laplace"])
+def test_a_body_that_fails_the_hypothesis_evaluates_one_gaussian(body, monkeypatch):
+    variances = _count_gaussians(monkeypatch)
+    assert verify_sandwich(body, _TWO_REGIONS, 201).status == "hypothesis_not_met"
+    assert variances == [1.0]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 0.0, -0.5])
+def test_the_deflated_gaussian_refuses_alpha_outside_0_1_on_every_path(alpha):
+    for density in (body_density_1d, body_convolved_density_1d):
+        for x in (0.0, np.linspace(-1.0, 1.0, 5)):
+            with pytest.raises(RangeError):
+                density("gaussian_deflated", x, alpha)
 
 
 def test_sandwich_report_round_trip():

@@ -35,7 +35,9 @@ from projclt.density import (
 from projclt.errors import DimensionTooHigh, InvalidSpec, RangeError, TooFewSamples
 from projclt.grassmann import random_subspace
 from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec, SubspaceBasis
-from projclt.samplers import SampleBatch, _seed_seq, sample_gaussian
+from projclt.samplers import (
+    BLOCK, SampleBatch, _seed_seq, norm_column, sample_body, sample_gaussian,
+)
 from projclt.spherical import gaussian_density
 
 
@@ -358,6 +360,34 @@ def test_project_body_refuses_a_count_that_is_not_a_positive_integer(count, mess
     basis = random_subspace(4, 1, 2)
     with pytest.raises(InvalidSpec, match=message):
         project_body(BodySpec("cube", 4), count, 1, basis)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_project_body_with_norms_reads_both_columns_from_one_draw(threads):
+    # Several blocks, so the tiles' columns are stacked in order on both threads.
+    spec, count = BodySpec("ball", 30), 3 * BLOCK + 17
+    basis = random_subspace(30, 2, seed=40)
+    projected, norms = project_body(spec, count, 41, basis, threads, with_norms=True)
+    plain = project_body(spec, count, 41, basis, threads)
+    assert projected.data.flags.c_contiguous
+    assert projected.data.tobytes() == plain.data.tobytes()
+    alone = sample_body(spec, count, 41, reduce=norm_column).data
+    assert norms.data.shape == (count, 1)
+    assert np.array_equal(norms.data, alone)
+
+
+def test_project_body_with_norms_counts_the_norm_column(monkeypatch):
+    # 1 MiB of memory holds the 15,000 x 4 projection (16 bytes a value, 960,000
+    # bytes) but not the projection with its norm column (1,200,000 bytes).
+    def draw(*args, **kwargs):
+        pytest.fail("a sample was drawn before its memory was checked")
+
+    monkeypatch.setattr(projclt.density, "sample_body", draw)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    basis = random_subspace(6, 4, seed=42)
+    with pytest.raises(RangeError, match="a 15000 x 4 projection with its norms needs 1200000 "):
+        project_body(BodySpec("cube", 6), 15_000, 1, basis, with_norms=True)
 
 
 def test_ratio_to_gaussian_divides_by_the_reference():

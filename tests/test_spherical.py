@@ -193,6 +193,26 @@ def test_gaussian_density_closed_forms():
         gaussian_density(1, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (2001,), (13, 17), "transposed"])
+@pytest.mark.parametrize("l, v", [(1, 1.0), (1, 1.0 + 1e-24), (2, 0.5), (3, 17.0)])
+def test_gaussian_density_has_the_bits_of_the_written_out_formula(l, v, shape):
+    # The array path works in one buffer, in place; each value must keep the bits
+    # of the formula written as one expression, and a read-only input is untouched.
+    rng = np.random.default_rng(4)
+    x = rng.normal(scale=4.0, size=(17, 13)).T if shape == "transposed" else rng.normal(
+        scale=4.0, size=shape)
+    x = np.asarray(x)
+    x.flags.writeable = False
+    before = x.copy()
+    got = gaussian_density(l, v, x)
+    want = np.exp(-0.5 * l * math.log(2.0 * math.pi * v) - x * x / (2.0 * v))
+    if shape == ():
+        assert isinstance(got, float)
+    assert np.asarray(got).shape == want.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
+    assert x.tobytes() == before.tobytes() and not x.flags.writeable
+
+
 def chi_log_pdf(n: int, t: float) -> float:
     """log density of the norm of a standard n-dimensional gaussian (chi law).
 
