@@ -9,8 +9,8 @@ alpha, epsilon, beta and n together.
 
 ``DeconvCertificate(params)`` is the gate, its verdict, radii and factors
 all derived from the parameters; ``grid_convolve`` is a mass-preserving
-discrete gaussian convolution for moderate alpha, done per axis with real
-FFTs; ``verify_sandwich`` runs the full implication on a catalog of
+discrete gaussian convolution of a 1-d grid for moderate alpha, done with
+real FFTs; ``verify_sandwich`` runs the full implication on a catalog of
 closed-form 1-d log-concave densities, as whole-array margins.
 At admissible noise levels (alpha around 1e-21 and below) no affordable grid
 can resolve the kernel, so the convolved densities come from closed forms:
@@ -148,23 +148,22 @@ SANDWICH_MATRIX = (
 
 
 def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.ndarray:
-    """Convolve a 1-d or 2-d grid density with gaussian noise of the given variance.
+    """Convolve a 1-d grid density with gaussian noise of the given variance.
 
     The kernel is sampled on the grid, truncated at 8 standard deviations and
     renormalized to unit discrete mass, so the discrete total mass is
-    preserved exactly up to boundary truncation.  Separability handles the
-    2-d case as two 1-d passes.  Each pass is the full linear convolution,
-    computed with ``np.fft.rfft``/``irfft`` zero-padded to the next 5-smooth
-    length (``scipy.fft.next_fast_len``), cut to the input's extent: the grid
-    is taken as zero outside itself.
+    preserved exactly up to boundary truncation.  The result is the full
+    linear convolution, computed with ``np.fft.rfft``/``irfft`` zero-padded
+    to the next 5-smooth length (``scipy.fft.next_fast_len``), cut to the
+    input's extent: the grid is taken as zero outside itself.
     FFT roundoff can leave values a few ulps below 0 where the density is
     0; they are set to 0, so the output is a valid input again.
     """
     from scipy.fft import next_fast_len
 
     density = _as_nonnegative_array(density, "density values")
-    if density.ndim not in (1, 2):
-        raise InvalidSpec(f"density must be a 1-d or 2-d grid, got ndim={density.ndim}")
+    if density.ndim != 1:
+        raise InvalidSpec(f"density must be a 1-d grid, got ndim={density.ndim}")
     spacing = _as_positive_float(spacing, "spacing", RangeError)
     variance = _as_positive_float(variance, "variance", RangeError)
     sigma = math.sqrt(variance)
@@ -173,21 +172,17 @@ def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.nd
             f"grid spacing {spacing:.6g} cannot resolve a kernel of std {sigma:.6g}; "
             "need spacing <= sqrt(variance)/2"
         )
-    mass = float(density.sum()) * spacing ** density.ndim
+    mass = float(density.sum()) * spacing
     if abs(mass - 1.0) > 1e-6:
         raise InvalidSpec(f"grid mass must be 1 within 1e-6, got {mass!r}")
     half = int(math.ceil(8.0 * sigma / spacing))
     offsets = np.arange(-half, half + 1) * spacing
     kernel = np.exp(-offsets * offsets / (2.0 * variance))
     kernel /= kernel.sum()
-    out = density
-    for axis in range(density.ndim):
-        rows = np.moveaxis(out, axis, -1)
-        count = rows.shape[-1]
-        size = next_fast_len(count + 2 * half - 1, real=True)
-        full = np.fft.irfft(np.fft.rfft(rows, size) * np.fft.rfft(kernel, size), size)
-        out = np.moveaxis(full[..., half:half + count], -1, axis)
-    return np.maximum(out, 0.0)
+    count = density.size
+    size = next_fast_len(count + 2 * half - 1, real=True)
+    full = np.fft.irfft(np.fft.rfft(density, size) * np.fft.rfft(kernel, size), size)
+    return np.maximum(full[half:half + count], 0.0)
 
 
 def _gaussian_variances(body: str, alpha) -> tuple[float, float] | None:
@@ -212,7 +207,7 @@ def body_density_1d(body: str, x, alpha: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     variances = _gaussian_variances(body, alpha)
     if variances:
-        return np.asarray(gaussian_density(1, variances[0], x))
+        return gaussian_density(1, variances[0], x)
     if body == "uniform":
         return np.where(np.abs(x) <= _SQRT3, 1.0 / (2.0 * _SQRT3), 0.0)
     if body == "laplace":
@@ -256,7 +251,7 @@ def body_convolved_density_1d(body: str, x, alpha: float) -> np.ndarray:
     alpha = _as_positive_float(alpha, "alpha", RangeError)
     variances = _gaussian_variances(body, alpha)
     if variances:
-        return np.asarray(gaussian_density(1, variances[1], x))
+        return gaussian_density(1, variances[1], x)
     if body == "uniform":
         s = math.sqrt(alpha)
 
@@ -332,11 +327,11 @@ def _with_reference(xs, body_density, variance, reference_variance: float):
 
 def _sandwich(body: str, p: DeconvParams, grid_points: int):
     """The report and, per non-vacuous region, (region, x, density, bound, margin) arrays."""
+    grid_points = _as_positive_int(grid_points, "grid_points")
     cert = DeconvCertificate(p)
     if not cert.admissible:
         return SandwichReport(body=body, status="inadmissible", certificate=cert), []
 
-    grid_points = _as_positive_int(grid_points, "grid_points")
     raw_variance, conv_variance = _gaussian_variances(body, p.alpha) or (None, None)
     xs = np.linspace(-p.hypothesis_radius, p.hypothesis_radius, grid_points)
     conv, ref = _with_reference(

@@ -245,9 +245,8 @@ def project_body(spec: BodySpec, count: int, seed, basis, threads: int = 1,
     counts l + 1 columns.
     """
     count, l = _as_positive_int(count, "count"), basis.subspace_dim
-    _require_memory(f"a {count} x {l} projection", 16 * count * l)
-    if with_norms:
-        _require_memory(f"a {count} x {l} projection with its norms", 16 * count * (l + 1))
+    what = f"a {count} x {l} projection" + (" with its norms" if with_norms else "")
+    _require_memory(what, 16 * count * (l + 1 if with_norms else l))
 
     def reduce(tile):
         coords = project(SampleBatch(data=tile, seed=None, source={}), basis).data

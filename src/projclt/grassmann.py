@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .model import SubspaceBasis
+from .model import SubspaceBasis, _as_int
 from .samplers import BLOCK, SampleBatch, _seed_seq
 
 
@@ -19,8 +19,10 @@ def random_subspace(n: int, l: int, seed) -> SubspaceBasis:
 
     The QR factorization's sign ambiguity is fixed so that every basis row has
     nonnegative inner product with the raw gaussian row it came from; the
-    result is then a deterministic function of (n, l, seed).
+    result is then a deterministic function of (n, l, seed).  An ``n`` or
+    ``l`` that is not an integer is refused with ``InvalidSpec``.
     """
+    n, l = _as_int(n, "n"), _as_int(l, "l")
     if not 1 <= l <= n:
         raise DimensionError(f"need 1 <= l <= n, got l={l}, n={n}")
     rng = np.random.default_rng(_seed_seq(seed))

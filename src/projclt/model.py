@@ -7,9 +7,9 @@ verdict) is a property, never a stored field: the codec writes it as a
 derived key for readers.
 
 Decoding has one rule: a payload is accepted only as the encoding of the
-value rebuilt from it.  Every key the encoder writes must hold, as JSON
-text, what the rebuilt value encodes there (an omitted optional key
-excepted), and a key it does not write is refused.  A derived key that
+value rebuilt from it.  Every key the encoder writes must be present and
+hold, as JSON text, what the rebuilt value encodes there, and a key it does
+not write is refused.  A derived key that
 disagrees, an int where a float is written, an alias such as ``"laplace"``
 for ``"product_laplace"`` and an unknown key are each an ``InvalidSpec``
 naming the key.
@@ -37,10 +37,8 @@ _GRAM_TOL = 1e-10
 
 _REGISTRY: dict[str, type] = {}
 
-# Field metadata read by the codec.  OPTIONAL: a payload may omit the key and
-# the field default applies.  NESTED: the field holds a registered value that
-# is decoded from its own tagged dict (other dicts stay plain, even tagged ones).
-OPTIONAL = {"optional": True}
+# Field metadata read by the codec.  NESTED: the field holds a registered value
+# that is decoded from its own tagged dict (other dicts stay plain, even tagged ones).
 NESTED = {"nested": True}
 
 
@@ -48,9 +46,10 @@ def register(tag: str, keys: tuple = ()):
     """Class decorator: make a dataclass round-trippable under the given JSON tag.
 
     The JSON object is the ``"type"`` tag followed by one key per name in
-    ``keys`` (default: the dataclass fields, in order).  A name that is not a
-    field is a derived attribute, written for readers.  A trailing underscore
-    is dropped from the key (``lambda_`` is written as ``lambda``).  Decoding
+    ``keys`` (default: the dataclass fields, in order), which names every
+    field.  A name that is not a field is a derived attribute, written for
+    readers.  A trailing underscore is dropped from the key (``lambda_`` is
+    written as ``lambda``).  Decoding refuses a payload that lacks a key,
     rebuilds the value from the field keys and accepts the payload only if
     the value encodes to it: each key equal as JSON text, and no other key.
     """
@@ -86,15 +85,13 @@ def _encode_fields(self) -> dict:
 
 
 def _decode_fields(cls, d: dict):
-    optional = {f.name for f in fields(cls) if f.metadata.get("optional")}
     for name in ("type", *cls.json_keys):
-        if name.rstrip("_") not in d and name not in optional:
+        if name.rstrip("_") not in d:
             raise InvalidSpec(f"serialized {cls.json_tag} is missing key {name.rstrip('_')!r}")
     kwargs = {}
     for f in fields(cls):
-        if f.name.rstrip("_") in d:
-            v = d[f.name.rstrip("_")]
-            kwargs[f.name] = from_jsonable(v) if f.metadata.get("nested") and v is not None else v
+        v = d[f.name.rstrip("_")]
+        kwargs[f.name] = from_jsonable(v) if f.metadata.get("nested") and v is not None else v
     value = cls(**kwargs)
     encoded = value.to_jsonable()
     for key, v in d.items():
@@ -194,12 +191,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_positive_int(x, name: str) -> int:
+def _as_int(x, name: str) -> int:
+    """``x`` as an int, refused with ``InvalidSpec`` if it is a bool or not an integer."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise InvalidSpec(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _as_positive_int(x, name: str) -> int:
+    x = _as_int(x, name)
     if x < 1:
         raise InvalidSpec(f"{name} must be >= 1, got {x}")
-    return int(x)
+    return x
 
 
 def _as_positive_float(x, name: str, error=InvalidSpec) -> float:
@@ -392,7 +395,7 @@ class RatioReport:
 
     radius_grid: np.ndarray
     per_point_ratios: np.ndarray
-    meta: dict = field(default_factory=dict, metadata=OPTIONAL)
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         grid = _freeze(_as_float_array(self.radius_grid, "radius_grid", 1))

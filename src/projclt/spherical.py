@@ -8,7 +8,9 @@ marginal of the uniform probability measure on the sphere of radius r in R^n:
 
 and 0 beyond r.  The exponent (n-l-2)/2 reaches the hundreds in the regimes of
 interest, so every evaluation happens in natural logs — via ``gammaln`` and
-``log1p(-t^2/r^2)`` — and is exponentiated at the very end.
+``log1p(-t^2/r^2)`` — and is exponentiated at the very end.  ``psi``,
+``gaussian_density`` and ``radial_mixture_marginal`` each return an ndarray
+of their radii's shape, 0-d for a number.
 
 Averaging psi over a radial distribution g gives the marginal of the
 spherically symmetrized vector:  ``radial_mixture_marginal`` computes
@@ -65,8 +67,8 @@ def log_gamma_nl(n: int, l: int) -> float:
     return -0.5 * l * math.log(math.pi) + float(gammaln(0.5 * n) - gammaln(0.5 * (n - l)))
 
 
-def psi(params: KernelParams, t) -> float | np.ndarray:
-    """Marginal density psi_{n,l,r} at radius t (scalar or array, t >= 0).
+def psi(params: KernelParams, t) -> np.ndarray:
+    """Marginal density psi_{n,l,r} at radii t >= 0, an array of t's shape (0-d for a number).
 
     At t = r the closed form continues naturally: 0 for positive exponent,
     the finite plateau value for exponent 0 (n = l + 2), +inf for the
@@ -75,8 +77,7 @@ def psi(params: KernelParams, t) -> float | np.ndarray:
     if not isinstance(params, KernelParams):
         raise DomainError(f"params must be KernelParams, got {type(params).__name__}")
     n, l, r = params.n, params.l, params.r
-    t_arr = np.atleast_1d(_as_nonnegative_array(t, "t", DomainError))
-    scalar = np.ndim(t) == 0
+    t_arr = _as_nonnegative_array(t, "t", DomainError)
     log_scale = log_gamma_nl(n, l) - l * math.log(r)
     expo = 0.5 * (n - l - 2)
     out = np.zeros_like(t_arr)
@@ -87,22 +88,21 @@ def psi(params: KernelParams, t) -> float | np.ndarray:
         out[t_arr == r] = math.exp(log_scale)
     elif expo < 0:
         out[t_arr == r] = np.inf
-    return float(out[0]) if scalar else out
+    return out
 
 
-def gaussian_density(l: int, v: float, x_norm) -> float | np.ndarray:
+def gaussian_density(l: int, v: float, x_norm) -> np.ndarray:
     """Isotropic gaussian density in R^l with variance v, at radius x_norm.
 
-    An array is evaluated in one new buffer, in place, in the order of the
-    scalar formula exp(c - x*x / (2v)), so both give the same bits.
+    Returns an array of x_norm's shape (0-d for a number), evaluated in one
+    new buffer, in place, in the order of the formula exp(c - x*x / (2v)), so
+    each value has that expression's bits.
     """
     l = _as_positive_int(l, "l")
     v = _as_positive_float(v, "variance", RangeError)
     x = np.asarray(x_norm, dtype=np.float64)
     log_scale = -0.5 * l * math.log(2.0 * math.pi * v)
-    if np.ndim(x_norm) == 0:
-        return float(np.exp(log_scale - x * x / (2.0 * v)))
-    out = np.multiply(x, x)
+    out = np.multiply(x, x, out=np.empty_like(x))
     out /= 2.0 * v
     np.subtract(log_scale, out, out=out)
     return np.exp(out, out=out)
@@ -164,7 +164,7 @@ def _mixture_rule() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.ndarray:
+def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> np.ndarray:
     """integral of psi_{n,l,r}(t) g(r) dr — the marginal of the symmetrized vector.
 
     The chi law with chi_dim = m puts its mass within sqrt(m) +/- 26 (below
@@ -178,7 +178,7 @@ def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.n
     share one (points, nodes) array and t >= sqrt(m) + 26 gives 0.  Nodes
     lie inside their panel, so s > 0 wherever log s is used.  With the chi
     log density written out, the integrand's log is
-    const + (n-l-1) log s + (m - n) log r - r^2/2.
+    const + (n-l-1) log s + (m - n) log r - r^2/2.  The result has t's shape.
     """
     from scipy.special import gammaln
 
@@ -186,8 +186,7 @@ def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.n
         raise DomainError(f"g must be a RadialDensity, got {type(g).__name__}")
     n = _as_positive_int(n, "n")
     l = _as_positive_int(l, "l")
-    t_arr = np.atleast_1d(_as_nonnegative_array(t, "t", DomainError))
-    scalar = np.ndim(t) == 0
+    t_arr = _as_nonnegative_array(t, "t", DomainError)
 
     n_chi = g.chi_dim
     upper = math.sqrt(n_chi) + 26.0
@@ -231,8 +230,7 @@ def radial_mixture_marginal(g: RadialDensity, n: int, l: int, t) -> float | np.n
         integrand *= weights
         integrand[outside] = 0.0
         out[lo:lo + len(t2)] = np.sum(integrand, axis=1)
-    out = out.reshape(t_arr.shape)
-    return float(out[0]) if scalar else out
+    return out.reshape(t_arr.shape)
 
 
 def psi_gaussian_ratio_scan(n: int, l: int, t_max: float, grid_points: int = 2001) -> RatioReport:

@@ -178,11 +178,16 @@ def test_an_oversize_grid_is_refused_before_its_points_are_built(argv, message, 
          "density estimation needs >= 10000 samples, got 5000"),
         (_SCAN + ["--l", "1", "--grid-points", "0"], "grid_points must be >= 1"),
         (["deconv-matrix", "--grid-points", "0"], "grid_points must be >= 1, got 0"),
+        # alpha = 1e-3 fails the sandwich's gate, which is no reason to skip the grid check.
+        (["deconv-verify", "--body", "gaussian", "--n", "2", "--alpha", "1e-3", "--beta", "0.5",
+          "--epsilon", "0.005", "--R", "3", "--grid-points", "-3"],
+         "grid_points must be >= 1, got -3"),
         (_RATIO + ["--l", "0"], "l must be >= 1, got 0"),
         (_SCAN + ["--l", "0"], "l must be >= 1, got 0"),
     ],
     ids=["ratio_few_samples", "mtilde_few_samples", "ratio_l4", "thinshell_zero_epsilon", "thinshell_infinite_second_epsilon", "scan_l4",
-         "scan_few_samples", "scan_no_points", "deconv_matrix_no_points", "ratio_l0", "scan_l0"],
+         "scan_few_samples", "scan_no_points", "deconv_matrix_no_points",
+         "deconv_verify_inadmissible_no_points", "ratio_l0", "scan_l0"],
 )
 def test_a_bad_value_exits_1_before_anything_is_drawn(argv, message, tmp_path, monkeypatch,
                                                       capsys):
@@ -906,7 +911,10 @@ def test_a_projection_larger_than_physical_memory_exits_1(tmp_path, capsys, argv
     rc = main([*argv, str(10**12), "--output", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: a 1000000000000 x 1 projection needs 16000000000000 bytes")
+    # scan reads the thin-shell fraction from the same draw, so it counts the norm column too.
+    need = ("with its norms needs 32000000000000" if argv[0] == "scan"
+            else "needs 16000000000000")
+    assert err.startswith(f"error: a 1000000000000 x 1 projection {need} bytes")
     assert err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
 

@@ -155,30 +155,20 @@ def test_grid_convolution_is_associative_in_variance():
     assert np.abs(two_step - one_step).max() < 2e-5
 
 
-def test_grid_convolution_handles_two_dimensions():
-    xs = np.arange(-6.0, 6.0, 0.02)
-    gx = gaussian_density(1, 0.5, np.abs(xs))
-    density = np.outer(gx, gx)
-    out = grid_convolve(density, 0.02, 0.2)
-    r = np.hypot(xs[:, None], xs[None, :])
-    expected = gaussian_density(2, 0.7, r)
-    assert np.abs(out - expected).max() < 1e-4
-    # discrete mass is conserved up to boundary truncation
-    assert abs(out.sum() * 0.02**2 - 1.0) < 1e-8
+def test_grid_convolution_refuses_a_grid_that_is_not_1_d():
+    gx = gaussian_density(1, 0.5, np.abs(np.arange(-6.0, 6.0, 0.02)))
+    for density in (np.outer(gx, gx) * 0.02, np.array(1.0 / 0.02)):
+        with pytest.raises(InvalidSpec, match="density must be a 1-d grid, got ndim="):
+            grid_convolve(density, 0.02, 0.2)
 
 
 def _direct_convolution(density, spacing, variance):
-    """grid_convolve's truncated, renormalized kernel, summed directly per axis."""
+    """grid_convolve's truncated, renormalized kernel, summed directly."""
     half = math.ceil(8.0 * math.sqrt(variance) / spacing)
     offsets = np.arange(-half, half + 1) * spacing
     kernel = np.exp(-offsets * offsets / (2.0 * variance))
     kernel /= kernel.sum()
-    out = density
-    for axis in range(density.ndim):
-        out = np.apply_along_axis(
-            lambda row: np.convolve(row, kernel, mode="full")[half:half + row.size], axis, out
-        )
-    return out
+    return np.convolve(density, kernel, mode="full")[half:half + density.size]
 
 
 def _uniform_grid(xs, spacing):
@@ -198,17 +188,6 @@ def test_grid_convolution_matches_the_direct_sum_in_one_dimension():
         density = density / (density.sum() * spacing)
         out = grid_convolve(density, spacing, variance)
         assert np.abs(out - _direct_convolution(density, spacing, variance)).max() <= 1e-14
-
-
-def test_grid_convolution_matches_the_direct_sum_in_two_dimensions():
-    spacing = 0.02
-    xs = np.arange(-3.0, 3.0, spacing)
-    ys = np.arange(-2.5, 2.5, spacing)
-    density = np.outer(_uniform_grid(xs, spacing), body_density_1d("laplace", ys, 0.0))
-    density /= density.sum() * spacing**2
-    out = grid_convolve(density, spacing, 0.04)
-    assert out.shape == density.shape
-    assert np.abs(out - _direct_convolution(density, spacing, 0.04)).max() <= 1e-14
 
 
 def test_grid_convolution_output_is_a_valid_input_again():
@@ -231,10 +210,11 @@ def _is_5_smooth(size):
     return size == 1
 
 
-@pytest.mark.parametrize("shape, variance", [((24001,), 0.5), ((300, 250), 0.04)])
+@pytest.mark.parametrize("shape, variance", [((24001,), 0.5)])
 def test_grid_convolution_pads_each_axis_to_a_5_smooth_length(monkeypatch, shape, variance):
-    spacing = 0.001 if len(shape) == 1 else 0.02
-    density = np.ones(shape) / (math.prod(shape) * spacing ** len(shape))
+    spacing = 0.001
+    (count,) = shape
+    density = np.ones(count) / (count * spacing)
     half = math.ceil(8.0 * math.sqrt(variance) / spacing)
     sizes = []
     rfft = np.fft.rfft
@@ -245,13 +225,11 @@ def test_grid_convolution_pads_each_axis_to_a_5_smooth_length(monkeypatch, shape
 
     monkeypatch.setattr(np.fft, "rfft", spy)
     grid_convolve(density, spacing, variance)
-    # one transform of the rows and one of the kernel per axis
-    assert len(sizes) == 2 * len(shape)
-    for count, (rows, kernel) in zip(shape, zip(sizes[::2], sizes[1::2])):
-        assert rows == kernel >= count + 2 * half - 1
-        assert _is_5_smooth(rows)
-    if shape == (24001,):
-        assert sizes[0] == 36000  # a power of two would be 65536
+    # one transform of the grid and one of the kernel, both at one 5-smooth length
+    rows, kernel = sizes
+    assert rows == kernel >= count + 2 * half - 1
+    assert _is_5_smooth(rows)
+    assert rows == 36000  # a power of two would be 65536
 
 
 def test_grid_convolution_guards():
@@ -432,6 +410,16 @@ def test_verify_sandwich_reports_what_sandwich_margins_reports(case, body):
     report, rows = sandwich_margins(body, case, grid_points=301)
     assert dumps(verify_sandwich(body, case, grid_points=301)) == dumps(report)
     assert bool(rows) == (report.status in ("verified", "sandwich_violated"))
+
+
+@pytest.mark.parametrize("case", [SANDWICH_MATRIX[0], SANDWICH_MATRIX[4]],
+                         ids=["admissible", "inadmissible"])
+@pytest.mark.parametrize("grid_points", ["x", 0, 2.0])
+def test_grid_points_are_checked_before_the_gate(case, grid_points):
+    with pytest.raises(InvalidSpec, match="grid_points must be "):
+        verify_sandwich("uniform", case, grid_points=grid_points)
+    with pytest.raises(InvalidSpec, match="grid_points must be "):
+        sandwich_margins("uniform", case, grid_points=grid_points)
 
 
 # Admissible, with both regions non-vacuous: reach (2n)^beta = 4, lower radius 4, upper 1.

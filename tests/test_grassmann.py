@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projclt.errors import DimensionError
+from projclt.errors import DimensionError, InvalidSpec
 from projclt.grassmann import project, random_subspace
 from projclt.model import BodySpec, GaussianSpec, SubspaceBasis, loads, dumps
 from projclt.samplers import BLOCK, SampleBatch, sample_body, sample_gaussian
@@ -34,6 +34,14 @@ def test_full_dimensional_subspace_is_orthogonal_matrix():
 @pytest.mark.parametrize("n, l", [(4, 0), (4, -1), (4, 5), (0, 1)])
 def test_dimension_guardrails(n, l):
     with pytest.raises(DimensionError):
+        random_subspace(n, l, seed=0)
+
+
+@pytest.mark.parametrize("n, l", [(10, 2.0), (10.0, 2), (10, True), ("10", 2), (10, "2")],
+                         ids=["float_l", "float_n", "bool_l", "str_n", "str_l"])
+def test_a_dimension_that_is_not_an_integer_is_refused_by_name(n, l):
+    name = "l" if isinstance(n, int) else "n"
+    with pytest.raises(InvalidSpec, match=f"^{name} must be an integer, got "):
         random_subspace(n, l, seed=0)
 
 

@@ -493,10 +493,6 @@ def test_a_sandwich_report_refuses_a_field_outside_its_closed_set(payload, key):
         from_jsonable(payload)
 
 
-# Keys a payload may omit: the field default applies.
-_OMITTABLE = {("ratio_report", "meta")}
-
-
 @pytest.mark.parametrize("tag", sorted(_REGISTRY))
 def test_decoder_names_the_type_and_the_missing_key(tag):
     with pytest.raises(InvalidSpec, match=f"serialized {tag} is missing key '"):
@@ -505,17 +501,18 @@ def test_decoder_names_the_type_and_the_missing_key(tag):
     assert payloads
     for payload in payloads:
         for key in payload:
-            if key == "type" or (tag, key) in _OMITTABLE:
+            if key == "type":
                 continue
             partial = {k: v for k, v in payload.items() if k != key}
             with pytest.raises(InvalidSpec, match=f"serialized {tag} is missing key '{key}'"):
                 from_jsonable(partial)
 
 
-def test_optional_keys_may_be_omitted():
+def test_a_ratio_report_without_meta_is_refused():
     payload = json.loads(GOLDEN_JSON["ratio_report"])
     del payload["meta"]
-    assert from_jsonable(payload).meta == {}
+    with pytest.raises(InvalidSpec, match="serialized ratio_report is missing key 'meta'"):
+        from_jsonable(payload)
 
 
 # ----------------------------------------------------------- positive reals

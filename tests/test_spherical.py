@@ -122,14 +122,26 @@ def test_kernel_edge_values_by_exponent_sign():
     assert psi(KernelParams(n=3, l=2, r=1.0), 1.1) == 0.0
 
 
-def test_kernel_scalar_and_array_forms():
-    p = KernelParams(n=10, l=2, r=2.0)
-    scalar = psi(p, 0.3)
-    assert isinstance(scalar, float)
-    arr = psi(p, np.array([[0.3, 0.4], [2.5, 0.0]]))
-    assert arr.shape == (2, 2)
-    assert arr[0, 0] == scalar
-    assert arr[1, 0] == 0.0
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda t: psi(KernelParams(n=10, l=2, r=2.0), t),
+        lambda t: radial_mixture_marginal(RadialDensity.closed_form_chi(10), 10, 2, t),
+        lambda t: gaussian_density(2, 1.0, t),
+    ],
+    ids=["psi", "mixture", "gaussian"],
+)
+def test_every_kernel_returns_an_array_of_the_input_shape(kernel):
+    # A number, a vector and a matrix of radii give one array form, each value
+    # bit for bit the one the same radius gives in any other shape.
+    radii = np.array([[0.3, 0.4], [2.5, 0.0]])
+    matrix = kernel(radii)
+    assert isinstance(matrix, np.ndarray) and matrix.shape == (2, 2)
+    assert kernel(radii.ravel()).tobytes() == matrix.tobytes()
+    for t, want in zip(radii.ravel().tolist(), matrix.ravel()):
+        got = kernel(t)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_kernel_params_validation():
@@ -206,10 +218,8 @@ def test_gaussian_density_has_the_bits_of_the_written_out_formula(l, v, shape):
     before = x.copy()
     got = gaussian_density(l, v, x)
     want = np.exp(-0.5 * l * math.log(2.0 * math.pi * v) - x * x / (2.0 * v))
-    if shape == ():
-        assert isinstance(got, float)
-    assert np.asarray(got).shape == want.shape
-    assert np.asarray(got).tobytes() == want.tobytes()
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
     assert x.tobytes() == before.tobytes() and not x.flags.writeable
 
 
