@@ -181,9 +181,16 @@ def usable_cores() -> int:
 
 
 def _dump_json(path: str | None, echo: dict, **body) -> None:
-    """Write the schema version, the echoed config and ``body`` as JSON (stdout if no path)."""
+    """Write the schema version, the echoed config and ``body`` as JSON (stdout if no path).
+
+    A NaN or infinite number, which ``read_json_object`` would refuse, is an
+    ``InvalidSpec`` naming the output, raised before anything is opened.
+    """
     payload = {"schema_version": SCHEMA_VERSION, "config": echo, **body}
-    text = json.dumps(payload, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidSpec(f"cannot write {path or 'stdout'}: {exc}") from None
     if path is None:
         sys.stdout.write(text)
     else:

@@ -24,13 +24,17 @@ each gaussian once per grid: a body density whose variance equals, as a
 float, that of the reference gaussian on the same grid (1 + alpha on the
 hypothesis grid, 1 on each region's) is that array, not a second call.  At
 every admissible alpha (below 1e-16) 1 + alpha and 1 - alpha round to 1, so
-a verified gaussian op costs three evaluations.  scipy is imported only
-inside ``grid_convolve`` and ``body_convolved_density_1d``, so importing this
-module loads none of it.
+a verified gaussian op costs three evaluations.  One grid's arrays are
+live at a time: the hypothesis grid's are released before the first region
+grid is made, and each region's before the next.  A hypothesis radius past
+about 38.6, where N(0, 1 + alpha) underflows to 0, is a ``RangeError``.
+scipy is imported only inside ``grid_convolve`` and
+``body_convolved_density_1d``, so importing this module loads none of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -150,12 +154,18 @@ SANDWICH_MATRIX = (
 def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.ndarray:
     """Convolve a 1-d grid density with gaussian noise of the given variance.
 
-    The kernel is sampled on the grid, truncated at 8 standard deviations and
-    renormalized to unit discrete mass, so the discrete total mass is
-    preserved exactly up to boundary truncation.  The result is the full
-    linear convolution, computed with ``np.fft.rfft``/``irfft`` zero-padded
-    to the next 5-smooth length (``scipy.fft.next_fast_len``), cut to the
-    input's extent: the grid is taken as zero outside itself.
+    The kernel is sampled on the grid, truncated at 8 standard deviations
+    (``half`` points each side) and renormalized to unit discrete mass, so the
+    discrete total mass is preserved exactly up to boundary truncation.  The
+    grid is taken as zero outside itself and the result is the linear
+    convolution cut to the input's extent, the samples ``half`` to
+    ``half + count - 1`` of the full one.  It is computed as a circular
+    convolution with ``np.fft.rfft``/``irfft`` at the next 5-smooth length
+    (``scipy.fft.next_fast_len``) of at least ``count + half`` points: the
+    terms that wrap round land below index ``half``, so the kept window is
+    exact, with no need to pad to the full length ``count + 2 half - 1``; a
+    kernel longer than the transform is cut, which drops only terms past
+    the window.
     FFT roundoff can leave values a few ulps below 0 where the density is
     0; they are set to 0, so the output is a valid input again.
     """
@@ -180,9 +190,9 @@ def grid_convolve(density: np.ndarray, spacing: float, variance: float) -> np.nd
     kernel = np.exp(-offsets * offsets / (2.0 * variance))
     kernel /= kernel.sum()
     count = density.size
-    size = next_fast_len(count + 2 * half - 1, real=True)
-    full = np.fft.irfft(np.fft.rfft(density, size) * np.fft.rfft(kernel, size), size)
-    return np.maximum(full[half:half + count], 0.0)
+    size = next_fast_len(count + half, real=True)
+    circular = np.fft.irfft(np.fft.rfft(density, size) * np.fft.rfft(kernel, size), size)
+    return np.maximum(circular[half:half + count], 0.0)
 
 
 def _gaussian_variances(body: str, alpha) -> tuple[float, float] | None:
@@ -301,8 +311,8 @@ class SandwichReport:
             raise InvalidSpec(f"certificate must be a DeconvCertificate, got {self.certificate!r}")
         for name in ("hypothesis_sup", "lower_margin_min", "upper_margin_min"):
             v = getattr(self, name)
-            if not (v is None or isinstance(v, float)):
-                raise InvalidSpec(f"{name} must be a float or None, got {v!r}")
+            if not (v is None or (isinstance(v, float) and math.isfinite(v))):
+                raise InvalidSpec(f"{name} must be a finite float or None, got {v!r}")
 
 
 SANDWICH_SLACK = 1e-9
@@ -325,28 +335,61 @@ def _with_reference(xs, body_density, variance, reference_variance: float):
     return density, gaussian_density(1, reference_variance, xs)
 
 
-def _sandwich(body: str, p: DeconvParams, grid_points: int):
-    """The report and, per non-vacuous region, (region, x, density, bound, margin) arrays."""
+def _hypothesis_sup(body: str, p: DeconvParams, grid_points: int, variance) -> float:
+    """sup |convolved density / N(0, 1 + alpha) - 1| over the hypothesis grid [-R, R].
+
+    ``variance`` is the convolved body's if it is gaussian, else None.  Every
+    grid-sized array is released on return.
+    """
+    xs = np.linspace(-p.hypothesis_radius, p.hypothesis_radius, grid_points)
+    conv, ref = _with_reference(
+        xs, lambda x: body_convolved_density_1d(body, x, p.alpha), variance, 1.0 + p.alpha
+    )
+    del xs
+    deviation = conv / ref
+    del conv, ref
+    deviation -= 1.0
+    return float(np.max(np.abs(deviation, out=deviation)))
+
+
+def _region_margin_min(body: str, p: DeconvParams, grid_points: int, variance, radius: float,
+                       factor: float, sign: float, emit=None) -> float:
+    """The least signed margin of one certified region [-radius, radius].
+
+    The margin is sign * (f - factor * N(0, 1)), with ``variance`` the raw
+    body's if it is gaussian, else None.  ``emit``, if given, is passed the
+    region's x, density, bound and margin arrays before they are released.
+    """
+    xs = np.linspace(-radius, radius, grid_points)
+    f, base = _with_reference(xs, lambda x: body_density_1d(body, x, p.alpha), variance, 1.0)
+    bound = factor * base
+    del base
+    margin = f - bound
+    margin *= sign
+    if emit is not None:
+        emit(xs, f, bound, margin)
+    return float(margin.min())
+
+
+def _sandwich(body: str, p: DeconvParams, grid_points: int, emit=None) -> SandwichReport:
+    """The report; ``emit(region, x, density, bound, margin)`` sees each non-vacuous region."""
     grid_points = _as_positive_int(grid_points, "grid_points")
     cert = DeconvCertificate(p)
     if not cert.admissible:
-        return SandwichReport(body=body, status="inadmissible", certificate=cert), []
-
-    raw_variance, conv_variance = _gaussian_variances(body, p.alpha) or (None, None)
-    xs = np.linspace(-p.hypothesis_radius, p.hypothesis_radius, grid_points)
-    conv, ref = _with_reference(
-        xs, lambda x: body_convolved_density_1d(body, x, p.alpha), conv_variance, 1.0 + p.alpha
-    )
-    hyp_sup = float(np.max(np.abs(conv / ref - 1.0)))
-    if hyp_sup > p.epsilon:
-        return (
-            SandwichReport(
-                body=body, status="hypothesis_not_met", certificate=cert, hypothesis_sup=hyp_sup
-            ),
-            [],
+        return SandwichReport(body=body, status="inadmissible", certificate=cert)
+    if gaussian_density(1, 1.0 + p.alpha, p.hypothesis_radius) == 0.0:
+        raise RangeError(
+            f"R = {p.hypothesis_radius:.6g} is too large: N(0, 1 + alpha) underflows to 0 at R, "
+            "so the hypothesis ratio is undefined there; keep R below about 38.6"
         )
 
-    regions = []
+    raw_variance, conv_variance = _gaussian_variances(body, p.alpha) or (None, None)
+    hyp_sup = _hypothesis_sup(body, p, grid_points, conv_variance)
+    if hyp_sup > p.epsilon:
+        return SandwichReport(
+            body=body, status="hypothesis_not_met", certificate=cert, hypothesis_sup=hyp_sup
+        )
+
     mins = {}
     for region, radius, factor, sign in (
         ("lower", cert.lower_radius, cert.lower_factor, 1.0),
@@ -355,17 +398,12 @@ def _sandwich(body: str, p: DeconvParams, grid_points: int):
         if radius <= 0:
             mins[region] = None
             continue
-        xs_r = np.linspace(-radius, radius, grid_points)
-        f, base = _with_reference(
-            xs_r, lambda x: body_density_1d(body, x, p.alpha), raw_variance, 1.0
+        region_emit = None if emit is None else functools.partial(emit, region)
+        mins[region] = _region_margin_min(
+            body, p, grid_points, raw_variance, radius, factor, sign, region_emit
         )
-        bound = factor * base
-        margin = f - bound
-        margin *= sign
-        mins[region] = float(margin.min())
-        regions.append((region, xs_r, f, bound, margin))
     ok = all(m is None or m >= -SANDWICH_SLACK for m in mins.values())
-    report = SandwichReport(
+    return SandwichReport(
         body=body,
         status="verified" if ok else "sandwich_violated",
         certificate=cert,
@@ -373,20 +411,21 @@ def _sandwich(body: str, p: DeconvParams, grid_points: int):
         lower_margin_min=mins["lower"],
         upper_margin_min=mins["upper"],
     )
-    return report, regions
 
 
 def sandwich_margins(body: str, p: DeconvParams, grid_points: int = 2001):
     """Detailed margin arrays for one body/parameter pair (for CSV emission).
 
     Returns (report, rows) where rows are (region, x, density, bound, margin)
-    tuples; rows are empty unless the hypothesis gate passes.
+    tuples, built one region at a time; rows are empty unless the hypothesis
+    gate passes.
     """
-    report, regions = _sandwich(body, p, grid_points)
     rows = []
-    for region, *columns in regions:
+
+    def emit(region, *columns):
         rows.extend((region, *values) for values in zip(*(c.tolist() for c in columns)))
-    return report, rows
+
+    return _sandwich(body, p, grid_points, emit), rows
 
 
 def verify_sandwich(body: str, p: DeconvParams, grid_points: int = 2001) -> SandwichReport:
@@ -396,4 +435,4 @@ def verify_sandwich(body: str, p: DeconvParams, grid_points: int = 2001) -> Sand
     report's status says so rather than asserting the implication.  No margin
     rows are built.
     """
-    return _sandwich(body, p, grid_points)[0]
+    return _sandwich(body, p, grid_points)

@@ -34,6 +34,7 @@ from projclt.samplers import (
     BLOCK,
     SampleBatch,
     load_batch,
+    read_json_object,
     sample_body,
     save_batch,
     save_batch_csv,
@@ -1101,6 +1102,38 @@ def test_deconv_verify_reports_unmet_hypothesis_without_failing(tmp_path):
     payload = json.loads(rep.read_text())
     assert payload["report"]["status"] == "hypothesis_not_met"
     assert payload["report"]["hypothesis_sup"] > 0.001
+
+
+def _deconv_verify_at(body, radius, tmp_path):
+    return main(["deconv-verify", "--body", body, "--n", "8", "--alpha", "1e-28",
+                 "--beta", "0.5", "--epsilon", "0.001", "--R", radius, "--grid-points", "201",
+                 "--output", str(tmp_path / "m.csv"), "--json", str(tmp_path / "m.json")])
+
+
+@pytest.mark.parametrize("body", ["gaussian", "uniform", "laplace"])
+def test_deconv_verify_refuses_an_R_past_the_reference_underflow(body, tmp_path, capsys):
+    # N(0, 1 + alpha) is 0 beyond about 38.6, where the hypothesis ratio is 0/0 or x/0.
+    assert _deconv_verify_at(body, "40", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: R = 40 is too large: N(0, 1 + alpha) underflows to 0")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("body", ["gaussian", "uniform", "laplace"])
+def test_deconv_verify_runs_just_inside_the_reference_underflow(body, tmp_path):
+    assert _deconv_verify_at(body, "38", tmp_path) == 0
+    report = read_json_object(str(tmp_path / "m.json"), "report")["report"]
+    assert math.isfinite(report["hypothesis_sup"])
+    assert report["status"] == ("verified" if body == "gaussian" else "hypothesis_not_met")
+
+
+def test_a_json_body_holding_nan_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(projclt.cli, "to_jsonable", lambda obj: {"value": math.nan})
+    out = tmp_path / "c.json"
+    assert main(["deconv", *_DECONV_ADMISSIBLE, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deconv_matrix_writes_one_row_per_body_and_parameter_set(tmp_path):

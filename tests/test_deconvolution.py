@@ -7,6 +7,7 @@ resolvable alpha and against their exact limits at tiny alpha.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,24 @@ def test_grid_convolution_matches_the_direct_sum_in_one_dimension():
         assert np.abs(out - _direct_convolution(density, spacing, variance)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("count, spacing, variance", [
+    (4001, 0.001, 0.3),
+    (401, 0.01, 0.4),  # half = 253: the kernel is wider than half the grid
+    (10, 0.1, 0.25),  # half = 40 > count: the kernel is longer than the transform
+])
+@pytest.mark.parametrize("shape", ["uniform", "random"])
+def test_grid_convolution_keeps_the_linear_window_exactly(count, spacing, variance, shape):
+    # Mass at both edges puts the linear convolution's wrapped terms, if any
+    # reached the window, where they would show.
+    if shape == "uniform":
+        density = np.ones(count)
+    else:
+        density = np.random.default_rng(5).uniform(0.5, 1.5, count)
+    density /= density.sum() * spacing
+    out = grid_convolve(density, spacing, variance)
+    np.testing.assert_allclose(out, _direct_convolution(density, spacing, variance), rtol=1e-12)
+
+
 def test_grid_convolution_output_is_a_valid_input_again():
     # Far from the jumps the convolution underflows to 0; FFT roundoff must
     # not leave negative values there, or the next pass refuses its input.
@@ -227,9 +246,9 @@ def test_grid_convolution_pads_each_axis_to_a_5_smooth_length(monkeypatch, shape
     grid_convolve(density, spacing, variance)
     # one transform of the grid and one of the kernel, both at one 5-smooth length
     rows, kernel = sizes
-    assert rows == kernel >= count + 2 * half - 1
+    assert rows == kernel >= count + half
     assert _is_5_smooth(rows)
-    assert rows == 36000  # a power of two would be 65536
+    assert rows == 30000  # the full linear length would take 36000, a power of two 32768
 
 
 def test_grid_convolution_guards():
@@ -427,10 +446,12 @@ _TWO_REGIONS = _params(8, 1e-24, 0.5, 0.008, 10.0)
 
 
 def _count_gaussians(monkeypatch) -> list:
+    # Grid evaluations only: the scalar check of the reference at R is not one.
     variances = []
 
     def counting(l, v, x):
-        variances.append(v)
+        if np.ndim(x):
+            variances.append(v)
         return gaussian_density(l, v, x)
 
     monkeypatch.setattr(projclt.deconvolution, "gaussian_density", counting)
@@ -453,6 +474,42 @@ def test_a_body_that_fails_the_hypothesis_evaluates_one_gaussian(body, monkeypat
     variances = _count_gaussians(monkeypatch)
     assert verify_sandwich(body, _TWO_REGIONS, 201).status == "hypothesis_not_met"
     assert variances == [1.0]
+
+
+@pytest.mark.parametrize("case", SANDWICH_MATRIX)
+@pytest.mark.parametrize("body", BODIES_1D)
+def test_the_sandwich_peaks_at_one_grid_of_arrays(case, body):
+    # The hypothesis grid is released before the first region grid, and each
+    # region's before the next: the peak is that of one grid, not of three.
+    points = 20001
+    verify_sandwich(body, case, points)
+    tracemalloc.start()
+    try:
+        verify_sandwich(body, case, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * points * 8
+
+
+def test_an_R_past_the_reference_underflow_is_refused_before_any_grid(monkeypatch):
+    # N(0, 1 + alpha) is 0 at |x| >= 38.6; the ratio conv / ref would be 0/0 or x/0.
+    variances = _count_gaussians(monkeypatch)
+    for body in BODIES_1D:
+        with pytest.raises(RangeError, match="R = 40 is too large"):
+            verify_sandwich(body, _params(8, 1e-28, 0.5, 0.001, 40.0))
+    assert variances == []
+    assert verify_sandwich("gaussian", _params(8, 1e-28, 0.5, 0.001, 38.0)).status == "verified"
+    # an inadmissible parameter set is reported as such first
+    assert verify_sandwich("gaussian", _params(2, 1e-3, 0.5, 0.005, 40.0)).status == "inadmissible"
+
+
+@pytest.mark.parametrize("name", ["hypothesis_sup", "lower_margin_min", "upper_margin_min"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_sandwich_report_refuses_a_non_finite_number(name, value):
+    cert = DeconvCertificate(_params(*ADMISSIBLE[0]))
+    with pytest.raises(InvalidSpec, match=f"{name} must be a finite float or None"):
+        SandwichReport(body="gaussian", status="verified", certificate=cert, **{name: value})
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 0.0, -0.5])
