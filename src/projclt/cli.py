@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import NamedTuple
 
@@ -61,6 +60,7 @@ from .samplers import (
     save_batch,
     save_batch_csv,
     save_sample,
+    usable_cores,
     write_csv,
 )
 from .grassmann import project, random_subspace
@@ -167,17 +167,6 @@ def _resolve(args, params: list[Param]):
             value = [p.type(v) for v in value] if p.action == "append" else p.type(value)
         resolved[p.name] = value
     return resolved, echo
-
-
-def usable_cores() -> int:
-    """The number of CPUs this process may run on, the default thread count.
-
-    ``os.cpu_count()`` where the affinity mask cannot be read.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _dump_json(path: str | None, echo: dict, **body) -> None:
@@ -402,8 +391,10 @@ def _cmd_scan(resolved, echo) -> int:
     _N, _L, Param("tmax", type=float), Param("points", 200, int), _OUTPUT,
 ])
 def _cmd_psi_scan(resolved, echo) -> int:
-    l = resolved["l"]
-    report = psi_gaussian_ratio_scan(resolved["n"], l, resolved["tmax"], resolved["points"])
+    # Per point: 4 arrays, and 4 lists of floats (32 bytes an entry) for the rows.
+    l, points = resolved["l"], _as_positive_int(resolved["points"], "points")
+    _require_memory(f"a psi-scan of points={points}", (4 * 8 + 4 * 32) * points)
+    report = psi_gaussian_ratio_scan(resolved["n"], l, resolved["tmax"], points)
     ref, ratios = gaussian_density(l, 1.0, report.radius_grid), report.per_point_ratios
     rows = zip(report.radius_grid.tolist(), (ratios * ref).tolist(), ref.tolist(), ratios.tolist())
     _write_csv(resolved["output"], echo, ("t", "psi", "gaussian", "ratio"), rows)

@@ -19,14 +19,16 @@ difference of normal CDFs, and the two-sided exponential has an exact
 erfc-based formula.  ``grid_convolve`` cross-validates those closed forms at
 moderate alpha, where both routes are available.  The two gaussian bodies
 read their raw and convolved variances from one rule: 'gaussian' has 1 and
-1 + alpha, 'gaussian_deflated' has 1 - alpha and 1.  The sandwich evaluates
-each gaussian once per grid: a body density whose variance equals, as a
-float, that of the reference gaussian on the same grid (1 + alpha on the
-hypothesis grid, 1 on each region's) is that array, not a second call.  At
+1 + alpha, 'gaussian_deflated' has 1 - alpha and 1.  The sandwich reads
+every body through ``body_density_1d`` and ``body_convolved_density_1d``
+and evaluates each gaussian once per grid: a body density whose variance
+equals, as a float, that of the reference gaussian on the same grid (1 +
+alpha on the hypothesis grid, 1 on each region's) is that array.  At
 every admissible alpha (below 1e-16) 1 + alpha and 1 - alpha round to 1, so
 a verified gaussian op costs three evaluations.  One grid's arrays are
 live at a time: the hypothesis grid's are released before the first region
-grid is made, and each region's before the next.  A hypothesis radius past
+grid is made, and each region's before the next; a grid too large for
+physical memory, with its margin rows, is a ``RangeError`` before the gate.  A hypothesis radius past
 about 38.6, where N(0, 1 + alpha) underflows to 0, is a ``RangeError``.
 scipy is imported only inside ``grid_convolve`` and
 ``body_convolved_density_1d``, so importing this module loads none of it.
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec, RangeError
 from .model import NESTED, _as_nonnegative_array, _as_positive_float, _as_positive_int, register
-from .samplers import _LAPLACE_SCALE, _SQRT3
+from .samplers import _LAPLACE_SCALE, _SQRT3, _require_memory
 from .spherical import gaussian_density
 
 BODIES_1D = ("gaussian", "gaussian_deflated", "uniform", "laplace")
@@ -316,20 +318,22 @@ class SandwichReport:
 
 
 SANDWICH_SLACK = 1e-9
+# Bytes per grid point: 6 grid arrays (5.39 measured), and for margin rows, per region a
+# list slot, a 5-tuple and 4 floats, with one region's 4 column lists of floats.
+_GRID_BYTES, _ROWS_BYTES = 6 * 8, 2 * (8 + 80 + 4 * 24) + 4 * 8
 
 
 def _with_reference(xs, body_density, variance, reference_variance: float):
-    """(the body's density on xs, the gaussian density of ``reference_variance`` on xs).
+    """(``body_density(xs)``, the gaussian density of ``reference_variance`` on xs).
 
-    ``variance`` is the body's if it is gaussian, whose density is then that
-    gaussian's; else it is None and the density is ``body_density(xs)``.  The
-    body's density is the reference too when the two variances are equal
-    floats (they give equal bits), so no gaussian is evaluated twice on one
-    grid.  It is evaluated first: made after the reference, the laplace
-    closed form's grid-sized temporaries page-faulted anew on each call and
-    took 1.6 times as long.
+    ``variance`` is the body's if it is gaussian, else None.  The body's
+    density is the reference too when the two variances are equal floats
+    (they give equal bits), so no gaussian is evaluated twice on one grid.
+    It is evaluated first: made after the reference, the laplace closed
+    form's grid-sized temporaries page-faulted anew on each call and took
+    1.6 times as long.
     """
-    density = body_density(xs) if variance is None else gaussian_density(1, variance, xs)
+    density = body_density(xs)
     if variance == reference_variance:
         return density, density
     return density, gaussian_density(1, reference_variance, xs)
@@ -374,6 +378,8 @@ def _region_margin_min(body: str, p: DeconvParams, grid_points: int, variance, r
 def _sandwich(body: str, p: DeconvParams, grid_points: int, emit=None) -> SandwichReport:
     """The report; ``emit(region, x, density, bound, margin)`` sees each non-vacuous region."""
     grid_points = _as_positive_int(grid_points, "grid_points")
+    per_point = _GRID_BYTES + (_ROWS_BYTES if emit else 0)
+    _require_memory(f"a sandwich of grid_points={grid_points}", per_point * grid_points)
     cert = DeconvCertificate(p)
     if not cert.admissible:
         return SandwichReport(body=body, status="inadmissible", certificate=cert)

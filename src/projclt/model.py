@@ -259,19 +259,6 @@ class BodySpec:
         object.__setattr__(self, "dimension", _as_positive_int(self.dimension, "dimension"))
 
 
-@register("gaussian_spec")
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Isotropic gaussian with a common per-coordinate variance."""
-
-    dimension: int
-    variance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dimension", _as_positive_int(self.dimension, "dimension"))
-        object.__setattr__(self, "variance", _as_positive_float(self.variance, "variance"))
-
-
 @register("convolution_schedule", keys=("alpha", "lambda_"))
 @dataclass(frozen=True)
 class ConvolutionSchedule:

@@ -30,8 +30,8 @@ count, seed) however many worker threads share the blocks, and a longer draw
 begins with the blocks of a shorter one; ``BLOCK`` is part of the stream.
 Within a block, rows are drawn and reduced a tile at a time: a tile is the
 most rows that ``TILE_BYTES``, a 2 MiB per-core L2 cache, holds, at most
-``BLOCK`` (873 rows at n = 300).  Every fill draws its rows in order from
-the block's generator, so the tiles of a block have the block's bits.
+``BLOCK`` (873 rows at n = 300).  Each kind's fill, ``fill(rng, out)``, draws
+``out``'s rows in order from the block's generator, so tiles keep its bits.
 Every tile takes one path: it is drawn into a buffer of its worker thread,
 passed at once to a reducer while it is still in cache, and then
 overwritten, and the reducer sees the tiles of each block in row order.
@@ -68,7 +68,7 @@ from .model import (
     BodyKind,
     BodySpec,
     ConvolutionSchedule,
-    GaussianSpec,
+    _as_positive_float,
     _as_positive_int,
     _freeze,
     _reject_json_constant,
@@ -150,6 +150,14 @@ def _require_memory(what: str, need: int) -> None:
         )
 
 
+def usable_cores() -> int:
+    """The CPUs this process may run on, the default thread count (else ``os.cpu_count()``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _block_rng(root: np.random.SeedSequence, i: int) -> np.random.Generator:
     """Block ``i``'s generator, seeded with ``root.spawn(i + 1)[i]`` of a fresh ``root``."""
     key = (*root.spawn_key, i)
@@ -158,20 +166,21 @@ def _block_rng(root: np.random.SeedSequence, i: int) -> np.random.Generator:
 
 
 def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None):
-    """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out, rows)``.
+    """Draw ``count`` rows of width ``dim`` block by block with ``fill(rng, out)``.
 
     Block i, rows ``i*BLOCK`` up to ``(i+1)*BLOCK`` or ``count``, is drawn
     by ``_block_rng(seed, i)``, one tile at a time: a tile is the most rows
     of width ``dim`` that ``TILE_BYTES`` holds, at most ``BLOCK``.  The
-    workers take block indices from one shared iterator, fill each tile of
-    the block into a buffer of their own and pass it to ``reduce(tile,
-    rows)``, a block's tiles in row order; the results are returned in row
-    order, one per tile.  The buffer is refilled with the worker's next
-    tile, so ``reduce`` must return new arrays or write its output
-    elsewhere, and keep no view of its input.  Without ``reduce`` each tile
-    is copied into its rows of one (count, dim) array, which is returned.
-    A worker that raises empties the iterator, so the others stop after
-    their current block.
+    workers, ``threads`` but at most one per block and per usable core (2 on
+    one core), take block indices from one shared iterator, fill each tile
+    of the block into a buffer of their own and pass it to ``reduce(tile,
+    rows)``, ``rows`` its slice, a block's tiles in row order; the results
+    are returned in row order, one per tile.  The buffer is refilled with
+    the worker's next tile, so ``reduce`` must return new arrays or write
+    its output elsewhere, and keep no view of its input.  Without
+    ``reduce`` each tile is copied into its rows of one (count, dim) array,
+    which is returned.  A worker that raises empties the iterator, so the
+    others stop after their current block.
     """
     threads = _as_positive_int(threads, "threads")
     whole = reduce is None
@@ -189,7 +198,7 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None):
     # allocator arena and is reused run after run, where a buffer made in each
     # run's fresh worker threads could each stay resident in another arena.
     # Each worker also holds, inside ``fill``, at most one height x (dim + 2) temporary.
-    workers = min(threads, len(blocks))
+    workers = min(threads, len(blocks), max(2, usable_cores()))
     need = 8 * workers * height * (2 * dim + 2)
     _require_memory(f"{workers} worker threads' {height} x {dim} blocks", need)
     root = _seed_seq(seed)
@@ -208,7 +217,7 @@ def _generate(count: int, dim: int, seed, fill, threads: int = 1, reduce=None):
                 for lo in range(blocks[i], stop, tile):
                     rows = slice(lo, min(lo + tile, stop))
                     part = buf[: rows.stop - lo]
-                    fill(rng, part, rows)
+                    fill(rng, part)
                     results[i].append(reduce(part, rows))
         except BaseException:
             with lock:
@@ -236,21 +245,21 @@ def norm_column(data: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", data, data))[:, None]
 
 
-def _fill_cube(rng, out, _rows):
+def _fill_cube(rng, out):
     # In place, with the bits of rng.uniform(-_SQRT3, _SQRT3): low + (high - low) * u.
     rng.random(out=out)
     out *= _SQRT3 - (-_SQRT3)
     out += -_SQRT3
 
 
-def _fill_ball(rng, out, _rows):
+def _fill_ball(rng, out):
     # The module docstring's sqrt(n+2) Z_1..Z_n / |Z|.
     m, n = out.shape
     z = rng.standard_normal(size=(m, n + 2))
     np.multiply(z[:, :n], math.sqrt(n + 2.0) / norm_column(z), out=out)
 
 
-def _fill_simplex(rng, out, _rows):
+def _fill_simplex(rng, out):
     # The closed form of the module docstring: a pass for T and two over the block.
     m, n = out.shape
     spacings = rng.standard_exponential(size=(m, n + 1))
@@ -263,7 +272,7 @@ def _fill_simplex(rng, out, _rows):
     out += shift[:, None]
 
 
-def _fill_laplace(rng, out, _rows):
+def _fill_laplace(rng, out):
     """numpy's Laplace inverse CDF, in place, from one uniform u per value.
 
     The value is copysign(-b log(min(2u, 2 - 2u)), 2u - 1), with 2u, 2 - 2u
@@ -286,7 +295,7 @@ def _fill_laplace(rng, out, _rows):
     np.copysign(mag, out, out=out)
 
 
-def _fill_gaussian(rng, out, _rows):
+def _fill_gaussian(rng, out):
     rng.standard_normal(out=out)
 
 
@@ -327,14 +336,15 @@ def sample_body(spec: BodySpec, count: int, seed, threads: int = 1, reduce=None)
     return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
 
-def sample_gaussian(spec: GaussianSpec, count: int, seed, threads: int = 1) -> SampleBatch:
-    """Draw i.i.d. samples from the isotropic gaussian with the given variance."""
-    if not isinstance(spec, GaussianSpec):
-        raise InvalidSpec(f"spec must be a GaussianSpec, got {type(spec).__name__}")
+def sample_gaussian(dimension: int, variance: float, count: int, seed,
+                    threads: int = 1) -> SampleBatch:
+    """The gaussian body's rows times sqrt(variance): N(0, variance I) in R^dimension."""
+    dimension = _as_positive_int(dimension, "dimension")
+    variance = _as_positive_float(variance, "variance")
     count = _as_positive_int(count, "count")
-    data = _generate(count, spec.dimension, seed, _fill_gaussian, threads)
-    data *= math.sqrt(spec.variance)
-    source = {"draw": "gaussian", "spec": spec.to_jsonable()}
+    data = _generate(count, dimension, seed, _fill_gaussian, threads)
+    data *= math.sqrt(variance)
+    source = {"draw": "gaussian", "dimension": dimension, "variance": variance}
     return SampleBatch(data=data, seed=_seed_jsonable(seed), source=source)
 
 
@@ -344,7 +354,8 @@ def convolve_and_rescale(
     """Return (x + y) / sqrt(1 + v) with y fresh gaussian noise of variance v.
 
     v is ``schedule.noise_variance(x.dimension)``.  The rescaling keeps an
-    isotropic input isotropic.
+    isotropic input isotropic.  y is the gaussian body's draw times sqrt(v),
+    shifted and rescaled in place: one (count, n) array beside the worker buffers.
     """
     v = schedule.noise_variance(x.dimension)
     source = {
@@ -354,16 +365,10 @@ def convolve_and_rescale(
         "noise_variance": v,
         "noise_seed": _seed_jsonable(seed),
     }
-    sigma = math.sqrt(v)
-    scale = 1.0 / math.sqrt(1.0 + v)
-
-    def fill(rng, out, rows):
-        rng.standard_normal(out=out)
-        out *= sigma
-        out += x.data[rows]
-        out *= scale
-
-    data = _generate(x.count, x.dimension, seed, fill, threads)
+    data = _generate(x.count, x.dimension, seed, _fill_gaussian, threads)
+    data *= math.sqrt(v)
+    data += x.data
+    data *= 1.0 / math.sqrt(1.0 + v)
     return SampleBatch(data=data, seed=x.seed, source=source)
 
 

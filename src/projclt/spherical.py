@@ -38,6 +38,7 @@ from .model import (
     RadialDensity, RatioReport, _as_nonnegative_array, _as_positive_float, _as_positive_int,
     register,
 )
+from .samplers import _require_memory
 
 
 @register("kernel_params")
@@ -237,6 +238,7 @@ def psi_gaussian_ratio_scan(n: int, l: int, t_max: float, grid_points: int = 200
     """Scan psi_{n,l,sqrt(n)} / gaussian over t in [0, t_max], t_max < n^(1/8).
 
     Returns the per-point ratios and the sup of |ratio - 1| over the grid.
+    A grid past physical memory (6 arrays counted, 5.1 measured) is a ``RangeError``.
     """
     n = _as_positive_int(n, "n")
     l = _as_positive_int(l, "l")
@@ -245,6 +247,7 @@ def psi_gaussian_ratio_scan(n: int, l: int, t_max: float, grid_points: int = 200
     limit = n ** 0.125
     if not t_max < limit:
         raise RangeError(f"t_max must lie in (0, n^(1/8)) = (0, {limit:.6g}), got {t_max!r}")
+    _require_memory(f"a psi scan of grid_points={grid_points}", 6 * 8 * grid_points)
     grid = np.linspace(0.0, t_max, grid_points)
     vals = psi(KernelParams(n=n, l=l, r=math.sqrt(n)), grid)
     ratios = vals / gaussian_density(l, 1.0, grid)

@@ -16,6 +16,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -641,11 +642,11 @@ def test_a_sample_failed_midway_leaves_no_batch_file_sidecar_or_temp_file(
     fill = projclt.samplers._FILLS[BodyKind.CUBE]
     calls = []
 
-    def fail_on_the_third_block(rng, out, rows):
-        calls.append(rows)
+    def fail_on_the_third_block(rng, out):
+        calls.append(len(out))
         if len(calls) == 3:
             raise RuntimeError("fill failed")
-        fill(rng, out, rows)
+        fill(rng, out)
 
     monkeypatch.setitem(projclt.samplers._FILLS, BodyKind.CUBE, fail_on_the_third_block)
     with pytest.raises(RuntimeError, match="fill failed"):
@@ -1042,6 +1043,51 @@ def test_psi_scan_columns_are_consistent(tmp_path):
         assert ratio == pytest.approx(psi_val / gauss, rel=1e-12)
 
 
+def test_the_psi_scan_guard_counts_at_least_the_measured_peak(tmp_path, monkeypatch):
+    argv = ["psi-scan", "--n", "100", "--l", "1", "--tmax", "1.5", "--points", "20001",
+            "--output", str(tmp_path / "scan.csv")]
+    assert main(argv) == 0
+    counted = []
+    guard = projclt.cli._require_memory
+    monkeypatch.setattr(projclt.cli, "_require_memory",
+                        lambda what, need: (counted.append(need), guard(what, need)))
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted and counted[0] >= peak, (counted, peak)
+
+
+_DECONV_VERIFY = ["deconv-verify", "--body", "uniform", "--n", "2", "--alpha", "1e-24",
+                  "--beta", "0.5", "--epsilon", "0.005", "--R", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["psi-scan", "--n", "100", "--l", "1", "--tmax", "1.5", "--points", "100000"],
+         "a psi-scan of points=100000 needs 16000000 bytes"),
+        (_DECONV_VERIFY + ["--grid-points", "100000"],
+         "a sandwich of grid_points=100000 needs 44800000 bytes"),
+        (["deconv-matrix", "--grid-points", "100000"],
+         "a sandwich of grid_points=100000 needs 4800000 bytes"),
+    ],
+    ids=["psi_scan", "deconv_verify", "deconv_matrix"],
+)
+def test_a_grid_past_physical_memory_exits_1_with_one_error_line_and_no_file(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}, more than the 1048576 bytes of physical memory\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------ mtilde
 
 
@@ -1257,8 +1303,8 @@ def test_quick_criterion_5_fails_a_cube_scaled_by_3_percent(monkeypatch):
     # Its z-score gate must keep the power to see a 6% variance error.
     fill = projclt.samplers._FILLS[BodyKind.CUBE]
 
-    def scaled(rng, out, rows):
-        fill(rng, out, rows)
+    def scaled(rng, out):
+        fill(rng, out)
         out *= 1.03
 
     monkeypatch.setitem(projclt.samplers._FILLS, BodyKind.CUBE, scaled)

@@ -7,6 +7,7 @@ resolvable alpha and against their exact limits at tiny alpha.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -527,3 +528,59 @@ def test_sandwich_report_round_trip():
     assert back.status == report.status
     assert back.hypothesis_sup == report.hypothesis_sup
     assert back.certificate.lower_radius == report.certificate.lower_radius
+
+
+@pytest.mark.parametrize("body", BODIES_1D)
+def test_the_sandwich_reads_every_body_through_the_1d_densities(body, monkeypatch):
+    calls = []
+    for name in ("body_density_1d", "body_convolved_density_1d"):
+        real = getattr(projclt.deconvolution, name)
+
+        def counting(b, x, alpha, name=name, real=real):
+            calls.append((name, b))
+            return real(b, x, alpha)
+
+        monkeypatch.setattr(projclt.deconvolution, name, counting)
+    report = verify_sandwich(body, _TWO_REGIONS, 201)
+    regions = 2 if report.status in ("verified", "sandwich_violated") else 0
+    assert calls == [("body_convolved_density_1d", body)] + [("body_density_1d", body)] * regions
+
+
+def _counted_needs(monkeypatch) -> list:
+    counted = []
+    guard = projclt.deconvolution._require_memory
+    monkeypatch.setattr(projclt.deconvolution, "_require_memory",
+                        lambda what, need: (counted.append(need), guard(what, need)))
+    return counted
+
+
+@pytest.mark.parametrize("margins", [False, True], ids=["verify", "margins"])
+@pytest.mark.parametrize("case", [SANDWICH_MATRIX[0], SANDWICH_MATRIX[4]],
+                         ids=["admissible", "inadmissible"])
+def test_a_sandwich_grid_past_physical_memory_is_refused_before_the_gate(case, margins,
+                                                                         monkeypatch):
+    monkeypatch.setattr(projclt.deconvolution, "body_convolved_density_1d",
+                        lambda *args: pytest.fail("a grid was evaluated"))
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    run = sandwich_margins if margins else verify_sandwich
+    need = 100_000 * (448 if margins else 48)
+    with pytest.raises(RangeError, match=f"a sandwich of grid_points=100000 needs {need} bytes"):
+        run("uniform", case, grid_points=100_000)
+
+
+@pytest.mark.parametrize("margins", [False, True], ids=["verify", "margins"])
+@pytest.mark.parametrize("case", SANDWICH_MATRIX[:4])
+@pytest.mark.parametrize("body", BODIES_1D)
+def test_the_sandwich_guard_counts_at_least_the_measured_peak(body, case, margins, monkeypatch):
+    run = sandwich_margins if margins else verify_sandwich
+    points = 20001
+    run(body, case, points)
+    counted = _counted_needs(monkeypatch)
+    tracemalloc.start()
+    try:
+        run(body, case, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted and counted[0] >= peak, (counted, peak)

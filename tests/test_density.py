@@ -34,7 +34,7 @@ from projclt.density import (
 )
 from projclt.errors import DimensionTooHigh, InvalidSpec, RangeError, TooFewSamples
 from projclt.grassmann import random_subspace
-from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec, SubspaceBasis
+from projclt.model import BodySpec, ConvolutionSchedule, SubspaceBasis
 from projclt.samplers import (
     BLOCK, SampleBatch, _seed_seq, norm_column, sample_body, sample_gaussian,
 )
@@ -115,7 +115,7 @@ def test_radial_points_reject_bad_grids(radii):
          "no_h"],
 )
 def test_estimate_density_rejects_bad_arguments(points, bandwidth):
-    batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), MIN_KDE_SAMPLES, seed=20)
+    batch = sample_gaussian(1, 1.0, MIN_KDE_SAMPLES, seed=20)
     with pytest.raises(InvalidSpec):
         estimate_density(batch, points, bandwidth)
 
@@ -138,7 +138,7 @@ def test_estimator_matches_its_exact_expectation_per_dimension():
         if pts is None:
             g = np.linspace(-1.5, 1.5, 5)
             pts = np.stack(np.meshgrid(*([g] * l)), axis=-1).reshape(-1, l)
-        batch = sample_gaussian(GaussianSpec(dimension=l, variance=1.0), count, seed=21)
+        batch = sample_gaussian(l, 1.0, count, seed=21)
         est = estimate_density(batch, pts, bandwidth=count ** (-1 / (l + 4)))
         assert tol >= 5.84 * est.stderr.max()
         truth = gaussian_density(l, 1.0 + est.bandwidth**2, np.linalg.norm(pts, axis=1))
@@ -151,7 +151,7 @@ def test_estimator_matches_its_exact_expectation_per_dimension():
 
 
 def test_fixed_bandwidth_is_used_verbatim():
-    batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=22)
+    batch = sample_gaussian(1, 1.0, 20_000, seed=22)
     est = estimate_density(batch, np.zeros((1, 1)), bandwidth=0.25)
     assert est.bandwidth == 0.25
     truth = gaussian_density(1, 1.0 + 0.25**2, 0.0)
@@ -212,7 +212,7 @@ def test_binned_estimate_matches_the_direct_kernel_sum(l, body, points, bandwidt
 
 
 def test_radial_grid_is_radius_major():
-    batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 10_000, seed=24)
+    batch = sample_gaussian(2, 1.0, 10_000, seed=24)
     est = estimate_density(batch, radial_points([0.0, 1.0], 2), bandwidth=10_000 ** (-1 / 6))
     assert est.points.shape == (2 * DIRECTIONS, 2)
     np.testing.assert_array_equal(est.points[:DIRECTIONS], np.zeros((DIRECTIONS, 2)))
@@ -222,16 +222,16 @@ def test_radial_grid_is_radius_major():
 
 
 def test_estimator_guards():
-    small = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), MIN_KDE_SAMPLES - 1, seed=25)
+    small = sample_gaussian(1, 1.0, MIN_KDE_SAMPLES - 1, seed=25)
     with pytest.raises(TooFewSamples):
         estimate_density(small, [[0.0]], bandwidth=(MIN_KDE_SAMPLES - 1) ** (-1 / 5))
 
-    wide = sample_gaussian(GaussianSpec(dimension=MAX_KDE_DIM + 1, variance=1.0), 20_000, seed=26)
+    wide = sample_gaussian(MAX_KDE_DIM + 1, 1.0, 20_000, seed=26)
     with pytest.raises(DimensionTooHigh):
         estimate_density(wide, np.zeros((1, MAX_KDE_DIM + 1)),
                          bandwidth=20_000 ** (-1 / (MAX_KDE_DIM + 5)))
 
-    batch = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 20_000, seed=27)
+    batch = sample_gaussian(2, 1.0, 20_000, seed=27)
     with pytest.raises(InvalidSpec):
         estimate_density(batch, np.zeros((3, 1)), bandwidth=20_000 ** (-1 / 6))  # dim mismatch
 
@@ -242,7 +242,7 @@ def test_estimator_guards():
     ids=["nan", "inf", "nan_and_inf"],
 )
 def test_estimator_rejects_non_finite_data(bad):
-    data = sample_gaussian(GaussianSpec(dimension=2, variance=1.0), 20_000, seed=30).data.copy()
+    data = sample_gaussian(2, 1.0, 20_000, seed=30).data.copy()
     for row, value in bad.items():
         data[row, 1] = value
     batch = SampleBatch(data=data, seed=30, source={})
@@ -252,7 +252,7 @@ def test_estimator_rejects_non_finite_data(bad):
 
 def test_estimator_refuses_a_grid_larger_than_physical_memory():
     # About 1.6e5 nodes per axis; the check runs before anything grid-sized is allocated.
-    batch = sample_gaussian(GaussianSpec(dimension=3, variance=1.0), MIN_KDE_SAMPLES, seed=31)
+    batch = sample_gaussian(3, 1.0, MIN_KDE_SAMPLES, seed=31)
     points = radial_points(np.linspace(0.0, 2.0, 5), 3)
     with pytest.raises(RangeError, match="KDE grid at 80 points needs .* bytes of physical memory"):
         estimate_density(batch, points, bandwidth=1e-4)
@@ -263,7 +263,7 @@ def test_the_grid_guard_counts_the_kernel_factors(monkeypatch):
     # first contraction take 8 (203 + 2 * 2,000) = 33,624 bytes, under the 1 MiB of
     # memory patched in below; the stacked kernel factors and the three arrays that
     # build them take 8 * 5 * 2,000 * 203 = 16,240,000 bytes more, and are refused.
-    batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), MIN_KDE_SAMPLES, seed=32)
+    batch = sample_gaussian(1, 1.0, MIN_KDE_SAMPLES, seed=32)
     points = np.linspace(-1.5, 1.5, 2_000)[:, None]
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -391,7 +391,7 @@ def test_project_body_with_norms_counts_the_norm_column(monkeypatch):
 
 
 def test_ratio_to_gaussian_divides_by_the_reference():
-    batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=28)
+    batch = sample_gaussian(1, 1.0, 20_000, seed=28)
     est = estimate_density(batch, np.linspace(-1.0, 1.0, 9).reshape(-1, 1),
                            bandwidth=20_000 ** (-1 / 5))
     rep = ratio_to_gaussian(est, 1.0, 1.0)
@@ -403,7 +403,7 @@ def test_ratio_to_gaussian_divides_by_the_reference():
 
 
 def test_ratio_to_gaussian_rejects_points_beyond_the_radius():
-    batch = sample_gaussian(GaussianSpec(dimension=1, variance=1.0), 20_000, seed=29)
+    batch = sample_gaussian(1, 1.0, 20_000, seed=29)
     est = estimate_density(batch, [[0.0], [1.5]], bandwidth=20_000 ** (-1 / 5))
     with pytest.raises(RangeError):
         ratio_to_gaussian(est, 1.0, 1.0)

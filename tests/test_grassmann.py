@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from projclt.errors import DimensionError, InvalidSpec
 from projclt.grassmann import project, random_subspace
-from projclt.model import BodySpec, GaussianSpec, SubspaceBasis, loads, dumps
+from projclt.model import BodySpec, SubspaceBasis, loads, dumps
 from projclt.samplers import BLOCK, SampleBatch, sample_body, sample_gaussian
 
 
@@ -91,7 +91,7 @@ def test_full_projection_preserves_norms():
 
 def test_projected_gaussian_stays_standard():
     # Orthogonal projection of a standard gaussian is a standard gaussian.
-    batch = sample_gaussian(GaussianSpec(dimension=30, variance=1.0), 50_000, seed=8)
+    batch = sample_gaussian(30, 1.0, 50_000, seed=8)
     out = project(batch, random_subspace(30, 2, seed=9))
     cov = np.cov(out.data, rowvar=False)
     assert np.abs(cov - np.eye(2)).max() < 0.03

@@ -14,7 +14,6 @@ from projclt.model import (
     BodySpec,
     ConvolutionSchedule,
     DensityEstimate,
-    GaussianSpec,
     RadialDensity,
     RatioReport,
     SubspaceBasis,
@@ -51,19 +50,6 @@ def test_body_spec_parses_kind_string():
     spec = BodySpec(kind="laplace", dimension=7)
     assert spec.kind is BodyKind.PRODUCT_LAPLACE
     assert spec.dimension == 7
-
-
-# ------------------------------------------------------------- GaussianSpec
-
-
-@pytest.mark.parametrize("bad_v", [0.0, -1.0, math.nan, math.inf])
-def test_gaussian_spec_rejects_bad_variance(bad_v):
-    with pytest.raises(InvalidSpec):
-        GaussianSpec(dimension=3, variance=bad_v)
-
-
-def test_gaussian_spec_accepts_tiny_variance():
-    assert GaussianSpec(dimension=1, variance=1e-300).variance == 1e-300
 
 
 # ------------------------------------------------------- ConvolutionSchedule
@@ -293,16 +279,6 @@ def test_schedule_round_trip(alpha):
     assert back.alpha == s.alpha and back.lambda_ == s.lambda_
 
 
-@given(
-    dim=st.integers(min_value=1, max_value=500),
-    variance=st.floats(min_value=1e-6, max_value=1e3),
-)
-def test_gaussian_spec_round_trip(dim, variance):
-    s = GaussianSpec(dimension=dim, variance=variance)
-    back = loads(dumps(s))
-    assert back.dimension == s.dimension and back.variance == s.variance
-
-
 def test_ratio_report_round_trip_preserves_meta():
     rep = _report([0.0, 0.5], [1.01, 0.98], n=100, l=1)
     back = loads(dumps(rep))
@@ -323,7 +299,6 @@ def _golden_values():
     cube3 = {"type": "body_spec", "kind": "cube", "dimension": 3}
     return {
         "body_spec": BodySpec(kind="laplace", dimension=3),
-        "gaussian_spec": GaussianSpec(dimension=2, variance=0.5),
         "convolution_schedule": ConvolutionSchedule(alpha=10.0),
         "subspace_basis": SubspaceBasis(rows=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
         "radial_density_chi": RadialDensity.closed_form_chi(5),
@@ -359,7 +334,6 @@ _CUBE3_JSON = '{"type": "body_spec", "kind": "cube", "dimension": 3}'
 
 GOLDEN_JSON = {
     "body_spec": '{"type": "body_spec", "kind": "product_laplace", "dimension": 3}',
-    "gaussian_spec": '{"type": "gaussian_spec", "dimension": 2, "variance": 0.5}',
     "convolution_schedule": (
         '{"type": "convolution_schedule", "alpha": 10.0, "lambda": 0.014285714285714285}'
     ),
@@ -434,9 +408,9 @@ def test_a_certificate_needs_its_params():
 def test_a_float_key_takes_only_a_json_float(value):
     # float() takes each of these, and dumps would write 0.5, 1.0 and 1.0:
     # a decoded value that does not re-encode to its own bytes.
-    text = '{"type": "gaussian_spec", "dimension": 3, "variance": 0.5}'
+    text = '{"type": "convolution_schedule", "alpha": 0.5, "lambda": 0.044444444444444446}'
     assert dumps(loads(text)) == text
-    with pytest.raises(InvalidSpec, match="variance"):
+    with pytest.raises(InvalidSpec, match="alpha"):
         loads(text.replace("0.5", value))
 
 
@@ -458,7 +432,7 @@ def _golden_with(name, **edits):
     "payload, key",
     [
         pytest.param(_golden_with("ratio_report", radius_grid=[0, 1]), "radius_grid", id="int_grid"),
-        pytest.param(_golden_with("gaussian_spec", extra=1), "extra", id="extra_key"),
+        pytest.param(_golden_with("kernel_params", extra=1), "extra", id="extra_key"),
         pytest.param(_golden_with("body_spec", kind="laplace"), "kind", id="alias"),
         pytest.param(
             _golden_with("subspace_basis", ambient_dim=2, subspace_dim=1, rows=[[1, 0]]), "rows",
@@ -527,14 +501,15 @@ def _positive_real_entries():
     from projclt.density import estimate_density, ratio_to_gaussian
     from projclt.errors import RangeError
     from projclt.radial import thin_shell_fraction
-    from projclt.samplers import SampleBatch
+    from projclt.samplers import SampleBatch, sample_gaussian
     from projclt.spherical import KernelParams, gaussian_density, psi_gaussian_ratio_scan
 
     projected = SampleBatch(data=np.linspace(-1.0, 1.0, 10_000)[:, None], seed=None, source={})
     norms = SampleBatch(data=np.array([[1.0]]), seed=None, source={})
     deconv = dict(n=2, alpha=1e-24, beta=0.5, epsilon=0.005, hypothesis_radius=3.0)
     entries = [
-        ("GaussianSpec.variance", lambda v: GaussianSpec(3, v), InvalidSpec, "variance"),
+        ("sample_gaussian.variance", lambda v: sample_gaussian(3, v, 10, 1), InvalidSpec,
+         "variance"),
         ("DensityEstimate.bandwidth", lambda v: _estimate(bandwidth=v), InvalidSpec, "bandwidth"),
         ("KernelParams.r", lambda v: KernelParams(5, 2, v), InvalidSpec, "radius"),
         *(

@@ -5,17 +5,20 @@ import math
 import os
 import stat
 import threading
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import projclt.samplers
 from projclt.errors import InvalidSpec, RangeError
-from projclt.model import BodyKind, BodySpec, ConvolutionSchedule, GaussianSpec
+from projclt.model import BodyKind, BodySpec, ConvolutionSchedule
 from projclt.radial import norm_column
 from projclt.samplers import (
     BLOCK,
+    TILE_BYTES,
     SampleBatch,
     _block_rng,
     _generate,
@@ -55,10 +58,9 @@ def test_thread_count_does_not_change_the_stream():
     np.testing.assert_array_equal(serial.data, threaded.data)
     np.testing.assert_array_equal(sample_body(spec, count, seed=9, threads=3).data, serial.data)
 
-    g = GaussianSpec(dimension=4, variance=2.0)
     np.testing.assert_array_equal(
-        sample_gaussian(g, count, seed=9, threads=1).data,
-        sample_gaussian(g, count, seed=9, threads=3).data,
+        sample_gaussian(4, 2.0, count, seed=9, threads=1).data,
+        sample_gaussian(4, 2.0, count, seed=9, threads=3).data,
     )
 
 
@@ -182,16 +184,47 @@ def test_laplace_tail_weight():
     assert abs(frac - oracle) < 0.003
 
 
-def test_gaussian_spec_variance_is_respected():
-    batch = sample_gaussian(GaussianSpec(dimension=3, variance=2.5), 100_000, seed=19)
+def test_sample_gaussian_respects_its_variance():
+    batch = sample_gaussian(3, 2.5, 100_000, seed=19)
     np.testing.assert_allclose(batch.data.var(axis=0), 2.5, rtol=0.03)
+    assert batch.source == {"draw": "gaussian", "dimension": 3, "variance": 2.5}
+
+
+def test_sample_gaussian_refuses_a_dimension_below_1():
+    with pytest.raises(InvalidSpec, match="dimension must be >= 1, got 0"):
+        sample_gaussian(0, 1.0, 10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "variance, message",
+    [
+        (0.0, "variance must be positive, got 0.0"),
+        (-1.0, "variance must be positive, got -1.0"),
+        (math.nan, "variance must be positive, got nan"),
+        (math.inf, "variance must be positive, got inf"),
+        (True, "variance must be a number, got True"),
+        ("1", "variance must be a number, got '1'"),
+    ],
+    ids=["0", "-1", "nan", "inf", "bool", "str"],
+)
+def test_sample_gaussian_refuses_a_variance_that_is_not_a_positive_number(variance, message):
+    with pytest.raises(InvalidSpec, match=message):
+        sample_gaussian(3, variance, 10, seed=1)
+
+
+def test_sample_gaussian_accepts_a_tiny_variance():
+    batch = sample_gaussian(1, 1e-300, 10, seed=1)
+    assert batch.source["variance"] == 1e-300
+    np.testing.assert_array_equal(
+        batch.data, sample_body(BodySpec("gaussian", 1), 10, seed=1).data * math.sqrt(1e-300)
+    )
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("variance", [1.0, 2.5])
 def test_gaussian_noise_is_the_gaussian_body_scaled(variance, threads):
     count = 32 * BLOCK + 17
-    noise = sample_gaussian(GaussianSpec(4, variance), count, seed=7, threads=threads)
+    noise = sample_gaussian(4, variance, count, seed=7, threads=threads)
     body = sample_body(BodySpec("gaussian", 4), count, seed=7, threads=threads)
     np.testing.assert_array_equal(noise.data, body.data * math.sqrt(variance))
 
@@ -224,6 +257,55 @@ def test_convolve_threads_match_serial():
     )
 
 
+def test_the_noise_step_holds_one_batch_beside_the_worker_buffers():
+    # The noise is drawn into the output and smoothed there in place: no
+    # second (count, n) array and no tile-sized temporary.
+    n, count = 20, 8 * BLOCK + 5
+    x = sample_body(BodySpec("cube", n), count, seed=29)
+    s = ConvolutionSchedule(alpha=10.0)
+    for threads in (1, 2):
+        convolve_and_rescale(x, s, seed=30, threads=threads)
+        tracemalloc.start()
+        try:
+            convolve_and_rescale(x, s, seed=30, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = threads * min(BLOCK, TILE_BYTES // (8 * n)) * n * 8
+        assert peak <= x.data.nbytes + buffers + (1 << 16), (threads, peak)
+
+
+@pytest.mark.parametrize(
+    "threads, cores, blocks, workers",
+    [(64, 3, 10, 3), (64, 1, 10, 2), (64, 8, 5, 5), (2, 8, 10, 2), (3, 1, 10, 2)],
+)
+def test_the_worker_count_is_capped_at_the_usable_cores_but_never_below_2(
+    threads, cores, blocks, workers, monkeypatch
+):
+    # A stand-in pool records max_workers and runs the workers in turn: no thread starts.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(projclt.samplers, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(projclt.samplers, "usable_cores", lambda: cores)
+    spec = BodySpec("cube", 2)
+    batch = sample_body(spec, blocks * BLOCK, seed=31, threads=threads)
+    assert sizes == [workers]
+    np.testing.assert_array_equal(batch.data, sample_body(spec, blocks * BLOCK, seed=31).data)
+
+
 def test_a_full_batch_larger_than_physical_memory_is_refused():
     # The check runs before any allocation or seed spawning, so this is instant.
     with pytest.raises(RangeError, match=r"a 100000000000 x 1000 batch needs 800000000000000 bytes"):
@@ -237,7 +319,7 @@ def test_a_failing_block_stops_the_other_worker_at_its_current_block():
     began, failed = threading.Event(), threading.Event()
     filled, workers = [], set()
 
-    def fill(rng, out, rows):
+    def reduce(block, rows):
         i = rows.start // BLOCK
         filled.append(i)
         workers.add(threading.get_ident())
@@ -249,10 +331,9 @@ def test_a_failing_block_stops_the_other_worker_at_its_current_block():
             raise RuntimeError("block 3")
         if i > 3:
             assert failed.wait(10)
-        out.fill(0.0)
 
     with pytest.raises(RuntimeError, match="block 3"):
-        _generate(80 * BLOCK, 3, 1, fill, threads=2, reduce=lambda block, rows: None)
+        _generate(80 * BLOCK, 3, 1, lambda rng, out: out.fill(0.0), threads=2, reduce=reduce)
     assert len(filled) <= 3 + 2, sorted(filled)
 
 

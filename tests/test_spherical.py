@@ -8,6 +8,8 @@ numerics.
 
 import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln
 
+import projclt.spherical
 from projclt.errors import DomainError, InvalidSpec, RangeError
 from projclt.model import RadialDensity
 from projclt.spherical import (
@@ -386,3 +389,27 @@ def test_scan_report_is_self_consistent():
     assert rep.radius_grid.shape == (55,)
     assert rep.radius_grid[0] == 0.0 and rep.radius_grid[-1] == 1.2
     assert rep.sup_abs_deviation == np.max(np.abs(rep.per_point_ratios - 1.0))
+
+
+def test_a_scan_grid_past_physical_memory_is_refused_before_it_is_built(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(RangeError, match="a psi scan of grid_points=100000 needs 4800000 bytes"):
+        psi_gaussian_ratio_scan(100, 1, 1.5, grid_points=100_000)
+
+
+@pytest.mark.parametrize("n, l", [(100, 1), (64, 2), (10_000, 3)])
+def test_the_scan_guard_counts_at_least_the_measured_peak(n, l, monkeypatch):
+    points = 20001
+    psi_gaussian_ratio_scan(n, l, 0.9 * n**0.125, points)
+    counted = []
+    guard = projclt.spherical._require_memory
+    monkeypatch.setattr(projclt.spherical, "_require_memory",
+                        lambda what, need: (counted.append(need), guard(what, need)))
+    tracemalloc.start()
+    try:
+        psi_gaussian_ratio_scan(n, l, 0.9 * n**0.125, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted and counted[0] >= peak, (counted, peak)

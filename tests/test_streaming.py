@@ -17,7 +17,7 @@ from projclt import samplers
 from projclt.cli import main, projected_ratio
 from projclt.density import estimate_density, m_tilde_profile, project_body, radial_points
 from projclt.grassmann import project, random_subspace
-from projclt.model import BodySpec, ConvolutionSchedule, GaussianSpec
+from projclt.model import BodySpec, ConvolutionSchedule
 from projclt.radial import norm_column, thin_shell_fraction
 from projclt.samplers import (
     BLOCK,
@@ -67,7 +67,7 @@ def test_streamed_blocks_equal_the_full_batch(kind, threads):
 def test_streamed_gaussian_norms_equal_the_norms_of_the_full_batch(threads):
     # The standard gaussian body streams the bits of the unit-variance noise
     # sampler, so its reduce form stands in for a gaussian norms stream.
-    full = sample_gaussian(GaussianSpec(dimension=4, variance=1.0), COUNT, seed=4)
+    full = sample_gaussian(4, 1.0, COUNT, seed=4)
     streamed = sample_body(
         BodySpec("gaussian", 4), COUNT, seed=4, threads=threads, reduce=norm_column
     )
@@ -158,10 +158,10 @@ def test_every_fill_draws_its_rows_in_row_order(kind):
     # rows in row order: two calls on one generator give the bits of one.
     fill = samplers._FILLS[kind]
     whole, parts = np.empty((1000, 7)), np.empty((1000, 7))
-    fill(np.random.default_rng(5), whole, slice(0, 1000))
+    fill(np.random.default_rng(5), whole)
     rng = np.random.default_rng(5)
-    fill(rng, parts[:300], slice(0, 300))
-    fill(rng, parts[300:], slice(300, 1000))
+    fill(rng, parts[:300])
+    fill(rng, parts[300:])
     np.testing.assert_array_equal(parts, whole)
 
 
@@ -214,7 +214,7 @@ def test_block_reads_equal_the_rows_of_the_whole_batch(count, tmp_path):
 
 def test_cube_fill_in_place_has_the_bits_of_uniform():
     out = np.empty((1000, 300))
-    _fill_cube(np.random.default_rng(1), out, None)
+    _fill_cube(np.random.default_rng(1), out)
     expected = np.random.default_rng(1).uniform(-_SQRT3, _SQRT3, size=(1000, 300))
     np.testing.assert_array_equal(out, expected)
 
@@ -222,7 +222,7 @@ def test_cube_fill_in_place_has_the_bits_of_uniform():
 def test_simplex_fill_in_place_has_the_bits_of_the_out_of_place_formula():
     m, n = 1000, 30
     out = np.empty((m, n))
-    _fill_simplex(np.random.default_rng(2), out, None)
+    _fill_simplex(np.random.default_rng(2), out)
     spacings = np.random.default_rng(2).standard_exponential(size=(m, n + 1))
     total = spacings.sum(axis=1, keepdims=True)
     a = 1.0 / ((n + 1.0) * (n + 2.0))
@@ -240,7 +240,7 @@ def test_simplex_fill_in_place_has_the_bits_of_the_out_of_place_formula():
 def test_ball_fill_scales_by_the_norms_of_np_linalg_norm():
     m, n = 1000, 30
     out = np.empty((m, n))
-    _fill_ball(np.random.default_rng(3), out, None)
+    _fill_ball(np.random.default_rng(3), out)
     z = np.random.default_rng(3).standard_normal((m, n + 2))
     expected = z[:, :n] * (math.sqrt(n + 2.0) / np.linalg.norm(z, axis=1))[:, None]
     np.testing.assert_allclose(out, expected, rtol=1e-15)
@@ -260,7 +260,7 @@ def test_laplace_fill_is_the_inverse_cdf_at_the_edges_of_the_unit_interval():
     half_ulp = 2.0**-53
     u = np.array([0.0, half_ulp, 0.5 - half_ulp, 0.5, 1.0 - half_ulp])
     out = np.empty((3, u.size))
-    _fill_laplace(_Uniforms(u), out, None)
+    _fill_laplace(_Uniforms(u), out)
     assert np.isfinite(out).all()
     # u = 0, which numpy draws again, takes the documented b log(2^-53).
     assert out[0, 0] == _LAPLACE_SCALE * math.log(2.0**-53)
@@ -272,7 +272,7 @@ def test_laplace_fill_is_the_inverse_cdf_at_the_edges_of_the_unit_interval():
 def test_laplace_fill_draws_what_numpy_draws_from_the_same_uniforms():
     m, n = 1000, 30
     out = np.empty((m, n))
-    _fill_laplace(np.random.default_rng(4), out, None)
+    _fill_laplace(np.random.default_rng(4), out)
     expected = np.random.default_rng(4).laplace(0.0, _LAPLACE_SCALE, size=(m, n))
     u = np.random.default_rng(4).random((m, n))
     np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
@@ -333,7 +333,7 @@ def test_streamed_m_tilde_profile_never_holds_the_batch():
 
 
 def test_the_estimator_bins_its_sample_in_row_blocks():
-    batch = sample_gaussian(GaussianSpec(dimension=_L, variance=1.0), _COUNT, seed=6)
+    batch = sample_gaussian(_L, 1.0, _COUNT, seed=6)
     points = radial_points(np.linspace(0.0, 2.0, 9), _L)
     peak = _peak_bytes(lambda: estimate_density(batch, points, _COUNT ** (-1 / (_L + 4))))
     assert peak < 1.5 * batch.data.nbytes, peak
